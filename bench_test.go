@@ -367,9 +367,11 @@ func (s *silentNode) OnFrame(_ []byte, _ medium.RxInfo) {}
 // as the before-side of the optimization. The sharded variants run the
 // spatially partitioned medium (per-cell ledgers, ring-bounded reach) —
 // with one assessment lane and with four concurrent ones — at 400 and
-// 10,000 nodes; all variants deliver byte-identical results.
+// 10,000 nodes; all variants deliver byte-identical results. The
+// interfered variant puts four overlapping transmitters on the air at
+// once, so every delivery runs the SINR interference scan.
 func BenchmarkMediumDeliver(b *testing.B) {
-	run := func(b *testing.B, side int, indexed bool, shardWorkers int) {
+	run := func(b *testing.B, side int, indexed bool, shardWorkers, transmitters int) {
 		eng := sim.NewEngine(42)
 		model := phys.DefaultModel(42)
 		m := medium.New(eng, model)
@@ -379,37 +381,45 @@ func BenchmarkMediumDeliver(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		centerID := phys.NodeID((side/2)*side + side/2 + 1)
-		var center medium.Receiver
+		// The grid center transmits; extra transmitters sit two and four
+		// columns to its left and right, all within interference range.
+		center := (side/2)*side + side/2
+		offsets := []int{0, 2, -2, 4}[:transmitters]
+		txs := make([]medium.Receiver, len(offsets))
 		for i := 0; i < side*side; i++ {
 			n := &silentNode{id: phys.NodeID(i + 1),
 				pos: phys.Position{X: float64(i%side) * 15, Y: float64(i/side) * 15}}
-			if n.id == centerID {
-				center = n
+			for k, off := range offsets {
+				if i == center+off {
+					txs[k] = n
+				}
 			}
 			if err := m.Attach(n); err != nil {
 				b.Fatal(err)
 			}
 		}
 		frame := make([]byte, 64)
-		// Warm the caches (part of the design: gains are static).
-		if _, err := m.Transmit(center, frame); err != nil {
-			b.Fatal(err)
-		}
-		eng.Run()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Transmit(center, frame); err != nil {
-				b.Fatal(err)
+		burst := func() {
+			for _, tx := range txs {
+				if _, err := m.Transmit(tx, frame); err != nil {
+					b.Fatal(err)
+				}
 			}
 			eng.Run()
 		}
+		// Warm the caches (part of the design: gains are static).
+		burst()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			burst()
+		}
 	}
-	b.Run("indexed-400", func(b *testing.B) { run(b, 20, true, 0) })
-	b.Run("fanout-400", func(b *testing.B) { run(b, 20, false, 0) })
-	b.Run("sharded-400", func(b *testing.B) { run(b, 20, true, 1) })
-	b.Run("sharded-400-lanes-4", func(b *testing.B) { run(b, 20, true, 4) })
-	b.Run("indexed-10k", func(b *testing.B) { run(b, 100, true, 0) })
-	b.Run("sharded-10k-lanes-4", func(b *testing.B) { run(b, 100, true, 4) })
+	b.Run("indexed-400", func(b *testing.B) { run(b, 20, true, 0, 1) })
+	b.Run("interfered-400", func(b *testing.B) { run(b, 20, true, 0, 4) })
+	b.Run("fanout-400", func(b *testing.B) { run(b, 20, false, 0, 1) })
+	b.Run("sharded-400", func(b *testing.B) { run(b, 20, true, 1, 1) })
+	b.Run("sharded-400-lanes-4", func(b *testing.B) { run(b, 20, true, 4, 1) })
+	b.Run("indexed-10k", func(b *testing.B) { run(b, 100, true, 0, 1) })
+	b.Run("sharded-10k-lanes-4", func(b *testing.B) { run(b, 100, true, 4, 1) })
 }

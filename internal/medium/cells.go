@@ -3,6 +3,7 @@ package medium
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"liteview/internal/phys"
@@ -60,10 +61,11 @@ type cellKey struct{ cx, cy int }
 // cell is one spatial shard: the nodes inside one grid square, the
 // transmissions that can touch them, and the caches only they read.
 type cell struct {
-	// members holds the resident nodes in attach order (ties broken by
-	// the global attach sequence, so candidate sets keep the exact
-	// iteration order the unsharded index uses).
-	members []phys.NodeID
+	key cellKey
+	// members holds the slots of the resident nodes in attach order
+	// (ties broken by the global attach sequence, so candidate sets keep
+	// the exact iteration order the unsharded index uses).
+	members []int32
 	// ledger holds the active transmissions whose origin cell is
 	// within the detectability ring — everything a member could
 	// possibly hear or be interfered by, in transmit order.
@@ -79,12 +81,14 @@ type shardState struct {
 	cellSize float64
 	// ring is the Chebyshev cell radius that covers DetectRange: cells
 	// farther apart than ring are provably out of RF reach.
-	ring   int
-	cells  map[cellKey]*cell
-	cellOf map[phys.NodeID]cellKey
-	// seq records global attach order (monotonic, survives detaches)
-	// so merged candidate lists sort back into attach order.
-	seq     map[phys.NodeID]uint64
+	ring  int
+	cells map[cellKey]*cell
+	// at is each slot's current cell (nil when detached), and seq its
+	// place in global attach order (monotonic, zero when detached), so
+	// merged candidate lists sort back into attach order. Both are
+	// indexed by slot.
+	at      []*cell
+	seq     []uint64
 	nextSeq uint64
 }
 
@@ -117,12 +121,10 @@ func (m *Medium) SetSharding(s Sharding) error {
 		cellSize: size,
 		ring:     int(math.Ceil(rangeBound / size)),
 		cells:    make(map[cellKey]*cell),
-		cellOf:   make(map[phys.NodeID]cellKey),
-		seq:      make(map[phys.NodeID]uint64),
 	}
 	m.shard = sh
-	for _, id := range m.order {
-		sh.place(id, m.keyFor(m.nodes[id].Position()))
+	for _, s := range m.order {
+		sh.place(s, m.keyFor(m.slots[s].rx.Position()))
 	}
 	// Re-register in-flight transmissions under the new partition.
 	for _, t := range m.active {
@@ -132,9 +134,9 @@ func (m *Medium) SetSharding(s Sharding) error {
 		c.ledger = m.ledgerFor(key)
 	}
 	// Cached candidate sets and budgets predate the partition; the
-	// cell-scoped caches rebuild lazily.
+	// cell-scoped caches rebuild lazily and the link table goes unused.
 	clear(m.reach)
-	clear(m.gains)
+	clear(m.rows)
 	if s.Workers > 0 {
 		m.eng.SetWorkers(s.Workers)
 	}
@@ -154,45 +156,48 @@ func (m *Medium) ShardInfo() (cells int, cellSize float64, ring int) {
 	return len(m.shard.cells), m.shard.cellSize, m.shard.ring
 }
 
-// place adds id to the cell at key, creating the cell on first use,
-// keeping members in attach-sequence order.
-func (sh *shardState) place(id phys.NodeID, key cellKey) {
-	if _, ok := sh.seq[id]; !ok {
+// place adds slot s to the cell at key, creating the cell on first
+// use, keeping members in attach-sequence order.
+func (sh *shardState) place(s int32, key cellKey) {
+	for int(s) >= len(sh.at) {
+		sh.at = append(sh.at, nil)
+		sh.seq = append(sh.seq, 0)
+	}
+	if sh.seq[s] == 0 {
 		sh.nextSeq++
-		sh.seq[id] = sh.nextSeq
+		sh.seq[s] = sh.nextSeq
 	}
 	c := sh.cells[key]
 	if c == nil {
-		c = &cell{gains: make(map[uint32]phys.Budget)}
+		c = &cell{key: key, gains: make(map[uint32]phys.Budget)}
 		sh.cells[key] = c
 	}
 	// Insert keeping attach order: appends are the common case (fresh
 	// attaches always carry the highest sequence).
 	i := sort.Search(len(c.members), func(i int) bool {
-		return sh.seq[c.members[i]] > sh.seq[id]
+		return sh.seq[c.members[i]] > sh.seq[s]
 	})
 	c.members = append(c.members, 0)
 	copy(c.members[i+1:], c.members[i:])
-	c.members[i] = id
-	sh.cellOf[id] = key
+	c.members[i] = s
+	sh.at[s] = c
 }
 
-// remove drops id from its cell's member list (the cell itself is
+// remove drops slot s from its cell's member list (the cell itself is
 // retained: its ledger may still be feeding in-flight deliveries).
-func (sh *shardState) remove(id phys.NodeID) {
-	key, ok := sh.cellOf[id]
-	if !ok {
+func (sh *shardState) remove(s int32) {
+	if int(s) >= len(sh.at) || sh.at[s] == nil {
 		return
 	}
-	c := sh.cells[key]
+	c := sh.at[s]
 	for i, n := range c.members {
-		if n == id {
+		if n == s {
 			c.members = append(c.members[:i], c.members[i+1:]...)
 			break
 		}
 	}
-	delete(sh.cellOf, id)
-	delete(sh.seq, id)
+	sh.at[s] = nil
+	sh.seq[s] = 0
 }
 
 // ledgerFor rebuilds the ledger of the cell at key from the global
@@ -251,8 +256,8 @@ func (sh *shardState) register(t *transmission) {
 // node X can hear node Y only if Y can be ring-reached from X's cell).
 func (m *Medium) invalidateRing(key cellKey) {
 	m.shard.forRing(key, func(c *cell) {
-		for _, id := range c.members {
-			delete(m.reach, id)
+		for _, s := range c.members {
+			m.reach[s] = nil
 		}
 	})
 }
@@ -272,10 +277,10 @@ func (m *Medium) purgeGains(id phys.NodeID, key cellKey) {
 }
 
 // shardAttach wires a newly attached node into the partition.
-func (m *Medium) shardAttach(id phys.NodeID, pos phys.Position) {
+func (m *Medium) shardAttach(s int32, pos phys.Position) {
 	key := m.keyFor(pos)
 	fresh := m.shard.cells[key] == nil
-	m.shard.place(id, key)
+	m.shard.place(s, key)
 	if fresh {
 		m.shard.cells[key].ledger = m.ledgerFor(key)
 	}
@@ -285,14 +290,14 @@ func (m *Medium) shardAttach(id phys.NodeID, pos phys.Position) {
 }
 
 // shardDetach removes a node from the partition.
-func (m *Medium) shardDetach(id phys.NodeID) {
-	key, ok := m.shard.cellOf[id]
-	if !ok {
+func (m *Medium) shardDetach(s int32) {
+	c := m.cellOf(s)
+	if c == nil {
 		return
 	}
-	m.purgeGains(id, key)
-	m.shard.remove(id)
-	m.invalidateRing(key)
+	m.purgeGains(m.slots[s].id, c.key)
+	m.shard.remove(s)
+	m.invalidateRing(c.key)
 }
 
 // shardMove migrates a node between cells after a position change and
@@ -301,20 +306,21 @@ func (m *Medium) shardDetach(id phys.NodeID) {
 // a fresh candidate set, everyone else keeps theirs — at 10k nodes
 // that is the difference between O(ring²·density) and O(N) per step
 // of a walking workstation.
-func (m *Medium) shardMove(id phys.NodeID) {
+func (m *Medium) shardMove(s int32) {
 	sh := m.shard
-	old, ok := sh.cellOf[id]
-	if !ok {
+	c := m.cellOf(s)
+	if c == nil {
 		return
 	}
+	id, old := m.slots[s].id, c.key
 	// Budgets involving the node are stale at both ends.
 	m.purgeGains(id, old)
 	m.invalidateRing(old)
-	key := m.keyFor(m.nodes[id].Position())
+	key := m.keyFor(m.slots[s].rx.Position())
 	if key != old {
 		fresh := sh.cells[key] == nil
-		sh.remove(id)
-		sh.place(id, key)
+		sh.remove(s)
+		sh.place(s, key)
 		if fresh {
 			sh.cells[key].ledger = m.ledgerFor(key)
 		}
@@ -323,17 +329,13 @@ func (m *Medium) shardMove(id phys.NodeID) {
 	}
 }
 
-// cellOf returns the cell id currently resides in (nil when unsharded
-// or id is detached).
-func (m *Medium) cellOf(id phys.NodeID) *cell {
-	if m.shard == nil {
+// cellOf returns the cell slot s currently resides in (nil when
+// unsharded or the slot is vacant).
+func (m *Medium) cellOf(s int32) *cell {
+	if m.shard == nil || int(s) >= len(m.shard.at) {
 		return nil
 	}
-	key, ok := m.shard.cellOf[id]
-	if !ok {
-		return nil
-	}
-	return m.shard.cells[key]
+	return m.shard.at[s]
 }
 
 // shardReach builds tx's candidate set from the cells within the
@@ -343,21 +345,20 @@ func (m *Medium) cellOf(id phys.NodeID) *cell {
 // provably under the floor (phys.Model.DetectRange), so the candidate
 // set — and the bulk below-sensitivity count — match the unsharded
 // index exactly.
-func (m *Medium) shardReach(tx Receiver) *reachability {
+func (m *Medium) shardReach(s int32, tx Receiver) *reachability {
 	sh := m.shard
-	id := tx.NodeID()
 	pos := tx.Position()
-	var near []phys.NodeID
-	sh.forRing(sh.cellOf[id], func(c *cell) {
+	var near []int32
+	sh.forRing(sh.at[s].key, func(c *cell) {
 		near = append(near, c.members...)
 	})
 	sort.Slice(near, func(i, j int) bool { return sh.seq[near[i]] < sh.seq[near[j]] })
 	r := &reachability{}
 	for _, other := range near {
-		if other == id {
+		if other == s {
 			continue
 		}
-		b := m.txBudget(id, pos, other, m.nodes[other].Position(), m.cellOf(other))
+		b := m.txBudget(s, pos, other, m.slots[other].rx.Position(), sh.at[other])
 		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
 			r.far++
 			continue
@@ -369,21 +370,12 @@ func (m *Medium) shardReach(tx Receiver) *reachability {
 	// near contains tx itself (it resides in its own cell), which is
 	// neither candidate nor far, so the arithmetic works out to
 	// "attached nodes other than tx that were not collected".
-	out := len(m.nodes) - len(near)
-	if !containsID(near, id) {
+	out := len(m.order) - len(near)
+	if !slices.Contains(near, s) {
 		out--
 	}
 	r.far += uint64(out)
 	return r
-}
-
-func containsID(ids []phys.NodeID, id phys.NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // assess is one receiver's pure delivery physics, computed before any
@@ -406,14 +398,14 @@ type assess struct {
 // respect to everything outside the receiver's cell: it reads medium
 // topology and writes only the cell-scoped budget cache, which is what
 // makes per-cell concurrent assessment race-free.
-func (m *Medium) assessOne(t *transmission, id phys.NodeID, noiseMW float64) assess {
-	rx, ok := m.nodes[id]
-	if !ok {
+func (m *Medium) assessOne(t *transmission, s int32, noiseMW, noiseDBm float64) assess {
+	rx := m.slots[s].rx
+	if rx == nil {
 		return assess{} // detached while the frame was in flight
 	}
-	c := m.cellOf(id)
+	c := m.cellOf(s)
 	pos := rx.Position()
-	a := assess{rx: rx, b: m.txBudget(t.from, t.pos, id, pos, c)}
+	a := assess{rx: rx, b: m.txBudget(t.fromSlot, t.pos, s, pos, c)}
 	if rx.Channel() != t.channel || rx.RadioState() != radio.RX {
 		// The commit path bails out before the SINR term; skip the scan.
 		return a
@@ -424,17 +416,20 @@ func (m *Medium) assessOne(t *transmission, id phys.NodeID, noiseMW float64) ass
 	}
 	interfMW := 0.0
 	for _, o := range ledger {
-		if o == t || o.pruned || o.channel != t.channel || o.from == id {
+		if o == t || o.pruned || o.channel != t.channel || o.fromSlot == s {
 			continue
 		}
 		if o.start >= t.end || o.end <= t.start {
 			continue // no temporal overlap
 		}
-		p := m.txBudget(o.from, o.pos, id, pos, c).Received(o.txDBm)
-		interfMW += dbmToMW(p)
+		interfMW += m.interfMW(o, s, pos, c)
 		a.interfered = true
 	}
-	a.inDBm = mwToDBm(noiseMW + interfMW)
+	if interfMW == 0 {
+		a.inDBm = noiseDBm // noiseMW + 0 is exactly noiseMW
+	} else {
+		a.inDBm = mwToDBm(noiseMW + interfMW)
+	}
 	return a
 }
 
@@ -444,27 +439,26 @@ func (m *Medium) assessOne(t *transmission, id phys.NodeID, noiseMW float64) ass
 // ownership: a lane touches only its cell's budget cache and ledger.
 // Results land in candidate-index slots; the caller commits them in
 // index order, so worker count is invisible in the output.
-func (m *Medium) assessCells(t *transmission, ids []phys.NodeID, noiseMW float64) []assess {
-	sh := m.shard
-	as := make([]assess, len(ids))
-	groups := make(map[cellKey][]int)
-	var order []cellKey
-	for i, id := range ids {
-		if id == t.from {
+func (m *Medium) assessCells(t *transmission, slots []int32, noiseMW, noiseDBm float64) []assess {
+	as := make([]assess, len(slots))
+	groups := make(map[*cell][]int)
+	var order []*cell
+	for i, s := range slots {
+		if s == t.fromSlot {
 			continue
 		}
-		key, ok := sh.cellOf[id]
-		if !ok {
+		c := m.cellOf(s)
+		if c == nil {
 			continue // detached: zero assess, commit skips it
 		}
-		if _, seen := groups[key]; !seen {
-			order = append(order, key)
+		if _, seen := groups[c]; !seen {
+			order = append(order, c)
 		}
-		groups[key] = append(groups[key], i)
+		groups[c] = append(groups[c], i)
 	}
 	m.eng.ForkJoin(len(order), func(lane int) {
 		for _, i := range groups[order[lane]] {
-			as[i] = m.assessOne(t, ids[i], noiseMW)
+			as[i] = m.assessOne(t, slots[i], noiseMW, noiseDBm)
 		}
 	})
 	return as

@@ -170,17 +170,21 @@ type FaultEffect struct {
 }
 
 type transmission struct {
-	from    phys.NodeID
-	pos     phys.Position
-	channel int
-	txDBm   float64
-	start   sim.Time
-	end     sim.Time
-	frame   []byte
-	// cand is the reachability-index candidate set captured at transmit
-	// time (shared with the index; read-only). nil when the index is
-	// disabled, in which case deliver falls back to the full-order scan.
-	cand []phys.NodeID
+	from phys.NodeID
+	// fromSlot is the transmitter's attach slot (its row of the link
+	// table).
+	fromSlot int32
+	pos      phys.Position
+	channel  int
+	txDBm    float64
+	start    sim.Time
+	end      sim.Time
+	frame    []byte
+	// cand is the reachability-index candidate set (attach slots)
+	// captured at transmit time (shared with the index; read-only). nil
+	// when the index is disabled, in which case deliver falls back to
+	// the full-order scan.
+	cand []int32
 	// far is how many attached nodes were excluded as unreachable when
 	// the candidate set was captured; they are bulk-counted as
 	// below-sensitivity at delivery.
@@ -221,14 +225,35 @@ const FadeMarginDB = 6.0
 // it bounds the received power of every link through the static gain.
 var maxTxDBm = radio.PowerDBm(radio.MaxPowerLevel)
 
-// reachability is one transmitter's precomputed fan-out: the attached
-// nodes (in stable attach order) whose cached link gain at maximum
-// transmit power clears the sensitivity floor minus the fade margin,
-// plus the count of nodes excluded as unreachable.
+// reachability is one transmitter's precomputed fan-out: the slots of
+// the attached nodes (in stable attach order) whose cached link gain at
+// maximum transmit power clears the sensitivity floor minus the fade
+// margin, plus the count of nodes excluded as unreachable.
 type reachability struct {
-	cand []phys.NodeID
+	cand []int32
 	far  uint64
 }
+
+// slot is one attach slot: the node bound to it. A slot belongs to one
+// node ID for the medium's lifetime; Detach vacates it (rx = nil) and
+// re-attaching the same ID fills it again, so a slot captured by an
+// in-flight transmission never names a different node.
+type slot struct {
+	rx Receiver
+	id phys.NodeID
+}
+
+// link is one entry of the dense link table: the static budget of a
+// directed link and a memo of its received power in milliwatts at the
+// last transmit power it was converted for. A budget is unset while its
+// path loss is NaN (PathLoss clamps distance to 1 m, so no real budget
+// is); the memo is unset while txDBm is NaN.
+type link struct {
+	b         phys.Budget
+	txDBm, mw float64
+}
+
+var unsetLink = link{b: phys.Budget{PathLossDB: math.NaN()}, txDBm: math.NaN()}
 
 // linkKeys holds the pre-interned metric names of one directed link, so
 // report does not rebuild three strings on every reception.
@@ -250,8 +275,13 @@ type Medium struct {
 	eng   *sim.Engine
 	model *phys.Model
 	rng   *sim.Rand
-	nodes map[phys.NodeID]Receiver
-	order []phys.NodeID // deterministic iteration order
+	// slots holds every node ever attached, indexed by attach slot;
+	// slotOf maps an ID to its slot and is read only at API entry
+	// (Attach, Detach, NodeMoved, Transmit, EnergyDBmAt), never per
+	// (transmission, receiver) pair.
+	slots  []slot
+	slotOf map[phys.NodeID]int32
+	order  []int32 // attached slots in attach order
 	// active holds transmissions that may still overlap a frame in
 	// flight; pruned lazily.
 	active []*transmission
@@ -288,12 +318,17 @@ type Medium struct {
 	// per-pair recomputation — a pure pessimisation kept as the
 	// benchmark baseline and for the index-purity regression.
 	indexed bool
-	// gains caches the static per-pair link budget (path loss, shadowing,
-	// asymmetry), keyed from<<16|to. Valid until a position changes.
-	gains map[uint32]phys.Budget
-	// reach caches each transmitter's candidate set; invalidated on
-	// attach/detach and topology changes.
-	reach map[phys.NodeID]*reachability
+	// rows is the dense link table of the unsharded medium: rows[from]
+	// is indexed by receiver slot and holds the static link budget (path
+	// loss, shadowing, asymmetry) against current positions. A row is
+	// allocated the first time its transmitter's budgets are needed and
+	// grows as nodes attach; NodeMoved and a returning Attach purge a
+	// slot's row and column, Detach releases its row, and
+	// InvalidateTopology clears every row.
+	rows [][]link
+	// reach caches each transmitter's candidate set, indexed by slot;
+	// invalidated on attach/detach and topology changes.
+	reach []*reachability
 	// shard, when non-nil, is the spatial partition (see cells.go):
 	// per-cell interference ledgers, budget caches, and membership,
 	// enabling ring-bounded candidate collection and concurrent fan-out
@@ -303,9 +338,12 @@ type Medium struct {
 	links map[uint32]*linkKeys
 	// prr memoises the PRR curve by (SINR bits, frame length).
 	prr map[prrKey]float64
-	// noiseFor/noiseMW cache the noise floor's mW conversion.
+	// noiseFor/noiseMW/noiseDBm cache the noise floor's mW conversion
+	// and that value's own dBm round trip (the interference-free
+	// noise-plus-interference level).
 	noiseFor float64
 	noiseMW  float64
+	noiseDBm float64
 }
 
 // TapRecord describes one transmission for trace tooling.
@@ -350,10 +388,8 @@ func New(eng *sim.Engine, model *phys.Model) *Medium {
 		eng:     eng,
 		model:   model,
 		rng:     eng.Rand().Fork("medium"),
-		nodes:   make(map[phys.NodeID]Receiver),
+		slotOf:  make(map[phys.NodeID]int32),
 		indexed: true,
-		gains:   make(map[uint32]phys.Budget),
-		reach:   make(map[phys.NodeID]*reachability),
 		links:   make(map[uint32]*linkKeys),
 		prr:     make(map[prrKey]float64),
 	}
@@ -387,7 +423,9 @@ func (m *Medium) SetReachabilityIndex(enabled bool) {
 // changes need no invalidation (budgets are frequency- and
 // power-independent), and a single node moving only needs NodeMoved.
 func (m *Medium) InvalidateTopology() {
-	clear(m.gains)
+	for i := range m.rows {
+		m.rows[i] = m.rows[i][:0]
+	}
 	clear(m.reach)
 	clear(m.prr)
 	if m.shard != nil {
@@ -405,31 +443,54 @@ func (m *Medium) InvalidateTopology() {
 // recomputed against the new position at delivery, as the unindexed
 // scan would.
 func (m *Medium) NodeMoved(id phys.NodeID) {
+	s, ok := m.slotOf[id]
+	if !ok {
+		return // never attached: nothing cached
+	}
 	if m.shard != nil {
 		// The sharded medium migrates the node between cells and scopes
 		// both the budget purge and the candidate-set invalidation to
 		// the detectability rings around the old and new positions.
-		m.shardMove(id)
+		m.shardMove(s)
 		return
 	}
-	for k := range m.gains {
-		if phys.NodeID(k>>16) == id || phys.NodeID(k&0xFFFF) == id {
-			delete(m.gains, k)
+	m.purgeLinks(s)
+	clear(m.reach)
+}
+
+// purgeLinks drops every cached budget into or out of slot s: its row
+// and its column of the link table.
+func (m *Medium) purgeLinks(s int32) {
+	m.rows[s] = m.rows[s][:0]
+	for _, row := range m.rows {
+		if int(s) < len(row) {
+			row[s] = unsetLink
 		}
 	}
-	clear(m.reach)
 }
 
 // Attach registers a node. Attaching a duplicate ID is an error.
 func (m *Medium) Attach(r Receiver) error {
 	id := r.NodeID()
-	if _, dup := m.nodes[id]; dup {
+	s, known := m.slotOf[id]
+	if known && m.slots[s].rx != nil {
 		return fmt.Errorf("medium: node %d already attached", id)
 	}
-	m.nodes[id] = r
-	m.order = append(m.order, id)
+	if !known {
+		s = int32(len(m.slots))
+		m.slots = append(m.slots, slot{id: id})
+		m.rows = append(m.rows, nil)
+		m.reach = append(m.reach, nil)
+		m.slotOf[id] = s
+	} else {
+		// A returning node may come back somewhere else: budgets cached
+		// against where it was must not outlive its absence.
+		m.purgeLinks(s)
+	}
+	m.slots[s].rx = r
+	m.order = append(m.order, s)
 	if m.shard != nil {
-		m.shardAttach(id, r.Position())
+		m.shardAttach(s, r.Position())
 	} else {
 		clear(m.reach) // candidate sets must include the newcomer
 	}
@@ -441,28 +502,30 @@ func (m *Medium) Attach(r Receiver) error {
 // (and interferes at) the remaining nodes, exactly as a frame from a
 // mote that lost power mid-transmission would.
 func (m *Medium) Detach(id phys.NodeID) {
-	if _, ok := m.nodes[id]; !ok {
+	s, ok := m.slotOf[id]
+	if !ok || m.slots[s].rx == nil {
 		return
 	}
-	delete(m.nodes, id)
+	m.slots[s].rx = nil
 	for i, n := range m.order {
-		if n == id {
+		if n == s {
 			m.order = append(m.order[:i], m.order[i+1:]...)
 			break
 		}
 	}
+	m.rows[s] = nil // Attach purges the column if the node returns
 	// In-flight transmissions keep their captured candidate sets (which
-	// may still name id — deliver drops it via the nodes lookup); only
-	// future transmissions need rebuilt sets.
+	// may still name s — deliver drops it as vacant); only future
+	// transmissions need rebuilt sets.
 	if m.shard != nil {
-		m.shardDetach(id)
+		m.shardDetach(s)
 	} else {
 		clear(m.reach)
 	}
 }
 
 // Nodes returns the number of attached nodes.
-func (m *Medium) Nodes() int { return len(m.nodes) }
+func (m *Medium) Nodes() int { return len(m.order) }
 
 // Stats returns a snapshot of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
@@ -539,79 +602,107 @@ func (m *Medium) prune() {
 	m.reclaim = reclaim[:0]
 }
 
-// budgetBetween returns the static link budget from → to, consulting
-// the per-pair cache when the index is enabled. The cached components
-// are the same deterministic function of the endpoints either way, and
+// txBudget returns the static link budget from slot fs → slot ts for
+// a transmission whose origin position was captured at fromPos, against
+// the receiver's current position toPos. The cached budgets (table or
+// cell map) always describe the transmitter's current position —
+// NodeMoved purges them on every move — so when fromPos no longer
+// matches (the transmitter walked away, or detached, while the frame
+// was in flight) the budget is computed directly instead of being read
+// from, or written into, the cache. Without this check a delivery after
+// a mid-flight move would poison the cache with a budget computed from
+// the stale captured position, and every later transmission on that
+// link would inherit it. The cached components are the same
+// deterministic function of the endpoints either way, and
 // Budget.Received combines them in the model's arithmetic order, so
-// both paths produce bit-identical received powers. Callers must pass
-// *current* positions — the cache is keyed by node pair only; for
-// budgets against a position captured at transmit time, use txBudget.
-func (m *Medium) budgetBetween(from, to phys.NodeID, fromPos, toPos phys.Position) phys.Budget {
-	return m.txBudget(from, fromPos, to, toPos, nil)
-}
-
-// txBudget returns the static link budget from → to for a transmission
-// whose origin position was captured at fromPos. The per-pair cache
-// (keyed by node IDs only) always describes the transmitter's current
-// position — NodeMoved purges it on every move — so when fromPos no
-// longer matches (the transmitter walked away, or detached, while the
-// frame was in flight) the budget is computed directly instead of
-// being read from, or written into, the cache. Without this check a
-// delivery after a mid-flight move would poison the cache with a
-// budget computed from the stale captured position, and every later
-// transmission on that link would inherit it.
+// every path produces bit-identical received powers.
 //
 // c, when non-nil, is the receiver's cell: its cell-scoped cache is
-// used instead of the global one, which is what lets concurrent
+// used instead of the link table, which is what lets concurrent
 // per-cell assessment lanes write their caches without racing.
-func (m *Medium) txBudget(from phys.NodeID, fromPos phys.Position, to phys.NodeID, toPos phys.Position, c *cell) phys.Budget {
-	if !m.indexed {
-		return m.model.LinkBudget(from, to, fromPos, toPos)
+func (m *Medium) txBudget(fs int32, fromPos phys.Position, ts int32, toPos phys.Position, c *cell) phys.Budget {
+	if !m.indexed || !m.current(fs, fromPos) {
+		return m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos)
 	}
-	if cur, ok := m.nodes[from]; !ok || cur.Position() != fromPos {
-		return m.model.LinkBudget(from, to, fromPos, toPos)
+	if c == nil {
+		return m.link(fs, ts, fromPos, toPos).b
 	}
-	gains := m.gains
-	if c != nil {
-		gains = c.gains
-	}
-	key := uint32(from)<<16 | uint32(to)
-	if b, ok := gains[key]; ok {
+	key := uint32(m.slots[fs].id)<<16 | uint32(m.slots[ts].id)
+	if b, ok := c.gains[key]; ok {
 		return b
 	}
-	b := m.model.LinkBudget(from, to, fromPos, toPos)
-	gains[key] = b
+	b := m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos)
+	c.gains[key] = b
 	return b
 }
 
-// reachFor returns tx's candidate set, building it on first use after
-// an invalidation: every attached node (in stable attach order) whose
-// cached gain at maximum transmit power clears the sensitivity floor
-// minus the fade margin.
-func (m *Medium) reachFor(tx Receiver) *reachability {
-	id := tx.NodeID()
-	if r, ok := m.reach[id]; ok {
+// current reports whether slot s is attached and its node still at
+// pos: only then may budgets from it be read from or written to a
+// cache.
+func (m *Medium) current(s int32, pos phys.Position) bool {
+	rx := m.slots[s].rx
+	return rx != nil && rx.Position() == pos
+}
+
+// link returns the link table entry fs → ts, computing its budget from
+// the given (current) positions on first use.
+func (m *Medium) link(fs, ts int32, fromPos, toPos phys.Position) *link {
+	row := m.rows[fs]
+	if int(ts) >= len(row) {
+		for len(row) < len(m.slots) {
+			row = append(row, unsetLink)
+		}
+		m.rows[fs] = row
+	}
+	l := &row[ts]
+	if math.IsNaN(l.b.PathLossDB) {
+		*l = link{b: m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos), txDBm: math.NaN()}
+	}
+	return l
+}
+
+// interfMW returns the power of transmission o at slot ts (currently
+// at toPos) in milliwatts. On the link table the conversion is
+// memoised per link and transmit power, so a repeated pair costs no
+// math.Pow; the memo holds exactly the value recomputation gives.
+func (m *Medium) interfMW(o *transmission, ts int32, toPos phys.Position, c *cell) float64 {
+	if c != nil || !m.indexed || !m.current(o.fromSlot, o.pos) {
+		return dbmToMW(m.txBudget(o.fromSlot, o.pos, ts, toPos, c).Received(o.txDBm))
+	}
+	l := m.link(o.fromSlot, ts, o.pos, toPos)
+	if l.txDBm != o.txDBm {
+		l.txDBm, l.mw = o.txDBm, dbmToMW(l.b.Received(o.txDBm))
+	}
+	return l.mw
+}
+
+// reachFor returns the candidate set of tx (attached in slot s),
+// building it on first use after an invalidation: every attached node
+// (in stable attach order) whose cached gain at maximum transmit power
+// clears the sensitivity floor minus the fade margin.
+func (m *Medium) reachFor(s int32, tx Receiver) *reachability {
+	if r := m.reach[s]; r != nil {
 		return r
 	}
 	if m.shard != nil {
-		r := m.shardReach(tx)
-		m.reach[id] = r
+		r := m.shardReach(s, tx)
+		m.reach[s] = r
 		return r
 	}
 	r := &reachability{}
 	pos := tx.Position()
 	for _, other := range m.order {
-		if other == id {
+		if other == s {
 			continue
 		}
-		b := m.budgetBetween(id, other, pos, m.nodes[other].Position())
+		b := m.txBudget(s, pos, other, m.slots[other].rx.Position(), nil)
 		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
 			r.far++
 			continue
 		}
 		r.cand = append(r.cand, other)
 	}
-	m.reach[id] = r
+	m.reach[s] = r
 	return r
 }
 
@@ -649,14 +740,15 @@ func (m *Medium) linkKeysFor(from, to phys.NodeID) *linkKeys {
 	return lk
 }
 
-// noiseFloorMW returns the model's noise floor converted to milliwatts,
-// cached until the floor changes.
-func (m *Medium) noiseFloorMW() float64 {
+// noiseFloor returns the model's noise floor converted to milliwatts,
+// and that value converted back to dBm, cached until the floor changes.
+func (m *Medium) noiseFloor() (mw, dbm float64) {
 	if m.noiseFor != m.model.NoiseFloor || m.noiseMW == 0 {
 		m.noiseFor = m.model.NoiseFloor
 		m.noiseMW = dbmToMW(m.noiseFor)
+		m.noiseDBm = mwToDBm(m.noiseMW)
 	}
-	return m.noiseMW
+	return m.noiseMW, m.noiseDBm
 }
 
 // Transmit puts frame on the air from node tx. The caller (the MAC) is
@@ -667,7 +759,8 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	if len(frame) == 0 {
 		return 0, fmt.Errorf("medium: empty frame")
 	}
-	if _, ok := m.nodes[tx.NodeID()]; !ok {
+	s, ok := m.slotOf[tx.NodeID()]
+	if !ok || m.slots[s].rx == nil {
 		return 0, fmt.Errorf("medium: node %d not attached", tx.NodeID())
 	}
 	m.prune()
@@ -682,6 +775,7 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 		t = &transmission{}
 	}
 	t.from = tx.NodeID()
+	t.fromSlot = s
 	t.pos = tx.Position()
 	t.channel = tx.Channel()
 	t.txDBm = txDBm
@@ -693,7 +787,7 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 		// Capture the fan-out now: detaching a node mid-flight must not
 		// change the other receivers' outcomes (deliver re-checks
 		// attachment per candidate).
-		r := m.reachFor(tx)
+		r := m.reachFor(s, tx)
 		t.cand, t.far = r.cand, r.far
 	}
 	if m.shard != nil {
@@ -778,29 +872,30 @@ func (m *Medium) deliver(t *transmission, seq uint64) {
 	// Nodes excluded by the reachability floor can never demodulate the
 	// frame; they are counted in bulk, with no per-receiver outcome.
 	m.stats.BelowSensitivity += t.far
-	ids := t.cand
+	slots := t.cand
 	if !t.indexed {
-		ids = m.order
+		slots = m.order
 	}
-	noiseMW := m.noiseFloorMW()
+	noiseMW, noiseDBm := m.noiseFloor()
 	var as []assess
-	if t.sharded && m.shard != nil && m.eng.Workers() > 1 && len(ids) >= shardFanoutMin {
-		as = m.assessCells(t, ids, noiseMW)
+	if t.sharded && m.shard != nil && m.eng.Workers() > 1 && len(slots) >= shardFanoutMin {
+		as = m.assessCells(t, slots, noiseMW, noiseDBm)
 	}
-	for i, id := range ids {
-		if id == t.from {
+	for i, s := range slots {
+		if s == t.fromSlot {
 			continue
 		}
 		var a assess
 		if as != nil {
 			a = as[i]
 		} else {
-			a = m.assessOne(t, id, noiseMW)
+			a = m.assessOne(t, s, noiseMW, noiseDBm)
 		}
 		rx := a.rx
 		if rx == nil {
 			continue // detached while the frame was in flight
 		}
+		id := m.slots[s].id
 		b := a.b
 		if !t.indexed && b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
 			// The same floor the index precomputes, applied inline.
@@ -915,7 +1010,11 @@ func (m *Medium) EnergyDBmAt(r Receiver) float64 {
 	best := math.Inf(-1)
 	rid := r.NodeID()
 	rpos := r.Position()
-	c := m.cellOf(rid)
+	rs, known := m.slotOf[rid]
+	var c *cell
+	if known {
+		c = m.cellOf(rs)
+	}
 	ledger := m.active
 	if c != nil {
 		ledger = c.ledger
@@ -927,7 +1026,12 @@ func (m *Medium) EnergyDBmAt(r Receiver) float64 {
 		if t.start > now || t.end <= now {
 			continue
 		}
-		b := m.txBudget(t.from, t.pos, rid, rpos, c)
+		var b phys.Budget
+		if known {
+			b = m.txBudget(t.fromSlot, t.pos, rs, rpos, c)
+		} else {
+			b = m.model.LinkBudget(t.from, rid, t.pos, rpos)
+		}
 		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
 			continue // undetectable at any power level
 		}

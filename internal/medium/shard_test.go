@@ -89,11 +89,11 @@ func shardGridScenario(t *testing.T, workers int) ([]TapDelivery, []float64, Sta
 	// A partition across the x≈105 line — right through a cell edge
 	// (auto cell size ≈ 108 m) — and a jammer over the top-right cell.
 	m.SetFaultHook(func(from, to phys.NodeID, ch int) FaultEffect {
-		fx, tx := m.nodes[from].Position().X, m.nodes[to].Position().X
+		fx, tx := nodes[from-1].pos.X, nodes[to-1].pos.X
 		if (fx < 105) != (tx < 105) {
 			return FaultEffect{Drop: true}
 		}
-		tp := m.nodes[to].Position()
+		tp := nodes[to-1].pos
 		if tp.X > 150 && tp.Y > 150 {
 			return FaultEffect{Corrupt: true}
 		}

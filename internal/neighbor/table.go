@@ -14,7 +14,7 @@ package neighbor
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"liteview/internal/phys"
 	"liteview/internal/sim"
@@ -96,7 +96,9 @@ type EstimatorStats struct {
 // Table is the kernel neighbor table. It is single-threaded, like
 // everything on the simulated mote.
 type Table struct {
-	entries map[phys.NodeID]*Entry
+	// entries holds at most cap entries sorted by ID, so every view is
+	// already in display order and eviction ties break by ID.
+	entries []Entry
 	cap     int
 	est     EstimatorStats
 }
@@ -107,7 +109,22 @@ func NewTable(capacity int) *Table {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Table{entries: make(map[phys.NodeID]*Entry), cap: capacity}
+	return &Table{cap: capacity}
+}
+
+// find returns the index of id's entry, or where it would be inserted.
+func (t *Table) find(id phys.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(t.entries, id, func(e Entry, id phys.NodeID) int {
+		return int(e.ID) - int(id)
+	})
+}
+
+// lookup returns id's entry in place, or nil.
+func (t *Table) lookup(id phys.NodeID) *Entry {
+	if i, ok := t.find(id); ok {
+		return &t.entries[i]
+	}
+	return nil
 }
 
 // Len returns the number of entries.
@@ -118,41 +135,44 @@ func (t *Table) Capacity() int { return t.cap }
 
 // Observe folds one overheard frame's link metadata into the table,
 // inserting the neighbor if there is room (or evicting the stalest
-// non-blacklisted entry when full).
+// non-blacklisted entry when full). The returned entry is the table's
+// own, valid until the next insertion or removal.
 func (t *Table) Observe(id phys.NodeID, lqi int, rssi int, now sim.Time) *Entry {
-	e, ok := t.entries[id]
-	if !ok {
-		if len(t.entries) >= t.cap && !t.evictStalest(now) {
-			return nil
-		}
-		e = &Entry{ID: id, LQI: float64(lqi), RSSI: float64(rssi), PRR: 1, Delivery: 1}
-		t.entries[id] = e
-	} else {
+	i, ok := t.find(id)
+	if ok {
+		e := &t.entries[i]
 		e.LQI += ewmaAlpha * (float64(lqi) - e.LQI)
 		e.RSSI += ewmaAlpha * (float64(rssi) - e.RSSI)
+		e.LastHeard = now
+		return e
 	}
-	e.LastHeard = now
-	return e
+	if len(t.entries) >= t.cap {
+		v := t.stalest()
+		if v < 0 {
+			return nil
+		}
+		t.entries = slices.Delete(t.entries, v, v+1)
+		if v < i {
+			i--
+		}
+	}
+	t.entries = slices.Insert(t.entries, i, Entry{ID: id, LQI: float64(lqi), RSSI: float64(rssi),
+		PRR: 1, Delivery: 1, LastHeard: now})
+	return &t.entries[i]
 }
 
-// evictStalest removes the least-recently-heard entry; blacklisted
-// entries are pinned (the user set them deliberately). Reports whether
-// a slot was freed.
-func (t *Table) evictStalest(now sim.Time) bool {
-	var victim *Entry
-	for _, e := range t.entries {
-		if e.Blacklisted {
-			continue
-		}
-		if victim == nil || e.LastHeard < victim.LastHeard {
-			victim = e
+// stalest returns the index of the least-recently-heard entry, the
+// lowest ID on a tie; blacklisted entries are pinned (the user set them
+// deliberately). -1 when every entry is pinned.
+func (t *Table) stalest() int {
+	v := -1
+	for i := range t.entries {
+		e := &t.entries[i]
+		if !e.Blacklisted && (v < 0 || e.LastHeard < t.entries[v].LastHeard) {
+			v = i
 		}
 	}
-	if victim == nil {
-		return false
-	}
-	delete(t.entries, victim.ID)
-	return true
+	return v
 }
 
 // ObserveTxResult folds one unicast transmit outcome for neighbor id
@@ -164,8 +184,8 @@ func (t *Table) evictStalest(now sim.Time) bool {
 // unknown destinations are counted and dropped — a transmit result
 // carries no LQI/RSSI to seed an entry with.
 func (t *Table) ObserveTxResult(id phys.NodeID, ok bool, now sim.Time) (becameSuspect bool) {
-	e, known := t.entries[id]
-	if !known {
+	e := t.lookup(id)
+	if e == nil {
 		t.est.TxUnknownDst++
 		return false
 	}
@@ -199,8 +219,8 @@ func (t *Table) ObserveTxResult(id phys.NodeID, ok bool, now sim.Time) (becameSu
 // this when its own failure streak condemns a next hop before the
 // estimator threshold fires (or when the table wiring is absent).
 func (t *Table) MarkSuspect(id phys.NodeID, on bool) error {
-	e, ok := t.entries[id]
-	if !ok {
+	e := t.lookup(id)
+	if e == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownNeighbor, id)
 	}
 	if e.Suspect != on {
@@ -223,10 +243,9 @@ func (t *Table) Suspects() []Entry {
 	out := make([]Entry, 0, len(t.entries))
 	for _, e := range t.entries {
 		if e.Suspect {
-			out = append(out, *e)
+			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -263,23 +282,15 @@ func (t *Table) ObserveBeacon(id phys.NodeID, name string, seq uint16, lqi, rssi
 
 // Get returns a copy of the entry for id.
 func (t *Table) Get(id phys.NodeID) (Entry, bool) {
-	e, ok := t.entries[id]
-	if !ok {
-		return Entry{}, false
+	if e := t.lookup(id); e != nil {
+		return *e, true
 	}
-	return *e, true
+	return Entry{}, false
 }
 
 // Entries returns copies of all entries sorted by ID (deterministic for
 // display and routing).
-func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (t *Table) Entries() []Entry { return slices.Clone(t.entries) }
 
 // Usable returns the non-blacklisted entries sorted by ID; this is the
 // view routing protocols consume.
@@ -287,18 +298,17 @@ func (t *Table) Usable() []Entry {
 	out := make([]Entry, 0, len(t.entries))
 	for _, e := range t.entries {
 		if !e.Blacklisted {
-			out = append(out, *e)
+			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Blacklist sets or clears the disabled flag on a neighbor. The entry
 // must exist: LiteView surfaces an error to the user otherwise.
 func (t *Table) Blacklist(id phys.NodeID, on bool) error {
-	e, ok := t.entries[id]
-	if !ok {
+	e := t.lookup(id)
+	if e == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownNeighbor, id)
 	}
 	e.Blacklisted = on
@@ -307,28 +317,27 @@ func (t *Table) Blacklist(id phys.NodeID, on bool) error {
 
 // IsBlacklisted reports whether id is present and disabled.
 func (t *Table) IsBlacklisted(id phys.NodeID) bool {
-	e, ok := t.entries[id]
-	return ok && e.Blacklisted
+	e := t.lookup(id)
+	return e != nil && e.Blacklisted
 }
 
 // Remove deletes an entry entirely.
-func (t *Table) Remove(id phys.NodeID) { delete(t.entries, id) }
+func (t *Table) Remove(id phys.NodeID) {
+	if i, ok := t.find(id); ok {
+		t.entries = slices.Delete(t.entries, i, i+1)
+	}
+}
 
 // Clear drops every entry, blacklisted or not. The kernel calls this on
 // a crash: neighbor state lives in RAM and does not survive a reboot.
-func (t *Table) Clear() {
-	t.entries = make(map[phys.NodeID]*Entry)
-}
+func (t *Table) Clear() { t.entries = t.entries[:0] }
 
 // Expire drops entries not heard since the cutoff, keeping blacklisted
 // pins.
 func (t *Table) Expire(cutoff sim.Time) int {
-	n := 0
-	for id, e := range t.entries {
-		if !e.Blacklisted && e.LastHeard < cutoff {
-			delete(t.entries, id)
-			n++
-		}
-	}
-	return n
+	n := len(t.entries)
+	t.entries = slices.DeleteFunc(t.entries, func(e Entry) bool {
+		return !e.Blacklisted && e.LastHeard < cutoff
+	})
+	return n - len(t.entries)
 }

@@ -46,6 +46,27 @@ func TestCapacityEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionTieBreaksByLowestID pins eviction order when the stalest
+// entries were heard at the same instant: the lowest ID goes, every
+// time, whatever order the entries were inserted in.
+func TestEvictionTieBreaksByLowestID(t *testing.T) {
+	for run := 0; run < 100; run++ {
+		tab := NewTable(2)
+		tab.Observe(2, 100, -10, time.Second)
+		tab.Observe(1, 100, -10, time.Second)
+		if tab.Observe(3, 100, -10, 2*time.Second) == nil {
+			t.Fatal("insert into full table failed")
+		}
+		if _, ok := tab.Get(1); ok {
+			t.Fatalf("run %d: node 1 survived a tie it should lose", run)
+		}
+		es := tab.Entries()
+		if len(es) != 2 || es[0].ID != 2 || es[1].ID != 3 {
+			t.Fatalf("run %d: entries = %+v, want nodes 2 and 3", run, es)
+		}
+	}
+}
+
 func TestBlacklistedEntriesPinned(t *testing.T) {
 	tab := NewTable(2)
 	tab.Observe(1, 100, -10, time.Second)

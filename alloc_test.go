@@ -18,64 +18,115 @@ import (
 	"liteview/internal/stack"
 )
 
-// buildFramePath wires two real nodes 5 m apart and returns the sender
-// stack, the engine, and a delivery counter.
-func buildFramePath(t *testing.T) (*sim.Engine, *stack.Stack, *int) {
-	t.Helper()
-	eng := sim.NewEngine(7)
-	med := medium.New(eng, phys.DefaultModel(7))
+// framePath is the one-hop delivery rig of the zero-alloc pins and of
+// BenchmarkFramePath: real MACs and stacks on one medium.
+type framePath struct {
+	eng *sim.Engine
+	tx  *stack.Stack
+	rxs []*stack.Stack
+	pkt *stack.Packet // what send puts on the air
+	got int           // payload bytes delivered to port 10 on node 2
+}
+
+// sinrCorruptDist is where, on the rig's model and seed, every frame
+// from node 1 still clears the sensitivity floor but loses the SINR
+// draw.
+const sinrCorruptDist = 90
+
+// buildFramePath wires a sender (node 1) and a receiver 5 m away (node
+// 2) whose port-10 handler counts payload bytes. With corrupted set,
+// node 2's MAC injects bit errors into every frame (the rxFault path)
+// and node 3 listens sinrCorruptDist away, so every reception takes the
+// corrupted path: a bit flip in the MAC's scratch buffer and a CRC
+// check that genuinely fails.
+func buildFramePath(tb testing.TB, corrupted bool) *framePath {
+	tb.Helper()
+	p := &framePath{eng: sim.NewEngine(7),
+		pkt: &stack.Packet{Port: 10, Origin: 1, Dst: 2, TTL: 4, Data: make([]byte, 32)}}
+	med := medium.New(p.eng, phys.DefaultModel(7))
 	mkNode := func(id phys.NodeID, pos phys.Position) *stack.Stack {
 		rad, err := radio.New(17)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		var st *stack.Stack
-		m, err := mac.New(eng, med, rad, id, pos, mac.DefaultConfig(),
+		m, err := mac.New(p.eng, med, rad, id, pos, mac.DefaultConfig(),
 			func(f mac.Frame, info medium.RxInfo) { st.OnFrame(f, info) })
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		st = stack.New(eng, m)
+		st = stack.New(p.eng, m)
 		return st
 	}
-	tx := mkNode(1, phys.Position{})
-	rx := mkNode(2, phys.Position{X: 5})
-	got := 0
-	if err := rx.Subscribe(10, func(p *stack.Packet, _ phys.NodeID, _ medium.RxInfo) {
-		got += len(p.Data)
+	p.tx = mkNode(1, phys.Position{})
+	p.rxs = append(p.rxs, mkNode(2, phys.Position{X: 5}))
+	if err := p.rxs[0].Subscribe(10, func(pkt *stack.Packet, _ phys.NodeID, _ medium.RxInfo) {
+		p.got += len(pkt.Data)
 	}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return eng, tx, &got
+	if corrupted {
+		p.rxs[0].MAC().SetRxFault(func(phys.NodeID) bool { return true })
+		p.rxs = append(p.rxs, mkNode(3, phys.Position{X: sinrCorruptDist}))
+	}
+	return p
 }
 
-func checkZeroAllocDelivery(t *testing.T, dst phys.NodeID) {
-	t.Helper()
-	eng, tx, got := buildFramePath(t)
-	pkt := &stack.Packet{Port: 10, Origin: 1, Dst: 2, TTL: 4, Data: make([]byte, 32)}
-	send := func() {
-		if err := tx.Send(pkt, dst, mac.TypeData, nil); err != nil {
-			t.Fatal(err)
-		}
-		eng.Run()
+// send puts the rig's 32-byte packet on the air for dst and runs the
+// engine until the exchange is over.
+func (p *framePath) send(tb testing.TB, dst phys.NodeID) {
+	if err := p.tx.Send(p.pkt, dst, mac.TypeData, nil); err != nil {
+		tb.Fatal(err)
 	}
+	p.eng.Run()
+}
+
+// crcFailures sums the receivers' CRC failure counters.
+func (p *framePath) crcFailures() uint64 {
+	var n uint64
+	for _, st := range p.rxs {
+		n += st.MAC().Stats().CRCFailures
+	}
+	return n
+}
+
+func checkZeroAllocDelivery(t *testing.T, dst phys.NodeID, corrupted bool) {
+	t.Helper()
+	p := buildFramePath(t, corrupted)
+	send := func() { p.send(t, dst) }
 	for i := 0; i < 16; i++ {
 		send() // warm link caches, event free list, frame pools
 	}
-	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+	failed := p.crcFailures()
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
 		t.Fatalf("steady-state delivery to %v allocates %.1f allocs/op, want 0", dst, allocs)
 	}
-	if *got == 0 {
+	if corrupted {
+		// AllocsPerRun calls send once more to warm up.
+		if got, want := p.crcFailures()-failed, uint64(len(p.rxs)*(runs+1)); got != want {
+			t.Fatalf("%d CRC failures over %d corrupted receptions", got, want)
+		}
+		return
+	}
+	if p.got == 0 {
 		t.Fatal("no packets delivered")
 	}
 }
 
 func TestSteadyStateDeliveryZeroAllocBroadcast(t *testing.T) {
-	checkZeroAllocDelivery(t, phys.Broadcast)
+	checkZeroAllocDelivery(t, phys.Broadcast, false)
 }
 
 func TestSteadyStateDeliveryZeroAllocUnicastAcked(t *testing.T) {
-	checkZeroAllocDelivery(t, 2)
+	checkZeroAllocDelivery(t, 2, false)
+}
+
+// TestSteadyStateDeliveryZeroAllocCorrupted pins the corrupted receive
+// path, both the SINR-corrupted and the rxFault kind: the bit flip that
+// makes the CRC fail happens in a reused buffer, not a fresh copy.
+func TestSteadyStateDeliveryZeroAllocCorrupted(t *testing.T) {
+	checkZeroAllocDelivery(t, phys.Broadcast, true)
 }
 
 // TestEnginePooledScheduleZeroAlloc pins the handle-free After/AfterArg

@@ -104,22 +104,40 @@ func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 // Decode parses raw bytes, verifying length bounds and the FCS. The
 // returned frame's payload aliases raw.
 func Decode(raw []byte) (Frame, error) {
+	if err := check(raw); err != nil {
+		return Frame{}, err
+	}
+	return parse(raw), nil
+}
+
+// check verifies raw's length bounds and FCS.
+func check(raw []byte) error {
 	if len(raw) < headerLen+fcsLen {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooShort, len(raw))
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooShort, len(raw))
 	}
 	if len(raw) > MaxFrameLen {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(raw))
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(raw))
 	}
 	body := raw[:len(raw)-fcsLen]
-	want := binary.BigEndian.Uint16(raw[len(raw)-fcsLen:])
-	if Checksum(body) != want {
-		return Frame{}, ErrBadCRC
+	if Checksum(body) != binary.BigEndian.Uint16(raw[len(raw)-fcsLen:]) {
+		return ErrBadCRC
 	}
+	return nil
+}
+
+// intact is the frame check the MAC installs on the medium: it reports
+// whether raw would decode, so the medium can verify each transmission
+// once for all its receivers.
+func intact(raw []byte) bool { return check(raw) == nil }
+
+// parse reads the header of a frame that has passed check; the payload
+// aliases raw.
+func parse(raw []byte) Frame {
 	return Frame{
 		Type:    FrameType(raw[0]),
 		Seq:     raw[1],
 		Dst:     phys.NodeID(binary.BigEndian.Uint16(raw[2:4])),
 		Src:     phys.NodeID(binary.BigEndian.Uint16(raw[4:6])),
 		Payload: raw[headerLen : len(raw)-fcsLen],
-	}, nil
+	}
 }

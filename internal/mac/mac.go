@@ -143,6 +143,16 @@ type ackJob struct {
 // couple of acks are in flight (turnaround + airtime ≪ frame spacing).
 const ackPoolCap = 8
 
+// dupTableSize bounds the duplicate table like a mote's RAM does.
+const dupTableSize = 32
+
+// dupEntry is one duplicate-table row: the last sequence number heard
+// from a source.
+type dupEntry struct {
+	src phys.NodeID
+	seq byte
+}
+
 // MAC is the per-node link layer. It implements medium.Receiver.
 type MAC struct {
 	eng     *sim.Engine
@@ -191,10 +201,16 @@ type MAC struct {
 	// LPL duty-cycle state.
 	lplSleeping bool
 	lingerUntil sim.Time
-	// dupSeq suppresses redelivery of retransmitted frames (802.15.4
-	// receivers track the last sequence number per source).
-	dupSeq  map[phys.NodeID]byte
-	dupSeqQ []phys.NodeID
+	// dup suppresses redelivery of retransmitted frames (802.15.4
+	// receivers track the last sequence number per source). It is a
+	// fixed ring of the first dupLen rows: once full, a new source
+	// replaces the oldest-inserted one, at dupOldest.
+	dup       [dupTableSize]dupEntry
+	dupLen    int
+	dupOldest int
+	// rxScratch is where a corrupted reception's bit flip happens: the
+	// medium's frame is shared by every receiver and must stay intact.
+	rxScratch []byte
 	// epoch invalidates in-flight transmit and ack completions across
 	// Reset: a callback scheduled before a crash must not touch the
 	// radio of the rebooted (or still-dead) node.
@@ -230,7 +246,6 @@ func New(eng *sim.Engine, med *medium.Medium, rad *radio.Radio, id phys.NodeID, 
 		cfg:     cfg,
 		deliver: deliver,
 		q:       make([]outgoing, cfg.QueueCap),
-		dupSeq:  make(map[phys.NodeID]byte),
 	}
 	// Bind the hot-path callbacks once; scheduling a method value at the
 	// call site would allocate a fresh closure per event.
@@ -245,6 +260,7 @@ func New(eng *sim.Engine, med *medium.Medium, rad *radio.Radio, id phys.NodeID, 
 	if err := med.Attach(m); err != nil {
 		return nil, err
 	}
+	med.SetFrameCheck(intact)
 	m.lplInit()
 	return m, nil
 }
@@ -329,8 +345,7 @@ func (m *MAC) Reset() {
 	m.qHead, m.qLen = 0, 0
 	m.sending = false
 	m.disarmAckWait()
-	m.dupSeq = make(map[phys.NodeID]byte)
-	m.dupSeqQ = nil
+	m.dupLen, m.dupOldest = 0, 0
 	m.lplSleeping = false
 	m.lingerUntil = 0
 }
@@ -695,20 +710,31 @@ func (m *MAC) finish(err error) {
 	m.kick()
 }
 
-// OnFrame is the medium's delivery upcall.
+// OnFrame is the medium's delivery upcall. A frame the medium verified
+// (info.Verified: intact, and the FCS check passed once at transmit
+// time) is parsed without checking it again; every other frame goes
+// through the full Decode.
 func (m *MAC) OnFrame(raw []byte, info medium.RxInfo) {
 	if !info.Corrupted && m.rxFault != nil && m.rxFault(info.From) {
-		info.Corrupted = true // injected burst corruption
+		info.Corrupted, info.Verified = true, false // injected burst corruption
 	}
-	if info.Corrupted {
+	var f Frame
+	var err error
+	switch {
+	case info.Corrupted:
 		// Bit errors on the air manifest as an FCS failure: flip a bit
-		// so the CRC check genuinely fails rather than trusting a flag.
-		raw = append([]byte(nil), raw...)
+		// of a private copy so the CRC check genuinely fails rather than
+		// trusting a flag.
+		m.rxScratch = append(m.rxScratch[:0], raw...)
 		if len(raw) > 0 {
-			raw[len(raw)/2] ^= 0x40
+			m.rxScratch[len(raw)/2] ^= 0x40
 		}
+		f, err = Decode(m.rxScratch)
+	case info.Verified:
+		f = parse(raw)
+	default:
+		f, err = Decode(raw)
 	}
-	f, err := Decode(raw)
 	if err != nil {
 		m.stats.CRCFailures++
 		if m.tel.Recording() {
@@ -733,13 +759,12 @@ func (m *MAC) OnFrame(raw []byte, info medium.RxInfo) {
 	m.lplTouch()
 	// Re-ack but do not redeliver a retransmission we already took:
 	// the sender missed our ack, not us missing the frame.
-	if last, seen := m.dupSeq[f.Src]; seen && last == f.Seq {
+	if !m.rememberSeq(f.Src, f.Seq) {
 		if m.cfg.LinkAcks && f.Dst == m.id {
 			m.autoAck(f)
 		}
 		return
 	}
-	m.rememberSeq(f.Src, f.Seq)
 	m.stats.Received++
 	if m.cfg.LinkAcks && f.Dst == m.id {
 		m.autoAck(f)
@@ -747,17 +772,26 @@ func (m *MAC) OnFrame(raw []byte, info medium.RxInfo) {
 	m.deliver(f, info)
 }
 
-// rememberSeq records the latest sequence number heard from a source,
-// bounded like a mote's duplicate table.
-func (m *MAC) rememberSeq(src phys.NodeID, seq byte) {
-	const dupTableSize = 32
-	if _, known := m.dupSeq[src]; !known {
-		if len(m.dupSeqQ) >= dupTableSize {
-			old := m.dupSeqQ[0]
-			m.dupSeqQ = m.dupSeqQ[1:]
-			delete(m.dupSeq, old)
+// rememberSeq records the latest sequence number heard from a source
+// and reports whether it is new; false means a duplicate of the last
+// frame taken from src. A source not in the table takes a free row, or
+// evicts the oldest-inserted source once all dupTableSize are in use.
+func (m *MAC) rememberSeq(src phys.NodeID, seq byte) bool {
+	for i := range m.dup[:m.dupLen] {
+		if e := &m.dup[i]; e.src == src {
+			if e.seq == seq {
+				return false
+			}
+			e.seq = seq
+			return true
 		}
-		m.dupSeqQ = append(m.dupSeqQ, src)
 	}
-	m.dupSeq[src] = seq
+	if m.dupLen < dupTableSize {
+		m.dup[m.dupLen] = dupEntry{src, seq}
+		m.dupLen++
+		return true
+	}
+	m.dup[m.dupOldest] = dupEntry{src, seq}
+	m.dupOldest = (m.dupOldest + 1) % dupTableSize
+	return true
 }

@@ -267,3 +267,84 @@ func TestHalfDuplex(t *testing.T) {
 		t.Fatalf("sent data = %d + %d", a.mac.Stats().SentData, b.mac.Stats().SentData)
 	}
 }
+
+// TestBadFCSFailsAtEveryReceiver transmits a raw frame whose FCS is
+// wrong straight through the medium, as the jammer above does: the
+// medium's once-per-transmission check must mark it unverified, so
+// every receiver runs the full decode and counts its own CRC failure.
+func TestBadFCSFailsAtEveryReceiver(t *testing.T) {
+	eng, a, b := buildPair(t, 21, 5)
+	c, err := New(eng, a.mac.med, func() *radio.Radio { r, _ := radio.New(17); return r }(),
+		3, phys.Position{Y: 5}, DefaultConfig(), func(Frame, medium.RxInfo) {
+			t.Error("a frame with a bad FCS was delivered")
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := (&Frame{Type: TypeData, Src: 1, Dst: phys.Broadcast, Payload: []byte("jam")}).Encode()
+	raw[len(raw)-1] ^= 0x01
+	if _, err := a.mac.med.Transmit(a.mac, raw); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	for _, m := range []*MAC{b.mac, c} {
+		if st := m.Stats(); st.CRCFailures != 1 || st.Received != 0 {
+			t.Errorf("node %d: CRCFailures=%d Received=%d, want 1 and 0", m.id, st.CRCFailures, st.Received)
+		}
+	}
+	if len(b.got) != 0 {
+		t.Fatalf("node 2 delivered %d frames", len(b.got))
+	}
+}
+
+// TestRxFaultFailsVerifiedFrame: a frame the medium delivered intact
+// and verified still fails the CRC when the receive-path fault hook
+// corrupts it at the receiver.
+func TestRxFaultFailsVerifiedFrame(t *testing.T) {
+	eng, a, b := buildPair(t, 23, 5)
+	b.mac.SetRxFault(func(phys.NodeID) bool { return true })
+	if err := a.mac.Send(Frame{Type: TypeData, Dst: phys.Broadcast, Payload: []byte("x")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if st := b.mac.Stats(); st.CRCFailures != 1 || st.Received != 0 || len(b.got) != 0 {
+		t.Fatalf("CRCFailures=%d Received=%d delivered=%d, want 1, 0, 0", st.CRCFailures, st.Received, len(b.got))
+	}
+}
+
+// TestDupTableEvictsOldestSource fills the 32-row duplicate table past
+// capacity: a retransmission from a remembered source is re-acked but
+// not redelivered, and once 33 sources have been heard the oldest
+// inserted one is forgotten, so its retransmission is delivered again.
+func TestDupTableEvictsOldestSource(t *testing.T) {
+	eng, _, b := buildPair(t, 25, 5)
+	hear := func(src phys.NodeID, seq byte) {
+		raw, err := (&Frame{Type: TypeData, Seq: seq, Src: src, Dst: 2}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.mac.OnFrame(raw, medium.RxInfo{From: src})
+		eng.Run()
+	}
+	hear(100, 7)
+	hear(100, 7) // the sender missed our ack
+	if st := b.mac.Stats(); st.Received != 1 || st.SentMACAcks != 2 {
+		t.Fatalf("after a retransmission: Received=%d SentMACAcks=%d, want 1 and 2", st.Received, st.SentMACAcks)
+	}
+	for src := phys.NodeID(101); src < 101+dupTableSize; src++ {
+		hear(src, 1) // 32 more sources: 100, the oldest of 33, is evicted
+	}
+	hear(101, 1) // still remembered
+	if st := b.mac.Stats(); st.Received != 1+dupTableSize {
+		t.Fatalf("Received=%d after a duplicate from a remembered source, want %d", st.Received, 1+dupTableSize)
+	}
+	hear(100, 7) // evicted: delivered again, evicting 101, now the oldest
+	if st := b.mac.Stats(); st.Received != 2+dupTableSize {
+		t.Fatalf("Received=%d, want %d: the oldest source was not evicted", st.Received, 2+dupTableSize)
+	}
+	hear(101, 1) // delivered again, evicting 102
+	hear(103, 1) // still remembered
+	if st := b.mac.Stats(); st.Received != 3+dupTableSize {
+		t.Fatalf("Received=%d, want %d: eviction did not follow insertion order", st.Received, 3+dupTableSize)
+	}
+}

@@ -388,28 +388,42 @@ type assess struct {
 	b  phys.Budget
 	// inDBm is noise+interference in dBm at the receiver; interfered
 	// reports whether any co-channel transmission overlapped. Only
-	// meaningful when scanned (receiver listening on the right
-	// channel); the commit path never reads them otherwise.
+	// meaningful when scanned is set.
 	inDBm      float64
 	interfered bool
+	// scanned reports that inDBm and interfered were computed. The
+	// assessment skips the scan for receivers the commit path never
+	// reaches the SINR term for: off-channel, not listening, or under
+	// the sensitivity floor before any fault loss.
+	scanned bool
 }
 
-// assessOne computes one candidate's delivery physics. Pure with
-// respect to everything outside the receiver's cell: it reads medium
-// topology and writes only the cell-scoped budget cache, which is what
-// makes per-cell concurrent assessment race-free.
-func (m *Medium) assessOne(t *transmission, s int32, noiseMW, noiseDBm float64) assess {
+// assessOne computes one candidate's delivery physics into a. Pure
+// with respect to everything outside the receiver's cell: it reads
+// medium topology and writes only the cell-scoped budget cache, which
+// is what makes per-cell concurrent assessment race-free.
+func (m *Medium) assessOne(a *assess, t *transmission, s int32, noiseMW, noiseDBm float64) {
 	rx := m.slots[s].rx
 	if rx == nil {
-		return assess{} // detached while the frame was in flight
+		*a = assess{} // detached while the frame was in flight
+		return
 	}
 	c := m.cellOf(s)
 	pos := rx.Position()
-	a := assess{rx: rx, b: m.txBudget(t.fromSlot, t.pos, s, pos, c)}
-	if rx.Channel() != t.channel || rx.RadioState() != radio.RX {
-		// The commit path bails out before the SINR term; skip the scan.
-		return a
+	*a = assess{rx: rx, b: m.txBudget(t.fromSlot, t.pos, s, pos, c)}
+	if rx.Channel() != t.channel || rx.RadioState() != radio.RX ||
+		a.b.Received(t.txDBm) < radio.SensitivityDBm {
+		// The commit path bails out before the SINR term (fault loss
+		// only lowers the power further); skip the scan and its Log10.
+		return
 	}
+	m.scan(a, t, s, c, pos, noiseMW, noiseDBm)
+}
+
+// scan fills a's interference-plus-noise level at slot s (in cell c,
+// at pos) over the frames overlapping t.
+func (m *Medium) scan(a *assess, t *transmission, s int32, c *cell, pos phys.Position, noiseMW, noiseDBm float64) {
+	a.scanned = true
 	ledger := m.active
 	if c != nil {
 		ledger = c.ledger
@@ -430,7 +444,6 @@ func (m *Medium) assessOne(t *transmission, s int32, noiseMW, noiseDBm float64) 
 	} else {
 		a.inDBm = mwToDBm(noiseMW + interfMW)
 	}
-	return a
 }
 
 // assessCells runs the pure assessment of every candidate, grouped by
@@ -458,7 +471,7 @@ func (m *Medium) assessCells(t *transmission, slots []int32, noiseMW, noiseDBm f
 	}
 	m.eng.ForkJoin(len(order), func(lane int) {
 		for _, i := range groups[order[lane]] {
-			as[i] = m.assessOne(t, slots[i], noiseMW, noiseDBm)
+			m.assessOne(&as[i], t, slots[i], noiseMW, noiseDBm)
 		}
 	})
 	return as

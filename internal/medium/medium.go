@@ -12,6 +12,7 @@ package medium
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 
 	"liteview/internal/phys"
@@ -37,6 +38,12 @@ type RxInfo struct {
 	// Corrupted reports that the frame took bit errors (the MAC's CRC
 	// check will fail).
 	Corrupted bool
+	// Verified reports that the frame arrived intact and passed the
+	// frame check the medium ran once, at transmit time (SetFrameCheck):
+	// the receiver may parse it without checking it again. It is false
+	// for corrupted frames, for frames that failed the check, and when
+	// no check is installed.
+	Verified bool
 	// At is the delivery (end-of-airtime) instant.
 	At sim.Time
 }
@@ -57,9 +64,10 @@ type Receiver interface {
 	// OnFrame is invoked when a frame's airtime completes while this
 	// node is listening on the frame's channel. The frame slice is a
 	// read-only view shared by every receiver of the broadcast (and by
-	// the medium itself): implementations must copy it before mutating
-	// or retaining mutable references (the MAC copies before flipping
-	// bits on corrupted frames).
+	// the medium itself), valid only for the duration of the call: an
+	// implementation that mutates the bytes must do so on its own copy
+	// (the MAC flips bits of a corrupted frame in a per-MAC scratch
+	// buffer), and one that retains them past its return must copy them.
 	OnFrame(frame []byte, info RxInfo)
 }
 
@@ -161,7 +169,12 @@ type TapDelivery struct {
 // sensitivity check, a jammed channel corrupts whatever still decodes,
 // and a blackout or partition drops the frame outright.
 type FaultEffect struct {
-	// ExtraLossDB is additional path loss applied to this delivery.
+	// ExtraLossDB is additional path loss applied to this delivery. It
+	// is expected to be ≥ 0 (internal/fault rejects negative values):
+	// the assessment skips the interference scan of a receiver whose
+	// fault-free power is already under the sensitivity floor. A
+	// negative value is still exact — deliver then runs the scan it
+	// skipped — only slower.
 	ExtraLossDB float64
 	// Drop suppresses the delivery entirely (the receiver hears nothing).
 	Drop bool
@@ -180,6 +193,9 @@ type transmission struct {
 	start    sim.Time
 	end      sim.Time
 	frame    []byte
+	// verified caches the frame check's verdict on frame, taken once at
+	// transmit time for every receiver.
+	verified bool
 	// cand is the reachability-index candidate set (attach slots)
 	// captured at transmit time (shared with the index; read-only). nil
 	// when the index is disabled, in which case deliver falls back to
@@ -261,12 +277,34 @@ type linkKeys struct {
 	delivered, lost, lqi string
 }
 
-// prrKey memoises the packet-reception-rate curve by exact SINR bits
-// and frame length; PRR is a pure function, so a hit is bit-identical
-// to recomputation.
-type prrKey struct {
+// prrSlot is one entry of the direct-mapped PRR memo: the exact SINR
+// bits and frame length it holds the packet reception rate for. PRR is
+// a pure function, so a hit is bit-identical to recomputation; n == 0
+// marks an unset slot (the medium never carries an empty frame).
+type prrSlot struct {
 	sinrBits uint64
-	length   int
+	n        int
+	p        float64
+}
+
+// prrSlotsPerNode sizes the PRR memo from the deployment: with
+// interference-free links each receiver sees one SINR per (transmitter,
+// power, frame length), so the working set grows with the node count.
+// Sizing per node keeps a small tenant's memo small; prrMaxSlots caps it
+// at 1.5 MiB.
+const (
+	prrSlotsPerNode = 32
+	prrMaxSlots     = 1 << 16
+)
+
+// prrMemoSize returns the memo size for n attached nodes: a power of
+// two, so a multiplicative hash's top bits index it.
+func prrMemoSize(n int) int {
+	size := 64
+	for size < n*prrSlotsPerNode && size < prrMaxSlots {
+		size <<= 1
+	}
+	return size
 }
 
 // Medium is the shared air. It is bound to one engine and one
@@ -336,8 +374,16 @@ type Medium struct {
 	shard *shardState
 	// links interns per-link metric names, keyed from<<16|to.
 	links map[uint32]*linkKeys
-	// prr memoises the PRR curve by (SINR bits, frame length).
-	prr map[prrKey]float64
+	// prr memoises the PRR curve by (SINR bits, frame length), direct
+	// mapped; prrShift turns a 64-bit hash into an index. Allocated on
+	// first use, sized from the node count, and dropped by Attach when
+	// the deployment outgrows it.
+	prr      []prrSlot
+	prrShift uint
+	// frameCheck, when set, verifies a frame's integrity (the MAC's FCS
+	// check). Transmit runs it once per transmission and receivers see
+	// the verdict as RxInfo.Verified.
+	frameCheck func(frame []byte) bool
 	// noiseFor/noiseMW/noiseDBm cache the noise floor's mW conversion
 	// and that value's own dBm round trip (the interference-free
 	// noise-plus-interference level).
@@ -372,6 +418,12 @@ func (m *Medium) SetFaultHook(fn func(from, to phys.NodeID, channel int) FaultEf
 	m.faultFn = fn
 }
 
+// SetFrameCheck installs the frame integrity check Transmit runs once
+// per transmission (nil removes it). The medium cannot import the MAC,
+// so the MAC installs its FCS check here; every MAC on a medium installs
+// the same one.
+func (m *Medium) SetFrameCheck(fn func(frame []byte) bool) { m.frameCheck = fn }
+
 // SetTap installs an observer of every transmission (nil removes it).
 func (m *Medium) SetTap(fn func(TapRecord)) { m.tap = fn }
 
@@ -391,7 +443,6 @@ func New(eng *sim.Engine, model *phys.Model) *Medium {
 		slotOf:  make(map[phys.NodeID]int32),
 		indexed: true,
 		links:   make(map[uint32]*linkKeys),
-		prr:     make(map[prrKey]float64),
 	}
 	m.deliverCb = m.deliverEvent
 	return m
@@ -400,7 +451,7 @@ func New(eng *sim.Engine, model *phys.Model) *Medium {
 // deliverEvent is the AfterArg trampoline for scheduled deliveries.
 func (m *Medium) deliverEvent(a any) {
 	t := a.(*transmission)
-	m.deliver(t, t.seq)
+	m.deliver(t)
 }
 
 // SetReachabilityIndex enables or disables the link-gain cache and
@@ -427,7 +478,6 @@ func (m *Medium) InvalidateTopology() {
 		m.rows[i] = m.rows[i][:0]
 	}
 	clear(m.reach)
-	clear(m.prr)
 	if m.shard != nil {
 		for _, c := range m.shard.cells {
 			clear(c.gains)
@@ -482,6 +532,9 @@ func (m *Medium) Attach(r Receiver) error {
 		m.rows = append(m.rows, nil)
 		m.reach = append(m.reach, nil)
 		m.slotOf[id] = s
+		if len(m.prr) < prrMemoSize(len(m.slots)) {
+			m.prr = nil // reallocated at the new size on next use
+		}
 	} else {
 		// A returning node may come back somewhere else: budgets cached
 		// against where it was must not outlive its absence.
@@ -715,14 +768,17 @@ func (m *Medium) prrFor(sinr float64, n int) float64 {
 	if !m.indexed {
 		return phys.PRR(sinr, n)
 	}
-	k := prrKey{math.Float64bits(sinr), n}
-	if p, ok := m.prr[k]; ok {
-		return p
+	if m.prr == nil {
+		m.prr = make([]prrSlot, prrMemoSize(len(m.slots)))
+		m.prrShift = uint(64 - bits.TrailingZeros(uint(len(m.prr))))
+	}
+	sb := math.Float64bits(sinr)
+	e := &m.prr[(sb^uint64(n))*0x9E3779B97F4A7C15>>m.prrShift]
+	if e.n == n && e.sinrBits == sb {
+		return e.p
 	}
 	p := phys.PRR(sinr, n)
-	if len(m.prr) < 1<<16 { // bound the memo under interference churn
-		m.prr[k] = p
-	}
+	*e = prrSlot{sinrBits: sb, n: n, p: p}
 	return p
 }
 
@@ -782,6 +838,7 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	t.start = m.eng.Now()
 	t.end = m.eng.Now() + airtime
 	t.frame = append(t.frame[:0], frame...)
+	t.verified = m.frameCheck != nil && m.frameCheck(t.frame)
 	t.indexed = m.indexed
 	if m.indexed {
 		// Capture the fan-out now: detaching a node mid-flight must not
@@ -816,13 +873,25 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	return airtime, nil
 }
 
-// report publishes one per-receiver delivery outcome to the stats
-// counters' observers: the delivery tap and the telemetry recorder.
-func (m *Medium) report(d TapDelivery) {
+// report publishes t's delivery outcome o at node to to the stats
+// counters' observers: the delivery tap and the telemetry recorder. It
+// builds nothing when neither observes. rxDBm is the received power
+// (zero before the fault check); info, for a demodulated frame, carries
+// its SINR, RSSI and LQI; cause refines OutcomeCorrupted.
+func (m *Medium) report(t *transmission, to phys.NodeID, o DeliveryOutcome, cause string, rxDBm float64, info *RxInfo) {
+	recording := m.tel.Recording()
+	if m.deliveryTap == nil && !recording {
+		return
+	}
+	d := TapDelivery{TxSeq: t.seq, From: t.from, To: to, Channel: t.channel,
+		Outcome: o, Cause: cause, RxPowerDBm: rxDBm, At: m.eng.Now()}
+	if info != nil {
+		d.SINRDB, d.RSSI, d.LQI = info.SNRDB, info.RSSI, info.LQI
+	}
 	if m.deliveryTap != nil {
 		m.deliveryTap(d)
 	}
-	if !m.tel.Recording() {
+	if !recording {
 		return
 	}
 	attrs := []telemetry.Attr{
@@ -868,7 +937,7 @@ func (m *Medium) report(d TapDelivery) {
 // concurrently grouped by receiver cell; the commit loop below always
 // walks candidates in index order, so worker count never shows in the
 // output (DESIGN.md §14).
-func (m *Medium) deliver(t *transmission, seq uint64) {
+func (m *Medium) deliver(t *transmission) {
 	// Nodes excluded by the reachability floor can never demodulate the
 	// frame; they are counted in bulk, with no per-receiver outcome.
 	m.stats.BelowSensitivity += t.far
@@ -881,15 +950,16 @@ func (m *Medium) deliver(t *transmission, seq uint64) {
 	if t.sharded && m.shard != nil && m.eng.Workers() > 1 && len(slots) >= shardFanoutMin {
 		as = m.assessCells(t, slots, noiseMW, noiseDBm)
 	}
+	var one assess
 	for i, s := range slots {
 		if s == t.fromSlot {
 			continue
 		}
-		var a assess
+		a := &one
 		if as != nil {
-			a = as[i]
+			a = &as[i]
 		} else {
-			a = m.assessOne(t, s, noiseMW, noiseDBm)
+			m.assessOne(a, t, s, noiseMW, noiseDBm)
 		}
 		rx := a.rx
 		if rx == nil {
@@ -902,12 +972,9 @@ func (m *Medium) deliver(t *transmission, seq uint64) {
 			m.stats.BelowSensitivity++
 			continue
 		}
-		outcome := TapDelivery{TxSeq: seq, From: t.from, To: id,
-			Channel: t.channel, At: m.eng.Now()}
 		if rx.Channel() != t.channel {
 			m.stats.WrongChannel++
-			outcome.Outcome = OutcomeWrongChannel
-			m.report(outcome)
+			m.report(t, id, OutcomeWrongChannel, "", 0, nil)
 			continue
 		}
 		var eff FaultEffect
@@ -916,24 +983,25 @@ func (m *Medium) deliver(t *transmission, seq uint64) {
 		}
 		if eff.Drop {
 			m.stats.InjectedDrops++
-			outcome.Outcome = OutcomeInjectedDrop
-			m.report(outcome)
+			m.report(t, id, OutcomeInjectedDrop, "", 0, nil)
 			continue
 		}
 		rxDBm := b.Received(t.txDBm) - eff.ExtraLossDB
 		if rxDBm < radio.SensitivityDBm {
 			m.stats.BelowSensitivity++
-			outcome.Outcome = OutcomeBelowSensitivity
-			outcome.RxPowerDBm = rxDBm
-			m.report(outcome)
+			m.report(t, id, OutcomeBelowSensitivity, "", rxDBm, nil)
 			continue
 		}
 		if rx.RadioState() != radio.RX {
 			m.stats.MissedNotListening++
-			outcome.Outcome = OutcomeRadioOff
-			outcome.RxPowerDBm = rxDBm
-			m.report(outcome)
+			m.report(t, id, OutcomeRadioOff, "", rxDBm, nil)
 			continue
+		}
+		if !a.scanned {
+			// The assessment skipped the scan because the fault-free
+			// power is under the floor; only a negative ExtraLossDB
+			// lifts it back over, so scan now.
+			m.scan(a, t, s, m.cellOf(s), rx.Position(), noiseMW, noiseDBm)
 		}
 		sinr, interfered := rxDBm-a.inDBm, a.interfered
 		// The analytical BER curve models interference as white noise,
@@ -967,21 +1035,16 @@ func (m *Medium) deliver(t *transmission, seq uint64) {
 			LQI:        radio.LQI(sinr),
 			SNRDB:      sinr,
 			Corrupted:  !ok2,
+			Verified:   ok2 && t.verified,
 			At:         m.eng.Now(),
 		}
 		if ok2 {
 			m.stats.Delivered++
-			outcome.Outcome = OutcomeDelivered
+			m.report(t, id, OutcomeDelivered, "", rxDBm, &info)
 		} else {
 			m.stats.Corrupted++
-			outcome.Outcome = OutcomeCorrupted
-			outcome.Cause = cause
+			m.report(t, id, OutcomeCorrupted, cause, rxDBm, &info)
 		}
-		outcome.RxPowerDBm = rxDBm
-		outcome.SINRDB = sinr
-		outcome.RSSI = info.RSSI
-		outcome.LQI = info.LQI
-		m.report(outcome)
 		frame := t.frame
 		if !t.indexed {
 			frame = append([]byte(nil), t.frame...) // legacy per-receiver copy

@@ -286,3 +286,46 @@ func TestFrameCopyIsolation(t *testing.T) {
 	// Receivers share one read-only slice (see Receiver.OnFrame); the
 	// transmit-time copy is the only one the medium makes.
 }
+
+// TestNegativeFaultLossLiftsBelowFloorReceiver pins the fallback for a
+// fault hook that returns a negative ExtraLossDB: the assessment skips
+// the interference scan of a receiver under the sensitivity floor, so
+// when the hook lifts that receiver back over the floor the commit must
+// run the scan itself. A skipped scan would leave the
+// noise-plus-interference level at zero and report SNRDB = RxPowerDBm.
+func TestNegativeFaultLossLiftsBelowFloorReceiver(t *testing.T) {
+	eng, m := newTestMedium()
+	a := newFake(1, 0, 0)
+	// Bisect for the distance where full power arrives 2 dB under the
+	// floor: under sensitivity, but inside the reachability fade margin.
+	txDBm := radio.PowerDBm(a.power)
+	lo, hi := 1.0, 1000.0
+	for i := 0; i < 60; i++ {
+		mid := (lo + hi) / 2
+		if m.model.ReceivedPower(txDBm, 1, 2, a.pos, phys.Position{X: mid}) > radio.SensitivityDBm-2 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	b := newFake(2, lo, 0)
+	m.Attach(a)
+	m.Attach(b)
+	m.SetFaultHook(func(from, to phys.NodeID, _ int) FaultEffect {
+		return FaultEffect{ExtraLossDB: -10}
+	})
+	if _, err := m.Transmit(a, []byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if len(b.frames) != 1 {
+		t.Fatalf("lifted receiver got %d frames, want 1 (stats %+v)", len(b.frames), m.Stats())
+	}
+	info := b.frames[0]
+	if info.RxPowerDBm < radio.SensitivityDBm {
+		t.Fatalf("RxPowerDBm = %v, want lifted over the %v floor", info.RxPowerDBm, radio.SensitivityDBm)
+	}
+	if want := info.RxPowerDBm - mwToDBm(dbmToMW(m.model.NoiseFloor)); info.SNRDB != want {
+		t.Fatalf("SNRDB = %v, want %v (RxPowerDBm − noise floor)", info.SNRDB, want)
+	}
+}

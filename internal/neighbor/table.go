@@ -96,11 +96,25 @@ type EstimatorStats struct {
 // Table is the kernel neighbor table. It is single-threaded, like
 // everything on the simulated mote.
 type Table struct {
-	// entries holds at most cap entries sorted by ID, so every view is
-	// already in display order and eviction ties break by ID.
-	entries []Entry
-	cap     int
-	est     EstimatorStats
+	// rows holds at most cap entries in no particular order; an entry
+	// keeps its row until it is removed, so eviction overwrites a row in
+	// place instead of moving entries.
+	rows []Entry
+	// keys indexes rows sorted by ID, so every view is walked in display
+	// order and eviction ties break by ID. Each key copies the fields the
+	// per-frame lookup and eviction scans read, in a sixth of an Entry.
+	keys []key
+	cap  int
+	est  EstimatorStats
+}
+
+// key is one entry's index row: its ID, its row in rows, and copies of
+// its LastHeard and Blacklisted fields.
+type key struct {
+	id     phys.NodeID
+	pinned bool // Blacklisted
+	row    int32
+	heard  sim.Time
 }
 
 // NewTable returns a table bounded to capacity entries (DefaultCapacity
@@ -114,21 +128,55 @@ func NewTable(capacity int) *Table {
 
 // find returns the index of id's entry, or where it would be inserted.
 func (t *Table) find(id phys.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(t.entries, id, func(e Entry, id phys.NodeID) int {
-		return int(e.ID) - int(id)
-	})
+	lo, hi := 0, len(t.keys)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if t.keys[h].id < id {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(t.keys) && t.keys[lo].id == id
+}
+
+// entry returns the entry keys[i] indexes, in place.
+func (t *Table) entry(i int) *Entry { return &t.rows[t.keys[i].row] }
+
+// heard records that the entry keys[i] indexes was heard from at now.
+func (t *Table) heard(i int, now sim.Time) {
+	t.entry(i).LastHeard = now
+	t.keys[i].heard = now
 }
 
 // lookup returns id's entry in place, or nil.
 func (t *Table) lookup(id phys.NodeID) *Entry {
 	if i, ok := t.find(id); ok {
-		return &t.entries[i]
+		return t.entry(i)
 	}
 	return nil
 }
 
+// drop removes the entry keys[i] indexes: the last row moves into its
+// row, so rows stay dense.
+func (t *Table) drop(i int) {
+	r, last := t.keys[i].row, int32(len(t.rows)-1)
+	if r != last {
+		t.rows[r] = t.rows[last]
+		for j := range t.keys {
+			if t.keys[j].row == last {
+				t.keys[j].row = r
+				break
+			}
+		}
+	}
+	t.rows[last] = Entry{}
+	t.rows = t.rows[:last]
+	t.keys = slices.Delete(t.keys, i, i+1)
+}
+
 // Len returns the number of entries.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return len(t.keys) }
 
 // Capacity returns the entry bound.
 func (t *Table) Capacity() int { return t.cap }
@@ -136,29 +184,40 @@ func (t *Table) Capacity() int { return t.cap }
 // Observe folds one overheard frame's link metadata into the table,
 // inserting the neighbor if there is room (or evicting the stalest
 // non-blacklisted entry when full). The returned entry is the table's
-// own, valid until the next insertion or removal.
+// own, valid until its neighbor is evicted or removed.
 func (t *Table) Observe(id phys.NodeID, lqi int, rssi int, now sim.Time) *Entry {
 	i, ok := t.find(id)
 	if ok {
-		e := &t.entries[i]
+		e := t.entry(i)
 		e.LQI += ewmaAlpha * (float64(lqi) - e.LQI)
 		e.RSSI += ewmaAlpha * (float64(rssi) - e.RSSI)
-		e.LastHeard = now
+		t.heard(i, now)
 		return e
 	}
-	if len(t.entries) >= t.cap {
+	var r int32
+	if len(t.keys) < t.cap {
+		r = int32(len(t.rows))
+		t.rows = append(t.rows, Entry{})
+		t.keys = slices.Insert(t.keys, i, key{})
+	} else {
+		// Evict the stalest entry v: the newcomer takes its row, and one
+		// shift of the keys between v and i re-sorts the index.
 		v := t.stalest()
 		if v < 0 {
 			return nil
 		}
-		t.entries = slices.Delete(t.entries, v, v+1)
+		r = t.keys[v].row
 		if v < i {
 			i--
+			copy(t.keys[v:i], t.keys[v+1:i+1])
+		} else {
+			copy(t.keys[i+1:v+1], t.keys[i:v])
 		}
 	}
-	t.entries = slices.Insert(t.entries, i, Entry{ID: id, LQI: float64(lqi), RSSI: float64(rssi),
-		PRR: 1, Delivery: 1, LastHeard: now})
-	return &t.entries[i]
+	t.rows[r] = Entry{ID: id, LQI: float64(lqi), RSSI: float64(rssi),
+		PRR: 1, Delivery: 1, LastHeard: now}
+	t.keys[i] = key{id: id, row: r, heard: now}
+	return &t.rows[r]
 }
 
 // stalest returns the index of the least-recently-heard entry, the
@@ -166,9 +225,9 @@ func (t *Table) Observe(id phys.NodeID, lqi int, rssi int, now sim.Time) *Entry 
 // deliberately). -1 when every entry is pinned.
 func (t *Table) stalest() int {
 	v := -1
-	for i := range t.entries {
-		e := &t.entries[i]
-		if !e.Blacklisted && (v < 0 || e.LastHeard < t.entries[v].LastHeard) {
+	for i := range t.keys {
+		k := &t.keys[i]
+		if !k.pinned && (v < 0 || k.heard < t.keys[v].heard) {
 			v = i
 		}
 	}
@@ -184,11 +243,12 @@ func (t *Table) stalest() int {
 // unknown destinations are counted and dropped — a transmit result
 // carries no LQI/RSSI to seed an entry with.
 func (t *Table) ObserveTxResult(id phys.NodeID, ok bool, now sim.Time) (becameSuspect bool) {
-	e := t.lookup(id)
-	if e == nil {
+	i, found := t.find(id)
+	if !found {
 		t.est.TxUnknownDst++
 		return false
 	}
+	e := t.entry(i)
 	if ok {
 		t.est.TxAcked++
 		e.Delivery += ewmaAlpha * (1 - e.Delivery)
@@ -198,7 +258,7 @@ func (t *Table) ObserveTxResult(id phys.NodeID, ok bool, now sim.Time) (becameSu
 			t.est.SuspectClears++
 		}
 		// An ack is first-hand evidence the neighbor is alive.
-		e.LastHeard = now
+		t.heard(i, now)
 		return false
 	}
 	t.est.TxFailed++
@@ -240,10 +300,10 @@ func (t *Table) MarkSuspect(id phys.NodeID, on bool) error {
 // Suspects returns copies of the currently suspect entries sorted by ID
 // (the shell's `health` view).
 func (t *Table) Suspects() []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		if e.Suspect {
-			out = append(out, e)
+	out := make([]Entry, 0, len(t.keys))
+	for _, k := range t.keys {
+		if e := &t.rows[k.row]; e.Suspect {
+			out = append(out, *e)
 		}
 	}
 	return out
@@ -290,15 +350,21 @@ func (t *Table) Get(id phys.NodeID) (Entry, bool) {
 
 // Entries returns copies of all entries sorted by ID (deterministic for
 // display and routing).
-func (t *Table) Entries() []Entry { return slices.Clone(t.entries) }
+func (t *Table) Entries() []Entry {
+	out := make([]Entry, len(t.keys))
+	for i, k := range t.keys {
+		out[i] = t.rows[k.row]
+	}
+	return out
+}
 
 // Usable returns the non-blacklisted entries sorted by ID; this is the
 // view routing protocols consume.
 func (t *Table) Usable() []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		if !e.Blacklisted {
-			out = append(out, e)
+	out := make([]Entry, 0, len(t.keys))
+	for _, k := range t.keys {
+		if !k.pinned {
+			out = append(out, t.rows[k.row])
 		}
 	}
 	return out
@@ -307,11 +373,12 @@ func (t *Table) Usable() []Entry {
 // Blacklist sets or clears the disabled flag on a neighbor. The entry
 // must exist: LiteView surfaces an error to the user otherwise.
 func (t *Table) Blacklist(id phys.NodeID, on bool) error {
-	e := t.lookup(id)
-	if e == nil {
+	i, ok := t.find(id)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownNeighbor, id)
 	}
-	e.Blacklisted = on
+	t.entry(i).Blacklisted = on
+	t.keys[i].pinned = on
 	return nil
 }
 
@@ -324,20 +391,26 @@ func (t *Table) IsBlacklisted(id phys.NodeID) bool {
 // Remove deletes an entry entirely.
 func (t *Table) Remove(id phys.NodeID) {
 	if i, ok := t.find(id); ok {
-		t.entries = slices.Delete(t.entries, i, i+1)
+		t.drop(i)
 	}
 }
 
 // Clear drops every entry, blacklisted or not. The kernel calls this on
 // a crash: neighbor state lives in RAM and does not survive a reboot.
-func (t *Table) Clear() { t.entries = t.entries[:0] }
+func (t *Table) Clear() {
+	clear(t.rows)
+	t.rows, t.keys = t.rows[:0], t.keys[:0]
+}
 
 // Expire drops entries not heard since the cutoff, keeping blacklisted
 // pins.
 func (t *Table) Expire(cutoff sim.Time) int {
-	n := len(t.entries)
-	t.entries = slices.DeleteFunc(t.entries, func(e Entry) bool {
-		return !e.Blacklisted && e.LastHeard < cutoff
-	})
-	return n - len(t.entries)
+	n := 0
+	for i := len(t.keys) - 1; i >= 0; i-- {
+		if k := t.keys[i]; !k.pinned && k.heard < cutoff {
+			t.drop(i)
+			n++
+		}
+	}
+	return n
 }

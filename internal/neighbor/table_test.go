@@ -2,6 +2,8 @@ package neighbor
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -226,6 +228,91 @@ func TestTableInvariantsProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTableMatchesReference drives the table and a plain slice model
+// with the same random observations, blacklisting, removals and
+// expiries, and requires identical views after every step: the compact
+// key index and the row reuse on eviction and removal must not change
+// which entries survive or what they hold.
+func TestTableMatchesReference(t *testing.T) {
+	const capacity = 6
+	prop := func(ops []uint32) bool {
+		tab := NewTable(capacity)
+		var ref []Entry // the model: unordered, evicts by scanning
+		now := sim.Time(0)
+		for step, op := range ops {
+			now += sim.Time(op%3) * time.Millisecond // ties happen
+			id := phys.NodeID(op>>8%12 + 1)
+			at := slices.IndexFunc(ref, func(e Entry) bool { return e.ID == id })
+			switch op % 8 {
+			case 0, 1, 2, 3:
+				lqi, rssi := 50+int(op>>4%61), -int(op>>12%60)
+				tab.Observe(id, lqi, rssi, now)
+				switch {
+				case at >= 0:
+					e := &ref[at]
+					e.LQI += ewmaAlpha * (float64(lqi) - e.LQI)
+					e.RSSI += ewmaAlpha * (float64(rssi) - e.RSSI)
+					e.LastHeard = now
+				default:
+					v := len(ref)
+					if len(ref) >= capacity {
+						v = -1
+						for i, e := range ref {
+							if !e.Blacklisted && (v < 0 || e.LastHeard < ref[v].LastHeard ||
+								e.LastHeard == ref[v].LastHeard && e.ID < ref[v].ID) {
+								v = i
+							}
+						}
+					} else {
+						ref = append(ref, Entry{})
+					}
+					if v >= 0 {
+						ref[v] = Entry{ID: id, LQI: float64(lqi), RSSI: float64(rssi),
+							PRR: 1, Delivery: 1, LastHeard: now}
+					}
+				}
+			case 4:
+				if at >= 0 {
+					on := !ref[at].Blacklisted
+					ref[at].Blacklisted = on
+					if err := tab.Blacklist(id, on); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 5:
+				tab.ObserveTxResult(id, true, now)
+				if at >= 0 {
+					ref[at].LastHeard = now
+				}
+			case 6:
+				tab.Remove(id)
+				if at >= 0 {
+					ref = slices.Delete(ref, at, at+1)
+				}
+			case 7:
+				cutoff := now - 5*time.Millisecond
+				n := tab.Expire(cutoff)
+				before := len(ref)
+				ref = slices.DeleteFunc(ref, func(e Entry) bool { return !e.Blacklisted && e.LastHeard < cutoff })
+				if n != before-len(ref) {
+					t.Logf("step %d: Expire dropped %d, model %d", step, n, before-len(ref))
+					return false
+				}
+			}
+			want := slices.Clone(ref)
+			slices.SortFunc(want, func(a, b Entry) int { return int(a.ID) - int(b.ID) })
+			if got := tab.Entries(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Logf("step %d (op %d): table %+v, model %+v", step, op%8, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

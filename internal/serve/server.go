@@ -69,8 +69,12 @@ type session struct {
 // sessionWatch is one live telemetry stream: a subscription on the
 // tenant's recorder drained by a streamer goroutine into event frames.
 type sessionWatch struct {
-	sub   *telemetry.Subscription
-	stop  chan struct{}
+	sub  *telemetry.Subscription
+	stop chan struct{}
+	// ended is closed before the streamer sends watch-end, done once it
+	// has exited: a client that watches again the moment it reads
+	// watch-end must find this watch over, not busy.
+	ended chan struct{}
 	done  chan struct{}
 	stop1 sync.Once
 }
@@ -315,12 +319,16 @@ func (s *Server) startWatch(sess *session, req Request) bool {
 	}
 	if sess.watch != nil {
 		select {
-		case <-sess.watch.done:
-			sess.watch = nil // the streamer already ended (elapsed/drain)
+		case <-sess.watch.ended:
+			// The streamer already ended (elapsed/drain) and is at most
+			// finishing its watch-end send.
+			<-sess.watch.done
+		case <-sess.watch.done: // the peer stopped reading mid-stream
 		default:
 			return s.send(sess, Response{Type: TypeError, ID: req.ID, Code: CodeBadRequest,
 				Error: "serve: session already has a watch; unwatch first"})
 		}
+		sess.watch = nil
 	}
 	if s.isDraining() {
 		return s.send(sess, Response{Type: TypeError, ID: req.ID, Code: CodeDraining,
@@ -343,9 +351,10 @@ func (s *Server) startWatch(sess *session, req Request) bool {
 			Error: "serve: tenant exposes no telemetry"})
 	}
 	w := &sessionWatch{
-		sub:  rec.Subscribe(spec.filter(), spec.Depth),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		sub:   rec.Subscribe(spec.filter(), spec.Depth),
+		stop:  make(chan struct{}),
+		ended: make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	if !s.send(sess, Response{Type: TypeWatchOK, ID: req.ID, Tenant: sess.tenant.Name()}) {
 		w.sub.Close()
@@ -393,6 +402,7 @@ func (s *Server) runWatch(sess *session, w *sessionWatch, spec WatchSpec, id uin
 	tick := time.NewTicker(tickEvery)
 	defer tick.Stop()
 	end := func(reason string) {
+		close(w.ended)
 		s.send(sess, Response{Type: TypeWatchEnd, ID: id, Reason: reason, Dropped: w.sub.Dropped()})
 		s.met.inc("serve.watch.ended")
 	}

@@ -49,19 +49,28 @@ func TestWatchStreamsCommandEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer driver.Close()
-	for _, line := range []string{"cd 192.168.0.1", "ping 192.168.0.3"} {
+	run := func(line string) {
 		if resp, err := driver.Run(line); err != nil || resp.Error != "" {
 			t.Fatalf("%q: err=%v resp.Error=%q", line, err, resp.Error)
 		}
 	}
-
-	select {
-	case err := <-watchDone:
-		if err != nil {
-			t.Fatalf("Watch returned %v", err)
+	run("cd 192.168.0.1")
+	// The watch attaches concurrently with these commands: a ping that runs
+	// before the stream starts is not seen, so ping until the watcher
+	// has had its frame budget.
+	deadline := time.After(10 * time.Second)
+	for watching := true; watching; {
+		select {
+		case err := <-watchDone:
+			if err != nil {
+				t.Fatalf("Watch returned %v", err)
+			}
+			watching = false
+		case <-deadline:
+			t.Fatal("watch did not end after the frame budget")
+		default:
+			run("ping 192.168.0.3")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("watch did not end after the frame budget")
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -3,6 +3,7 @@ package stack
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"liteview/internal/mac"
 	"liteview/internal/medium"
@@ -47,7 +48,7 @@ type Stats struct {
 type Stack struct {
 	eng      *sim.Engine
 	mac      *mac.MAC
-	ports    map[byte]Handler
+	ports    []port
 	sniffers []Sniffer
 	stats    Stats
 	// tel, when set, receives port-dispatch telemetry events.
@@ -66,8 +67,25 @@ func (s *Stack) SetTelemetry(rec *telemetry.Recorder) { s.tel = rec }
 // with a nil MAC placeholder is not allowed, so callers typically use a
 // small closure — see node.Build in package liteos).
 func New(eng *sim.Engine, m *mac.MAC) *Stack {
-	s := &Stack{eng: eng, mac: m, ports: make(map[byte]Handler)}
+	s := &Stack{eng: eng, mac: m}
 	return s
+}
+
+// port is one subscription. A node binds a handful of ports, so the
+// per-frame lookup is a short scan rather than a hash.
+type port struct {
+	num byte
+	h   Handler
+}
+
+// handler returns the handler subscribed on num, or nil.
+func (s *Stack) handler(num byte) Handler {
+	for i := range s.ports {
+		if s.ports[i].num == num {
+			return s.ports[i].h
+		}
+	}
+	return nil
 }
 
 // OnFrame is the MAC deliver callback; pass it to mac.New.
@@ -89,8 +107,8 @@ func (s *Stack) OnFrame(f mac.Frame, info medium.RxInfo) {
 		}
 		return
 	}
-	h, ok := s.ports[p.Port]
-	if !ok {
+	h := s.handler(p.Port)
+	if h == nil {
 		s.stats.NoSubscriber++
 		if s.tel.Recording() {
 			s.tel.Emit(s.mac.NodeID(), telemetry.LayerStack, "no-subscriber",
@@ -120,26 +138,25 @@ func (s *Stack) Stats() Stats { return s.stats }
 
 // Subscribe registers h on port. Subscribing an occupied port is an
 // error: the paper's design gives each process a unique port.
-func (s *Stack) Subscribe(port byte, h Handler) error {
+func (s *Stack) Subscribe(num byte, h Handler) error {
 	if h == nil {
 		return errors.New("stack: nil handler")
 	}
-	if _, taken := s.ports[port]; taken {
-		return fmt.Errorf("stack: port %d already subscribed", port)
+	if s.handler(num) != nil {
+		return fmt.Errorf("stack: port %d already subscribed", num)
 	}
-	s.ports[port] = h
+	s.ports = append(s.ports, port{num, h})
 	return nil
 }
 
 // Unsubscribe frees a port. Unsubscribing a free port is a no-op,
 // matching process exit semantics.
-func (s *Stack) Unsubscribe(port byte) { delete(s.ports, port) }
+func (s *Stack) Unsubscribe(num byte) {
+	s.ports = slices.DeleteFunc(s.ports, func(p port) bool { return p.num == num })
+}
 
 // Subscribed reports whether a port has a listener.
-func (s *Stack) Subscribed(port byte) bool {
-	_, ok := s.ports[port]
-	return ok
-}
+func (s *Stack) Subscribed(num byte) bool { return s.handler(num) != nil }
 
 // Ports returns the number of active subscriptions.
 func (s *Stack) Ports() int { return len(s.ports) }
@@ -168,8 +185,8 @@ func (s *Stack) Send(p *Packet, nextHop phys.NodeID, ftype mac.FrameType, sent m
 // delivery is scheduled as a zero-delay event so handlers never recurse
 // into each other.
 func (s *Stack) SendLocal(p *Packet) error {
-	h, ok := s.ports[p.Port]
-	if !ok {
+	h := s.handler(p.Port)
+	if h == nil {
 		s.stats.NoSubscriber++
 		return fmt.Errorf("stack: no local subscriber on port %d", p.Port)
 	}

@@ -67,7 +67,6 @@ type Testbed struct {
 	Nodes []*liteos.Node
 
 	opt    Options
-	byID   map[phys.NodeID]*liteos.Node
 	byName map[string]*liteos.Node
 	// routers[port][node] holds attached protocol instances.
 	routers map[byte]map[phys.NodeID]*routing.Router
@@ -130,7 +129,6 @@ func build(positions []phys.Position, opt Options) (*Testbed, error) {
 		Med:     med,
 		Model:   model,
 		opt:     opt,
-		byID:    make(map[phys.NodeID]*liteos.Node),
 		byName:  make(map[string]*liteos.Node),
 		routers: make(map[byte]map[phys.NodeID]*routing.Router),
 	}
@@ -159,7 +157,6 @@ func build(positions []phys.Position, opt Options) (*Testbed, error) {
 			}
 		}
 		tb.Nodes = append(tb.Nodes, n)
-		tb.byID[id] = n
 		tb.byName[cfg.Name] = n
 	}
 	return tb, nil
@@ -218,10 +215,12 @@ func Random(n int, width, height float64, opt Options) (*Testbed, error) {
 // Node returns the i-th node (0-based index).
 func (tb *Testbed) Node(i int) *liteos.Node { return tb.Nodes[i] }
 
-// ByID resolves a node by short address.
+// ByID resolves a node by short address: node i (0-based) has ID i+1.
 func (tb *Testbed) ByID(id phys.NodeID) (*liteos.Node, bool) {
-	n, ok := tb.byID[id]
-	return n, ok
+	if id == 0 || int(id) > len(tb.Nodes) {
+		return nil, false
+	}
+	return tb.Nodes[id-1], true
 }
 
 // ByName resolves a node by its IP-convention name.
@@ -233,7 +232,7 @@ func (tb *Testbed) ByName(name string) (*liteos.Node, bool) {
 // Locator returns the position oracle geographic forwarding uses.
 func (tb *Testbed) Locator() routing.Locator {
 	return func(id phys.NodeID) (phys.Position, bool) {
-		n, ok := tb.byID[id]
+		n, ok := tb.ByID(id)
 		if !ok {
 			return phys.Position{}, false
 		}

@@ -338,25 +338,19 @@ func (s *silentNode) OnFrame(_ []byte, _ medium.RxInfo) {}
 
 // BenchmarkMediumDeliver measures one broadcast fan-out on a dense
 // grid (15 m spacing): transmit from the grid center, deliver to every
-// candidate. The indexed variant is the default engine (link-gain cache
-// + reachability index + shared frame); fanout is the legacy full-order
-// scan with per-pair recomputation and per-receiver frame copies, kept
-// as the before-side of the optimization. The sharded variants run the
-// spatially partitioned medium (per-cell ledgers, ring-bounded reach) —
-// with one assessment lane and with four concurrent ones — at 400 and
-// 10,000 nodes; all variants deliver byte-identical results. The
-// interfered variant puts four overlapping transmitters on the air at
-// once, so every delivery runs the SINR interference scan.
+// candidate. The indexed variants run the default single-cell medium
+// (candidate sets, dense link table, shared frame); the sharded
+// variants run the spatially partitioned medium (per-cell ledgers and
+// tables, ring-bounded reach) at 400 and 10,000 nodes. The interfered
+// variant puts four overlapping transmitters on the air at once, so
+// every delivery runs the SINR interference scan.
 func BenchmarkMediumDeliver(b *testing.B) {
-	run := func(b *testing.B, side int, indexed bool, shardWorkers, transmitters int) {
+	run := func(b *testing.B, side int, sharded bool, transmitters int) {
 		eng := sim.NewEngine(42)
 		model := phys.DefaultModel(42)
 		m := medium.New(eng, model)
-		m.SetReachabilityIndex(indexed)
-		if shardWorkers > 0 {
-			if err := m.SetSharding(medium.Sharding{Workers: shardWorkers}); err != nil {
-				b.Fatal(err)
-			}
+		if sharded {
+			m.SetSharding(medium.Sharding{})
 		}
 		// The grid center transmits; extra transmitters sit two and four
 		// columns to its left and right, all within interference range.
@@ -392,11 +386,9 @@ func BenchmarkMediumDeliver(b *testing.B) {
 			burst()
 		}
 	}
-	b.Run("indexed-400", func(b *testing.B) { run(b, 20, true, 0, 1) })
-	b.Run("interfered-400", func(b *testing.B) { run(b, 20, true, 0, 4) })
-	b.Run("fanout-400", func(b *testing.B) { run(b, 20, false, 0, 1) })
-	b.Run("sharded-400", func(b *testing.B) { run(b, 20, true, 1, 1) })
-	b.Run("sharded-400-lanes-4", func(b *testing.B) { run(b, 20, true, 4, 1) })
-	b.Run("indexed-10k", func(b *testing.B) { run(b, 100, true, 0, 1) })
-	b.Run("sharded-10k-lanes-4", func(b *testing.B) { run(b, 100, true, 4, 1) })
+	b.Run("indexed-400", func(b *testing.B) { run(b, 20, false, 1) })
+	b.Run("interfered-400", func(b *testing.B) { run(b, 20, false, 4) })
+	b.Run("sharded-400", func(b *testing.B) { run(b, 20, true, 1) })
+	b.Run("indexed-10k", func(b *testing.B) { run(b, 100, false, 1) })
+	b.Run("sharded-10k", func(b *testing.B) { run(b, 100, true, 1) })
 }

@@ -36,16 +36,14 @@ func main() {
 		jsonPath = flag.String("json", "", "write a machine-readable run summary to this file")
 		nowall   = flag.Bool("nowall", false, "suppress wall-clock readings inside experiment output (for byte-exact comparisons)")
 		profile  = flag.String("profile", "", "write per-experiment CPU and heap profiles into this directory (forces -parallel 1)")
-		medWork  = flag.Int("medium-workers", 1, "sharded-medium assessment lanes inside the scale experiments (>1 shards the radio medium; output is byte-identical at any value)")
 	)
 	flag.Parse()
 	opt := bench.Options{
-		TraceDir:      *trace,
-		Short:         *short,
-		NoWallClock:   *nowall,
-		Workers:       *parallel,
-		ProfileDir:    *profile,
-		MediumWorkers: *medWork,
+		TraceDir:    *trace,
+		Short:       *short,
+		NoWallClock: *nowall,
+		Workers:     *parallel,
+		ProfileDir:  *profile,
 	}
 
 	if *list {

@@ -11,7 +11,7 @@ import (
 func TestAllExperiments(t *testing.T) {
 	// The scale experiment's sharded row runs at 576 nodes here; the
 	// real 10,000-node deployment is exercised by the lvbench -short
-	// smoke and by internal/medium's worker-invariance regression.
+	// smoke.
 	opt := Options{Short: testing.Short(), scaleBigSide: 24}
 	for _, exp := range All() {
 		exp := exp

@@ -39,14 +39,10 @@ type JSONReport struct {
 	// recorded by NewJSONReport itself so the committed file reflects
 	// the machine the numbers were measured on, not a caller-supplied
 	// constant.
-	GoMaxProcs int `json:"gomaxprocs"`
-	// MediumWorkers is the sharded-medium assessment concurrency the
-	// scale experiments ran with (0 = unsharded/sequential medium).
-	// Throughput rows are meaningless without it.
-	MediumWorkers int              `json:"medium_workers"`
-	WallMSTotal   float64          `json:"wall_ms_total"`
-	Pass          bool             `json:"pass"`
-	Experiments   []JSONExperiment `json:"experiments"`
+	GoMaxProcs  int              `json:"gomaxprocs"`
+	WallMSTotal float64          `json:"wall_ms_total"`
+	Pass        bool             `json:"pass"`
+	Experiments []JSONExperiment `json:"experiments"`
 }
 
 // NewJSONReport summarises a RunAll result set. total is the whole
@@ -54,13 +50,12 @@ type JSONReport struct {
 // per-experiment times — that difference is the parallel speedup).
 func NewJSONReport(outcomes []Outcome, seed uint64, opt Options, total time.Duration) JSONReport {
 	rep := JSONReport{
-		Seed:          seed,
-		Workers:       opt.withGate().Workers,
-		Short:         opt.Short,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		MediumWorkers: opt.MediumWorkers,
-		WallMSTotal:   float64(total.Nanoseconds()) / 1e6,
-		Pass:          true,
+		Seed:        seed,
+		Workers:     opt.withGate().Workers,
+		Short:       opt.Short,
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		WallMSTotal: float64(total.Nanoseconds()) / 1e6,
+		Pass:        true,
 	}
 	for _, o := range outcomes {
 		je := JSONExperiment{

@@ -35,13 +35,6 @@ type Options struct {
 	// every engine is private to one simulation and results are
 	// aggregated in experiment/trial order.
 	Workers int
-	// MediumWorkers, when above one, runs the scale experiments on a
-	// spatially sharded radio medium with that many concurrent
-	// assessment lanes per simulation (medium.Sharding). Sharded-medium
-	// output is byte-identical at every lane count, so this is a pure
-	// throughput knob; it is recorded in the JSON report because the
-	// wall-clock rows depend on it.
-	MediumWorkers int
 	// ProfileDir, when non-empty, writes per-experiment CPU and heap
 	// profiles (<dir>/<id>.cpu.pprof, <dir>/<id>.heap.pprof). CPU
 	// profiling is process-global, so a profiled run is forced to

@@ -177,12 +177,9 @@ func TestJSONReport(t *testing.T) {
 		t.Fatal("f7 missing")
 	}
 	outs := RunAll([]Experiment{e}, 42, Options{Short: true, Workers: 1})
-	rep := NewJSONReport(outs, 42, Options{Short: true, Workers: 1, MediumWorkers: 4}, outs[0].Wall)
+	rep := NewJSONReport(outs, 42, Options{Short: true, Workers: 1}, outs[0].Wall)
 	if rep.GoMaxProcs != runtime.GOMAXPROCS(0) {
 		t.Fatalf("GoMaxProcs = %d, want the effective %d", rep.GoMaxProcs, runtime.GOMAXPROCS(0))
-	}
-	if rep.MediumWorkers != 4 {
-		t.Fatalf("MediumWorkers = %d, want 4", rep.MediumWorkers)
 	}
 	if !rep.Pass || len(rep.Experiments) != 1 {
 		t.Fatalf("report: %+v", rep)

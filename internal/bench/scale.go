@@ -18,10 +18,9 @@ import (
 type scaleDeployment struct {
 	side   int
 	warmup time.Duration
-	// shard runs the deployment on the spatially sharded medium with
-	// opt.MediumWorkers assessment lanes. Sharding changes throughput,
-	// not results (the worker-invariance regressions in internal/medium
-	// pin that), so rows differ only in their wall-clock columns.
+	// shard runs the deployment on the spatially sharded medium: ring-
+	// bounded fan-outs and interference scans, which is what makes 10k
+	// nodes tractable.
 	shard bool
 	// dst is the traceroute destination. The 20×20 grid targets its
 	// centre, as the paper's experiment does; the 10k grid targets a
@@ -35,15 +34,7 @@ func runScaleDeployment(r *Result, d scaleDeployment, seed uint64, opt Options) 
 	tbOpt := testbed.DefaultOptions(seed)
 	tbOpt.ShadowSigma = 0
 	tbOpt.AsymSigma = 0
-	medWorkers := 0
-	if d.shard {
-		tbOpt.ShardMedium = true
-		tbOpt.MediumWorkers = opt.MediumWorkers
-		medWorkers = opt.MediumWorkers
-		if medWorkers < 1 {
-			medWorkers = 1
-		}
-	}
+	tbOpt.ShardMedium = d.shard
 	tb, err := testbed.Grid(d.side, d.side, 14, tbOpt)
 	if err != nil {
 		return err
@@ -93,9 +84,9 @@ func runScaleDeployment(r *Result, d scaleDeployment, seed uint64, opt Options) 
 		// Wall-clock readings vary run to run; the determinism
 		// regression compares rendered output byte for byte, so the
 		// real-time columns collapse to placeholders.
-		r.Table.AddRow(d.side*d.side, medWorkers, stats.Transmitted, stats.Delivered, simS, "-", "-", "-")
+		r.Table.AddRow(d.side*d.side, stats.Transmitted, stats.Delivered, simS, "-", "-", "-")
 	} else {
-		r.Table.AddRow(d.side*d.side, medWorkers, stats.Transmitted, stats.Delivered, simS,
+		r.Table.AddRow(d.side*d.side, stats.Transmitted, stats.Delivered, simS,
 			float64(wall.Milliseconds()), nsPerSimS, txPerWallS)
 	}
 
@@ -107,7 +98,7 @@ func runScaleDeployment(r *Result, d scaleDeployment, seed uint64, opt Options) 
 	if d.shard {
 		cells, cellSize, ring := tb.Med.ShardInfo()
 		r.check(label+" medium sharded", tb.Med.Sharded() && cells > 1,
-			"%d cells of %.0f m (ring %d), %d assessment lanes", cells, cellSize, ring, medWorkers)
+			"%d cells of %.0f m (ring %d)", cells, cellSize, ring)
 	}
 	r.check(label+" neighbour ping answered", p.Received > 0,
 		"%d/%d replies", p.Received, p.Sent)
@@ -138,10 +129,9 @@ func runScaleDeployment(r *Result, d scaleDeployment, seed uint64, opt Options) 
 // testbed) on the plain indexed medium, and a 10,000-node grid on the
 // spatially sharded medium — the same management commands, with
 // wall-clock throughput figures (how many virtual nanoseconds each
-// real second buys) per row. The reachability index makes the 400-node
-// row tractable; the cell partition (ring-bounded fan-outs, per-cell
-// interference ledgers, concurrent assessment lanes) is what carries
-// the 10k row. BenchmarkMediumDeliver in the repository root
+// real second buys) per row. Candidate sets and link tables make the
+// 400-node row tractable; the cell partition (ring-bounded fan-outs,
+// per-cell interference ledgers) is what carries the 10k row. BenchmarkMediumDeliver in the repository root
 // quantifies the per-delivery speedups.
 func Scale(seed uint64, opt Options) (*Result, error) {
 	base := scaleDeployment{side: 20, warmup: 10 * time.Second}
@@ -160,7 +150,7 @@ func Scale(seed uint64, opt Options) (*Result, error) {
 	big.dst = phys.NodeID(3*big.side + 4)                           // (42 m, 42 m): a few hops in
 
 	r := &Result{ID: "SCALE", Title: "medium scalability: commands on 400-node and 10k-node grids"}
-	r.Table = trace.NewTable("nodes", "med_workers", "tx_frames", "deliveries", "sim_s", "wall_ms", "wall_ns_per_sim_s", "tx_per_wall_s")
+	r.Table = trace.NewTable("nodes", "tx_frames", "deliveries", "sim_s", "wall_ms", "wall_ns_per_sim_s", "tx_per_wall_s")
 	for _, d := range []scaleDeployment{base, big} {
 		if err := runScaleDeployment(r, d, seed, opt); err != nil {
 			return nil, err

@@ -26,12 +26,11 @@ type DeploymentFlags struct {
 	Asym    float64
 	Warmup  time.Duration
 	LPL     bool
-	// Shard runs the deployment on the spatially sharded radio medium;
-	// MedWorkers sets its concurrent assessment lanes. Results are
-	// byte-identical to the unsharded single-ring medium on topologies
-	// this size — sharding is a throughput knob for large deployments.
-	Shard      bool
-	MedWorkers int
+	// Shard runs the deployment on the spatially sharded radio medium.
+	// Results are byte-identical to the single-cell medium on topologies
+	// that fit inside one detectability ring — sharding is a throughput
+	// knob for large deployments.
+	Shard bool
 }
 
 // Register installs the flags on fs with the shared defaults.
@@ -48,7 +47,6 @@ func (d *DeploymentFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&d.Warmup, "warmup", 20*time.Second, "virtual warm-up time for discovery")
 	fs.BoolVar(&d.LPL, "lpl", false, "duty-cycle the deployment (low-power listening)")
 	fs.BoolVar(&d.Shard, "shard", false, "partition the radio medium into spatial cells (throughput knob for large deployments)")
-	fs.IntVar(&d.MedWorkers, "medium-workers", 1, "concurrent delivery-assessment lanes on the sharded medium (implies -shard when >1)")
 }
 
 // Build assembles the testbed the flags describe (without protocols or
@@ -58,10 +56,7 @@ func (d *DeploymentFlags) Build() (*testbed.Testbed, error) {
 	opt.ShadowSigma = d.Shadow
 	opt.AsymSigma = d.Asym
 	opt.LPL = d.LPL
-	if d.Shard || d.MedWorkers > 1 {
-		opt.ShardMedium = true
-		opt.MediumWorkers = d.MedWorkers
-	}
+	opt.ShardMedium = d.Shard
 	if d.LPL {
 		// Broadcasts cost a full sleep interval of repeats under LPL:
 		// beacon sparsely.

@@ -1,7 +1,6 @@
 package medium
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -10,36 +9,27 @@ import (
 	"liteview/internal/radio"
 )
 
-// Spatial sharding: the medium partitioned into square grid cells.
+// Cells: the one structure the medium fans out through.
 //
-// RF energy is local — phys.Model.DetectRange bounds the distance
-// beyond which no link can clear the reachability floor even with the
-// most favourable shadowing draw — so a transmission is physically
-// incapable of touching nodes outside a bounded ring of cells around
-// its origin. The sharded medium exploits that three ways:
+// Space is partitioned into square grid cells. RF energy is local —
+// phys.Model.DetectRange bounds the distance beyond which no link can
+// clear the reachability floor even with the most favourable shadowing
+// draw — so a transmission cannot touch nodes outside a bounded
+// Chebyshev ring of cells around its origin. Each cell owns its
+// members (in global attach order), the ledger of active transmissions
+// whose origin is within its ring, and the dense link table of budgets
+// into its members. Candidate sets are collected from the ring, and a
+// delivery's SINR scan walks the receiver cell's ledger.
 //
-//  1. Each cell owns the interference ledger and link-budget cache for
-//     its member nodes, so a delivery's SINR scan walks only the
-//     transmissions registered to the receiver's cell instead of the
-//     whole deployment's active list.
-//  2. A transmitter's reachability candidates are collected from the
-//     cells within the detectability ring, not from a full node scan.
-//  3. Because distinct cells own disjoint mutable state, the expensive
-//     pure phase of a delivery fan-out — link budgets and interference
-//     sums, grouped by receiver cell — runs concurrently on the
-//     engine's worker lanes (sim.Engine.ForkJoin), while every
-//     observable effect (randomness draws, stats, telemetry, OnFrame)
-//     is committed sequentially in candidate-index order. Output is
-//     therefore byte-identical at every worker count; DESIGN.md §14
-//     spells out the contract.
-//
-// Interference accounting is the one modelled difference from the
-// unsharded medium: signals from transmitters beyond the detectability
-// ring — which EnergyDBmAt already treats as silence — are excluded
-// from SINR sums too, instead of contributing sub-noise-floor watts.
-// On deployments small enough that everything is within one ring the
-// sharded medium is bit-identical to the indexed one (the purity
-// regression checks exactly that).
+// An unsharded medium is a single unbounded cell (cell size +Inf, ring
+// 0) holding every node: its ledger is every active transmission and
+// its table holds every cached pair. SetSharding only chooses a finite
+// cell size. A multi-cell medium differs in one modelled respect:
+// signals from transmitters beyond the ring — each under the
+// reachability floor, which EnergyDBmAt already treats as silence — are
+// left out of SINR sums instead of contributing sub-floor watts
+// (DESIGN.md §14 bounds the difference). On deployments that fit inside
+// one ring the two are bit-identical.
 
 // Sharding configures the spatially sharded medium.
 type Sharding struct {
@@ -49,172 +39,119 @@ type Sharding struct {
 	// exactly one cell. Any positive size is correct — the ring just
 	// widens to cover the same physical radius.
 	CellSize float64
-	// Workers is the engine's concurrency budget for fan-out
-	// assessment (sim.Engine.SetWorkers). Zero leaves the engine's
-	// current budget untouched; 1 forces the sequential baseline.
-	Workers int
 }
 
 // cellKey addresses one grid cell: floor(position / cellSize).
 type cellKey struct{ cx, cy int }
 
 // cell is one spatial shard: the nodes inside one grid square, the
-// transmissions that can touch them, and the caches only they read.
+// transmissions that can touch them, and the budgets into them.
 type cell struct {
 	key cellKey
 	// members holds the slots of the resident nodes in attach order
-	// (ties broken by the global attach sequence, so candidate sets keep
-	// the exact iteration order the unsharded index uses).
+	// (by residence.seq), so candidate sets keep the medium's attach
+	// order.
 	members []int32
 	// ledger holds the active transmissions whose origin cell is
-	// within the detectability ring — everything a member could
-	// possibly hear or be interfered by, in transmit order.
+	// within the ring — everything a member could possibly hear or be
+	// interfered by, in transmit order.
 	ledger []*transmission
-	// gains caches the static budgets of directed links INTO members
-	// of this cell, keyed from<<16|to. During a concurrent fan-out the
-	// lane assessing this cell is the only goroutine touching it.
-	gains map[uint32]phys.Budget
+	// rows is the cell's link table. rows[o][j][k] is the link from the
+	// node in local slot j of the cell at ring offset o (grid.offset)
+	// into the member in local slot k of this cell. Rows are allocated
+	// the first time their transmitter's budgets are needed.
+	rows [][][]link
+	// slots counts the local slots handed out; free holds vacated ones
+	// for reuse. A freed slot's row and column are purged first.
+	slots int32
+	free  []int32
 }
 
-// shardState is the sharded medium's bookkeeping.
-type shardState struct {
+// residence is where an attach slot currently lives: its cell (nil
+// while detached), its local slot there, and its place in global attach
+// order (monotonic; candidate lists merged from several cells sort back
+// into attach order by it).
+type residence struct {
+	c   *cell
+	loc int32
+	seq uint64
+}
+
+// grid is the medium's partition into cells.
+type grid struct {
 	cellSize float64
 	// ring is the Chebyshev cell radius that covers DetectRange: cells
 	// farther apart than ring are provably out of RF reach.
 	ring  int
 	cells map[cellKey]*cell
-	// at is each slot's current cell (nil when detached), and seq its
-	// place in global attach order (monotonic, zero when detached), so
-	// merged candidate lists sort back into attach order. Both are
-	// indexed by slot.
-	at      []*cell
-	seq     []uint64
+	// res is indexed by attach slot.
+	res     []residence
 	nextSeq uint64
 }
 
-// shardFanoutMin is the candidate count under which a sharded delivery
-// skips the fork-join and assesses inline: the parallel and sequential
-// paths are byte-identical by construction, so the threshold is purely
-// a per-event overhead knob.
-const shardFanoutMin = 24
-
-func (m *Medium) keyFor(p phys.Position) cellKey {
-	s := m.shard.cellSize
-	return cellKey{int(math.Floor(p.X / s)), int(math.Floor(p.Y / s))}
-}
-
-// SetSharding partitions the medium into spatial cells (replacing any
-// previous partition) and optionally sets the engine's worker budget.
-// It requires the reachability index: sharding is the index taken
-// spatial. Attached nodes are placed immediately; in-flight
-// transmissions are re-registered into the new cells.
-func (m *Medium) SetSharding(s Sharding) error {
-	if !m.indexed {
-		return fmt.Errorf("medium: sharding requires the reachability index")
+// partition (re)builds the grid at the given cell size (+Inf for the
+// unsharded medium's single cell): attached nodes are placed in attach
+// order and in-flight transmissions re-registered. Link tables and
+// candidate sets start empty.
+func (m *Medium) partition(size float64) {
+	ring := 0
+	if !math.IsInf(size, 1) {
+		ring = int(math.Ceil(m.model.DetectRange(maxTxDBm, radio.SensitivityDBm-FadeMarginDB) / size))
 	}
-	size := s.CellSize
-	rangeBound := m.model.DetectRange(maxTxDBm, radio.SensitivityDBm-FadeMarginDB)
-	if size <= 0 {
-		size = rangeBound
-	}
-	sh := &shardState{
-		cellSize: size,
-		ring:     int(math.Ceil(rangeBound / size)),
-		cells:    make(map[cellKey]*cell),
-	}
-	m.shard = sh
+	m.grid = grid{cellSize: size, ring: ring, cells: make(map[cellKey]*cell),
+		res: make([]residence, len(m.slots))}
+	g := &m.grid
 	for _, s := range m.order {
-		sh.place(s, m.keyFor(m.slots[s].rx.Position()))
+		g.place(s, m.keyFor(m.slots[s].rx.Position()))
 	}
-	// Re-register in-flight transmissions under the new partition.
 	for _, t := range m.active {
-		t.ocx, t.ocy = m.keyFor(t.pos).cx, m.keyFor(t.pos).cy
+		t.origin = m.keyFor(t.pos)
 	}
-	for key, c := range sh.cells {
+	for key, c := range g.cells {
 		c.ledger = m.ledgerFor(key)
 	}
-	// Cached candidate sets and budgets predate the partition; the
-	// cell-scoped caches rebuild lazily and the link table goes unused.
 	clear(m.reach)
-	clear(m.rows)
-	if s.Workers > 0 {
-		m.eng.SetWorkers(s.Workers)
-	}
-	return nil
 }
 
-// Sharded reports whether the medium is spatially sharded.
-func (m *Medium) Sharded() bool { return m.shard != nil }
+// SetSharding partitions the medium into spatial cells of the given
+// size, replacing the current partition. Attached nodes are placed
+// immediately; in-flight transmissions are re-registered into the new
+// cells.
+func (m *Medium) SetSharding(s Sharding) {
+	size := s.CellSize
+	if size <= 0 {
+		size = m.model.DetectRange(maxTxDBm, radio.SensitivityDBm-FadeMarginDB)
+	}
+	m.partition(size)
+}
+
+// Sharded reports whether the medium is partitioned into finite cells.
+func (m *Medium) Sharded() bool { return !math.IsInf(m.grid.cellSize, 1) }
 
 // ShardInfo reports the partition's shape: cell count, cell edge in
 // meters, and the detectability ring radius in cells. Zeroes when the
 // medium is unsharded.
 func (m *Medium) ShardInfo() (cells int, cellSize float64, ring int) {
-	if m.shard == nil {
+	if !m.Sharded() {
 		return 0, 0, 0
 	}
-	return len(m.shard.cells), m.shard.cellSize, m.shard.ring
+	return len(m.grid.cells), m.grid.cellSize, m.grid.ring
 }
 
-// place adds slot s to the cell at key, creating the cell on first
-// use, keeping members in attach-sequence order.
-func (sh *shardState) place(s int32, key cellKey) {
-	for int(s) >= len(sh.at) {
-		sh.at = append(sh.at, nil)
-		sh.seq = append(sh.seq, 0)
-	}
-	if sh.seq[s] == 0 {
-		sh.nextSeq++
-		sh.seq[s] = sh.nextSeq
-	}
-	c := sh.cells[key]
-	if c == nil {
-		c = &cell{key: key, gains: make(map[uint32]phys.Budget)}
-		sh.cells[key] = c
-	}
-	// Insert keeping attach order: appends are the common case (fresh
-	// attaches always carry the highest sequence).
-	i := sort.Search(len(c.members), func(i int) bool {
-		return sh.seq[c.members[i]] > sh.seq[s]
-	})
-	c.members = append(c.members, 0)
-	copy(c.members[i+1:], c.members[i:])
-	c.members[i] = s
-	sh.at[s] = c
+func (m *Medium) keyFor(p phys.Position) cellKey {
+	s := m.grid.cellSize
+	return cellKey{int(math.Floor(p.X / s)), int(math.Floor(p.Y / s))}
 }
 
-// remove drops slot s from its cell's member list (the cell itself is
-// retained: its ledger may still be feeding in-flight deliveries).
-func (sh *shardState) remove(s int32) {
-	if int(s) >= len(sh.at) || sh.at[s] == nil {
-		return
+// offset returns the index into a cell's rows of the transmitter cell
+// from as seen from the receiver cell to, and false when from is
+// outside to's ring.
+func (g *grid) offset(from, to cellKey) (int, bool) {
+	dx, dy := from.cx-to.cx, from.cy-to.cy
+	if chebyshev(dx, dy) > g.ring {
+		return 0, false
 	}
-	c := sh.at[s]
-	for i, n := range c.members {
-		if n == s {
-			c.members = append(c.members[:i], c.members[i+1:]...)
-			break
-		}
-	}
-	sh.at[s] = nil
-	sh.seq[s] = 0
-}
-
-// ledgerFor rebuilds the ledger of the cell at key from the global
-// active list: every transmission whose origin cell is within the
-// detectability ring, in transmit order. Used when a cell springs into
-// existence mid-flight (attach or migration into fresh ground).
-func (m *Medium) ledgerFor(key cellKey) []*transmission {
-	var out []*transmission
-	for _, t := range m.active {
-		if t.pruned {
-			continue
-		}
-		if chebyshev(t.ocx-key.cx, t.ocy-key.cy) <= m.shard.ring {
-			out = append(out, t)
-		}
-	}
-	return out
+	return (dy+g.ring)*(2*g.ring+1) + dx + g.ring, true
 }
 
 func chebyshev(dx, dy int) int {
@@ -230,22 +167,107 @@ func chebyshev(dx, dy int) int {
 	return dx
 }
 
-// forRing visits every existing cell within the detectability ring of
-// key, in deterministic row-major order.
-func (sh *shardState) forRing(key cellKey, fn func(*cell)) {
-	for dy := -sh.ring; dy <= sh.ring; dy++ {
-		for dx := -sh.ring; dx <= sh.ring; dx++ {
-			if c, ok := sh.cells[cellKey{key.cx + dx, key.cy + dy}]; ok {
+// place adds slot s to the cell at key, creating the cell on first
+// use, keeping members in attach-sequence order, and hands it a local
+// slot. It reports whether the cell is new.
+func (g *grid) place(s int32, key cellKey) (fresh bool) {
+	r := &g.res[s]
+	if r.seq == 0 {
+		g.nextSeq++
+		r.seq = g.nextSeq
+	}
+	c := g.cells[key]
+	if c == nil {
+		w := 2*g.ring + 1
+		c = &cell{key: key, rows: make([][][]link, w*w)}
+		g.cells[key] = c
+		fresh = true
+	}
+	// Insert keeping attach order: appends are the common case (fresh
+	// attaches always carry the highest sequence).
+	i := sort.Search(len(c.members), func(i int) bool {
+		return g.res[c.members[i]].seq > r.seq
+	})
+	c.members = slices.Insert(c.members, i, s)
+	if n := len(c.free); n > 0 {
+		r.loc = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		r.loc = c.slots
+		c.slots++
+	}
+	r.c = c
+	return fresh
+}
+
+// remove drops slot s from its cell and frees its local slot, purging
+// its budgets first. The cell itself is retained: its ledger may still
+// be feeding in-flight deliveries.
+func (g *grid) remove(s int32) {
+	g.purge(s)
+	r := &g.res[s]
+	r.c.members = slices.DeleteFunc(r.c.members, func(n int32) bool { return n == s })
+	r.c.free = append(r.c.free, r.loc)
+	*r = residence{}
+}
+
+// purge unsets every cached budget into or out of slot s: its column of
+// its own cell's table, and its row in the tables of the cells within
+// its ring (budgets are only cached against current positions, so
+// nothing farther can hold one).
+func (g *grid) purge(s int32) {
+	r := g.res[s]
+	for _, rows := range r.c.rows {
+		for _, row := range rows {
+			if int(r.loc) < len(row) {
+				row[r.loc] = unsetLink
+			}
+		}
+	}
+	g.forRing(r.c.key, func(c *cell) {
+		o, _ := g.offset(r.c.key, c.key)
+		if rows := c.rows[o]; int(r.loc) < len(rows) {
+			rows[r.loc] = rows[r.loc][:0]
+		}
+	})
+}
+
+// forRing visits every existing cell within the ring of key, in
+// deterministic row-major order.
+func (g *grid) forRing(key cellKey, fn func(*cell)) {
+	for dy := -g.ring; dy <= g.ring; dy++ {
+		for dx := -g.ring; dx <= g.ring; dx++ {
+			if c, ok := g.cells[cellKey{key.cx + dx, key.cy + dy}]; ok {
 				fn(c)
 			}
 		}
 	}
 }
 
+// place puts slot s into the cell at key; a cell springing into
+// existence mid-flight gets its ledger rebuilt from the active list.
+func (m *Medium) place(s int32, key cellKey) {
+	if m.grid.place(s, key) {
+		m.grid.cells[key].ledger = m.ledgerFor(key)
+	}
+}
+
+// ledgerFor returns every active transmission whose origin cell is
+// within the ring of key, in transmit order.
+func (m *Medium) ledgerFor(key cellKey) []*transmission {
+	var out []*transmission
+	for _, t := range m.active {
+		if !t.pruned && chebyshev(t.origin.cx-key.cx, t.origin.cy-key.cy) <= m.grid.ring {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 // register files t into the ledgers of all cells its RF energy can
 // reach: those within the ring of its origin cell.
-func (sh *shardState) register(t *transmission) {
-	sh.forRing(cellKey{t.ocx, t.ocy}, func(c *cell) {
+func (m *Medium) register(t *transmission) {
+	m.grid.forRing(t.origin, func(c *cell) {
 		c.ledger = append(c.ledger, t)
 	})
 }
@@ -255,130 +277,102 @@ func (sh *shardState) register(t *transmission) {
 // transmitters resident in cells within the ring (spatial symmetry:
 // node X can hear node Y only if Y can be ring-reached from X's cell).
 func (m *Medium) invalidateRing(key cellKey) {
-	m.shard.forRing(key, func(c *cell) {
+	m.grid.forRing(key, func(c *cell) {
 		for _, s := range c.members {
 			m.reach[s] = nil
 		}
 	})
 }
 
-// purgeGains deletes cached budgets involving id: links INTO id live
-// in id's own cell; links FROM id live in the cells of receivers
-// within the detectability ring of id's cell (budgets are only ever
-// cached against current positions, so nothing farther can hold one).
-func (m *Medium) purgeGains(id phys.NodeID, key cellKey) {
-	m.shard.forRing(key, func(c *cell) {
-		for k := range c.gains {
-			if phys.NodeID(k>>16) == id || phys.NodeID(k&0xFFFF) == id {
-				delete(c.gains, k)
+// link returns the table entry for the link from slot fs into slot ts
+// (residing at to), computing its budget from the given positions on
+// first use. The caller guarantees both slots are attached and fs is at
+// fromPos. It returns nil when ts's cell is outside fs's ring (a
+// receiver that migrated away while a frame was in flight): such a link
+// is never cached.
+func (m *Medium) link(fs, ts int32, to residence, fromPos, toPos phys.Position) *link {
+	g := &m.grid
+	from := &g.res[fs]
+	o := 0 // a single cell's only ring offset
+	if g.ring > 0 {
+		var ok bool
+		if o, ok = g.offset(from.c.key, to.c.key); !ok {
+			return nil
+		}
+	}
+	if rows := to.c.rows[o]; int(from.loc) < len(rows) {
+		if row := rows[from.loc]; int(to.loc) < len(row) {
+			if l := &row[to.loc]; !math.IsNaN(l.b.PathLossDB) {
+				return l
 			}
 		}
-	})
+	}
+	return m.fill(fs, ts, to, o, fromPos, toPos)
 }
 
-// shardAttach wires a newly attached node into the partition.
-func (m *Medium) shardAttach(s int32, pos phys.Position) {
-	key := m.keyFor(pos)
-	fresh := m.shard.cells[key] == nil
-	m.shard.place(s, key)
-	if fresh {
-		m.shard.cells[key].ledger = m.ledgerFor(key)
+// fill is link's slow path: it grows the row set and row as needed and
+// computes the budget into the unset entry.
+func (m *Medium) fill(fs, ts int32, to residence, o int, fromPos, toPos phys.Position) *link {
+	from := m.grid.res[fs]
+	rows := to.c.rows[o]
+	if int(from.loc) >= len(rows) {
+		rows = slices.Grow(rows, int(from.c.slots)-len(rows))[:from.c.slots]
+		to.c.rows[o] = rows
 	}
-	// Nearby transmitters must see the newcomer in their candidate
-	// sets; distant ones provably cannot reach it.
-	m.invalidateRing(key)
-}
-
-// shardDetach removes a node from the partition.
-func (m *Medium) shardDetach(s int32) {
-	c := m.cellOf(s)
-	if c == nil {
-		return
-	}
-	m.purgeGains(m.slots[s].id, c.key)
-	m.shard.remove(s)
-	m.invalidateRing(c.key)
-}
-
-// shardMove migrates a node between cells after a position change and
-// scopes the invalidation to the two detectability rings involved:
-// every transmitter that could reach the node at either position gets
-// a fresh candidate set, everyone else keeps theirs — at 10k nodes
-// that is the difference between O(ring²·density) and O(N) per step
-// of a walking workstation.
-func (m *Medium) shardMove(s int32) {
-	sh := m.shard
-	c := m.cellOf(s)
-	if c == nil {
-		return
-	}
-	id, old := m.slots[s].id, c.key
-	// Budgets involving the node are stale at both ends.
-	m.purgeGains(id, old)
-	m.invalidateRing(old)
-	key := m.keyFor(m.slots[s].rx.Position())
-	if key != old {
-		fresh := sh.cells[key] == nil
-		sh.remove(s)
-		sh.place(s, key)
-		if fresh {
-			sh.cells[key].ledger = m.ledgerFor(key)
+	row := rows[from.loc]
+	if int(to.loc) >= len(row) {
+		n := len(row)
+		row = slices.Grow(row, int(to.c.slots)-n)[:to.c.slots]
+		for i := n; i < len(row); i++ {
+			row[i] = unsetLink
 		}
-		m.invalidateRing(key)
-		m.purgeGains(id, key)
+		rows[from.loc] = row
 	}
+	l := &row[to.loc]
+	*l = link{b: m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos), txDBm: math.NaN()}
+	return l
 }
 
-// cellOf returns the cell slot s currently resides in (nil when
-// unsharded or the slot is vacant).
-func (m *Medium) cellOf(s int32) *cell {
-	if m.shard == nil || int(s) >= len(m.shard.at) {
-		return nil
+// reachFor returns the candidate set of tx (attached in slot s),
+// building it on first use after an invalidation: the nodes resident in
+// the ring around tx's cell, in global attach order, whose cached gain
+// at maximum transmit power clears the sensitivity floor minus the fade
+// margin. Nodes outside the ring are provably under the floor
+// (phys.Model.DetectRange) and are bulk-counted with the rest.
+func (m *Medium) reachFor(s int32, tx Receiver) *reachability {
+	if r := m.reach[s]; r != nil {
+		return r
 	}
-	return m.shard.at[s]
-}
-
-// shardReach builds tx's candidate set from the cells within the
-// detectability ring of its own cell: collect resident nodes, sort
-// them back into global attach order, and apply the same reachability
-// floor the unsharded index applies. Nodes outside the ring are
-// provably under the floor (phys.Model.DetectRange), so the candidate
-// set — and the bulk below-sensitivity count — match the unsharded
-// index exactly.
-func (m *Medium) shardReach(s int32, tx Receiver) *reachability {
-	sh := m.shard
-	pos := tx.Position()
+	g := &m.grid
 	var near []int32
-	sh.forRing(sh.at[s].key, func(c *cell) {
+	cells := 0
+	g.forRing(g.res[s].c.key, func(c *cell) {
 		near = append(near, c.members...)
+		cells++
 	})
-	sort.Slice(near, func(i, j int) bool { return sh.seq[near[i]] < sh.seq[near[j]] })
-	r := &reachability{}
+	if cells > 1 {
+		sort.Slice(near, func(i, j int) bool { return g.res[near[i]].seq < g.res[near[j]].seq })
+	}
+	// near holds tx itself, so this counts the attached nodes other than
+	// tx that were not collected.
+	r := &reachability{far: uint64(len(m.order) - len(near))}
+	pos := tx.Position()
 	for _, other := range near {
 		if other == s {
 			continue
 		}
-		b := m.txBudget(s, pos, other, m.slots[other].rx.Position(), sh.at[other])
+		b := m.txBudget(s, pos, other, m.slots[other].rx.Position())
 		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
 			r.far++
 			continue
 		}
 		r.cand = append(r.cand, other)
 	}
-	// Out-of-ring nodes are below the floor by construction: count
-	// them in bulk so stats match the full-scan index byte for byte.
-	// near contains tx itself (it resides in its own cell), which is
-	// neither candidate nor far, so the arithmetic works out to
-	// "attached nodes other than tx that were not collected".
-	out := len(m.order) - len(near)
-	if !slices.Contains(near, s) {
-		out--
-	}
-	r.far += uint64(out)
+	m.reach[s] = r
 	return r
 }
 
-// assess is one receiver's pure delivery physics, computed before any
+// assess is one receiver's delivery physics, computed before any
 // observable effect: the static link budget and the
 // interference-plus-noise level at the delivery instant. It carries no
 // randomness — the corruption draw happens at commit, in candidate
@@ -398,45 +392,38 @@ type assess struct {
 	scanned bool
 }
 
-// assessOne computes one candidate's delivery physics into a. Pure
-// with respect to everything outside the receiver's cell: it reads
-// medium topology and writes only the cell-scoped budget cache, which
-// is what makes per-cell concurrent assessment race-free.
+// assessOne computes one candidate's delivery physics into a.
 func (m *Medium) assessOne(a *assess, t *transmission, s int32, noiseMW, noiseDBm float64) {
 	rx := m.slots[s].rx
 	if rx == nil {
 		*a = assess{} // detached while the frame was in flight
 		return
 	}
-	c := m.cellOf(s)
 	pos := rx.Position()
-	*a = assess{rx: rx, b: m.txBudget(t.fromSlot, t.pos, s, pos, c)}
+	*a = assess{rx: rx, b: m.txBudget(t.fromSlot, t.pos, s, pos)}
 	if rx.Channel() != t.channel || rx.RadioState() != radio.RX ||
 		a.b.Received(t.txDBm) < radio.SensitivityDBm {
 		// The commit path bails out before the SINR term (fault loss
 		// only lowers the power further); skip the scan and its Log10.
 		return
 	}
-	m.scan(a, t, s, c, pos, noiseMW, noiseDBm)
+	m.scan(a, t, s, pos, noiseMW, noiseDBm)
 }
 
-// scan fills a's interference-plus-noise level at slot s (in cell c,
-// at pos) over the frames overlapping t.
-func (m *Medium) scan(a *assess, t *transmission, s int32, c *cell, pos phys.Position, noiseMW, noiseDBm float64) {
+// scan fills a's interference-plus-noise level at slot s (at pos) over
+// the frames in its cell's ledger overlapping t.
+func (m *Medium) scan(a *assess, t *transmission, s int32, pos phys.Position, noiseMW, noiseDBm float64) {
 	a.scanned = true
-	ledger := m.active
-	if c != nil {
-		ledger = c.ledger
-	}
+	to := m.grid.res[s]
 	interfMW := 0.0
-	for _, o := range ledger {
+	for _, o := range to.c.ledger {
 		if o == t || o.pruned || o.channel != t.channel || o.fromSlot == s {
 			continue
 		}
 		if o.start >= t.end || o.end <= t.start {
 			continue // no temporal overlap
 		}
-		interfMW += m.interfMW(o, s, pos, c)
+		interfMW += m.interfMW(o, s, to, pos)
 		a.interfered = true
 	}
 	if interfMW == 0 {
@@ -444,35 +431,4 @@ func (m *Medium) scan(a *assess, t *transmission, s int32, c *cell, pos phys.Pos
 	} else {
 		a.inDBm = mwToDBm(noiseMW + interfMW)
 	}
-}
-
-// assessCells runs the pure assessment of every candidate, grouped by
-// the receiver's current cell, across the engine's worker lanes. Cells
-// are the unit of concurrency because they are the unit of state
-// ownership: a lane touches only its cell's budget cache and ledger.
-// Results land in candidate-index slots; the caller commits them in
-// index order, so worker count is invisible in the output.
-func (m *Medium) assessCells(t *transmission, slots []int32, noiseMW, noiseDBm float64) []assess {
-	as := make([]assess, len(slots))
-	groups := make(map[*cell][]int)
-	var order []*cell
-	for i, s := range slots {
-		if s == t.fromSlot {
-			continue
-		}
-		c := m.cellOf(s)
-		if c == nil {
-			continue // detached: zero assess, commit skips it
-		}
-		if _, seen := groups[c]; !seen {
-			order = append(order, c)
-		}
-		groups[c] = append(groups[c], i)
-	}
-	m.eng.ForkJoin(len(order), func(lane int) {
-		for _, i := range groups[order[lane]] {
-			m.assessOne(&as[i], t, slots[i], noiseMW, noiseDBm)
-		}
-	})
-	return as
 }

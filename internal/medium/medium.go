@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"liteview/internal/phys"
@@ -83,10 +84,11 @@ type Stats struct {
 	// receiver was transmitting or off when the frame ended.
 	MissedNotListening uint64
 	// BelowSensitivity counts potential deliveries under the radio
-	// sensitivity floor (never detected at all). Nodes the reachability
-	// index excludes entirely — gain so low that even full transmit
-	// power stays under SensitivityDBm − FadeMarginDB — are counted
-	// here in bulk, without a per-receiver delivery outcome.
+	// sensitivity floor (never detected at all). Nodes outside a
+	// transmitter's candidate set — outside its detectability ring, or
+	// with gain so low that even full transmit power stays under
+	// SensitivityDBm − FadeMarginDB — are counted here in bulk, without
+	// a per-receiver delivery outcome.
 	BelowSensitivity uint64
 	// InjectedDrops counts deliveries suppressed by the fault hook
 	// (blackouts and partitions swallow frames without a trace).
@@ -196,27 +198,17 @@ type transmission struct {
 	// verified caches the frame check's verdict on frame, taken once at
 	// transmit time for every receiver.
 	verified bool
-	// cand is the reachability-index candidate set (attach slots)
-	// captured at transmit time (shared with the index; read-only). nil
-	// when the index is disabled, in which case deliver falls back to
-	// the full-order scan.
+	// cand is the candidate set (attach slots) captured at transmit
+	// time (shared with the reachability cache; read-only).
 	cand []int32
 	// far is how many attached nodes were excluded as unreachable when
 	// the candidate set was captured; they are bulk-counted as
 	// below-sensitivity at delivery.
 	far uint64
-	// indexed records which fan-out mode the transmission was put on the
-	// air under, so a mid-flight toggle cannot mix the two paths.
-	indexed bool
-	// sharded records whether the medium was spatially sharded at
-	// transmit time; the candidate set was then ring-collected and the
-	// delivery may assess cells concurrently.
-	sharded bool
-	// ocx, ocy is the origin grid cell (floor(pos / cellSize)) under the
-	// sharded medium: the transmission is registered in the ledgers of
-	// all cells within the detectability ring of this cell, and cells
-	// created later (attach, migration) re-derive membership from it.
-	ocx, ocy int
+	// origin is the cell of pos: the transmission is registered in the
+	// ledgers of all cells within the ring of it, and cells created
+	// later (attach, migration) re-derive membership from it.
+	origin cellKey
 	// pruned marks a transmission prune decided to drop, so per-cell
 	// ledgers can be compacted independently of slice identity.
 	pruned bool
@@ -229,8 +221,8 @@ type transmission struct {
 // by the interference-overlap window, so the pool stays small too.
 const txPoolCap = 1024
 
-// FadeMarginDB is the headroom the reachability index keeps above the
-// radio sensitivity floor: a node is indexed as reachable when the link
+// FadeMarginDB is the headroom the candidate sets keep above the radio
+// sensitivity floor: a node is a candidate when the link
 // gain at maximum transmit power clears SensitivityDBm − FadeMarginDB.
 // Fault-injected extra loss only ever weakens a signal, so nodes under
 // the floor can never demodulate a frame and are skipped without a
@@ -250,17 +242,19 @@ type reachability struct {
 	far  uint64
 }
 
-// slot is one attach slot: the node bound to it. A slot belongs to one
-// node ID for the medium's lifetime; Detach vacates it (rx = nil) and
-// re-attaching the same ID fills it again, so a slot captured by an
-// in-flight transmission never names a different node.
+// slot is one attach slot: the node bound to it and where the medium
+// last placed it (Attach, NodeMoved). A slot belongs to one node ID for
+// the medium's lifetime; Detach vacates it (rx = nil) and re-attaching
+// the same ID fills it again, so a slot captured by an in-flight
+// transmission never names a different node.
 type slot struct {
-	rx Receiver
-	id phys.NodeID
+	rx  Receiver
+	id  phys.NodeID
+	pos phys.Position
 }
 
-// link is one entry of the dense link table: the static budget of a
-// directed link and a memo of its received power in milliwatts at the
+// link is one entry of a cell's dense link table: the static budget of
+// a directed link and a memo of its received power in milliwatts at the
 // last transmit power it was converted for. A budget is unset while its
 // path loss is NaN (PathLoss clamps distance to 1 m, so no real budget
 // is); the memo is unset while txDBm is NaN.
@@ -351,27 +345,14 @@ type Medium struct {
 	txSeq uint64
 	// tel, when set, receives medium-layer telemetry events.
 	tel *telemetry.Recorder
-	// indexed enables the link-gain cache and reachability index (the
-	// default). Disabling it restores the legacy full-order fan-out with
-	// per-pair recomputation — a pure pessimisation kept as the
-	// benchmark baseline and for the index-purity regression.
-	indexed bool
-	// rows is the dense link table of the unsharded medium: rows[from]
-	// is indexed by receiver slot and holds the static link budget (path
-	// loss, shadowing, asymmetry) against current positions. A row is
-	// allocated the first time its transmitter's budgets are needed and
-	// grows as nodes attach; NodeMoved and a returning Attach purge a
-	// slot's row and column, Detach releases its row, and
-	// InvalidateTopology clears every row.
-	rows [][]link
 	// reach caches each transmitter's candidate set, indexed by slot;
-	// invalidated on attach/detach and topology changes.
+	// invalidated within the ring on attach, detach and moves, and
+	// everywhere on topology changes.
 	reach []*reachability
-	// shard, when non-nil, is the spatial partition (see cells.go):
-	// per-cell interference ledgers, budget caches, and membership,
-	// enabling ring-bounded candidate collection and concurrent fan-out
-	// assessment.
-	shard *shardState
+	// grid is the partition into cells (cells.go): membership,
+	// interference ledgers and link tables. Unsharded, it is one
+	// unbounded cell.
+	grid grid
 	// links interns per-link metric names, keyed from<<16|to.
 	links map[uint32]*linkKeys
 	// prr memoises the PRR curve by (SINR bits, frame length), direct
@@ -437,14 +418,14 @@ func (m *Medium) SetTelemetry(rec *telemetry.Recorder) { m.tel = rec }
 // New returns a medium running on eng with the given propagation model.
 func New(eng *sim.Engine, model *phys.Model) *Medium {
 	m := &Medium{
-		eng:     eng,
-		model:   model,
-		rng:     eng.Rand().Fork("medium"),
-		slotOf:  make(map[phys.NodeID]int32),
-		indexed: true,
-		links:   make(map[uint32]*linkKeys),
+		eng:    eng,
+		model:  model,
+		rng:    eng.Rand().Fork("medium"),
+		slotOf: make(map[phys.NodeID]int32),
+		links:  make(map[uint32]*linkKeys),
 	}
 	m.deliverCb = m.deliverEvent
+	m.partition(math.Inf(1))
 	return m
 }
 
@@ -454,68 +435,42 @@ func (m *Medium) deliverEvent(a any) {
 	m.deliver(t)
 }
 
-// SetReachabilityIndex enables or disables the link-gain cache and
-// reachability index (enabled by default). The index is a pure
-// optimization: with identical topology and seed, a run with the index
-// off produces byte-identical deliveries, telemetry, and stats — it is
-// just O(nodes) slower per transmission. Disabling it exists for the
-// purity regression and as the before-side of BenchmarkMediumDeliver.
-func (m *Medium) SetReachabilityIndex(enabled bool) {
-	m.indexed = enabled
-	clear(m.reach)
-	if !enabled {
-		// Sharding is the index taken spatial; it cannot outlive it.
-		m.shard = nil
-	}
-}
-
 // InvalidateTopology drops the cached link budgets and reachability
 // sets. Call it after mutating the propagation model; channel and power
 // changes need no invalidation (budgets are frequency- and
 // power-independent), and a single node moving only needs NodeMoved.
 func (m *Medium) InvalidateTopology() {
-	for i := range m.rows {
-		m.rows[i] = m.rows[i][:0]
-	}
-	clear(m.reach)
-	if m.shard != nil {
-		for _, c := range m.shard.cells {
-			clear(c.gains)
+	for _, c := range m.grid.cells {
+		for _, rows := range c.rows {
+			for j := range rows {
+				rows[j] = rows[j][:0]
+			}
 		}
 	}
+	clear(m.reach)
 }
 
 // NodeMoved tells the medium that one attached node changed position:
-// cached link budgets involving it and every candidate set are dropped.
-// Motes are fixed once deployed — this is the workstation walking with
-// the operator (MAC.SetPosition calls it). Frames already in flight
-// keep the fan-out captured at transmit time; their link budgets are
-// recomputed against the new position at delivery, as the unindexed
-// scan would.
+// cached link budgets involving it are dropped, it migrates between
+// cells if it crossed an edge, and the candidate sets of the
+// transmitters within the old and new rings are invalidated. Motes are
+// fixed once deployed — this is the workstation walking with the
+// operator (MAC.SetPosition calls it). Frames already in flight keep
+// the fan-out captured at transmit time; their link budgets are
+// recomputed against the new position at delivery.
 func (m *Medium) NodeMoved(id phys.NodeID) {
 	s, ok := m.slotOf[id]
-	if !ok {
-		return // never attached: nothing cached
+	if !ok || m.slots[s].rx == nil {
+		return // not attached: nothing cached
 	}
-	if m.shard != nil {
-		// The sharded medium migrates the node between cells and scopes
-		// both the budget purge and the candidate-set invalidation to
-		// the detectability rings around the old and new positions.
-		m.shardMove(s)
-		return
-	}
-	m.purgeLinks(s)
-	clear(m.reach)
-}
-
-// purgeLinks drops every cached budget into or out of slot s: its row
-// and its column of the link table.
-func (m *Medium) purgeLinks(s int32) {
-	m.rows[s] = m.rows[s][:0]
-	for _, row := range m.rows {
-		if int(s) < len(row) {
-			row[s] = unsetLink
-		}
+	old := m.grid.res[s].c.key
+	m.grid.purge(s)
+	m.invalidateRing(old)
+	m.slots[s].pos = m.slots[s].rx.Position()
+	if key := m.keyFor(m.slots[s].pos); key != old {
+		m.grid.remove(s)
+		m.place(s, key)
+		m.invalidateRing(key)
 	}
 }
 
@@ -529,52 +484,41 @@ func (m *Medium) Attach(r Receiver) error {
 	if !known {
 		s = int32(len(m.slots))
 		m.slots = append(m.slots, slot{id: id})
-		m.rows = append(m.rows, nil)
 		m.reach = append(m.reach, nil)
+		m.grid.res = append(m.grid.res, residence{})
 		m.slotOf[id] = s
 		if len(m.prr) < prrMemoSize(len(m.slots)) {
 			m.prr = nil // reallocated at the new size on next use
 		}
-	} else {
-		// A returning node may come back somewhere else: budgets cached
-		// against where it was must not outlive its absence.
-		m.purgeLinks(s)
 	}
-	m.slots[s].rx = r
+	m.slots[s].rx, m.slots[s].pos = r, r.Position()
 	m.order = append(m.order, s)
-	if m.shard != nil {
-		m.shardAttach(s, r.Position())
-	} else {
-		clear(m.reach) // candidate sets must include the newcomer
-	}
+	key := m.keyFor(m.slots[s].pos)
+	m.place(s, key)
+	// Nearby transmitters must see the newcomer in their candidate sets;
+	// distant ones provably cannot reach it.
+	m.invalidateRing(key)
 	return nil
 }
 
 // Detach removes a node; pending deliveries to it are silently dropped.
 // A frame the node already put on the air stays there: it delivers to
 // (and interferes at) the remaining nodes, exactly as a frame from a
-// mote that lost power mid-transmission would.
+// mote that lost power mid-transmission would. Its cached budgets go
+// with it, so a node that comes back elsewhere inherits none.
 func (m *Medium) Detach(id phys.NodeID) {
 	s, ok := m.slotOf[id]
 	if !ok || m.slots[s].rx == nil {
 		return
 	}
 	m.slots[s].rx = nil
-	for i, n := range m.order {
-		if n == s {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-	m.rows[s] = nil // Attach purges the column if the node returns
+	m.order = slices.DeleteFunc(m.order, func(n int32) bool { return n == s })
 	// In-flight transmissions keep their captured candidate sets (which
 	// may still name s — deliver drops it as vacant); only future
 	// transmissions need rebuilt sets.
-	if m.shard != nil {
-		m.shardDetach(s)
-	} else {
-		clear(m.reach)
-	}
+	key := m.grid.res[s].c.key
+	m.grid.remove(s)
+	m.invalidateRing(key)
 }
 
 // Nodes returns the number of attached nodes.
@@ -623,11 +567,11 @@ func (m *Medium) prune() {
 		m.active[i] = nil
 	}
 	m.active = keep
-	if len(reclaim) > 0 && m.shard != nil {
+	if len(reclaim) > 0 {
 		// Compact every cell ledger. The keep filter is per-transmission
 		// (the pruned flag), so ledgers can be filtered independently of
 		// the global list and of one another.
-		for _, c := range m.shard.cells {
+		for _, c := range m.grid.cells {
 			kl := c.ledger[:0]
 			for _, t := range c.ledger {
 				if !t.pruned {
@@ -657,117 +601,54 @@ func (m *Medium) prune() {
 
 // txBudget returns the static link budget from slot fs → slot ts for
 // a transmission whose origin position was captured at fromPos, against
-// the receiver's current position toPos. The cached budgets (table or
-// cell map) always describe the transmitter's current position —
-// NodeMoved purges them on every move — so when fromPos no longer
-// matches (the transmitter walked away, or detached, while the frame
-// was in flight) the budget is computed directly instead of being read
-// from, or written into, the cache. Without this check a delivery after
-// a mid-flight move would poison the cache with a budget computed from
-// the stale captured position, and every later transmission on that
-// link would inherit it. The cached components are the same
-// deterministic function of the endpoints either way, and
-// Budget.Received combines them in the model's arithmetic order, so
-// every path produces bit-identical received powers.
-//
-// c, when non-nil, is the receiver's cell: its cell-scoped cache is
-// used instead of the link table, which is what lets concurrent
-// per-cell assessment lanes write their caches without racing.
-func (m *Medium) txBudget(fs int32, fromPos phys.Position, ts int32, toPos phys.Position, c *cell) phys.Budget {
-	if !m.indexed || !m.current(fs, fromPos) {
-		return m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos)
-	}
-	if c == nil {
-		return m.link(fs, ts, fromPos, toPos).b
-	}
-	key := uint32(m.slots[fs].id)<<16 | uint32(m.slots[ts].id)
-	if b, ok := c.gains[key]; ok {
-		return b
-	}
-	b := m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos)
-	c.gains[key] = b
-	return b
-}
-
-// current reports whether slot s is attached and its node still at
-// pos: only then may budgets from it be read from or written to a
-// cache.
-func (m *Medium) current(s int32, pos phys.Position) bool {
-	rx := m.slots[s].rx
-	return rx != nil && rx.Position() == pos
-}
-
-// link returns the link table entry fs → ts, computing its budget from
-// the given (current) positions on first use.
-func (m *Medium) link(fs, ts int32, fromPos, toPos phys.Position) *link {
-	row := m.rows[fs]
-	if int(ts) >= len(row) {
-		for len(row) < len(m.slots) {
-			row = append(row, unsetLink)
+// the receiver's current position toPos. The link tables always
+// describe the transmitter's current position — NodeMoved purges them
+// on every move — so when fromPos no longer matches (the transmitter
+// walked away, or detached, while the frame was in flight) the budget is
+// computed directly instead of being read from, or written into, a
+// table. Without this check a delivery after a mid-flight move would
+// poison the table with a budget computed from the stale captured
+// position, and every later transmission on that link would inherit
+// it. The cached components are the same deterministic function of the
+// endpoints either way, and Budget.Received combines them in the
+// model's arithmetic order, so every path produces bit-identical
+// received powers.
+func (m *Medium) txBudget(fs int32, fromPos phys.Position, ts int32, toPos phys.Position) phys.Budget {
+	if m.current(fs, fromPos) {
+		if l := m.link(fs, ts, m.grid.res[ts], fromPos, toPos); l != nil {
+			return l.b
 		}
-		m.rows[fs] = row
 	}
-	l := &row[ts]
-	if math.IsNaN(l.b.PathLossDB) {
-		*l = link{b: m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos), txDBm: math.NaN()}
-	}
-	return l
+	return m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos)
 }
 
-// interfMW returns the power of transmission o at slot ts (currently
-// at toPos) in milliwatts. On the link table the conversion is
+// current reports whether slot s is attached and was last placed at
+// pos: only then may budgets from it be read from or written to a
+// table, whose entries from s were all computed from that position.
+func (m *Medium) current(s int32, pos phys.Position) bool {
+	return m.slots[s].rx != nil && m.slots[s].pos == pos
+}
+
+// interfMW returns the power of transmission o at slot ts (residing at
+// to, currently at toPos) in milliwatts. On the link table the conversion is
 // memoised per link and transmit power, so a repeated pair costs no
 // math.Pow; the memo holds exactly the value recomputation gives.
-func (m *Medium) interfMW(o *transmission, ts int32, toPos phys.Position, c *cell) float64 {
-	if c != nil || !m.indexed || !m.current(o.fromSlot, o.pos) {
-		return dbmToMW(m.txBudget(o.fromSlot, o.pos, ts, toPos, c).Received(o.txDBm))
-	}
-	l := m.link(o.fromSlot, ts, o.pos, toPos)
-	if l.txDBm != o.txDBm {
-		l.txDBm, l.mw = o.txDBm, dbmToMW(l.b.Received(o.txDBm))
-	}
-	return l.mw
-}
-
-// reachFor returns the candidate set of tx (attached in slot s),
-// building it on first use after an invalidation: every attached node
-// (in stable attach order) whose cached gain at maximum transmit power
-// clears the sensitivity floor minus the fade margin.
-func (m *Medium) reachFor(s int32, tx Receiver) *reachability {
-	if r := m.reach[s]; r != nil {
-		return r
-	}
-	if m.shard != nil {
-		r := m.shardReach(s, tx)
-		m.reach[s] = r
-		return r
-	}
-	r := &reachability{}
-	pos := tx.Position()
-	for _, other := range m.order {
-		if other == s {
-			continue
+func (m *Medium) interfMW(o *transmission, ts int32, to residence, toPos phys.Position) float64 {
+	if m.current(o.fromSlot, o.pos) {
+		if l := m.link(o.fromSlot, ts, to, o.pos, toPos); l != nil {
+			if l.txDBm != o.txDBm {
+				l.txDBm, l.mw = o.txDBm, dbmToMW(l.b.Received(o.txDBm))
+			}
+			return l.mw
 		}
-		b := m.txBudget(s, pos, other, m.slots[other].rx.Position(), nil)
-		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
-			r.far++
-			continue
-		}
-		r.cand = append(r.cand, other)
 	}
-	m.reach[s] = r
-	return r
+	return dbmToMW(m.model.LinkBudget(o.from, m.slots[ts].id, o.pos, toPos).Received(o.txDBm))
 }
 
 // prrFor returns the packet reception rate for a frame of n bytes at
-// the given SINR, memoised when the index is enabled. PRR is a pure
-// function of its arguments, so the memo is bit-identical to
-// recomputation (the legacy path recomputes, as the pre-index engine
-// did).
+// the given SINR, memoised. PRR is a pure function of its arguments, so
+// the memo is bit-identical to recomputation.
 func (m *Medium) prrFor(sinr float64, n int) float64 {
-	if !m.indexed {
-		return phys.PRR(sinr, n)
-	}
 	if m.prr == nil {
 		m.prr = make([]prrSlot, prrMemoSize(len(m.slots)))
 		m.prrShift = uint(64 - bits.TrailingZeros(uint(len(m.prr))))
@@ -839,20 +720,13 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	t.end = m.eng.Now() + airtime
 	t.frame = append(t.frame[:0], frame...)
 	t.verified = m.frameCheck != nil && m.frameCheck(t.frame)
-	t.indexed = m.indexed
-	if m.indexed {
-		// Capture the fan-out now: detaching a node mid-flight must not
-		// change the other receivers' outcomes (deliver re-checks
-		// attachment per candidate).
-		r := m.reachFor(s, tx)
-		t.cand, t.far = r.cand, r.far
-	}
-	if m.shard != nil {
-		t.sharded = true
-		key := m.keyFor(t.pos)
-		t.ocx, t.ocy = key.cx, key.cy
-		m.shard.register(t)
-	}
+	// Capture the fan-out now: detaching a node mid-flight must not
+	// change the other receivers' outcomes (deliver re-checks attachment
+	// per candidate).
+	r := m.reachFor(s, tx)
+	t.cand, t.far = r.cand, r.far
+	t.origin = m.keyFor(t.pos)
+	m.register(t)
 	m.active = append(m.active, t)
 	m.stats.Transmitted++
 	m.txSeq++
@@ -923,55 +797,24 @@ func (m *Medium) report(t *transmission, to phys.NodeID, o DeliveryOutcome, caus
 	}
 }
 
-// deliver fans t out to every eligible listener at t.end. With the
-// reachability index on, eligible listeners are the candidate set
-// captured at transmit time; with it off, the full attach-order scan is
-// filtered by the same reachability floor, so both modes produce the
-// same outcome sequence, the same randomness draws, and byte-identical
-// telemetry.
-//
-// The fan-out is split into a pure assessment phase (link budget and
-// interference per candidate — assessOne) and a commit phase (fault
-// hooks, randomness, stats, telemetry, OnFrame). Under the sharded
-// medium with a worker budget above one, the assessment phase runs
-// concurrently grouped by receiver cell; the commit loop below always
-// walks candidates in index order, so worker count never shows in the
-// output (DESIGN.md §14).
+// deliver fans t out to the candidate set captured at transmit time,
+// at t.end. Each candidate is first assessed (link budget and
+// interference — assessOne), then committed (fault hooks, randomness,
+// stats, telemetry, OnFrame) in candidate order.
 func (m *Medium) deliver(t *transmission) {
 	// Nodes excluded by the reachability floor can never demodulate the
 	// frame; they are counted in bulk, with no per-receiver outcome.
 	m.stats.BelowSensitivity += t.far
-	slots := t.cand
-	if !t.indexed {
-		slots = m.order
-	}
 	noiseMW, noiseDBm := m.noiseFloor()
-	var as []assess
-	if t.sharded && m.shard != nil && m.eng.Workers() > 1 && len(slots) >= shardFanoutMin {
-		as = m.assessCells(t, slots, noiseMW, noiseDBm)
-	}
-	var one assess
-	for i, s := range slots {
-		if s == t.fromSlot {
-			continue
-		}
-		a := &one
-		if as != nil {
-			a = &as[i]
-		} else {
-			m.assessOne(a, t, s, noiseMW, noiseDBm)
-		}
+	var a assess
+	for _, s := range t.cand {
+		m.assessOne(&a, t, s, noiseMW, noiseDBm)
 		rx := a.rx
 		if rx == nil {
 			continue // detached while the frame was in flight
 		}
 		id := m.slots[s].id
 		b := a.b
-		if !t.indexed && b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
-			// The same floor the index precomputes, applied inline.
-			m.stats.BelowSensitivity++
-			continue
-		}
 		if rx.Channel() != t.channel {
 			m.stats.WrongChannel++
 			m.report(t, id, OutcomeWrongChannel, "", 0, nil)
@@ -1001,7 +844,7 @@ func (m *Medium) deliver(t *transmission) {
 			// The assessment skipped the scan because the fault-free
 			// power is under the floor; only a negative ExtraLossDB
 			// lifts it back over, so scan now.
-			m.scan(a, t, s, m.cellOf(s), rx.Position(), noiseMW, noiseDBm)
+			m.scan(&a, t, s, rx.Position(), noiseMW, noiseDBm)
 		}
 		sinr, interfered := rxDBm-a.inDBm, a.interfered
 		// The analytical BER curve models interference as white noise,
@@ -1045,11 +888,7 @@ func (m *Medium) deliver(t *transmission) {
 			m.stats.Corrupted++
 			m.report(t, id, OutcomeCorrupted, cause, rxDBm, &info)
 		}
-		frame := t.frame
-		if !t.indexed {
-			frame = append([]byte(nil), t.frame...) // legacy per-receiver copy
-		}
-		rx.OnFrame(frame, info)
+		rx.OnFrame(t.frame, info)
 	}
 }
 
@@ -1062,36 +901,30 @@ const CaptureThresholdDB = 4.0
 // as heard by node r, or negative infinity when the channel is silent.
 // This is what the MAC's CCA samples. Signals under the reachability
 // floor (SensitivityDBm − FadeMarginDB even at full transmit power) are
-// treated as silence: the radio cannot detect them, and skipping them
-// keeps the indexed and legacy fan-outs bit-identical. Under the
-// sharded medium the scan covers only the receiver's cell ledger —
-// everything outside it is under the floor by the ring bound, so the
-// answer is bit-identical to the full scan.
+// treated as silence: the radio cannot detect them. The scan covers the
+// ledger of r's cell — everything outside it is under the floor by the
+// ring bound — or every active transmission when r is not attached.
 func (m *Medium) EnergyDBmAt(r Receiver) float64 {
 	m.prune()
 	now := m.eng.Now()
 	best := math.Inf(-1)
-	rid := r.NodeID()
-	rpos := r.Position()
+	rid, rpos, ch := r.NodeID(), r.Position(), r.Channel()
 	rs, known := m.slotOf[rid]
-	var c *cell
-	if known {
-		c = m.cellOf(rs)
-	}
+	attached := known && m.slots[rs].rx != nil
 	ledger := m.active
-	if c != nil {
-		ledger = c.ledger
+	if attached {
+		ledger = m.grid.res[rs].c.ledger
 	}
 	for _, t := range ledger {
-		if t.pruned || t.channel != r.Channel() || t.from == rid {
+		if t.pruned || t.channel != ch || t.from == rid {
 			continue
 		}
 		if t.start > now || t.end <= now {
 			continue
 		}
 		var b phys.Budget
-		if known {
-			b = m.txBudget(t.fromSlot, t.pos, rs, rpos, c)
+		if attached {
+			b = m.txBudget(t.fromSlot, t.pos, rs, rpos)
 		} else {
 			b = m.model.LinkBudget(t.from, rid, t.pos, rpos)
 		}

@@ -155,11 +155,12 @@ func TestDetachMidFlight(t *testing.T) {
 
 // indexScenario drives a fixed multi-transmitter schedule over a 5×5
 // grid (plus one unreachable outlier) and returns the full per-receiver
-// outcome sequence, a mid-airtime CCA sample, and the final stats.
-func indexScenario(t *testing.T, indexed bool) ([]TapDelivery, float64, Stats) {
+// outcome sequence, a mid-airtime CCA sample, and the final stats, from
+// the production medium or the full-scan oracle.
+func indexScenario(t *testing.T, oracle bool) ([]TapDelivery, float64, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
-	m.SetReachabilityIndex(indexed)
+	energy := useOracle(m, oracle)
 	nodes := make([]*fakeNode, 0, 26)
 	for i := 0; i < 25; i++ {
 		n := newFake(phys.NodeID(i+1), float64(i%5)*15, float64(i/5)*15)
@@ -178,37 +179,38 @@ func indexScenario(t *testing.T, indexed bool) ([]TapDelivery, float64, Stats) {
 	var cca float64
 	m.Transmit(nodes[0], make([]byte, 16))
 	m.Transmit(nodes[12], make([]byte, 16)) // collides with node 1's frame
-	eng.MustSchedule(radio.FrameAirtime(16)/2, func() { cca = m.EnergyDBmAt(nodes[24]) })
+	eng.MustSchedule(radio.FrameAirtime(16)/2, func() { cca = energy(nodes[24]) })
 	eng.MustSchedule(sim.Time(5_000_000), func() { m.Transmit(nodes[24], make([]byte, 16)) })
 	eng.MustSchedule(sim.Time(10_000_000), func() { m.Transmit(nodes[6], make([]byte, 16)) })
 	eng.Run()
 	return deliveries, cca, m.Stats()
 }
 
-// TestReachabilityIndexIsPureOptimization checks the index changes
-// nothing observable: same seed, same schedule, byte-identical outcome
-// sequence, CCA reading, and stats with the index on and off.
+// TestReachabilityIndexIsPureOptimization checks the candidate sets,
+// link tables and ledgers change nothing observable: same seed, same
+// schedule, byte-identical outcome sequence, CCA reading, and stats
+// against the full-scan oracle.
 func TestReachabilityIndexIsPureOptimization(t *testing.T) {
-	dOn, ccaOn, sOn := indexScenario(t, true)
-	dOff, ccaOff, sOff := indexScenario(t, false)
+	dOn, ccaOn, sOn := indexScenario(t, false)
+	dOff, ccaOff, sOff := indexScenario(t, true)
 	if len(dOn) == 0 {
 		t.Fatal("scenario produced no deliveries")
 	}
 	if !reflect.DeepEqual(dOn, dOff) {
 		if len(dOn) != len(dOff) {
-			t.Fatalf("delivery counts differ: indexed %d vs fan-out %d", len(dOn), len(dOff))
+			t.Fatalf("delivery counts differ: medium %d vs oracle %d", len(dOn), len(dOff))
 		}
 		for i := range dOn {
 			if dOn[i] != dOff[i] {
-				t.Fatalf("delivery %d differs:\nindexed %+v\nfan-out %+v", i, dOn[i], dOff[i])
+				t.Fatalf("delivery %d differs:\nmedium %+v\noracle %+v", i, dOn[i], dOff[i])
 			}
 		}
 	}
 	if ccaOn != ccaOff {
-		t.Fatalf("CCA reading differs: indexed %v vs fan-out %v", ccaOn, ccaOff)
+		t.Fatalf("CCA reading differs: medium %v vs oracle %v", ccaOn, ccaOff)
 	}
 	if sOn != sOff {
-		t.Fatalf("stats differ:\nindexed %+v\nfan-out %+v", sOn, sOff)
+		t.Fatalf("stats differ:\nmedium %+v\noracle %+v", sOn, sOff)
 	}
 	// The outlier at 10 km must have been bulk-counted, never reported.
 	for _, td := range dOn {

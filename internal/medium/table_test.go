@@ -11,10 +11,12 @@ import (
 
 // reattachScenario attaches node 2 at 5 m, lets node 1 transmit,
 // detaches node 2, moves it 100 km away, re-attaches it, and transmits
-// again. It returns how many frames node 2 received.
-func reattachScenario(t *testing.T, shard bool) int {
+// again. It returns every delivery outcome, the stats, and how many
+// frames node 2 received.
+func reattachScenario(t *testing.T, shard, oracle bool) ([]TapDelivery, Stats, int) {
 	t.Helper()
 	eng, m := newTestMedium()
+	useOracle(m, oracle)
 	a, b := newFake(1, 0, 0), newFake(2, 5, 0)
 	for _, n := range []*fakeNode{a, b} {
 		if err := m.Attach(n); err != nil {
@@ -22,14 +24,14 @@ func reattachScenario(t *testing.T, shard bool) int {
 		}
 	}
 	if shard {
-		if err := m.SetSharding(Sharding{Workers: 1}); err != nil {
-			t.Fatal(err)
-		}
+		m.SetSharding(Sharding{})
 	}
+	var deliveries []TapDelivery
+	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
 	m.Transmit(a, []byte{1})
 	eng.Run()
 	if len(b.frames) != 1 {
-		t.Fatalf("close-range frame not delivered (shard=%v)", shard)
+		t.Fatalf("close-range frame not delivered (shard=%v oracle=%v)", shard, oracle)
 	}
 	m.Detach(2)
 	b.pos = phys.Position{X: 100000, Y: 0}
@@ -38,16 +40,28 @@ func reattachScenario(t *testing.T, shard bool) int {
 	}
 	m.Transmit(a, []byte{2})
 	eng.Run()
-	return len(b.frames)
+	return deliveries, m.Stats(), len(b.frames)
 }
 
 // TestReattachDropsStaleBudget checks that budgets cached for a node do
 // not outlive its attachment: a node that detaches and comes back 100 km
-// away must not hear a frame it would never reach, in either mode.
+// away must not hear a frame it would never reach. The single-cell and
+// sharded media must both match the full-scan oracle byte for byte.
 func TestReattachDropsStaleBudget(t *testing.T) {
+	dOracle, sOracle, nOracle := reattachScenario(t, false, true)
+	if nOracle != 1 {
+		t.Fatalf("oracle: re-attached node received %d frames, want 1", nOracle)
+	}
 	for _, shard := range []bool{false, true} {
-		if n := reattachScenario(t, shard); n != 1 {
+		d, s, n := reattachScenario(t, shard, false)
+		if n != 1 {
 			t.Fatalf("shard=%v: re-attached node received %d frames, want 1 (stale budget)", shard, n)
+		}
+		if !reflect.DeepEqual(d, dOracle) {
+			t.Fatalf("shard=%v: deliveries diverge from the oracle:\nmedium %+v\noracle %+v", shard, d, dOracle)
+		}
+		if s != sOracle {
+			t.Fatalf("shard=%v: stats %+v, oracle %+v", shard, s, sOracle)
 		}
 	}
 }
@@ -57,12 +71,12 @@ func TestReattachDropsStaleBudget(t *testing.T) {
 // from node 1 is in the air. A first round of traffic fills the
 // movers' link-table rows and columns before the move; CCA samples
 // right after the move read them too. The move stays well inside radio
-// range, so the candidate set the index captured is the set the legacy
-// scan filters inline, and the two modes must agree byte for byte.
-func midFlightMoveScenario(t *testing.T, indexed bool, mover phys.NodeID, dest phys.Position) ([]TapDelivery, []float64, Stats) {
+// range, so the candidate set captured at transmit time is the set the
+// full-scan oracle filters inline, and the two must agree byte for byte.
+func midFlightMoveScenario(t *testing.T, oracle bool, mover phys.NodeID, dest phys.Position) ([]TapDelivery, []float64, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
-	m.SetReachabilityIndex(indexed)
+	energy := useOracle(m, oracle)
 	nodes := make([]*fakeNode, 9)
 	for i := range nodes {
 		nodes[i] = newFake(phys.NodeID(i+1), float64(i%3)*15, float64(i/3)*15)
@@ -86,7 +100,7 @@ func midFlightMoveScenario(t *testing.T, indexed bool, mover phys.NodeID, dest p
 		node(mover).pos = dest
 		m.NodeMoved(mover)
 		m.Transmit(node(3), make([]byte, 16)) // interferes at the mover
-		ccas = append(ccas, m.EnergyDBmAt(node(mover)), m.EnergyDBmAt(node(7)))
+		ccas = append(ccas, energy(node(mover)), energy(node(7)))
 	})
 	eng.MustSchedule(sim.Time(10_000_000), func() {
 		m.Transmit(node(mover), make([]byte, 48))
@@ -98,24 +112,24 @@ func midFlightMoveScenario(t *testing.T, indexed bool, mover phys.NodeID, dest p
 
 func checkMidFlightMovePurity(t *testing.T, mover phys.NodeID, dest phys.Position) {
 	t.Helper()
-	dOn, cOn, sOn := midFlightMoveScenario(t, true, mover, dest)
-	dOff, cOff, sOff := midFlightMoveScenario(t, false, mover, dest)
+	dOn, cOn, sOn := midFlightMoveScenario(t, false, mover, dest)
+	dOff, cOff, sOff := midFlightMoveScenario(t, true, mover, dest)
 	if len(dOn) == 0 {
 		t.Fatal("scenario produced no deliveries")
 	}
 	if len(dOn) != len(dOff) {
-		t.Fatalf("delivery counts differ: indexed %d vs legacy %d", len(dOn), len(dOff))
+		t.Fatalf("delivery counts differ: medium %d vs oracle %d", len(dOn), len(dOff))
 	}
 	for i := range dOn {
 		if dOn[i] != dOff[i] {
-			t.Fatalf("delivery %d differs:\nindexed %+v\nlegacy  %+v", i, dOn[i], dOff[i])
+			t.Fatalf("delivery %d differs:\nmedium %+v\noracle %+v", i, dOn[i], dOff[i])
 		}
 	}
 	if !reflect.DeepEqual(cOn, cOff) {
-		t.Fatalf("CCA samples differ: indexed %v vs legacy %v", cOn, cOff)
+		t.Fatalf("CCA samples differ: medium %v vs oracle %v", cOn, cOff)
 	}
 	if sOn != sOff {
-		t.Fatalf("stats differ:\nindexed %+v\nlegacy  %+v", sOn, sOff)
+		t.Fatalf("stats differ:\nmedium %+v\noracle %+v", sOn, sOff)
 	}
 }
 

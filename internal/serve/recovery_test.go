@@ -215,18 +215,16 @@ func TestCrashMidScriptRecoversByteIdentical(t *testing.T) {
 
 // shardedDep is the deployment the sharded recovery test runs: a line
 // long enough to span two medium cells (8 nodes × 18 m = 126 m against
-// the ~108 m auto cell size) with three concurrent assessment lanes.
-// Both cells sit inside each other's detectability ring, so sharded
+// the ~108 m auto cell size). Both cells sit inside each other's detectability ring, so sharded
 // output must match the unsharded medium byte for byte.
 func shardedDep(seed uint64) cli.DeploymentFlags {
 	return cli.DeploymentFlags{
-		Topo:       "line",
-		Nodes:      8,
-		Spacing:    18,
-		Seed:       seed,
-		Warmup:     12 * time.Second,
-		Shard:      true,
-		MedWorkers: 3,
+		Topo:    "line",
+		Nodes:   8,
+		Spacing: 18,
+		Seed:    seed,
+		Warmup:  12 * time.Second,
+		Shard:   true,
 	}
 }
 
@@ -254,8 +252,8 @@ var shardedScript = []string{
 }
 
 // TestShardedMediumCrashRecoveryByteIdentical is the sharded medium's
-// §13 acceptance gate: a tenant running on a spatially sharded,
-// three-lane medium panics mid-script, the supervisor resurrects it by
+// §13 acceptance gate: a tenant running on a spatially sharded medium
+// panics mid-script, the supervisor resurrects it by
 // replaying the journal, and the rest of the script is byte-identical
 // to an uninterrupted sharded run — which is itself byte-identical to
 // the plain unsharded medium on this topology.
@@ -295,7 +293,6 @@ func TestShardedMediumCrashRecoveryByteIdentical(t *testing.T) {
 	plain := runScript(func(_ string, seed uint64) (Runner, error) {
 		dep := shardedDep(seed)
 		dep.Shard = false
-		dep.MedWorkers = 1
 		r, err := deploymentRunner(dep)
 		if err != nil {
 			return nil, err

@@ -84,9 +84,6 @@ type Engine struct {
 	// highWater is its maximum so far and sizes the adaptive free list.
 	pending   int
 	highWater int
-	// workers is the ForkJoin concurrency budget (see lanes.go); 0 and
-	// 1 both mean strictly sequential.
-	workers int
 }
 
 // ErrPastEvent is returned when an event is scheduled before the current

@@ -43,15 +43,10 @@ type Options struct {
 	// default; LPL deployments want long periods — each broadcast costs
 	// a full sleep interval of repeats).
 	BeaconPeriod sim.Time
-	// ShardMedium partitions the radio medium into spatial cells
-	// (medium.SetSharding): ring-bounded fan-outs and, with
-	// MediumWorkers above one, concurrent per-cell delivery assessment.
-	// Output is byte-identical at every worker count.
+	// ShardMedium partitions the radio medium into finite spatial cells
+	// (medium.SetSharding): ring-bounded fan-outs and interference
+	// scans for large deployments.
 	ShardMedium bool
-	// MediumWorkers is the concurrency budget for sharded delivery
-	// assessment (0 keeps the engine sequential). Only meaningful with
-	// ShardMedium.
-	MediumWorkers int
 }
 
 // DefaultOptions keeps the propagation model defaults.
@@ -120,9 +115,7 @@ func build(positions []phys.Position, opt Options) (*Testbed, error) {
 	}
 	med := medium.New(eng, model)
 	if opt.ShardMedium {
-		if err := med.SetSharding(medium.Sharding{Workers: opt.MediumWorkers}); err != nil {
-			return nil, fmt.Errorf("testbed: %w", err)
-		}
+		med.SetSharding(medium.Sharding{})
 	}
 	tb := &Testbed{
 		Eng:     eng,

@@ -267,7 +267,6 @@ func TestOverCapTopologyTypedError(t *testing.T) {
 func TestShardMediumOption(t *testing.T) {
 	opt := DefaultOptions(11)
 	opt.ShardMedium = true
-	opt.MediumWorkers = 4
 	tb, err := Line(5, 20, opt)
 	if err != nil {
 		t.Fatal(err)

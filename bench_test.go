@@ -203,10 +203,10 @@ func BenchmarkEngineEvents(b *testing.B) {
 	tick = func() {
 		n++
 		if n < b.N {
-			eng.MustSchedule(1000, tick)
+			eng.Schedule(1000, tick)
 		}
 	}
-	eng.MustSchedule(1000, tick)
+	eng.Schedule(1000, tick)
 	b.ResetTimer()
 	eng.Run()
 }
@@ -214,8 +214,8 @@ func BenchmarkEngineEvents(b *testing.B) {
 // BenchmarkEngineSchedule isolates the kernel's scheduling hot loop —
 // the self-rescheduling ticker pattern that dominates every simulation
 // (MAC backoffs, LPL wakeups, app traffic, medium deliveries). The
-// handle variant is the legacy path: MustSchedule allocates a fresh
-// Event per tick and returns a cancellation handle that is immediately
+// handle variant is the cancellable path: Schedule allocates a fresh
+// Event per tick and returns a cancellation handle, here immediately
 // discarded. The pooled variant is the fast path: After recycles fired
 // events through the engine-local free list, so the steady state runs
 // allocation-free.
@@ -227,10 +227,10 @@ func BenchmarkEngineSchedule(b *testing.B) {
 		tick = func() {
 			n++
 			if n < b.N {
-				eng.MustSchedule(1000, tick)
+				eng.Schedule(1000, tick)
 			}
 		}
-		eng.MustSchedule(1000, tick)
+		eng.Schedule(1000, tick)
 		b.ReportAllocs()
 		b.ResetTimer()
 		eng.Run()
@@ -250,7 +250,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 		b.ResetTimer()
 		eng.Run()
 	})
-	// lpl-4096 is the pattern the ISSUE's O(1)-vs-O(log n) claim is
+	// lpl-4096 is the pattern the wheel's O(1)-vs-O(log n) claim is
 	// about: 4096 concurrent duty-cycle tickers (LPL wakeups, beacon
 	// timers) with staggered phases, so the pending set stays ~4096
 	// deep while every fire schedules near the tail. A binary heap

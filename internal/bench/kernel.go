@@ -14,73 +14,18 @@ import (
 )
 
 // This file is the kernel row of the perf trajectory: it measures the
-// engine's event structure (hierarchical timer wheel, PR 10) against a
-// reference binary heap — the structure PR 5's engine used — on the
-// dominant scheduling pattern, and pins the frame path's steady-state
-// allocation rate. Timing readings are run-to-run noise and the
-// allocation counter (runtime.MemStats.Mallocs) is process-wide, so
-// both are meaningful only in a sequential run: under
+// engine's event structure (a hierarchical timer wheel) against
+// sim.RefQueue, the plain binary min-heap the wheel is checked against,
+// on the dominant scheduling pattern, and pins the frame path's
+// steady-state allocation rate. Timing readings are run-to-run noise
+// and the allocation counter (runtime.MemStats.Mallocs) is process-wide,
+// so both are meaningful only in a sequential run: under
 // Options.NoWallClock or a parallel runner (Workers != 1) the measured
 // columns collapse to placeholders — the same degradation as the scale
 // experiment's wall-clock columns — keeping parallel-runner output
 // byte-identical and the shape checks deterministic.
 
-// kev is a reference-heap entry: the (when, seq) key the engine orders
-// events by, with the heap port of the PR-5 pooled-heap engine.
-type kev struct {
-	when int64
-	seq  uint64
-}
-
-type refHeap []kev
-
-func (h refHeap) less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *refHeap) push(e kev) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-}
-
-func (h *refHeap) pop() kev {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	*h = q[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		least := l
-		if r := l + 1; r < n && q.less(r, l) {
-			least = r
-		}
-		if !q.less(least, i) {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	return top
-}
-
-// lplPattern is the schedule the wheel was built for: tickers all
+// lplPeriod paces the schedule the wheel was built for: tickers all
 // rescheduling one period ahead of a moving now — LPL wakeups and
 // beacon intervals at network scale.
 const lplPeriod = 100 * time.Millisecond
@@ -115,17 +60,17 @@ func runWheelTicker(tickers, events int) float64 {
 // event. It exercises only the data structure — no callbacks — which
 // flatters the heap; the wheel must win anyway.
 func runHeapTicker(tickers, events int) float64 {
-	var h refHeap
+	var h sim.RefQueue
 	var seq uint64
 	for i := 0; i < tickers; i++ {
 		seq++
-		h.push(kev{when: int64(lplPeriod) * int64(i+1) / int64(tickers), seq: seq})
+		h.Push(sim.Time(lplPeriod)*sim.Time(i+1)/sim.Time(tickers), seq)
 	}
 	start := time.Now()
 	for fired := 0; fired < events; fired++ {
-		top := h.pop()
+		when, _ := h.Pop()
 		seq++
-		h.push(kev{when: top.when + int64(lplPeriod), seq: seq})
+		h.Push(when+lplPeriod, seq)
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(events)
 }

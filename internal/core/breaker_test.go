@@ -24,7 +24,7 @@ func breakerBench(threshold int, cooldown sim.Time) *Workstation {
 }
 
 func advance(w *Workstation, d sim.Time) {
-	w.eng.MustSchedule(d, func() {})
+	w.eng.Schedule(d, func() {})
 	w.eng.Run()
 }
 

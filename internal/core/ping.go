@@ -188,7 +188,7 @@ func (pe *PingEngine) sendProbe(t *pingTask) {
 		return
 	}
 	pe.os.SysLogEvent("ping", "probe %d/%d to %d sent", t.seq+1, t.opts.Rounds, t.opts.Dst)
-	t.timer = pe.eng.MustSchedule(t.opts.Timeout, func() { pe.roundLost(t) })
+	t.timer = pe.eng.Schedule(t.opts.Timeout, func() { pe.roundLost(t) })
 }
 
 // roundLost records a timed-out round and moves on.

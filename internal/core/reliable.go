@@ -302,7 +302,7 @@ func (e *Endpoint) armTimer(x *outXfer) {
 	if x.timer != nil {
 		e.eng.Cancel(x.timer)
 	}
-	x.timer = e.eng.MustSchedule(e.cfg.AckTimeout, func() { e.onTimeout(x) })
+	x.timer = e.eng.Schedule(e.cfg.AckTimeout, func() { e.onTimeout(x) })
 }
 
 func (e *Endpoint) onTimeout(x *outXfer) {
@@ -350,7 +350,7 @@ func (e *Endpoint) onTimeout(x *outXfer) {
 		e.sendWindow(x)
 		return
 	}
-	x.timer = e.eng.MustSchedule(delay, func() {
+	x.timer = e.eng.Schedule(delay, func() {
 		if _, live := e.out[outKey(x.to, x.id)]; !live {
 			return
 		}

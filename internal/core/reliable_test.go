@@ -355,7 +355,7 @@ func TestTransferAbortsOnReceiverCrashMidBatch(t *testing.T) {
 	}
 	// Crash after the first batches land: wipe the receiver's transfer
 	// state and drop everything addressed to it from then on.
-	e.eng.MustSchedule(20*time.Millisecond, func() {
+	e.eng.Schedule(20*time.Millisecond, func() {
 		b.ep.Reset()
 		received := len(b.got)
 		b.got = b.got[:received] // freeze what arrived pre-crash
@@ -389,7 +389,7 @@ func TestEndpointResetDropsTransfersWithoutCallbacks(t *testing.T) {
 	if err := a.ep.Send(2, [][]byte{[]byte("x")}, 0, func(error) { called = true }); err != nil {
 		t.Fatal(err)
 	}
-	e.eng.MustSchedule(5*time.Millisecond, func() { a.ep.Reset() })
+	e.eng.Schedule(5*time.Millisecond, func() { a.ep.Reset() })
 	e.eng.Run()
 	if called {
 		t.Fatal("reset fired a completion callback")

@@ -201,7 +201,7 @@ func (te *TracerouteEngine) Start(opts TrOptions, onReport func(TrHopReport), on
 	s := &trSession{opts: opts, onReport: onReport, onDone: onDone}
 	te.sessions[id] = s
 	// Session deadline: the per-hop budget accounts for probe retries.
-	s.deadline = te.eng.MustSchedule(opts.SessionBudget(), func() { te.finishSession(id) })
+	s.deadline = te.eng.Schedule(opts.SessionBudget(), func() { te.finishSession(id) })
 	te.initiate(id, te.os.ID(), opts.Dst, opts.RouterPort, 0, opts.MaxHops, opts.ProbeRetries, opts.Length, opts.HopTimeout)
 	return nil
 }
@@ -279,7 +279,7 @@ func (te *TracerouteEngine) sendProbe(seg *trSegment) {
 		te.report(TrHopReport{Hop: seg.hop + 1, From: seg.next, Lost: true}, seg.taskID, seg.source, seg.port)
 		return
 	}
-	seg.timer = te.eng.MustSchedule(seg.timeout, func() { te.segmentTimeout(seg) })
+	seg.timer = te.eng.Schedule(seg.timeout, func() { te.segmentTimeout(seg) })
 }
 
 func (te *TracerouteEngine) segmentTimeout(seg *trSegment) {

@@ -21,7 +21,7 @@ func meterFixture(t *testing.T) (*sim.Engine, *radio.Radio, *Meter) {
 
 func TestIdleListeningAccrues(t *testing.T) {
 	eng, _, m := meterFixture(t)
-	eng.MustSchedule(10*time.Second, func() {})
+	eng.Schedule(10*time.Second, func() {})
 	eng.Run()
 	st := m.Stats()
 	// 10 s of RX at 18.8 mA, 3 V: 0.564 J.
@@ -40,9 +40,9 @@ func TestIdleListeningAccrues(t *testing.T) {
 func TestTXChargedAtPALevel(t *testing.T) {
 	eng, rad, m := meterFixture(t)
 	// 1 s RX, then 2 s TX at full power, then RX again.
-	eng.MustSchedule(time.Second, func() { rad.SetState(radio.TX) })
-	eng.MustSchedule(3*time.Second, func() { rad.SetState(radio.RX) })
-	eng.MustSchedule(4*time.Second, func() {})
+	eng.Schedule(time.Second, func() { rad.SetState(radio.TX) })
+	eng.Schedule(3*time.Second, func() { rad.SetState(radio.RX) })
+	eng.Schedule(4*time.Second, func() {})
 	eng.Run()
 	st := m.Stats()
 	wantTX := radio.TXCurrentMA(31) / 1000 * radio.SupplyVolts * 2
@@ -64,8 +64,8 @@ func TestLowerPowerDrawsLess(t *testing.T) {
 		rad, _ := radio.New(17)
 		rad.SetPowerLevel(level)
 		m := Attach(eng, rad, 0)
-		eng.MustSchedule(0, func() { rad.SetState(radio.TX) })
-		eng.MustSchedule(5*time.Second, func() { rad.SetState(radio.RX) })
+		eng.Schedule(0, func() { rad.SetState(radio.TX) })
+		eng.Schedule(5*time.Second, func() { rad.SetState(radio.RX) })
 		eng.Run()
 		return m.Stats().TXJ
 	}
@@ -81,8 +81,8 @@ func TestLowerPowerDrawsLess(t *testing.T) {
 
 func TestOffDrawsTrickle(t *testing.T) {
 	eng, rad, m := meterFixture(t)
-	eng.MustSchedule(0, func() { rad.SetState(radio.Off) })
-	eng.MustSchedule(time.Hour, func() { rad.SetState(radio.RX) })
+	eng.Schedule(0, func() { rad.SetState(radio.Off) })
+	eng.Schedule(time.Hour, func() { rad.SetState(radio.RX) })
 	eng.Run()
 	st := m.Stats()
 	if st.OffJ <= 0 {
@@ -96,10 +96,10 @@ func TestOffDrawsTrickle(t *testing.T) {
 
 func TestTimeConservation(t *testing.T) {
 	eng, rad, m := meterFixture(t)
-	eng.MustSchedule(time.Second, func() { rad.SetState(radio.TX) })
-	eng.MustSchedule(2*time.Second, func() { rad.SetState(radio.Off) })
-	eng.MustSchedule(5*time.Second, func() { rad.SetState(radio.RX) })
-	eng.MustSchedule(9*time.Second, func() {})
+	eng.Schedule(time.Second, func() { rad.SetState(radio.TX) })
+	eng.Schedule(2*time.Second, func() { rad.SetState(radio.Off) })
+	eng.Schedule(5*time.Second, func() { rad.SetState(radio.RX) })
+	eng.Schedule(9*time.Second, func() {})
 	eng.Run()
 	st := m.Stats()
 	if st.TXTime+st.RXTime+st.OffTime != 9*time.Second {
@@ -115,13 +115,13 @@ func TestBatteryAccounting(t *testing.T) {
 		t.Fatalf("fresh battery = %f", m.RemainingFraction())
 	}
 	// 18.8 mA × 3 V ≈ 56.4 mW → the joule dies in ~17.7 s of listening.
-	eng.MustSchedule(10*time.Second, func() {})
+	eng.Schedule(10*time.Second, func() {})
 	eng.Run()
 	frac := m.RemainingFraction()
 	if frac <= 0.3 || frac >= 0.5 {
 		t.Fatalf("after 10 s: %f remaining, want ≈ 0.436", frac)
 	}
-	eng.MustSchedule(20*time.Second, func() {})
+	eng.Schedule(20*time.Second, func() {})
 	eng.Run()
 	if m.RemainingJ() != 0 {
 		t.Fatalf("overdrawn battery should floor at zero, got %f", m.RemainingJ())
@@ -133,7 +133,7 @@ func TestLifetimeEstimate(t *testing.T) {
 	if _, ok := m.EstimateLifetime(); ok {
 		t.Fatal("estimate before any consumption")
 	}
-	eng.MustSchedule(time.Minute, func() {})
+	eng.Schedule(time.Minute, func() {})
 	eng.Run()
 	life, ok := m.EstimateLifetime()
 	if !ok {

@@ -243,7 +243,7 @@ func TestEventLog(t *testing.T) {
 func TestSysLogEvent(t *testing.T) {
 	eng, n := testNode(t, 1, 0)
 	n.Log().Enable()
-	eng.MustSchedule(time.Second, func() {
+	eng.Schedule(time.Second, func() {
 		n.SysLogEvent("ping", "probe to %s", "192.168.0.2")
 	})
 	eng.Run()

@@ -208,7 +208,7 @@ func TestChannelAccessFailure(t *testing.T) {
 			return
 		}
 		deadline = eng.Now() + air
-		eng.MustSchedule(air, jamTx)
+		eng.Schedule(air, jamTx)
 	}
 	jamTx()
 	_ = deadline

@@ -468,7 +468,11 @@ func (m *Medium) NodeMoved(id phys.NodeID) {
 	m.invalidateRing(old)
 	m.slots[s].pos = m.slots[s].rx.Position()
 	if key := m.keyFor(m.slots[s].pos); key != old {
+		// A move is not a re-attach: the node keeps its attach sequence,
+		// so merged candidate sets still list it in attach order.
+		seq := m.grid.res[s].seq
 		m.grid.remove(s)
+		m.grid.res[s].seq = seq
 		m.place(s, key)
 		m.invalidateRing(key)
 	}

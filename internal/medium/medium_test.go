@@ -213,7 +213,7 @@ func TestEnergyDetect(t *testing.T) {
 	m.Transmit(a, make([]byte, 64))
 	// Sample mid-airtime.
 	var busyMid bool
-	eng.MustSchedule(radio.FrameAirtime(64)/2, func() {
+	eng.Schedule(radio.FrameAirtime(64)/2, func() {
 		busyMid = m.ChannelBusy(b, radio.CCAThresholdDBm)
 	})
 	eng.Run()
@@ -233,7 +233,7 @@ func TestEnergyDetectIgnoresOtherChannel(t *testing.T) {
 	m.Attach(b)
 	m.Transmit(a, make([]byte, 64))
 	var busyMid bool
-	eng.MustSchedule(radio.FrameAirtime(64)/2, func() {
+	eng.Schedule(radio.FrameAirtime(64)/2, func() {
 		busyMid = m.ChannelBusy(b, radio.CCAThresholdDBm)
 	})
 	eng.Run()

@@ -38,7 +38,7 @@ func TestPruneRetainsOverlappingInterferers(t *testing.T) {
 	m.Transmit(b, []byte{1})
 	// 2 ms in — more than 10 byte-times after b's frame ended, but well
 	// before a's frame delivers — another transmit runs prune.
-	eng.MustSchedule(sim.Time(2_000_000), func() { m.Transmit(d, []byte{2}) })
+	eng.Schedule(sim.Time(2_000_000), func() { m.Transmit(d, []byte{2}) })
 	eng.Run()
 
 	for _, td := range deliveries {
@@ -62,7 +62,7 @@ func TestPruneDropsNonOverlapping(t *testing.T) {
 	m.Transmit(a, []byte{1})
 	eng.Run()
 	// Long after the first frame delivered, a new transmit must prune it.
-	eng.MustSchedule(sim.Time(10_000_000), func() { m.Transmit(a, []byte{2}) })
+	eng.Schedule(sim.Time(10_000_000), func() { m.Transmit(a, []byte{2}) })
 	eng.Run()
 	if len(m.active) != 1 {
 		t.Fatalf("active = %d transmissions, want 1 (old frame pruned)", len(m.active))
@@ -130,7 +130,7 @@ func detachScenario(t *testing.T, detach phys.NodeID) []RxInfo {
 		t.Fatal(err)
 	}
 	if detach != 0 {
-		eng.MustSchedule(radio.FrameAirtime(32)/2, func() { m.Detach(detach) })
+		eng.Schedule(radio.FrameAirtime(32)/2, func() { m.Detach(detach) })
 	}
 	eng.Run()
 	return c.frames
@@ -179,9 +179,9 @@ func indexScenario(t *testing.T, oracle bool) ([]TapDelivery, float64, Stats) {
 	var cca float64
 	m.Transmit(nodes[0], make([]byte, 16))
 	m.Transmit(nodes[12], make([]byte, 16)) // collides with node 1's frame
-	eng.MustSchedule(radio.FrameAirtime(16)/2, func() { cca = energy(nodes[24]) })
-	eng.MustSchedule(sim.Time(5_000_000), func() { m.Transmit(nodes[24], make([]byte, 16)) })
-	eng.MustSchedule(sim.Time(10_000_000), func() { m.Transmit(nodes[6], make([]byte, 16)) })
+	eng.Schedule(radio.FrameAirtime(16)/2, func() { cca = energy(nodes[24]) })
+	eng.Schedule(sim.Time(5_000_000), func() { m.Transmit(nodes[24], make([]byte, 16)) })
+	eng.Schedule(sim.Time(10_000_000), func() { m.Transmit(nodes[6], make([]byte, 16)) })
 	eng.Run()
 	return deliveries, cca, m.Stats()
 }

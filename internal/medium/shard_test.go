@@ -36,9 +36,9 @@ func shardPurityScenario(t *testing.T) ([]TapDelivery, float64, Stats) {
 	var cca float64
 	m.Transmit(nodes[0], make([]byte, 16))
 	m.Transmit(nodes[12], make([]byte, 16))
-	eng.MustSchedule(radio.FrameAirtime(16)/2, func() { cca = m.EnergyDBmAt(nodes[24]) })
-	eng.MustSchedule(sim.Time(5_000_000), func() { m.Transmit(nodes[24], make([]byte, 16)) })
-	eng.MustSchedule(sim.Time(10_000_000), func() { m.Transmit(nodes[6], make([]byte, 16)) })
+	eng.Schedule(radio.FrameAirtime(16)/2, func() { cca = m.EnergyDBmAt(nodes[24]) })
+	eng.Schedule(sim.Time(5_000_000), func() { m.Transmit(nodes[24], make([]byte, 16)) })
+	eng.Schedule(sim.Time(10_000_000), func() { m.Transmit(nodes[6], make([]byte, 16)) })
 	eng.Run()
 	return deliveries, cca, m.Stats()
 }
@@ -86,7 +86,7 @@ func boundaryScenario(t *testing.T, shard bool) ([]TapDelivery, Stats) {
 	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
 	m.Transmit(nodes[4], make([]byte, 32)) // node at exactly (50, 0)
 	m.Transmit(nodes[7], make([]byte, 32)) // (100, 50): collision
-	eng.MustSchedule(sim.Time(3_000_000), func() { m.Transmit(nodes[0], make([]byte, 32)) })
+	eng.Schedule(sim.Time(3_000_000), func() { m.Transmit(nodes[0], make([]byte, 32)) })
 	eng.Run()
 	return deliveries, m.Stats()
 }
@@ -108,12 +108,17 @@ func TestShardedBoundaryNodes(t *testing.T) {
 // migrationScenario has a receiver walk across a cell boundary — or
 // into virgin ground — while a frame addressed to it is in flight, then
 // transmit from its new position. Small enough to stay inside one ring,
-// so the single cell is the oracle.
+// so the single cell is the oracle. Last, x transmits a frame that w
+// and, after the adjacent-cell hop, the migrated b both hear from
+// different cells: w was attached after b, so the merged candidate set
+// only keeps the single cell's order if b kept its attach sequence
+// across the migration.
 func migrationScenario(t *testing.T, shard bool, dest phys.Position) ([]TapDelivery, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
 	a, b, c := newFake(1, 0, 0), newFake(2, 100, 0), newFake(3, 60, 30)
-	for _, n := range []*fakeNode{a, b, c} {
+	w, x := newFake(4, 235, 0), newFake(5, 225, 10)
+	for _, n := range []*fakeNode{a, b, c, w, x} {
 		if err := m.Attach(n); err != nil {
 			t.Fatal(err)
 		}
@@ -124,11 +129,12 @@ func migrationScenario(t *testing.T, shard bool, dest phys.Position) ([]TapDeliv
 	var deliveries []TapDelivery
 	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
 	m.Transmit(a, make([]byte, 100)) // long frame: 3.4 ms in the air
-	eng.MustSchedule(radio.FrameAirtime(100)/2, func() {
+	eng.Schedule(radio.FrameAirtime(100)/2, func() {
 		b.pos = dest
 		m.NodeMoved(2)
 	})
-	eng.MustSchedule(sim.Time(5_000_000), func() { m.Transmit(b, make([]byte, 32)) })
+	eng.Schedule(sim.Time(5_000_000), func() { m.Transmit(b, make([]byte, 32)) })
+	eng.Schedule(sim.Time(10_000_000), func() { m.Transmit(x, make([]byte, 32)) })
 	eng.Run()
 	return deliveries, m.Stats()
 }
@@ -136,7 +142,9 @@ func migrationScenario(t *testing.T, shard bool, dest phys.Position) ([]TapDeliv
 // TestShardedReceiverMigratesMidFlight covers both migration shapes: a
 // hop to an adjacent cell, and a hop into a cell that never existed
 // (whose ledger must be rebuilt from the active list so the in-flight
-// frame still reaches the migrated receiver's assessment).
+// frame still reaches the migrated receiver's assessment). After the
+// adjacent hop, x's frame must reach b and w in the single cell's
+// order.
 func TestShardedReceiverMigratesMidFlight(t *testing.T) {
 	for name, dest := range map[string]phys.Position{
 		"adjacent-cell": {X: 215, Y: 0},
@@ -150,6 +158,18 @@ func TestShardedReceiverMigratesMidFlight(t *testing.T) {
 		}
 		if s != sIdx {
 			t.Fatalf("%s: stats %+v, single cell %+v", name, s, sIdx)
+		}
+		if name != "adjacent-cell" {
+			continue
+		}
+		var heard []phys.NodeID
+		for _, td := range d {
+			if td.From == 5 && td.Outcome == OutcomeDelivered {
+				heard = append(heard, td.To)
+			}
+		}
+		if !reflect.DeepEqual(heard, []phys.NodeID{2, 4}) {
+			t.Fatalf("%s: x's frame delivered to %v, want [2 4] in attach order", name, heard)
 		}
 	}
 }
@@ -171,11 +191,11 @@ func movingTxScenario(t *testing.T, oracle bool) ([]TapDelivery, Stats) {
 	var deliveries []TapDelivery
 	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
 	m.Transmit(a, make([]byte, 64))
-	eng.MustSchedule(radio.FrameAirtime(64)/2, func() {
+	eng.Schedule(radio.FrameAirtime(64)/2, func() {
 		a.pos = phys.Position{X: 100000, Y: 0} // walks out of range mid-flight
 		m.NodeMoved(1)
 	})
-	eng.MustSchedule(sim.Time(5_000_000), func() { m.Transmit(a, make([]byte, 64)) })
+	eng.Schedule(sim.Time(5_000_000), func() { m.Transmit(a, make([]byte, 64)) })
 	eng.Run()
 	return deliveries, m.Stats()
 }
@@ -241,7 +261,7 @@ func TestShardedFarFieldBound(t *testing.T) {
 	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
 	for k := 0; k < 80; k++ {
 		n := nodes[(k*379+side/2)%len(nodes)]
-		eng.MustSchedule(sim.Time(k)*50_000, func() { m.Transmit(n, make([]byte, 32)) })
+		eng.Schedule(sim.Time(k)*50_000, func() { m.Transmit(n, make([]byte, 32)) })
 	}
 	eng.Run()
 

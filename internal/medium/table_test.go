@@ -92,17 +92,17 @@ func midFlightMoveScenario(t *testing.T, oracle bool, mover phys.NodeID, dest ph
 	m.Transmit(node(1), make([]byte, 48))
 	m.Transmit(node(9), make([]byte, 48))
 	at := sim.Time(5_000_000)
-	eng.MustSchedule(at, func() {
+	eng.Schedule(at, func() {
 		m.Transmit(node(1), make([]byte, 100))
 		m.Transmit(node(5), make([]byte, 32)) // ends before the move
 	})
-	eng.MustSchedule(at+radio.FrameAirtime(100)/2, func() {
+	eng.Schedule(at+radio.FrameAirtime(100)/2, func() {
 		node(mover).pos = dest
 		m.NodeMoved(mover)
 		m.Transmit(node(3), make([]byte, 16)) // interferes at the mover
 		ccas = append(ccas, energy(node(mover)), energy(node(7)))
 	})
-	eng.MustSchedule(sim.Time(10_000_000), func() {
+	eng.Schedule(sim.Time(10_000_000), func() {
 		m.Transmit(node(mover), make([]byte, 48))
 		m.Transmit(node(7), make([]byte, 48))
 	})

@@ -145,7 +145,7 @@ func (od *onDemand) startDiscovery(dst phys.NodeID, retries int) {
 	w[7] = 0                                            // hop count
 	od.rememberReq(od.self, d.reqID)
 	od.r.sendControl(phys.Broadcast, w[:])
-	d.timer = od.eng.MustSchedule(DiscoveryTimeout, func() { od.discoveryTimeout(dst) })
+	d.timer = od.eng.Schedule(DiscoveryTimeout, func() { od.discoveryTimeout(dst) })
 }
 
 func (od *onDemand) discoveryTimeout(dst phys.NodeID) {

@@ -374,7 +374,7 @@ func (r *Router) park(p *stack.Packet) {
 
 // armParkExpiry schedules the next expiry sweep for dst's park queue.
 func (r *Router) armParkExpiry(dst phys.NodeID, delay sim.Time) {
-	r.parkTimer[dst] = r.eng.MustSchedule(delay, func() { r.expireParked(dst) })
+	r.parkTimer[dst] = r.eng.Schedule(delay, func() { r.expireParked(dst) })
 }
 
 // expireParked drops parked packets older than ParkTTL — the table

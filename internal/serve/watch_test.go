@@ -135,14 +135,18 @@ func TestWatchDoesNotPerturbTenant(t *testing.T) {
 		t.Fatal("a live watch changed the tenant's command output")
 	}
 
-	// The streamer polls on a wall-clock tick; wait for the first frame
-	// to prove the watch really observed the (virtual-time) script.
+	// Prove the watch really observes the tenant. The watch attaches
+	// concurrently with the script and gets no replay, so the script may
+	// have finished before the subscription landed: keep pinging until
+	// the streamer, which polls on a wall-clock tick, delivers a frame.
 	deadline := time.Now().Add(10 * time.Second)
 	for frames.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+		if resp, err := driver.Run("ping 192.168.0.3"); err != nil || resp.Error != "" {
+			t.Fatalf("ping: err=%v resp.Error=%q", err, resp.Error)
+		}
 	}
 	if frames.Load() == 0 {
-		t.Fatal("watch observed nothing while the script ran")
+		t.Fatal("watch observed nothing while the driver ran")
 	}
 
 	// End the stream from the client side and confirm the server answers

@@ -26,9 +26,9 @@ import (
 type Time = time.Duration
 
 // Event is a scheduled callback. Fields are private to the engine; events
-// are created via Engine.Schedule / Engine.At (which return a cancellable
-// handle) or Engine.After (handle-free, recycled through the engine's
-// free list).
+// are created via Engine.Schedule (which returns a cancellable handle) or
+// Engine.After / Engine.AfterArg (handle-free, recycled through the
+// engine's free list).
 type Event struct {
 	when Time
 	seq  uint64
@@ -42,7 +42,7 @@ type Event struct {
 	// next chains events within a wheel slot (intrusive list; see
 	// wheel.go). nil outside a slot.
 	next    *Event
-	queued  bool // currently resident in the wheel/overflow/cur structure
+	queued  bool // currently resident in the wheel (a slot or cur)
 	stopped bool
 	// pooled marks events scheduled through the handle-free After path.
 	// No caller holds a reference to a pooled event, so the engine may
@@ -52,15 +52,11 @@ type Event struct {
 	pooled bool
 }
 
-// When reports the virtual time the event is scheduled for.
-func (e *Event) When() Time { return e.when }
-
-// Stopped reports whether the event has been cancelled.
-func (e *Event) Stopped() bool { return e.stopped }
-
-// defaultFreeListCap is the free list's floor: the engine always keeps
-// up to this many recycled event structs regardless of load.
-const defaultFreeListCap = 1024
+// minFreeList is the free list's floor: the engine always keeps up to
+// this many recycled event structs regardless of load. Above it the
+// bound tracks the pending-event high-water mark, so a 10k-node burst
+// keeps its event structs instead of churning the allocator every cycle.
+const minFreeList = 1024
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
 // for concurrent use; all model code runs inside event callbacks on the
@@ -77,17 +73,14 @@ type Engine struct {
 	// invisible to the timeline: a reused struct gets a fresh seq, so
 	// ordering is exactly what freshly allocated events would produce.
 	free []*Event
-	// freeCap, when non-zero, fixes the free list bound; zero selects
-	// the adaptive default max(defaultFreeListCap, pending high-water).
-	freeCap int
 	// pending counts live (not fired, not cancelled) queued events;
-	// highWater is its maximum so far and sizes the adaptive free list.
+	// highWater is its maximum so far and sizes the free list.
 	pending   int
 	highWater int
 }
 
-// ErrPastEvent is returned when an event is scheduled before the current
-// virtual time.
+// ErrPastEvent is wrapped in the panic raised when an event is scheduled
+// before the current virtual time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // NewEngine returns an engine whose clock reads zero and whose root RNG
@@ -112,56 +105,42 @@ func (e *Engine) Pending() int { return e.pending }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// SetFreeListCap bounds the pooled-event free list. n > 0 fixes the
-// bound; n == 0 restores the adaptive default, which tracks the
-// pending-event high-water mark (with a defaultFreeListCap floor) so a
-// 10k-node burst keeps its event structs instead of churning the
-// allocator every cycle. Negative n is ignored.
-func (e *Engine) SetFreeListCap(n int) {
-	if n < 0 {
-		return
+// enqueue files a callback at now+delay into the wheel, reusing a
+// recycled event struct when available, and maintains the pending
+// accounting. It panics with ErrPastEvent when the time lies before now
+// (a negative delay, or one that overflows the clock) and on a nil
+// callback.
+func (e *Engine) enqueue(delay Time, fn func(), fnArg func(any), arg any, pooled bool) *Event {
+	t := e.now + delay
+	if t < e.now {
+		panic(fmt.Errorf("%w: delay %v", ErrPastEvent, delay))
 	}
-	e.freeCap = n
-	if n > 0 && len(e.free) > n {
-		clear(e.free[n:])
-		e.free = e.free[:n]
+	if fn == nil && fnArg == nil {
+		panic(errors.New("sim: nil event callback"))
 	}
-}
-
-// push enqueues ev and maintains the pending accounting.
-func (e *Engine) push(ev *Event) {
+	e.seq++
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		ev.stopped = false
+	} else {
+		ev = new(Event)
+	}
+	ev.when, ev.seq, ev.fn, ev.fnArg, ev.arg, ev.pooled = t, e.seq, fn, fnArg, arg, pooled
 	ev.queued = true
 	e.wheel.insert(ev)
 	e.pending++
 	if e.pending > e.highWater {
 		e.highWater = e.pending
 	}
-}
-
-// takeEvent returns a zeroed event struct, reusing a recycled one when
-// available.
-func (e *Engine) takeEvent(t Time, fn func(), pooled bool) *Event {
-	e.seq++
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.when, ev.seq, ev.fn, ev.stopped, ev.pooled = t, e.seq, fn, false, pooled
-		return ev
-	}
-	return &Event{when: t, seq: e.seq, fn: fn, pooled: pooled}
+	return ev
 }
 
 // recycle returns a pooled event's struct to the free list.
 func (e *Engine) recycle(ev *Event) {
-	limit := e.freeCap
-	if limit == 0 {
-		limit = e.highWater
-		if limit < defaultFreeListCap {
-			limit = defaultFreeListCap
-		}
-	}
-	if len(e.free) < limit {
+	if len(e.free) < max(e.highWater, minFreeList) {
 		ev.fn = nil
 		ev.fnArg = nil
 		ev.arg = nil
@@ -169,54 +148,23 @@ func (e *Engine) recycle(ev *Event) {
 	}
 }
 
-// Schedule queues fn to run after delay. A negative delay is an error;
-// a zero delay runs fn at the current time, after events already queued
-// for this instant.
-func (e *Engine) Schedule(delay Time, fn func()) (*Event, error) {
-	if delay < 0 {
-		return nil, fmt.Errorf("%w: delay %v", ErrPastEvent, delay)
-	}
-	return e.At(e.now+delay, fn)
-}
-
-// At queues fn to run at absolute virtual time t.
-func (e *Engine) At(t Time, fn func()) (*Event, error) {
-	if t < e.now {
-		return nil, fmt.Errorf("%w: t=%v now=%v", ErrPastEvent, t, e.now)
-	}
-	if fn == nil {
-		return nil, errors.New("sim: nil event callback")
-	}
-	ev := e.takeEvent(t, fn, false)
-	e.push(ev)
-	return ev, nil
-}
-
-// MustSchedule is Schedule for call sites where the delay is known to be
-// non-negative; it panics on error. Model code uses it for internally
+// Schedule queues fn to run after delay and returns a handle for
+// Cancel. A zero delay runs fn at the current time, after events
+// already queued for this instant. It panics with ErrPastEvent on a
+// negative delay and on a nil fn: model code schedules internally
 // computed delays that are non-negative by construction.
-func (e *Engine) MustSchedule(delay Time, fn func()) *Event {
-	ev, err := e.Schedule(delay, fn)
-	if err != nil {
-		panic(err)
-	}
-	return ev
+func (e *Engine) Schedule(delay Time, fn func()) *Event {
+	return e.enqueue(delay, fn, nil, nil, false)
 }
 
 // After queues fn to run after delay without returning a handle: the
 // event cannot be cancelled, and its struct is recycled through the
 // engine's free list once it fires. This is the allocation-free fast
 // path for the dominant fire-and-forget pattern (frame deliveries, MAC
-// backoffs, self-rescheduling tickers). Like MustSchedule it panics on
-// a negative delay; fn must be non-nil.
+// backoffs, self-rescheduling tickers). Like Schedule it panics on a
+// negative delay or nil fn.
 func (e *Engine) After(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Errorf("%w: delay %v", ErrPastEvent, delay))
-	}
-	if fn == nil {
-		panic(errors.New("sim: nil event callback"))
-	}
-	e.push(e.takeEvent(e.now+delay, fn, true))
+	e.enqueue(delay, fn, nil, nil, true)
 }
 
 // AfterArg is After for callbacks that need one argument: fn is
@@ -227,15 +175,7 @@ func (e *Engine) After(delay Time, fn func()) {
 // handle-free, recycled after firing, panics on a negative delay or
 // nil fn.
 func (e *Engine) AfterArg(delay Time, fn func(any), arg any) {
-	if delay < 0 {
-		panic(fmt.Errorf("%w: delay %v", ErrPastEvent, delay))
-	}
-	if fn == nil {
-		panic(errors.New("sim: nil event callback"))
-	}
-	ev := e.takeEvent(e.now+delay, nil, true)
-	ev.fnArg, ev.arg = fn, arg
-	e.push(ev)
+	e.enqueue(delay, nil, fn, arg, true)
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or

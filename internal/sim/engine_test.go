@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -8,9 +10,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	e.MustSchedule(3*time.Millisecond, func() { got = append(got, 3) })
-	e.MustSchedule(1*time.Millisecond, func() { got = append(got, 1) })
-	e.MustSchedule(2*time.Millisecond, func() { got = append(got, 2) })
+	e.Schedule(3*time.Millisecond, func() { got = append(got, 3) })
+	e.Schedule(1*time.Millisecond, func() { got = append(got, 1) })
+	e.Schedule(2*time.Millisecond, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +30,7 @@ func TestSameInstantFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.MustSchedule(time.Millisecond, func() { got = append(got, i) })
+		e.Schedule(time.Millisecond, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := range got {
@@ -45,10 +47,10 @@ func TestNestedScheduling(t *testing.T) {
 	tick = func() {
 		ticks++
 		if ticks < 5 {
-			e.MustSchedule(time.Second, tick)
+			e.Schedule(time.Second, tick)
 		}
 	}
-	e.MustSchedule(time.Second, tick)
+	e.Schedule(time.Second, tick)
 	e.Run()
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
@@ -58,28 +60,71 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
+// TestPastEventRejected checks that all three scheduling calls panic
+// with ErrPastEvent on a time before now: a negative delay, or a delay
+// that overflows the clock.
 func TestPastEventRejected(t *testing.T) {
 	e := NewEngine(1)
-	if _, err := e.Schedule(-time.Nanosecond, func() {}); err == nil {
-		t.Fatal("negative delay accepted")
-	}
-	e.MustSchedule(time.Second, func() {})
+	e.Schedule(time.Second, func() {})
 	e.Run()
-	if _, err := e.At(time.Millisecond, func() {}); err == nil {
-		t.Fatal("event in the past accepted")
+	for _, d := range []Time{-time.Nanosecond, -time.Second, math.MaxInt64} {
+		for name, schedule := range map[string]func(){
+			"Schedule": func() { e.Schedule(d, func() {}) },
+			"After":    func() { e.After(d, func() {}) },
+			"AfterArg": func() { e.AfterArg(d, func(any) {}, nil) },
+		} {
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					if !errors.Is(err, ErrPastEvent) {
+						t.Fatalf("%s(%v): recovered %v, want ErrPastEvent", name, d, err)
+					}
+				}()
+				schedule()
+			}()
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("rejected events left %d pending", e.Pending())
+	}
+}
+
+// TestEndOfClock fires events scheduled at the last representable
+// instant through Run: the wheel spans the whole Time range, so the top
+// level must file, cascade and order them like any other.
+func TestEndOfClock(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	end := Time(math.MaxInt64)
+	// The near event goes first: it pins the cursor, so the later two
+	// are filed into the top level rather than straight into cur.
+	e.Schedule(time.Millisecond, func() { got = append(got, 1) })
+	e.After(end, func() {
+		got = append(got, 3)
+		e.After(0, func() { got = append(got, 4) }) // now + 0 is still on the clock
+	})
+	e.Schedule(end-1, func() { got = append(got, 2) })
+	if fired := e.Run(); fired != 4 {
+		t.Fatalf("Run fired %d events, want 4", fired)
+	}
+	if len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
+		t.Fatalf("order = %v, want [1 2 3 4]", got)
+	}
+	if e.Now() != end {
+		t.Fatalf("Now = %v, want %v", e.Now(), end)
 	}
 }
 
 func TestCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.MustSchedule(time.Second, func() { fired = true })
+	ev := e.Schedule(time.Second, func() { fired = true })
 	e.Cancel(ev)
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Stopped() {
+	if !ev.stopped {
 		t.Fatal("event not marked stopped")
 	}
 	// Double cancel and nil cancel are safe.
@@ -92,7 +137,7 @@ func TestRunUntil(t *testing.T) {
 	var got []int
 	for i := 1; i <= 4; i++ {
 		i := i
-		e.MustSchedule(time.Duration(i)*time.Second, func() { got = append(got, i) })
+		e.Schedule(time.Duration(i)*time.Second, func() { got = append(got, i) })
 	}
 	n := e.RunUntil(2500 * time.Millisecond)
 	if n != 2 || len(got) != 2 {
@@ -111,7 +156,7 @@ func TestStop(t *testing.T) {
 	e := NewEngine(1)
 	var count int
 	for i := 0; i < 10; i++ {
-		e.MustSchedule(time.Duration(i)*time.Millisecond, func() {
+		e.Schedule(time.Duration(i)*time.Millisecond, func() {
 			count++
 			if count == 3 {
 				e.Stop()
@@ -130,8 +175,8 @@ func TestStop(t *testing.T) {
 func TestStep(t *testing.T) {
 	e := NewEngine(1)
 	var count int
-	e.MustSchedule(time.Millisecond, func() { count++ })
-	e.MustSchedule(2*time.Millisecond, func() { count++ })
+	e.Schedule(time.Millisecond, func() { count++ })
+	e.Schedule(2*time.Millisecond, func() { count++ })
 	if !e.Step() || count != 1 {
 		t.Fatalf("first step: count=%d", count)
 	}
@@ -146,7 +191,7 @@ func TestStep(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 5; i++ {
-		e.MustSchedule(time.Duration(i)*time.Millisecond, func() {})
+		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
 	e.Run()
 	if e.Fired() != 5 {

@@ -11,7 +11,7 @@ func TestAfterOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
 	e.After(2*time.Millisecond, func() { got = append(got, 2) })
-	e.MustSchedule(time.Millisecond, func() { got = append(got, 1) })
+	e.Schedule(time.Millisecond, func() { got = append(got, 1) })
 	e.After(time.Millisecond, func() { got = append(got, 11) }) // same instant, later seq
 	e.After(3*time.Millisecond, func() { got = append(got, 3) })
 	e.Run()
@@ -58,7 +58,7 @@ func TestAfterRecycling(t *testing.T) {
 func TestHandleEventsNeverRecycled(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	ev := e.MustSchedule(time.Millisecond, func() { fired++ })
+	ev := e.Schedule(time.Millisecond, func() { fired++ })
 	e.Run()
 	// Refill the queue; if ev's struct had been recycled this After
 	// could be sitting in the same struct the stale Cancel targets.
@@ -70,7 +70,7 @@ func TestHandleEventsNeverRecycled(t *testing.T) {
 	}
 }
 
-// TestAfterPanicsOnBadArgs pins the MustSchedule-compatible contract.
+// TestAfterPanicsOnBadArgs pins the contract all three scheduling calls share.
 func TestAfterPanicsOnBadArgs(t *testing.T) {
 	e := NewEngine(1)
 	expectPanic := func(name string, fn func()) {
@@ -83,6 +83,8 @@ func TestAfterPanicsOnBadArgs(t *testing.T) {
 	}
 	expectPanic("negative delay", func() { e.After(-time.Nanosecond, func() {}) })
 	expectPanic("nil callback", func() { e.After(time.Second, nil) })
+	expectPanic("nil Schedule callback", func() { e.Schedule(time.Second, nil) })
+	expectPanic("nil AfterArg callback", func() { e.AfterArg(time.Second, nil, nil) })
 }
 
 // TestMixedCancelDeterminism replays a workload mixing pooled events,
@@ -96,7 +98,7 @@ func TestMixedCancelDeterminism(t *testing.T) {
 			i := i
 			d := Time(e.Rand().Intn(50)) * time.Millisecond
 			if i%3 == 0 {
-				ev := e.MustSchedule(d, func() { got = append(got, i) })
+				ev := e.Schedule(d, func() { got = append(got, i) })
 				if i%6 == 0 {
 					e.Cancel(ev)
 				}

@@ -134,7 +134,7 @@ func TestRunUntilMonotonicProperty(t *testing.T) {
 			var order []int
 			for i, d := range delays {
 				i := i
-				eng.MustSchedule(Time(d)*time.Millisecond, func() { order = append(order, i) })
+				eng.Schedule(Time(d)*time.Millisecond, func() { order = append(order, i) })
 			}
 			if two {
 				eng.RunUntil(Time(splitAt) * time.Millisecond)

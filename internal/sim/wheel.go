@@ -11,9 +11,10 @@ import "math/bits"
 // Layout. Virtual time is bucketed into 2^tickBits-nanosecond ticks.
 // Level 0 holds one slot per tick across a 64-tick window anchored at
 // the cursor; each higher level widens the window 64× (a level-L slot
-// spans 64^L ticks). Six levels cover 2^46 ns ≈ 19.5 hours of lookahead;
-// anything further out waits in a small (when, seq) min-heap and is
-// drained into the wheel as the cursor approaches. A uint64 occupancy
+// spans 64^L ticks). Times are non-negative int64 nanoseconds, so a
+// tick fits in 63-tickBits = 47 bits, and eight 6-bit levels
+// (tickBits + 8·6 = 64 bits) cover every representable Time: there is
+// no horizon and nothing waits outside the wheel. A uint64 occupancy
 // bitmap per level makes "earliest non-empty slot" one TrailingZeros64.
 //
 // Slot residency is the classic radix trick: an event's level is the
@@ -36,9 +37,9 @@ import "math/bits"
 //
 // Cancellation is lazy: Cancel marks the event stopped and fixes the
 // pending count; the tombstone is discarded whenever the structure next
-// touches it (cur scan, cascade, overflow drain). Only handle events
-// can be cancelled and those are never recycled, so a tombstone cannot
-// alias a reused struct.
+// touches it (cur scan or cascade). Only handle events can be cancelled
+// and those are never recycled, so a tombstone cannot alias a reused
+// struct.
 const (
 	// tickBits trades cascade hops against cur length: cur absorbs and
 	// sorts everything inside one tick (65.5 µs), so sub-tick ordering
@@ -50,7 +51,7 @@ const (
 	wheelBits   = 6  // 64 slots per level, one occupancy bit each
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 6 // horizon 2^(tickBits+6*wheelBits) ns ≈ 52 days before the overflow heap
+	wheelLevels = 8 // tickBits + wheelLevels*wheelBits = 64: the whole Time range
 )
 
 func tickOf(t Time) int64 { return int64(t) >> tickBits }
@@ -65,25 +66,22 @@ func evLess(a, b *Event) bool {
 type timerWheel struct {
 	// slots holds intrusive LIFO lists chained through Event.next — a
 	// slot insert is two pointer writes, and the whole level array is
-	// 3 KB of contiguous heads. List order is irrelevant: membership is
+	// 4 KiB of contiguous heads. List order is irrelevant: membership is
 	// deterministic, and (when, seq) order is established by cur's
 	// sorted insert when events reach the cursor.
 	slots [wheelLevels][wheelSlots]*Event
 	occ   [wheelLevels]uint64 // per-level bitmap of non-empty slots
 	// curTick anchors the wheel: every slotted event's tick is strictly
-	// greater, every overflow event's tick is beyond the wheel horizon,
-	// and everything at or below it sits sorted in cur.
+	// greater, and everything at or below it sits sorted in cur.
 	curTick int64
 	cur     []*Event
 	curIdx  int
-	over    []*Event // (when, seq) min-heap for beyond-horizon events
-	// count tracks resident events (live + tombstones) across cur, the
-	// slots, and the overflow heap; it gates the empty-wheel fast path.
+	// count tracks resident events (live + tombstones) across cur and
+	// the slots; it gates the empty-wheel fast path.
 	count int
 }
 
-// insert files ev into cur, a slot, or the overflow heap, relative to
-// the current cursor.
+// insert files ev into cur or a slot, relative to the current cursor.
 func (w *timerWheel) insert(ev *Event) {
 	w.count++
 	tick := tickOf(ev.when)
@@ -102,12 +100,8 @@ func (w *timerWheel) insert(ev *Event) {
 		w.insertCur(ev)
 		return
 	}
-	diff := uint64(tick ^ w.curTick)
-	lvl := (bits.Len64(diff) - 1) / wheelBits
-	if lvl >= wheelLevels {
-		w.overPush(ev)
-		return
-	}
+	// Both ticks are below 2^47, so the level is at most 7.
+	lvl := (bits.Len64(uint64(tick^w.curTick)) - 1) / wheelBits
 	slot := int(tick>>(uint(lvl)*wheelBits)) & wheelMask
 	ev.next = w.slots[lvl][slot]
 	w.slots[lvl][slot] = ev
@@ -133,8 +127,8 @@ func (w *timerWheel) insertCur(ev *Event) {
 }
 
 // ensureCur makes cur's head the earliest live pending event, advancing
-// the cursor (draining overflow, cascading slots) as needed. It reports
-// false when nothing is pending.
+// the cursor (cascading slots) as needed. It reports false when nothing
+// is pending.
 func (w *timerWheel) ensureCur() bool {
 	for {
 		// Fast path: a live imminent event is already at the head.
@@ -150,24 +144,6 @@ func (w *timerWheel) ensureCur() bool {
 		}
 		w.cur = w.cur[:0]
 		w.curIdx = 0
-		// Pull overflow events that now fit the wheel horizon (or went
-		// stale under a cancel) before scanning the slots.
-		for len(w.over) > 0 {
-			top := w.over[0]
-			if top.stopped {
-				w.overPop().queued = false
-				w.count--
-				continue
-			}
-			if uint64(tickOf(top.when)^w.curTick)>>(wheelLevels*wheelBits) != 0 {
-				break
-			}
-			w.count--
-			w.insert(w.overPop())
-		}
-		if len(w.cur) > 0 {
-			continue // the drain fed cur directly
-		}
 		lvl := -1
 		for l := 0; l < wheelLevels; l++ {
 			if w.occ[l] != 0 {
@@ -176,13 +152,7 @@ func (w *timerWheel) ensureCur() bool {
 			}
 		}
 		if lvl < 0 {
-			if len(w.over) == 0 {
-				return false
-			}
-			// Far-future events only: jump the cursor to the next one and
-			// let the drain above pull it in.
-			w.curTick = tickOf(w.over[0].when)
-			continue
+			return false
 		}
 		slot := bits.TrailingZeros64(w.occ[lvl])
 		head := w.slots[lvl][slot]
@@ -249,44 +219,5 @@ func (w *timerWheel) pop() *Event {
 	}
 	ev.queued = false
 	w.count--
-	return ev
-}
-
-func (w *timerWheel) overPush(ev *Event) {
-	w.over = append(w.over, ev)
-	i := len(w.over) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(w.over[i], w.over[p]) {
-			break
-		}
-		w.over[i], w.over[p] = w.over[p], w.over[i]
-		i = p
-	}
-}
-
-func (w *timerWheel) overPop() *Event {
-	h := w.over
-	ev := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	w.over = h[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		least := left
-		if right := left + 1; right < n && evLess(h[right], h[left]) {
-			least = right
-		}
-		if !evLess(h[least], h[i]) {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
 	return ev
 }

@@ -1,59 +1,26 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// refQueue is the oracle: a deliberately naive pending set whose pop is
-// a linear scan for the (when, seq) minimum. Correctness is obvious by
-// inspection, which is the point — the timer wheel must reproduce its
-// pop sequence exactly, ties, cancellations and all.
-type refQueue struct {
-	evs []*Event
-}
-
-func (r *refQueue) add(ev *Event) { r.evs = append(r.evs, ev) }
-
-// pop removes and returns the earliest live event, discarding stopped
-// ones along the way; nil when nothing live is pending.
-func (r *refQueue) pop() *Event {
-	best := -1
-	for i := 0; i < len(r.evs); i++ {
-		ev := r.evs[i]
-		if ev.stopped {
-			r.evs[i] = r.evs[len(r.evs)-1]
-			r.evs = r.evs[:len(r.evs)-1]
-			i--
-			continue
-		}
-		if best < 0 || evLess(ev, r.evs[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	ev := r.evs[best]
-	r.evs[best] = r.evs[len(r.evs)-1]
-	r.evs = r.evs[:len(r.evs)-1]
-	return ev
-}
-
-// runWheelOracle drives the wheel and the reference queue through the
-// same randomized schedule/peek/cancel/pop sequence and asserts the
-// wheel pops the identical events in the identical order.
+// runWheelOracle drives the wheel and RefQueue through the same
+// randomized schedule/peek/cancel/pop sequence and asserts the wheel
+// pops the identical (when, seq) keys in the identical order, ties,
+// cancellations and all.
 func runWheelOracle(t *testing.T, seed int64, ops int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var w timerWheel
-	var ref refQueue
-	var seq uint64
+	var ref RefQueue
+	evs := []*Event{nil} // by seq; seqs start at 1
 	var now Time
 	var live []*Event // cancellable candidates still thought queued
 	schedule := func() {
 		var delta int64
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0:
 			delta = 0 // same-instant tie, ordered by seq alone
 		case 1:
@@ -63,32 +30,52 @@ func runWheelOracle(t *testing.T, seed int64, ops int) {
 		case 3:
 			delta = rng.Int63n(1 << 40) // mid levels
 		case 4:
-			delta = rng.Int63n(1 << 55) // beyond horizon: overflow heap
+			delta = rng.Int63n(1 << 55) // high levels
+		case 5: // the top level: anywhere up to the end of the clock
+			delta = math.MaxInt64 - int64(now)
+			if delta > 0 && rng.Intn(2) == 0 {
+				delta = rng.Int63n(delta)
+			}
 		}
-		seq++
-		ev := &Event{when: now + Time(delta), seq: seq, queued: true}
+		if delta > math.MaxInt64-int64(now) { // once now nears the end of the clock
+			delta = math.MaxInt64 - int64(now)
+		}
+		ev := &Event{when: now + Time(delta), seq: uint64(len(evs)), queued: true}
+		evs = append(evs, ev)
 		w.insert(ev)
-		ref.add(ev)
+		ref.Push(ev.when, ev.seq)
 		live = append(live, ev)
 	}
-	pop := func() {
-		want := ref.pop()
+	// refPop skips cancelled keys, the same lazy cancellation the wheel
+	// and Engine.Cancel use; nil when nothing live is pending.
+	refPop := func() *Event {
+		for ref.Len() > 0 {
+			_, seq := ref.Pop()
+			if ev := evs[seq]; !ev.stopped {
+				return ev
+			}
+		}
+		return nil
+	}
+	pop := func(what string) bool {
+		want := refPop()
 		got := w.head()
 		if (want == nil) != (got == nil) {
-			t.Fatalf("seed %d: wheel head = %v, reference = %v (now=%v)", seed, got, want, now)
+			t.Fatalf("seed %d: %s: wheel head = %v, reference = %v (now=%v)", seed, what, got, want, now)
 		}
 		if got == nil {
-			return
+			return false
 		}
 		w.pop()
 		if got != want {
-			t.Fatalf("seed %d: wheel popped (when=%v seq=%d), reference (when=%v seq=%d)",
-				seed, got.when, got.seq, want.when, want.seq)
+			t.Fatalf("seed %d: %s: wheel popped (when=%v seq=%d), reference (when=%v seq=%d)",
+				seed, what, got.when, got.seq, want.when, want.seq)
 		}
 		if got.when < now {
-			t.Fatalf("seed %d: pop went backwards: %v < %v", seed, got.when, now)
+			t.Fatalf("seed %d: %s went backwards: %v < %v", seed, what, got.when, now)
 		}
 		now = got.when
+		return true
 	}
 	for i := 0; i < ops; i++ {
 		switch r := rng.Intn(10); {
@@ -108,28 +95,14 @@ func runWheelOracle(t *testing.T, seed int64, ops int) {
 		case r < 7: // peek only: advances the cursor without removing
 			w.head()
 		default:
-			pop()
+			pop("pop")
 		}
 	}
-	for { // drain; the final nil-vs-nil comparison closes the ledger
-		want := ref.pop()
-		got := w.head()
-		if (want == nil) != (got == nil) {
-			t.Fatalf("seed %d: drain mismatch: wheel=%v reference=%v", seed, got, want)
-		}
-		if got == nil {
-			return
-		}
-		w.pop()
-		if got != want {
-			t.Fatalf("seed %d: drain popped (when=%v seq=%d), reference (when=%v seq=%d)",
-				seed, got.when, got.seq, want.when, want.seq)
-		}
-		now = got.when
+	for pop("drain") { // the final nil-vs-nil comparison closes the ledger
 	}
 }
 
-// TestWheelOracle is the satellite differential harness: many seeds,
+// TestWheelOracle is the differential harness: many seeds,
 // each a few thousand mixed operations.
 func TestWheelOracle(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
@@ -155,11 +128,7 @@ func TestCancelNotPending(t *testing.T) {
 	e := NewEngine(1)
 	var evs []*Event
 	for i := 0; i < 5; i++ {
-		ev, err := e.Schedule(Time(i+1)*1000, func() {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs = append(evs, ev)
+		evs = append(evs, e.Schedule(Time(i+1)*1000, func() {}))
 	}
 	if got := e.Pending(); got != 5 {
 		t.Fatalf("Pending() = %d before cancel, want 5", got)
@@ -185,12 +154,11 @@ func TestCancelNotPending(t *testing.T) {
 	}
 }
 
-// TestFreeListAdaptiveCap exercises the free-list sizing option: by
-// default the list grows to the pending high-water mark, and an
-// explicit SetFreeListCap bounds it.
+// TestFreeListAdaptiveCap checks the free list's bound: it grows to the
+// pending high-water mark, so a burst keeps its event structs.
 func TestFreeListAdaptiveCap(t *testing.T) {
 	e := NewEngine(1)
-	const burst = 3 * defaultFreeListCap
+	const burst = 3 * minFreeList
 	for i := 0; i < burst; i++ {
 		e.After(Time(i), func() {})
 	}
@@ -200,24 +168,5 @@ func TestFreeListAdaptiveCap(t *testing.T) {
 	e.Run()
 	if len(e.free) != burst {
 		t.Fatalf("adaptive free list kept %d structs, want the high-water %d", len(e.free), burst)
-	}
-	e.SetFreeListCap(10)
-	if len(e.free) != 10 {
-		t.Fatalf("free list = %d after SetFreeListCap(10), want 10", len(e.free))
-	}
-	for i := 0; i < 50; i++ {
-		e.After(Time(i), func() {})
-	}
-	e.Run()
-	if len(e.free) != 10 {
-		t.Fatalf("free list = %d after capped run, want 10", len(e.free))
-	}
-	e.SetFreeListCap(-1) // ignored
-	if e.freeCap != 10 {
-		t.Fatalf("freeCap = %d after negative set, want 10", e.freeCap)
-	}
-	e.SetFreeListCap(0) // back to adaptive
-	if e.freeCap != 0 {
-		t.Fatalf("freeCap = %d after reset, want 0 (adaptive)", e.freeCap)
 	}
 }

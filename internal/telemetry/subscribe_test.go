@@ -187,7 +187,7 @@ func TestSpanStampsEnclosedEvents(t *testing.T) {
 		t.Fatal("BeginSpan returned 0 while recording")
 	}
 	rec.Emit(1, LayerMAC, "inside")
-	eng.MustSchedule(time.Second, func() { rec.Emit(2, LayerMedium, "inside-later") })
+	eng.Schedule(time.Second, func() { rec.Emit(2, LayerMedium, "inside-later") })
 	eng.Run()
 	rec.EndSpan(id, String("verdict", "ok"))
 	rec.Emit(1, LayerMAC, "outside-after")

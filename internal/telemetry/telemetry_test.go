@@ -19,7 +19,7 @@ func testRecorder() (*sim.Engine, *Recorder) {
 func TestSequenceAndClockStamping(t *testing.T) {
 	eng, rec := testRecorder()
 	rec.Emit(1, LayerMAC, "first")
-	eng.MustSchedule(time.Second, func() {
+	eng.Schedule(time.Second, func() {
 		rec.EmitSpan(2, LayerMedium, "second", 3*time.Millisecond, Int("x", 7))
 	})
 	eng.Run()
@@ -129,7 +129,7 @@ func TestFilterMatching(t *testing.T) {
 
 func TestWriteJSONLRoundTrips(t *testing.T) {
 	eng, rec := testRecorder()
-	eng.MustSchedule(time.Millisecond, func() {
+	eng.Schedule(time.Millisecond, func() {
 		rec.EmitSpan(2, LayerMedium, "tx", 500*time.Microsecond, Int("ch", 17), String("note", `q"uote`))
 		rec.Emit(3, LayerMAC, "bare")
 	})
@@ -169,7 +169,7 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 
 func TestWriteChromeTraceParses(t *testing.T) {
 	eng, rec := testRecorder()
-	eng.MustSchedule(time.Millisecond, func() {
+	eng.Schedule(time.Millisecond, func() {
 		rec.EmitSpan(1, LayerMedium, "tx", time.Millisecond)
 		rec.Emit(2, LayerMAC, "cca-busy")
 	})

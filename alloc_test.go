@@ -2,7 +2,7 @@ package liteview
 
 // AllocsPerRun guards for the zero-alloc frame path: once pools and
 // caches are warm, a full one-hop delivery — stack encode, MAC
-// enqueue/CSMA, medium assessment + delivery, MAC decode + dedup,
+// enqueue/CSMA, medium delivery, MAC decode + dedup,
 // stack dispatch, and (for unicast) the auto-ack exchange — must not
 // touch the allocator. These are tests, not benchmarks, so `go test`
 // alone catches an allocation regression without -bench flags.
@@ -12,6 +12,7 @@ import (
 
 	"liteview/internal/mac"
 	"liteview/internal/medium"
+	"liteview/internal/neighbor"
 	"liteview/internal/phys"
 	"liteview/internal/radio"
 	"liteview/internal/sim"
@@ -37,8 +38,7 @@ const sinrCorruptDist = 90
 // 2) whose port-10 handler counts payload bytes. With corrupted set,
 // node 2's MAC injects bit errors into every frame (the rxFault path)
 // and node 3 listens sinrCorruptDist away, so every reception takes the
-// corrupted path: a bit flip in the MAC's scratch buffer and a CRC
-// check that genuinely fails.
+// corrupted path and counts as a CRC failure.
 func buildFramePath(tb testing.TB, corrupted bool) *framePath {
 	tb.Helper()
 	p := &framePath{eng: sim.NewEngine(7),
@@ -123,10 +123,41 @@ func TestSteadyStateDeliveryZeroAllocUnicastAcked(t *testing.T) {
 }
 
 // TestSteadyStateDeliveryZeroAllocCorrupted pins the corrupted receive
-// path, both the SINR-corrupted and the rxFault kind: the bit flip that
-// makes the CRC fail happens in a reused buffer, not a fresh copy.
+// path, both the SINR-corrupted and the rxFault kind: a corrupted
+// reception is counted as a CRC failure without copying the frame.
 func TestSteadyStateDeliveryZeroAllocCorrupted(t *testing.T) {
 	checkZeroAllocDelivery(t, phys.Broadcast, true)
+}
+
+// TestBeaconReceptionZeroAlloc pins the neighbor service's receive
+// path: a steady stream of beacons advertising an unchanged name is
+// folded into the table without allocating (the name is copied only
+// when it changes).
+func TestBeaconReceptionZeroAlloc(t *testing.T) {
+	p := buildFramePath(t, false)
+	table := neighbor.NewTable(8)
+	if _, err := neighbor.NewService(p.eng, p.rxs[0], table, "192.168.0.2"); err != nil {
+		t.Fatal(err)
+	}
+	const name = "192.168.0.1"
+	beacon := &stack.Packet{Port: neighbor.BeaconPort, Origin: 1, Dst: phys.Broadcast, TTL: 1,
+		Data: append([]byte{0, 0}, name...)}
+	send := func() {
+		beacon.Data[1]++ // next sequence number
+		if err := p.tx.Send(beacon, phys.Broadcast, mac.TypeBeacon, nil); err != nil {
+			t.Fatal(err)
+		}
+		p.eng.Run()
+	}
+	for i := 0; i < 16; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("steady-state beacon reception allocates %.1f allocs/op, want 0", allocs)
+	}
+	if e, ok := table.Get(1); !ok || e.Name != name || e.PRR < 0.99 {
+		t.Fatalf("node 1 in node 2's table: %+v (found %v), want name %q and PRR 1", e, ok, name)
+	}
 }
 
 // TestEnginePooledScheduleZeroAlloc pins the handle-free After/AfterArg

@@ -280,8 +280,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 
 // BenchmarkFramePath measures the full one-hop TX→medium→RX→dispatch
 // path between two real nodes 5 m apart: stack encode, MAC enqueue +
-// CSMA, medium assessment and delivery, MAC decode + dedup, and stack
-// port dispatch. The broadcast variant is ack-free; the unicast variant
+// CSMA, medium delivery, MAC decode + dedup, and stack port dispatch.
+// The broadcast variant is ack-free; the unicast variant
 // adds the auto-ack exchange (receiver ack TX, sender ack-wait); the
 // corrupted variant broadcasts to one receiver whose MAC injects bit
 // errors and one the SINR draw corrupts, so every reception fails its
@@ -327,43 +327,61 @@ func BenchmarkLQI(b *testing.B) {
 type silentNode struct {
 	id  phys.NodeID
 	pos phys.Position
+	rad *radio.Radio
 }
 
 func (s *silentNode) NodeID() phys.NodeID               { return s.id }
 func (s *silentNode) Position() phys.Position           { return s.pos }
-func (s *silentNode) RadioState() radio.State           { return radio.RX }
-func (s *silentNode) Channel() int                      { return 17 }
-func (s *silentNode) PowerLevel() int                   { return radio.MaxPowerLevel }
+func (s *silentNode) Radio() *radio.Radio               { return s.rad }
 func (s *silentNode) OnFrame(_ []byte, _ medium.RxInfo) {}
 
-// BenchmarkMediumDeliver measures one broadcast fan-out on a dense
-// grid (15 m spacing): transmit from the grid center, deliver to every
-// candidate. The indexed variants run the default single-cell medium
-// (candidate sets, dense link table, shared frame); the sharded
-// variants run the spatially partitioned medium (per-cell ledgers and
-// tables, ring-bounded reach) at 400 and 10,000 nodes. The interfered
-// variant puts four overlapping transmitters on the air at once, so
-// every delivery runs the SINR interference scan.
+// BenchmarkMediumDeliver measures one broadcast fan-out on a grid:
+// transmit from the grid center, deliver to every candidate. The
+// indexed variants run the default single-cell medium (candidate sets,
+// dense link table, shared frame) on a dense grid (15 m spacing); the
+// sharded variants run the spatially partitioned medium (per-cell
+// ledgers and tables, ring-bounded reach) at 400 and 10,000 nodes. The
+// interfered variant puts four overlapping transmitters on the air at
+// once, so every delivery runs the SINR interference scan. The lpl-30
+// variant is the paper's 30-mote testbed (5×6 at 8 m) with every other
+// listener's radio off, as an LPL duty cycle leaves most neighbors of a
+// beacon train: the radio-off path.
 func BenchmarkMediumDeliver(b *testing.B) {
-	run := func(b *testing.B, side int, sharded bool, transmitters int) {
+	type layout struct {
+		cols, rows   int
+		spacing      float64
+		sharded      bool
+		transmitters int
+		dozing       bool // every other listener's radio off
+	}
+	run := func(b *testing.B, l layout) {
 		eng := sim.NewEngine(42)
 		model := phys.DefaultModel(42)
 		m := medium.New(eng, model)
-		if sharded {
+		if l.sharded {
 			m.SetSharding(medium.Sharding{})
 		}
 		// The grid center transmits; extra transmitters sit two and four
 		// columns to its left and right, all within interference range.
-		center := (side/2)*side + side/2
-		offsets := []int{0, 2, -2, 4}[:transmitters]
+		center := (l.rows/2)*l.cols + l.cols/2
+		offsets := []int{0, 2, -2, 4}[:l.transmitters]
 		txs := make([]medium.Receiver, len(offsets))
-		for i := 0; i < side*side; i++ {
-			n := &silentNode{id: phys.NodeID(i + 1),
-				pos: phys.Position{X: float64(i%side) * 15, Y: float64(i/side) * 15}}
+		for i := 0; i < l.cols*l.rows; i++ {
+			rad, err := radio.New(17)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := &silentNode{id: phys.NodeID(i + 1), rad: rad,
+				pos: phys.Position{X: float64(i%l.cols) * l.spacing, Y: float64(i/l.cols) * l.spacing}}
+			listener := true
 			for k, off := range offsets {
 				if i == center+off {
 					txs[k] = n
+					listener = false
 				}
+			}
+			if l.dozing && listener && i%2 == 1 {
+				rad.SetState(radio.Off)
 			}
 			if err := m.Attach(n); err != nil {
 				b.Fatal(err)
@@ -386,9 +404,10 @@ func BenchmarkMediumDeliver(b *testing.B) {
 			burst()
 		}
 	}
-	b.Run("indexed-400", func(b *testing.B) { run(b, 20, false, 1) })
-	b.Run("interfered-400", func(b *testing.B) { run(b, 20, false, 4) })
-	b.Run("sharded-400", func(b *testing.B) { run(b, 20, true, 1) })
-	b.Run("indexed-10k", func(b *testing.B) { run(b, 100, false, 1) })
-	b.Run("sharded-10k", func(b *testing.B) { run(b, 100, true, 1) })
+	b.Run("indexed-400", func(b *testing.B) { run(b, layout{cols: 20, rows: 20, spacing: 15, transmitters: 1}) })
+	b.Run("interfered-400", func(b *testing.B) { run(b, layout{cols: 20, rows: 20, spacing: 15, transmitters: 4}) })
+	b.Run("sharded-400", func(b *testing.B) { run(b, layout{cols: 20, rows: 20, spacing: 15, sharded: true, transmitters: 1}) })
+	b.Run("indexed-10k", func(b *testing.B) { run(b, layout{cols: 100, rows: 100, spacing: 15, transmitters: 1}) })
+	b.Run("sharded-10k", func(b *testing.B) { run(b, layout{cols: 100, rows: 100, spacing: 15, sharded: true, transmitters: 1}) })
+	b.Run("lpl-30", func(b *testing.B) { run(b, layout{cols: 5, rows: 6, spacing: 8, transmitters: 1, dozing: true}) })
 }

@@ -11,7 +11,8 @@
 //
 // The injector hooks three layers: the medium (per-delivery drop /
 // extra loss / forced corruption), each node's MAC receive path (burst
-// corruption), and the LiteOS node lifecycle (Crash/Reboot).
+// corruption), and the LiteOS node lifecycle (Crash/Reboot). The medium
+// and MAC hooks are installed only while a fault is active.
 package fault
 
 import (
@@ -195,6 +196,11 @@ type Injector struct {
 	nextID int
 	// faults is kept in scheduling order for deterministic evaluation.
 	faults []*scheduled
+	// active counts the faults in force. The medium and MAC hooks are
+	// installed only while it is non-zero: with nothing active, effect
+	// and rxCorrupt return the zero answer without drawing randomness,
+	// so leaving them out is exact and spares every delivery the call.
+	active int
 	// tel, when set, receives fault activation/clear telemetry events.
 	tel *telemetry.Recorder
 }
@@ -216,9 +222,9 @@ func (in *Injector) emitTransition(s *scheduled, kind string) {
 // seedSalt decorrelates the injector's stream from the engine's.
 const seedSalt = 0x6661756c74 // "fault"
 
-// New builds an injector over the given nodes and installs its hooks on
-// the medium and every node's MAC. seed should be the testbed seed; the
-// injector derives its own independent stream from it.
+// New builds an injector over the given nodes; it hooks the medium and
+// every node's MAC while a fault is active. seed should be the testbed
+// seed; the injector derives its own independent stream from it.
 func New(eng *sim.Engine, med *medium.Medium, nodes []*liteos.Node, seed uint64) *Injector {
 	in := &Injector{
 		eng:   eng,
@@ -229,12 +235,23 @@ func New(eng *sim.Engine, med *medium.Medium, nodes []*liteos.Node, seed uint64)
 	for _, n := range nodes {
 		in.nodes[n.ID()] = n
 	}
-	med.SetFaultHook(in.effect)
-	for _, n := range nodes {
-		to := n.ID()
+	return in
+}
+
+// hook installs the per-delivery hooks on the medium and every node's
+// MAC (on), or removes them.
+func (in *Injector) hook(on bool) {
+	if !on {
+		in.med.SetFaultHook(nil)
+		for _, n := range in.nodes {
+			n.MAC().SetRxFault(nil)
+		}
+		return
+	}
+	in.med.SetFaultHook(in.effect)
+	for to, n := range in.nodes {
 		n.MAC().SetRxFault(func(phys.NodeID) bool { return in.rxCorrupt(to) })
 	}
-	return in
 }
 
 // Now returns the current virtual time — the base for relative At math
@@ -337,6 +354,10 @@ func (in *Injector) activate(s *scheduled) {
 		return
 	}
 	s.state = Active
+	in.active++
+	if in.active == 1 {
+		in.hook(true)
+	}
 	in.emitTransition(s, "fault-active")
 	if s.f.Kind == NodeCrash {
 		if n, ok := in.nodes[s.f.Node]; ok {
@@ -351,6 +372,10 @@ func (in *Injector) deactivate(s *scheduled) {
 		return
 	}
 	s.state = Done
+	in.active--
+	if in.active == 0 {
+		in.hook(false)
+	}
 	in.emitTransition(s, "fault-clear")
 	if s.f.Kind == NodeCrash {
 		if n, ok := in.nodes[s.f.Node]; ok {

@@ -41,16 +41,16 @@ func TestScheduleValidation(t *testing.T) {
 	tb, _ := deployFault(t, 3, 18, 1)
 	inj := tb.FaultInjector()
 	cases := []fault.Fault{
-		{At: inj.Now(), Kind: fault.NodeCrash, Node: 99},                     // unknown node
-		{At: inj.Now(), Kind: fault.LinkBlackout, A: 1, B: 1},                // same endpoints
-		{At: inj.Now(), Kind: fault.LinkBlackout, A: 99, B: 1},               // unknown A
-		{At: inj.Now(), Kind: fault.LinkDegrade, A: 1, B: 2, ExtraLossDB: -1},// negative loss
-		{At: inj.Now(), Kind: fault.CorruptBurst, Node: 1, Prob: 1.5},        // bad probability
-		{At: inj.Now(), Kind: fault.Jam, Channel: 5},                         // channel out of band
-		{At: inj.Now(), Kind: fault.Partition},                               // empty group
-		{At: inj.Now(), Kind: fault.Partition, Group: []phys.NodeID{99}},     // unknown member
-		{At: inj.Now() - time.Second, Kind: fault.NodeCrash, Node: 1},        // in the past
-		{At: inj.Now(), Kind: fault.NodeCrash, Node: 1, Duration: -1},        // negative duration
+		{At: inj.Now(), Kind: fault.NodeCrash, Node: 99},                      // unknown node
+		{At: inj.Now(), Kind: fault.LinkBlackout, A: 1, B: 1},                 // same endpoints
+		{At: inj.Now(), Kind: fault.LinkBlackout, A: 99, B: 1},                // unknown A
+		{At: inj.Now(), Kind: fault.LinkDegrade, A: 1, B: 2, ExtraLossDB: -1}, // negative loss
+		{At: inj.Now(), Kind: fault.CorruptBurst, Node: 1, Prob: 1.5},         // bad probability
+		{At: inj.Now(), Kind: fault.Jam, Channel: 5},                          // channel out of band
+		{At: inj.Now(), Kind: fault.Partition},                                // empty group
+		{At: inj.Now(), Kind: fault.Partition, Group: []phys.NodeID{99}},      // unknown member
+		{At: inj.Now() - time.Second, Kind: fault.NodeCrash, Node: 1},         // in the past
+		{At: inj.Now(), Kind: fault.NodeCrash, Node: 1, Duration: -1},         // negative duration
 	}
 	for i, f := range cases {
 		if _, err := inj.Schedule(f); err == nil {
@@ -156,8 +156,8 @@ func TestSeedDeterminism(t *testing.T) {
 }
 
 // TestInjectorDoesNotPerturbFaultFreeRuns asserts that merely creating
-// the injector (hooks installed, no faults scheduled) leaves the packet
-// trace identical to a run without it.
+// the injector (no faults scheduled) leaves the packet trace identical
+// to a run without it.
 func TestInjectorDoesNotPerturbFaultFreeRuns(t *testing.T) {
 	run := func(withInjector bool) string {
 		tb, ws := deployFault(t, 4, 20, 23)
@@ -174,4 +174,54 @@ func TestInjectorDoesNotPerturbFaultFreeRuns(t *testing.T) {
 	if run(false) != run(true) {
 		t.Fatal("installing the injector changed a fault-free packet trace")
 	}
+}
+
+// TestHooksLiveOnlyWhileActive checks that the injector's medium and MAC
+// hooks are installed exactly while a fault is in force — absent while
+// faults are pending, present while any is active, removed once the
+// last clears — and that installed on demand they still act: a
+// blackout drops frames and a burst corrupts them.
+func TestHooksLiveOnlyWhileActive(t *testing.T) {
+	tb, ws := deployFault(t, 3, 18, 4)
+	inj := tb.FaultInjector()
+	hooks := func() (med bool, macs int) {
+		for _, n := range tb.Nodes {
+			if n.MAC().RxFaultHooked() {
+				macs++
+			}
+		}
+		return tb.Med.FaultHooked(), macs
+	}
+	want := func(phase string, med bool, macs int) {
+		t.Helper()
+		if gm, gn := hooks(); gm != med || gn != macs {
+			t.Fatalf("%s: medium hook %v, %d MAC hooks; want %v and %d", phase, gm, gn, med, macs)
+		}
+	}
+	want("no faults", false, 0)
+	at := inj.Now() + 100*time.Millisecond
+	if _, err := inj.Schedule(fault.Fault{At: at, Duration: time.Second,
+		Kind: fault.LinkBlackout, A: 1, B: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inj.Schedule(fault.Fault{At: at, Duration: 2 * time.Second,
+		Kind: fault.CorruptBurst, Node: 3, Prob: 1}); err != nil {
+		t.Fatal(err)
+	}
+	want("pending", false, 0)
+	tb.Run(200 * time.Millisecond)
+	want("active", true, len(tb.Nodes))
+	drops := tb.Med.Stats().InjectedDrops
+	crc := tb.Node(2).MAC().Stats().CRCFailures
+	ws.Ping(1, core.PingOptions{Dst: 2, Rounds: 2, Length: 32})
+	if tb.Med.Stats().InjectedDrops == drops {
+		t.Fatal("the blackout dropped no frame between nodes 1 and 2")
+	}
+	if tb.Node(2).MAC().Stats().CRCFailures == crc {
+		t.Fatal("the burst corrupted no frame at node 3")
+	}
+	tb.Run(time.Second) // the blackout has cleared, the burst has not
+	want("one active", true, len(tb.Nodes))
+	tb.Run(time.Second)
+	want("all cleared", false, 0)
 }

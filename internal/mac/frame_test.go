@@ -83,6 +83,33 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCorruptedFrameFailsFCS is the guarantee behind OnFrame counting a
+// corrupted reception as a CRC failure without checking it: at every
+// frame length the MAC can emit, flipping any single bit of the wire
+// image makes Decode fail the FCS check. The frame carries no length
+// field, so no flip can turn a corruption into a length error either.
+func TestCorruptedFrameFailsFCS(t *testing.T) {
+	payload := make([]byte, MaxPayload)
+	for i := range payload {
+		payload[i] = byte(i*151 + 7)
+	}
+	mut := make([]byte, 0, MaxFrameLen)
+	for n := 0; n <= MaxPayload; n++ {
+		f := Frame{Type: TypeData, Seq: byte(n), Dst: 0x1234, Src: 0x5678, Payload: payload[:n]}
+		raw, err := f.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bit := 0; bit < 8*len(raw); bit++ {
+			mut = append(mut[:0], raw...)
+			mut[bit/8] ^= 1 << (bit % 8)
+			if _, err := Decode(mut); !errors.Is(err, ErrBadCRC) {
+				t.Fatalf("%d-byte frame with bit %d flipped: err = %v, want ErrBadCRC", len(raw), bit, err)
+			}
+		}
+	}
+}
+
 func TestFrameTypeString(t *testing.T) {
 	if TypeData.String() != "data" || TypeBeacon.String() != "beacon" || TypeControl.String() != "control" {
 		t.Fatal("frame type strings wrong")

@@ -208,9 +208,6 @@ type MAC struct {
 	dup       [dupTableSize]dupEntry
 	dupLen    int
 	dupOldest int
-	// rxScratch is where a corrupted reception's bit flip happens: the
-	// medium's frame is shared by every receiver and must stay intact.
-	rxScratch []byte
 	// epoch invalidates in-flight transmit and ack completions across
 	// Reset: a callback scheduled before a crash must not touch the
 	// radio of the rebooted (or still-dead) node.
@@ -282,17 +279,8 @@ func (m *MAC) SetPosition(p phys.Position) {
 	m.med.NodeMoved(m.id)
 }
 
-// RadioState returns the transceiver state.
-func (m *MAC) RadioState() radio.State { return m.rad.State() }
-
-// Channel returns the tuned channel.
-func (m *MAC) Channel() int { return m.rad.Channel() }
-
-// PowerLevel returns the programmed PA level.
-func (m *MAC) PowerLevel() int { return m.rad.PowerLevel() }
-
-// Radio exposes the node's radio so management commands can reconfigure
-// power and channel.
+// Radio exposes the node's radio: the medium reads its channel, state
+// and power level, and management commands reconfigure it.
 func (m *MAC) Radio() *radio.Radio { return m.rad }
 
 // QueueLen returns the current transmit queue occupancy (the "Queue"
@@ -324,9 +312,12 @@ func (m *MAC) emitQueueDepth() {
 }
 
 // SetRxFault installs a receive-path fault hook: frames for which fn
-// returns true take bit errors before the CRC check, exactly as if the
-// air had corrupted them. Pass nil to remove.
+// returns true fail the CRC check, exactly as if the air had corrupted
+// them. Pass nil to remove.
 func (m *MAC) SetRxFault(fn func(from phys.NodeID) bool) { m.rxFault = fn }
+
+// RxFaultHooked reports whether a receive-path fault hook is installed.
+func (m *MAC) RxFaultHooked() bool { return m.rxFault != nil }
 
 // Reset force-clears all link-layer state — transmit queue, pending
 // ack wait, duplicate table, LPL phase — without running completion
@@ -710,26 +701,23 @@ func (m *MAC) finish(err error) {
 	m.kick()
 }
 
-// OnFrame is the medium's delivery upcall. A frame the medium verified
-// (info.Verified: intact, and the FCS check passed once at transmit
-// time) is parsed without checking it again; every other frame goes
-// through the full Decode.
+// OnFrame is the medium's delivery upcall. A corrupted frame (bit
+// errors on the air, or injected burst corruption) is an FCS failure:
+// CRC-16/CCITT detects every single-bit error at every frame length the
+// MAC emits (TestCorruptedFrameFailsFCS), so it is counted as one
+// without being checked. A frame the medium verified (info.Verified:
+// intact, and the FCS check passed once at transmit time) is parsed
+// without checking it again; every other frame goes through the full
+// Decode.
 func (m *MAC) OnFrame(raw []byte, info medium.RxInfo) {
 	if !info.Corrupted && m.rxFault != nil && m.rxFault(info.From) {
-		info.Corrupted, info.Verified = true, false // injected burst corruption
+		info.Corrupted = true // injected burst corruption
 	}
 	var f Frame
 	var err error
 	switch {
 	case info.Corrupted:
-		// Bit errors on the air manifest as an FCS failure: flip a bit
-		// of a private copy so the CRC check genuinely fails rather than
-		// trusting a flag.
-		m.rxScratch = append(m.rxScratch[:0], raw...)
-		if len(raw) > 0 {
-			m.rxScratch[len(raw)/2] ^= 0x40
-		}
-		f, err = Decode(m.rxScratch)
+		err = ErrBadCRC
 	case info.Verified:
 		f = parse(raw)
 	default:

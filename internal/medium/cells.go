@@ -102,7 +102,7 @@ func (m *Medium) partition(size float64) {
 		res: make([]residence, len(m.slots))}
 	g := &m.grid
 	for _, s := range m.order {
-		g.place(s, m.keyFor(m.slots[s].rx.Position()))
+		g.place(s, m.keyFor(m.slots[s].pos))
 	}
 	for _, t := range m.active {
 		t.origin = m.keyFor(t.pos)
@@ -333,13 +333,13 @@ func (m *Medium) fill(fs, ts int32, to residence, o int, fromPos, toPos phys.Pos
 	return l
 }
 
-// reachFor returns the candidate set of tx (attached in slot s),
-// building it on first use after an invalidation: the nodes resident in
-// the ring around tx's cell, in global attach order, whose cached gain
-// at maximum transmit power clears the sensitivity floor minus the fade
-// margin. Nodes outside the ring are provably under the floor
+// reachFor returns the candidate set of the transmitter attached in
+// slot s, building it on first use after an invalidation: the nodes
+// resident in the ring around its cell, in global attach order, whose
+// cached gain at maximum transmit power clears the sensitivity floor
+// minus the fade margin. Nodes outside the ring are provably under the floor
 // (phys.Model.DetectRange) and are bulk-counted with the rest.
-func (m *Medium) reachFor(s int32, tx Receiver) *reachability {
+func (m *Medium) reachFor(s int32) *reachability {
 	if r := m.reach[s]; r != nil {
 		return r
 	}
@@ -353,15 +353,15 @@ func (m *Medium) reachFor(s int32, tx Receiver) *reachability {
 	if cells > 1 {
 		sort.Slice(near, func(i, j int) bool { return g.res[near[i]].seq < g.res[near[j]].seq })
 	}
-	// near holds tx itself, so this counts the attached nodes other than
-	// tx that were not collected.
+	// near holds s itself, so this counts the attached nodes other than
+	// the transmitter that were not collected.
 	r := &reachability{far: uint64(len(m.order) - len(near))}
-	pos := tx.Position()
+	pos := m.slots[s].pos
 	for _, other := range near {
 		if other == s {
 			continue
 		}
-		b := m.txBudget(s, pos, other, m.slots[other].rx.Position())
+		b := m.txBudget(s, pos, other, m.slots[other].pos)
 		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
 			r.far++
 			continue
@@ -370,65 +370,4 @@ func (m *Medium) reachFor(s int32, tx Receiver) *reachability {
 	}
 	m.reach[s] = r
 	return r
-}
-
-// assess is one receiver's delivery physics, computed before any
-// observable effect: the static link budget and the
-// interference-plus-noise level at the delivery instant. It carries no
-// randomness — the corruption draw happens at commit, in candidate
-// order.
-type assess struct {
-	rx Receiver
-	b  phys.Budget
-	// inDBm is noise+interference in dBm at the receiver; interfered
-	// reports whether any co-channel transmission overlapped. Only
-	// meaningful when scanned is set.
-	inDBm      float64
-	interfered bool
-	// scanned reports that inDBm and interfered were computed. The
-	// assessment skips the scan for receivers the commit path never
-	// reaches the SINR term for: off-channel, not listening, or under
-	// the sensitivity floor before any fault loss.
-	scanned bool
-}
-
-// assessOne computes one candidate's delivery physics into a.
-func (m *Medium) assessOne(a *assess, t *transmission, s int32, noiseMW, noiseDBm float64) {
-	rx := m.slots[s].rx
-	if rx == nil {
-		*a = assess{} // detached while the frame was in flight
-		return
-	}
-	pos := rx.Position()
-	*a = assess{rx: rx, b: m.txBudget(t.fromSlot, t.pos, s, pos)}
-	if rx.Channel() != t.channel || rx.RadioState() != radio.RX ||
-		a.b.Received(t.txDBm) < radio.SensitivityDBm {
-		// The commit path bails out before the SINR term (fault loss
-		// only lowers the power further); skip the scan and its Log10.
-		return
-	}
-	m.scan(a, t, s, pos, noiseMW, noiseDBm)
-}
-
-// scan fills a's interference-plus-noise level at slot s (at pos) over
-// the frames in its cell's ledger overlapping t.
-func (m *Medium) scan(a *assess, t *transmission, s int32, pos phys.Position, noiseMW, noiseDBm float64) {
-	a.scanned = true
-	to := m.grid.res[s]
-	interfMW := 0.0
-	for _, o := range to.c.ledger {
-		if o == t || o.pruned || o.channel != t.channel || o.fromSlot == s {
-			continue
-		}
-		if o.start >= t.end || o.end <= t.start {
-			continue // no temporal overlap
-		}
-		interfMW += m.interfMW(o, s, to, pos)
-		a.interfered = true
-	}
-	if interfMW == 0 {
-		a.inDBm = noiseDBm // noiseMW + 0 is exactly noiseMW
-	} else {
-		a.inDBm = mwToDBm(noiseMW + interfMW)
-	}
 }

@@ -54,21 +54,18 @@ type RxInfo struct {
 type Receiver interface {
 	// NodeID returns the node's 802.15.4 short address.
 	NodeID() phys.NodeID
-	// Position returns the node's physical location.
+	// Position returns the node's physical location. The medium records
+	// it at Attach and re-reads it on NodeMoved and InvalidateTopology.
 	Position() phys.Position
-	// RadioState returns the transceiver state at the current instant.
-	RadioState() radio.State
-	// Channel returns the currently tuned 802.15.4 channel.
-	Channel() int
-	// PowerLevel returns the programmed CC2420 PA_LEVEL (3..31).
-	PowerLevel() int
+	// Radio returns the node's transceiver. The medium reads its tuned
+	// channel, state and power level directly, once per delivery.
+	Radio() *radio.Radio
 	// OnFrame is invoked when a frame's airtime completes while this
 	// node is listening on the frame's channel. The frame slice is a
 	// read-only view shared by every receiver of the broadcast (and by
 	// the medium itself), valid only for the duration of the call: an
-	// implementation that mutates the bytes must do so on its own copy
-	// (the MAC flips bits of a corrupted frame in a per-MAC scratch
-	// buffer), and one that retains them past its return must copy them.
+	// implementation that mutates the bytes must do so on its own copy,
+	// and one that retains them past its return must copy them.
 	OnFrame(frame []byte, info RxInfo)
 }
 
@@ -171,12 +168,9 @@ type TapDelivery struct {
 // sensitivity check, a jammed channel corrupts whatever still decodes,
 // and a blackout or partition drops the frame outright.
 type FaultEffect struct {
-	// ExtraLossDB is additional path loss applied to this delivery. It
-	// is expected to be ≥ 0 (internal/fault rejects negative values):
-	// the assessment skips the interference scan of a receiver whose
-	// fault-free power is already under the sensitivity floor. A
-	// negative value is still exact — deliver then runs the scan it
-	// skipped — only slower.
+	// ExtraLossDB is additional path loss applied to this delivery
+	// (internal/fault rejects negative values; a negative one still lifts
+	// a receiver inside the fade margin over the sensitivity floor).
 	ExtraLossDB float64
 	// Drop suppresses the delivery entirely (the receiver hears nothing).
 	Drop bool
@@ -242,13 +236,14 @@ type reachability struct {
 	far  uint64
 }
 
-// slot is one attach slot: the node bound to it and where the medium
-// last placed it (Attach, NodeMoved). A slot belongs to one node ID for
-// the medium's lifetime; Detach vacates it (rx = nil) and re-attaching
-// the same ID fills it again, so a slot captured by an in-flight
-// transmission never names a different node.
+// slot is one attach slot: the node bound to it, its radio, and where
+// the medium last placed it (Attach, NodeMoved, InvalidateTopology). A
+// slot belongs to one node ID for the medium's lifetime; Detach vacates
+// it (rx = nil) and re-attaching the same ID fills it again, so a slot
+// captured by an in-flight transmission never names a different node.
 type slot struct {
 	rx  Receiver
+	rad *radio.Radio
 	id  phys.NodeID
 	pos phys.Position
 }
@@ -399,6 +394,9 @@ func (m *Medium) SetFaultHook(fn func(from, to phys.NodeID, channel int) FaultEf
 	m.faultFn = fn
 }
 
+// FaultHooked reports whether a fault hook is installed.
+func (m *Medium) FaultHooked() bool { return m.faultFn != nil }
+
 // SetFrameCheck installs the frame integrity check Transmit runs once
 // per transmission (nil removes it). The medium cannot import the MAC,
 // so the MAC installs its FCS check here; every MAC on a medium installs
@@ -436,18 +434,16 @@ func (m *Medium) deliverEvent(a any) {
 }
 
 // InvalidateTopology drops the cached link budgets and reachability
-// sets. Call it after mutating the propagation model; channel and power
-// changes need no invalidation (budgets are frequency- and
+// sets, re-reads every attached node's position and rebuilds the cell
+// partition at the current cell size. Call it after mutating the
+// propagation model or moving nodes behind the medium's back; channel
+// and power changes need no invalidation (budgets are frequency- and
 // power-independent), and a single node moving only needs NodeMoved.
 func (m *Medium) InvalidateTopology() {
-	for _, c := range m.grid.cells {
-		for _, rows := range c.rows {
-			for j := range rows {
-				rows[j] = rows[j][:0]
-			}
-		}
+	for _, s := range m.order {
+		m.slots[s].pos = m.slots[s].rx.Position()
 	}
-	clear(m.reach)
+	m.partition(m.grid.cellSize)
 }
 
 // NodeMoved tells the medium that one attached node changed position:
@@ -495,7 +491,7 @@ func (m *Medium) Attach(r Receiver) error {
 			m.prr = nil // reallocated at the new size on next use
 		}
 	}
-	m.slots[s].rx, m.slots[s].pos = r, r.Position()
+	m.slots[s].rx, m.slots[s].rad, m.slots[s].pos = r, r.Radio(), r.Position()
 	m.order = append(m.order, s)
 	key := m.keyFor(m.slots[s].pos)
 	m.place(s, key)
@@ -515,7 +511,7 @@ func (m *Medium) Detach(id phys.NodeID) {
 	if !ok || m.slots[s].rx == nil {
 		return
 	}
-	m.slots[s].rx = nil
+	m.slots[s].rx, m.slots[s].rad = nil, nil
 	m.order = slices.DeleteFunc(m.order, func(n int32) bool { return n == s })
 	// In-flight transmissions keep their captured candidate sets (which
 	// may still name s — deliver drops it as vacant); only future
@@ -706,7 +702,7 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	}
 	m.prune()
 	airtime := radio.FrameAirtime(len(frame))
-	txDBm := radio.PowerDBm(tx.PowerLevel())
+	sl := &m.slots[s]
 	var t *transmission
 	if n := len(m.txPool); n > 0 {
 		t = m.txPool[n-1]
@@ -715,11 +711,11 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	} else {
 		t = &transmission{}
 	}
-	t.from = tx.NodeID()
+	t.from = sl.id
 	t.fromSlot = s
-	t.pos = tx.Position()
-	t.channel = tx.Channel()
-	t.txDBm = txDBm
+	t.pos = sl.pos
+	t.channel = sl.rad.Channel()
+	t.txDBm = radio.PowerDBm(sl.rad.PowerLevel())
 	t.start = m.eng.Now()
 	t.end = m.eng.Now() + airtime
 	t.frame = append(t.frame[:0], frame...)
@@ -727,7 +723,7 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	// Capture the fan-out now: detaching a node mid-flight must not
 	// change the other receivers' outcomes (deliver re-checks attachment
 	// per candidate).
-	r := m.reachFor(s, tx)
+	r := m.reachFor(s)
 	t.cand, t.far = r.cand, r.far
 	t.origin = m.keyFor(t.pos)
 	m.register(t)
@@ -802,24 +798,23 @@ func (m *Medium) report(t *transmission, to phys.NodeID, o DeliveryOutcome, caus
 }
 
 // deliver fans t out to the candidate set captured at transmit time,
-// at t.end. Each candidate is first assessed (link budget and
-// interference — assessOne), then committed (fault hooks, randomness,
-// stats, telemetry, OnFrame) in candidate order.
+// at t.end, in one pass: each candidate's checks run in a fixed order —
+// channel, fault effect, sensitivity, radio state, SINR, corruption
+// draws — and stop at the first that decides its outcome, so the link
+// budget and the interference scan are computed only for receivers
+// that need them.
 func (m *Medium) deliver(t *transmission) {
 	// Nodes excluded by the reachability floor can never demodulate the
 	// frame; they are counted in bulk, with no per-receiver outcome.
 	m.stats.BelowSensitivity += t.far
 	noiseMW, noiseDBm := m.noiseFloor()
-	var a assess
 	for _, s := range t.cand {
-		m.assessOne(&a, t, s, noiseMW, noiseDBm)
-		rx := a.rx
-		if rx == nil {
+		sl := &m.slots[s]
+		if sl.rx == nil {
 			continue // detached while the frame was in flight
 		}
-		id := m.slots[s].id
-		b := a.b
-		if rx.Channel() != t.channel {
+		id := sl.id
+		if sl.rad.Channel() != t.channel {
 			m.stats.WrongChannel++
 			m.report(t, id, OutcomeWrongChannel, "", 0, nil)
 			continue
@@ -833,47 +828,34 @@ func (m *Medium) deliver(t *transmission) {
 			m.report(t, id, OutcomeInjectedDrop, "", 0, nil)
 			continue
 		}
-		rxDBm := b.Received(t.txDBm) - eff.ExtraLossDB
+		rxDBm := m.txBudget(t.fromSlot, t.pos, s, sl.pos).Received(t.txDBm) - eff.ExtraLossDB
 		if rxDBm < radio.SensitivityDBm {
 			m.stats.BelowSensitivity++
 			m.report(t, id, OutcomeBelowSensitivity, "", rxDBm, nil)
 			continue
 		}
-		if rx.RadioState() != radio.RX {
+		if sl.rad.State() != radio.RX {
 			m.stats.MissedNotListening++
 			m.report(t, id, OutcomeRadioOff, "", rxDBm, nil)
 			continue
 		}
-		if !a.scanned {
-			// The assessment skipped the scan because the fault-free
-			// power is under the floor; only a negative ExtraLossDB
-			// lifts it back over, so scan now.
-			m.scan(&a, t, s, rx.Position(), noiseMW, noiseDBm)
-		}
-		sinr, interfered := rxDBm-a.inDBm, a.interfered
+		inDBm, interfered := m.scan(t, s, noiseMW, noiseDBm)
+		sinr := rxDBm - inDBm
 		// The analytical BER curve models interference as white noise,
 		// which flatters DSSS under co-channel collisions. Real CC2420
 		// receivers need the carrier a few dB above an 802.15.4
 		// interferer to capture it, so frames that collided and fall
 		// under the co-channel rejection threshold are lost outright.
-		var ok2 bool
-		cause := ""
-		if interfered && sinr < CaptureThresholdDB {
-			ok2 = false
-			cause = "capture"
-		} else {
-			ok2 = m.rng.Bool(m.prrFor(sinr, len(t.frame)))
-			if !ok2 {
-				cause = "per"
-			}
-		}
-		if ok2 && eff.Corrupt {
-			ok2 = false // jammed channel
-			cause = "jam"
-		}
-		if ok2 && m.lossFn != nil && m.lossFn(t.from, id, t.frame) {
-			ok2 = false // injected loss
-			cause = "injected"
+		ok, cause := true, ""
+		switch {
+		case interfered && sinr < CaptureThresholdDB:
+			ok, cause = false, "capture"
+		case !m.rng.Bool(m.prrFor(sinr, len(t.frame))):
+			ok, cause = false, "per"
+		case eff.Corrupt:
+			ok, cause = false, "jam" // jammed channel
+		case m.lossFn != nil && m.lossFn(t.from, id, t.frame):
+			ok, cause = false, "injected"
 		}
 		info := RxInfo{
 			From:       t.from,
@@ -881,19 +863,40 @@ func (m *Medium) deliver(t *transmission) {
 			RSSI:       radio.RSSIRegister(rxDBm),
 			LQI:        radio.LQI(sinr),
 			SNRDB:      sinr,
-			Corrupted:  !ok2,
-			Verified:   ok2 && t.verified,
+			Corrupted:  !ok,
+			Verified:   ok && t.verified,
 			At:         m.eng.Now(),
 		}
-		if ok2 {
+		if ok {
 			m.stats.Delivered++
 			m.report(t, id, OutcomeDelivered, "", rxDBm, &info)
 		} else {
 			m.stats.Corrupted++
 			m.report(t, id, OutcomeCorrupted, cause, rxDBm, &info)
 		}
-		rx.OnFrame(t.frame, info)
+		sl.rx.OnFrame(t.frame, info)
 	}
+}
+
+// scan returns the interference-plus-noise level in dBm at slot s over
+// the frames in its cell's ledger overlapping t, and whether any did.
+func (m *Medium) scan(t *transmission, s int32, noiseMW, noiseDBm float64) (inDBm float64, interfered bool) {
+	to, pos := m.grid.res[s], m.slots[s].pos
+	interfMW := 0.0
+	for _, o := range to.c.ledger {
+		if o == t || o.pruned || o.channel != t.channel || o.fromSlot == s {
+			continue
+		}
+		if o.start >= t.end || o.end <= t.start {
+			continue // no temporal overlap
+		}
+		interfMW += m.interfMW(o, s, to, pos)
+		interfered = true
+	}
+	if interfMW == 0 {
+		return noiseDBm, interfered // noiseMW + 0 is exactly noiseMW
+	}
+	return mwToDBm(noiseMW + interfMW), interfered
 }
 
 // CaptureThresholdDB is the co-channel rejection of the receiver: when a
@@ -912,12 +915,17 @@ func (m *Medium) EnergyDBmAt(r Receiver) float64 {
 	m.prune()
 	now := m.eng.Now()
 	best := math.Inf(-1)
-	rid, rpos, ch := r.NodeID(), r.Position(), r.Channel()
+	rid := r.NodeID()
 	rs, known := m.slotOf[rid]
 	attached := known && m.slots[rs].rx != nil
-	ledger := m.active
+	var ledger []*transmission
+	var rpos phys.Position
+	var ch int
 	if attached {
-		ledger = m.grid.res[rs].c.ledger
+		sl := &m.slots[rs]
+		ledger, rpos, ch = m.grid.res[rs].c.ledger, sl.pos, sl.rad.Channel()
+	} else {
+		ledger, rpos, ch = m.active, r.Position(), r.Radio().Channel()
 	}
 	for _, t := range ledger {
 		if t.pruned || t.channel != ch || t.from == rid {

@@ -8,26 +8,27 @@ import (
 	"liteview/internal/sim"
 )
 
-// fakeNode is a minimal Receiver for medium tests.
+// fakeNode is a minimal Receiver for medium tests, with a real radio
+// (RX, full power, channel 17).
 type fakeNode struct {
-	id      phys.NodeID
-	pos     phys.Position
-	state   radio.State
-	channel int
-	power   int
-	frames  []RxInfo
-	raw     [][]byte
+	id     phys.NodeID
+	pos    phys.Position
+	rad    *radio.Radio
+	frames []RxInfo
+	raw    [][]byte
 }
 
 func newFake(id phys.NodeID, x, y float64) *fakeNode {
-	return &fakeNode{id: id, pos: phys.Position{X: x, Y: y}, state: radio.RX, channel: 17, power: radio.MaxPowerLevel}
+	rad, err := radio.New(17)
+	if err != nil {
+		panic(err)
+	}
+	return &fakeNode{id: id, pos: phys.Position{X: x, Y: y}, rad: rad}
 }
 
 func (f *fakeNode) NodeID() phys.NodeID     { return f.id }
 func (f *fakeNode) Position() phys.Position { return f.pos }
-func (f *fakeNode) RadioState() radio.State { return f.state }
-func (f *fakeNode) Channel() int            { return f.channel }
-func (f *fakeNode) PowerLevel() int         { return f.power }
+func (f *fakeNode) Radio() *radio.Radio     { return f.rad }
 func (f *fakeNode) OnFrame(frame []byte, info RxInfo) {
 	f.frames = append(f.frames, info)
 	f.raw = append(f.raw, frame)
@@ -110,7 +111,7 @@ func TestDeliveryAtEndOfAirtime(t *testing.T) {
 func TestChannelIsolation(t *testing.T) {
 	eng, m := newTestMedium()
 	a, b := newFake(1, 0, 0), newFake(2, 5, 0)
-	b.channel = 18
+	b.rad.SetChannel(18)
 	m.Attach(a)
 	m.Attach(b)
 	m.Transmit(a, []byte{1})
@@ -123,7 +124,7 @@ func TestChannelIsolation(t *testing.T) {
 func TestNotListeningMisses(t *testing.T) {
 	eng, m := newTestMedium()
 	a, b := newFake(1, 0, 0), newFake(2, 5, 0)
-	b.state = radio.TX
+	b.rad.SetState(radio.TX)
 	m.Attach(a)
 	m.Attach(b)
 	m.Transmit(a, []byte{1})
@@ -228,7 +229,7 @@ func TestEnergyDetect(t *testing.T) {
 func TestEnergyDetectIgnoresOtherChannel(t *testing.T) {
 	eng, m := newTestMedium()
 	a, b := newFake(1, 0, 0), newFake(2, 5, 0)
-	b.channel = 20
+	b.rad.SetChannel(20)
 	m.Attach(a)
 	m.Attach(b)
 	m.Transmit(a, make([]byte, 64))
@@ -287,18 +288,17 @@ func TestFrameCopyIsolation(t *testing.T) {
 	// transmit-time copy is the only one the medium makes.
 }
 
-// TestNegativeFaultLossLiftsBelowFloorReceiver pins the fallback for a
-// fault hook that returns a negative ExtraLossDB: the assessment skips
-// the interference scan of a receiver under the sensitivity floor, so
-// when the hook lifts that receiver back over the floor the commit must
-// run the scan itself. A skipped scan would leave the
+// TestNegativeFaultLossLiftsBelowFloorReceiver pins a fault hook that
+// returns a negative ExtraLossDB: a receiver whose fault-free power is
+// under the sensitivity floor is lifted back over it, so delivery must
+// run its interference scan. A skipped scan would leave the
 // noise-plus-interference level at zero and report SNRDB = RxPowerDBm.
 func TestNegativeFaultLossLiftsBelowFloorReceiver(t *testing.T) {
 	eng, m := newTestMedium()
 	a := newFake(1, 0, 0)
 	// Bisect for the distance where full power arrives 2 dB under the
 	// floor: under sensitivity, but inside the reachability fade margin.
-	txDBm := radio.PowerDBm(a.power)
+	txDBm := radio.PowerDBm(a.rad.PowerLevel())
 	lo, hi := 1.0, 1000.0
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2

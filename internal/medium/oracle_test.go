@@ -42,7 +42,7 @@ func (m *Medium) oracleDeliver(arg any) {
 			m.stats.BelowSensitivity++
 			continue
 		}
-		if rx.Channel() != t.channel {
+		if rx.Radio().Channel() != t.channel {
 			m.stats.WrongChannel++
 			m.report(t, id, OutcomeWrongChannel, "", 0, nil)
 			continue
@@ -62,7 +62,7 @@ func (m *Medium) oracleDeliver(arg any) {
 			m.report(t, id, OutcomeBelowSensitivity, "", rxDBm, nil)
 			continue
 		}
-		if rx.RadioState() != radio.RX {
+		if rx.Radio().State() != radio.RX {
 			m.stats.MissedNotListening++
 			m.report(t, id, OutcomeRadioOff, "", rxDBm, nil)
 			continue
@@ -111,7 +111,7 @@ func (m *Medium) oracleEnergyDBmAt(r Receiver) float64 {
 	now := m.eng.Now()
 	best := math.Inf(-1)
 	for _, t := range m.active {
-		if t.channel != r.Channel() || t.from == r.NodeID() || t.start > now || t.end <= now {
+		if t.channel != r.Radio().Channel() || t.from == r.NodeID() || t.start > now || t.end <= now {
 			continue
 		}
 		b := m.model.LinkBudget(t.from, r.NodeID(), t.pos, r.Position())

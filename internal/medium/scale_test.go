@@ -23,7 +23,7 @@ func TestPruneRetainsOverlappingInterferers(t *testing.T) {
 	b := newFake(2, 20, 0)
 	c := newFake(3, 10, 0) // equidistant from a and b: SINR ≈ 0 dB
 	d := newFake(4, 10, 1)
-	d.channel = 18 // prune trigger only; no co-channel interference
+	d.rad.SetChannel(18) // prune trigger only; no co-channel interference
 	m.Attach(a)
 	m.Attach(b)
 	m.Attach(c)
@@ -82,7 +82,7 @@ func TestRadioOffNotCountedAsLinkLoss(t *testing.T) {
 	m.Attach(b)
 
 	// Sleeping receiver: no delivery, and crucially no link loss.
-	b.state = radio.Off
+	b.rad.SetState(radio.Off)
 	m.Transmit(a, []byte{1, 2})
 	eng.Run()
 	snap := rec.Metrics().Snapshot()
@@ -94,7 +94,7 @@ func TestRadioOffNotCountedAsLinkLoss(t *testing.T) {
 	}
 
 	// Awake receiver: clean delivery counts as delivered.
-	b.state = radio.RX
+	b.rad.SetState(radio.RX)
 	m.Transmit(a, []byte{1, 2})
 	eng.Run()
 	snap = rec.Metrics().Snapshot()
@@ -247,25 +247,38 @@ func TestNodeMovedInvalidates(t *testing.T) {
 	}
 }
 
-// TestInvalidateTopology checks that moving a node takes effect once the
-// caches are invalidated.
+// TestInvalidateTopology checks that moving nodes behind the medium's
+// back takes effect once the caches are invalidated, on the single-cell
+// and the sharded medium alike: the recorded positions are re-read and
+// the nodes re-placed in the cells of their new positions.
 func TestInvalidateTopology(t *testing.T) {
-	eng, m := newTestMedium()
-	a, b := newFake(1, 0, 0), newFake(2, 5, 0)
-	m.Attach(a)
-	m.Attach(b)
-	m.Transmit(a, []byte{1})
-	eng.Run()
-	if len(b.frames) != 1 {
-		t.Fatal("close-range frame not delivered")
-	}
-	// Teleport b out of range; without invalidation the cached gain and
-	// candidate set would still deliver.
-	b.pos = phys.Position{X: 100000, Y: 0}
-	m.InvalidateTopology()
-	m.Transmit(a, []byte{2})
-	eng.Run()
-	if len(b.frames) != 1 {
-		t.Fatal("stale gain cache delivered to a moved node")
+	for _, shard := range []bool{false, true} {
+		eng, m := newTestMedium()
+		if shard {
+			m.SetSharding(Sharding{})
+		}
+		a, b, c := newFake(1, 0, 0), newFake(2, 5, 0), newFake(3, 100000, 0)
+		m.Attach(a)
+		m.Attach(b)
+		m.Attach(c)
+		m.Transmit(a, []byte{1})
+		eng.Run()
+		if len(b.frames) != 1 || len(c.frames) != 0 {
+			t.Fatalf("shard=%v: before the moves b=%d c=%d frames, want 1 and 0", shard, len(b.frames), len(c.frames))
+		}
+		// Teleport b out of range and c into it; without invalidation the
+		// cached gains, candidate sets and cells would still deliver to b
+		// and not to c.
+		b.pos = phys.Position{X: 100000, Y: 0}
+		c.pos = phys.Position{X: 5, Y: 0}
+		m.InvalidateTopology()
+		m.Transmit(a, []byte{2})
+		eng.Run()
+		if len(b.frames) != 1 {
+			t.Fatalf("shard=%v: stale gain cache delivered to a moved node", shard)
+		}
+		if len(c.frames) != 1 {
+			t.Fatalf("shard=%v: node moved into range heard %d frames, want 1", shard, len(c.frames))
+		}
 	}
 }

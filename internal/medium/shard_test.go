@@ -142,7 +142,7 @@ func migrationScenario(t *testing.T, shard bool, dest phys.Position) ([]TapDeliv
 // TestShardedReceiverMigratesMidFlight covers both migration shapes: a
 // hop to an adjacent cell, and a hop into a cell that never existed
 // (whose ledger must be rebuilt from the active list so the in-flight
-// frame still reaches the migrated receiver's assessment). After the
+// frame still reaches the migrated receiver's SINR scan). After the
 // adjacent hop, x's frame must reach b and w in the single cell's
 // order.
 func TestShardedReceiverMigratesMidFlight(t *testing.T) {

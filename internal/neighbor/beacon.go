@@ -33,11 +33,12 @@ func encodeBeacon(seq uint16, name string) []byte {
 	return buf
 }
 
-func decodeBeacon(data []byte) (seq uint16, name string, err error) {
+// decodeBeacon splits a beacon payload; name aliases data.
+func decodeBeacon(data []byte) (seq uint16, name []byte, err error) {
 	if len(data) < 2 {
-		return 0, "", errors.New("neighbor: beacon too short")
+		return 0, nil, errors.New("neighbor: beacon too short")
 	}
-	return binary.BigEndian.Uint16(data[:2]), string(data[2:]), nil
+	return binary.BigEndian.Uint16(data[:2]), data[2:], nil
 }
 
 // Service runs the neighborhood protocol for one node: it broadcasts

@@ -318,13 +318,17 @@ func (t *Table) ResetEstimatorStats() { t.est = EstimatorStats{} }
 
 // ObserveBeacon folds a received beacon into the table: it refreshes
 // link metadata, records the advertised name, and updates the PRR
-// estimate from the beacon sequence gap.
-func (t *Table) ObserveBeacon(id phys.NodeID, name string, seq uint16, lqi, rssi int, now sim.Time) {
+// estimate from the beacon sequence gap. name may alias a reused
+// receive buffer: it is copied only when it differs from the recorded
+// name, so a steady beacon stream does not allocate.
+func (t *Table) ObserveBeacon(id phys.NodeID, name []byte, seq uint16, lqi, rssi int, now sim.Time) {
 	e := t.Observe(id, lqi, rssi, now)
 	if e == nil {
 		return
 	}
-	e.Name = name
+	if string(name) != e.Name {
+		e.Name = string(name)
+	}
 	if e.seenBeacon {
 		gap := int(seq - e.lastBeaconSeq) // wraps correctly in uint16
 		if gap < 1 {

@@ -132,7 +132,7 @@ func TestEntriesSorted(t *testing.T) {
 
 func TestObserveBeaconNameAndPRR(t *testing.T) {
 	tab := NewTable(8)
-	tab.ObserveBeacon(2, "192.168.0.2", 1, 100, -10, time.Second)
+	tab.ObserveBeacon(2, []byte("192.168.0.2"), 1, 100, -10, time.Second)
 	e, _ := tab.Get(2)
 	if e.Name != "192.168.0.2" {
 		t.Fatalf("name = %q", e.Name)
@@ -142,7 +142,7 @@ func TestObserveBeaconNameAndPRR(t *testing.T) {
 	}
 	// Perfect beacon stream keeps PRR at 1.
 	for s := uint16(2); s <= 10; s++ {
-		tab.ObserveBeacon(2, "192.168.0.2", s, 100, -10, time.Duration(s)*time.Second)
+		tab.ObserveBeacon(2, []byte("192.168.0.2"), s, 100, -10, time.Duration(s)*time.Second)
 	}
 	e, _ = tab.Get(2)
 	if e.PRR < 0.99 {
@@ -150,7 +150,7 @@ func TestObserveBeaconNameAndPRR(t *testing.T) {
 	}
 	// Now drop every other beacon: PRR must fall noticeably.
 	for s := uint16(12); s <= 40; s += 2 {
-		tab.ObserveBeacon(2, "192.168.0.2", s, 100, -10, time.Duration(s)*time.Second)
+		tab.ObserveBeacon(2, []byte("192.168.0.2"), s, 100, -10, time.Duration(s)*time.Second)
 	}
 	e, _ = tab.Get(2)
 	if e.PRR > 0.8 {
@@ -160,8 +160,8 @@ func TestObserveBeaconNameAndPRR(t *testing.T) {
 
 func TestObserveBeaconSeqWrap(t *testing.T) {
 	tab := NewTable(8)
-	tab.ObserveBeacon(3, "n3", 0xFFFF, 100, -10, time.Second)
-	tab.ObserveBeacon(3, "n3", 0, 100, -10, 2*time.Second)
+	tab.ObserveBeacon(3, []byte("n3"), 0xFFFF, 100, -10, time.Second)
+	tab.ObserveBeacon(3, []byte("n3"), 0, 100, -10, 2*time.Second)
 	e, _ := tab.Get(3)
 	if e.PRR < 0.99 {
 		t.Fatalf("wraparound treated as loss: PRR = %f", e.PRR)

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +100,68 @@ func TestServerRequiresHelloForCommands(t *testing.T) {
 	var r Response
 	if err := json.Unmarshal(c.sc.Bytes(), &r); err != nil || r.Code != CodeBadRequest {
 		t.Fatalf("malformed line response = %+v (%v)", r, err)
+	}
+}
+
+// TestWireLineBound pins maxLine, the one limit on a wire line now that
+// both ends' scanners start small and grow on demand: a line just under
+// the bound arrives whole in either direction, and a request over it
+// ends the session.
+func TestWireLineBound(t *testing.T) {
+	const prefix, suffix = `{"type":"cmd","id":1,"line":"`, `"}`
+	// request returns a cmd line of n bytes, newline excluded; its
+	// command is n-len(prefix)-len(suffix) bytes long.
+	request := func(n int) string {
+		return prefix + strings.Repeat("x", n-len(prefix)-len(suffix)) + suffix + "\n"
+	}
+	cmdLen := maxLine - 1 - len(prefix) - len(suffix)
+
+	cfg := Config{NewRunner: func(string, uint64) (Runner, error) {
+		return &fakeRunner{fn: func(line string) (string, error) { return strconv.Itoa(len(line)), nil }}, nil
+	}}
+	_, addr := startServer(t, cfg)
+	c, err := Dial(addr, "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.conn.Write([]byte(request(maxLine - 1))); err != nil {
+		t.Fatal(err)
+	}
+	if !c.sc.Scan() {
+		t.Fatalf("session ended on a %d-byte line: %v", maxLine-1, c.sc.Err())
+	}
+	var r Response
+	if err := json.Unmarshal(c.sc.Bytes(), &r); err != nil || r.Output != strconv.Itoa(cmdLen) {
+		t.Fatalf("response to a %d-byte line = %+v (%v), want output %d", maxLine-1, r, err, cmdLen)
+	}
+	// The write may fail part-way: the server stops reading at the bound.
+	c.conn.Write([]byte(request(maxLine + 1)))
+	if c.sc.Scan() {
+		t.Fatalf("session survived a %d-byte line: got %s", maxLine+1, c.sc.Bytes())
+	}
+
+	// The client's reader takes a response line just under the bound.
+	cli, peer := net.Pipe()
+	defer cli.Close()
+	output := strings.Repeat("y", maxLine-1-len(`{"type":"result","id":1,"output":""}`))
+	go func() {
+		defer peer.Close()
+		if _, err := bufio.NewReader(peer).ReadBytes('\n'); err != nil {
+			return
+		}
+		peer.Write([]byte(`{"type":"result","id":1,"output":"` + output + `"}` + "\n"))
+	}()
+	pc, err := NewClient(cli, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := pc.Run("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Output != output {
+		t.Fatalf("client read %d output bytes, want %d", len(resp.Output), len(output))
 	}
 }
 

@@ -196,10 +196,12 @@ func errCode(err error) (code string, transient bool) {
 // ballooning the session buffer.
 const maxLine = 4 << 20
 
-// newLineScanner builds the line reader both ends of the wire use.
+// newLineScanner builds the line reader both ends of the wire use. Its
+// buffer starts at bufio's default size and grows to maxLine only when
+// a line needs it, so a session of short commands stays small.
 func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+	sc.Buffer(nil, maxLine)
 	return sc
 }
 
@@ -231,8 +233,7 @@ func (e *RejectedError) Error() string {
 // attaching to the named tenant when tenant is non-empty. A server-side
 // hello rejection comes back as a *RejectedError.
 func NewClient(conn net.Conn, tenant string) (*Client, error) {
-	c := &Client{conn: conn, enc: json.NewEncoder(conn), sc: bufio.NewScanner(conn)}
-	c.sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+	c := &Client{conn: conn, enc: json.NewEncoder(conn), sc: newLineScanner(conn)}
 	if tenant == "" {
 		return c, nil
 	}

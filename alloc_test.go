@@ -15,6 +15,7 @@ import (
 	"liteview/internal/neighbor"
 	"liteview/internal/phys"
 	"liteview/internal/radio"
+	"liteview/internal/routing"
 	"liteview/internal/sim"
 	"liteview/internal/stack"
 )
@@ -157,6 +158,44 @@ func TestBeaconReceptionZeroAlloc(t *testing.T) {
 	}
 	if e, ok := table.Get(1); !ok || e.Name != name || e.PRR < 0.99 {
 		t.Fatalf("node 1 in node 2's table: %+v (found %v), want name %q and PRR 1", e, ok, name)
+	}
+}
+
+// TestGeographicNextHopZeroAlloc pins greedy geographic forwarding's
+// next-hop choice on a full neighbor table: the router reads the
+// table's usable view into a buffer it keeps, so choosing a hop for a
+// forwarded or originated packet does not allocate. Two neighbors tie
+// for the most progress; the lower ID wins, as in ID order it comes
+// first.
+func TestGeographicNextHopZeroAlloc(t *testing.T) {
+	p := buildFramePath(t, false)
+	table := neighbor.NewTable(neighbor.DefaultCapacity)
+	const dst = phys.NodeID(100)
+	pos := map[phys.NodeID]phys.Position{1: {}, dst: {X: 1000}}
+	for i := 0; i < neighbor.DefaultCapacity; i++ {
+		id := phys.NodeID(i + 2)
+		pos[id] = phys.Position{X: float64(i % 8 * 5), Y: float64(i/8*20 - 10)}
+		table.Observe(id, 110, 0, p.eng.Now())
+	}
+	r, err := routing.NewGeographicOnPort(p.eng, p.tx, table, func(id phys.NodeID) (phys.Position, bool) {
+		q, ok := pos[id]
+		return q, ok
+	}, routing.GeographicPort, routing.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var next phys.NodeID
+	choose := func() {
+		if next, err = r.NextHop(dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, choose); allocs != 0 {
+		t.Fatalf("geographic next-hop choice allocates %.1f allocs/op, want 0", allocs)
+	}
+	// Nodes 9 (35, -10) and 17 (35, 10) make the most progress.
+	if next != 9 {
+		t.Fatalf("next hop %d, want 9", next)
 	}
 }
 

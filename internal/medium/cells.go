@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -110,7 +111,9 @@ func (m *Medium) partition(size float64) {
 	for key, c := range g.cells {
 		c.ledger = m.ledgerFor(key)
 	}
-	clear(m.reach)
+	for s := range m.reach {
+		m.dropReach(int32(s))
+	}
 }
 
 // SetSharding partitions the medium into spatial cells of the given
@@ -279,9 +282,19 @@ func (m *Medium) register(t *transmission) {
 func (m *Medium) invalidateRing(key cellKey) {
 	m.grid.forRing(key, func(c *cell) {
 		for _, s := range c.members {
-			m.reach[s] = nil
+			m.dropReach(s)
 		}
 	})
+}
+
+// dropReach drops slot s's cached candidate set and marks it stale.
+// In-flight frames may still hold it, and once it is out of the cache
+// no later invalidation can reach it, so the mark must come first.
+func (m *Medium) dropReach(s int32) {
+	if r := m.reach[s]; r != nil {
+		r.stale = true
+		m.reach[s] = nil
+	}
 }
 
 // link returns the table entry for the link from slot fs into slot ts
@@ -334,28 +347,34 @@ func (m *Medium) fill(fs, ts int32, to residence, o int, fromPos, toPos phys.Pos
 }
 
 // reachFor returns the candidate set of the transmitter attached in
-// slot s, building it on first use after an invalidation: the nodes
-// resident in the ring around its cell, in global attach order, whose
-// cached gain at maximum transmit power clears the sensitivity floor
-// minus the fade margin. Nodes outside the ring are provably under the floor
-// (phys.Model.DetectRange) and are bulk-counted with the rest.
-func (m *Medium) reachFor(s int32) *reachability {
+// slot s at transmit power txDBm, building it on first use after an
+// invalidation or a power change: the nodes resident in the ring around
+// its cell, in global attach order, whose cached gain at maximum
+// transmit power clears the sensitivity floor minus the fade margin,
+// with their received powers at txDBm. Nodes outside the ring are
+// provably under the floor (phys.Model.DetectRange) and are
+// bulk-counted with the rest.
+func (m *Medium) reachFor(s int32, txDBm float64) *reachability {
 	if r := m.reach[s]; r != nil {
-		return r
+		if r.txDBm == txDBm {
+			return r
+		}
+		m.dropReach(s) // built for another power
 	}
 	g := &m.grid
-	var near []int32
+	near := m.near[:0]
 	cells := 0
 	g.forRing(g.res[s].c.key, func(c *cell) {
 		near = append(near, c.members...)
 		cells++
 	})
 	if cells > 1 {
-		sort.Slice(near, func(i, j int) bool { return g.res[near[i]].seq < g.res[near[j]].seq })
+		slices.SortFunc(near, func(a, b int32) int { return cmp.Compare(g.res[a].seq, g.res[b].seq) })
 	}
 	// near holds s itself, so this counts the attached nodes other than
 	// the transmitter that were not collected.
-	r := &reachability{far: uint64(len(m.order) - len(near))}
+	far := uint64(len(m.order) - len(near))
+	cand, rx := m.candBuf[:0], m.rxBuf[:0]
 	pos := m.slots[s].pos
 	for _, other := range near {
 		if other == s {
@@ -363,11 +382,14 @@ func (m *Medium) reachFor(s int32) *reachability {
 		}
 		b := m.txBudget(s, pos, other, m.slots[other].pos)
 		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
-			r.far++
+			far++
 			continue
 		}
-		r.cand = append(r.cand, other)
+		cand = append(cand, other)
+		rx = append(rx, b.Received(txDBm))
 	}
+	m.near, m.candBuf, m.rxBuf = near, cand, rx
+	r := &reachability{cand: slices.Clone(cand), rx: slices.Clone(rx), far: far, txDBm: txDBm}
 	m.reach[s] = r
 	return r
 }

@@ -192,13 +192,10 @@ type transmission struct {
 	// verified caches the frame check's verdict on frame, taken once at
 	// transmit time for every receiver.
 	verified bool
-	// cand is the candidate set (attach slots) captured at transmit
-	// time (shared with the reachability cache; read-only).
-	cand []int32
-	// far is how many attached nodes were excluded as unreachable when
-	// the candidate set was captured; they are bulk-counted as
-	// below-sensitivity at delivery.
-	far uint64
+	// reach is the transmitter's candidate set captured at transmit
+	// time, built for txDBm (shared with the reachability cache;
+	// read-only).
+	reach *reachability
 	// origin is the cell of pos: the transmission is registered in the
 	// ledgers of all cells within the ring of it, and cells created
 	// later (attach, migration) re-derive membership from it.
@@ -227,13 +224,23 @@ const FadeMarginDB = 6.0
 // it bounds the received power of every link through the static gain.
 var maxTxDBm = radio.PowerDBm(radio.MaxPowerLevel)
 
-// reachability is one transmitter's precomputed fan-out: the slots of
-// the attached nodes (in stable attach order) whose cached link gain at
-// maximum transmit power clears the sensitivity floor minus the fade
-// margin, plus the count of nodes excluded as unreachable.
+// reachability is one transmitter's precomputed fan-out at one transmit
+// power: the slots of the attached nodes (in stable attach order) whose
+// cached link gain at maximum transmit power clears the sensitivity
+// floor minus the fade margin, each one's received power at txDBm, and
+// the count of nodes excluded as unreachable.
 type reachability struct {
 	cand []int32
-	far  uint64
+	// rx[i] is cand[i]'s received power in dBm when the transmitter
+	// emits txDBm, computed from the positions recorded at build time.
+	rx    []float64
+	far   uint64
+	txDBm float64
+	// stale marks a set the medium has dropped (dropReach): an endpoint
+	// may have moved or detached, or the model changed, since rx was
+	// computed, so in-flight frames holding the set recompute received
+	// powers instead of reading rx.
+	stale bool
 }
 
 // slot is one attach slot: the node bound to it, its radio, and where
@@ -344,6 +351,11 @@ type Medium struct {
 	// invalidated within the ring on attach, detach and moves, and
 	// everywhere on topology changes.
 	reach []*reachability
+	// near, candBuf and rxBuf are reachFor's scratch buffers; each set
+	// keeps exact-size copies.
+	near    []int32
+	candBuf []int32
+	rxBuf   []float64
 	// grid is the partition into cells (cells.go): membership,
 	// interference ledgers and link tables. Unsharded, it is one
 	// unbounded cell.
@@ -452,8 +464,8 @@ func (m *Medium) InvalidateTopology() {
 // transmitters within the old and new rings are invalidated. Motes are
 // fixed once deployed — this is the workstation walking with the
 // operator (MAC.SetPosition calls it). Frames already in flight keep
-// the fan-out captured at transmit time; their link budgets are
-// recomputed against the new position at delivery.
+// the fan-out captured at transmit time, now stale, so their received
+// powers are recomputed against the new position at delivery.
 func (m *Medium) NodeMoved(id phys.NodeID) {
 	s, ok := m.slotOf[id]
 	if !ok || m.slots[s].rx == nil {
@@ -515,9 +527,11 @@ func (m *Medium) Detach(id phys.NodeID) {
 	m.order = slices.DeleteFunc(m.order, func(n int32) bool { return n == s })
 	// In-flight transmissions keep their captured candidate sets (which
 	// may still name s — deliver drops it as vacant); only future
-	// transmissions need rebuilt sets.
+	// transmissions need rebuilt sets. s leaves its cell before the ring
+	// is invalidated, so its own set is dropped here.
 	key := m.grid.res[s].c.key
 	m.grid.remove(s)
+	m.dropReach(s)
 	m.invalidateRing(key)
 }
 
@@ -646,9 +660,13 @@ func (m *Medium) interfMW(o *transmission, ts int32, to residence, toPos phys.Po
 }
 
 // prrFor returns the packet reception rate for a frame of n bytes at
-// the given SINR, memoised. PRR is a pure function of its arguments, so
-// the memo is bit-identical to recomputation.
+// the given SINR: exactly 1 from phys.CertainSNRDB up, memoised below
+// it. PRR is a pure function of its arguments, so the memo is
+// bit-identical to recomputation.
 func (m *Medium) prrFor(sinr float64, n int) float64 {
+	if sinr >= phys.CertainSNRDB {
+		return 1 // phys.PRR is exactly 1 there
+	}
 	if m.prr == nil {
 		m.prr = make([]prrSlot, prrMemoSize(len(m.slots)))
 		m.prrShift = uint(64 - bits.TrailingZeros(uint(len(m.prr))))
@@ -723,8 +741,7 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	// Capture the fan-out now: detaching a node mid-flight must not
 	// change the other receivers' outcomes (deliver re-checks attachment
 	// per candidate).
-	r := m.reachFor(s)
-	t.cand, t.far = r.cand, r.far
+	t.reach = m.reachFor(s, t.txDBm)
 	t.origin = m.keyFor(t.pos)
 	m.register(t)
 	m.active = append(m.active, t)
@@ -800,15 +817,16 @@ func (m *Medium) report(t *transmission, to phys.NodeID, o DeliveryOutcome, caus
 // deliver fans t out to the candidate set captured at transmit time,
 // at t.end, in one pass: each candidate's checks run in a fixed order —
 // channel, fault effect, sensitivity, radio state, SINR, corruption
-// draws — and stop at the first that decides its outcome, so the link
-// budget and the interference scan are computed only for receivers
-// that need them.
+// draws — and stop at the first that decides its outcome, so the
+// interference scan is computed only for receivers that need it. The
+// received power is the set's, unless the set went stale in flight.
 func (m *Medium) deliver(t *transmission) {
+	r := t.reach
 	// Nodes excluded by the reachability floor can never demodulate the
 	// frame; they are counted in bulk, with no per-receiver outcome.
-	m.stats.BelowSensitivity += t.far
+	m.stats.BelowSensitivity += r.far
 	noiseMW, noiseDBm := m.noiseFloor()
-	for _, s := range t.cand {
+	for i, s := range r.cand {
 		sl := &m.slots[s]
 		if sl.rx == nil {
 			continue // detached while the frame was in flight
@@ -828,7 +846,11 @@ func (m *Medium) deliver(t *transmission) {
 			m.report(t, id, OutcomeInjectedDrop, "", 0, nil)
 			continue
 		}
-		rxDBm := m.txBudget(t.fromSlot, t.pos, s, sl.pos).Received(t.txDBm) - eff.ExtraLossDB
+		rxDBm := r.rx[i]
+		if r.stale {
+			rxDBm = m.txBudget(t.fromSlot, t.pos, s, sl.pos).Received(t.txDBm)
+		}
+		rxDBm -= eff.ExtraLossDB
 		if rxDBm < radio.SensitivityDBm {
 			m.stats.BelowSensitivity++
 			m.report(t, id, OutcomeBelowSensitivity, "", rxDBm, nil)

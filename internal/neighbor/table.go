@@ -362,16 +362,17 @@ func (t *Table) Entries() []Entry {
 	return out
 }
 
-// Usable returns the non-blacklisted entries sorted by ID; this is the
-// view routing protocols consume.
-func (t *Table) Usable() []Entry {
-	out := make([]Entry, 0, len(t.keys))
+// AppendUsable appends the non-blacklisted entries, sorted by ID, to dst
+// and returns the extended slice; this is the view routing protocols
+// consume. A caller that passes back its own buffer reads the view
+// without allocating.
+func (t *Table) AppendUsable(dst []Entry) []Entry {
 	for _, k := range t.keys {
 		if !k.pinned {
-			out = append(out, t.rows[k.row])
+			dst = append(dst, t.rows[k.row])
 		}
 	}
-	return out
+	return dst
 }
 
 // Blacklist sets or clears the disabled flag on a neighbor. The entry

@@ -103,7 +103,7 @@ func TestBlacklistLifecycle(t *testing.T) {
 	if !tab.IsBlacklisted(5) {
 		t.Fatal("not blacklisted")
 	}
-	if n := len(tab.Usable()); n != 0 {
+	if n := len(tab.AppendUsable(nil)); n != 0 {
 		t.Fatalf("usable = %d", n)
 	}
 	if err := tab.Blacklist(5, false); err != nil {
@@ -112,7 +112,7 @@ func TestBlacklistLifecycle(t *testing.T) {
 	if tab.IsBlacklisted(5) {
 		t.Fatal("still blacklisted")
 	}
-	if n := len(tab.Usable()); n != 1 {
+	if n := len(tab.AppendUsable(nil)); n != 1 {
 		t.Fatalf("usable = %d", n)
 	}
 }

@@ -223,6 +223,20 @@ var binom16 = [17]float64{
 	12870, 11440, 8008, 4368, 1820, 560, 120, 16, 1,
 }
 
+// CertainSNRDB is the SNR in dB at and above which PRR is exactly 1.0 in
+// float64 for every frame length, so callers may skip the curve there.
+// At 6 dB the linear SNR is γ = 10^0.6 ≥ 3.98, and the BER series is
+// dominated by its k = 2 term:
+//
+//	BER ≤ (8/15)·(1/16)·120·e^(−10γ) + (k ≥ 3 terms, < 1e−20) ≈ 2.1e−17
+//
+// That is under 2^−54 ≈ 5.55e−17, half the spacing of float64 just
+// below 1, so 1 − BER rounds to exactly 1 and Pow(1, x) = 1. BER only
+// falls as the SNR rises (it is clamped to 0 from about 18.72 dB), so
+// the same holds above. The curve leaves 1 just under the cutoff:
+// PRR(5.89, 127) < 1 (TestCertainSNR).
+const CertainSNRDB = 6.0
+
 // PRR returns the probability that a frame of the given length in bytes
 // is received without bit errors at the given SNR in dB.
 func PRR(snrDB float64, lengthBytes int) float64 {

@@ -161,6 +161,45 @@ func TestBERExtremes(t *testing.T) {
 	}
 }
 
+// TestCertainSNR checks the bound CertainSNRDB documents: PRR is
+// exactly 1 for every frame length at and above it, across a 1e-5 dB
+// sweep up to 19 dB (BER is clamped to 0 from about 18.72 dB) and at
+// +Inf. Just under it the curve is below 1, so the constant is nearly
+// tight.
+//
+// The fine sweep checks the shortest and longest frames only: PRR is
+// Pow(1−BER, 8n), and the float64 just under 1, raised to the 8th
+// power, is still under 1, so PRR(s, 1) == 1 means 1−BER is exactly 1
+// and every length gets Pow(1, 8n) = 1. Every length is checked on a
+// 0.01 dB grid.
+func TestCertainSNR(t *testing.T) {
+	const maxFrame = 127
+	check := func(s float64, n int) {
+		if p := PRR(s, n); p != 1 {
+			t.Fatalf("PRR(%v, %d) = %v, want exactly 1", s, n, p)
+		}
+	}
+	for i := 0; ; i++ {
+		s := CertainSNRDB + float64(i)*1e-5
+		if s > 19 {
+			break
+		}
+		check(s, 1)
+		check(s, maxFrame)
+		if i%1000 == 0 {
+			for n := 2; n < maxFrame; n++ {
+				check(s, n)
+			}
+		}
+	}
+	for n := 1; n <= maxFrame; n++ {
+		check(math.Inf(1), n)
+	}
+	if p := PRR(5.89, maxFrame); p >= 1 {
+		t.Fatalf("PRR(5.89, %d) = %v, want under 1", maxFrame, p)
+	}
+}
+
 func TestPRRProperties(t *testing.T) {
 	// PRR decreases with length at fixed SNR.
 	if PRR(3, 10) < PRR(3, 100) {

@@ -27,6 +27,8 @@ type geographic struct {
 	table   *neighbor.Table
 	locator Locator
 	minLQI  float64
+	// usable is nextHop's reused copy of the table's usable view.
+	usable []neighbor.Entry
 }
 
 // NewGeographic attaches greedy geographic forwarding to st on
@@ -77,7 +79,9 @@ func (g *geographic) nextHop(p *stack.Packet) (phys.NodeID, error) {
 	fallbackLQI := -1.0
 	suspect := phys.NodeID(0)
 	suspectDel := -1.0
-	for _, e := range g.table.Usable() {
+	g.usable = g.table.AppendUsable(g.usable[:0])
+	for i := range g.usable {
+		e := &g.usable[i]
 		pos, ok := g.locator(e.ID)
 		if !ok {
 			continue

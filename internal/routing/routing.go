@@ -209,6 +209,9 @@ type Router struct {
 	stats      Stats
 	// tel, when set, receives routing-layer telemetry events.
 	tel *telemetry.Recorder
+	// query is the packet NextHop asks the strategy about, reused: no
+	// strategy retains the packet it is handed.
+	query stack.Packet
 }
 
 // SetTelemetry points the router at a telemetry recorder (nil detaches).
@@ -280,7 +283,8 @@ func (r *Router) NextHop(dst phys.NodeID) (phys.NodeID, error) {
 	if dst == r.st.NodeID() {
 		return 0, ErrSelfRoute
 	}
-	next, err := r.strat.nextHop(&stack.Packet{Port: r.port, Origin: r.st.NodeID(), Dst: dst})
+	r.query = stack.Packet{Port: r.port, Origin: r.st.NodeID(), Dst: dst}
+	next, err := r.strat.nextHop(&r.query)
 	if err != nil {
 		return 0, err
 	}

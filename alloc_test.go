@@ -226,3 +226,26 @@ func TestEnginePooledScheduleZeroAlloc(t *testing.T) {
 		t.Fatalf("pooled AfterArg allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestRecentFullTableZeroAlloc pins sim.Recent, the bounded table behind
+// every per-node duplicate filter: once full, a hit, a miss and an
+// evicting insert do not allocate.
+func TestRecentFullTableZeroAlloc(t *testing.T) {
+	r := sim.NewRecent[phys.NodeID, byte](32)
+	for src := phys.NodeID(1); src <= 32; src++ {
+		*r.Put(src) = byte(src)
+	}
+	src := phys.NodeID(33)
+	op := func() {
+		if v, ok := r.Get(src - 1); ok {
+			*v++
+		}
+		if _, ok := r.Get(src); !ok {
+			*r.Put(src) = 1
+		}
+		src++
+	}
+	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+		t.Fatalf("Get and Put on a full table allocate %.1f allocs/op, want 0", allocs)
+	}
+}

@@ -32,22 +32,22 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", "127.0.0.1:7117", "lvserved wire-protocol address")
-		tenant  = flag.String("tenant", "default", "tenant (testbed) to attach to")
-		script  = flag.String("c", "", "run these semicolon-separated commands and exit")
+		addr     = flag.String("addr", "127.0.0.1:7117", "lvserved wire-protocol address")
+		tenant   = flag.String("tenant", "default", "tenant (testbed) to attach to")
+		script   = flag.String("c", "", "run these semicolon-separated commands and exit")
 		healthz  = flag.Bool("healthz", false, "print the daemon's health report and exit")
 		metrics  = flag.Bool("metrics", false, "print the daemon's service metrics and exit")
 		recovery = flag.Bool("recovery", false, "print the daemon's crash-recovery status and exit")
 		clear    = flag.String("clear", "", "lift this tenant's quarantine (implies -recovery)")
 		watch    = flag.Bool("watch", false, "stream the tenant's telemetry as JSONL to stdout")
 		rewatch  = flag.Bool("reconnect", true, "watch: reconnect with backoff on transient disconnects")
-		wNode   = flag.Uint64("node", 0, "watch: only events owned by this node id (0 = any)")
-		wLayer  = flag.String("layer", "", "watch: only events from this layer (medium, mac, routing, ...)")
-		wKind   = flag.String("kind", "", "watch: only events of this kind (tx, rx, cca, ...)")
-		wLink   = flag.String("link", "", "watch: only events on this A-B node-id link")
-		wSpan   = flag.Uint64("span", 0, "watch: only events of this command span id (0 = any)")
-		wCount  = flag.Int("count", 0, "watch: stop after this many frames (0 = stream forever)")
-		wFor    = flag.Duration("for", 0, "watch: stop after this long (enforced server-side)")
+		wNode    = flag.Uint64("node", 0, "watch: only events owned by this node id (0 = any)")
+		wLayer   = flag.String("layer", "", "watch: only events from this layer (medium, mac, routing, ...)")
+		wKind    = flag.String("kind", "", "watch: only events of this kind (tx, rx, cca, ...)")
+		wLink    = flag.String("link", "", "watch: only events on this A-B node-id link")
+		wSpan    = flag.Uint64("span", 0, "watch: only events of this command span id (0 = any)")
+		wCount   = flag.Int("count", 0, "watch: stop after this many frames (0 = stream forever)")
+		wFor     = flag.Duration("for", 0, "watch: stop after this long (enforced server-side)")
 	)
 	flag.Parse()
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"liteview/internal/mac"
@@ -131,7 +132,24 @@ type inKey struct {
 type inXfer struct {
 	nextExpected int
 	total        int
-	pending      map[int][]byte
+	// pending holds the pieces that arrived ahead of nextExpected, at
+	// most one per seq.
+	pending []inPiece
+}
+
+type inPiece struct {
+	seq int
+	buf []byte
+}
+
+// find returns the index of piece seq in pending, or -1.
+func (x *inXfer) find(seq int) int {
+	for i, p := range x.pending {
+		if p.seq == seq {
+			return i
+		}
+	}
+	return -1
 }
 
 // Endpoint is one side of the exchange protocol (the interpreter's
@@ -144,8 +162,7 @@ type Endpoint struct {
 	onMsg  MessageFunc
 	nextID uint16
 	out    map[uint32]*outXfer
-	in     map[inKey]*inXfer
-	inQ    []inKey
+	in     sim.Recent[inKey, inXfer]
 	stats  ReliableStats
 	// tel, when set, receives reliable-exchange telemetry events.
 	tel *telemetry.Recorder
@@ -186,7 +203,7 @@ func NewEndpoint(eng *sim.Engine, st *stack.Stack, cfg ReliableConfig, onMsg Mes
 		cfg:   cfg,
 		onMsg: onMsg,
 		out:   make(map[uint32]*outXfer),
-		in:    make(map[inKey]*inXfer),
+		in:    sim.NewRecent[inKey, inXfer](inCacheSize),
 	}
 	if err := st.Subscribe(ControllerPort, e.onPacket); err != nil {
 		return nil, err
@@ -384,8 +401,7 @@ func (e *Endpoint) Reset() {
 		}
 	}
 	e.out = make(map[uint32]*outXfer)
-	e.in = make(map[inKey]*inXfer)
-	e.inQ = nil
+	e.in.Reset()
 }
 
 func (e *Endpoint) onPacket(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
@@ -468,34 +484,24 @@ func (e *Endpoint) onData(data []byte, from phys.NodeID, info medium.RxInfo, bro
 	}
 	payload := data[envHeaderLen:]
 	k := inKey{from: from, id: id}
-	x, ok := e.in[k]
+	x, ok := e.in.Get(k)
 	if !ok {
-		x = &inXfer{total: total, pending: make(map[int][]byte)}
-		e.in[k] = x
-		e.inQ = append(e.inQ, k)
-		if len(e.inQ) > inCacheSize {
-			old := e.inQ[0]
-			e.inQ = e.inQ[1:]
-			delete(e.in, old)
-		}
+		x = e.in.Put(k)
+		x.total = total
 	}
 	var ready [][]byte
 	switch {
 	case seq == x.nextExpected:
 		ready = append(ready, append([]byte(nil), payload...))
 		x.nextExpected++
-		for {
-			buf, ok := x.pending[x.nextExpected]
-			if !ok {
-				break
-			}
-			delete(x.pending, x.nextExpected)
-			ready = append(ready, buf)
+		for i := x.find(x.nextExpected); i >= 0; i = x.find(x.nextExpected) {
+			ready = append(ready, x.pending[i].buf)
+			x.pending = slices.Delete(x.pending, i, i+1)
 			x.nextExpected++
 		}
 	case seq > x.nextExpected:
-		if _, dup := x.pending[seq]; !dup {
-			x.pending[seq] = append([]byte(nil), payload...)
+		if x.find(seq) < 0 {
+			x.pending = append(x.pending, inPiece{seq, append([]byte(nil), payload...)})
 		} else {
 			e.stats.Duplicates++
 		}

@@ -132,8 +132,7 @@ type TracerouteEngine struct {
 	nextID   uint16
 	segments map[uint64]*trSegment // keyed by (source, taskID, hop)
 	sessions map[uint16]*trSession
-	seen     map[uint64]struct{} // probe dedup: (source, taskID, hop)
-	seenQ    []uint64
+	seen     sim.Recent[uint64, struct{}] // probe dedup: segKey(source, taskID, hop)
 }
 
 // NewTracerouteEngine subscribes the traceroute process on
@@ -146,7 +145,7 @@ func NewTracerouteEngine(eng *sim.Engine, os *liteos.Node, routers RouterLookup)
 		rng:      eng.Rand().Fork(fmt.Sprintf("traceroute-%d", os.ID())),
 		segments: make(map[uint64]*trSegment),
 		sessions: make(map[uint16]*trSession),
-		seen:     make(map[uint64]struct{}),
+		seen:     sim.NewRecent[uint64, struct{}](256),
 	}
 	if err := os.Stack().Subscribe(TraceroutePort, te.onPacket); err != nil {
 		return nil, err
@@ -175,8 +174,7 @@ func (te *TracerouteEngine) Reset() {
 		}
 		delete(te.sessions, id)
 	}
-	te.seen = make(map[uint64]struct{})
-	te.seenQ = nil
+	te.seen.Reset()
 }
 
 // Start launches a traceroute from this node. onReport is invoked for
@@ -389,10 +387,10 @@ func (te *TracerouteEngine) onProbe(p *stack.Packet, from phys.NodeID, info medi
 	// Initiate the next task exactly once even if the probe was
 	// retransmitted.
 	key := segKey(source, taskID, hop)
-	if _, dup := te.seen[key]; dup {
+	if _, dup := te.seen.Get(key); dup {
 		return
 	}
-	te.remember(key)
+	te.seen.Put(key)
 	if te.os.ID() != dst {
 		// Desynchronise the continuation: starting the next hop's probe
 		// immediately would lock it in phase with the previous hop's
@@ -407,16 +405,6 @@ func (te *TracerouteEngine) onProbe(p *stack.Packet, from phys.NodeID, info medi
 }
 
 func (te *TracerouteEngine) defaultHopTimeout() sim.Time { return 250 * time.Millisecond }
-
-func (te *TracerouteEngine) remember(key uint64) {
-	if len(te.seenQ) >= 256 {
-		old := te.seenQ[0]
-		te.seenQ = te.seenQ[1:]
-		delete(te.seen, old)
-	}
-	te.seen[key] = struct{}{}
-	te.seenQ = append(te.seenQ, key)
-}
 
 // onReply handles Figure 4 steps 6-8 at the probing hop: compute the
 // hop RTT and ship the report to the source.

@@ -243,6 +243,18 @@ func firstStatusErr(c *collector) error {
 	return nil
 }
 
+// statusCommand runs a command whose only reply is a status.
+func (w *Workstation) statusCommand(node phys.NodeID, cmd Command) error {
+	c, _, err := w.command(node, cmd, w.window, false)
+	if err != nil {
+		return err
+	}
+	if len(c.replies) == 0 {
+		return errors.New("core: no reply within the response window")
+	}
+	return firstStatusErr(c)
+}
+
 // RadioGet reads a node's current power level and channel.
 func (w *Workstation) RadioGet(node phys.NodeID) (RadioInfo, error) {
 	c, _, err := w.command(node, Command{Kind: KindRadioGet}, w.window, false)
@@ -259,27 +271,13 @@ func (w *Workstation) RadioGet(node phys.NodeID) (RadioInfo, error) {
 
 // SetPower programs a node's CC2420 PA_LEVEL.
 func (w *Workstation) SetPower(node phys.NodeID, level int) error {
-	c, _, err := w.command(node, Command{Kind: KindSetPower, Value: level}, w.window, false)
-	if err != nil {
-		return err
-	}
-	if len(c.replies) == 0 {
-		return errors.New("core: no reply within the response window")
-	}
-	return firstStatusErr(c)
+	return w.statusCommand(node, Command{Kind: KindSetPower, Value: level})
 }
 
 // SetChannel tunes a node to another 802.15.4 channel. The management
 // link breaks until the workstation follows.
 func (w *Workstation) SetChannel(node phys.NodeID, ch int) error {
-	c, _, err := w.command(node, Command{Kind: KindSetChannel, Value: ch}, w.window, false)
-	if err != nil {
-		return err
-	}
-	if len(c.replies) == 0 {
-		return errors.New("core: no reply within the response window")
-	}
-	return firstStatusErr(c)
+	return w.statusCommand(node, Command{Kind: KindSetChannel, Value: ch})
 }
 
 // NeighborListOutput is a neighbor listing with its response delay.
@@ -310,27 +308,13 @@ func (w *Workstation) NeighborList(node phys.NodeID, withLink bool) (*NeighborLi
 // Blacklist adds (on=true) or removes (on=false) a neighbor on a node's
 // blacklist.
 func (w *Workstation) Blacklist(node, target phys.NodeID, on bool) error {
-	c, _, err := w.command(node, Command{Kind: KindNbrBlacklist, Target: target, On: on}, w.window, false)
-	if err != nil {
-		return err
-	}
-	if len(c.replies) == 0 {
-		return errors.New("core: no reply within the response window")
-	}
-	return firstStatusErr(c)
+	return w.statusCommand(node, Command{Kind: KindNbrBlacklist, Target: target, On: on})
 }
 
 // UpdateBeaconPeriod reconfigures a node's neighborhood beacon exchange
 // frequency (the neighbor-setup "update" command).
 func (w *Workstation) UpdateBeaconPeriod(node phys.NodeID, period sim.Time) error {
-	c, _, err := w.command(node, Command{Kind: KindNbrUpdate, PeriodMs: uint32(period / time.Millisecond)}, w.window, false)
-	if err != nil {
-		return err
-	}
-	if len(c.replies) == 0 {
-		return errors.New("core: no reply within the response window")
-	}
-	return firstStatusErr(c)
+	return w.statusCommand(node, Command{Kind: KindNbrUpdate, PeriodMs: uint32(period / time.Millisecond)})
 }
 
 // PingOutput is the interpreter-side result of a ping command.
@@ -634,14 +618,7 @@ func (w *Workstation) FsList(node phys.NodeID, path string) ([]FsEntry, error) {
 
 // LogControl enables or disables a node's on-demand event logging.
 func (w *Workstation) LogControl(node phys.NodeID, on bool) error {
-	c, _, err := w.command(node, Command{Kind: KindLogCtl, On: on}, w.window, false)
-	if err != nil {
-		return err
-	}
-	if len(c.replies) == 0 {
-		return errors.New("core: no reply within the response window")
-	}
-	return firstStatusErr(c)
+	return w.statusCommand(node, Command{Kind: KindLogCtl, On: on})
 }
 
 // LogDump fetches up to count of the newest entries from a node's event
@@ -663,27 +640,40 @@ func (w *Workstation) LogDump(node phys.NodeID, count int) ([]LogEntry, error) {
 	return out, firstStatusErr(c)
 }
 
-// GroupRadioGet broadcasts a radio-configuration query: every
-// controller in range answers (after its group backoff) with its power
-// level and channel — a one-command inventory of the deployment's radio
-// settings.
-func (w *Workstation) GroupRadioGet(window sim.Time) (map[phys.NodeID]RadioInfo, error) {
+// group broadcasts cmd to every controller in range and returns each
+// responder's collector after the window (the default one when window is
+// not positive). It swaps in a fresh collector table with on-demand
+// creation and restores the old one afterwards.
+func (w *Workstation) group(cmd Command, window sim.Time) (map[phys.NodeID]*collector, error) {
 	if window <= 0 {
 		window = w.window
 	}
 	prev := w.collecting
-	w.collecting = make(map[phys.NodeID]*collector)
+	got := make(map[phys.NodeID]*collector)
+	w.collecting = got
 	w.groupMode = true
 	defer func() {
 		w.collecting = prev
 		w.groupMode = false
 	}()
-	if err := w.ep.Send(phys.Broadcast, [][]byte{EncodeCommand(Command{Kind: KindRadioGet})}, 0, nil); err != nil {
+	if err := w.ep.Send(phys.Broadcast, [][]byte{EncodeCommand(cmd)}, 0, nil); err != nil {
 		return nil, err
 	}
 	w.pump(w.eng.Now()+window, nil, false)
+	return got, nil
+}
+
+// GroupRadioGet broadcasts a radio-configuration query: every
+// controller in range answers (after its group backoff) with its power
+// level and channel — a one-command inventory of the deployment's radio
+// settings.
+func (w *Workstation) GroupRadioGet(window sim.Time) (map[phys.NodeID]RadioInfo, error) {
+	got, err := w.group(Command{Kind: KindRadioGet}, window)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[phys.NodeID]RadioInfo)
-	for id, c := range w.collecting {
+	for id, c := range got {
 		for _, r := range c.replies {
 			if r.Kind == KindRadioInfo {
 				out[id] = r.Radio
@@ -698,25 +688,12 @@ func (w *Workstation) GroupRadioGet(window sim.Time) (map[phys.NodeID]RadioInfo,
 // random backoff. It collects for the given window and returns the
 // tables by node.
 func (w *Workstation) GroupNeighborList(withLink bool, window sim.Time) (map[phys.NodeID][]NbrEntry, error) {
-	if window <= 0 {
-		window = w.window
-	}
-	// Group collection: swap in a fresh collector table with on-demand
-	// creation, restore the old one afterwards.
-	prev := w.collecting
-	w.collecting = make(map[phys.NodeID]*collector)
-	w.groupMode = true
-	defer func() {
-		w.collecting = prev
-		w.groupMode = false
-	}()
-	err := w.ep.Send(phys.Broadcast, [][]byte{EncodeCommand(Command{Kind: KindNbrList, WithLink: withLink})}, 0, nil)
+	got, err := w.group(Command{Kind: KindNbrList, WithLink: withLink}, window)
 	if err != nil {
 		return nil, err
 	}
-	w.pump(w.eng.Now()+window, nil, false)
 	out := make(map[phys.NodeID][]NbrEntry)
-	for id, c := range w.collecting {
+	for id, c := range got {
 		for _, r := range c.replies {
 			if r.Kind == KindNbrEntry {
 				out[id] = append(out[id], r.Nbr)

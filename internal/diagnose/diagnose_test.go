@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"liteview/internal/core"
-	"liteview/internal/fault"
 	"liteview/internal/diagnose"
+	"liteview/internal/fault"
 	"liteview/internal/radio"
 	"liteview/internal/routing"
 	"liteview/internal/testbed"

@@ -146,13 +146,6 @@ const ackPoolCap = 8
 // dupTableSize bounds the duplicate table like a mote's RAM does.
 const dupTableSize = 32
 
-// dupEntry is one duplicate-table row: the last sequence number heard
-// from a source.
-type dupEntry struct {
-	src phys.NodeID
-	seq byte
-}
-
 // MAC is the per-node link layer. It implements medium.Receiver.
 type MAC struct {
 	eng     *sim.Engine
@@ -202,12 +195,8 @@ type MAC struct {
 	lplSleeping bool
 	lingerUntil sim.Time
 	// dup suppresses redelivery of retransmitted frames (802.15.4
-	// receivers track the last sequence number per source). It is a
-	// fixed ring of the first dupLen rows: once full, a new source
-	// replaces the oldest-inserted one, at dupOldest.
-	dup       [dupTableSize]dupEntry
-	dupLen    int
-	dupOldest int
+	// receivers track the last sequence number per source).
+	dup sim.Recent[phys.NodeID, byte]
 	// epoch invalidates in-flight transmit and ack completions across
 	// Reset: a callback scheduled before a crash must not touch the
 	// radio of the rebooted (or still-dead) node.
@@ -243,6 +232,7 @@ func New(eng *sim.Engine, med *medium.Medium, rad *radio.Radio, id phys.NodeID, 
 		cfg:     cfg,
 		deliver: deliver,
 		q:       make([]outgoing, cfg.QueueCap),
+		dup:     sim.NewRecent[phys.NodeID, byte](dupTableSize),
 	}
 	// Bind the hot-path callbacks once; scheduling a method value at the
 	// call site would allocate a fresh closure per event.
@@ -336,7 +326,7 @@ func (m *MAC) Reset() {
 	m.qHead, m.qLen = 0, 0
 	m.sending = false
 	m.disarmAckWait()
-	m.dupLen, m.dupOldest = 0, 0
+	m.dup.Reset()
 	m.lplSleeping = false
 	m.lingerUntil = 0
 }
@@ -762,24 +752,16 @@ func (m *MAC) OnFrame(raw []byte, info medium.RxInfo) {
 
 // rememberSeq records the latest sequence number heard from a source
 // and reports whether it is new; false means a duplicate of the last
-// frame taken from src. A source not in the table takes a free row, or
-// evicts the oldest-inserted source once all dupTableSize are in use.
+// frame taken from src. A source not in the table takes a new row,
+// evicting the oldest-inserted source once all dupTableSize are in use.
 func (m *MAC) rememberSeq(src phys.NodeID, seq byte) bool {
-	for i := range m.dup[:m.dupLen] {
-		if e := &m.dup[i]; e.src == src {
-			if e.seq == seq {
-				return false
-			}
-			e.seq = seq
-			return true
+	if last, ok := m.dup.Get(src); ok {
+		if *last == seq {
+			return false
 		}
-	}
-	if m.dupLen < dupTableSize {
-		m.dup[m.dupLen] = dupEntry{src, seq}
-		m.dupLen++
+		*last = seq
 		return true
 	}
-	m.dup[m.dupOldest] = dupEntry{src, seq}
-	m.dupOldest = (m.dupOldest + 1) % dupTableSize
+	*m.dup.Put(src) = seq
 	return true
 }

@@ -71,10 +71,9 @@ type onDemand struct {
 	routes map[phys.NodeID]*routeEntry
 	disc   map[phys.NodeID]*discovery
 	// seenReq dedups request floods by (origin, reqID).
-	seenReq  map[uint32]struct{}
-	seenReqQ []uint32
-	nextReq  uint16
-	minLQI   float64
+	seenReq sim.Recent[uint32, struct{}]
+	nextReq uint16
+	minLQI  float64
 }
 
 // NewOnDemand attaches the on-demand protocol to st on OnDemandPort.
@@ -94,7 +93,7 @@ func NewOnDemandOnPort(eng *sim.Engine, st *stack.Stack, table *neighbor.Table, 
 		rng:     eng.Rand().Fork(fmt.Sprintf("ondemand-%d", st.NodeID())),
 		routes:  make(map[phys.NodeID]*routeEntry),
 		disc:    make(map[phys.NodeID]*discovery),
-		seenReq: make(map[uint32]struct{}),
+		seenReq: sim.NewRecent[uint32, struct{}](dedupCacheSize),
 		minLQI:  cfg.MinLQI,
 	}
 	r, err := newRouter(eng, st, table, port, cfg, od)
@@ -143,7 +142,9 @@ func (od *onDemand) startDiscovery(dst phys.NodeID, retries int) {
 	binary.BigEndian.PutUint16(w[3:5], uint16(od.self)) // requester
 	binary.BigEndian.PutUint16(w[5:7], uint16(dst))     // target
 	w[7] = 0                                            // hop count
-	od.rememberReq(od.self, d.reqID)
+	// Own request IDs repeat only after 2^16 discoveries, long after
+	// the table has evicted them.
+	od.seenReq.Put(dedupKey(od.self, d.reqID))
 	od.r.sendControl(phys.Broadcast, w[:])
 	d.timer = od.eng.Schedule(DiscoveryTimeout, func() { od.discoveryTimeout(dst) })
 }
@@ -163,21 +164,6 @@ func (od *onDemand) discoveryTimeout(dst phys.NodeID) {
 	}
 	delete(od.disc, dst)
 	od.r.dropPending(dst)
-}
-
-func (od *onDemand) rememberReq(origin phys.NodeID, reqID uint16) bool {
-	key := uint32(origin)<<16 | uint32(reqID)
-	if _, dup := od.seenReq[key]; dup {
-		return false
-	}
-	if len(od.seenReqQ) >= dedupCacheSize {
-		old := od.seenReqQ[0]
-		od.seenReqQ = od.seenReqQ[1:]
-		delete(od.seenReq, old)
-	}
-	od.seenReq[key] = struct{}{}
-	od.seenReqQ = append(od.seenReqQ, key)
-	return true
 }
 
 // usableNeighbor gates learning on link quality like the other
@@ -219,9 +205,11 @@ func (od *onDemand) onControl(p *stack.Packet, from phys.NodeID, info medium.RxI
 		if requester == od.self {
 			return // our own flood echoed back
 		}
-		if !od.rememberReq(requester, reqID) {
+		key := dedupKey(requester, reqID)
+		if _, dup := od.seenReq.Get(key); dup {
 			return // duplicate flood copy
 		}
+		od.seenReq.Put(key)
 		// The reverse route toward the requester came in through from.
 		od.install(requester, from, hops+1)
 		if target == od.self {

@@ -197,8 +197,8 @@ type Router struct {
 	queue   []queued
 	sending bool
 	nextID  uint16
-	seen    map[uint32]struct{}
-	seenQ   []uint32
+	// seen dedups routed packets by dedupKey(origin, id).
+	seen sim.Recent[uint32, struct{}]
 	// pending parks packets whose route is still being discovered;
 	// parkTimer holds the per-destination expiry event.
 	pending   map[phys.NodeID][]parkedPkt
@@ -237,8 +237,11 @@ const (
 
 const dedupCacheSize = 128
 
-// debugNoRoute enables diagnostic prints for dropped forwards.
-var debugNoRoute = false
+// dedupKey packs a flood or packet identity, (origin, id), into one
+// duplicate-filter key.
+func dedupKey(origin phys.NodeID, id uint16) uint32 {
+	return uint32(origin)<<16 | uint32(id)
+}
 
 func newRouter(eng *sim.Engine, st *stack.Stack, table *neighbor.Table, port byte, cfg Config, strat strategy) (*Router, error) {
 	if cfg.QueueCap <= 0 {
@@ -258,7 +261,7 @@ func newRouter(eng *sim.Engine, st *stack.Stack, table *neighbor.Table, port byt
 		cfg:        cfg,
 		port:       port,
 		strat:      strat,
-		seen:       make(map[uint32]struct{}),
+		seen:       sim.NewRecent[uint32, struct{}](dedupCacheSize),
 		pending:    make(map[phys.NodeID][]parkedPkt),
 		parkTimer:  make(map[phys.NodeID]*sim.Event),
 		failStreak: make(map[phys.NodeID]int),
@@ -464,13 +467,13 @@ func (r *Router) onPacket(p *stack.Packet, from phys.NodeID, info medium.RxInfo)
 	}
 	// Duplicate suppression (flooding re-broadcasts reach us many
 	// times; unicast duplicates are possible under MAC retry schemes).
-	key := uint32(p.Origin)<<16 | uint32(id)
-	if _, dup := r.seen[key]; dup {
+	key := dedupKey(p.Origin, id)
+	if _, dup := r.seen.Get(key); dup {
 		r.stats.DroppedDup++
 		r.emitDrop(p, "dup")
 		return
 	}
-	r.remember(key)
+	r.seen.Put(key)
 	// Link-quality padding: the receiving hop records the incoming
 	// link's quality. Exhausted padding stops recording but not
 	// forwarding (the probe keeps travelling; it just can't take notes).
@@ -510,9 +513,6 @@ func (r *Router) onPacket(p *stack.Packet, from phys.NodeID, info medium.RxInfo)
 	if err != nil {
 		r.stats.DroppedNoRoute++
 		r.emitDrop(p, "noroute")
-		if debugNoRoute {
-			fmt.Printf("DEBUG noroute at node %d: origin=%d dst=%d ttl=%d err=%v\n", r.st.NodeID(), p.Origin, p.Dst, p.TTL, err)
-		}
 		return
 	}
 	r.stats.Forwarded++
@@ -545,17 +545,6 @@ func (r *Router) deliverLocal(p *stack.Packet) error {
 		Pad:    append([]stack.LinkQuality(nil), p.Pad...),
 	}
 	return r.st.SendLocal(q)
-}
-
-// remember inserts a dedup key, evicting FIFO.
-func (r *Router) remember(key uint32) {
-	if len(r.seenQ) >= dedupCacheSize {
-		old := r.seenQ[0]
-		r.seenQ = r.seenQ[1:]
-		delete(r.seen, old)
-	}
-	r.seen[key] = struct{}{}
-	r.seenQ = append(r.seenQ, key)
 }
 
 // enqueue adds a packet to the routing-layer queue and kicks the sender.
@@ -728,6 +717,3 @@ func (r *Router) sendControl(dst phys.NodeID, data []byte) {
 	}
 	r.enqueue(p, dst, true)
 }
-
-// SetDebugNoRoute toggles diagnostic printing of no-route drops.
-func SetDebugNoRoute(on bool) { debugNoRoute = on }

@@ -114,7 +114,7 @@ func AdaptiveBatch(seed uint64, opt Options) (*Result, error) {
 			cfg.MaxRetries = 20
 			cfg.FixedBatch = fixed
 			if fixed {
-				cfg.InitBatch = cfg.MaxBatch
+				cfg.InitBatch = core.MaxBatch
 			}
 			return core.NewEndpoint(eng, st, cfg, func(phys.NodeID, []byte, medium.RxInfo, bool) {})
 		}

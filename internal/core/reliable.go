@@ -42,39 +42,34 @@ const envFlagAckReq byte = 1 << 0
 // envelope layout: kind(1) xferID(2) seq(2) total(2) flags(1) payload.
 const envHeaderLen = 8
 
+// Fixed parameters of the exchange protocol.
+const (
+	// MaxBatch bounds the adaptive batch size.
+	MaxBatch = 8
+	// GroupBackoffMax is the random delay range for group responses.
+	GroupBackoffMax = 300 * time.Millisecond
+)
+
 // ReliableConfig tunes the exchange protocol.
 type ReliableConfig struct {
 	// AckTimeout is how long the sender waits for a batch ack.
 	AckTimeout sim.Time
 	// MaxRetries bounds retransmission rounds per transfer.
 	MaxRetries int
-	// InitBatch, MaxBatch bound the adaptive batch size.
-	InitBatch, MaxBatch int
+	// InitBatch is the first window's batch size (1..MaxBatch).
+	InitBatch int
 	// FixedBatch disables the dynamic batch-size adjustment (ablation
 	// D3): the window stays at InitBatch regardless of loss.
 	FixedBatch bool
-	// GroupBackoffMax is the random delay range for group responses.
-	GroupBackoffMax sim.Time
-	// RetryBackoff is the extra delay inserted before the first
-	// retransmission round, doubling on every consecutive retry up to
-	// RetryBackoffCap. It keeps retry rounds from hammering a peer that
-	// is rebooting or a channel that is jammed. Zero selects a default
-	// scaled to AckTimeout; a negative value disables the backoff.
-	RetryBackoff sim.Time
-	// RetryBackoffCap caps the exponential growth of RetryBackoff
-	// (zero selects a default scaled to AckTimeout).
-	RetryBackoffCap sim.Time
 }
 
 // DefaultReliableConfig returns parameters tuned for one-hop exchanges
 // inside the paper's 500 ms command response window.
 func DefaultReliableConfig() ReliableConfig {
 	return ReliableConfig{
-		AckTimeout:      60 * time.Millisecond,
-		MaxRetries:      4,
-		InitBatch:       2,
-		MaxBatch:        8,
-		GroupBackoffMax: 300 * time.Millisecond,
+		AckTimeout: 60 * time.Millisecond,
+		MaxRetries: 4,
+		InitBatch:  2,
 	}
 }
 
@@ -179,22 +174,8 @@ func NewEndpoint(eng *sim.Engine, st *stack.Stack, cfg ReliableConfig, onMsg Mes
 	if onMsg == nil {
 		return nil, errors.New("core: nil message callback")
 	}
-	if cfg.AckTimeout <= 0 || cfg.InitBatch < 1 || cfg.MaxBatch < cfg.InitBatch {
+	if cfg.AckTimeout <= 0 || cfg.InitBatch < 1 || cfg.InitBatch > MaxBatch {
 		return nil, fmt.Errorf("core: invalid reliable config %+v", cfg)
-	}
-	// Backoff defaults scale with the ack timeout so fast-test configs
-	// (millisecond timeouts) stay fast and the default 60 ms timeout
-	// still finishes a full failed transfer inside the paper's 500 ms
-	// command window: 5×60 ms of timeouts + 10+20+40+60 ms of backoff.
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = cfg.AckTimeout / 6
-	} else if cfg.RetryBackoff < 0 {
-		cfg.RetryBackoff = 0
-	}
-	if cfg.RetryBackoffCap == 0 {
-		cfg.RetryBackoffCap = cfg.AckTimeout
-	} else if cfg.RetryBackoffCap < 0 {
-		cfg.RetryBackoffCap = 0
 	}
 	e := &Endpoint{
 		eng:   eng,
@@ -216,7 +197,7 @@ func (e *Endpoint) Stats() ReliableStats { return e.stats }
 
 // GroupBackoff returns a random response delay for group operations.
 func (e *Endpoint) GroupBackoff() sim.Time {
-	return e.rng.Jitter(e.cfg.GroupBackoffMax)
+	return e.rng.Jitter(GroupBackoffMax)
 }
 
 // Send starts a reliable transfer of msgs to the one-hop neighbor. The
@@ -375,19 +356,19 @@ func (e *Endpoint) onTimeout(x *outXfer) {
 	})
 }
 
-// retryDelay returns the backoff before retransmission round n (1-based).
+// retryDelay returns the backoff before retransmission round n
+// (1-based): AckTimeout/6, doubling each round, capped at AckTimeout.
+// It keeps retry rounds from hammering a peer that is rebooting or a
+// channel that is jammed. Scaling with the ack timeout keeps fast-test
+// configs (millisecond timeouts) fast, and the default 60 ms timeout
+// still finishes a full failed transfer inside the paper's 500 ms
+// command window: 5×60 ms of timeouts + 10+20+40+60 ms of backoff.
 func (e *Endpoint) retryDelay(n int) sim.Time {
-	d := e.cfg.RetryBackoff
-	if d <= 0 {
-		return 0
-	}
-	for i := 1; i < n && d < e.cfg.RetryBackoffCap; i++ {
+	d, limit := e.cfg.AckTimeout/6, e.cfg.AckTimeout
+	for i := 1; i < n && d < limit; i++ {
 		d *= 2
 	}
-	if d > e.cfg.RetryBackoffCap {
-		d = e.cfg.RetryBackoffCap
-	}
-	return d
+	return min(d, limit)
 }
 
 // Reset abandons every transfer in flight without running completion
@@ -457,7 +438,7 @@ func (e *Endpoint) onAck(data []byte, from phys.NodeID) {
 			return
 		}
 		// Successful batch: grow additively.
-		if !e.cfg.FixedBatch && x.batch < e.cfg.MaxBatch {
+		if !e.cfg.FixedBatch && x.batch < MaxBatch {
 			x.batch++
 		}
 		e.sendWindow(x)

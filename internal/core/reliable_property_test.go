@@ -28,8 +28,8 @@ func TestReliableProtocolUnderParametricLoss(t *testing.T) {
 				model.AsymSigma = 0
 				med := medium.New(eng, model)
 				lossRng := sim.NewRand(seed * 7777)
-				med.SetLossFunc(func(_, _ phys.NodeID, _ []byte) bool {
-					return lossRng.Bool(float64(lossPct) / 100)
+				med.SetFaultHook(func(phys.NodeID, phys.NodeID, int) medium.FaultEffect {
+					return medium.FaultEffect{Corrupt: lossRng.Bool(float64(lossPct) / 100)}
 				})
 				var got [][]byte
 				mkEp := func(id phys.NodeID, x float64, capture bool) *Endpoint {
@@ -111,8 +111,8 @@ func TestInjectedLossForcesAdaptation(t *testing.T) {
 		model.AsymSigma = 0
 		med := medium.New(eng, model)
 		lossRng := sim.NewRand(999)
-		med.SetLossFunc(func(_, _ phys.NodeID, _ []byte) bool {
-			return lossRng.Bool(float64(lossPct) / 100)
+		med.SetFaultHook(func(phys.NodeID, phys.NodeID, int) medium.FaultEffect {
+			return medium.FaultEffect{Corrupt: lossRng.Bool(float64(lossPct) / 100)}
 		})
 		mkEp := func(id phys.NodeID, x float64) *Endpoint {
 			rad, _ := radio.New(17)

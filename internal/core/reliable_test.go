@@ -294,11 +294,10 @@ func TestEndpointConfigValidation(t *testing.T) {
 func TestGroupBackoffWithinWindow(t *testing.T) {
 	e := newRelEnv(10)
 	a := e.node(t, 1, 0)
-	cfg := DefaultReliableConfig()
 	for i := 0; i < 200; i++ {
 		d := a.ep.GroupBackoff()
-		if d < 0 || d >= cfg.GroupBackoffMax {
-			t.Fatalf("backoff %v outside [0, %v)", d, cfg.GroupBackoffMax)
+		if d < 0 || d >= GroupBackoffMax {
+			t.Fatalf("backoff %v outside [0, %v)", d, GroupBackoffMax)
 		}
 	}
 }
@@ -310,7 +309,9 @@ func TestTransferFailsUnderTotalLoss(t *testing.T) {
 	e := newRelEnv(11)
 	a := e.node(t, 1, 0)
 	b := e.node(t, 2, 5)
-	e.med.SetLossFunc(func(phys.NodeID, phys.NodeID, []byte) bool { return true })
+	e.med.SetFaultHook(func(phys.NodeID, phys.NodeID, int) medium.FaultEffect {
+		return medium.FaultEffect{Corrupt: true}
+	})
 	var gotErr error
 	done := false
 	start := e.eng.Now()
@@ -359,7 +360,9 @@ func TestTransferAbortsOnReceiverCrashMidBatch(t *testing.T) {
 		b.ep.Reset()
 		received := len(b.got)
 		b.got = b.got[:received] // freeze what arrived pre-crash
-		e.med.SetLossFunc(func(_ phys.NodeID, to phys.NodeID, _ []byte) bool { return to == 2 })
+		e.med.SetFaultHook(func(_, to phys.NodeID, _ int) medium.FaultEffect {
+			return medium.FaultEffect{Corrupt: to == 2}
+		})
 	})
 	e.eng.Run()
 	if !done || !errors.Is(gotErr, ErrXferFailed) {

@@ -34,10 +34,14 @@ func (e LogEntry) String() string {
 	return fmt.Sprintf("[%v] %s: %s", e.At, e.Tag, e.Msg)
 }
 
-// NewEventLog returns a disabled log bounded to capacity entries.
+// eventLogCap bounds a node's kernel event-log ring.
+const eventLogCap = 64
+
+// NewEventLog returns a disabled log bounded to capacity entries
+// (eventLogCap if capacity <= 0).
 func NewEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
-		capacity = 64
+		capacity = eventLogCap
 	}
 	return &EventLog{buf: make([]LogEntry, capacity)}
 }

@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"liteview/internal/medium"
-	"liteview/internal/phys"
-	"liteview/internal/sim"
 )
 
 // TestEventLogRingOrder drives the ring through several full
@@ -81,20 +77,9 @@ func TestEventLogMemoryFlat(t *testing.T) {
 	}
 }
 
-// TestEventLogCapConfig checks the node honours Config.EventLogCap and
-// defaults to 64 entries when it is zero.
+// TestEventLogCapConfig checks a node's kernel event log holds 64
+// entries.
 func TestEventLogCapConfig(t *testing.T) {
-	eng := sim.NewEngine(1)
-	med := medium.New(eng, phys.DefaultModel(1))
-	n, err := NewNode(eng, med, Config{
-		ID: 1, Name: "192.168.0.1", Dir: "/sn01", EventLogCap: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Log().Cap() != 7 {
-		t.Fatalf("cap = %d, want 7", n.Log().Cap())
-	}
 	if _, d := testNode(t, 2, 0); d.Log().Cap() != 64 {
 		t.Fatalf("default cap = %d, want 64", d.Log().Cap())
 	}

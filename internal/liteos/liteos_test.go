@@ -51,9 +51,6 @@ func TestNodeValidation(t *testing.T) {
 	if _, err := NewNode(eng, med, Config{ID: 1}); err == nil {
 		t.Fatal("nameless node accepted")
 	}
-	if _, err := NewNode(eng, med, Config{ID: 1, Name: "x", Channel: 99}); err == nil {
-		t.Fatal("bad channel accepted")
-	}
 }
 
 func TestTwoNodesCommunicate(t *testing.T) {

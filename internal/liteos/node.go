@@ -45,19 +45,13 @@ type Config struct {
 	Dir string
 	// Pos is the physical position in meters.
 	Pos phys.Position
-	// Channel is the initial 802.15.4 channel (0 means 17, a mid-band
-	// default matching the paper's sample output).
-	Channel int
-	// MAC overrides the CSMA parameters; zero value means defaults.
-	MAC mac.Config
-	// NeighborCapacity bounds the kernel neighbor table (0 = default).
-	NeighborCapacity int
-	// EventLogCap bounds the kernel event-log ring (0 = 64 entries).
-	EventLogCap int
-	// BatteryJ is the usable battery energy in joules (0 = a 2×AA
-	// pack).
-	BatteryJ float64
+	// LPL duty-cycles the node's radio (mac.Config.LPL).
+	LPL bool
 }
+
+// Channel is the 802.15.4 channel every node boots on: mid-band,
+// matching the paper's sample output.
+const Channel = 17
 
 // Node is one simulated mote: hardware, kernel state, and processes.
 type Node struct {
@@ -98,13 +92,7 @@ func NewNode(eng *sim.Engine, med *medium.Medium, cfg Config) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("liteos: node needs a name")
 	}
-	if cfg.Channel == 0 {
-		cfg.Channel = 17
-	}
-	if cfg.MAC.QueueCap == 0 {
-		cfg.MAC = mac.DefaultConfig()
-	}
-	rad, err := radio.New(cfg.Channel)
+	rad, err := radio.New(Channel)
 	if err != nil {
 		return nil, fmt.Errorf("liteos: node %s: %w", cfg.Name, err)
 	}
@@ -112,13 +100,15 @@ func NewNode(eng *sim.Engine, med *medium.Medium, cfg Config) (*Node, error) {
 		eng:      eng,
 		cfg:      cfg,
 		rad:      rad,
-		log:      NewEventLog(cfg.EventLogCap),
+		log:      NewEventLog(eventLogCap),
 		procs:    make(map[int]*Process),
 		binaries: make(map[string]*Binary),
 		alive:    true,
 	}
 	var st *stack.Stack
-	m, err := mac.New(eng, med, rad, cfg.ID, cfg.Pos, cfg.MAC,
+	macCfg := mac.DefaultConfig()
+	macCfg.LPL = cfg.LPL
+	m, err := mac.New(eng, med, rad, cfg.ID, cfg.Pos, macCfg,
 		func(f mac.Frame, info medium.RxInfo) { st.OnFrame(f, info) })
 	if err != nil {
 		return nil, fmt.Errorf("liteos: node %s: %w", cfg.Name, err)
@@ -126,7 +116,7 @@ func NewNode(eng *sim.Engine, med *medium.Medium, cfg Config) (*Node, error) {
 	st = stack.New(eng, m)
 	n.mac = m
 	n.stack = st
-	nbr, err := neighbor.NewService(eng, st, neighbor.NewTable(cfg.NeighborCapacity), cfg.Name)
+	nbr, err := neighbor.NewService(eng, st, neighbor.NewTable(neighbor.DefaultCapacity), cfg.Name)
 	if err != nil {
 		return nil, fmt.Errorf("liteos: node %s: %w", cfg.Name, err)
 	}
@@ -149,7 +139,7 @@ func NewNode(eng *sim.Engine, med *medium.Medium, cfg Config) (*Node, error) {
 			}
 		}
 	})
-	n.meter = energy.Attach(eng, rad, cfg.BatteryJ)
+	n.meter = energy.Attach(eng, rad, energy.DefaultBatteryJ)
 	n.ramUsed = KernelRAM
 	n.flashUsed = KernelFlash
 	return n, nil

@@ -18,16 +18,20 @@ import (
 	"liteview/internal/sim"
 )
 
-// Default LPL parameters.
+// LPL duty-cycle parameters.
 const (
-	// DefaultSleepInterval is the period of the wake-sleep cycle.
-	DefaultSleepInterval = 100 * time.Millisecond
-	// DefaultWakeWindow is how long the radio listens per cycle.
-	DefaultWakeWindow = 6 * time.Millisecond
-	// DefaultLinger is how long a node stays awake after receiving a
-	// frame (follow-up traffic is likely).
-	DefaultLinger = 40 * time.Millisecond
+	// SleepInterval is the period of the wake-sleep cycle.
+	SleepInterval = 100 * time.Millisecond
+	// WakeWindow is how long the radio listens per cycle.
+	WakeWindow = 6 * time.Millisecond
+	// Linger is how long a node stays awake after receiving a frame
+	// (follow-up traffic is likely).
+	Linger = 40 * time.Millisecond
 )
+
+// lplRepeatWindow is how long a frame's LPL repeats continue: one sleep
+// interval plus margin guarantees every peer a wake window inside it.
+const lplRepeatWindow = SleepInterval + 2*WakeWindow
 
 // lplInit primes the duty cycle with a random phase so co-located nodes
 // do not wake in lockstep.
@@ -35,16 +39,7 @@ func (m *MAC) lplInit() {
 	if !m.cfg.LPL {
 		return
 	}
-	if m.cfg.SleepInterval <= 0 {
-		m.cfg.SleepInterval = DefaultSleepInterval
-	}
-	if m.cfg.WakeWindow <= 0 {
-		m.cfg.WakeWindow = DefaultWakeWindow
-	}
-	if m.cfg.Linger <= 0 {
-		m.cfg.Linger = DefaultLinger
-	}
-	m.eng.After(m.rng.Jitter(m.cfg.SleepInterval), m.lplSleepCb)
+	m.eng.After(m.rng.Jitter(SleepInterval), m.lplSleepCb)
 }
 
 // lplBusy reports whether the MAC has reasons to keep the radio awake.
@@ -60,16 +55,12 @@ func (m *MAC) lplMaybeSleep() {
 		return
 	}
 	if m.lplBusy() {
-		m.eng.After(m.cfg.WakeWindow, m.lplSleepCb)
+		m.eng.After(WakeWindow, m.lplSleepCb)
 		return
 	}
 	m.rad.SetState(radio.Off)
 	m.lplSleeping = true
-	sleep := m.cfg.SleepInterval - m.cfg.WakeWindow
-	if sleep < m.cfg.WakeWindow {
-		sleep = m.cfg.WakeWindow
-	}
-	m.eng.After(sleep, m.lplWakeCb)
+	m.eng.After(SleepInterval-WakeWindow, m.lplWakeCb)
 }
 
 // lplWake opens the listen window.
@@ -80,7 +71,7 @@ func (m *MAC) lplWake() {
 	m.lplSleeping = false
 	m.rad.SetState(radio.RX)
 	m.kick() // traffic may have queued while asleep
-	m.eng.After(m.cfg.WakeWindow, m.lplSleepCb)
+	m.eng.After(WakeWindow, m.lplSleepCb)
 }
 
 // lplTouch extends the awake period after activity.
@@ -88,7 +79,7 @@ func (m *MAC) lplTouch() {
 	if !m.cfg.LPL {
 		return
 	}
-	until := m.eng.Now() + m.cfg.Linger
+	until := m.eng.Now() + Linger
 	if until > m.lingerUntil {
 		m.lingerUntil = until
 	}
@@ -99,14 +90,8 @@ func (m *MAC) lplWakeForSend() {
 	if m.cfg.LPL && m.rad.State() == radio.Off {
 		m.lplSleeping = false
 		m.rad.SetState(radio.RX)
-		m.eng.After(m.cfg.WakeWindow, m.lplSleepCb)
+		m.eng.After(WakeWindow, m.lplSleepCb)
 	}
-}
-
-// lplRetryWindow is how long unicast repeats continue: one sleep
-// interval plus margin guarantees the peer a wake window inside it.
-func (m *MAC) lplRetryWindow() sim.Time {
-	return m.cfg.SleepInterval + 2*m.cfg.WakeWindow
 }
 
 // lplShouldRetry reports whether an unacked LPL frame should repeat:
@@ -116,11 +101,11 @@ func (m *MAC) lplShouldRetry(head *outgoing) bool {
 	if head.firstTx == 0 {
 		return true
 	}
-	return m.eng.Now()-head.firstTx < m.lplRetryWindow()
+	return m.eng.Now()-head.firstTx < lplRepeatWindow
 }
 
 // lplBroadcastDone reports whether a broadcast frame has been repeated
 // long enough to cover every neighbor's wake window.
 func (m *MAC) lplBroadcastDone(firstTx sim.Time) bool {
-	return m.eng.Now()-firstTx >= m.cfg.SleepInterval+2*m.cfg.WakeWindow
+	return m.eng.Now()-firstTx >= lplRepeatWindow
 }

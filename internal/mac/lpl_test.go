@@ -116,7 +116,7 @@ func TestLPLUnicastStopsEarlyOnAck(t *testing.T) {
 	if got := a.mac.Stats().Sent; got != sent {
 		t.Fatalf("sender kept transmitting after the ack: %d → %d", sent, got)
 	}
-	maxCopies := uint64(a.mac.lplRetryWindow()/(2*time.Millisecond)) + 2
+	maxCopies := uint64(lplRepeatWindow/(2*time.Millisecond)) + 2
 	if sent > maxCopies {
 		t.Fatalf("sender sent %d copies, beyond the %d-copy retry window", sent, maxCopies)
 	}

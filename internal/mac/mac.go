@@ -24,47 +24,38 @@ import (
 // UnitBackoff is the 802.15.4 unit backoff period (20 symbols).
 const UnitBackoff = 20 * radio.SymbolTime
 
-// Config holds the CSMA/CA parameters (802.15.4 defaults).
-type Config struct {
+// 802.15.4 CSMA/CA and CC2420 auto-ack parameters, fixed as the mote's
+// firmware fixes them.
+const (
 	// MinBE and MaxBE bound the backoff exponent.
-	MinBE, MaxBE int
+	MinBE, MaxBE = 3, 5
 	// MaxCSMABackoffs is how many busy-channel rounds are tolerated
 	// before the frame is dropped with ErrChannelAccess.
-	MaxCSMABackoffs int
+	MaxCSMABackoffs = 4
 	// QueueCap bounds the transmit queue, as a 4 KB-RAM mote must.
-	QueueCap int
-	// CCAThresholdDBm is the energy-detect threshold.
-	CCAThresholdDBm float64
+	QueueCap = 8
+	// MaxFrameRetries bounds data retransmissions after missing acks.
+	MaxFrameRetries = 3
+	// AckWait is how long the sender waits for the auto-ack after its
+	// frame's airtime ends: turnaround + ack airtime (radio.FrameAirtime
+	// of the ack MPDU) + scheduling slack.
+	AckWait = radio.TurnaroundTime + (radio.PHYOverheadBytes+ackFrameLen)*radio.ByteTime + 200*1000
+)
+
+// Config selects the MAC's operating mode.
+type Config struct {
 	// LinkAcks enables 802.15.4 auto-acknowledgement of unicast frames
 	// with MaxFrameRetries retransmissions — the CC2420's hardware
 	// auto-ack. Broadcast frames are never acked.
 	LinkAcks bool
-	// MaxFrameRetries bounds data retransmissions after missing acks.
-	MaxFrameRetries int
-	// AckWait is how long the sender waits for the auto-ack after its
-	// frame's airtime ends.
-	AckWait sim.Time
 	// LPL enables low-power listening (duty cycling); see lpl.go.
 	LPL bool
-	// SleepInterval, WakeWindow, Linger tune the duty cycle (zero
-	// values select the defaults).
-	SleepInterval, WakeWindow, Linger sim.Time
 }
 
-// DefaultConfig returns the 802.15.4 default CSMA/CA parameters with
-// hardware auto-acknowledgement enabled.
+// DefaultConfig returns the always-on MAC with hardware
+// auto-acknowledgement enabled.
 func DefaultConfig() Config {
-	return Config{
-		MinBE:           3,
-		MaxBE:           5,
-		MaxCSMABackoffs: 4,
-		QueueCap:        8,
-		CCAThresholdDBm: radio.CCAThresholdDBm,
-		LinkAcks:        true,
-		MaxFrameRetries: 3,
-		// Turnaround + ack airtime (9-byte MPDU) + scheduling slack.
-		AckWait: radio.TurnaroundTime + radio.FrameAirtime(ackFrameLen) + 200*1000,
-	}
+	return Config{LinkAcks: true}
 }
 
 // ackFrameLen is the MPDU length of an auto-ack (header + FCS, no
@@ -166,7 +157,7 @@ type MAC struct {
 	seq     byte
 	// awaitSeq/awaitDst/ackArmed track the pending auto-ack wait. The
 	// timeout itself is a pooled (handle-free) event; because AckWait is
-	// constant, timeouts fire in arm order, so a disarm simply counts one
+	// a constant, timeouts fire in arm order, so a disarm simply counts one
 	// stale firing to swallow (ackStale) instead of cancelling a handle.
 	awaitSeq byte
 	awaitDst phys.NodeID
@@ -219,9 +210,6 @@ func New(eng *sim.Engine, med *medium.Medium, rad *radio.Radio, id phys.NodeID, 
 	if deliver == nil {
 		return nil, errors.New("mac: nil deliver callback")
 	}
-	if cfg.QueueCap <= 0 || cfg.MinBE < 0 || cfg.MaxBE < cfg.MinBE {
-		return nil, fmt.Errorf("mac: invalid config %+v", cfg)
-	}
 	m := &MAC{
 		eng:     eng,
 		med:     med,
@@ -231,7 +219,7 @@ func New(eng *sim.Engine, med *medium.Medium, rad *radio.Radio, id phys.NodeID, 
 		pos:     pos,
 		cfg:     cfg,
 		deliver: deliver,
-		q:       make([]outgoing, cfg.QueueCap),
+		q:       make([]outgoing, QueueCap),
 		dup:     sim.NewRecent[phys.NodeID, byte](dupTableSize),
 	}
 	// Bind the hot-path callbacks once; scheduling a method value at the
@@ -346,7 +334,7 @@ func (m *MAC) Send(f Frame, sent SentFunc) error {
 		}
 		m.lplWakeForSend()
 	}
-	if m.qLen >= m.cfg.QueueCap {
+	if m.qLen >= QueueCap {
 		m.stats.QueueDrops++
 		if m.tel.Recording() {
 			m.tel.Emit(m.id, telemetry.LayerMAC, "queue-drop",
@@ -391,7 +379,7 @@ func (m *MAC) kick() {
 		return
 	}
 	m.sending = true
-	m.attempt(m.cfg.MinBE, 0)
+	m.attempt(MinBE, 0)
 }
 
 // attempt schedules one backoff-then-CCA round for the queue head. At
@@ -430,20 +418,20 @@ func (m *MAC) attemptFire() {
 		m.eng.After(UnitBackoff, m.deferCb)
 		return
 	}
-	if m.med.ChannelBusy(m, m.cfg.CCAThresholdDBm) {
+	if m.med.ChannelBusy(m, radio.CCAThresholdDBm) {
 		m.stats.BackoffRetries++
 		if m.tel.Recording() {
 			m.tel.Emit(m.id, telemetry.LayerMAC, "cca-busy",
 				telemetry.Int("round", m.csmaRetries+1))
 		}
-		if m.csmaRetries+1 > m.cfg.MaxCSMABackoffs {
+		if m.csmaRetries+1 > MaxCSMABackoffs {
 			m.stats.ChannelAccess++
 			m.finish(ErrChannelAccess)
 			return
 		}
 		nextBE := m.be + 1
-		if nextBE > m.cfg.MaxBE {
-			nextBE = m.cfg.MaxBE
+		if nextBE > MaxBE {
+			nextBE = MaxBE
 		}
 		m.attempt(nextBE, m.csmaRetries+1)
 		return
@@ -521,11 +509,11 @@ func (m *MAC) armAckWait(f Frame) {
 	m.awaitSeq = f.Seq
 	m.awaitDst = f.Dst
 	m.ackArmed = true
-	m.eng.After(m.cfg.AckWait, m.ackTimeoutCb)
+	m.eng.After(AckWait, m.ackTimeoutCb)
 }
 
 // disarmAckWait neutralises the pending ack timeout, if any. AckWait is
-// a per-MAC constant, so outstanding timeout events fire in arm order:
+// a constant, so outstanding timeout events fire in arm order:
 // counting one stale firing per disarm swallows exactly the disarmed
 // timers and no others.
 func (m *MAC) disarmAckWait() {
@@ -551,7 +539,7 @@ func (m *MAC) onAckTimeout() {
 	}
 	head := &m.q[m.qHead]
 	lplRetry := m.cfg.LPL && m.lplShouldRetry(head)
-	if head.retries < m.cfg.MaxFrameRetries || lplRetry {
+	if head.retries < MaxFrameRetries || lplRetry {
 		head.retries++
 		m.stats.FrameRetries++
 		if m.tel.Recording() {
@@ -572,9 +560,9 @@ func (m *MAC) onAckTimeout() {
 		// periodic interferer's burst (two report chains forwarding in
 		// lockstep); spreading retries over progressively longer
 		// windows breaks the phase lock.
-		be := m.cfg.MinBE + head.retries
-		if be > m.cfg.MaxBE {
-			be = m.cfg.MaxBE
+		be := MinBE + head.retries
+		if be > MaxBE {
+			be = MaxBE
 		}
 		m.attempt(be, 0)
 		return

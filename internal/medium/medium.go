@@ -150,8 +150,8 @@ type TapDelivery struct {
 	// Outcome classifies the delivery.
 	Outcome DeliveryOutcome
 	// Cause refines OutcomeCorrupted: "capture" (lost a co-channel
-	// collision), "per" (SINR packet-error draw), "jam" (jammed
-	// channel), "injected" (test loss hook). Empty otherwise.
+	// collision), "per" (SINR packet-error draw), "jam" (a fault hook's
+	// Corrupt effect: a jammed channel). Empty otherwise.
 	Cause string
 	// RxPowerDBm and SINRDB are the received power and
 	// signal-to-interference-plus-noise ratio; only meaningful for
@@ -330,12 +330,8 @@ type Medium struct {
 	// schedules without allocating a closure.
 	deliverCb func(any)
 	stats     Stats
-	// lossFn, when set, force-drops deliveries (failure injection for
-	// tests: returning true corrupts the frame at the receiver).
-	lossFn func(from, to phys.NodeID, frame []byte) bool
 	// faultFn, when set, is consulted per delivery by the fault
-	// injector (internal/fault). It is a separate slot from lossFn so
-	// tests and the injector can coexist.
+	// injector (internal/fault) or a test.
 	faultFn func(from, to phys.NodeID, channel int) FaultEffect
 	// tap, when set, observes every transmission put on the air.
 	tap func(TapRecord)
@@ -391,12 +387,6 @@ type TapRecord struct {
 	Bytes   int
 	Start   sim.Time
 	End     sim.Time
-}
-
-// SetLossFunc installs a failure-injection hook: any delivery for which
-// fn returns true arrives corrupted. Pass nil to remove.
-func (m *Medium) SetLossFunc(fn func(from, to phys.NodeID, frame []byte) bool) {
-	m.lossFn = fn
 }
 
 // SetFaultHook installs the fault injector's per-delivery hook: fn is
@@ -876,8 +866,6 @@ func (m *Medium) deliver(t *transmission) {
 			ok, cause = false, "per"
 		case eff.Corrupt:
 			ok, cause = false, "jam" // jammed channel
-		case m.lossFn != nil && m.lossFn(t.from, id, t.frame):
-			ok, cause = false, "injected"
 		}
 		info := RxInfo{
 			From:       t.from,

@@ -87,8 +87,6 @@ func (m *Medium) oracleDeliver(arg any) {
 			ok, cause = false, "per"
 		case eff.Corrupt:
 			ok, cause = false, "jam"
-		case m.lossFn != nil && m.lossFn(t.from, id, t.frame):
-			ok, cause = false, "injected"
 		}
 		info := RxInfo{From: t.from, RxPowerDBm: rxDBm, RSSI: radio.RSSIRegister(rxDBm),
 			LQI: radio.LQI(sinr), SNRDB: sinr, Corrupted: !ok, Verified: ok && t.verified,

@@ -103,7 +103,7 @@ func TestRadioOffNotCountedAsLinkLoss(t *testing.T) {
 	}
 
 	// A real loss (injected corruption) does count.
-	m.SetLossFunc(func(from, to phys.NodeID, frame []byte) bool { return true })
+	m.SetFaultHook(func(phys.NodeID, phys.NodeID, int) FaultEffect { return FaultEffect{Corrupt: true} })
 	m.Transmit(a, []byte{1, 2})
 	eng.Run()
 	snap = rec.Metrics().Snapshot()

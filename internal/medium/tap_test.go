@@ -37,21 +37,29 @@ func TestTapObservesTransmissions(t *testing.T) {
 	}
 }
 
-func TestLossFuncInjectsCorruption(t *testing.T) {
+// TestFaultHookInjectsCorruption: a fault hook's Corrupt effect makes
+// the frame arrive corrupted (cause "jam"), and removing the hook
+// restores clean delivery.
+func TestFaultHookInjectsCorruption(t *testing.T) {
 	eng, m := newTestMedium()
 	a, b := newFake(1, 0, 0), newFake(2, 5, 0)
 	m.Attach(a)
 	m.Attach(b)
-	m.SetLossFunc(func(from, to phys.NodeID, _ []byte) bool {
-		return from == 1 && to == 2
+	var causes []string
+	m.SetDeliveryTap(func(d TapDelivery) { causes = append(causes, d.Cause) })
+	m.SetFaultHook(func(from, to phys.NodeID, _ int) FaultEffect {
+		return FaultEffect{Corrupt: from == 1 && to == 2}
 	})
 	m.Transmit(a, make([]byte, 10))
 	eng.Run()
 	if len(b.frames) != 1 || !b.frames[0].Corrupted {
-		t.Fatalf("injected loss did not corrupt: %+v", b.frames)
+		t.Fatalf("injected fault did not corrupt: %+v", b.frames)
+	}
+	if len(causes) != 1 || causes[0] != "jam" {
+		t.Fatalf("delivery causes = %q, want [jam]", causes)
 	}
 	// Remove the hook: traffic flows again.
-	m.SetLossFunc(nil)
+	m.SetFaultHook(nil)
 	b.frames = nil
 	m.Transmit(a, make([]byte, 10))
 	eng.Run()

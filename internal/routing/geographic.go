@@ -43,9 +43,6 @@ func NewGeographicOnPort(eng *sim.Engine, st *stack.Stack, table *neighbor.Table
 	if locator == nil {
 		return nil, errors.New("routing: geographic forwarding needs a locator")
 	}
-	if cfg.QueueCap <= 0 {
-		cfg = DefaultConfig()
-	}
 	g := &geographic{self: st.NodeID(), table: table, locator: locator, minLQI: cfg.MinLQI}
 	return newRouter(eng, st, table, port, cfg, g)
 }

@@ -83,9 +83,6 @@ func NewOnDemand(eng *sim.Engine, st *stack.Stack, table *neighbor.Table, cfg Co
 
 // NewOnDemandOnPort is NewOnDemand on an explicit port.
 func NewOnDemandOnPort(eng *sim.Engine, st *stack.Stack, table *neighbor.Table, port byte, cfg Config) (*Router, error) {
-	if cfg.QueueCap <= 0 {
-		cfg = DefaultConfig()
-	}
 	od := &onDemand{
 		eng:     eng,
 		self:    st.NodeID(),

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"liteview/internal/mac"
 	"liteview/internal/medium"
@@ -74,37 +75,36 @@ func decodeRouted(data []byte) (innerPort byte, id uint16, inner []byte, err err
 	return data[0], binary.BigEndian.Uint16(data[1:3]), data[routedHeaderLen:], nil
 }
 
-// Config tunes a router's forwarding behaviour.
-type Config struct {
-	// QueueCap bounds the routing-layer forwarding queue ("the
+// Forwarding parameters, sized for the paper's eight-hop testbed.
+const (
+	// queueCap bounds the routing-layer forwarding queue ("the
 	// underlying routing protocol has a queueing mechanism to hold
 	// packets temporarily").
-	QueueCap int
-	// ProcessingDelay models per-hop packet handling time.
-	ProcessingDelay sim.Time
-	// BaseJitterMax is a small random wait applied to every forward,
+	queueCap = 8
+	// processingDelay models per-hop packet handling time.
+	processingDelay = 500 * time.Microsecond
+	// baseJitterMax is a small random wait applied to every forward,
 	// modelling per-hop processing variance and keeping forwarding
 	// chains at different nodes from locking into phase with each
 	// other (phase-locked chains collide at hidden terminals).
-	BaseJitterMax sim.Time
-	// BusyJitterMax is the random extra wait added before sending when
+	baseJitterMax = 2 * time.Millisecond
+	// busyJitterMax is the random extra wait added before sending when
 	// the layer below is busy ("if the routing layer determines that
 	// the channel is busy, it will add random jitters before sending
 	// out packets in the queue").
-	BusyJitterMax sim.Time
+	busyJitterMax = 8 * time.Millisecond
+)
+
+// Config tunes a router's forwarding behaviour.
+type Config struct {
 	// DefaultTTL is the hop budget for originated packets.
 	DefaultTTL byte
 	// MinLQI gates neighbor selection: links whose smoothed LQI falls
 	// below it are not used as next hops or parents (marginal links
 	// flap and black-hole traffic). Zero disables gating.
 	MinLQI float64
-	// SuspectAfter is how many consecutive no-acks to one next hop
-	// trigger link repair: the link is marked suspect in the neighbor
-	// table and queued traffic is rerouted. Zero selects the default.
-	SuspectAfter int
 	// ParkTTL bounds how long a packet may sit parked waiting for route
-	// discovery before it is dropped with a route-park-drop event. Zero
-	// selects the default (the discovery retry budget plus slack).
+	// discovery before it is dropped with a route-park-drop event.
 	ParkTTL sim.Time
 }
 
@@ -112,16 +112,11 @@ type Config struct {
 // eight-hop testbed.
 func DefaultConfig() Config {
 	return Config{
-		QueueCap:        8,
-		ProcessingDelay: 500 * 1000, // 500 µs
-		BaseJitterMax:   2 * 1000 * 1000,
-		BusyJitterMax:   8 * 1000 * 1000,
-		DefaultTTL:      32,
-		MinLQI:          80,
-		SuspectAfter:    neighbor.SuspectAfter,
+		DefaultTTL: 32,
+		MinLQI:     80,
 		// Outlive a full on-demand discovery cycle (retries included)
 		// with slack, so repair gets a fair chance first.
-		ParkTTL: (MaxDiscoveryRetries+1)*DiscoveryTimeout + 2*1000*1000*1000,
+		ParkTTL: (MaxDiscoveryRetries+1)*DiscoveryTimeout + 2*time.Second,
 	}
 }
 
@@ -204,7 +199,7 @@ type Router struct {
 	pending   map[phys.NodeID][]parkedPkt
 	parkTimer map[phys.NodeID]*sim.Event
 	// failStreak counts consecutive no-acks per next hop; reaching
-	// Config.SuspectAfter triggers link repair.
+	// neighbor.SuspectAfter triggers link repair.
 	failStreak map[phys.NodeID]int
 	stats      Stats
 	// tel, when set, receives routing-layer telemetry events.
@@ -217,11 +212,34 @@ type Router struct {
 // SetTelemetry points the router at a telemetry recorder (nil detaches).
 func (r *Router) SetTelemetry(rec *telemetry.Recorder) { r.tel = rec }
 
-// emitDrop records one dropped packet with its cause.
-func (r *Router) emitDrop(p *stack.Packet, cause string) {
+// dropCause is why the router discarded a packet; the value is the
+// cause label of the telemetry "drop" event.
+type dropCause string
+
+// Drop causes, one per Stats counter.
+const (
+	dropNoRoute dropCause = "noroute" // DroppedNoRoute
+	dropTTL     dropCause = "ttl"     // DroppedTTL
+	dropDup     dropCause = "dup"     // DroppedDup
+	dropQueue   dropCause = "queue"   // DroppedQueue
+)
+
+// drop discards p: it counts the cause in Stats and records a telemetry
+// drop event, so every dropped packet leaves both.
+func (r *Router) drop(p *stack.Packet, cause dropCause) {
+	switch cause {
+	case dropNoRoute:
+		r.stats.DroppedNoRoute++
+	case dropTTL:
+		r.stats.DroppedTTL++
+	case dropDup:
+		r.stats.DroppedDup++
+	case dropQueue:
+		r.stats.DroppedQueue++
+	}
 	if r.tel.Recording() {
 		r.tel.Emit(r.st.NodeID(), telemetry.LayerRouting, "drop",
-			telemetry.String("cause", cause),
+			telemetry.String("cause", string(cause)),
 			telemetry.Node("origin", p.Origin),
 			telemetry.Node("dst", p.Dst),
 			telemetry.Int("port", int(r.port)))
@@ -244,15 +262,6 @@ func dedupKey(origin phys.NodeID, id uint16) uint32 {
 }
 
 func newRouter(eng *sim.Engine, st *stack.Stack, table *neighbor.Table, port byte, cfg Config, strat strategy) (*Router, error) {
-	if cfg.QueueCap <= 0 {
-		cfg = DefaultConfig()
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = DefaultConfig().SuspectAfter
-	}
-	if cfg.ParkTTL <= 0 {
-		cfg.ParkTTL = DefaultConfig().ParkTTL
-	}
 	r := &Router{
 		eng:        eng,
 		st:         st,
@@ -348,8 +357,7 @@ func (r *Router) SendTo(dst phys.NodeID, innerPort byte, data []byte, pad, contr
 		return nil
 	}
 	if err != nil {
-		r.stats.DroppedNoRoute++
-		r.emitDrop(p, "noroute")
+		r.drop(p, dropNoRoute)
 		return err
 	}
 	if r.tel.Recording() {
@@ -369,8 +377,7 @@ func (r *Router) SendTo(dst phys.NodeID, innerPort byte, data []byte, pad, contr
 func (r *Router) park(p *stack.Packet) {
 	q := r.pending[p.Dst]
 	if len(q) >= pendingPerDst || (q == nil && len(r.pending) >= pendingDsts) {
-		r.stats.DroppedQueue++
-		r.emitDrop(p, "queue")
+		r.drop(p, dropQueue)
 		return
 	}
 	r.pending[p.Dst] = append(q, parkedPkt{pkt: p, at: r.eng.Now()})
@@ -439,7 +446,7 @@ func (r *Router) resolvePending(dst phys.NodeID) {
 	for _, pp := range q {
 		next, err := r.strat.nextHop(pp.pkt)
 		if err != nil {
-			r.stats.DroppedNoRoute++
+			r.drop(pp.pkt, dropNoRoute)
 			continue
 		}
 		r.enqueue(pp.pkt, next, pp.pkt.Flags&stack.FlagControl != 0)
@@ -448,10 +455,10 @@ func (r *Router) resolvePending(dst phys.NodeID) {
 
 // dropPending abandons parked packets for dst (discovery failed).
 func (r *Router) dropPending(dst phys.NodeID) {
-	if q := r.pending[dst]; q != nil {
-		r.stats.DroppedNoRoute += uint64(len(q))
-		delete(r.pending, dst)
+	for _, pp := range r.pending[dst] {
+		r.drop(pp.pkt, dropNoRoute)
 	}
+	delete(r.pending, dst)
 	r.cancelParkExpiry(dst)
 }
 
@@ -469,8 +476,7 @@ func (r *Router) onPacket(p *stack.Packet, from phys.NodeID, info medium.RxInfo)
 	// times; unicast duplicates are possible under MAC retry schemes).
 	key := dedupKey(p.Origin, id)
 	if _, dup := r.seen.Get(key); dup {
-		r.stats.DroppedDup++
-		r.emitDrop(p, "dup")
+		r.drop(p, dropDup)
 		return
 	}
 	r.seen.Put(key)
@@ -498,8 +504,7 @@ func (r *Router) onPacket(p *stack.Packet, from phys.NodeID, info medium.RxInfo)
 		}
 	}
 	if p.TTL == 0 {
-		r.stats.DroppedTTL++
-		r.emitDrop(p, "ttl")
+		r.drop(p, dropTTL)
 		return
 	}
 	p.TTL--
@@ -511,8 +516,7 @@ func (r *Router) onPacket(p *stack.Packet, from phys.NodeID, info medium.RxInfo)
 		return
 	}
 	if err != nil {
-		r.stats.DroppedNoRoute++
-		r.emitDrop(p, "noroute")
+		r.drop(p, dropNoRoute)
 		return
 	}
 	r.stats.Forwarded++
@@ -549,9 +553,8 @@ func (r *Router) deliverLocal(p *stack.Packet) error {
 
 // enqueue adds a packet to the routing-layer queue and kicks the sender.
 func (r *Router) enqueue(p *stack.Packet, next phys.NodeID, ctl bool) {
-	if len(r.queue) >= r.cfg.QueueCap {
-		r.stats.DroppedQueue++
-		r.emitDrop(p, "queue")
+	if len(r.queue) >= queueCap {
+		r.drop(p, dropQueue)
 		return
 	}
 	r.queue = append(r.queue, queued{pkt: p, next: next, ctl: ctl})
@@ -565,9 +568,9 @@ func (r *Router) kick() {
 		return
 	}
 	r.sending = true
-	delay := r.cfg.ProcessingDelay + r.rng.Jitter(r.cfg.BaseJitterMax)
+	delay := processingDelay + r.rng.Jitter(baseJitterMax)
 	if r.st.MAC().QueueLen() > 0 {
-		delay += r.rng.Jitter(r.cfg.BusyJitterMax)
+		delay += r.rng.Jitter(busyJitterMax)
 	}
 	r.eng.After(delay, func() {
 		if len(r.queue) == 0 {
@@ -590,7 +593,7 @@ func (r *Router) kick() {
 		})
 		if err != nil {
 			// MAC queue full or frame invalid: drop and continue.
-			r.stats.DroppedQueue++
+			r.drop(item.pkt, dropQueue)
 			r.sending = false
 			r.kick()
 		}
@@ -599,7 +602,7 @@ func (r *Router) kick() {
 
 // noteSendOutcome drives link repair from per-frame delivery feedback.
 // An acked frame clears the next hop's failure streak; a no-ack extends
-// it. When the streak reaches Config.SuspectAfter the link is condemned
+// it. When the streak reaches neighbor.SuspectAfter the link is condemned
 // (marked suspect in the neighbor table, queued traffic rerouted) and
 // the failed packet is salvaged through an alternate next hop. Channel
 // access failures are local congestion, not link evidence, and leave
@@ -614,10 +617,10 @@ func (r *Router) noteSendOutcome(item queued, sendErr error) {
 	}
 	r.failStreak[item.next]++
 	streak := r.failStreak[item.next]
-	if streak < r.cfg.SuspectAfter {
+	if streak < neighbor.SuspectAfter {
 		return
 	}
-	if streak == r.cfg.SuspectAfter {
+	if streak == neighbor.SuspectAfter {
 		r.repairLink(item.next, streak)
 	}
 	r.salvage(item)
@@ -655,8 +658,7 @@ func (r *Router) rerouteQueued(bad phys.NodeID) {
 			continue
 		}
 		if err != nil {
-			r.stats.DroppedNoRoute++
-			r.emitDrop(item.pkt, "noroute")
+			r.drop(item.pkt, dropNoRoute)
 			continue
 		}
 		if next != bad && r.tel.Recording() {
@@ -679,8 +681,7 @@ func (r *Router) rerouteQueued(bad phys.NodeID) {
 func (r *Router) salvage(item queued) {
 	p := item.pkt
 	if p.TTL == 0 {
-		r.stats.DroppedTTL++
-		r.emitDrop(p, "ttl")
+		r.drop(p, dropTTL)
 		return
 	}
 	p.TTL--
@@ -690,8 +691,7 @@ func (r *Router) salvage(item queued) {
 		return
 	}
 	if err != nil || next == item.next {
-		r.stats.DroppedNoRoute++
-		r.emitDrop(p, "noroute")
+		r.drop(p, dropNoRoute)
 		return
 	}
 	r.stats.Salvaged++

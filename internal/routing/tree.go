@@ -44,9 +44,6 @@ func NewTree(eng *sim.Engine, st *stack.Stack, table *neighbor.Table, root phys.
 
 // NewTreeOnPort is NewTree on an explicit port.
 func NewTreeOnPort(eng *sim.Engine, st *stack.Stack, table *neighbor.Table, root phys.NodeID, port byte, cfg Config) (*Router, error) {
-	if cfg.QueueCap <= 0 {
-		cfg = DefaultConfig()
-	}
 	tr := &tree{
 		eng:    eng,
 		self:   st.NodeID(),

@@ -43,9 +43,7 @@ func (tb *Testbed) InstallLiteView() (map[phys.NodeID]*core.Controller, error) {
 // deployment needs an LPL-speaking workstation).
 func (tb *Testbed) NewWorkstation(pos phys.Position) (*core.Workstation, error) {
 	macCfg := mac.DefaultConfig()
-	if tb.opt.LPL {
-		macCfg.LPL = true
-	}
+	macCfg.LPL = tb.opt.LPL
 	ws, err := core.NewWorkstationMAC(tb.Eng, tb.Med, pos, macCfg)
 	if err != nil {
 		return nil, err

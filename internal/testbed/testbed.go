@@ -14,7 +14,6 @@ import (
 	"liteview/internal/core"
 	"liteview/internal/fault"
 	"liteview/internal/liteos"
-	"liteview/internal/mac"
 	"liteview/internal/medium"
 	"liteview/internal/phys"
 	"liteview/internal/routing"
@@ -33,10 +32,6 @@ type Options struct {
 	// AsymSigma overrides the per-direction asymmetry in dB; negative
 	// keeps the default, zero disables it.
 	AsymSigma float64
-	// Channel is the initial radio channel (0 = 17).
-	Channel int
-	// NeighborCapacity bounds each kernel neighbor table (0 = default).
-	NeighborCapacity int
 	// LPL enables low-power listening (duty cycling) on every node.
 	LPL bool
 	// BeaconPeriod overrides the neighbor beacon interval (0 keeps the
@@ -128,17 +123,11 @@ func build(positions []phys.Position, opt Options) (*Testbed, error) {
 	for i, pos := range positions {
 		id := phys.NodeID(i + 1)
 		cfg := liteos.Config{
-			ID:               id,
-			Name:             nodeName(i + 1),
-			Dir:              fmt.Sprintf("/sn%02d", i+1),
-			Pos:              pos,
-			Channel:          opt.Channel,
-			NeighborCapacity: opt.NeighborCapacity,
-		}
-		if opt.LPL {
-			macCfg := mac.DefaultConfig()
-			macCfg.LPL = true
-			cfg.MAC = macCfg
+			ID:   id,
+			Name: nodeName(i + 1),
+			Dir:  fmt.Sprintf("/sn%02d", i+1),
+			Pos:  pos,
+			LPL:  opt.LPL,
 		}
 		n, err := liteos.NewNode(eng, med, cfg)
 		if err != nil {

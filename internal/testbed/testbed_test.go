@@ -168,18 +168,6 @@ func TestDeterministicTrace(t *testing.T) {
 	}
 }
 
-func TestChannelOption(t *testing.T) {
-	opt := DefaultOptions(6)
-	opt.Channel = 20
-	tb, err := Line(2, 10, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.Node(0).Radio().Channel() != 20 {
-		t.Fatalf("channel = %d", tb.Node(0).Radio().Channel())
-	}
-}
-
 func TestLargeDeploymentNaming(t *testing.T) {
 	// 17×16 = 272 nodes rolls past the first /24.
 	tb, err := Grid(17, 16, 15, DefaultOptions(3))

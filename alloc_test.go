@@ -8,6 +8,7 @@ package liteview
 // alone catches an allocation regression without -bench flags.
 
 import (
+	"reflect"
 	"testing"
 
 	"liteview/internal/mac"
@@ -158,6 +159,41 @@ func TestBeaconReceptionZeroAlloc(t *testing.T) {
 	}
 	if e, ok := table.Get(1); !ok || e.Name != name || e.PRR < 0.99 {
 		t.Fatalf("node 1 in node 2's table: %+v (found %v), want name %q and PRR 1", e, ok, name)
+	}
+}
+
+// TestFullTableRejectsStrangerZeroAlloc pins the reject path of a full
+// neighbor table: node 2's table is full of links node 1's beacons
+// cannot beat (LQI 110 and the largest RSSI register value), so every
+// beacon from node 1 is turned away, without allocating and without
+// changing the table.
+func TestFullTableRejectsStrangerZeroAlloc(t *testing.T) {
+	p := buildFramePath(t, false)
+	table := neighbor.NewTable(8)
+	for id := phys.NodeID(10); id < 18; id++ {
+		table.Observe(id, 110, 127, p.eng.Now())
+	}
+	if _, err := neighbor.NewService(p.eng, p.rxs[0], table, "192.168.0.2"); err != nil {
+		t.Fatal(err)
+	}
+	before := table.Entries()
+	beacon := &stack.Packet{Port: neighbor.BeaconPort, Origin: 1, Dst: phys.Broadcast, TTL: 1,
+		Data: append([]byte{0, 0}, "192.168.0.1"...)}
+	send := func() {
+		beacon.Data[1]++ // next sequence number
+		if err := p.tx.Send(beacon, phys.Broadcast, mac.TypeBeacon, nil); err != nil {
+			t.Fatal(err)
+		}
+		p.eng.Run()
+	}
+	for i := 0; i < 16; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Fatalf("rejecting a stranger's beacon allocates %.1f allocs/op, want 0", allocs)
+	}
+	if got := table.Entries(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("rejected beacons changed the table: %+v, want %+v", got, before)
 	}
 }
 

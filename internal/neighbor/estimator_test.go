@@ -22,7 +22,7 @@ func TestChurnFullBlacklistedTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e := tab.Observe(3, 100, -10, 3*time.Second); e != nil {
+	if e := tab.Observe(3, 110, 0, 3*time.Second); e != nil {
 		t.Fatalf("insert into fully-pinned table succeeded: %+v", e)
 	}
 	if tab.Len() != 2 {
@@ -33,15 +33,19 @@ func TestChurnFullBlacklistedTable(t *testing.T) {
 			t.Fatalf("pinned entry %d lost", id)
 		}
 	}
-	// Unpinning one slot makes room again; the stale unpinned entry goes.
+	// Unpinning one slot makes it the entry a stranger must beat: an
+	// equal link is rejected, a stronger one takes its place.
 	if err := tab.Blacklist(1, false); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Observe(3, 100, -10, 4*time.Second) == nil {
+	if tab.Observe(3, 100, -10, 4*time.Second) != nil {
+		t.Fatal("stranger admitted on a link equal to the unpinned entry's")
+	}
+	if tab.Observe(3, 101, -10, 4*time.Second) == nil {
 		t.Fatal("insert after unpin failed")
 	}
 	if _, ok := tab.Get(1); ok {
-		t.Fatal("unpinned stalest entry not evicted")
+		t.Fatal("unpinned weakest entry not evicted")
 	}
 }
 

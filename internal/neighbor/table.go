@@ -95,16 +95,26 @@ type EstimatorStats struct {
 
 // Table is the kernel neighbor table. It is single-threaded, like
 // everything on the simulated mote.
+//
+// A full table admits a stranger only when its link beats the weakest
+// unpinned entry's (Woo, Tong & Culler's admission-controlled
+// replacement): an entry keeps its row, and its EWMAs keep learning,
+// for as long as it stays among the node's best-quality neighbors and
+// keeps being heard. Expire frees the rows of neighbors gone silent.
 type Table struct {
 	// rows holds at most cap entries in no particular order; an entry
 	// keeps its row until it is removed, so eviction overwrites a row in
 	// place instead of moving entries.
 	rows []Entry
 	// keys indexes rows sorted by ID, so every view is walked in display
-	// order and eviction ties break by ID. Each key copies the fields the
-	// per-frame lookup and eviction scans read, in a sixth of an Entry.
+	// order. Each key copies the fields the per-frame lookup and the
+	// expiry sweep read, in a sixth of an Entry.
 	keys []key
 	cap  int
+	// weak is the row of the weakest unpinned entry (see below), or -1
+	// when no entry is unpinned. It is kept current as ranks change, so
+	// rejecting a stranger costs one find and one comparison.
+	weak int32
 	est  EstimatorStats
 }
 
@@ -123,7 +133,7 @@ func NewTable(capacity int) *Table {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Table{cap: capacity}
+	return &Table{cap: capacity, weak: -1}
 }
 
 // find returns the index of id's entry, or where it would be inserted.
@@ -158,7 +168,7 @@ func (t *Table) lookup(id phys.NodeID) *Entry {
 }
 
 // drop removes the entry keys[i] indexes: the last row moves into its
-// row, so rows stay dense.
+// row, so rows stay dense. The caller recomputes weak.
 func (t *Table) drop(i int) {
 	r, last := t.keys[i].row, int32(len(t.rows)-1)
 	if r != last {
@@ -181,32 +191,43 @@ func (t *Table) Len() int { return len(t.keys) }
 // Capacity returns the entry bound.
 func (t *Table) Capacity() int { return t.cap }
 
-// Observe folds one overheard frame's link metadata into the table,
-// inserting the neighbor if there is room (or evicting the stalest
-// non-blacklisted entry when full). The returned entry is the table's
-// own, valid until its neighbor is evicted or removed.
+// Observe folds one overheard frame's link metadata into the table.
+// A stranger is inserted if there is room; when the table is full it
+// replaces the weakest unpinned entry only if its (LQI, RSSI) beats
+// that entry's EWMAs, LQI first. Otherwise Observe returns nil and the
+// frame changes nothing. The returned entry is the table's own, valid
+// until its neighbor is evicted or removed.
 func (t *Table) Observe(id phys.NodeID, lqi int, rssi int, now sim.Time) *Entry {
 	i, ok := t.find(id)
 	if ok {
 		e := t.entry(i)
+		lqi0, rssi0 := e.LQI, e.RSSI
 		e.LQI += ewmaAlpha * (float64(lqi) - e.LQI)
 		e.RSSI += ewmaAlpha * (float64(rssi) - e.RSSI)
 		t.heard(i, now)
+		if k := t.keys[i]; !k.pinned {
+			t.reranked(k.row, e.LQI > lqi0 || e.LQI == lqi0 && e.RSSI > rssi0)
+		}
 		return e
 	}
 	var r int32
-	if len(t.keys) < t.cap {
+	full := len(t.keys) == t.cap
+	if !full {
 		r = int32(len(t.rows))
 		t.rows = append(t.rows, Entry{})
 		t.keys = slices.Insert(t.keys, i, key{})
 	} else {
-		// Evict the stalest entry v: the newcomer takes its row, and one
-		// shift of the keys between v and i re-sorts the index.
-		v := t.stalest()
-		if v < 0 {
+		if t.weak < 0 {
 			return nil
 		}
-		r = t.keys[v].row
+		w := &t.rows[t.weak]
+		if l := float64(lqi); l < w.LQI || l == w.LQI && float64(rssi) <= w.RSSI {
+			return nil
+		}
+		// Evict the weakest entry v: the newcomer takes its row, and one
+		// shift of the keys between v and i re-sorts the index.
+		r = t.weak
+		v, _ := t.find(w.ID)
 		if v < i {
 			i--
 			copy(t.keys[v:i], t.keys[v+1:i+1])
@@ -217,21 +238,52 @@ func (t *Table) Observe(id phys.NodeID, lqi int, rssi int, now sim.Time) *Entry 
 	t.rows[r] = Entry{ID: id, LQI: float64(lqi), RSSI: float64(rssi),
 		PRR: 1, Delivery: 1, LastHeard: now}
 	t.keys[i] = key{id: id, row: r, heard: now}
+	if full {
+		t.weak = t.weakest()
+	} else {
+		t.reranked(r, false)
+	}
 	return &t.rows[r]
 }
 
-// stalest returns the index of the least-recently-heard entry, the
-// lowest ID on a tie; blacklisted entries are pinned (the user set them
-// deliberately). -1 when every entry is pinned.
-func (t *Table) stalest() int {
-	v := -1
-	for i := range t.keys {
-		k := &t.keys[i]
-		if !k.pinned && (v < 0 || k.heard < t.keys[v].heard) {
-			v = i
+// below reports whether a ranks below b: lower LQI EWMA, then lower
+// RSSI EWMA, then lower ID.
+func below(a, b *Entry) bool {
+	if a.LQI != b.LQI {
+		return a.LQI < b.LQI
+	}
+	if a.RSSI != b.RSSI {
+		return a.RSSI < b.RSSI
+	}
+	return a.ID < b.ID
+}
+
+// reranked keeps weak current after the unpinned entry in row r was
+// inserted or changed its EWMAs; rose reports that its rank went up. A
+// rank that falls can only make r the weakest, so only the weakest
+// entry rising costs a scan.
+func (t *Table) reranked(r int32, rose bool) {
+	switch {
+	case r == t.weak:
+		if rose {
+			t.weak = t.weakest()
+		}
+	case t.weak < 0 || below(&t.rows[r], &t.rows[t.weak]):
+		t.weak = r
+	}
+}
+
+// weakest returns the row of the lowest-ranked unpinned entry (see
+// below); blacklisted entries are pinned, as the user set them
+// deliberately. -1 when every entry is pinned.
+func (t *Table) weakest() int32 {
+	w := int32(-1)
+	for _, k := range t.keys {
+		if !k.pinned && (w < 0 || below(&t.rows[k.row], &t.rows[w])) {
+			w = k.row
 		}
 	}
-	return v
+	return w
 }
 
 // ObserveTxResult folds one unicast transmit outcome for neighbor id
@@ -384,6 +436,7 @@ func (t *Table) Blacklist(id phys.NodeID, on bool) error {
 	}
 	t.entry(i).Blacklisted = on
 	t.keys[i].pinned = on
+	t.weak = t.weakest()
 	return nil
 }
 
@@ -397,6 +450,7 @@ func (t *Table) IsBlacklisted(id phys.NodeID) bool {
 func (t *Table) Remove(id phys.NodeID) {
 	if i, ok := t.find(id); ok {
 		t.drop(i)
+		t.weak = t.weakest()
 	}
 }
 
@@ -405,6 +459,7 @@ func (t *Table) Remove(id phys.NodeID) {
 func (t *Table) Clear() {
 	clear(t.rows)
 	t.rows, t.keys = t.rows[:0], t.keys[:0]
+	t.weak = -1
 }
 
 // Expire drops entries not heard since the cutoff, keeping blacklisted
@@ -416,6 +471,9 @@ func (t *Table) Expire(cutoff sim.Time) int {
 			t.drop(i)
 			n++
 		}
+	}
+	if n > 0 {
+		t.weak = t.weakest()
 	}
 	return n
 }

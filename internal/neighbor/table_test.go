@@ -1,6 +1,7 @@
 package neighbor
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"slices"
@@ -31,62 +32,85 @@ func TestObserveInsertsAndSmooths(t *testing.T) {
 	}
 }
 
+// TestCapacityEviction pins the admission rule of a full table: a
+// stranger whose (LQI, RSSI) does not beat the weakest entry's is
+// rejected and changes nothing; one that beats it, LQI first, then
+// RSSI, takes that entry's place.
 func TestCapacityEviction(t *testing.T) {
 	tab := NewTable(3)
-	for i := 1; i <= 3; i++ {
-		tab.Observe(phys.NodeID(i), 100, -10, time.Duration(i)*time.Second)
+	tab.Observe(1, 100, -10, time.Second)
+	tab.Observe(2, 90, -20, 2*time.Second)
+	tab.Observe(3, 95, -5, 3*time.Second)
+	before := tab.Entries()
+	for _, s := range []struct{ lqi, rssi int }{{80, 0}, {90, -20}, {90, -25}} {
+		if e := tab.Observe(4, s.lqi, s.rssi, 10*time.Second); e != nil {
+			t.Fatalf("stranger (%d, %d) admitted against weakest (90, -20): %+v", s.lqi, s.rssi, e)
+		}
 	}
-	// Node 1 is stalest; inserting node 4 evicts it.
-	if tab.Observe(4, 100, -10, 10*time.Second) == nil {
-		t.Fatal("insert into full table failed")
+	if got := tab.Entries(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("rejected strangers changed the table: %+v, want %+v", got, before)
 	}
-	if _, ok := tab.Get(1); ok {
-		t.Fatal("stalest entry not evicted")
+	// Equal LQI, stronger RSSI beats node 2.
+	if tab.Observe(4, 90, -19, 11*time.Second) == nil {
+		t.Fatal("stranger with equal LQI and stronger RSSI rejected")
 	}
-	if tab.Len() != 3 {
-		t.Fatalf("Len = %d", tab.Len())
+	if _, ok := tab.Get(2); ok {
+		t.Fatal("weakest entry not evicted")
+	}
+	// Node 4 (90, -19) is now the weakest; a higher LQI beats it
+	// whatever its RSSI.
+	if tab.Observe(5, 91, -90, 12*time.Second) == nil {
+		t.Fatal("stranger with higher LQI rejected")
+	}
+	es := tab.Entries()
+	if len(es) != 3 || es[0].ID != 1 || es[1].ID != 3 || es[2].ID != 5 {
+		t.Fatalf("entries = %+v, want nodes 1, 3 and 5", es)
 	}
 }
 
-// TestEvictionTieBreaksByLowestID pins eviction order when the stalest
-// entries were heard at the same instant: the lowest ID goes, every
-// time, whatever order the entries were inserted in.
+// TestEvictionTieBreaksByLowestID pins which entry a stranger replaces
+// when the weakest entries rank equal: the lowest ID goes, whatever
+// order the entries were inserted in.
 func TestEvictionTieBreaksByLowestID(t *testing.T) {
-	for run := 0; run < 100; run++ {
+	for _, order := range [][]phys.NodeID{{1, 2}, {2, 1}} {
 		tab := NewTable(2)
-		tab.Observe(2, 100, -10, time.Second)
-		tab.Observe(1, 100, -10, time.Second)
-		if tab.Observe(3, 100, -10, 2*time.Second) == nil {
-			t.Fatal("insert into full table failed")
+		for _, id := range order {
+			tab.Observe(id, 100, -10, time.Second)
 		}
-		if _, ok := tab.Get(1); ok {
-			t.Fatalf("run %d: node 1 survived a tie it should lose", run)
+		if tab.Observe(3, 101, -10, 2*time.Second) == nil {
+			t.Fatal("stronger stranger rejected")
 		}
 		es := tab.Entries()
 		if len(es) != 2 || es[0].ID != 2 || es[1].ID != 3 {
-			t.Fatalf("run %d: entries = %+v, want nodes 2 and 3", run, es)
+			t.Fatalf("insertion order %v: entries = %+v, want nodes 2 and 3", order, es)
 		}
 	}
 }
 
 func TestBlacklistedEntriesPinned(t *testing.T) {
 	tab := NewTable(2)
-	tab.Observe(1, 100, -10, time.Second)
+	tab.Observe(1, 60, -10, time.Second)
 	tab.Observe(2, 100, -10, 2*time.Second)
 	if err := tab.Blacklist(1, true); err != nil {
 		t.Fatal(err)
 	}
-	// Node 1 is stalest but blacklisted: node 2 must be evicted instead.
-	tab.Observe(3, 100, -10, 3*time.Second)
+	// Node 1 is weakest but blacklisted: node 2 is the entry a stranger
+	// must beat, and the one it replaces.
+	if tab.Observe(3, 80, -10, 3*time.Second) != nil {
+		t.Fatal("stranger admitted without beating the weakest unpinned entry")
+	}
+	if tab.Observe(3, 105, -10, 3*time.Second) == nil {
+		t.Fatal("stranger rejected although it beats node 2")
+	}
 	if _, ok := tab.Get(1); !ok {
 		t.Fatal("blacklisted entry evicted")
 	}
 	if _, ok := tab.Get(2); ok {
 		t.Fatal("expected node 2 evicted")
 	}
-	// All pinned: insertion fails gracefully.
+	// All pinned: insertion fails gracefully, however strong the link.
 	tab.Blacklist(3, true)
-	if tab.Observe(4, 100, -10, 4*time.Second) != nil {
+	if tab.Observe(4, 110, 0, 4*time.Second) != nil {
 		t.Fatal("insert succeeded with all entries pinned")
 	}
 }
@@ -232,87 +256,117 @@ func TestTableInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestTableMatchesReference drives the table and a plain slice model
-// with the same random observations, blacklisting, removals and
-// expiries, and requires identical views after every step: the compact
-// key index and the row reuse on eviction and removal must not change
-// which entries survive or what they hold.
-func TestTableMatchesReference(t *testing.T) {
+// runTableModel drives the table and a plain slice model with the same
+// observations, blacklisting, acks, removals and expiries, and requires
+// the same admission verdict for every observation and identical views
+// after every step: the compact key index, the cached weakest entry and
+// the row reuse on eviction and removal must not change which entries
+// survive or what they hold. Each op picks the operation (low 3 bits),
+// the neighbor (bits 8-11) and the link (bits 16-22, a few values each,
+// so ranks tie).
+func runTableModel(t *testing.T, ops []uint32) {
 	const capacity = 6
-	prop := func(ops []uint32) bool {
-		tab := NewTable(capacity)
-		var ref []Entry // the model: unordered, evicts by scanning
-		now := sim.Time(0)
-		for step, op := range ops {
-			now += sim.Time(op%3) * time.Millisecond // ties happen
-			id := phys.NodeID(op>>8%12 + 1)
-			at := slices.IndexFunc(ref, func(e Entry) bool { return e.ID == id })
-			switch op % 8 {
-			case 0, 1, 2, 3:
-				lqi, rssi := 50+int(op>>4%61), -int(op>>12%60)
-				tab.Observe(id, lqi, rssi, now)
-				switch {
-				case at >= 0:
-					e := &ref[at]
-					e.LQI += ewmaAlpha * (float64(lqi) - e.LQI)
-					e.RSSI += ewmaAlpha * (float64(rssi) - e.RSSI)
-					e.LastHeard = now
-				default:
-					v := len(ref)
-					if len(ref) >= capacity {
-						v = -1
-						for i, e := range ref {
-							if !e.Blacklisted && (v < 0 || e.LastHeard < ref[v].LastHeard ||
-								e.LastHeard == ref[v].LastHeard && e.ID < ref[v].ID) {
-								v = i
-							}
-						}
-					} else {
-						ref = append(ref, Entry{})
-					}
-					if v >= 0 {
-						ref[v] = Entry{ID: id, LQI: float64(lqi), RSSI: float64(rssi),
-							PRR: 1, Delivery: 1, LastHeard: now}
+	tab := NewTable(capacity)
+	var ref []Entry // the model: unordered, finds the weakest by scanning
+	now := sim.Time(0)
+	for step, op := range ops {
+		now += sim.Time(op>>3%3) * time.Millisecond
+		id := phys.NodeID(op>>8%12 + 1)
+		at := slices.IndexFunc(ref, func(e Entry) bool { return e.ID == id })
+		switch op % 8 {
+		case 0, 1, 2, 3:
+			lqi, rssi := 50+10*int(op>>16%7), -10*int(op>>20%4)
+			admitted := tab.Observe(id, lqi, rssi, now) != nil
+			want := true
+			switch {
+			case at >= 0:
+				e := &ref[at]
+				e.LQI += ewmaAlpha * (float64(lqi) - e.LQI)
+				e.RSSI += ewmaAlpha * (float64(rssi) - e.RSSI)
+				e.LastHeard = now
+			case len(ref) < capacity:
+				ref = append(ref, Entry{ID: id, LQI: float64(lqi), RSSI: float64(rssi),
+					PRR: 1, Delivery: 1, LastHeard: now})
+			default:
+				v := -1
+				for i, e := range ref {
+					if !e.Blacklisted && (v < 0 || e.LQI < ref[v].LQI || e.LQI == ref[v].LQI &&
+						(e.RSSI < ref[v].RSSI || e.RSSI == ref[v].RSSI && e.ID < ref[v].ID)) {
+						v = i
 					}
 				}
-			case 4:
-				if at >= 0 {
-					on := !ref[at].Blacklisted
-					ref[at].Blacklisted = on
-					if err := tab.Blacklist(id, on); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 5:
-				tab.ObserveTxResult(id, true, now)
-				if at >= 0 {
-					ref[at].LastHeard = now
-				}
-			case 6:
-				tab.Remove(id)
-				if at >= 0 {
-					ref = slices.Delete(ref, at, at+1)
-				}
-			case 7:
-				cutoff := now - 5*time.Millisecond
-				n := tab.Expire(cutoff)
-				before := len(ref)
-				ref = slices.DeleteFunc(ref, func(e Entry) bool { return !e.Blacklisted && e.LastHeard < cutoff })
-				if n != before-len(ref) {
-					t.Logf("step %d: Expire dropped %d, model %d", step, n, before-len(ref))
-					return false
+				l, r := float64(lqi), float64(rssi)
+				if want = v >= 0 && (l > ref[v].LQI || l == ref[v].LQI && r > ref[v].RSSI); want {
+					ref[v] = Entry{ID: id, LQI: l, RSSI: r, PRR: 1, Delivery: 1, LastHeard: now}
 				}
 			}
-			want := slices.Clone(ref)
-			slices.SortFunc(want, func(a, b Entry) int { return int(a.ID) - int(b.ID) })
-			if got := tab.Entries(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-				t.Logf("step %d (op %d): table %+v, model %+v", step, op%8, got, want)
-				return false
+			if admitted != want {
+				t.Fatalf("step %d: Observe(%d, %d, %d) admitted %v, model %v", step, id, lqi, rssi, admitted, want)
+			}
+		case 4:
+			if at >= 0 {
+				on := !ref[at].Blacklisted
+				ref[at].Blacklisted = on
+				if err := tab.Blacklist(id, on); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 5:
+			tab.ObserveTxResult(id, true, now)
+			if at >= 0 {
+				ref[at].LastHeard = now
+			}
+		case 6:
+			tab.Remove(id)
+			if at >= 0 {
+				ref = slices.Delete(ref, at, at+1)
+			}
+		case 7:
+			cutoff := now - 5*time.Millisecond
+			n := tab.Expire(cutoff)
+			before := len(ref)
+			ref = slices.DeleteFunc(ref, func(e Entry) bool { return !e.Blacklisted && e.LastHeard < cutoff })
+			if n != before-len(ref) {
+				t.Fatalf("step %d: Expire dropped %d, model %d", step, n, before-len(ref))
 			}
 		}
+		want := slices.Clone(ref)
+		slices.SortFunc(want, func(a, b Entry) int { return int(a.ID) - int(b.ID) })
+		if got := tab.Entries(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (op %d): table %+v, model %+v", step, op%8, got, want)
+		}
+	}
+}
+
+// TestTableMatchesReference runs the model comparison on random
+// operation streams.
+func TestTableMatchesReference(t *testing.T) {
+	prop := func(ops []uint32) bool {
+		runTableModel(t, ops)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTable checks the table against the slice model; each four bytes
+// of input are one op. The seeds run under plain `go test`.
+func FuzzTable(f *testing.F) {
+	for _, seed := range []uint32{1, 7, 42, 1009} {
+		ops := make([]byte, 1200)
+		x := seed
+		for i := range ops {
+			x = x*1664525 + 1013904223
+			ops[i] = byte(x >> 24)
+		}
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := make([]uint32, len(data)/4)
+		for i := range ops {
+			ops[i] = binary.LittleEndian.Uint32(data[4*i:])
+		}
+		runTableModel(t, ops)
+	})
 }

@@ -14,7 +14,7 @@ import (
 
 // TestParkQueueBoundedAndExpires covers the pending-packet fix: the park
 // queue must reject overflow instead of growing, and parked packets that
-// discovery never claims must expire with a route-park-drop trace
+// discovery never claims must expire with a "drop" event of cause park
 // instead of leaking until reboot.
 func TestParkQueueBoundedAndExpires(t *testing.T) {
 	opt := testbed.DefaultOptions(61)
@@ -53,12 +53,12 @@ func TestParkQueueBoundedAndExpires(t *testing.T) {
 	}
 	drops := 0
 	for _, ev := range rec.Events() {
-		if ev.Kind == "route-park-drop" {
+		if cause, _ := ev.Attr("cause"); ev.Kind == "drop" && cause == "park" {
 			drops++
 		}
 	}
 	if drops != int(st.ParkDrops) {
-		t.Fatalf("route-park-drop events = %d, ParkDrops = %d", drops, st.ParkDrops)
+		t.Fatalf("park drop events = %d, ParkDrops = %d", drops, st.ParkDrops)
 	}
 	rec.Stop()
 }

@@ -104,7 +104,7 @@ type Config struct {
 	// flap and black-hole traffic). Zero disables gating.
 	MinLQI float64
 	// ParkTTL bounds how long a packet may sit parked waiting for route
-	// discovery before it is dropped with a route-park-drop event.
+	// discovery before it is dropped with cause park.
 	ParkTTL sim.Time
 }
 
@@ -122,17 +122,18 @@ func DefaultConfig() Config {
 
 // Stats counts routing outcomes at one node.
 type Stats struct {
-	Originated     uint64
-	Forwarded      uint64
-	Delivered      uint64 // packets handed to a local inner port
-	DroppedNoRoute uint64
-	DroppedTTL     uint64
-	DroppedDup     uint64
-	DroppedQueue   uint64
-	PadExhausted   uint64
-	LinkRepairs    uint64 // next hops condemned after consecutive no-acks
-	Salvaged       uint64 // failed packets re-sent through an alternate hop
-	ParkDrops      uint64 // parked packets expired waiting for discovery
+	Originated      uint64
+	Forwarded       uint64
+	Delivered       uint64 // packets handed to a local inner port
+	DroppedNoRoute  uint64
+	DroppedTTL      uint64
+	DroppedDup      uint64
+	DroppedQueue    uint64
+	DroppedRadioOff uint64 // MAC hand-offs refused because the radio was off
+	PadExhausted    uint64
+	LinkRepairs     uint64 // next hops condemned after consecutive no-acks
+	Salvaged        uint64 // failed packets re-sent through an alternate hop
+	ParkDrops       uint64 // parked packets expired waiting for discovery
 }
 
 // Errors from the routing layer.
@@ -218,10 +219,12 @@ type dropCause string
 
 // Drop causes, one per Stats counter.
 const (
-	dropNoRoute dropCause = "noroute" // DroppedNoRoute
-	dropTTL     dropCause = "ttl"     // DroppedTTL
-	dropDup     dropCause = "dup"     // DroppedDup
-	dropQueue   dropCause = "queue"   // DroppedQueue
+	dropNoRoute  dropCause = "noroute"   // DroppedNoRoute
+	dropTTL      dropCause = "ttl"       // DroppedTTL
+	dropDup      dropCause = "dup"       // DroppedDup
+	dropQueue    dropCause = "queue"     // DroppedQueue
+	dropRadioOff dropCause = "radio-off" // DroppedRadioOff
+	dropPark     dropCause = "park"      // ParkDrops
 )
 
 // drop discards p: it counts the cause in Stats and records a telemetry
@@ -236,6 +239,10 @@ func (r *Router) drop(p *stack.Packet, cause dropCause) {
 		r.stats.DroppedDup++
 	case dropQueue:
 		r.stats.DroppedQueue++
+	case dropRadioOff:
+		r.stats.DroppedRadioOff++
+	case dropPark:
+		r.stats.ParkDrops++
 	}
 	if r.tel.Recording() {
 		r.tel.Emit(r.st.NodeID(), telemetry.LayerRouting, "drop",
@@ -409,14 +416,7 @@ func (r *Router) expireParked(dst phys.NodeID) {
 			kept = append(kept, pp)
 			continue
 		}
-		r.stats.ParkDrops++
-		if r.tel.Recording() {
-			r.tel.Emit(r.st.NodeID(), telemetry.LayerRouting, "route-park-drop",
-				telemetry.Node("origin", pp.pkt.Origin),
-				telemetry.Node("dst", dst),
-				telemetry.Int("port", int(r.port)),
-				telemetry.Int("age_us", int((now-pp.at)/1000)))
-		}
+		r.drop(pp.pkt, dropPark)
 	}
 	if len(kept) == 0 {
 		delete(r.pending, dst)
@@ -592,8 +592,13 @@ func (r *Router) kick() {
 			r.kick()
 		})
 		if err != nil {
-			// MAC queue full or frame invalid: drop and continue.
-			r.drop(item.pkt, dropQueue)
+			// Radio off, MAC queue full or frame invalid: drop and
+			// continue.
+			cause := dropQueue
+			if errors.Is(err, mac.ErrRadioOff) {
+				cause = dropRadioOff
+			}
+			r.drop(item.pkt, cause)
 			r.sending = false
 			r.kick()
 		}

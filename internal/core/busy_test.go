@@ -53,8 +53,14 @@ func TestControllerBusyLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A slow command: 3 rounds to a dead target = ~750 ms busy.
-	slow := core.EncodeCommand(core.Command{Kind: core.KindPing, Dst: 99, Rounds: 3, Length: 16})
-	fast := core.EncodeCommand(core.Command{Kind: core.KindPing, Dst: 2, Rounds: 1, Length: 16})
+	slow, err := core.Encode(&core.Command{Kind: core.KindPing, Dst: 99, Rounds: 3, Length: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := core.Encode(&core.Command{Kind: core.KindPing, Dst: 2, Rounds: 1, Length: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ep.Send(1, [][]byte{slow}, 0, nil); err != nil {
 		t.Fatal(err)
 	}

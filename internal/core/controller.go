@@ -130,7 +130,7 @@ func (c *Controller) Traceroute() *TracerouteEngine { return c.tr }
 func (c *Controller) handle(from phys.NodeID, payload []byte, info medium.RxInfo, broadcast bool) {
 	cmd, err := DecodeCommand(payload)
 	if err != nil {
-		c.reply(from, broadcast, EncodeStatus(Status{Code: StatusBadParam, Msg: err.Error()}))
+		c.reply(from, broadcast, &Status{Code: StatusBadParam, Msg: err.Error()})
 		return
 	}
 	c.os.SysLogEvent("controller", "command %v from %d", cmd.Kind, from)
@@ -141,38 +141,31 @@ func (c *Controller) handle(from phys.NodeID, payload []byte, info medium.RxInfo
 	}
 	switch cmd.Kind {
 	case KindRadioGet:
-		c.reply(from, broadcast, EncodeRadioInfo(RadioInfo{
+		c.reply(from, broadcast, &RadioInfo{
 			Power:   c.os.Radio().PowerLevel(),
 			Channel: c.os.Radio().Channel(),
-		}))
+		})
 	case KindSetPower:
 		if err := c.os.Radio().SetPowerLevel(cmd.Value); err != nil {
-			c.reply(from, broadcast, EncodeStatus(Status{Code: StatusBadParam, Msg: err.Error()}))
+			c.reply(from, broadcast, &Status{Code: StatusBadParam, Msg: err.Error()})
 			return
 		}
-		c.reply(from, broadcast, EncodeStatus(Status{Code: StatusOK}))
+		c.reply(from, broadcast, &Status{Code: StatusOK})
 	case KindSetChannel:
 		if cmd.Value < radio.MinChannel || cmd.Value > radio.MaxChannel {
-			c.reply(from, broadcast, EncodeStatus(Status{Code: StatusBadParam,
-				Msg: fmt.Sprintf("channel %d out of range", cmd.Value)}))
+			c.reply(from, broadcast, &Status{Code: StatusBadParam,
+				Msg: fmt.Sprintf("channel %d out of range", cmd.Value)})
 			return
 		}
 		// Confirm first, retune after the reply exchange completes —
 		// otherwise the node vanishes from the management channel with
 		// the acknowledgement still in its queue.
 		ch := cmd.Value
-		var delay sim.Time
-		if broadcast {
-			delay = c.ep.GroupBackoff()
-		}
-		err := c.ep.Send(from, [][]byte{EncodeStatus(Status{Code: StatusOK})}, delay, func(error) {
+		c.send(from, broadcast, func(error) {
 			if err := c.os.Radio().SetChannel(ch); err != nil {
 				c.os.SysLogEvent("controller", "set channel: %v", err)
 			}
-		})
-		if err != nil {
-			c.os.SysLogEvent("controller", "set-channel reply failed: %v", err)
-		}
+		}, &Status{Code: StatusOK})
 	case KindNbrList:
 		c.replyNeighborList(from, broadcast, cmd.WithLink)
 	case KindNbrBlacklist:
@@ -181,13 +174,13 @@ func (c *Controller) handle(from phys.NodeID, payload []byte, info medium.RxInfo
 		if err := c.os.SysNeighborTable().Blacklist(cmd.Target, cmd.On); err != nil {
 			code, msg = StatusUnknownNeighbor, err.Error()
 		}
-		c.reply(from, broadcast, EncodeStatus(Status{Code: code, Msg: msg}))
+		c.reply(from, broadcast, &Status{Code: code, Msg: msg})
 	case KindNbrUpdate:
 		if err := c.os.Neighbors().SetPeriod(sim.Time(cmd.PeriodMs) * time.Millisecond); err != nil {
-			c.reply(from, broadcast, EncodeStatus(Status{Code: StatusBadParam, Msg: err.Error()}))
+			c.reply(from, broadcast, &Status{Code: StatusBadParam, Msg: err.Error()})
 			return
 		}
-		c.reply(from, broadcast, EncodeStatus(Status{Code: StatusOK}))
+		c.reply(from, broadcast, &Status{Code: StatusOK})
 	case KindPing:
 		c.runPing(from, broadcast, cmd)
 	case KindTraceroute:
@@ -198,7 +191,7 @@ func (c *Controller) handle(from phys.NodeID, payload []byte, info medium.RxInfo
 		} else {
 			c.os.Log().Disable()
 		}
-		c.reply(from, broadcast, EncodeStatus(Status{Code: StatusOK}))
+		c.reply(from, broadcast, &Status{Code: StatusOK})
 	case KindLogDump:
 		c.replyLogDump(from, broadcast, cmd.Count)
 	case KindStatsGet:
@@ -208,18 +201,33 @@ func (c *Controller) handle(from phys.NodeID, payload []byte, info medium.RxInfo
 	case KindFsList:
 		c.replyFsList(from, broadcast, cmd.Path)
 	default:
-		c.reply(from, broadcast, EncodeStatus(Status{Code: StatusBadParam, Msg: "unknown command"}))
+		c.reply(from, broadcast, &Status{Code: StatusBadParam, Msg: "unknown command"})
 	}
 }
 
-// reply sends messages back, applying the group backoff when the
-// command was broadcast to many nodes.
-func (c *Controller) reply(to phys.NodeID, broadcast bool, msgs ...[]byte) {
+// reply sends messages back as one transfer.
+func (c *Controller) reply(to phys.NodeID, broadcast bool, msgs ...Message) {
+	c.send(to, broadcast, nil, msgs...)
+}
+
+// send encodes msgs and sends them back as one transfer, after the group
+// backoff when the command was broadcast to many nodes; done, when set,
+// runs once the transfer ends.
+func (c *Controller) send(to phys.NodeID, broadcast bool, done func(error), msgs ...Message) {
+	data := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		b, err := Encode(m)
+		if err != nil {
+			c.os.SysLogEvent("controller", "reply failed: %v", err)
+			return
+		}
+		data[i] = b
+	}
 	var delay sim.Time
 	if broadcast {
 		delay = c.ep.GroupBackoff()
 	}
-	if err := c.ep.Send(to, msgs, delay, nil); err != nil {
+	if err := c.ep.Send(to, data, delay, done); err != nil {
 		c.os.SysLogEvent("controller", "reply failed: %v", err)
 	}
 }
@@ -227,7 +235,7 @@ func (c *Controller) reply(to phys.NodeID, broadcast bool, msgs ...[]byte) {
 // replyNeighborList streams the kernel neighbor table as one batched
 // transfer, terminated by a status message.
 func (c *Controller) replyNeighborList(to phys.NodeID, broadcast, withLink bool) {
-	var msgs [][]byte
+	var msgs []Message
 	for _, e := range c.os.SysNeighborTable().Entries() {
 		prr := int(e.PRR*100 + 0.5)
 		if prr > 100 {
@@ -239,7 +247,7 @@ func (c *Controller) replyNeighborList(to phys.NodeID, broadcast, withLink bool)
 			// management workstation itself).
 			name = fmt.Sprintf("node-%d", e.ID)
 		}
-		msgs = append(msgs, EncodeNbrEntry(NbrEntry{
+		msgs = append(msgs, &NbrEntry{
 			ID:              e.ID,
 			Name:            name,
 			LQI:             uint8(clampInt(int(e.LQI+0.5), 0, 255)),
@@ -249,9 +257,9 @@ func (c *Controller) replyNeighborList(to phys.NodeID, broadcast, withLink bool)
 			Blacklisted:     e.Blacklisted,
 			Suspect:         e.Suspect,
 			WithLink:        withLink,
-		}))
+		})
 	}
-	msgs = append(msgs, EncodeStatus(Status{Code: StatusOK, Msg: fmt.Sprintf("%d neighbors", len(msgs))}))
+	msgs = append(msgs, &Status{Code: StatusOK, Msg: fmt.Sprintf("%d neighbors", len(msgs))})
 	c.reply(to, broadcast, msgs...)
 }
 
@@ -274,7 +282,7 @@ func (c *Controller) replyStats(to phys.NodeID, broadcast bool) {
 		RAMFree:      uint16(c.os.RAMFree()),
 		QueueLen:     uint8(c.os.MAC().QueueLen()),
 	}
-	msgs := [][]byte{EncodeNodeStats(node)}
+	msgs := []Message{&node}
 	// Walk the port space for attached protocols: the lookup is the
 	// only window the controller has (protocol independence).
 	for port := 1; port < 256; port++ {
@@ -301,9 +309,9 @@ func (c *Controller) replyStats(to phys.NodeID, broadcast bool) {
 			}
 			rs.CostCentile = uint16(cc)
 		}
-		msgs = append(msgs, EncodeRouterStats(rs))
+		msgs = append(msgs, &rs)
 	}
-	msgs = append(msgs, EncodeStatus(Status{Code: StatusOK}))
+	msgs = append(msgs, &Status{Code: StatusOK})
 	c.reply(to, broadcast, msgs...)
 }
 
@@ -330,7 +338,7 @@ func (c *Controller) replyEnergy(to phys.NodeID, broadcast bool) {
 		es.HasLifetime = true
 		es.EstimatedLifetimeHours = uint32(life / time.Hour)
 	}
-	c.reply(to, broadcast, EncodeEnergyStats(es), EncodeStatus(Status{Code: StatusOK}))
+	c.reply(to, broadcast, &es, &Status{Code: StatusOK})
 }
 
 // replyFsList renders the node's LiteOS file-tree view: /apps holds the
@@ -363,15 +371,15 @@ func (c *Controller) replyFsList(to phys.NodeID, broadcast bool, path string) {
 			{Name: fmt.Sprintf("log(%d)", len(c.os.Log().Entries()))},
 		}
 	default:
-		c.reply(to, broadcast, EncodeStatus(Status{Code: StatusBadParam,
-			Msg: fmt.Sprintf("no such directory %q", path)}))
+		c.reply(to, broadcast, &Status{Code: StatusBadParam,
+			Msg: fmt.Sprintf("no such directory %q", path)})
 		return
 	}
-	msgs := make([][]byte, 0, len(entries)+1)
-	for _, e := range entries {
-		msgs = append(msgs, EncodeFsEntry(e))
+	msgs := make([]Message, 0, len(entries)+1)
+	for i := range entries {
+		msgs = append(msgs, &entries[i])
 	}
-	msgs = append(msgs, EncodeStatus(Status{Code: StatusOK}))
+	msgs = append(msgs, &Status{Code: StatusOK})
 	c.reply(to, broadcast, msgs...)
 }
 
@@ -382,15 +390,15 @@ func (c *Controller) replyLogDump(to phys.NodeID, broadcast bool, count int) {
 	if count > 0 && len(entries) > count {
 		entries = entries[len(entries)-count:]
 	}
-	msgs := make([][]byte, 0, len(entries)+1)
+	msgs := make([]Message, 0, len(entries)+1)
 	for _, e := range entries {
-		msgs = append(msgs, EncodeLogEntry(LogEntry{
+		msgs = append(msgs, &LogEntry{
 			AtMs: uint32(e.At / time.Millisecond),
 			Tag:  e.Tag,
 			Msg:  e.Msg,
-		}))
+		})
 	}
-	msgs = append(msgs, EncodeStatus(Status{Code: StatusOK, Msg: fmt.Sprintf("%d entries", len(entries))}))
+	msgs = append(msgs, &Status{Code: StatusOK, Msg: fmt.Sprintf("%d entries", len(entries))})
 	c.reply(to, broadcast, msgs...)
 }
 
@@ -398,11 +406,11 @@ func (c *Controller) replyLogDump(to phys.NodeID, broadcast bool, count int) {
 // path" errors get their own wire code so the interpreter can surface
 // a typed ErrNoRoute — the management link worked; the network route
 // did not — instead of a generic parameter error.
-func startStatus(err error) Status {
+func startStatus(err error) *Status {
 	if errors.Is(err, routing.ErrNoRoute) || errors.Is(err, routing.ErrNoUnicastPath) {
-		return Status{Code: StatusNoRoute, Msg: err.Error()}
+		return &Status{Code: StatusNoRoute, Msg: err.Error()}
 	}
-	return Status{Code: StatusBadParam, Msg: err.Error()}
+	return &Status{Code: StatusBadParam, Msg: err.Error()}
 }
 
 func clampInt(v, lo, hi int) int {
@@ -419,7 +427,7 @@ func clampInt(v, lo, hi int) int {
 // all rounds complete.
 func (c *Controller) runPing(from phys.NodeID, broadcast bool, cmd Command) {
 	if c.busy {
-		c.reply(from, broadcast, EncodeStatus(Status{Code: StatusBusy, Msg: "command in progress"}))
+		c.reply(from, broadcast, &Status{Code: StatusBusy, Msg: "command in progress"})
 		return
 	}
 	// The interpreter's parameters reach the new process through the
@@ -427,15 +435,15 @@ func (c *Controller) runPing(from phys.NodeID, broadcast bool, cmd Command) {
 	c.os.SysSetParamBuffer(fmt.Sprintf("%d round=%d length=%d port=%d", cmd.Dst, cmd.Rounds, cmd.Length, cmd.RouterPort))
 	proc, err := c.os.StartProcess(PingBinary.Name)
 	if err != nil {
-		c.reply(from, broadcast, EncodeStatus(Status{Code: StatusErr, Msg: err.Error()}))
+		c.reply(from, broadcast, &Status{Code: StatusErr, Msg: err.Error()})
 		return
 	}
 	opts := PingOptions{Dst: cmd.Dst, Rounds: cmd.Rounds, Length: cmd.Length, RouterPort: cmd.RouterPort}
 	c.busy = true
 	c.proc = proc
 	err = c.ping.Start(opts, func(results []PingResult) {
-		msgs := make([][]byte, 0, len(results)+1)
-		for _, r := range results {
+		msgs := make([]Message, 0, len(results)+1)
+		for i, r := range results {
 			if c.tel.Recording() {
 				rttMs := float64(r.RTT) / 1000
 				c.tel.Emit(c.os.ID(), telemetry.LayerController, "ping-result",
@@ -448,7 +456,7 @@ func (c *Controller) runPing(from phys.NodeID, broadcast bool, cmd Command) {
 						Observe(rttMs)
 				}
 			}
-			msgs = append(msgs, EncodePingResult(r))
+			msgs = append(msgs, &results[i])
 			// Per-hop padding records of multi-hop rounds ride in
 			// continuation chunks: they do not fit one packet.
 			var fwd, bwd []HopLQ
@@ -461,20 +469,20 @@ func (c *Controller) runPing(from phys.NodeID, broadcast bool, cmd Command) {
 			}
 			for off := 0; off < len(fwd); off += PingHopsChunk {
 				end := min(off+PingHopsChunk, len(fwd))
-				msgs = append(msgs, EncodePingHops(PingHops{Seq: r.Seq, Records: fwd[off:end]}))
+				msgs = append(msgs, &PingHops{Seq: r.Seq, Records: fwd[off:end]})
 			}
 			for off := 0; off < len(bwd); off += PingHopsChunk {
 				end := min(off+PingHopsChunk, len(bwd))
-				msgs = append(msgs, EncodePingHops(PingHops{Seq: r.Seq, Back: true, Records: bwd[off:end]}))
+				msgs = append(msgs, &PingHops{Seq: r.Seq, Back: true, Records: bwd[off:end]})
 			}
 		}
-		msgs = append(msgs, EncodeStatus(Status{Code: StatusOK, Msg: c.protocolName(cmd.RouterPort)}))
+		msgs = append(msgs, &Status{Code: StatusOK, Msg: c.protocolName(cmd.RouterPort)})
 		c.reply(from, broadcast, msgs...)
 		c.finishCommand()
 	})
 	if err != nil {
 		c.finishCommand()
-		c.reply(from, broadcast, EncodeStatus(startStatus(err)))
+		c.reply(from, broadcast, startStatus(err))
 	}
 }
 
@@ -485,13 +493,13 @@ func (c *Controller) runPing(from phys.NodeID, broadcast bool, cmd Command) {
 // repeatedly — each walk is an independent session.
 func (c *Controller) runTraceroute(from phys.NodeID, broadcast bool, cmd Command) {
 	if c.busy {
-		c.reply(from, broadcast, EncodeStatus(Status{Code: StatusBusy, Msg: "command in progress"}))
+		c.reply(from, broadcast, &Status{Code: StatusBusy, Msg: "command in progress"})
 		return
 	}
 	c.os.SysSetParamBuffer(fmt.Sprintf("%d round=%d length=%d port=%d", cmd.Dst, cmd.Rounds, cmd.Length, cmd.RouterPort))
 	proc, err := c.os.StartProcess(TracerouteBinary.Name)
 	if err != nil {
-		c.reply(from, broadcast, EncodeStatus(Status{Code: StatusErr, Msg: err.Error()}))
+		c.reply(from, broadcast, &Status{Code: StatusErr, Msg: err.Error()})
 		return
 	}
 	opts := TrOptions{Dst: cmd.Dst, Length: cmd.Length, RouterPort: cmd.RouterPort, ProbeRetries: cmd.Retries}
@@ -513,15 +521,15 @@ func (c *Controller) runTraceroute(from phys.NodeID, broadcast bool, cmd Command
 					telemetry.Bool("lost", rep.Lost),
 					telemetry.Float("rtt_ms", float64(rep.RTT)/1000))
 			}
-			c.reply(from, broadcast, EncodeTrHopReport(rep))
+			c.reply(from, broadcast, &rep)
 		},
 		func() {
-			c.reply(from, broadcast, EncodeStatus(Status{Code: StatusOK, Msg: c.protocolName(cmd.RouterPort)}))
+			c.reply(from, broadcast, &Status{Code: StatusOK, Msg: c.protocolName(cmd.RouterPort)})
 			c.finishCommand()
 		})
 	if err != nil {
 		c.finishCommand()
-		c.reply(from, broadcast, EncodeStatus(startStatus(err)))
+		c.reply(from, broadcast, startStatus(err))
 	}
 }
 

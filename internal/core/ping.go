@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"liteview/internal/liteos"
-	"liteview/internal/mac"
 	"liteview/internal/medium"
 	"liteview/internal/phys"
 	"liteview/internal/routing"
@@ -34,8 +33,55 @@ const (
 	pingKindReply byte = 2
 )
 
-// Ping probe header: kind + taskID + seq + origin + routerPort.
-const pingProbeHeaderLen = 7
+// pingProbe asks the responder for the link quality of its arrival. It
+// is padded with filler to the requested probe length.
+type pingProbe struct {
+	taskID     uint16
+	seq        byte
+	origin     phys.NodeID
+	routerPort byte
+	length     int
+}
+
+func (m *pingProbe) fields(c *codec) {
+	c.tag(pingKindProbe)
+	c.u16(&m.taskID)
+	c.u8(&m.seq)
+	c.node(&m.origin)
+	c.u8(&m.routerPort)
+	c.fill(&m.length, 0xA5)
+}
+
+// pingProbeLen is the size of a probe without filler.
+var pingProbeLen = wireLen(&pingProbe{})
+
+// pingReply answers a probe with the responder's queue length and,
+// single-hop, the probe's link quality at the responder, or, multi-hop,
+// the forward path's padding records (the return path's records arrive
+// as the reply's own padding).
+type pingReply struct {
+	taskID   uint16
+	seq      byte
+	multihop bool
+	queue    byte
+	lqi      byte
+	rssi     int8
+	fwd      []HopLQ
+}
+
+func (m *pingReply) fields(c *codec) {
+	c.tag(pingKindReply)
+	c.u16(&m.taskID)
+	c.u8(&m.seq)
+	c.flag(&m.multihop)
+	c.u8(&m.queue)
+	if m.multihop {
+		c.hops(&m.fwd, 255, false)
+	} else {
+		c.u8(&m.lqi)
+		c.i8(&m.rssi)
+	}
+}
 
 // PingOptions parameterises one ping command invocation.
 type PingOptions struct {
@@ -62,8 +108,8 @@ func (o *PingOptions) normalize() error {
 	if o.Length <= 0 {
 		o.Length = 32
 	}
-	if o.Length < pingProbeHeaderLen {
-		o.Length = pingProbeHeaderLen
+	if o.Length < pingProbeLen {
+		o.Length = pingProbeLen
 	}
 	// Multi-hop probes must leave room for the routed header and the
 	// padding region is shared with the data, so cap the length.
@@ -143,37 +189,15 @@ func (pe *PingEngine) Start(opts PingOptions, onDone func([]PingResult)) error {
 	return nil
 }
 
-// buildProbe lays out a probe message padded with filler to the
-// requested length.
-func (pe *PingEngine) buildProbe(t *pingTask) []byte {
-	var w writer
-	w.u8(pingKindProbe)
-	w.u16(t.id)
-	w.u8(byte(t.seq))
-	w.node(pe.os.ID())
-	w.u8(t.opts.RouterPort)
-	for len(w.b) < t.opts.Length {
-		w.u8(0xA5)
-	}
-	return w.b
-}
-
 func (pe *PingEngine) sendProbe(t *pingTask) {
-	probe := pe.buildProbe(t)
+	probe, _ := Encode(&pingProbe{taskID: t.id, seq: byte(t.seq), origin: pe.os.ID(),
+		routerPort: t.opts.RouterPort, length: t.opts.Length}) // fixed-width fields only: cannot fail
 	// "The process first gets the current timestamp using a
 	// high-resolution, cycle-accurate timer," then sends.
 	t.sentAt = pe.eng.Now()
 	var err error
 	if t.opts.RouterPort == 0 {
-		p := &stack.Packet{
-			Port:   PingPort,
-			Origin: pe.os.ID(),
-			Dst:    t.opts.Dst,
-			TTL:    1,
-			Flags:  stack.FlagControl,
-			Data:   probe,
-		}
-		err = pe.os.Stack().Send(p, t.opts.Dst, mac.TypeControl, nil)
+		err = sendOneHop(pe.os.Stack(), PingPort, t.opts.Dst, probe)
 	} else {
 		r, ok := pe.routers(t.opts.RouterPort)
 		if !ok {
@@ -214,83 +238,52 @@ func (pe *PingEngine) nextRound(t *pingTask) {
 }
 
 func (pe *PingEngine) onPacket(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
-	if len(p.Data) < 1 {
-		return
-	}
-	switch p.Data[0] {
-	case pingKindProbe:
-		pe.onProbe(p, from, info)
-	case pingKindReply:
-		pe.onReply(p, from, info)
+	var probe pingProbe
+	var reply pingReply
+	switch {
+	case decode(p.Data, &probe) == nil:
+		pe.onProbe(&probe, p, from, info)
+	case decode(p.Data, &reply) == nil:
+		pe.onReply(&reply, p, info)
 	}
 }
 
 // onProbe is the responder role: reply with the incoming link quality.
-func (pe *PingEngine) onProbe(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
-	r := reader{b: p.Data}
-	r.u8() // kind
-	taskID := r.u16()
-	seq := r.u8()
-	origin := r.node()
-	routerPort := r.u8()
-	if r.fail() {
-		return
-	}
-	var w writer
-	w.u8(pingKindReply)
-	w.u16(taskID)
-	w.u8(seq)
-	if routerPort != 0 {
+func (pe *PingEngine) onProbe(probe *pingProbe, p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
+	reply := pingReply{taskID: probe.taskID, seq: probe.seq, queue: byte(pe.os.MAC().QueueLen())}
+	if probe.routerPort != 0 {
 		// Routed probe: the forward per-hop quality arrived in the
 		// packet's padding; copy it into the reply body so the sender
 		// sees it, then route the reply back through the same protocol
 		// the probe named, with padding enabled for the return path.
-		w.u8(1)
-		w.u8(byte(pe.os.MAC().QueueLen()))
-		w.u8(byte(len(p.Pad)))
+		reply.multihop = true
 		for _, lq := range p.Pad {
-			w.u8(lq.LQI)
-			w.i8(lq.RSSI)
+			reply.fwd = append(reply.fwd, HopLQ{LQI: lq.LQI, RSSI: lq.RSSI})
 		}
-		rt, ok := pe.routers(routerPort)
+		rt, ok := pe.routers(probe.routerPort)
 		if !ok {
-			pe.os.SysLogEvent("ping", "no protocol on port %d to reply via", routerPort)
+			pe.os.SysLogEvent("ping", "no protocol on port %d to reply via", probe.routerPort)
 			return
 		}
-		if err := rt.SendTo(origin, PingPort, w.b, true, true); err != nil {
-			pe.os.SysLogEvent("ping", "reply route to %d failed: %v", origin, err)
+		data, _ := Encode(&reply) // fixed-width fields only: cannot fail
+		if err := rt.SendTo(probe.origin, PingPort, data, true, true); err != nil {
+			pe.os.SysLogEvent("ping", "reply route to %d failed: %v", probe.origin, err)
 		}
 		return
 	}
-	w.u8(0)
-	w.u8(byte(pe.os.MAC().QueueLen()))
 	// Link quality of the incoming probe, available only after
 	// reception at this side.
-	w.u8(byte(info.LQI))
-	w.i8(int8(info.RSSI))
-	reply := &stack.Packet{
-		Port:   PingPort,
-		Origin: pe.os.ID(),
-		Dst:    from,
-		TTL:    1,
-		Flags:  stack.FlagControl,
-		Data:   w.b,
-	}
-	if err := pe.os.Stack().Send(reply, from, mac.TypeControl, nil); err != nil {
+	reply.lqi, reply.rssi = byte(info.LQI), int8(info.RSSI)
+	data, _ := Encode(&reply) // fixed-width fields only: cannot fail
+	if err := sendOneHop(pe.os.Stack(), PingPort, from, data); err != nil {
 		pe.os.SysLogEvent("ping", "reply send failed: %v", err)
 	}
 }
 
 // onReply is the sender role: close the round and record the result.
-func (pe *PingEngine) onReply(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
-	r := reader{b: p.Data}
-	r.u8() // kind
-	taskID := r.u16()
-	seq := int(r.u8())
-	multihop := r.u8() != 0
-	remoteQueue := r.u8()
-	t, ok := pe.tasks[taskID]
-	if !ok || seq != t.seq || r.fail() {
+func (pe *PingEngine) onReply(reply *pingReply, p *stack.Packet, info medium.RxInfo) {
+	t, ok := pe.tasks[reply.taskID]
+	if !ok || int(reply.seq) != t.seq {
 		return
 	}
 	if t.timer != nil {
@@ -298,44 +291,37 @@ func (pe *PingEngine) onReply(p *stack.Packet, from phys.NodeID, info medium.RxI
 	}
 	rtt := pe.eng.Now() - t.sentAt
 	res := PingResult{
-		Seq:     seq,
+		Seq:     t.seq,
 		RTT:     uint32(rtt / time.Microsecond),
-		QFwd:    remoteQueue,
+		QFwd:    reply.queue,
 		QBwd:    uint8(pe.os.MAC().QueueLen()),
 		Power:   uint8(pe.os.Radio().PowerLevel()),
 		Channel: uint8(pe.os.Radio().Channel()),
 	}
-	if multihop {
-		nFwd := int(r.u8())
-		for i := 0; i < nFwd; i++ {
-			res.HopQuality = append(res.HopQuality, HopLQ{LQI: r.u8(), RSSI: r.i8()})
-		}
+	if reply.multihop {
+		res.HopQuality = reply.fwd
 		// Return-path records arrive as the reply packet's padding.
 		for _, lq := range p.Pad {
 			res.HopQuality = append(res.HopQuality, HopLQ{LQI: lq.LQI, RSSI: lq.RSSI, Back: true})
 		}
 		// Headline LQI/RSSI: first forward hop / first return hop.
-		if nFwd > 0 {
-			res.LQIFwd = res.HopQuality[0].LQI
-			res.RSSIFwd = res.HopQuality[0].RSSI
+		if len(reply.fwd) > 0 {
+			res.LQIFwd = reply.fwd[0].LQI
+			res.RSSIFwd = reply.fwd[0].RSSI
 		}
 		if len(p.Pad) > 0 {
 			res.LQIBwd = p.Pad[0].LQI
 			res.RSSIBwd = p.Pad[0].RSSI
 		}
 	} else {
-		res.LQIFwd = r.u8()
-		res.RSSIFwd = r.i8()
+		res.LQIFwd = reply.lqi
+		res.RSSIFwd = reply.rssi
 		// The reply's own link quality is the backward direction,
 		// observed by this node's radio on reception.
 		res.LQIBwd = uint8(info.LQI)
 		res.RSSIBwd = int8(info.RSSI)
 	}
-	if r.fail() {
-		return
-	}
-	_ = from
 	t.results = append(t.results, res)
-	pe.os.SysLogEvent("ping", "round %d: rtt=%v", seq+1, rtt)
+	pe.os.SysLogEvent("ping", "round %d: rtt=%v", t.seq+1, rtt)
 	pe.nextRound(t)
 }

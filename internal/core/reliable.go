@@ -39,8 +39,34 @@ const (
 // on the last message of each batch).
 const envFlagAckReq byte = 1 << 0
 
-// envelope layout: kind(1) xferID(2) seq(2) total(2) flags(1) payload.
-const envHeaderLen = 8
+// xferData is one message of a transfer: its place in the transfer, the
+// ack request flag, and the payload.
+type xferData struct {
+	id, seq, total uint16
+	flags          byte
+	payload        []byte
+}
+
+func (m *xferData) fields(c *codec) {
+	c.tag(envData)
+	c.u16(&m.id)
+	c.u16(&m.seq)
+	c.u16(&m.total)
+	c.u8(&m.flags)
+	c.rest(&m.payload)
+}
+
+// xferHeaderLen is the size of a data message around its payload.
+var xferHeaderLen = wireLen(&xferData{})
+
+// xferAck acknowledges a transfer up to, not including, seq next.
+type xferAck struct{ id, next uint16 }
+
+func (m *xferAck) fields(c *codec) {
+	c.tag(envAck)
+	c.u16(&m.id)
+	c.u16(&m.next)
+}
 
 // Fixed parameters of the exchange protocol.
 const (
@@ -212,7 +238,7 @@ func (e *Endpoint) Send(to phys.NodeID, msgs [][]byte, delay sim.Time, done func
 		return errors.New("core: transfer too large")
 	}
 	for _, m := range msgs {
-		if envHeaderLen+len(m) > stack.PayloadCeiling {
+		if xferHeaderLen+len(m) > stack.PayloadCeiling {
 			return fmt.Errorf("core: message of %d bytes exceeds payload ceiling", len(m))
 		}
 	}
@@ -266,28 +292,14 @@ func (e *Endpoint) sendWindow(x *outXfer) {
 			telemetry.Int("batch", end-x.base))
 	}
 	for i := x.base; i < end; i++ {
-		var w writer
-		w.u8(envData)
-		w.u16(x.id)
-		w.u16(uint16(i))
-		w.u16(uint16(len(x.msgs)))
+		m := xferData{id: x.id, seq: uint16(i), total: uint16(len(x.msgs)), payload: x.msgs[i]}
 		if i == end-1 && x.to != phys.Broadcast {
-			w.u8(envFlagAckReq)
-		} else {
-			w.u8(0)
+			m.flags = envFlagAckReq
 		}
-		w.b = append(w.b, x.msgs[i]...)
-		p := &stack.Packet{
-			Port:   ControllerPort,
-			Origin: e.st.NodeID(),
-			Dst:    x.to,
-			TTL:    1,
-			Flags:  stack.FlagControl,
-			Data:   w.b,
-		}
-		// One-hop direct transmission; MAC queue overflow surfaces as a
-		// lost packet and is repaired by the retransmission machinery.
-		if err := e.st.Send(p, x.to, mac.TypeControl, nil); err == nil {
+		data, _ := Encode(&m) // fixed-width fields only: cannot fail
+		// MAC queue overflow surfaces as a lost packet and is repaired by
+		// the retransmission machinery.
+		if err := sendOneHop(e.st, ControllerPort, x.to, data); err == nil {
 			e.stats.DataSent++
 		}
 	}
@@ -386,25 +398,17 @@ func (e *Endpoint) Reset() {
 }
 
 func (e *Endpoint) onPacket(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
-	if len(p.Data) < 1 {
-		return
-	}
-	switch p.Data[0] {
-	case envData:
-		e.onData(p.Data, from, info, p.Dst == phys.Broadcast)
-	case envAck:
-		e.onAck(p.Data, from)
+	var m xferData
+	var ack xferAck
+	switch {
+	case decode(p.Data, &m) == nil:
+		e.onData(&m, from, info, p.Dst == phys.Broadcast)
+	case decode(p.Data, &ack) == nil:
+		e.onAck(ack.id, int(ack.next), from)
 	}
 }
 
-func (e *Endpoint) onAck(data []byte, from phys.NodeID) {
-	r := reader{b: data}
-	r.u8() // kind
-	id := r.u16()
-	nextExpected := int(r.u16())
-	if r.fail() {
-		return
-	}
+func (e *Endpoint) onAck(id uint16, nextExpected int, from phys.NodeID) {
 	x, ok := e.out[outKey(from, id)]
 	if !ok {
 		return
@@ -453,17 +457,11 @@ func (e *Endpoint) onAck(data []byte, from phys.NodeID) {
 	e.sendWindow(x)
 }
 
-func (e *Endpoint) onData(data []byte, from phys.NodeID, info medium.RxInfo, broadcast bool) {
-	r := reader{b: data}
-	r.u8() // kind
-	id := r.u16()
-	seq := int(r.u16())
-	total := int(r.u16())
-	flags := r.u8()
-	if r.fail() || total == 0 || seq >= total {
+func (e *Endpoint) onData(m *xferData, from phys.NodeID, info medium.RxInfo, broadcast bool) {
+	if m.total == 0 || m.seq >= m.total {
 		return
 	}
-	payload := data[envHeaderLen:]
+	id, seq, total, payload := m.id, int(m.seq), int(m.total), m.payload
 	k := inKey{from: from, id: id}
 	x, ok := e.in.Get(k)
 	if !ok {
@@ -493,7 +491,7 @@ func (e *Endpoint) onData(data []byte, from phys.NodeID, info medium.RxInfo, bro
 	// but never for broadcast data, which is fire-and-forget. The ack
 	// is queued BEFORE the handler runs: a command that reconfigures
 	// the radio (set-channel) must not cut off its own acknowledgement.
-	if !broadcast && (flags&envFlagAckReq != 0 || x.nextExpected >= x.total) {
+	if !broadcast && (m.flags&envFlagAckReq != 0 || x.nextExpected >= x.total) {
 		e.sendAck(from, id, x.nextExpected)
 	}
 	for _, msg := range ready {
@@ -501,20 +499,16 @@ func (e *Endpoint) onData(data []byte, from phys.NodeID, info medium.RxInfo, bro
 	}
 }
 
+// sendOneHop hands data to st as a control packet for the one-hop
+// neighbor to, on port.
+func sendOneHop(st *stack.Stack, port byte, to phys.NodeID, data []byte) error {
+	p := &stack.Packet{Port: port, Origin: st.NodeID(), Dst: to, TTL: 1, Flags: stack.FlagControl, Data: data}
+	return st.Send(p, to, mac.TypeControl, nil)
+}
+
 func (e *Endpoint) sendAck(to phys.NodeID, id uint16, nextExpected int) {
-	var w writer
-	w.u8(envAck)
-	w.u16(id)
-	w.u16(uint16(nextExpected))
-	p := &stack.Packet{
-		Port:   ControllerPort,
-		Origin: e.st.NodeID(),
-		Dst:    to,
-		TTL:    1,
-		Flags:  stack.FlagControl,
-		Data:   w.b,
-	}
-	if err := e.st.Send(p, to, mac.TypeControl, nil); err == nil {
+	data, _ := Encode(&xferAck{id: id, next: uint16(nextExpected)}) // fixed-width fields only: cannot fail
+	if err := sendOneHop(e.st, ControllerPort, to, data); err == nil {
 		e.stats.AcksSent++
 		if e.tel.Recording() {
 			e.tel.Emit(e.st.NodeID(), telemetry.LayerReliable, "ack-tx",

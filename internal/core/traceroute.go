@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"liteview/internal/liteos"
-	"liteview/internal/mac"
 	"liteview/internal/medium"
 	"liteview/internal/phys"
 	"liteview/internal/sim"
@@ -55,8 +54,8 @@ func (o *TrOptions) normalize() error {
 	if o.Length <= 0 {
 		o.Length = 32
 	}
-	if o.Length < trProbeHeaderLen {
-		o.Length = trProbeHeaderLen
+	if o.Length < trProbeLen {
+		o.Length = trProbeLen
 	}
 	if o.Length > 48 {
 		return fmt.Errorf("core: traceroute length %d exceeds 48-byte probe limit", o.Length)
@@ -92,20 +91,73 @@ func (o TrOptions) SessionBudget() sim.Time {
 	return sim.Time(o.MaxHops+2) * perHop
 }
 
-// trProbeHeaderLen: kind + taskID + source + dst + routerPort + hop +
-// maxHops + retries.
-const trProbeHeaderLen = 11
+// trProbe asks the next hop for the link quality of its arrival and
+// carries the walk's state on to it. It is padded with filler to the
+// requested probe length.
+type trProbe struct {
+	taskID                uint16
+	source, dst           phys.NodeID
+	port                  byte
+	hop, maxHops, retries byte
+	length                int
+}
+
+func (m *trProbe) fields(c *codec) {
+	c.tag(trKindProbe)
+	c.u16(&m.taskID)
+	c.node(&m.source)
+	c.node(&m.dst)
+	c.u8(&m.port)
+	c.u8(&m.hop)
+	c.u8(&m.maxHops)
+	c.u8(&m.retries)
+	c.fill(&m.length, 0x5A)
+}
+
+// trProbeLen is the size of a probe without filler.
+var trProbeLen = wireLen(&trProbe{})
+
+// trReply answers a probe with its link quality at the probed node.
+type trReply struct {
+	taskID uint16
+	source phys.NodeID
+	hop    byte
+	lqi    byte
+	rssi   int8
+	queue  byte
+	final  bool
+}
+
+func (m *trReply) fields(c *codec) {
+	c.tag(trKindReply)
+	c.u16(&m.taskID)
+	c.node(&m.source)
+	c.u8(&m.hop)
+	c.u8(&m.lqi)
+	c.i8(&m.rssi)
+	c.u8(&m.queue)
+	c.flag(&m.final)
+}
+
+// trReport carries one hop's report, routed back to the source.
+type trReport struct {
+	taskID uint16
+	report TrHopReport
+}
+
+func (m *trReport) fields(c *codec) {
+	c.tag(trKindReport)
+	c.u16(&m.taskID)
+	m.report.fields(c)
+}
 
 // trSegment is one in-flight hop probe initiated by this node.
 type trSegment struct {
 	taskID     uint16
 	source     phys.NodeID
-	dst        phys.NodeID
 	port       byte
 	hop        int
-	maxHops    int
 	maxRetries int
-	length     int
 	timeout    sim.Time
 	next       phys.NodeID
 	sentAt     sim.Time
@@ -237,25 +289,13 @@ func (te *TracerouteEngine) initiate(taskID uint16, source, dst phys.NodeID, por
 		return
 	}
 	seg := &trSegment{
-		taskID: taskID, source: source, dst: dst, port: port,
-		hop: hop, maxHops: maxHops, maxRetries: retries,
-		length: length, timeout: timeout,
+		taskID: taskID, source: source, port: port,
+		hop: hop, maxRetries: retries, timeout: timeout,
 		next: next,
 	}
 	te.segments[segKey(source, taskID, hop)] = seg
-	var w writer
-	w.u8(trKindProbe)
-	w.u16(taskID)
-	w.node(source)
-	w.node(dst)
-	w.u8(port)
-	w.u8(byte(hop))
-	w.u8(byte(maxHops))
-	w.u8(byte(retries))
-	for len(w.b) < length {
-		w.u8(0x5A)
-	}
-	seg.probe = w.b
+	seg.probe, _ = Encode(&trProbe{taskID: taskID, source: source, dst: dst, port: port,
+		hop: byte(hop), maxHops: byte(maxHops), retries: byte(retries), length: length}) // fixed-width fields only: cannot fail
 	te.sendProbe(seg)
 }
 
@@ -264,15 +304,7 @@ func (te *TracerouteEngine) initiate(taskID uint16, source, dst phys.NodeID, por
 // the round trip of the exchange that succeeded.
 func (te *TracerouteEngine) sendProbe(seg *trSegment) {
 	seg.sentAt = te.eng.Now()
-	p := &stack.Packet{
-		Port:   TraceroutePort,
-		Origin: te.os.ID(),
-		Dst:    seg.next,
-		TTL:    1,
-		Flags:  stack.FlagControl,
-		Data:   seg.probe,
-	}
-	if err := te.os.Stack().Send(p, seg.next, mac.TypeControl, nil); err != nil {
+	if err := sendOneHop(te.os.Stack(), TraceroutePort, seg.next, seg.probe); err != nil {
 		delete(te.segments, segKey(seg.source, seg.taskID, seg.hop))
 		te.report(TrHopReport{Hop: seg.hop + 1, From: seg.next, Lost: true}, seg.taskID, seg.source, seg.port)
 		return
@@ -302,15 +334,16 @@ func (te *TracerouteEngine) report(rep TrHopReport, taskID uint16, source phys.N
 		te.deliverReport(taskID, rep)
 		return
 	}
-	var w writer
-	w.u8(trKindReport)
-	w.u16(taskID)
-	w.b = append(w.b, EncodeTrHopReport(rep)...)
+	data, err := Encode(&trReport{taskID: taskID, report: rep})
+	if err != nil {
+		te.os.SysLogEvent("traceroute", "report to %d: %v", source, err)
+		return
+	}
 	rt, ok := te.routers(port)
 	if !ok {
 		return
 	}
-	if err := rt.SendTo(source, TraceroutePort, w.b, false, true); err != nil {
+	if err := rt.SendTo(source, TraceroutePort, data, false, true); err != nil {
 		te.os.SysLogEvent("traceroute", "report to %d failed: %v", source, err)
 	}
 }
@@ -331,67 +364,38 @@ func (te *TracerouteEngine) deliverReport(taskID uint16, rep TrHopReport) {
 }
 
 func (te *TracerouteEngine) onPacket(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
-	if len(p.Data) < 1 {
-		return
-	}
-	switch p.Data[0] {
-	case trKindProbe:
-		te.onProbe(p, from, info)
-	case trKindReply:
-		te.onReply(p, from, info)
-	case trKindReport:
-		te.onReportPacket(p)
+	var probe trProbe
+	var reply trReply
+	var report trReport
+	switch {
+	case decode(p.Data, &probe) == nil:
+		te.onProbe(&probe, p, from, info)
+	case decode(p.Data, &reply) == nil:
+		te.onReply(&reply, from, info)
+	case decode(p.Data, &report) == nil:
+		// A routed report arriving at the source.
+		te.deliverReport(report.taskID, report.report)
 	}
 }
 
 // onProbe handles Figure 4 steps 4-5: reply with the previous link's
 // quality, then initiate the next task if this node is not the
 // destination.
-func (te *TracerouteEngine) onProbe(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
-	r := reader{b: p.Data}
-	r.u8() // kind
-	taskID := r.u16()
-	source := r.node()
-	dst := r.node()
-	port := r.u8()
-	hop := int(r.u8())
-	maxHops := int(r.u8())
-	retries := int(r.u8())
-	if r.fail() {
-		return
-	}
-	var w writer
-	w.u8(trKindReply)
-	w.u16(taskID)
-	w.node(source)
-	w.u8(byte(hop))
-	w.u8(byte(info.LQI))
-	w.i8(int8(info.RSSI))
-	w.u8(byte(te.os.MAC().QueueLen()))
-	if te.os.ID() == dst {
-		w.u8(1) // final
-	} else {
-		w.u8(0)
-	}
-	reply := &stack.Packet{
-		Port:   TraceroutePort,
-		Origin: te.os.ID(),
-		Dst:    from,
-		TTL:    1,
-		Flags:  stack.FlagControl,
-		Data:   w.b,
-	}
-	if err := te.os.Stack().Send(reply, from, mac.TypeControl, nil); err != nil {
+func (te *TracerouteEngine) onProbe(probe *trProbe, p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
+	data, _ := Encode(&trReply{taskID: probe.taskID, source: probe.source, hop: probe.hop,
+		lqi: byte(info.LQI), rssi: int8(info.RSSI), queue: byte(te.os.MAC().QueueLen()),
+		final: te.os.ID() == probe.dst}) // fixed-width fields only: cannot fail
+	if err := sendOneHop(te.os.Stack(), TraceroutePort, from, data); err != nil {
 		te.os.SysLogEvent("traceroute", "reply send failed: %v", err)
 	}
 	// Initiate the next task exactly once even if the probe was
 	// retransmitted.
-	key := segKey(source, taskID, hop)
+	key := segKey(probe.source, probe.taskID, int(probe.hop))
 	if _, dup := te.seen.Get(key); dup {
 		return
 	}
 	te.seen.Put(key)
-	if te.os.ID() != dst {
+	if te.os.ID() != probe.dst {
 		// Desynchronise the continuation: starting the next hop's probe
 		// immediately would lock it in phase with the previous hop's
 		// report transmission two hops away — a hidden-terminal
@@ -399,7 +403,11 @@ func (te *TracerouteEngine) onProbe(p *stack.Packet, from phys.NodeID, info medi
 		// the phase lock.
 		delay := 8*time.Millisecond + te.rng.Jitter(16*time.Millisecond)
 		te.eng.After(delay, func() {
-			te.initiate(taskID, source, dst, port, hop+1, maxHops, retries, len(p.Data), te.defaultHopTimeout())
+			// p is the stack's reused receive packet, so len(p.Data) here
+			// is the length of the last packet this node received, which
+			// need not be this probe (probe.length).
+			te.initiate(probe.taskID, probe.source, probe.dst, probe.port, int(probe.hop)+1,
+				int(probe.maxHops), int(probe.retries), len(p.Data), te.defaultHopTimeout())
 		})
 	}
 }
@@ -408,24 +416,13 @@ func (te *TracerouteEngine) defaultHopTimeout() sim.Time { return 250 * time.Mil
 
 // onReply handles Figure 4 steps 6-8 at the probing hop: compute the
 // hop RTT and ship the report to the source.
-func (te *TracerouteEngine) onReply(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
-	r := reader{b: p.Data}
-	r.u8() // kind
-	taskID := r.u16()
-	source := r.node()
-	hop := int(r.u8())
-	lqiFwd := r.u8()
-	rssiFwd := r.i8()
-	remoteQueue := r.u8()
-	final := r.u8() != 0
-	if r.fail() {
-		return
-	}
-	seg, ok := te.segments[segKey(source, taskID, hop)]
+func (te *TracerouteEngine) onReply(reply *trReply, from phys.NodeID, info medium.RxInfo) {
+	hop := int(reply.hop)
+	seg, ok := te.segments[segKey(reply.source, reply.taskID, hop)]
 	if !ok || seg.next != from {
 		return
 	}
-	delete(te.segments, segKey(source, taskID, hop))
+	delete(te.segments, segKey(reply.source, reply.taskID, hop))
 	if seg.timer != nil {
 		te.eng.Cancel(seg.timer)
 	}
@@ -434,28 +431,13 @@ func (te *TracerouteEngine) onReply(p *stack.Packet, from phys.NodeID, info medi
 		Hop:     hop + 1,
 		From:    from,
 		RTT:     uint32(rtt / time.Microsecond),
-		LQIFwd:  lqiFwd,
+		LQIFwd:  reply.lqi,
 		LQIBwd:  uint8(info.LQI),
-		RSSIFwd: rssiFwd,
+		RSSIFwd: reply.rssi,
 		RSSIBwd: int8(info.RSSI),
-		QFwd:    remoteQueue,
+		QFwd:    reply.queue,
 		QBwd:    uint8(te.os.MAC().QueueLen()),
-		Final:   final,
+		Final:   reply.final,
 	}
-	te.report(rep, taskID, seg.source, seg.port)
-}
-
-// onReportPacket handles a routed report arriving at the source.
-func (te *TracerouteEngine) onReportPacket(p *stack.Packet) {
-	r := reader{b: p.Data}
-	r.u8() // kind
-	taskID := r.u16()
-	if r.fail() {
-		return
-	}
-	rep, err := DecodeReply(p.Data[3:])
-	if err != nil || rep.Kind != KindTrHopReport {
-		return
-	}
-	te.deliverReport(taskID, rep.TrHop)
+	te.report(rep, reply.taskID, seg.source, seg.port)
 }

@@ -71,23 +71,24 @@ const (
 	KindFsEntry
 )
 
+var kindNames = [...]string{
+	KindRadioGet: "radio-get", KindSetPower: "set-power",
+	KindSetChannel: "set-channel", KindNbrList: "nbr-list",
+	KindNbrBlacklist: "nbr-blacklist", KindNbrUpdate: "nbr-update",
+	KindPing: "ping", KindTraceroute: "traceroute",
+	KindRadioInfo: "radio-info", KindStatus: "status",
+	KindNbrEntry: "nbr-entry", KindPingResult: "ping-result",
+	KindPingHops: "ping-hops", KindTrHopReport: "tr-hop-report",
+	KindLogCtl: "log-ctl", KindLogDump: "log-dump",
+	KindLogEntry: "log-entry", KindStatsGet: "stats-get",
+	KindNodeStats: "node-stats", KindRouterStats: "router-stats",
+	KindEnergyGet: "energy-get", KindEnergyStats: "energy-stats",
+	KindFsList: "fs-list", KindFsEntry: "fs-entry",
+}
+
 func (k Kind) String() string {
-	names := map[Kind]string{
-		KindRadioGet: "radio-get", KindSetPower: "set-power",
-		KindSetChannel: "set-channel", KindNbrList: "nbr-list",
-		KindNbrBlacklist: "nbr-blacklist", KindNbrUpdate: "nbr-update",
-		KindPing: "ping", KindTraceroute: "traceroute",
-		KindRadioInfo: "radio-info", KindStatus: "status",
-		KindNbrEntry: "nbr-entry", KindPingResult: "ping-result",
-		KindPingHops: "ping-hops", KindTrHopReport: "tr-hop-report",
-		KindLogCtl: "log-ctl", KindLogDump: "log-dump",
-		KindLogEntry: "log-entry", KindStatsGet: "stats-get",
-		KindNodeStats: "node-stats", KindRouterStats: "router-stats",
-		KindEnergyGet: "energy-get", KindEnergyStats: "energy-stats",
-		KindFsList: "fs-list", KindFsEntry: "fs-entry",
-	}
-	if s, ok := names[k]; ok {
-		return s
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", byte(k))
 }
@@ -108,75 +109,202 @@ const (
 // ErrShortMessage reports a truncated wire message.
 var ErrShortMessage = errors.New("core: short message")
 
-// writer is a tiny append-only binary encoder (big endian).
-type writer struct{ b []byte }
+// Message is a LiteView radio message. Its fields method lists the
+// message's fields once, in wire order; the same list encodes and
+// decodes it, so the two directions cannot disagree.
+type Message interface{ fields(*codec) }
 
-func (w *writer) u8(v byte)          { w.b = append(w.b, v) }
-func (w *writer) u16(v uint16)       { w.b = binary.BigEndian.AppendUint16(w.b, v) }
-func (w *writer) u32(v uint32)       { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *writer) i8(v int8)          { w.b = append(w.b, byte(v)) }
-func (w *writer) node(v phys.NodeID) { w.u16(uint16(v)) }
-func (w *writer) str(s string) {
-	if len(s) > 255 {
-		s = s[:255]
+// Encode serialises a message. It refuses, rather than wrapping, an int
+// that does not fit its one-byte field, and a command of unknown kind.
+func Encode(m Message) ([]byte, error) {
+	var c codec
+	m.fields(&c)
+	if c.err != nil {
+		return nil, c.err
 	}
-	w.u8(byte(len(s)))
-	w.b = append(w.b, s...)
+	return c.b, nil
 }
 
-// reader is the matching decoder; it sticks an error and returns zeros
-// afterwards so call sites stay linear.
-type reader struct {
+// decode parses data into m. Bytes past m's layout are ignored.
+func decode(data []byte, m Message) error {
+	c := codec{b: data, dec: true}
+	m.fields(&c)
+	return c.err
+}
+
+// wireLen is the encoded size of m.
+func wireLen(m Message) int {
+	b, _ := Encode(m)
+	return len(b)
+}
+
+// codec walks a message's fields in wire order, big endian: encoding
+// appends each field to b, decoding reads it from b at off. Every field
+// method copies the field's value in and out, so after it returns the
+// field holds what is on the wire in both directions. The first error
+// sticks and later reads return nothing.
+type codec struct {
 	b   []byte
 	off int
+	dec bool
 	err error
 }
 
-func (r *reader) fail() bool { return r.err != nil }
-func (r *reader) need(n int) bool {
-	if r.err != nil {
-		return false
+// take returns the next n bytes of a decoded message, or nil once it has
+// run short.
+func (c *codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
 	}
-	if r.off+n > len(r.b) {
-		r.err = ErrShortMessage
-		return false
+	if c.off+n > len(c.b) {
+		c.err = ErrShortMessage
+		return nil
 	}
-	return true
+	c.off += n
+	return c.b[c.off-n : c.off]
 }
-func (r *reader) u8() byte {
-	if !r.need(1) {
-		return 0
+
+func (c *codec) u8(v *byte) {
+	if !c.dec {
+		c.b = append(c.b, *v)
+	} else if p := c.take(1); p != nil {
+		*v = p[0]
 	}
-	v := r.b[r.off]
-	r.off++
-	return v
 }
-func (r *reader) u16() uint16 {
-	if !r.need(2) {
-		return 0
+
+func (c *codec) u16(v *uint16) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint16(c.b, *v)
+	} else if p := c.take(2); p != nil {
+		*v = binary.BigEndian.Uint16(p)
 	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
 }
-func (r *reader) u32() uint32 {
-	if !r.need(4) {
-		return 0
+
+func (c *codec) u32(vs ...*uint32) {
+	for _, v := range vs {
+		if !c.dec {
+			c.b = binary.BigEndian.AppendUint32(c.b, *v)
+		} else if p := c.take(4); p != nil {
+			*v = binary.BigEndian.Uint32(p)
+		}
 	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
 }
-func (r *reader) i8() int8          { return int8(r.u8()) }
-func (r *reader) node() phys.NodeID { return phys.NodeID(r.u16()) }
-func (r *reader) str() string {
-	n := int(r.u8())
-	if !r.need(n) {
-		return ""
+
+func (c *codec) i8(v *int8) {
+	b := byte(*v)
+	c.u8(&b)
+	*v = int8(b)
+}
+
+func (c *codec) node(v *phys.NodeID) {
+	u := uint16(*v)
+	c.u16(&u)
+	*v = phys.NodeID(u)
+}
+
+// byteInt walks an int carried in one byte.
+func (c *codec) byteInt(v *int) { c.byteIntOff(v, 0) }
+
+// byteIntOff walks an int carried in one byte as v+off. Encoding fails on
+// a value that would wrap.
+func (c *codec) byteIntOff(v *int, off int) {
+	if !c.dec && (*v+off < 0 || *v+off > 255) {
+		c.err = fmt.Errorf("core: value %d does not fit its one-byte field", *v)
+		return
 	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
+	b := byte(*v + off)
+	c.u8(&b)
+	*v = int(b) - off
+}
+
+// flag walks a bool carried in a whole byte: 1 on the wire, and any
+// nonzero byte reads as true.
+func (c *codec) flag(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	c.u8(&b)
+	*v = b != 0
+}
+
+// bits packs bools into one byte, the first in bit 0.
+func (c *codec) bits(v ...*bool) {
+	var b byte
+	for i, f := range v {
+		if *f {
+			b |= 1 << i
+		}
+	}
+	c.u8(&b)
+	for i, f := range v {
+		*f = b&(1<<i) != 0
+	}
+}
+
+// str walks a string behind a one-byte length; encoding cuts it to 255
+// bytes.
+func (c *codec) str(v *string) {
+	s := *v
+	if len(s) > 255 {
+		s = s[:255]
+	}
+	n := byte(len(s))
+	c.u8(&n)
+	if !c.dec {
+		c.b = append(c.b, s...)
+	} else if p := c.take(int(n)); p != nil {
+		*v = string(p)
+	}
+}
+
+// tag walks a message's fixed kind byte; decoding fails on another.
+func (c *codec) tag(t byte) {
+	b := t
+	c.u8(&b)
+	if b != t && c.err == nil {
+		c.err = fmt.Errorf("core: message kind %d, want %d", b, t)
+	}
+}
+
+// fill pads an encoded message with pad bytes to *n bytes. Decoding
+// consumes the rest of the message and sets *n to its whole length.
+func (c *codec) fill(n *int, pad byte) {
+	if !c.dec {
+		for len(c.b) < *n {
+			c.b = append(c.b, pad)
+		}
+	} else if c.err == nil {
+		*n, c.off = len(c.b), len(c.b)
+	}
+}
+
+// rest walks a payload that runs to the end of the message.
+func (c *codec) rest(v *[]byte) {
+	if !c.dec {
+		c.b = append(c.b, *v...)
+	} else if c.err == nil {
+		*v, c.off = c.b[c.off:], len(c.b)
+	}
+}
+
+// hops walks a one-byte count and that many (LQI, RSSI) records.
+// Encoding carries at most limit records; decoded records get back as
+// their direction.
+func (c *codec) hops(recs *[]HopLQ, limit int, back bool) {
+	n := min(len(*recs), limit)
+	c.byteInt(&n)
+	if c.dec && c.err == nil && n > 0 {
+		*recs = make([]HopLQ, n)
+	}
+	for i := range (*recs)[:n] {
+		r := &(*recs)[i]
+		c.u8(&r.LQI)
+		c.i8(&r.RSSI)
+		if c.dec {
+			r.Back = back
+		}
+	}
 }
 
 // Command is a decoded management command.
@@ -196,8 +324,11 @@ type Command struct {
 	Length     int
 	RouterPort byte
 	// Retries is the per-hop probe retry budget for traceroute. On the
-	// wire it travels as retries+1, so a decoded command always carries
-	// the actual budget and zero still means "protocol default".
+	// wire it travels as retries+1, so a decoded command carries the
+	// actual budget: the workstation always sends its normalized budget,
+	// and a decoded zero means "no retries". Only a zero byte, which no
+	// workstation sends, decodes to -1, and the controller then falls
+	// back to the protocol default.
 	Retries int
 	// WithLink selects neighbor listing with or without link info.
 	WithLink bool
@@ -207,89 +338,47 @@ type Command struct {
 	Path string
 }
 
-// EncodeCommand serialises a command message.
-func EncodeCommand(c Command) []byte {
-	var w writer
-	w.u8(byte(c.Kind))
-	switch c.Kind {
-	case KindRadioGet:
+func (m *Command) fields(c *codec) {
+	c.u8((*byte)(&m.Kind))
+	switch m.Kind {
+	case KindRadioGet, KindStatsGet, KindEnergyGet:
 	case KindSetPower, KindSetChannel:
-		w.u8(byte(c.Value))
+		c.byteInt(&m.Value)
 	case KindNbrList:
-		if c.WithLink {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		c.flag(&m.WithLink)
 	case KindNbrBlacklist:
-		w.node(c.Target)
-		if c.On {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		c.node(&m.Target)
+		c.flag(&m.On)
 	case KindNbrUpdate:
-		w.u32(c.PeriodMs)
+		c.u32(&m.PeriodMs)
 	case KindPing, KindTraceroute:
-		w.node(c.Dst)
-		w.u8(byte(c.Rounds))
-		w.u8(byte(c.Length))
-		w.u8(c.RouterPort)
-		if c.Kind == KindTraceroute {
-			w.u8(byte(c.Retries + 1))
+		c.node(&m.Dst)
+		c.byteInt(&m.Rounds)
+		c.byteInt(&m.Length)
+		c.u8(&m.RouterPort)
+		if m.Kind == KindTraceroute {
+			c.byteIntOff(&m.Retries, 1)
 		}
 	case KindLogCtl:
-		if c.On {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		c.flag(&m.On)
 	case KindLogDump:
-		w.u8(byte(c.Count))
-	case KindStatsGet, KindEnergyGet:
+		c.byteInt(&m.Count)
 	case KindFsList:
-		w.str(c.Path)
+		c.str(&m.Path)
+	default:
+		// The kind is the only field walked so far, so this verdict also
+		// stands for an empty message.
+		c.err = fmt.Errorf("core: unknown command kind %d", m.Kind)
 	}
-	return w.b
 }
 
 // DecodeCommand parses a command message.
 func DecodeCommand(data []byte) (Command, error) {
-	r := reader{b: data}
-	c := Command{Kind: Kind(r.u8())}
-	switch c.Kind {
-	case KindRadioGet:
-	case KindSetPower, KindSetChannel:
-		c.Value = int(r.u8())
-	case KindNbrList:
-		c.WithLink = r.u8() != 0
-	case KindNbrBlacklist:
-		c.Target = r.node()
-		c.On = r.u8() != 0
-	case KindNbrUpdate:
-		c.PeriodMs = r.u32()
-	case KindPing, KindTraceroute:
-		c.Dst = r.node()
-		c.Rounds = int(r.u8())
-		c.Length = int(r.u8())
-		c.RouterPort = r.u8()
-		if c.Kind == KindTraceroute {
-			c.Retries = int(r.u8()) - 1
-		}
-	case KindLogCtl:
-		c.On = r.u8() != 0
-	case KindLogDump:
-		c.Count = int(r.u8())
-	case KindStatsGet, KindEnergyGet:
-	case KindFsList:
-		c.Path = r.str()
-	default:
-		return Command{}, fmt.Errorf("core: unknown command kind %d", c.Kind)
+	var cmd Command
+	if err := decode(data, &cmd); err != nil {
+		return Command{}, err
 	}
-	if r.fail() {
-		return Command{}, r.err
-	}
-	return c, nil
+	return cmd, nil
 }
 
 // RadioInfo is the KindRadioInfo reply body.
@@ -298,13 +387,10 @@ type RadioInfo struct {
 	Channel int
 }
 
-// EncodeRadioInfo serialises a radio configuration reply.
-func EncodeRadioInfo(ri RadioInfo) []byte {
-	var w writer
-	w.u8(byte(KindRadioInfo))
-	w.u8(byte(ri.Power))
-	w.u8(byte(ri.Channel))
-	return w.b
+func (ri *RadioInfo) fields(c *codec) {
+	c.tag(byte(KindRadioInfo))
+	c.byteInt(&ri.Power)
+	c.byteInt(&ri.Channel)
 }
 
 // Status is the generic command outcome reply.
@@ -313,13 +399,10 @@ type Status struct {
 	Msg  string
 }
 
-// EncodeStatus serialises a status reply.
-func EncodeStatus(s Status) []byte {
-	var w writer
-	w.u8(byte(KindStatus))
-	w.u8(s.Code)
-	w.str(s.Msg)
-	return w.b
+func (s *Status) fields(c *codec) {
+	c.tag(byte(KindStatus))
+	c.u8(&s.Code)
+	c.str(&s.Msg)
 }
 
 // NbrEntry is one neighbor table row in a KindNbrEntry reply.
@@ -339,30 +422,17 @@ type NbrEntry struct {
 	WithLink bool
 }
 
-// EncodeNbrEntry serialises one neighbor row.
-func EncodeNbrEntry(e NbrEntry) []byte {
-	var w writer
-	w.u8(byte(KindNbrEntry))
-	w.node(e.ID)
-	w.str(e.Name)
-	var flags byte
-	if e.Blacklisted {
-		flags |= 1
-	}
+func (e *NbrEntry) fields(c *codec) {
+	c.tag(byte(KindNbrEntry))
+	c.node(&e.ID)
+	c.str(&e.Name)
+	c.bits(&e.Blacklisted, &e.WithLink, &e.Suspect)
 	if e.WithLink {
-		flags |= 2
+		c.u8(&e.LQI)
+		c.i8(&e.RSSI)
+		c.u8(&e.PRRPercent)
+		c.u8(&e.DeliveryPercent)
 	}
-	if e.Suspect {
-		flags |= 4
-	}
-	w.u8(flags)
-	if e.WithLink {
-		w.u8(e.LQI)
-		w.i8(e.RSSI)
-		w.u8(e.PRRPercent)
-		w.u8(e.DeliveryPercent)
-	}
-	return w.b
 }
 
 // PingResult is one round's outcome in a KindPingResult reply.
@@ -379,8 +449,24 @@ type PingResult struct {
 	Power   uint8
 	Channel uint8
 	// HopQuality carries per-hop forward-then-backward padding records
-	// for multi-hop pings (empty on single-hop).
+	// for multi-hop pings (empty on single-hop). It travels in PingHops
+	// messages, not in this one.
 	HopQuality []HopLQ
+}
+
+func (p *PingResult) fields(c *codec) {
+	c.tag(byte(KindPingResult))
+	c.byteInt(&p.Seq)
+	c.flag(&p.Lost)
+	c.u32(&p.RTT)
+	c.u8(&p.LQIFwd)
+	c.u8(&p.LQIBwd)
+	c.i8(&p.RSSIFwd)
+	c.i8(&p.RSSIBwd)
+	c.u8(&p.QFwd)
+	c.u8(&p.QBwd)
+	c.u8(&p.Power)
+	c.u8(&p.Channel)
 }
 
 // HopLQ is one padded hop record surfaced to the user.
@@ -389,28 +475,6 @@ type HopLQ struct {
 	RSSI int8
 	// Back marks records collected on the reply's return path.
 	Back bool
-}
-
-// EncodePingResult serialises one ping round reply.
-func EncodePingResult(p PingResult) []byte {
-	var w writer
-	w.u8(byte(KindPingResult))
-	w.u8(byte(p.Seq))
-	if p.Lost {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.u32(p.RTT)
-	w.u8(p.LQIFwd)
-	w.u8(p.LQIBwd)
-	w.i8(p.RSSIFwd)
-	w.i8(p.RSSIBwd)
-	w.u8(p.QFwd)
-	w.u8(p.QBwd)
-	w.u8(p.Power)
-	w.u8(p.Channel)
-	return w.b
 }
 
 // PingHops is a continuation reply carrying a chunk of per-hop quality
@@ -424,29 +488,14 @@ type PingHops struct {
 }
 
 // PingHopsChunk bounds the records per continuation message so the
-// message fits the payload ceiling.
+// message fits the payload ceiling; encoding drops records past it.
 const PingHopsChunk = 20
 
-// EncodePingHops serialises one chunk of hop-quality records.
-func EncodePingHops(h PingHops) []byte {
-	var w writer
-	w.u8(byte(KindPingHops))
-	w.u8(byte(h.Seq))
-	if h.Back {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	n := len(h.Records)
-	if n > PingHopsChunk {
-		n = PingHopsChunk
-	}
-	w.u8(byte(n))
-	for _, rec := range h.Records[:n] {
-		w.u8(rec.LQI)
-		w.i8(rec.RSSI)
-	}
-	return w.b
+func (h *PingHops) fields(c *codec) {
+	c.tag(byte(KindPingHops))
+	c.byteInt(&h.Seq)
+	c.flag(&h.Back)
+	c.hops(&h.Records, PingHopsChunk, h.Back)
 }
 
 // LogEntry is one node event-log record in a KindLogEntry reply.
@@ -459,14 +508,11 @@ type LogEntry struct {
 	Msg string
 }
 
-// EncodeLogEntry serialises one event-log record.
-func EncodeLogEntry(e LogEntry) []byte {
-	var w writer
-	w.u8(byte(KindLogEntry))
-	w.u32(e.AtMs)
-	w.str(e.Tag)
-	w.str(e.Msg)
-	return w.b
+func (e *LogEntry) fields(c *codec) {
+	c.tag(byte(KindLogEntry))
+	c.u32(&e.AtMs)
+	c.str(&e.Tag)
+	c.str(&e.Msg)
 }
 
 // NodeStats is the node-level half of a stats reply: link-layer and
@@ -487,23 +533,13 @@ type NodeStats struct {
 	QueueLen     uint8
 }
 
-// EncodeNodeStats serialises the node-level stats reply.
-func EncodeNodeStats(n NodeStats) []byte {
-	var w writer
-	w.u8(byte(KindNodeStats))
-	w.u32(n.UptimeMs)
-	w.u32(n.MACSent)
-	w.u32(n.MACReceived)
-	w.u32(n.MACRetries)
-	w.u32(n.MACNoAck)
-	w.u32(n.MACCRCFail)
-	w.u32(n.MACQueueDrop)
-	w.u32(n.StackDeliver)
-	w.u32(n.StackNoSub)
-	w.u16(n.RAMUsed)
-	w.u16(n.RAMFree)
-	w.u8(n.QueueLen)
-	return w.b
+func (n *NodeStats) fields(c *codec) {
+	c.tag(byte(KindNodeStats))
+	c.u32(&n.UptimeMs, &n.MACSent, &n.MACReceived, &n.MACRetries, &n.MACNoAck,
+		&n.MACCRCFail, &n.MACQueueDrop, &n.StackDeliver, &n.StackNoSub)
+	c.u16(&n.RAMUsed)
+	c.u16(&n.RAMFree)
+	c.u8(&n.QueueLen)
 }
 
 // RouterStats is one routing protocol's record in a stats reply,
@@ -522,25 +558,16 @@ type RouterStats struct {
 	CostCentile uint16 // path cost ×100 when HasParent
 }
 
-// EncodeRouterStats serialises one protocol record.
-func EncodeRouterStats(rs RouterStats) []byte {
-	var w writer
-	w.u8(byte(KindRouterStats))
-	w.u8(rs.Port)
-	w.str(rs.Name)
-	w.u32(rs.Originated)
-	w.u32(rs.Forwarded)
-	w.u32(rs.Delivered)
-	w.u32(rs.NoRoute)
-	w.u32(rs.QueueDrops)
+func (rs *RouterStats) fields(c *codec) {
+	c.tag(byte(KindRouterStats))
+	c.u8(&rs.Port)
+	c.str(&rs.Name)
+	c.u32(&rs.Originated, &rs.Forwarded, &rs.Delivered, &rs.NoRoute, &rs.QueueDrops)
+	c.flag(&rs.HasParent)
 	if rs.HasParent {
-		w.u8(1)
-		w.node(rs.Parent)
-		w.u16(rs.CostCentile)
-	} else {
-		w.u8(0)
+		c.node(&rs.Parent)
+		c.u16(&rs.CostCentile)
 	}
-	return w.b
 }
 
 // EnergyStats is a node's battery account in a KindEnergyStats reply.
@@ -556,24 +583,14 @@ type EnergyStats struct {
 	HasLifetime            bool
 }
 
-// EncodeEnergyStats serialises a battery report.
-func EncodeEnergyStats(e EnergyStats) []byte {
-	var w writer
-	w.u8(byte(KindEnergyStats))
-	w.u32(e.TXuJ)
-	w.u32(e.RXuJ)
-	w.u32(e.OffuJ)
-	w.u32(e.TXms)
-	w.u32(e.RXms)
-	w.u32(e.Offms)
-	w.u16(e.RemainingPermille)
+func (e *EnergyStats) fields(c *codec) {
+	c.tag(byte(KindEnergyStats))
+	c.u32(&e.TXuJ, &e.RXuJ, &e.OffuJ, &e.TXms, &e.RXms, &e.Offms)
+	c.u16(&e.RemainingPermille)
+	c.flag(&e.HasLifetime)
 	if e.HasLifetime {
-		w.u8(1)
-		w.u32(e.EstimatedLifetimeHours)
-	} else {
-		w.u8(0)
+		c.u32(&e.EstimatedLifetimeHours)
 	}
-	return w.b
 }
 
 // FsEntry is one row of a node's LiteOS file-tree listing — the "every
@@ -585,18 +602,11 @@ type FsEntry struct {
 	Dir  bool
 }
 
-// EncodeFsEntry serialises one listing row.
-func EncodeFsEntry(e FsEntry) []byte {
-	var w writer
-	w.u8(byte(KindFsEntry))
-	w.str(e.Name)
-	w.u32(e.Size)
-	if e.Dir {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	return w.b
+func (e *FsEntry) fields(c *codec) {
+	c.tag(byte(KindFsEntry))
+	c.str(&e.Name)
+	c.u32(&e.Size)
+	c.flag(&e.Dir)
 }
 
 // TrHopReport is one traceroute hop's report.
@@ -614,28 +624,18 @@ type TrHopReport struct {
 	Final   bool // the probed node is the traceroute destination
 }
 
-// EncodeTrHopReport serialises one traceroute hop report.
-func EncodeTrHopReport(t TrHopReport) []byte {
-	var w writer
-	w.u8(byte(KindTrHopReport))
-	w.u8(byte(t.Hop))
-	w.node(t.From)
-	var flags byte
-	if t.Lost {
-		flags |= 1
-	}
-	if t.Final {
-		flags |= 2
-	}
-	w.u8(flags)
-	w.u32(t.RTT)
-	w.u8(t.LQIFwd)
-	w.u8(t.LQIBwd)
-	w.i8(t.RSSIFwd)
-	w.i8(t.RSSIBwd)
-	w.u8(t.QFwd)
-	w.u8(t.QBwd)
-	return w.b
+func (t *TrHopReport) fields(c *codec) {
+	c.tag(byte(KindTrHopReport))
+	c.byteInt(&t.Hop)
+	c.node(&t.From)
+	c.bits(&t.Lost, &t.Final)
+	c.u32(&t.RTT)
+	c.u8(&t.LQIFwd)
+	c.u8(&t.LQIBwd)
+	c.i8(&t.RSSIFwd)
+	c.i8(&t.RSSIBwd)
+	c.u8(&t.QFwd)
+	c.u8(&t.QBwd)
 }
 
 // Reply is a decoded controller reply of any kind.
@@ -654,114 +654,48 @@ type Reply struct {
 	Fs       FsEntry
 }
 
+// body returns the member of r that holds a reply of r.Kind, or nil when
+// r.Kind is not a reply kind.
+func (r *Reply) body() Message {
+	switch r.Kind {
+	case KindRadioInfo:
+		return &r.Radio
+	case KindStatus:
+		return &r.Status
+	case KindNbrEntry:
+		return &r.Nbr
+	case KindPingResult:
+		return &r.Ping
+	case KindPingHops:
+		return &r.PingHops
+	case KindTrHopReport:
+		return &r.TrHop
+	case KindLogEntry:
+		return &r.Log
+	case KindNodeStats:
+		return &r.Node
+	case KindRouterStats:
+		return &r.Router
+	case KindEnergyStats:
+		return &r.Energy
+	case KindFsEntry:
+		return &r.Fs
+	}
+	return nil
+}
+
 // DecodeReply parses any controller reply message.
 func DecodeReply(data []byte) (Reply, error) {
-	r := reader{b: data}
-	rep := Reply{Kind: Kind(r.u8())}
-	switch rep.Kind {
-	case KindRadioInfo:
-		rep.Radio.Power = int(r.u8())
-		rep.Radio.Channel = int(r.u8())
-	case KindStatus:
-		rep.Status.Code = r.u8()
-		rep.Status.Msg = r.str()
-	case KindNbrEntry:
-		rep.Nbr.ID = r.node()
-		rep.Nbr.Name = r.str()
-		flags := r.u8()
-		rep.Nbr.Blacklisted = flags&1 != 0
-		rep.Nbr.WithLink = flags&2 != 0
-		rep.Nbr.Suspect = flags&4 != 0
-		if rep.Nbr.WithLink {
-			rep.Nbr.LQI = r.u8()
-			rep.Nbr.RSSI = r.i8()
-			rep.Nbr.PRRPercent = r.u8()
-			rep.Nbr.DeliveryPercent = r.u8()
-		}
-	case KindPingResult:
-		rep.Ping.Seq = int(r.u8())
-		rep.Ping.Lost = r.u8() != 0
-		rep.Ping.RTT = r.u32()
-		rep.Ping.LQIFwd = r.u8()
-		rep.Ping.LQIBwd = r.u8()
-		rep.Ping.RSSIFwd = r.i8()
-		rep.Ping.RSSIBwd = r.i8()
-		rep.Ping.QFwd = r.u8()
-		rep.Ping.QBwd = r.u8()
-		rep.Ping.Power = r.u8()
-		rep.Ping.Channel = r.u8()
-	case KindPingHops:
-		rep.PingHops.Seq = int(r.u8())
-		rep.PingHops.Back = r.u8() != 0
-		n := int(r.u8())
-		for i := 0; i < n; i++ {
-			rec := HopLQ{LQI: r.u8(), RSSI: r.i8(), Back: rep.PingHops.Back}
-			rep.PingHops.Records = append(rep.PingHops.Records, rec)
-		}
-	case KindLogEntry:
-		rep.Log.AtMs = r.u32()
-		rep.Log.Tag = r.str()
-		rep.Log.Msg = r.str()
-	case KindNodeStats:
-		rep.Node.UptimeMs = r.u32()
-		rep.Node.MACSent = r.u32()
-		rep.Node.MACReceived = r.u32()
-		rep.Node.MACRetries = r.u32()
-		rep.Node.MACNoAck = r.u32()
-		rep.Node.MACCRCFail = r.u32()
-		rep.Node.MACQueueDrop = r.u32()
-		rep.Node.StackDeliver = r.u32()
-		rep.Node.StackNoSub = r.u32()
-		rep.Node.RAMUsed = r.u16()
-		rep.Node.RAMFree = r.u16()
-		rep.Node.QueueLen = r.u8()
-	case KindFsEntry:
-		rep.Fs.Name = r.str()
-		rep.Fs.Size = r.u32()
-		rep.Fs.Dir = r.u8() != 0
-	case KindEnergyStats:
-		rep.Energy.TXuJ = r.u32()
-		rep.Energy.RXuJ = r.u32()
-		rep.Energy.OffuJ = r.u32()
-		rep.Energy.TXms = r.u32()
-		rep.Energy.RXms = r.u32()
-		rep.Energy.Offms = r.u32()
-		rep.Energy.RemainingPermille = r.u16()
-		if r.u8() != 0 {
-			rep.Energy.HasLifetime = true
-			rep.Energy.EstimatedLifetimeHours = r.u32()
-		}
-	case KindRouterStats:
-		rep.Router.Port = r.u8()
-		rep.Router.Name = r.str()
-		rep.Router.Originated = r.u32()
-		rep.Router.Forwarded = r.u32()
-		rep.Router.Delivered = r.u32()
-		rep.Router.NoRoute = r.u32()
-		rep.Router.QueueDrops = r.u32()
-		if r.u8() != 0 {
-			rep.Router.HasParent = true
-			rep.Router.Parent = r.node()
-			rep.Router.CostCentile = r.u16()
-		}
-	case KindTrHopReport:
-		rep.TrHop.Hop = int(r.u8())
-		rep.TrHop.From = r.node()
-		flags := r.u8()
-		rep.TrHop.Lost = flags&1 != 0
-		rep.TrHop.Final = flags&2 != 0
-		rep.TrHop.RTT = r.u32()
-		rep.TrHop.LQIFwd = r.u8()
-		rep.TrHop.LQIBwd = r.u8()
-		rep.TrHop.RSSIFwd = r.i8()
-		rep.TrHop.RSSIBwd = r.i8()
-		rep.TrHop.QFwd = r.u8()
-		rep.TrHop.QBwd = r.u8()
-	default:
+	var rep Reply
+	if len(data) > 0 {
+		rep.Kind = Kind(data[0])
+	}
+	body := rep.body()
+	if body == nil {
 		return Reply{}, fmt.Errorf("core: unknown reply kind %d", rep.Kind)
 	}
-	if r.fail() {
-		return Reply{}, r.err
+	if err := decode(data, body); err != nil {
+		return Reply{}, err
 	}
 	return rep, nil
 }

@@ -190,6 +190,10 @@ func (w *Workstation) pump(deadline sim.Time, c *collector, early bool) {
 // command runs one unicast command against a node's controller and
 // waits the response window ("intentionally longer than needed").
 func (w *Workstation) command(node phys.NodeID, cmd Command, window sim.Time, early bool) (*collector, sim.Time, error) {
+	data, err := Encode(&cmd)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: command %v not sent: %w", cmd.Kind, err)
+	}
 	if _, busy := w.collecting[node]; busy {
 		return nil, 0, fmt.Errorf("core: a command for node %d is already in flight", node)
 	}
@@ -205,7 +209,7 @@ func (w *Workstation) command(node phys.NodeID, cmd Command, window sim.Time, ea
 	// span, this nested one folds into it (BeginSpan returns 0).
 	span := w.tel.BeginSpan(WorkstationID, cmd.Kind.String(), telemetry.Node("node", node))
 	start := w.eng.Now()
-	err := w.ep.Send(node, [][]byte{EncodeCommand(cmd)}, 0, func(err error) {
+	err = w.ep.Send(node, [][]byte{data}, 0, func(err error) {
 		if err != nil {
 			c.sendErr = err
 			c.done = true
@@ -622,8 +626,12 @@ func (w *Workstation) LogControl(node phys.NodeID, on bool) error {
 }
 
 // LogDump fetches up to count of the newest entries from a node's event
-// log (count 0 fetches the whole ring).
+// log. Count 0 fetches the whole ring, and so does a count above 255:
+// the count travels in one byte, and no ring holds that many entries.
 func (w *Workstation) LogDump(node phys.NodeID, count int) ([]LogEntry, error) {
+	if count > 255 {
+		count = 0
+	}
 	c, _, err := w.command(node, Command{Kind: KindLogDump, Count: count}, w.window, false)
 	if err != nil {
 		return nil, err
@@ -645,6 +653,10 @@ func (w *Workstation) LogDump(node phys.NodeID, count int) ([]LogEntry, error) {
 // not positive). It swaps in a fresh collector table with on-demand
 // creation and restores the old one afterwards.
 func (w *Workstation) group(cmd Command, window sim.Time) (map[phys.NodeID]*collector, error) {
+	data, err := Encode(&cmd)
+	if err != nil {
+		return nil, err
+	}
 	if window <= 0 {
 		window = w.window
 	}
@@ -656,7 +668,7 @@ func (w *Workstation) group(cmd Command, window sim.Time) (map[phys.NodeID]*coll
 		w.collecting = prev
 		w.groupMode = false
 	}()
-	if err := w.ep.Send(phys.Broadcast, [][]byte{EncodeCommand(cmd)}, 0, nil); err != nil {
+	if err := w.ep.Send(phys.Broadcast, [][]byte{data}, 0, nil); err != nil {
 		return nil, err
 	}
 	w.pump(w.eng.Now()+window, nil, false)

@@ -119,3 +119,46 @@ func TestLsInsideNodeShowsFileTree(t *testing.T) {
 		t.Fatal("phantom dir accepted")
 	}
 }
+
+// The three tests below check that integer arguments wider than their
+// one-byte wire fields are refused before anything is sent, instead of
+// wrapping modulo 256 at the node.
+
+func TestPowerArgumentDoesNotWrap(t *testing.T) {
+	f := deployShell(t, 2, 5, 21)
+	f.run(t, "cd 192.168.0.1")
+	// 259 would arrive as power 3.
+	if err := f.sh.Exec("power 259"); err == nil {
+		t.Fatal("power 259 accepted")
+	}
+	if got := f.run(t, "power"); !strings.Contains(got, "Power = 31") {
+		t.Fatalf("power after refused set = %q", got)
+	}
+}
+
+func TestChannelArgumentDoesNotWrap(t *testing.T) {
+	f := deployShell(t, 2, 5, 22)
+	f.run(t, "cd 192.168.0.1")
+	// 267 would arrive as channel 11 and strand the node there.
+	if err := f.sh.Exec("channel 267"); err == nil {
+		t.Fatal("channel 267 accepted")
+	}
+	if got := f.run(t, "channel"); !strings.Contains(got, "Channel = 17") {
+		t.Fatalf("channel after refused set = %q", got)
+	}
+}
+
+func TestLogShowCountAboveByte(t *testing.T) {
+	f := deployShell(t, 2, 5, 23)
+	f.run(t, "cd 192.168.0.1")
+	// Fill the node's 64-entry event ring; a count of 300 would arrive
+	// as 44.
+	f.run(t, "log on")
+	for i := 0; i < 20 && !strings.Contains(f.run(t, "log show"), "(64 entries)"); i++ {
+		f.run(t, "ping 192.168.0.2 round=5 length=16")
+	}
+	got := f.run(t, "log show 300")
+	if head, _, _ := strings.Cut(got, "\n"); !strings.Contains(head, "(64 entries)") {
+		t.Fatalf("log show 300 did not return the whole ring: %q", head)
+	}
+}

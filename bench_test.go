@@ -338,7 +338,7 @@ func (s *silentNode) OnFrame(_ []byte, _ medium.RxInfo) {}
 // BenchmarkMediumDeliver measures one broadcast fan-out on a grid:
 // transmit from the grid center, deliver to every candidate. The
 // indexed variants run the default single-cell medium (candidate sets,
-// dense link table, shared frame) on a dense grid (15 m spacing); the
+// dense power memo, shared frame) on a dense grid (15 m spacing); the
 // sharded variants run the spatially partitioned medium (per-cell
 // ledgers and tables, ring-bounded reach) at 400 and 10,000 nodes. The
 // interfered variant puts four overlapping transmitters on the air at

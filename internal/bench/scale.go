@@ -129,7 +129,7 @@ func runScaleDeployment(r *Result, d scaleDeployment, seed uint64, opt Options) 
 // testbed) on the plain indexed medium, and a 10,000-node grid on the
 // spatially sharded medium — the same management commands, with
 // wall-clock throughput figures (how many virtual nanoseconds each
-// real second buys) per row. Candidate sets and link tables make the
+// real second buys) per row. Candidate sets and power memos make the
 // 400-node row tractable; the cell partition (ring-bounded fan-outs,
 // per-cell interference ledgers) is what carries the 10k row. BenchmarkMediumDeliver in the repository root
 // quantifies the per-delivery speedups.

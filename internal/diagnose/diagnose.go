@@ -27,6 +27,7 @@ package diagnose
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -319,10 +320,14 @@ func analyze(nodes []NodeHealth, opt Options) []Finding {
 	// Bursty links: the radio reports a clean signal whenever a frame
 	// does get through (high LQI) but the beacon delivery ratio says
 	// most frames die in flight — classic interference or jamming, and
-	// invisible to an LQI-driven routing metric.
+	// invisible to an LQI-driven routing metric. Observers and peers are
+	// visited in ID order, so when both directions of a pair qualify the
+	// lower-numbered node's view is the one reported.
 	burstSeen := make(map[[2]phys.NodeID]bool)
-	for a, prow := range prr {
-		for b, p := range prow {
+	for _, a := range sortedIDs(prr) {
+		prow := prr[a]
+		for _, b := range sortedIDs(prow) {
+			p := prow[b]
 			if _, visited := lqi[b]; !visited {
 				continue // only judge links between interrogated nodes
 			}
@@ -353,9 +358,12 @@ func analyze(nodes []NodeHealth, opt Options) []Finding {
 	// Suspect links between two reachable nodes that the bursty detector
 	// did not already flag: the delivery estimator is seeing consecutive
 	// unicast failures the beacon statistics have not caught up with —
-	// the earliest visible sign of a degrading link.
-	for a, srow := range susp {
-		for b, d := range srow {
+	// the earliest visible sign of a degrading link. Visited in ID order,
+	// like the bursty links.
+	for _, a := range sortedIDs(susp) {
+		srow := susp[a]
+		for _, b := range sortedIDs(srow) {
+			d := srow[b]
 			if _, visited := lqi[b]; !visited {
 				continue // far end not interrogated (or unreachable: crash findings own it)
 			}
@@ -416,6 +424,16 @@ func analyze(nodes []NodeHealth, opt Options) []Finding {
 	return out
 }
 
+// sortedIDs returns m's keys in ascending order.
+func sortedIDs[V any](m map[phys.NodeID]V) []phys.NodeID {
+	ids := make([]phys.NodeID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 func min2(a, b phys.NodeID) phys.NodeID {
 	if a < b {
 		return a
@@ -434,11 +452,7 @@ func max2(a, b phys.NodeID) phys.NodeID {
 // largest first (ties broken by smallest member), members ascending.
 // An undirected edge exists wherever either end heard the other.
 func components(lqi map[phys.NodeID]map[phys.NodeID]int) [][]phys.NodeID {
-	ids := make([]phys.NodeID, 0, len(lqi))
-	for id := range lqi {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := sortedIDs(lqi)
 	visited := make(map[phys.NodeID]bool, len(ids))
 	var comps [][]phys.NodeID
 	for _, start := range ids {

@@ -18,13 +18,13 @@ import (
 // draw — so a transmission cannot touch nodes outside a bounded
 // Chebyshev ring of cells around its origin. Each cell owns its
 // members (in global attach order), the ledger of active transmissions
-// whose origin is within its ring, and the dense link table of budgets
-// into its members. Candidate sets are collected from the ring, and a
+// whose origin is within its ring, and the power memo of the links into
+// its members. Candidate sets are collected from the ring, and a
 // delivery's SINR scan walks the receiver cell's ledger.
 //
 // An unsharded medium is a single unbounded cell (cell size +Inf, ring
 // 0) holding every node: its ledger is every active transmission and
-// its table holds every cached pair. SetSharding only chooses a finite
+// its memo holds every cached pair. SetSharding only chooses a finite
 // cell size. A multi-cell medium differs in one modelled respect:
 // signals from transmitters beyond the ring — each under the
 // reachability floor, which EnergyDBmAt already treats as silence — are
@@ -46,7 +46,8 @@ type Sharding struct {
 type cellKey struct{ cx, cy int }
 
 // cell is one spatial shard: the nodes inside one grid square, the
-// transmissions that can touch them, and the budgets into them.
+// transmissions that can touch them, and the received powers memoised
+// for the links into them.
 type cell struct {
 	key cellKey
 	// members holds the slots of the resident nodes in attach order
@@ -57,11 +58,12 @@ type cell struct {
 	// within the ring — everything a member could possibly hear or be
 	// interfered by, in transmit order.
 	ledger []*transmission
-	// rows is the cell's link table. rows[o][j][k] is the link from the
-	// node in local slot j of the cell at ring offset o (grid.offset)
+	// rows is the cell's power memo. rows[o][j] is the row of the
+	// transmitter in local slot j of the cell at ring offset o
+	// (grid.offset), and its mw[k] the power that transmitter delivers
 	// into the member in local slot k of this cell. Rows are allocated
-	// the first time their transmitter's budgets are needed.
-	rows [][][]link
+	// the first time their transmitter interferes here.
+	rows [][]memoRow
 	// slots counts the local slots handed out; free holds vacated ones
 	// for reuse. A freed slot's row and column are purged first.
 	slots int32
@@ -92,7 +94,7 @@ type grid struct {
 
 // partition (re)builds the grid at the given cell size (+Inf for the
 // unsharded medium's single cell): attached nodes are placed in attach
-// order and in-flight transmissions re-registered. Link tables and
+// order and in-flight transmissions re-registered. Power memos and
 // candidate sets start empty.
 func (m *Medium) partition(size float64) {
 	ring := 0
@@ -182,7 +184,7 @@ func (g *grid) place(s int32, key cellKey) (fresh bool) {
 	c := g.cells[key]
 	if c == nil {
 		w := 2*g.ring + 1
-		c = &cell{key: key, rows: make([][][]link, w*w)}
+		c = &cell{key: key, rows: make([][]memoRow, w*w)}
 		g.cells[key] = c
 		fresh = true
 	}
@@ -204,8 +206,8 @@ func (g *grid) place(s int32, key cellKey) (fresh bool) {
 }
 
 // remove drops slot s from its cell and frees its local slot, purging
-// its budgets first. The cell itself is retained: its ledger may still
-// be feeding in-flight deliveries.
+// its memo entries first. The cell itself is retained: its ledger may
+// still be feeding in-flight deliveries.
 func (g *grid) remove(s int32) {
 	g.purge(s)
 	r := &g.res[s]
@@ -214,23 +216,23 @@ func (g *grid) remove(s int32) {
 	*r = residence{}
 }
 
-// purge unsets every cached budget into or out of slot s: its column of
-// its own cell's table, and its row in the tables of the cells within
-// its ring (budgets are only cached against current positions, so
-// nothing farther can hold one).
+// purge unsets every memo entry into or out of slot s: its column of
+// its own cell's memo, and its row in the memos of the cells within its
+// ring (entries are only cached against current positions, so nothing
+// farther can hold one).
 func (g *grid) purge(s int32) {
 	r := g.res[s]
 	for _, rows := range r.c.rows {
 		for _, row := range rows {
-			if int(r.loc) < len(row) {
-				row[r.loc] = unsetLink
+			if int(r.loc) < len(row.mw) {
+				row.mw[r.loc] = math.NaN()
 			}
 		}
 	}
 	g.forRing(r.c.key, func(c *cell) {
 		o, _ := g.offset(r.c.key, c.key)
 		if rows := c.rows[o]; int(r.loc) < len(rows) {
-			rows[r.loc] = rows[r.loc][:0]
+			rows[r.loc].mw = rows[r.loc].mw[:0]
 		}
 	})
 }
@@ -297,15 +299,15 @@ func (m *Medium) dropReach(s int32) {
 	}
 }
 
-// link returns the table entry for the link from slot fs into slot ts
-// (residing at to), computing its budget from the given positions on
-// first use. The caller guarantees both slots are attached and fs is at
-// fromPos. It returns nil when ts's cell is outside fs's ring (a
-// receiver that migrated away while a frame was in flight): such a link
-// is never cached.
-func (m *Medium) link(fs, ts int32, to residence, fromPos, toPos phys.Position) *link {
+// memo returns the memo entry for the link from slot fs into the member
+// residing at to when fs emits txDBm, NaN until it is filled; a row
+// tagged with another power is reset first. The caller guarantees fs is
+// attached at the position the medium recorded for it. It returns nil
+// when to's cell is outside fs's ring (a receiver that migrated away
+// while a frame was in flight): such a link is never cached.
+func (m *Medium) memo(fs int32, to residence, txDBm float64) *float64 {
 	g := &m.grid
-	from := &g.res[fs]
+	from := g.res[fs]
 	o := 0 // a single cell's only ring offset
 	if g.ring > 0 {
 		var ok bool
@@ -313,47 +315,51 @@ func (m *Medium) link(fs, ts int32, to residence, fromPos, toPos phys.Position) 
 			return nil
 		}
 	}
-	if rows := to.c.rows[o]; int(from.loc) < len(rows) {
-		if row := rows[from.loc]; int(to.loc) < len(row) {
-			if l := &row[to.loc]; !math.IsNaN(l.b.PathLossDB) {
-				return l
-			}
-		}
-	}
-	return m.fill(fs, ts, to, o, fromPos, toPos)
-}
-
-// fill is link's slow path: it grows the row set and row as needed and
-// computes the budget into the unset entry.
-func (m *Medium) fill(fs, ts int32, to residence, o int, fromPos, toPos phys.Position) *link {
-	from := m.grid.res[fs]
 	rows := to.c.rows[o]
 	if int(from.loc) >= len(rows) {
-		rows = slices.Grow(rows, int(from.c.slots)-len(rows))[:from.c.slots]
+		rows = extend(rows, int(from.c.slots))
 		to.c.rows[o] = rows
 	}
-	row := rows[from.loc]
-	if int(to.loc) >= len(row) {
-		n := len(row)
-		row = slices.Grow(row, int(to.c.slots)-n)[:to.c.slots]
-		for i := n; i < len(row); i++ {
-			row[i] = unsetLink
-		}
-		rows[from.loc] = row
+	row := &rows[from.loc]
+	if row.txDBm != txDBm {
+		row.txDBm, row.mw = txDBm, row.mw[:0]
 	}
-	l := &row[to.loc]
-	*l = link{b: m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos), txDBm: math.NaN()}
-	return l
+	if n := len(row.mw); int(to.loc) >= n {
+		row.mw = extend(row.mw, int(to.c.slots))
+		for i := n; i < len(row.mw); i++ {
+			row.mw[i] = math.NaN()
+		}
+	}
+	return &row.mw[to.loc]
+}
+
+// extend returns s resliced to length n (n > len(s)), reallocating at
+// exactly n when its capacity is short: a row is sized once to its
+// cell's local slot count and seldom grows again.
+func extend[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return append(make([]E, 0, n), s...)[:n]
+	}
+	return s[:n]
+}
+
+// candidate returns the index of slot s in the candidate set r and
+// whether s is a candidate. r must be fresh: its candidates are then in
+// attach order by their current residences.
+func (m *Medium) candidate(r *reachability, s int32) (int, bool) {
+	res := m.grid.res
+	return slices.BinarySearchFunc(r.cand, res[s].seq, func(c int32, seq uint64) int {
+		return cmp.Compare(res[c].seq, seq)
+	})
 }
 
 // reachFor returns the candidate set of the transmitter attached in
 // slot s at transmit power txDBm, building it on first use after an
 // invalidation or a power change: the nodes resident in the ring around
-// its cell, in global attach order, whose cached gain at maximum
-// transmit power clears the sensitivity floor minus the fade margin,
-// with their received powers at txDBm. Nodes outside the ring are
-// provably under the floor (phys.Model.DetectRange) and are
-// bulk-counted with the rest.
+// its cell, in global attach order, whose gain at maximum transmit
+// power clears the sensitivity floor minus the fade margin, with their
+// received powers at txDBm. Nodes outside the ring are provably under
+// the floor (phys.Model.DetectRange) and are bulk-counted with the rest.
 func (m *Medium) reachFor(s int32, txDBm float64) *reachability {
 	if r := m.reach[s]; r != nil {
 		if r.txDBm == txDBm {
@@ -375,12 +381,12 @@ func (m *Medium) reachFor(s int32, txDBm float64) *reachability {
 	// the transmitter that were not collected.
 	far := uint64(len(m.order) - len(near))
 	cand, rx := m.candBuf[:0], m.rxBuf[:0]
-	pos := m.slots[s].pos
+	from, pos := m.slots[s].id, m.slots[s].pos
 	for _, other := range near {
 		if other == s {
 			continue
 		}
-		b := m.txBudget(s, pos, other, m.slots[other].pos)
+		b := m.model.LinkBudget(from, m.slots[other].id, pos, m.slots[other].pos)
 		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
 			far++
 			continue

@@ -180,8 +180,8 @@ type FaultEffect struct {
 
 type transmission struct {
 	from phys.NodeID
-	// fromSlot is the transmitter's attach slot (its row of the link
-	// table).
+	// fromSlot is the transmitter's attach slot (its row of the power
+	// memo).
 	fromSlot int32
 	pos      phys.Position
 	channel  int
@@ -226,9 +226,9 @@ var maxTxDBm = radio.PowerDBm(radio.MaxPowerLevel)
 
 // reachability is one transmitter's precomputed fan-out at one transmit
 // power: the slots of the attached nodes (in stable attach order) whose
-// cached link gain at maximum transmit power clears the sensitivity
-// floor minus the fade margin, each one's received power at txDBm, and
-// the count of nodes excluded as unreachable.
+// link gain at maximum transmit power clears the sensitivity floor minus
+// the fade margin, each one's received power at txDBm, and the count of
+// nodes excluded as unreachable.
 type reachability struct {
 	cand []int32
 	// rx[i] is cand[i]'s received power in dBm when the transmitter
@@ -255,17 +255,15 @@ type slot struct {
 	pos phys.Position
 }
 
-// link is one entry of a cell's dense link table: the static budget of
-// a directed link and a memo of its received power in milliwatts at the
-// last transmit power it was converted for. A budget is unset while its
-// path loss is NaN (PathLoss clamps distance to 1 m, so no real budget
-// is); the memo is unset while txDBm is NaN.
-type link struct {
-	b         phys.Budget
-	txDBm, mw float64
+// memoRow is one transmitter's row of a cell's power memo: mw[k] is
+// the power in milliwatts the member in local slot k receives while the
+// transmitter emits txDBm, NaN while unset. The memo holds only the
+// value the SINR scan reads per pair; a transmission at another power
+// resets the row.
+type memoRow struct {
+	txDBm float64
+	mw    []float64
 }
-
-var unsetLink = link{b: phys.Budget{PathLossDB: math.NaN()}, txDBm: math.NaN()}
 
 // linkKeys holds the pre-interned metric names of one directed link, so
 // report does not rebuild three strings on every reception.
@@ -353,7 +351,7 @@ type Medium struct {
 	candBuf []int32
 	rxBuf   []float64
 	// grid is the partition into cells (cells.go): membership,
-	// interference ledgers and link tables. Unsharded, it is one
+	// interference ledgers and power memos. Unsharded, it is one
 	// unbounded cell.
 	grid grid
 	// links interns per-link metric names, keyed from<<16|to.
@@ -435,12 +433,12 @@ func (m *Medium) deliverEvent(a any) {
 	m.deliver(t)
 }
 
-// InvalidateTopology drops the cached link budgets and reachability
-// sets, re-reads every attached node's position and rebuilds the cell
-// partition at the current cell size. Call it after mutating the
-// propagation model or moving nodes behind the medium's back; channel
-// and power changes need no invalidation (budgets are frequency- and
-// power-independent), and a single node moving only needs NodeMoved.
+// InvalidateTopology drops the power memos and candidate sets, re-reads
+// every attached node's position and rebuilds the cell partition at the
+// current cell size. Call it after mutating the propagation model or
+// moving nodes behind the medium's back; channel and power changes need
+// no invalidation (a memo row and a candidate set each record the power
+// they were built for), and a single node moving only needs NodeMoved.
 func (m *Medium) InvalidateTopology() {
 	for _, s := range m.order {
 		m.slots[s].pos = m.slots[s].rx.Position()
@@ -449,7 +447,7 @@ func (m *Medium) InvalidateTopology() {
 }
 
 // NodeMoved tells the medium that one attached node changed position:
-// cached link budgets involving it are dropped, it migrates between
+// memoised powers involving it are dropped, it migrates between
 // cells if it crossed an edge, and the candidate sets of the
 // transmitters within the old and new rings are invalidated. Motes are
 // fixed once deployed — this is the workstation walking with the
@@ -506,7 +504,7 @@ func (m *Medium) Attach(r Receiver) error {
 // Detach removes a node; pending deliveries to it are silently dropped.
 // A frame the node already put on the air stays there: it delivers to
 // (and interferes at) the remaining nodes, exactly as a frame from a
-// mote that lost power mid-transmission would. Its cached budgets go
+// mote that lost power mid-transmission would. Its memo entries go
 // with it, so a node that comes back elsewhere inherits none.
 func (m *Medium) Detach(id phys.NodeID) {
 	s, ok := m.slotOf[id]
@@ -603,50 +601,30 @@ func (m *Medium) prune() {
 	m.reclaim = reclaim[:0]
 }
 
-// txBudget returns the static link budget from slot fs → slot ts for
-// a transmission whose origin position was captured at fromPos, against
-// the receiver's current position toPos. The link tables always
-// describe the transmitter's current position — NodeMoved purges them
-// on every move — so when fromPos no longer matches (the transmitter
-// walked away, or detached, while the frame was in flight) the budget is
-// computed directly instead of being read from, or written into, a
-// table. Without this check a delivery after a mid-flight move would
-// poison the table with a budget computed from the stale captured
-// position, and every later transmission on that link would inherit
-// it. The cached components are the same deterministic function of the
-// endpoints either way, and Budget.Received combines them in the
-// model's arithmetic order, so every path produces bit-identical
-// received powers.
-func (m *Medium) txBudget(fs int32, fromPos phys.Position, ts int32, toPos phys.Position) phys.Budget {
-	if m.current(fs, fromPos) {
-		if l := m.link(fs, ts, m.grid.res[ts], fromPos, toPos); l != nil {
-			return l.b
-		}
-	}
-	return m.model.LinkBudget(m.slots[fs].id, m.slots[ts].id, fromPos, toPos)
-}
-
 // current reports whether slot s is attached and was last placed at
-// pos: only then may budgets from it be read from or written to a
-// table, whose entries from s were all computed from that position.
+// pos: only then may its memo row be read or written, since every entry
+// in it was computed from that position.
 func (m *Medium) current(s int32, pos phys.Position) bool {
 	return m.slots[s].rx != nil && m.slots[s].pos == pos
 }
 
 // interfMW returns the power of transmission o at slot ts (residing at
-// to, currently at toPos) in milliwatts. On the link table the conversion is
-// memoised per link and transmit power, so a repeated pair costs no
-// math.Pow; the memo holds exactly the value recomputation gives.
+// to, currently at toPos) in milliwatts. Its memo entry serves a
+// repeated pair without a budget or a math.Pow, and holds exactly the
+// value recomputation gives. A transmission whose transmitter has moved
+// or detached since it was captured neither reads nor writes the memo.
 func (m *Medium) interfMW(o *transmission, ts int32, to residence, toPos phys.Position) float64 {
+	var e *float64
 	if m.current(o.fromSlot, o.pos) {
-		if l := m.link(o.fromSlot, ts, to, o.pos, toPos); l != nil {
-			if l.txDBm != o.txDBm {
-				l.txDBm, l.mw = o.txDBm, dbmToMW(l.b.Received(o.txDBm))
-			}
-			return l.mw
+		if e = m.memo(o.fromSlot, to, o.txDBm); e != nil && !math.IsNaN(*e) {
+			return *e
 		}
 	}
-	return dbmToMW(m.model.LinkBudget(o.from, m.slots[ts].id, o.pos, toPos).Received(o.txDBm))
+	mw := dbmToMW(m.model.LinkBudget(o.from, m.slots[ts].id, o.pos, toPos).Received(o.txDBm))
+	if e != nil {
+		*e = mw
+	}
+	return mw
 }
 
 // prrFor returns the packet reception rate for a frame of n bytes at
@@ -838,7 +816,7 @@ func (m *Medium) deliver(t *transmission) {
 		}
 		rxDBm := r.rx[i]
 		if r.stale {
-			rxDBm = m.txBudget(t.fromSlot, t.pos, s, sl.pos).Received(t.txDBm)
+			rxDBm = m.model.LinkBudget(t.from, id, t.pos, sl.pos).Received(t.txDBm)
 		}
 		rxDBm -= eff.ExtraLossDB
 		if rxDBm < radio.SensitivityDBm {
@@ -921,6 +899,11 @@ const CaptureThresholdDB = 4.0
 // treated as silence: the radio cannot detect them. The scan covers the
 // ledger of r's cell — everything outside it is under the floor by the
 // ring bound — or every active transmission when r is not attached.
+//
+// An attached listener reads each transmission's captured candidate
+// set: a fresh set lists exactly the nodes over the floor, with their
+// received powers, so a member reads its rx entry and a non-member hears
+// silence. Stale sets and unattached listeners compute from the model.
 func (m *Medium) EnergyDBmAt(r Receiver) float64 {
 	m.prune()
 	now := m.eng.Now()
@@ -944,16 +927,21 @@ func (m *Medium) EnergyDBmAt(r Receiver) float64 {
 		if t.start > now || t.end <= now {
 			continue
 		}
-		var b phys.Budget
-		if attached {
-			b = m.txBudget(t.fromSlot, t.pos, rs, rpos)
+		var p float64
+		if attached && !t.reach.stale {
+			i, ok := m.candidate(t.reach, rs)
+			if !ok {
+				continue // under the floor
+			}
+			p = t.reach.rx[i]
 		} else {
-			b = m.model.LinkBudget(t.from, rid, t.pos, rpos)
+			b := m.model.LinkBudget(t.from, rid, t.pos, rpos)
+			if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
+				continue // undetectable at any power level
+			}
+			p = b.Received(t.txDBm)
 		}
-		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
-			continue // undetectable at any power level
-		}
-		if p := b.Received(t.txDBm); p > best {
+		if p > best {
 			best = p
 		}
 	}

@@ -10,27 +10,42 @@ import (
 	"liteview/internal/sim"
 )
 
-// Generated purity scenarios: the medium's caches — link tables,
+// Generated purity scenarios: the medium's caches — power memos,
 // candidate sets and the received powers they carry, the PRR memo —
 // against the full-scan oracle, on schedules decoded from fuzz bytes.
 //
 // The deployment is compact: six nodes in a 45 m square, every pair
 // well inside the reachability floor at any model tweak the scenario
-// makes, and inside one detectability ring at any cell size. There the
-// candidate set captured at transmit time is exactly the set the oracle
-// filters inline at delivery, with one exception the schedule avoids: a
-// node attached while a frame is in flight hears it from the oracle but
-// not from the captured set. Only the floater (node 6, attached last)
-// ever detaches, and it comes back only once every frame sent while it
-// was away has been delivered, so attach order — and with it the order
-// of receptions and random draws — is the same both ways.
+// makes, and a seventh, the far node, in a 5 m square of its own 50 m
+// beyond that square's corner. Some of the far node's links lie under
+// the floor (under every model tweak: the one to (40, 30); under some:
+// the ones to (40, 0) and (20, 30)), so its frames reach some nodes
+// only as interference and its CCA does not hear every frame. Yet it
+// stays within a Chebyshev distance of 95 m of every other node, under
+// the smallest detectability range the tweaks allow (100 m), so every
+// pair lies inside one detectability ring at any cell size.
+//
+// A frame's candidate set, and its bulk count of nodes under the floor,
+// are captured at transmit time; the oracle applies the floor inline at
+// delivery. The two agree unless the set of nodes over the floor changes
+// while the frame is in flight, and the schedule avoids each way that
+// can happen. A node attached mid-flight hears the frame from the oracle
+// but not from the captured set: only the floater (node 6) ever
+// detaches, and it comes back only once every frame sent while it was
+// away has been delivered. A move or a model tweak that carries a link
+// from a frame in flight across the floor is skipped, and so is the
+// floater's detach while a frame in flight cannot reach it (the medium
+// has already counted it under the floor; the oracle would not).
+// The floater is attached last, and a re-attach keeps it last, so
+// attach order — and with it the order of receptions and random draws —
+// is the same both ways.
 
 // Operation kinds: the first byte of each five-byte operation, mod
 // opKinds. The other bytes are the operands a, b, c and the delay, in
 // units of opDelayUnit, since the previous operation.
 const (
 	opTransmit = iota // node a at power level 3 + b%29, 1 + c%127 bytes
-	opMove            // node a to (b%46, c%46)
+	opMove            // node a to (b%46, c%46); the far node within its square
 	opChannel         // node a to channel 17 + b%2
 	opFloat           // detach the floater, or re-attach it when allowed
 	opCCA             // sample node a's CCA
@@ -40,14 +55,18 @@ const (
 )
 
 const (
-	purityNodes = 6
+	purityNodes = 7
+	floaterIdx  = 5
+	farIdx      = 6
 	opDelayUnit = 50 * time.Microsecond
 	maxOps      = 64
 )
 
-// purityPositions are the initial positions; the floater is last.
+// purityPositions are the initial positions: five fixed-role nodes, the
+// floater, and the far node at the corner of its square.
 var purityPositions = [purityNodes]phys.Position{
 	{X: 0, Y: 0}, {X: 20, Y: 0}, {X: 40, Y: 0}, {X: 0, Y: 30}, {X: 20, Y: 30}, {X: 40, Y: 30},
+	{X: -50, Y: -50},
 }
 
 // purityRun is what one run of a generated scenario observes.
@@ -68,11 +87,13 @@ func runPurityScenario(t *testing.T, data []byte, oracle bool) purityRun {
 	for i := range nodes {
 		p := purityPositions[i]
 		nodes[i] = newFake(phys.NodeID(i+1), p.X, p.Y)
-		if err := m.Attach(nodes[i]); err != nil {
+	}
+	floater, far := nodes[floaterIdx], nodes[farIdx]
+	for _, n := range append(nodes[:floaterIdx:floaterIdx], far, floater) {
+		if err := m.Attach(n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	floater := nodes[purityNodes-1]
 	if len(data) > 0 && data[0]&1 != 0 {
 		m.SetSharding(Sharding{CellSize: 20})
 	}
@@ -84,6 +105,33 @@ func runPurityScenario(t *testing.T, data []byte, oracle bool) purityRun {
 	// was detached: re-attaching before it would add a receiver to that
 	// frame the captured candidate set does not have.
 	var away sim.Time
+	// flights are the frames put on the air; those still in flight
+	// decide whether a move, a model tweak or a detach may run.
+	type flight struct {
+		from *fakeNode
+		pos  phys.Position
+		end  sim.Time
+	}
+	var flights []flight
+	// over reports whether frame f reaches node n at pos over the floor.
+	over := func(f flight, n *fakeNode, pos phys.Position) bool {
+		b := m.model.LinkBudget(f.from.id, n.id, f.pos, pos)
+		return b.Received(maxTxDBm) >= radio.SensitivityDBm-FadeMarginDB
+	}
+	// overFloor lists over for every frame in flight and every other
+	// node where it stands.
+	overFloor := func() []bool {
+		var out []bool
+		for _, f := range flights {
+			if f.end < eng.Now() {
+				continue
+			}
+			for _, n := range nodes {
+				out = append(out, n != f.from && over(f, n, n.pos))
+			}
+		}
+		return out
+	}
 	at := sim.Time(0)
 	for i, ops := 1, 0; i+5 <= len(data) && ops < maxOps; i, ops = i+5, ops+1 {
 		kind, a, b, c := data[i]%opKinds, data[i+1], data[i+2], data[i+3]
@@ -96,11 +144,24 @@ func runPurityScenario(t *testing.T, data []byte, oracle bool) purityRun {
 					t.Fatal(err)
 				}
 				airtime, err := m.Transmit(n, make([]byte, 1+int(c)%127))
-				if err == nil && !attached {
-					away = max(away, eng.Now()+airtime)
+				if err == nil {
+					flights = append(flights, flight{from: n, pos: n.pos, end: eng.Now() + airtime})
+					if !attached {
+						away = max(away, eng.Now()+airtime)
+					}
 				}
 			case opMove:
-				n.pos = phys.Position{X: float64(b % 46), Y: float64(c % 46)}
+				dest := phys.Position{X: float64(b % 46), Y: float64(c % 46)}
+				if n == far {
+					dest = phys.Position{X: purityPositions[farIdx].X + float64(b%6),
+						Y: purityPositions[farIdx].Y + float64(c%6)}
+				}
+				for _, f := range flights {
+					if f.end >= eng.Now() && f.from != n && over(f, n, n.pos) != over(f, n, dest) {
+						return // the move would carry a link across the floor
+					}
+				}
+				n.pos = dest
 				m.NodeMoved(n.id)
 			case opChannel:
 				if err := n.rad.SetChannel(17 + int(b)%2); err != nil {
@@ -108,6 +169,11 @@ func runPurityScenario(t *testing.T, data []byte, oracle bool) purityRun {
 				}
 			case opFloat:
 				if attached {
+					for _, f := range flights {
+						if f.end >= eng.Now() && f.from != floater && !over(f, floater, floater.pos) {
+							return // a frame in flight has counted it under the floor
+						}
+					}
 					m.Detach(floater.id)
 					attached = false
 				} else if eng.Now() > away {
@@ -120,7 +186,12 @@ func runPurityScenario(t *testing.T, data []byte, oracle bool) purityRun {
 				run.cca = append(run.cca, energy(n))
 			case opRetune:
 				if b < 128 {
+					before, pl0 := overFloor(), m.model.PL0
 					m.model.PL0 = 44 + float64(c%5)/2
+					if !reflect.DeepEqual(before, overFloor()) {
+						m.model.PL0 = pl0 // the tweak would carry a link across the floor
+						return
+					}
 					m.model.NoiseFloor = -96 + float64(c%3)
 					m.InvalidateTopology()
 				} else {
@@ -157,10 +228,13 @@ func scenario(flags byte, ops ...[]byte) []byte {
 // power changes between frames still in flight, moves of receivers and
 // transmitters mid-flight, the floater detaching and coming back,
 // channel and radio-state changes, model tweaks and re-partitions
-// mid-flight, and CCA samples throughout. The seeds each stale a
+// mid-flight, and CCA samples throughout. The first seeds each stale a
 // candidate set in flight through one of the sites that must mark it:
 // a move (invalidateRing), a model tweak (partition), a power change
-// (reachFor) and the transmitter's own detach.
+// (reachFor) and the transmitter's own detach. The last three cross the
+// floor: a CCA at a listener under it, interference from a transmitter
+// under it, and a power change on a transmitter whose memo row is
+// filled.
 func FuzzMediumPurity(f *testing.F) {
 	for _, flags := range []byte{0, 1} {
 		// A receiver moves while a frame to it is in flight.
@@ -200,6 +274,34 @@ func FuzzMediumPurity(f *testing.F) {
 			op(opRadio, 4, 0, 0, 40),
 			op(opTransmit, 1, 20, 126, 1),
 			op(opMove, 1, 45, 0, 10)))
+	}
+	// Seeds that cross the floor, added after the first ten so those keep
+	// their numbers.
+	for _, flags := range []byte{0, 1} {
+		// The far node listens while the floater, under its floor, is on
+		// the air, then again once node 1, over it, transmits too.
+		f.Add(scenario(flags,
+			op(opTransmit, 5, 28, 126, 0),
+			op(opCCA, 6, 0, 0, 1),
+			op(opTransmit, 0, 28, 60, 1),
+			op(opCCA, 6, 0, 0, 1)))
+		// The far node's frame overlaps one to the floater, which it
+		// reaches only as interference, twice, so the second delivery
+		// reads the memo the first filled.
+		f.Add(scenario(flags,
+			op(opTransmit, 2, 28, 126, 0),
+			op(opTransmit, 6, 28, 100, 2),
+			op(opTransmit, 2, 28, 126, 150),
+			op(opTransmit, 6, 28, 100, 2)))
+		// Node 3's frames are delivered while the far node is on the air,
+		// filling its memo row, which the far node's next frame, at a
+		// lower power, must reset.
+		f.Add(scenario(flags,
+			op(opTransmit, 6, 28, 126, 0),
+			op(opTransmit, 2, 28, 40, 2),
+			op(opTransmit, 6, 4, 126, 100),
+			op(opTransmit, 2, 28, 40, 2),
+			op(opCCA, 5, 0, 0, 1)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got := runPurityScenario(t, data, false)

@@ -187,7 +187,7 @@ func indexScenario(t *testing.T, oracle bool) ([]TapDelivery, float64, Stats) {
 }
 
 // TestReachabilityIndexIsPureOptimization checks the candidate sets,
-// link tables and ledgers change nothing observable: same seed, same
+// power memos and ledgers change nothing observable: same seed, same
 // schedule, byte-identical outcome sequence, CCA reading, and stats
 // against the full-scan oracle.
 func TestReachabilityIndexIsPureOptimization(t *testing.T) {
@@ -224,7 +224,7 @@ func TestReachabilityIndexIsPureOptimization(t *testing.T) {
 }
 
 // TestNodeMovedInvalidates checks that the walking-workstation path
-// (MAC.SetPosition → Medium.NodeMoved) refreshes cached budgets and
+// (MAC.SetPosition → Medium.NodeMoved) refreshes memoised powers and
 // candidate sets for the moved node.
 func TestNodeMovedInvalidates(t *testing.T) {
 	eng, m := newTestMedium()

@@ -178,9 +178,10 @@ func TestShardedReceiverMigratesMidFlight(t *testing.T) {
 // workstation transmits, walks away while its frame is still in the
 // air, and transmits again from the new spot. The delivery of the
 // in-flight frame is computed against the captured position — and
-// before the txBudget fix it poisoned the (from,to) budget cache with
-// that stale-position value, so the post-move transmission reused a
-// budget from a spot the workstation had already left.
+// before the cache learned to bypass a moved transmitter it poisoned
+// the (from,to) entry with that stale-position value, so the post-move
+// transmission reused a budget from a spot the workstation had already
+// left.
 func movingTxScenario(t *testing.T, oracle bool) ([]TapDelivery, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
@@ -228,7 +229,7 @@ func TestMovedTransmitterMidFlightPurity(t *testing.T) {
 		t.Fatal("in-flight frame was not delivered from its captured position")
 	}
 	if second {
-		t.Fatal("post-move frame delivered across 100 km: stale budget cache")
+		t.Fatal("post-move frame delivered across 100 km: stale cached link")
 	}
 }
 

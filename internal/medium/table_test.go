@@ -1,8 +1,10 @@
 package medium
 
 import (
+	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"liteview/internal/phys"
 	"liteview/internal/radio"
@@ -43,8 +45,8 @@ func reattachScenario(t *testing.T, shard, oracle bool) ([]TapDelivery, Stats, i
 	return deliveries, m.Stats(), len(b.frames)
 }
 
-// TestReattachDropsStaleBudget checks that budgets cached for a node do
-// not outlive its attachment: a node that detaches and comes back 100 km
+// TestReattachDropsStaleBudget checks that nothing the medium caches for
+// a node outlives its attachment: a node that detaches and comes back 100 km
 // away must not hear a frame it would never reach. The single-cell and
 // sharded media must both match the full-scan oracle byte for byte.
 func TestReattachDropsStaleBudget(t *testing.T) {
@@ -69,8 +71,8 @@ func TestReattachDropsStaleBudget(t *testing.T) {
 // midFlightMoveScenario drives overlapping traffic over a 3×3 grid
 // (15 m spacing) and moves node mover to dest while a 100-byte frame
 // from node 1 is in the air. A first round of traffic fills the
-// movers' link-table rows and columns before the move; CCA samples
-// right after the move read them too. The move stays well inside radio
+// movers' memo rows and columns before the move; CCA samples right
+// after the move read the captured candidate sets. The move stays well inside radio
 // range, so the candidate set captured at transmit time is the set the
 // full-scan oracle filters inline, and the two must agree byte for byte.
 func midFlightMoveScenario(t *testing.T, oracle bool, mover phys.NodeID, dest phys.Position) ([]TapDelivery, []float64, Stats) {
@@ -134,17 +136,114 @@ func checkMidFlightMovePurity(t *testing.T, mover phys.NodeID, dest phys.Positio
 }
 
 // TestReceiverMovesMidFlightPurity moves a receiver (the far corner)
-// while frames addressed to it are in flight: its column of the link
-// table must be purged, or the in-flight delivery and the interference
-// terms would use budgets from where it stood.
+// while frames addressed to it are in flight: its column of the power
+// memo must be purged, or the interference terms would use powers from
+// where it stood.
 func TestReceiverMovesMidFlightPurity(t *testing.T) {
 	checkMidFlightMovePurity(t, 9, phys.Position{X: 38, Y: 22})
 }
 
 // TestTransmitterMovesMidFlightPurity moves node 1 while its own frame
 // is in the air, amid interference: the in-flight frame delivers from
-// the captured position, and its row of the link table must be purged
+// the captured position, and its row of the power memo must be purged
 // before the post-move transmission.
 func TestTransmitterMovesMidFlightPurity(t *testing.T) {
 	checkMidFlightMovePurity(t, 1, phys.Position{X: -6, Y: 8})
+}
+
+// TestLinkMemoFootprint checks what the medium keeps per link: on the
+// scale experiment's 20×20 grid (14 m spacing) plus a workstation, all
+// in one cell, after every node has transmitted into overlapping
+// traffic, no type the medium reaches holds a phys.Budget, and the power
+// memo holds one float64 per (transmitter row, member slot) pair plus
+// one header per row.
+func TestLinkMemoFootprint(t *testing.T) {
+	if p := budgetPath(reflect.TypeOf(Medium{}), "Medium", map[reflect.Type]bool{}); p != "" {
+		t.Fatalf("the medium caches a phys.Budget at %s", p)
+	}
+	eng := sim.NewEngine(1)
+	m := New(eng, phys.DefaultModel(1))
+	var nodes []*fakeNode
+	for i := 0; i < 400; i++ {
+		nodes = append(nodes, newFake(phys.NodeID(i+1), float64(i%20)*14, float64(i/20)*14))
+	}
+	nodes = append(nodes, newFake(401, 7, 7)) // the workstation
+	for _, n := range nodes {
+		if err := m.Attach(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Frames 30 µs apart with 1.2 ms of airtime: each overlaps about 40
+	// others, so every delivery's SINR scan reads the memo.
+	for i, n := range nodes {
+		eng.Schedule(sim.Time(i)*30_000, func() {
+			if _, err := m.Transmit(n, make([]byte, 32)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	eng.Run()
+
+	if len(m.grid.cells) != 1 {
+		t.Fatalf("%d cells, want the single unsharded cell", len(m.grid.cells))
+	}
+	if size := reflect.TypeOf(memoRow{}.mw).Elem().Size(); size != 8 {
+		t.Fatalf("memo entry is %d B, want 8", size)
+	}
+	var rows, entries, filled int
+	for _, c := range m.grid.cells {
+		for _, set := range c.rows {
+			rows += cap(set)
+			for _, row := range set {
+				if cap(row.mw) > int(c.slots) {
+					t.Fatalf("memo row holds %d entries for %d member slots", cap(row.mw), c.slots)
+				}
+				entries += cap(row.mw)
+				for _, mw := range row.mw {
+					if !math.IsNaN(mw) {
+						filled++
+					}
+				}
+			}
+		}
+	}
+	if filled == 0 {
+		t.Fatal("no memo entry filled: the traffic did not overlap")
+	}
+	header := int(unsafe.Sizeof(memoRow{}))
+	bytes := entries*8 + rows*header
+	t.Logf("memo: %d rows, %d entries (%d filled), %d B; at 40 B a link the same entries took %d B",
+		rows, entries, filled, bytes, entries*40)
+	if limit := len(nodes) * (len(nodes)*8 + header); bytes > limit {
+		t.Fatalf("memo holds %d B, over %d B (8 B per pair plus a %d B header per row)", bytes, limit, header)
+	}
+}
+
+// budgetPath returns the field path by which t reaches a phys.Budget,
+// or "" when it cannot.
+func budgetPath(t reflect.Type, path string, seen map[reflect.Type]bool) string {
+	if t == reflect.TypeOf(phys.Budget{}) {
+		return path
+	}
+	if seen[t] {
+		return ""
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		return budgetPath(t.Elem(), path+"[]", seen)
+	case reflect.Map:
+		if p := budgetPath(t.Key(), path+"{key}", seen); p != "" {
+			return p
+		}
+		return budgetPath(t.Elem(), path+"{}", seen)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p := budgetPath(f.Type, path+"."+f.Name, seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }

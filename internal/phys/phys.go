@@ -156,8 +156,9 @@ func (m *Model) DetectRange(txDBm, floorDBm float64) float64 {
 // Budget holds the static dB components of a directed link's budget:
 // path loss, shadowing, and per-direction asymmetry. All three depend
 // only on the endpoints' identities and positions and the model seed,
-// so callers may cache a Budget for as long as neither node moves (the
-// medium's link-gain cache does exactly that).
+// so a Budget stays valid for as long as neither node moves. The medium
+// keeps none: it computes each budget where it needs one and caches only
+// the received powers derived from it.
 type Budget struct {
 	PathLossDB, ShadowDB, AsymDB float64
 }

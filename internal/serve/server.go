@@ -599,19 +599,24 @@ func (s *Server) crashHook(t *Tenant, reason error) {
 		} else {
 			q.Reason = fmt.Sprintf("restart budget exhausted: %v", reason)
 		}
+		var truncErr error
+		if crash.valid {
+			// Amputate the poison command (and everything after it): the
+			// journal's good prefix stays replayable for ClearQuarantine.
+			// It is cut while the lock is still held, before the quarantine
+			// is published: RecoveryStatus, hellos and ClearQuarantine only
+			// ever see a quarantined tenant whose journal is already cut.
+			truncErr = journal.TruncatePast(s.cfg.JournalDir, name, crash.index, s.journalOpts())
+		}
 		s.quarantined[name] = q
 		delete(s.restarts, name)
 		delete(s.tenants, name)
 		s.met.gaugeAdd("serve.tenants.active", -1)
 		s.mu.Unlock()
 		s.met.inc("serve.recovery.quarantined")
-		if crash.valid {
-			// Amputate the poison command (and everything after it): the
-			// journal's good prefix stays replayable for ClearQuarantine.
-			if err := journal.TruncatePast(s.cfg.JournalDir, name, crash.index, s.journalOpts()); err != nil {
-				s.cfg.Logf("serve: tenant %q: truncating journal past poison entry %d: %v",
-					name, crash.index, err)
-			}
+		if truncErr != nil {
+			s.cfg.Logf("serve: tenant %q: truncating journal past poison entry %d: %v",
+				name, crash.index, truncErr)
 		}
 		s.cfg.Logf("serve: tenant %q quarantined after %d restart(s): %s", name, attempts-1, q.Reason)
 		return

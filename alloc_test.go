@@ -19,6 +19,7 @@ import (
 	"liteview/internal/routing"
 	"liteview/internal/sim"
 	"liteview/internal/stack"
+	"liteview/internal/testbed"
 )
 
 // framePath is the one-hop delivery rig of the zero-alloc pins and of
@@ -283,5 +284,27 @@ func TestRecentFullTableZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
 		t.Fatalf("Get and Put on a full table allocate %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestNameOfZeroAlloc pins the shell's name lookup (ping, traceroute,
+// survey, health and stats render node IDs through it): on the
+// 400-node grid it indexes the node list by ID, without building or
+// sorting the deployment's names.
+func TestNameOfZeroAlloc(t *testing.T) {
+	tb, err := testbed.Grid(20, 20, 14, testbed.DefaultOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.NameOf(400); got != "192.168.1.150" {
+		t.Fatalf("NameOf(400) = %q, want 192.168.1.150", got)
+	}
+	id := phys.NodeID(1)
+	lookup := func() {
+		_ = tb.NameOf(id)
+		id = id%400 + 1
+	}
+	if allocs := testing.AllocsPerRun(400, lookup); allocs != 0 {
+		t.Fatalf("NameOf allocates %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -20,7 +20,8 @@ import (
 // members (in global attach order), the ledger of active transmissions
 // whose origin is within its ring, and the power memo of the links into
 // its members. Candidate sets are collected from the ring, and a
-// delivery's SINR scan walks the receiver cell's ledger.
+// delivery's SINR scans walk an interferer view gathered once per frame
+// from the receiver cell's ledger.
 //
 // An unsharded medium is a single unbounded cell (cell size +Inf, ring
 // 0) holding every node: its ledger is every active transmission and
@@ -68,6 +69,11 @@ type cell struct {
 	// for reuse. A freed slot's row and column are purged first.
 	slots int32
 	free  []int32
+	// view is the interferer list of the frame being delivered as seen
+	// from this cell, valid while viewGen equals the medium's
+	// (Medium.viewFor).
+	view    []interferer
+	viewGen uint64
 }
 
 // residence is where an attach slot currently lives: its cell (nil
@@ -97,6 +103,7 @@ type grid struct {
 // order and in-flight transmissions re-registered. Power memos and
 // candidate sets start empty.
 func (m *Medium) partition(size float64) {
+	m.resetView()
 	ring := 0
 	if !math.IsInf(size, 1) {
 		ring = int(math.Ceil(m.model.DetectRange(maxTxDBm, radio.SensitivityDBm-FadeMarginDB) / size))
@@ -299,38 +306,39 @@ func (m *Medium) dropReach(s int32) {
 	}
 }
 
-// memo returns the memo entry for the link from slot fs into the member
-// residing at to when fs emits txDBm, NaN until it is filled; a row
-// tagged with another power is reset first. The caller guarantees fs is
-// attached at the position the medium recorded for it. It returns nil
-// when to's cell is outside fs's ring (a receiver that migrated away
-// while a frame was in flight): such a link is never cached.
-func (m *Medium) memo(fs int32, to residence, txDBm float64) *float64 {
+// memoRowFor returns the memo row, in cell c, of the transmitter attached
+// in slot fs when it emits txDBm, extended to c's local slot count with
+// NaN for unset entries; a row tagged with another power is reset first.
+// The caller guarantees fs is attached at the position the medium
+// recorded for it. It returns nil when c is outside fs's ring (a
+// receiver that migrated away while a frame was in flight): such a link
+// is never cached.
+func (m *Medium) memoRowFor(fs int32, c *cell, txDBm float64) *memoRow {
 	g := &m.grid
 	from := g.res[fs]
 	o := 0 // a single cell's only ring offset
 	if g.ring > 0 {
 		var ok bool
-		if o, ok = g.offset(from.c.key, to.c.key); !ok {
+		if o, ok = g.offset(from.c.key, c.key); !ok {
 			return nil
 		}
 	}
-	rows := to.c.rows[o]
+	rows := c.rows[o]
 	if int(from.loc) >= len(rows) {
 		rows = extend(rows, int(from.c.slots))
-		to.c.rows[o] = rows
+		c.rows[o] = rows
 	}
 	row := &rows[from.loc]
 	if row.txDBm != txDBm {
 		row.txDBm, row.mw = txDBm, row.mw[:0]
 	}
-	if n := len(row.mw); int(to.loc) >= n {
-		row.mw = extend(row.mw, int(to.c.slots))
+	if n := len(row.mw); n < int(c.slots) {
+		row.mw = extend(row.mw, int(c.slots))
 		for i := n; i < len(row.mw); i++ {
 			row.mw[i] = math.NaN()
 		}
 	}
-	return &row.mw[to.loc]
+	return row
 }
 
 // extend returns s resliced to length n (n > len(s)), reallocating at

@@ -372,6 +372,9 @@ type Medium struct {
 	noiseFor float64
 	noiseMW  float64
 	noiseDBm float64
+	// viewGen numbers the current generation of the cells' interferer
+	// views (resetView).
+	viewGen uint64
 }
 
 // TapRecord describes one transmission for trace tooling.
@@ -459,6 +462,7 @@ func (m *Medium) NodeMoved(id phys.NodeID) {
 	if !ok || m.slots[s].rx == nil {
 		return // not attached: nothing cached
 	}
+	m.resetView()
 	old := m.grid.res[s].c.key
 	m.grid.purge(s)
 	m.invalidateRing(old)
@@ -491,6 +495,7 @@ func (m *Medium) Attach(r Receiver) error {
 			m.prr = nil // reallocated at the new size on next use
 		}
 	}
+	m.resetView()
 	m.slots[s].rx, m.slots[s].rad, m.slots[s].pos = r, r.Radio(), r.Position()
 	m.order = append(m.order, s)
 	key := m.keyFor(m.slots[s].pos)
@@ -511,6 +516,7 @@ func (m *Medium) Detach(id phys.NodeID) {
 	if !ok || m.slots[s].rx == nil {
 		return
 	}
+	m.resetView()
 	m.slots[s].rx, m.slots[s].rad = nil, nil
 	m.order = slices.DeleteFunc(m.order, func(n int32) bool { return n == s })
 	// In-flight transmissions keep their captured candidate sets (which
@@ -599,32 +605,6 @@ func (m *Medium) prune() {
 		reclaim[i] = nil
 	}
 	m.reclaim = reclaim[:0]
-}
-
-// current reports whether slot s is attached and was last placed at
-// pos: only then may its memo row be read or written, since every entry
-// in it was computed from that position.
-func (m *Medium) current(s int32, pos phys.Position) bool {
-	return m.slots[s].rx != nil && m.slots[s].pos == pos
-}
-
-// interfMW returns the power of transmission o at slot ts (residing at
-// to, currently at toPos) in milliwatts. Its memo entry serves a
-// repeated pair without a budget or a math.Pow, and holds exactly the
-// value recomputation gives. A transmission whose transmitter has moved
-// or detached since it was captured neither reads nor writes the memo.
-func (m *Medium) interfMW(o *transmission, ts int32, to residence, toPos phys.Position) float64 {
-	var e *float64
-	if m.current(o.fromSlot, o.pos) {
-		if e = m.memo(o.fromSlot, to, o.txDBm); e != nil && !math.IsNaN(*e) {
-			return *e
-		}
-	}
-	mw := dbmToMW(m.model.LinkBudget(o.from, m.slots[ts].id, o.pos, toPos).Received(o.txDBm))
-	if e != nil {
-		*e = mw
-	}
-	return mw
 }
 
 // prrFor returns the packet reception rate for a frame of n bytes at
@@ -790,6 +770,7 @@ func (m *Medium) report(t *transmission, to phys.NodeID, o DeliveryOutcome, caus
 // received power is the set's, unless the set went stale in flight.
 func (m *Medium) deliver(t *transmission) {
 	r := t.reach
+	m.resetView()
 	// Nodes excluded by the reachability floor can never demodulate the
 	// frame; they are counted in bulk, with no per-receiver outcome.
 	m.stats.BelowSensitivity += r.far
@@ -866,25 +847,82 @@ func (m *Medium) deliver(t *transmission) {
 	}
 }
 
-// scan returns the interference-plus-noise level in dBm at slot s over
-// the frames in its cell's ledger overlapping t, and whether any did.
-func (m *Medium) scan(t *transmission, s int32, noiseMW, noiseDBm float64) (inDBm float64, interfered bool) {
-	to, pos := m.grid.res[s], m.slots[s].pos
-	interfMW := 0.0
-	for _, o := range to.c.ledger {
-		if o == t || o.pruned || o.channel != t.channel || o.fromSlot == s {
+// interferer is one entry of a frame's interferer view from one cell: a
+// ledger entry overlapping the frame on its channel, and its
+// transmitter's memo row in that cell, or nil when the row may not be
+// used — the transmitter moved or detached since the entry was captured,
+// or the cell is outside its ring.
+type interferer struct {
+	o   *transmission
+	row *memoRow
+}
+
+// resetView invalidates every cell's interferer view. deliver resets
+// per frame, and so does every call that can purge a memo row,
+// reallocate a cell's rows or move a slot between cells, so a view never
+// holds a stale row pointer.
+func (m *Medium) resetView() { m.viewGen++ }
+
+// viewFor returns t's interferer view from cell c, gathering it on the
+// first scan in c since the last reset: c's ledger entries other than t
+// that overlap t in time on its channel, in ledger order, each with its
+// transmitter's memo row when that transmitter is still attached at the
+// position it transmitted from.
+func (m *Medium) viewFor(t *transmission, c *cell) []interferer {
+	if c.viewGen == m.viewGen {
+		return c.view
+	}
+	view := c.view[:0]
+	for _, o := range c.ledger {
+		if o == t || o.pruned || o.channel != t.channel || o.start >= t.end || o.end <= t.start {
 			continue
 		}
-		if o.start >= t.end || o.end <= t.start {
-			continue // no temporal overlap
+		var row *memoRow
+		if sl := &m.slots[o.fromSlot]; sl.rx != nil && sl.pos == o.pos {
+			row = m.memoRowFor(o.fromSlot, c, o.txDBm)
 		}
-		interfMW += m.interfMW(o, s, to, pos)
+		view = append(view, interferer{o: o, row: row})
+	}
+	c.view, c.viewGen = view, m.viewGen
+	return view
+}
+
+// scan returns the interference-plus-noise level in dBm at slot s over
+// t's interferer view from its cell, and whether any interferer other
+// than s itself overlapped t. A memo entry serves a repeated pair
+// without a budget or a math.Pow and holds exactly the value
+// recomputation gives; a row retagged for another frame of the same
+// transmitter at another power is bypassed.
+func (m *Medium) scan(t *transmission, s int32, noiseMW, noiseDBm float64) (inDBm float64, interfered bool) {
+	to := m.grid.res[s]
+	interfMW := 0.0
+	for _, e := range m.viewFor(t, to.c) {
+		o := e.o
+		if o.fromSlot == s {
+			continue
+		}
 		interfered = true
+		if e.row == nil || e.row.txDBm != o.txDBm {
+			interfMW += m.receivedMW(o, s)
+			continue
+		}
+		p := &e.row.mw[to.loc]
+		if math.IsNaN(*p) {
+			*p = m.receivedMW(o, s)
+		}
+		interfMW += *p
 	}
 	if interfMW == 0 {
 		return noiseDBm, interfered // noiseMW + 0 is exactly noiseMW
 	}
 	return mwToDBm(noiseMW + interfMW), interfered
+}
+
+// receivedMW computes the power of transmission o at slot s, where the
+// medium last placed it, in milliwatts.
+func (m *Medium) receivedMW(o *transmission, s int32) float64 {
+	sl := &m.slots[s]
+	return dbmToMW(m.model.LinkBudget(o.from, sl.id, o.pos, sl.pos).Received(o.txDBm))
 }
 
 // CaptureThresholdDB is the co-channel rejection of the receiver: when a

@@ -47,8 +47,6 @@ func (s State) String() string {
 
 // Hardware timing constants of the CC2420 / 802.15.4 2.4 GHz PHY.
 const (
-	// BitRate is the 802.15.4 2.4 GHz data rate in bits per second.
-	BitRate = 250_000
 	// ByteTime is the airtime of one byte at 250 kbps.
 	ByteTime = sim.Time(32_000) // 32 µs
 	// SymbolTime is one O-QPSK symbol period (16 µs).

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,76 +18,25 @@ import (
 	"liteview/internal/core"
 	"liteview/internal/diagnose"
 	"liteview/internal/fault"
+	"liteview/internal/liteos"
 	"liteview/internal/phys"
 	"liteview/internal/sim"
 	"liteview/internal/telemetry"
 	"liteview/internal/testbed"
 )
 
-// Resolver maps between node names, IDs, and shell paths.
-type Resolver interface {
-	// IDByName resolves an IP-convention node name.
-	IDByName(name string) (phys.NodeID, bool)
-	// Names lists all node names, sorted.
-	Names() []string
-	// PathOf returns the full shell path of a named node.
-	PathOf(name string) (string, bool)
-}
-
-// Locator is the optional Resolver extension the healthcheck command
-// needs: where to walk to reach each node.
-type Locator interface {
-	PosOf(name string) (phys.Position, bool)
-}
-
-// testbedResolver adapts a testbed to the Resolver interface.
-type testbedResolver struct{ tb *testbed.Testbed }
-
-func (r testbedResolver) IDByName(name string) (phys.NodeID, bool) {
-	n, ok := r.tb.ByName(name)
-	if !ok {
-		return 0, false
-	}
-	return n.ID(), true
-}
-
-func (r testbedResolver) Names() []string {
-	names := make([]string, 0, len(r.tb.Nodes))
-	for _, n := range r.tb.Nodes {
-		names = append(names, n.Name())
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (r testbedResolver) PathOf(name string) (string, bool) {
-	n, ok := r.tb.ByName(name)
-	if !ok {
-		return "", false
-	}
-	return n.Path(), true
-}
-
-func (r testbedResolver) PosOf(name string) (phys.Position, bool) {
-	n, ok := r.tb.ByName(name)
-	if !ok {
-		return phys.Position{}, false
-	}
-	return n.Position(), true
-}
-
 // Shell is one interactive management session.
 type Shell struct {
-	ws       *core.Workstation
-	resolver Resolver
-	out      io.Writer
-	cwd      string // "/" or a node path
-	curName  string // name of the node logged into, "" at the root
-	// inj drives the fault command; nil disables it.
+	ws      *core.Workstation
+	tb      *testbed.Testbed
+	out     io.Writer
+	cwd     string // "/" or a node path
+	curName string // name of the node logged into, "" at the root
+	// byName holds the testbed's nodes sorted by name, the order ls and
+	// healthcheck walk them in.
+	byName []*liteos.Node
+	// inj is the testbed's fault injector, which the fault command drives.
 	inj *fault.Injector
-	// tb enables the simulator-side observability commands (trace,
-	// stats medium/reset); nil on sessions built with New.
-	tb *testbed.Testbed
 	// writeErr latches the first output-write failure of the command in
 	// progress. With a network-backed writer a dead peer surfaces here,
 	// and Exec reports it instead of silently dropping output.
@@ -99,38 +49,20 @@ type Shell struct {
 // deployment, but its output never reached the user.
 var ErrWrite = errors.New("shell: session output write failed")
 
-// New creates a session writing output to out.
-func New(ws *core.Workstation, resolver Resolver, out io.Writer) (*Shell, error) {
-	if ws == nil || resolver == nil || out == nil {
+// NewForTestbed creates a session over a deployed testbed, with the
+// testbed's fault injector enabling the fault command.
+func NewForTestbed(tb *testbed.Testbed, ws *core.Workstation, out io.Writer) (*Shell, error) {
+	if tb == nil || ws == nil || out == nil {
 		return nil, errors.New("shell: nil dependency")
 	}
-	return &Shell{ws: ws, resolver: resolver, out: out, cwd: "/"}, nil
+	byName := slices.Clone(tb.Nodes)
+	slices.SortFunc(byName, func(a, b *liteos.Node) int { return strings.Compare(a.Name(), b.Name()) })
+	return &Shell{ws: ws, tb: tb, out: out, cwd: "/", byName: byName, inj: tb.FaultInjector()}, nil
 }
-
-// NewForTestbed creates a session over a deployed testbed. The session
-// gets the testbed's fault injector, enabling the fault command.
-func NewForTestbed(tb *testbed.Testbed, ws *core.Workstation, out io.Writer) (*Shell, error) {
-	s, err := New(ws, testbedResolver{tb}, out)
-	if err != nil {
-		return nil, err
-	}
-	s.inj = tb.FaultInjector()
-	s.tb = tb
-	return s, nil
-}
-
-// SetFaultInjector enables the fault command on a session built with New.
-func (s *Shell) SetFaultInjector(inj *fault.Injector) { s.inj = inj }
 
 // Telemetry returns the recorder of the session's deployment, creating
-// it on first use. Sessions built with New (no testbed) return nil —
-// callers must treat the result as optional.
-func (s *Shell) Telemetry() *telemetry.Recorder {
-	if s.tb == nil {
-		return nil
-	}
-	return s.tb.Telemetry()
-}
+// it on first use.
+func (s *Shell) Telemetry() *telemetry.Recorder { return s.tb.Telemetry() }
 
 // Cwd returns the current directory.
 func (s *Shell) Cwd() string { return s.cwd }
@@ -145,8 +77,11 @@ func (s *Shell) CurrentNode() (phys.NodeID, bool) {
 }
 
 func (s *Shell) mustID(name string) phys.NodeID {
-	id, _ := s.resolver.IDByName(name)
-	return id
+	n, ok := s.tb.ByName(name)
+	if !ok {
+		return 0
+	}
+	return n.ID()
 }
 
 // SetOutput redirects subsequent command output to w — the programmatic
@@ -270,9 +205,8 @@ func (s *Shell) help() {
 
 func (s *Shell) ls(args []string) error {
 	if s.curName == "" {
-		for _, name := range s.resolver.Names() {
-			path, _ := s.resolver.PathOf(name)
-			s.printf("%s\n", path)
+		for _, n := range s.byName {
+			s.printf("%s\n", n.Path())
 		}
 		return nil
 	}
@@ -313,11 +247,11 @@ func (s *Shell) cd(args []string) error {
 		parts := strings.Split(strings.Trim(target, "/"), "/")
 		name = parts[len(parts)-1]
 	}
-	path, ok := s.resolver.PathOf(name)
+	n, ok := s.tb.ByName(name)
 	if !ok {
 		return fmt.Errorf("shell: no such node %q", target)
 	}
-	s.cwd = path
+	s.cwd = n.Path()
 	s.curName = name
 	return nil
 }
@@ -332,8 +266,8 @@ func (s *Shell) node() (phys.NodeID, error) {
 
 // resolveTarget accepts a node name or a numeric ID.
 func (s *Shell) resolveTarget(arg string) (phys.NodeID, error) {
-	if id, ok := s.resolver.IDByName(arg); ok {
-		return id, nil
+	if n, ok := s.tb.ByName(arg); ok {
+		return n.ID(), nil
 	}
 	if v, err := strconv.Atoi(arg); err == nil && v > 0 && v < 0xFFFF {
 		return phys.NodeID(v), nil
@@ -473,7 +407,7 @@ func (s *Shell) traceroute(args []string) error {
 				s.printf("Hop %d: no reply\n", rep.Hop)
 				continue
 			}
-			s.printf("Reply from %s\n", s.nameOf(rep.From))
+			s.printf("Reply from %s\n", s.tb.NameOf(rep.From))
 			s.printf("RTT = %s ms, LQI = %d/%d, RSSI = %d/%d, Queue = %d/%d\n",
 				msStr(rep.RTT), rep.LQIFwd, rep.LQIBwd, rep.RSSIFwd, rep.RSSIBwd, rep.QFwd, rep.QBwd)
 		}
@@ -484,16 +418,6 @@ func (s *Shell) traceroute(args []string) error {
 		}
 	}
 	return nil
-}
-
-// nameOf renders a node ID as its name when known.
-func (s *Shell) nameOf(id phys.NodeID) string {
-	for _, name := range s.resolver.Names() {
-		if got, _ := s.resolver.IDByName(name); got == id {
-			return name
-		}
-	}
-	return fmt.Sprintf("node-%d", id)
 }
 
 func (s *Shell) neighborSetup(args []string) error {
@@ -591,21 +515,11 @@ func (s *Shell) logCmd(args []string) error {
 }
 
 // healthcheck walks the whole deployment with the workstation and
-// prints the diagnose report. It needs a Resolver that also locates
-// nodes (the testbed resolver does).
+// prints the diagnose report.
 func (s *Shell) healthcheck() error {
-	loc, ok := s.resolver.(Locator)
-	if !ok {
-		return errors.New("shell: this session's resolver cannot locate nodes for walking")
-	}
-	var targets []diagnose.Target
-	for _, name := range s.resolver.Names() {
-		id, _ := s.resolver.IDByName(name)
-		pos, ok := loc.PosOf(name)
-		if !ok {
-			continue
-		}
-		targets = append(targets, diagnose.Target{ID: id, Name: name, Pos: pos})
+	targets := make([]diagnose.Target, 0, len(s.byName))
+	for _, n := range s.byName {
+		targets = append(targets, diagnose.Target{ID: n.ID(), Name: n.Name(), Pos: n.Position()})
 	}
 	// One span covers the whole walk: every ping, traceroute, and
 	// neighbor query the diagnosis runs is stamped with it, so a trace
@@ -621,10 +535,8 @@ func (s *Shell) healthcheck() error {
 	s.printf("%s", rep)
 	// The walk leaves the operator at the last node; return to the
 	// current session node if one is selected.
-	if s.curName != "" {
-		if pos, ok := loc.PosOf(s.curName); ok {
-			s.ws.MoveTo(pos)
-		}
+	if n, ok := s.tb.ByName(s.curName); ok {
+		s.ws.MoveTo(n.Position())
 	}
 	return nil
 }
@@ -637,20 +549,16 @@ func (s *Shell) healthcheck() error {
 // needs it.
 func (s *Shell) health() error {
 	s.printf("suspect links:\n")
-	if s.tb == nil {
-		s.printf("  (no testbed attached; link view unavailable)\n")
-	} else {
-		count := 0
-		for _, n := range s.tb.Nodes {
-			for _, e := range n.SysNeighborTable().Suspects() {
-				s.printf("  %s -> %s: delivery=%.0f%% etx=%.1f\n",
-					n.Name(), s.nameOf(e.ID), e.Delivery*100, e.ETX())
-				count++
-			}
+	count := 0
+	for _, n := range s.tb.Nodes {
+		for _, e := range n.SysNeighborTable().Suspects() {
+			s.printf("  %s -> %s: delivery=%.0f%% etx=%.1f\n",
+				n.Name(), s.tb.NameOf(e.ID), e.Delivery*100, e.ETX())
+			count++
 		}
-		if count == 0 {
-			s.printf("  none\n")
-		}
+	}
+	if count == 0 {
+		s.printf("  none\n")
 	}
 	s.printf("command circuit breakers:\n")
 	brs := s.ws.Breakers()
@@ -659,7 +567,7 @@ func (s *Shell) health() error {
 		return nil
 	}
 	for _, b := range brs {
-		s.printf("  %s: %s, %d consecutive failure(s)", s.nameOf(b.Node), b.State, b.Fails)
+		s.printf("  %s: %s, %d consecutive failure(s)", s.tb.NameOf(b.Node), b.State, b.Fails)
 		if b.RetryIn > 0 {
 			s.printf(", probe in %v", time.Duration(b.RetryIn))
 		}
@@ -701,13 +609,11 @@ func (s *Shell) stats(args []string) error {
 		s.printf("  protocol %q (port %d): originated=%d forwarded=%d delivered=%d noroute=%d queuedrop=%d",
 			rt.Name, rt.Port, rt.Originated, rt.Forwarded, rt.Delivered, rt.NoRoute, rt.QueueDrops)
 		if rt.HasParent {
-			s.printf(" parent=%s cost=%.2f", s.nameOf(rt.Parent), float64(rt.CostCentile)/100)
+			s.printf(" parent=%s cost=%.2f", s.tb.NameOf(rt.Parent), float64(rt.CostCentile)/100)
 		}
 		s.printf("\n")
 	}
-	if s.tb != nil {
-		s.printMediumStats()
-	}
+	s.printMediumStats()
 	return nil
 }
 
@@ -721,9 +627,6 @@ func (s *Shell) printMediumStats() {
 
 // statsMedium prints the medium counters without needing a node login.
 func (s *Shell) statsMedium() error {
-	if s.tb == nil {
-		return errors.New("shell: this session has no testbed (medium stats unavailable)")
-	}
 	s.printf("medium counters:\n")
 	s.printMediumStats()
 	return nil
@@ -734,9 +637,6 @@ func (s *Shell) statsMedium() error {
 // table's link-estimator counters — one command returns the whole
 // observability surface to a clean baseline before an experiment.
 func (s *Shell) statsReset() error {
-	if s.tb == nil {
-		return errors.New("shell: this session has no testbed (stats reset unavailable)")
-	}
 	s.tb.Med.ResetStats()
 	for _, n := range s.tb.Nodes {
 		n.MAC().ResetStats()
@@ -754,9 +654,6 @@ func (s *Shell) statsReset() error {
 // [count]` prints the newest events as JSONL, `trace summary` prints
 // per-layer counts.
 func (s *Shell) trace(args []string) error {
-	if s.tb == nil {
-		return errors.New("shell: this session has no testbed (telemetry unavailable)")
-	}
 	if len(args) == 0 {
 		return errors.New("shell: usage: trace on|off|dump [count]|summary|spans")
 	}
@@ -830,7 +727,7 @@ func (s *Shell) survey() error {
 	sort.Ints(ids)
 	for _, id := range ids {
 		ri := got[phys.NodeID(id)]
-		s.printf("  %-14s power=%d channel=%d\n", s.nameOf(phys.NodeID(id)), ri.Power, ri.Channel)
+		s.printf("  %-14s power=%d channel=%d\n", s.tb.NameOf(phys.NodeID(id)), ri.Power, ri.Channel)
 	}
 	return nil
 }
@@ -868,9 +765,6 @@ func (s *Shell) power(args []string) error {
 // milliseconds: at=0 (the default) schedules the fault for the next
 // simulation step, for=0 makes it permanent.
 func (s *Shell) fault(args []string) error {
-	if s.inj == nil {
-		return errors.New("shell: this session has no fault injector")
-	}
 	if len(args) == 0 {
 		return errors.New("shell: usage: fault list|crash|blackout|degrade|corrupt|jam|partition ...")
 	}

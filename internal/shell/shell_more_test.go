@@ -86,7 +86,7 @@ func TestUpdatePeriodPropagates(t *testing.T) {
 
 func TestShellConstructorsValidate(t *testing.T) {
 	f := deployShell(t, 2, 5, 25)
-	if _, err := New(nil, testbedResolver{f.tb}, f.out); err == nil {
+	if _, err := NewForTestbed(f.tb, nil, f.out); err == nil {
 		t.Fatal("nil workstation accepted")
 	}
 }

@@ -205,6 +205,15 @@ func (tb *Testbed) ByID(id phys.NodeID) (*liteos.Node, bool) {
 	return tb.Nodes[id-1], true
 }
 
+// NameOf renders a node ID as its name, or as "node-<id>" when no node
+// of the deployment has that ID (the workstation, a stray address).
+func (tb *Testbed) NameOf(id phys.NodeID) string {
+	if n, ok := tb.ByID(id); ok {
+		return n.Name()
+	}
+	return fmt.Sprintf("node-%d", id)
+}
+
 // ByName resolves a node by its IP-convention name.
 func (tb *Testbed) ByName(name string) (*liteos.Node, bool) {
 	n, ok := tb.byName[name]

@@ -199,11 +199,11 @@ func TestFullTableRejectsStrangerZeroAlloc(t *testing.T) {
 }
 
 // TestGeographicNextHopZeroAlloc pins greedy geographic forwarding's
-// next-hop choice on a full neighbor table: the router reads the
-// table's usable view into a buffer it keeps, so choosing a hop for a
-// forwarded or originated packet does not allocate. Two neighbors tie
-// for the most progress; the lower ID wins, as in ID order it comes
-// first.
+// next-hop choice on a full neighbor table: the router walks the
+// table's usable entries in place, and the walk's closure does not
+// escape, so choosing a hop for a forwarded or originated packet does
+// not allocate. Two neighbors tie for the most progress; the lower ID
+// wins, as in ID order it comes first.
 func TestGeographicNextHopZeroAlloc(t *testing.T) {
 	p := buildFramePath(t, false)
 	table := neighbor.NewTable(neighbor.DefaultCapacity)

@@ -8,12 +8,16 @@ import (
 
 // EventLog is LiteOS's on-demand logging of internal events: a small
 // ring buffer a user enables only when debugging, so it costs nothing
-// in the common case. The buffer is circular — appends are O(1) and
-// memory stays flat at the configured capacity no matter how long the
-// node runs.
+// in the common case: the ring is allocated on the first Enable, and a
+// log never enabled holds no buffer. The buffer is circular — appends
+// are O(1) and memory stays flat at the configured capacity no matter
+// how long the node runs.
 type EventLog struct {
 	enabled bool
-	buf     []LogEntry
+	// capacity is the ring's size in entries; buf is nil until the
+	// first Enable, then exactly capacity long.
+	capacity int
+	buf      []LogEntry
 	// head indexes the oldest entry; n is the number of live entries.
 	head    int
 	n       int
@@ -43,11 +47,16 @@ func NewEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = eventLogCap
 	}
-	return &EventLog{buf: make([]LogEntry, capacity)}
+	return &EventLog{capacity: capacity}
 }
 
-// Enable turns logging on.
-func (l *EventLog) Enable() { l.enabled = true }
+// Enable turns logging on, allocating the ring the first time.
+func (l *EventLog) Enable() {
+	if l.buf == nil {
+		l.buf = make([]LogEntry, l.capacity)
+	}
+	l.enabled = true
+}
 
 // Disable turns logging off without clearing recorded entries.
 func (l *EventLog) Disable() { l.enabled = false }
@@ -56,7 +65,7 @@ func (l *EventLog) Disable() { l.enabled = false }
 func (l *EventLog) Enabled() bool { return l.enabled }
 
 // Cap returns the ring's capacity in entries.
-func (l *EventLog) Cap() int { return len(l.buf) }
+func (l *EventLog) Cap() int { return l.capacity }
 
 // Len returns the number of recorded entries.
 func (l *EventLog) Len() int { return l.n }

@@ -84,3 +84,24 @@ func TestEventLogCapConfig(t *testing.T) {
 		t.Fatalf("default cap = %d, want 64", d.Log().Cap())
 	}
 }
+
+// TestEventLogAllocatesOnEnable checks that a log nobody enables holds
+// no ring, and that the first Enable allocates it at the configured
+// capacity.
+func TestEventLogAllocatesOnEnable(t *testing.T) {
+	l := NewEventLog(8)
+	l.Append(time.Second, "t", "dropped while disabled")
+	if l.buf != nil || l.Cap() != 8 {
+		t.Fatalf("disabled log: buf len %d, Cap %d; want no buffer, Cap 8", len(l.buf), l.Cap())
+	}
+	l.Enable()
+	l.Disable()
+	l.Enable()
+	if len(l.buf) != 8 {
+		t.Fatalf("enabled log: buf len %d, want 8", len(l.buf))
+	}
+	l.Append(time.Second, "t", "kept")
+	if es := l.Entries(); len(es) != 1 || es[0].Msg != "kept" {
+		t.Fatalf("entries = %v", es)
+	}
+}

@@ -219,3 +219,27 @@ func TestMarkSuspectDirect(t *testing.T) {
 		t.Fatal("clear did not stick")
 	}
 }
+
+// TestFailStreakSaturates checks that a failure streak far past the
+// fail counter's range keeps the link suspect without marking it again,
+// and that after one ack it takes SuspectAfter fresh failures to mark
+// it once more.
+func TestFailStreakSaturates(t *testing.T) {
+	tab := NewTable(4)
+	tab.Observe(7, 100, -10, time.Second)
+	marks := 0
+	for i := 0; i < 1000; i++ {
+		if tab.ObserveTxResult(7, false, time.Second) {
+			marks++
+		}
+	}
+	if e, _ := tab.Get(7); marks != 1 || !e.Suspect || e.consecFails != math.MaxUint8 {
+		t.Fatalf("after 1000 failures: %d marks, suspect %v, fails %d; want 1, true, 255", marks, e.Suspect, e.consecFails)
+	}
+	tab.ObserveTxResult(7, true, time.Second)
+	for i := 1; i <= SuspectAfter; i++ {
+		if became := tab.ObserveTxResult(7, false, time.Second); became != (i == SuspectAfter) {
+			t.Fatalf("failure %d after an ack: became suspect %v", i, became)
+		}
+	}
+}

@@ -142,7 +142,6 @@ func TestUsableViewHoldsBestNeighbors(t *testing.T) {
 		lqi, rssi int
 	}
 	hits, want := 0, 0
-	var view []neighbor.Entry
 	for _, n := range tb.Nodes {
 		var links []link
 		for _, m := range tb.Nodes {
@@ -155,10 +154,11 @@ func TestUsableViewHoldsBestNeighbors(t *testing.T) {
 		slices.SortFunc(links, func(a, b link) int {
 			return cmp.Or(cmp.Compare(b.lqi, a.lqi), cmp.Compare(b.rssi, a.rssi))
 		})
-		view = n.SysNeighborTable().AppendUsable(view[:0])
+		usable := make(map[phys.NodeID]bool)
+		n.SysNeighborTable().EachUsable(func(e *neighbor.Entry) { usable[e.ID] = true })
 		for _, l := range links[:neighbor.DefaultCapacity] {
 			want++
-			if slices.ContainsFunc(view, func(e neighbor.Entry) bool { return e.ID == l.id }) {
+			if usable[l.id] {
 				hits++
 			}
 		}

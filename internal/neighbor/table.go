@@ -14,17 +14,18 @@ package neighbor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"liteview/internal/phys"
 	"liteview/internal/sim"
 )
 
-// Entry is one neighbor record. Sizes are kept small deliberately: a
-// MicaZ kernel stores these in a few bytes each.
+// Entry is one neighbor record: 64 bytes, with the fields ordered
+// largest first so none is padded. A MicaZ kernel would keep LQI and
+// RSSI in a byte or two each; the four EWMAs stay float64 here, because
+// a mote's fixed point rounds differently and so would change outputs.
 type Entry struct {
-	// ID is the neighbor's short address.
-	ID phys.NodeID
 	// Name is the IP-convention node name learned from beacons
 	// (e.g. "192.168.0.2"); empty until a beacon is heard.
 	Name string
@@ -40,19 +41,22 @@ type Entry struct {
 	// failures). It starts optimistic at 1 and, unlike the beacon-driven
 	// PRR, reacts within a few lost frames.
 	Delivery float64
+	// LastHeard is the virtual time of the most recent frame.
+	LastHeard sim.Time
+	// ID is the neighbor's short address.
+	ID phys.NodeID
+	// lastBeaconSeq supports gap-based PRR estimation.
+	lastBeaconSeq uint16
 	// Suspect marks a link penalized by SuspectAfter consecutive failed
 	// unicasts. Routing protocols deprioritize suspect next hops; the
 	// flag clears on the next acknowledged delivery.
 	Suspect bool
-	// LastHeard is the virtual time of the most recent frame.
-	LastHeard sim.Time
 	// Blacklisted marks the neighbor disabled for protocol use.
 	Blacklisted bool
-	// lastBeaconSeq supports gap-based PRR estimation.
-	lastBeaconSeq uint16
-	seenBeacon    bool
-	// consecFails counts consecutive failed unicasts toward Suspect.
-	consecFails int
+	seenBeacon  bool
+	// consecFails counts consecutive failed unicasts toward Suspect. It
+	// saturates at 255; it is only ever compared with SuspectAfter.
+	consecFails uint8
 }
 
 // ETX returns the expected-transmissions cost of the link: the inverse
@@ -104,11 +108,12 @@ type EstimatorStats struct {
 type Table struct {
 	// rows holds at most cap entries in no particular order; an entry
 	// keeps its row until it is removed, so eviction overwrites a row in
-	// place instead of moving entries.
+	// place instead of moving entries. rows and keys are allocated at
+	// capacity by NewTable and never grow.
 	rows []Entry
 	// keys indexes rows sorted by ID, so every view is walked in display
 	// order. Each key copies the fields the per-frame lookup and the
-	// expiry sweep read, in a sixth of an Entry.
+	// expiry sweep read, in a quarter of an Entry.
 	keys []key
 	cap  int
 	// weak is the row of the weakest unpinned entry (see below), or -1
@@ -133,7 +138,8 @@ func NewTable(capacity int) *Table {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Table{cap: capacity, weak: -1}
+	return &Table{rows: make([]Entry, 0, capacity), keys: make([]key, 0, capacity),
+		cap: capacity, weak: -1}
 }
 
 // find returns the index of id's entry, or where it would be inserted.
@@ -196,7 +202,8 @@ func (t *Table) Capacity() int { return t.cap }
 // replaces the weakest unpinned entry only if its (LQI, RSSI) beats
 // that entry's EWMAs, LQI first. Otherwise Observe returns nil and the
 // frame changes nothing. The returned entry is the table's own, valid
-// until its neighbor is evicted or removed.
+// until its neighbor is evicted or removed: the rows never move, as
+// they are allocated at capacity.
 func (t *Table) Observe(id phys.NodeID, lqi int, rssi int, now sim.Time) *Entry {
 	i, ok := t.find(id)
 	if ok {
@@ -318,7 +325,9 @@ func (t *Table) ObserveTxResult(id phys.NodeID, ok bool, now sim.Time) (becameSu
 	if e.Delivery < minDelivery {
 		e.Delivery = minDelivery
 	}
-	e.consecFails++
+	if e.consecFails < math.MaxUint8 {
+		e.consecFails++
+	}
 	if e.consecFails >= SuspectAfter && !e.Suspect {
 		e.Suspect = true
 		t.est.SuspectMarks++
@@ -414,17 +423,15 @@ func (t *Table) Entries() []Entry {
 	return out
 }
 
-// AppendUsable appends the non-blacklisted entries, sorted by ID, to dst
-// and returns the extended slice; this is the view routing protocols
-// consume. A caller that passes back its own buffer reads the view
-// without allocating.
-func (t *Table) AppendUsable(dst []Entry) []Entry {
+// EachUsable calls fn with each non-blacklisted entry, in place, in ID
+// order; this is the view routing protocols consume, read without a
+// copy. fn must not change the table.
+func (t *Table) EachUsable(fn func(*Entry)) {
 	for _, k := range t.keys {
 		if !k.pinned {
-			dst = append(dst, t.rows[k.row])
+			fn(&t.rows[k.row])
 		}
 	}
-	return dst
 }
 
 // Blacklist sets or clears the disabled flag on a neighbor. The entry

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"liteview/internal/phys"
 	"liteview/internal/sim"
@@ -127,7 +128,7 @@ func TestBlacklistLifecycle(t *testing.T) {
 	if !tab.IsBlacklisted(5) {
 		t.Fatal("not blacklisted")
 	}
-	if n := len(tab.AppendUsable(nil)); n != 0 {
+	if n := len(usable(tab)); n != 0 {
 		t.Fatalf("usable = %d", n)
 	}
 	if err := tab.Blacklist(5, false); err != nil {
@@ -136,9 +137,42 @@ func TestBlacklistLifecycle(t *testing.T) {
 	if tab.IsBlacklisted(5) {
 		t.Fatal("still blacklisted")
 	}
-	if n := len(tab.AppendUsable(nil)); n != 1 {
+	if n := len(usable(tab)); n != 1 {
 		t.Fatalf("usable = %d", n)
 	}
+}
+
+// usable copies the table's usable view, in walk order.
+func usable(t *Table) []Entry {
+	var out []Entry
+	t.EachUsable(func(e *Entry) { out = append(out, *e) })
+	return out
+}
+
+// TestEntriesStayInPlace checks that a table holds 64-byte rows at
+// capacity from the start, so filling it does not reallocate: the entry
+// Observe returned first is still the table's own when the table is
+// full, and the usable walk hands out those same entries.
+func TestEntriesStayInPlace(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 64 {
+		t.Fatalf("Entry is %d bytes, want 64", got)
+	}
+	tab := NewTable(DefaultCapacity)
+	first := tab.Observe(1, 100, -10, time.Second)
+	for id := phys.NodeID(2); id <= DefaultCapacity; id++ {
+		tab.Observe(id, 100, -10, time.Second)
+	}
+	if cap(tab.rows) != DefaultCapacity || cap(tab.keys) != DefaultCapacity {
+		t.Fatalf("rows/keys capacity %d/%d, want %d", cap(tab.rows), cap(tab.keys), DefaultCapacity)
+	}
+	if first != tab.lookup(1) {
+		t.Fatal("filling the table moved node 1's entry")
+	}
+	tab.EachUsable(func(e *Entry) {
+		if e != tab.lookup(e.ID) {
+			t.Fatalf("usable walk handed out a copy of %d", e.ID)
+		}
+	})
 }
 
 func TestEntriesSorted(t *testing.T) {
@@ -259,11 +293,11 @@ func TestTableInvariantsProperty(t *testing.T) {
 // runTableModel drives the table and a plain slice model with the same
 // observations, blacklisting, acks, removals and expiries, and requires
 // the same admission verdict for every observation and identical views
-// after every step: the compact key index, the cached weakest entry and
-// the row reuse on eviction and removal must not change which entries
-// survive or what they hold. Each op picks the operation (low 3 bits),
-// the neighbor (bits 8-11) and the link (bits 16-22, a few values each,
-// so ranks tie).
+// and usable walks after every step: the compact key index, the cached
+// weakest entry and the row reuse on eviction and removal must not
+// change which entries survive or what they hold. Each op picks the
+// operation (low 3 bits), the neighbor (bits 8-11) and the link (bits
+// 16-22, a few values each, so ranks tie).
 func runTableModel(t *testing.T, ops []uint32) {
 	const capacity = 6
 	tab := NewTable(capacity)
@@ -334,6 +368,10 @@ func runTableModel(t *testing.T, ops []uint32) {
 		slices.SortFunc(want, func(a, b Entry) int { return int(a.ID) - int(b.ID) })
 		if got := tab.Entries(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d (op %d): table %+v, model %+v", step, op%8, got, want)
+		}
+		want = slices.DeleteFunc(want, func(e Entry) bool { return e.Blacklisted })
+		if got := usable(tab); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (op %d): usable walk %+v, model %+v", step, op%8, got, want)
 		}
 	}
 }

@@ -27,8 +27,6 @@ type geographic struct {
 	table   *neighbor.Table
 	locator Locator
 	minLQI  float64
-	// usable is nextHop's reused copy of the table's usable view.
-	usable []neighbor.Entry
 }
 
 // NewGeographic attaches greedy geographic forwarding to st on
@@ -76,22 +74,20 @@ func (g *geographic) nextHop(p *stack.Packet) (phys.NodeID, error) {
 	fallbackLQI := -1.0
 	suspect := phys.NodeID(0)
 	suspectDel := -1.0
-	g.usable = g.table.AppendUsable(g.usable[:0])
-	for i := range g.usable {
-		e := &g.usable[i]
+	g.table.EachUsable(func(e *neighbor.Entry) {
 		pos, ok := g.locator(e.ID)
 		if !ok {
-			continue
+			return
 		}
 		d := pos.Distance(dstPos)
 		if d >= selfDist {
-			continue // no progress
+			return // no progress
 		}
 		if e.Suspect {
 			if e.Delivery > suspectDel {
 				suspect, suspectDel = e.ID, e.Delivery
 			}
-			continue
+			return
 		}
 		if g.minLQI <= 0 || e.LQI >= g.minLQI {
 			if d < bestDist {
@@ -100,7 +96,7 @@ func (g *geographic) nextHop(p *stack.Packet) (phys.NodeID, error) {
 		} else if e.LQI > fallbackLQI {
 			fallback, fallbackLQI = e.ID, e.LQI
 		}
-	}
+	})
 	if found {
 		return best, nil
 	}

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // Rand is a small, fast, deterministic random stream based on
 // splitmix64. The simulation cannot use math/rand's global state: every
 // model component forks its own stream so that the packet-level trace of
@@ -9,9 +7,6 @@ import "math"
 // in which unrelated components happen to draw.
 type Rand struct {
 	state uint64
-	// spare holds a cached second normal deviate from Box-Muller.
-	spare    float64
-	hasSpare bool
 }
 
 // NewRand returns a stream seeded with seed. Seed zero is valid.
@@ -62,37 +57,6 @@ func (r *Rand) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// NormFloat64 returns a standard normal deviate (Box-Muller transform).
-func (r *Rand) NormFloat64() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
-	}
-	var u, v, s float64
-	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
-		if s > 0 && s < 1 {
-			break
-		}
-	}
-	m := math.Sqrt(-2 * math.Log(s) / s)
-	r.spare = v * m
-	r.hasSpare = true
-	return u * m
-}
-
-// ExpFloat64 returns an exponential deviate with mean 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
 }
 
 // Jitter returns a uniform duration in [0, max). A non-positive max

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -104,38 +103,6 @@ func TestBoolEdges(t *testing.T) {
 	}
 	if trues < 4500 || trues > 5500 {
 		t.Fatalf("Bool(0.5) true-rate = %d/10000", trues)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRand(6)
-	n := 50000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if math.Abs(mean) > 0.05 {
-		t.Fatalf("normal mean = %f", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance = %f", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRand(8)
-	n := 50000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-1) > 0.05 {
-		t.Fatalf("exponential mean = %f", mean)
 	}
 }
 

@@ -163,6 +163,52 @@ func TestBeaconReceptionZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestLPLDutyCycleZeroAlloc pins the LPL duty cycle: each run, a
+// duty-cycled receiver wakes into a broadcast's repeats, lingers, jumps
+// its sleep checks past the linger and sleeps again, and the sender
+// wakes to transmit and sleeps after its repeats, all without
+// allocating.
+func TestLPLDutyCycleZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine(3)
+	med := medium.New(eng, phys.DefaultModel(3))
+	cfg := mac.DefaultConfig()
+	cfg.LPL = true
+	heard := 0
+	var macs []*mac.MAC
+	for i, x := range []float64{0, 5} {
+		rad, err := radio.New(17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := mac.New(eng, med, rad, phys.NodeID(i+1), phys.Position{X: x}, cfg,
+			func(mac.Frame, medium.RxInfo) { heard++ })
+		if err != nil {
+			t.Fatal(err)
+		}
+		macs = append(macs, m)
+	}
+	payload := make([]byte, 32)
+	cycle := func() {
+		f := mac.Frame{Type: mac.TypeData, Dst: phys.Broadcast, Payload: payload}
+		if err := macs[0].Send(f, nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(eng.Now() + 3*mac.SleepInterval)
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	before := heard
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Fatalf("LPL duty cycle allocates %.1f allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun runs the cycle once more to warm up.
+	if got := heard - before; got != runs+1 {
+		t.Fatalf("receiver heard %d of %d broadcasts", got, runs+1)
+	}
+}
+
 // TestFullTableRejectsStrangerZeroAlloc pins the reject path of a full
 // neighbor table: node 2's table is full of links node 1's beacons
 // cannot beat (LQI 110 and the largest RSSI register value), so every

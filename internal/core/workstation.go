@@ -172,15 +172,14 @@ func (w *Workstation) onMessage(from phys.NodeID, payload []byte, _ medium.RxInf
 // pump advances the simulation until the deadline passes, or — when
 // early is true — until the collector reports done.
 func (w *Workstation) pump(deadline sim.Time, c *collector, early bool) {
-	for {
-		if early && c != nil && c.done {
-			return
-		}
+	if !early || c == nil {
+		w.eng.RunUntil(deadline)
+		return
+	}
+	for !c.done {
 		t, ok := w.eng.NextEventTime()
 		if !ok || t > deadline {
-			if deadline > w.eng.Now() {
-				w.eng.RunUntil(deadline)
-			}
+			w.eng.RunUntil(deadline) // only moves the clock to deadline
 			return
 		}
 		w.eng.Step()

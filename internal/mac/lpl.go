@@ -48,11 +48,30 @@ func (m *MAC) lplBusy() bool {
 		m.eng.Now() < m.lingerUntil || m.rad.State() == radio.TX
 }
 
+// lplJump is a sleep check moved past the linger to the first tick of
+// its WakeWindow grid that can succeed. queued means its event is still
+// in the engine; live that Reset has not put it back on its grid since.
+// A MAC keeps its jumps for reuse, so jumping does not allocate.
+type lplJump struct {
+	due          sim.Time
+	queued, live bool
+}
+
 // lplMaybeSleep starts a sleep period if nothing needs the radio; it
-// re-checks shortly otherwise.
+// re-checks one WakeWindow later otherwise. A node inside its linger is
+// busy at every tick before lingerUntil, and lingerUntil only grows
+// until Reset, so such a check jumps straight to the first tick at or
+// past it: the node sleeps at the same instant, without the checks in
+// between.
 func (m *MAC) lplMaybeSleep() {
 	if !m.cfg.LPL || m.rad.State() == radio.Off {
 		return
+	}
+	if now := m.eng.Now(); now < m.lingerUntil {
+		if k := (m.lingerUntil - now + WakeWindow - 1) / WakeWindow; k > 1 {
+			m.lplJumpTo(now + k*WakeWindow)
+			return
+		}
 	}
 	if m.lplBusy() {
 		m.eng.After(WakeWindow, m.lplSleepCb)
@@ -61,6 +80,50 @@ func (m *MAC) lplMaybeSleep() {
 	m.rad.SetState(radio.Off)
 	m.lplSleeping = true
 	m.eng.After(SleepInterval-WakeWindow, m.lplWakeCb)
+}
+
+// lplJumpTo schedules a jumped sleep check at due.
+func (m *MAC) lplJumpTo(due sim.Time) {
+	var j *lplJump
+	for _, f := range m.lplJumps {
+		if !f.queued {
+			j = f
+			break
+		}
+	}
+	if j == nil {
+		j = &lplJump{}
+		m.lplJumps = append(m.lplJumps, j)
+	}
+	j.due, j.queued, j.live = due, true, true
+	m.eng.AfterArg(due-m.eng.Now(), m.lplJumpCb, j)
+}
+
+// lplJumped runs a jumped sleep check unless Reset has put it back on
+// its grid meanwhile.
+func (m *MAC) lplJumped(a any) {
+	j := a.(*lplJump)
+	j.queued = false
+	if j.live {
+		j.live = false
+		m.lplMaybeSleep()
+	}
+}
+
+// lplResetJumps puts every live jump back on the first tick of its
+// grid after now. Reset clears the linger the jump relied on, so the
+// skipped ticks can succeed again: a node crashed and rebooted before
+// that tick resumes the chain of checks it had, and one still dead
+// ends it there.
+func (m *MAC) lplResetJumps() {
+	now := m.eng.Now()
+	for _, j := range m.lplJumps {
+		if j.live {
+			j.live = false
+			next := j.due - (j.due-now-1)/WakeWindow*WakeWindow
+			m.eng.After(next-now, m.lplSleepCb)
+		}
+	}
 }
 
 // lplWake opens the listen window.

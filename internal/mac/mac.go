@@ -185,6 +185,8 @@ type MAC struct {
 	// LPL duty-cycle state.
 	lplSleeping bool
 	lingerUntil sim.Time
+	lplJumpCb   func(any)
+	lplJumps    []*lplJump
 	// dup suppresses redelivery of retransmitted frames (802.15.4
 	// receivers track the last sequence number per source).
 	dup sim.Recent[phys.NodeID, byte]
@@ -232,6 +234,7 @@ func New(eng *sim.Engine, med *medium.Medium, rad *radio.Radio, id phys.NodeID, 
 	m.ackDoneCb = m.ackDone
 	m.lplSleepCb = m.lplMaybeSleep
 	m.lplWakeCb = m.lplWake
+	m.lplJumpCb = m.lplJumped
 	if err := med.Attach(m); err != nil {
 		return nil, err
 	}
@@ -317,6 +320,7 @@ func (m *MAC) Reset() {
 	m.dup.Reset()
 	m.lplSleeping = false
 	m.lingerUntil = 0
+	m.lplResetJumps()
 }
 
 // Boot re-primes the MAC after a reboot; today that means restarting

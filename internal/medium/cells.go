@@ -93,6 +93,9 @@ type grid struct {
 	// farther apart than ring are provably out of RF reach.
 	ring  int
 	cells map[cellKey]*cell
+	// all lists the cells in creation order, for whole-grid sweeps: a
+	// slice walk instead of a map iteration on every prune.
+	all []*cell
 	// res is indexed by attach slot.
 	res     []residence
 	nextSeq uint64
@@ -117,8 +120,8 @@ func (m *Medium) partition(size float64) {
 	for _, t := range m.active {
 		t.origin = m.keyFor(t.pos)
 	}
-	for key, c := range g.cells {
-		c.ledger = m.ledgerFor(key)
+	for _, c := range g.all {
+		c.ledger = m.ledgerFor(c.key)
 	}
 	for s := range m.reach {
 		m.dropReach(int32(s))
@@ -193,6 +196,7 @@ func (g *grid) place(s int32, key cellKey) (fresh bool) {
 		w := 2*g.ring + 1
 		c = &cell{key: key, rows: make([][]memoRow, w*w)}
 		g.cells[key] = c
+		g.all = append(g.all, c)
 		fresh = true
 	}
 	// Insert keeping attach order: appends are the common case (fresh

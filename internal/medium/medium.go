@@ -315,8 +315,9 @@ type Medium struct {
 	slotOf map[phys.NodeID]int32
 	order  []int32 // attached slots in attach order
 	// active holds transmissions that may still overlap a frame in
-	// flight; pruned lazily.
-	active []*transmission
+	// flight; pruned lazily, at most once per instant (prunedAt).
+	active   []*transmission
+	prunedAt sim.Time
 	// txPool recycles transmission structs (and their frame buffers)
 	// once prune retires them: a pruned transmission's delivery has
 	// fired and nothing below the medium may retain the shared frame
@@ -424,6 +425,8 @@ func New(eng *sim.Engine, model *phys.Model) *Medium {
 		rng:    eng.Rand().Fork("medium"),
 		slotOf: make(map[phys.NodeID]int32),
 		links:  make(map[uint32]*linkKeys),
+		// No prune has run yet; the clock starts at 0.
+		prunedAt: -1,
 	}
 	m.deliverCb = m.deliverEvent
 	m.partition(math.Inf(1))
@@ -548,6 +551,13 @@ func (m *Medium) ResetStats() { m.stats = Stats{} }
 // transmissions, not at a fixed distance behind now.
 func (m *Medium) prune() {
 	now := m.eng.Now()
+	// A second call at the same instant prunes nothing new: whatever was
+	// transmitted since ends after now and can only lower minStart. An
+	// LPL copy meets this twice, at its CCA and at its Transmit.
+	if now == m.prunedAt {
+		return
+	}
+	m.prunedAt = now
 	// minStart is the earliest start among transmissions whose delivery
 	// has not fired yet (delivery fires at t.end, so t.end >= now).
 	minStart := sim.Time(math.MaxInt64)
@@ -579,7 +589,7 @@ func (m *Medium) prune() {
 		// Compact every cell ledger. The keep filter is per-transmission
 		// (the pruned flag), so ledgers can be filtered independently of
 		// the global list and of one another.
-		for _, c := range m.grid.cells {
+		for _, c := range m.grid.all {
 			kl := c.ledger[:0]
 			for _, t := range c.ledger {
 				if !t.pruned {

@@ -1,6 +1,6 @@
 // Package cli holds the deployment-construction logic shared by the
-// command-line tools (liteview, lvtopo, lvdiag): one flag set, one
-// builder, identical semantics everywhere.
+// command-line tools (liteview, lvtopo, lvtrace, lvserved): one flag
+// set, one builder, identical semantics everywhere.
 package cli
 
 import (
@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"time"
 
-	"liteview/internal/diagnose"
 	"liteview/internal/routing"
 	"liteview/internal/testbed"
 )
@@ -90,13 +89,4 @@ func (d *DeploymentFlags) BuildManaged() (*testbed.Testbed, error) {
 	}
 	tb.WarmUp(d.Warmup)
 	return tb, nil
-}
-
-// Targets lists every node as a diagnose walk target.
-func Targets(tb *testbed.Testbed) []diagnose.Target {
-	out := make([]diagnose.Target, 0, len(tb.Nodes))
-	for _, n := range tb.Nodes {
-		out = append(out, diagnose.Target{ID: n.ID(), Name: n.Name(), Pos: n.Position()})
-	}
-	return out
 }

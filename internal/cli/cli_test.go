@@ -80,10 +80,6 @@ func TestBuildManaged(t *testing.T) {
 	if _, ok := tb.Router(10, 1); !ok {
 		t.Fatal("geographic forwarding missing")
 	}
-	tgts := Targets(tb)
-	if len(tgts) != 3 || tgts[2].Name != "192.168.0.3" {
-		t.Fatalf("targets = %+v", tgts)
-	}
 }
 
 func TestLPLFlag(t *testing.T) {

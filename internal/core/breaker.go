@@ -166,18 +166,6 @@ type BreakerInfo struct {
 	RetryIn sim.Time
 }
 
-// ConfigureBreaker tunes the command circuit breaker. threshold <= 0
-// disables it entirely; cooldown <= 0 keeps the current cooldown.
-func (w *Workstation) ConfigureBreaker(threshold int, cooldown sim.Time) {
-	w.breakerThreshold = threshold
-	if cooldown > 0 {
-		w.breakerCooldown = cooldown
-	}
-	if threshold <= 0 {
-		w.breakers = make(map[phys.NodeID]*Breaker)
-	}
-}
-
 // Breakers reports every node with a non-closed breaker or a non-zero
 // failure streak, sorted by node ID.
 func (w *Workstation) Breakers() []BreakerInfo {
@@ -206,11 +194,11 @@ func breakerInfo(node phys.NodeID, b *Breaker) BreakerInfo {
 }
 
 // nodeBreaker returns node's breaker, creating it on first use with the
-// workstation's current tuning and virtual clock.
+// default tuning and the workstation's virtual clock.
 func (w *Workstation) nodeBreaker(node phys.NodeID) *Breaker {
 	b, ok := w.breakers[node]
 	if !ok {
-		b = &Breaker{Threshold: w.breakerThreshold, Cooldown: w.breakerCooldown, Now: w.eng.Now}
+		b = &Breaker{Threshold: DefaultBreakerThreshold, Cooldown: DefaultBreakerCooldown, Now: w.eng.Now}
 		w.breakers[node] = b
 	}
 	return b
@@ -219,9 +207,6 @@ func (w *Workstation) nodeBreaker(node phys.NodeID) *Breaker {
 // breakerAllow gates one command (see Breaker.Allow), tagging the
 // rejection with the node it protects.
 func (w *Workstation) breakerAllow(node phys.NodeID) error {
-	if w.breakerThreshold <= 0 {
-		return nil
-	}
 	b, ok := w.breakers[node]
 	if !ok {
 		return nil
@@ -238,9 +223,6 @@ func (w *Workstation) breakerAllow(node phys.NodeID) error {
 // published to telemetry so a live fleet view can mark nodes whose
 // management link the interpreter has given up on.
 func (w *Workstation) breakerRecord(node phys.NodeID, ok bool) {
-	if w.breakerThreshold <= 0 {
-		return
-	}
 	if ok {
 		if b, exists := w.breakers[node]; exists {
 			if b.State() != BreakerClosed {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"liteview/internal/phys"
 	"liteview/internal/sim"
@@ -12,14 +11,12 @@ import (
 
 // breakerBench builds a Workstation with just enough wiring for the
 // breaker state machine: an engine for the virtual clock and the breaker
-// fields themselves. No radio is needed — the breaker sits entirely in
-// front of the transmit path.
-func breakerBench(threshold int, cooldown sim.Time) *Workstation {
+// table. No radio is needed — the breaker sits entirely in front of the
+// transmit path.
+func breakerBench() *Workstation {
 	return &Workstation{
-		eng:              sim.NewEngine(1),
-		breakers:         make(map[phys.NodeID]*Breaker),
-		breakerThreshold: threshold,
-		breakerCooldown:  cooldown,
+		eng:      sim.NewEngine(1),
+		breakers: make(map[phys.NodeID]*Breaker),
 	}
 }
 
@@ -29,18 +26,18 @@ func advance(w *Workstation, d sim.Time) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	w := breakerBench(3, sim.Time(2*time.Second))
+	w := breakerBench()
 	// Closed: everything flows; failures below the threshold keep it so.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultBreakerThreshold-1; i++ {
 		if err := w.breakerAllow(7); err != nil {
 			t.Fatalf("closed breaker rejected command: %v", err)
 		}
 		w.breakerRecord(7, false)
 	}
-	if st := w.BreakerFor(7); st.State != BreakerClosed || st.Fails != 2 {
-		t.Fatalf("after 2 failures: %+v", st)
+	if st := w.BreakerFor(7); st.State != BreakerClosed || st.Fails != DefaultBreakerThreshold-1 {
+		t.Fatalf("after %d failures: %+v", DefaultBreakerThreshold-1, st)
 	}
-	// Third consecutive failure opens it.
+	// The threshold-th consecutive failure opens it.
 	w.breakerRecord(7, false)
 	if st := w.BreakerFor(7); st.State != BreakerOpen {
 		t.Fatalf("after threshold: %+v", st)
@@ -53,7 +50,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("breaker bled across nodes: %v", err)
 	}
 	// Cooldown elapsed: one half-open probe is admitted.
-	advance(w, sim.Time(2*time.Second))
+	advance(w, DefaultBreakerCooldown)
 	if err := w.breakerAllow(7); err != nil {
 		t.Fatalf("half-open probe rejected: %v", err)
 	}
@@ -66,7 +63,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("after failed probe: %+v", st)
 	}
 	// Next probe succeeds: the breaker closes and the entry is gone.
-	advance(w, sim.Time(2*time.Second))
+	advance(w, DefaultBreakerCooldown)
 	if err := w.breakerAllow(7); err != nil {
 		t.Fatalf("second probe rejected: %v", err)
 	}
@@ -79,8 +76,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-func TestBreakerListSortedAndConfigurable(t *testing.T) {
-	w := breakerBench(2, sim.Time(time.Second))
+func TestBreakerListSorted(t *testing.T) {
+	w := breakerBench()
 	for _, id := range []phys.NodeID{9, 4} {
 		w.breakerRecord(id, false)
 		w.breakerRecord(id, false)
@@ -88,17 +85,6 @@ func TestBreakerListSortedAndConfigurable(t *testing.T) {
 	got := w.Breakers()
 	if len(got) != 2 || got[0].Node != 4 || got[1].Node != 9 {
 		t.Fatalf("Breakers = %+v, want nodes 4,9 in order", got)
-	}
-	// Disabling the breaker clears all state and admits everything.
-	w.ConfigureBreaker(0, 0)
-	if err := w.breakerAllow(9); err != nil {
-		t.Fatalf("disabled breaker rejected command: %v", err)
-	}
-	w.breakerRecord(9, false)
-	w.breakerRecord(9, false)
-	w.breakerRecord(9, false)
-	if st := w.BreakerFor(9); st.State != BreakerClosed {
-		t.Fatalf("disabled breaker tripped: %+v", st)
 	}
 }
 

@@ -296,7 +296,6 @@ func TestTracerouteOverTree(t *testing.T) {
 	tb.InstallLiteView()
 	tb.WarmUp(60 * time.Second)
 	ws, _ := tb.NewWorkstation(phys.Position{X: 62}) // next to node 4
-	ws.SetResponseWindow(300 * time.Millisecond)     // don't wait out the full session cap
 	out, err := ws.Traceroute(4, core.TrOptions{Dst: 1, RouterPort: routing.TreePort, MaxHops: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -335,30 +334,6 @@ func TestTracerouteFromRootOverTree(t *testing.T) {
 	ws, _ := tb.NewWorkstation(phys.Position{X: -2})
 	if _, err := ws.Traceroute(1, core.TrOptions{Dst: 3, RouterPort: routing.TreePort}); err == nil {
 		t.Fatal("downward traceroute over a collection tree should fail")
-	}
-}
-
-func TestGroupNeighborList(t *testing.T) {
-	// A 30-node grid-ish testbed: broadcast the neighbor-list command,
-	// every in-range controller answers after a random backoff.
-	opt := testbed.DefaultOptions(12)
-	opt.ShadowSigma = 0
-	opt.AsymSigma = 0
-	tb, err := testbed.Grid(5, 6, 8, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.InstallLiteView(); err != nil {
-		t.Fatal(err)
-	}
-	tb.WarmUp(15 * time.Second)
-	ws, _ := tb.NewWorkstation(phys.Position{X: 20, Y: 16})
-	got, err := ws.GroupNeighborList(false, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) < 10 {
-		t.Fatalf("only %d/30 nodes answered the group command", len(got))
 	}
 }
 

@@ -41,7 +41,6 @@ type Workstation struct {
 	st  *stack.Stack
 	ep  *Endpoint
 
-	window     sim.Time
 	collecting map[phys.NodeID]*collector
 	// groupMode auto-creates collectors for any responder (broadcast
 	// commands collect from many nodes at once).
@@ -49,9 +48,7 @@ type Workstation struct {
 
 	// Per-node circuit breakers (see breaker.go). Group/broadcast
 	// commands bypass them: one dead node must not gag an inventory.
-	breakers         map[phys.NodeID]*Breaker
-	breakerThreshold int
-	breakerCooldown  sim.Time
+	breakers map[phys.NodeID]*Breaker
 
 	// tel scopes command spans: every command opens a span so the
 	// events it causes down the stack carry its span id.
@@ -102,14 +99,11 @@ func NewWorkstationMAC(eng *sim.Engine, med *medium.Medium, pos phys.Position, m
 		return nil, err
 	}
 	w := &Workstation{
-		eng:              eng,
-		med:              med,
-		rad:              rad,
-		window:           ResponseWindow,
-		collecting:       make(map[phys.NodeID]*collector),
-		breakers:         make(map[phys.NodeID]*Breaker),
-		breakerThreshold: DefaultBreakerThreshold,
-		breakerCooldown:  sim.Time(DefaultBreakerCooldown),
+		eng:        eng,
+		med:        med,
+		rad:        rad,
+		collecting: make(map[phys.NodeID]*collector),
+		breakers:   make(map[phys.NodeID]*Breaker),
 	}
 	var st *stack.Stack
 	m, err := mac.New(eng, med, rad, WorkstationID, pos, macCfg,
@@ -140,13 +134,6 @@ func (w *Workstation) Position() phys.Position { return w.mac.Position() }
 
 // Endpoint exposes the interpreter's reliable-protocol endpoint.
 func (w *Workstation) Endpoint() *Endpoint { return w.ep }
-
-// SetResponseWindow overrides the default 500 ms command window.
-func (w *Workstation) SetResponseWindow(d sim.Time) {
-	if d > 0 {
-		w.window = d
-	}
-}
 
 // onMessage routes controller replies to the active collector.
 func (w *Workstation) onMessage(from phys.NodeID, payload []byte, _ medium.RxInfo, _ bool) {
@@ -248,7 +235,7 @@ func firstStatusErr(c *collector) error {
 
 // statusCommand runs a command whose only reply is a status.
 func (w *Workstation) statusCommand(node phys.NodeID, cmd Command) error {
-	c, _, err := w.command(node, cmd, w.window, false)
+	c, _, err := w.command(node, cmd, ResponseWindow, false)
 	if err != nil {
 		return err
 	}
@@ -260,7 +247,7 @@ func (w *Workstation) statusCommand(node phys.NodeID, cmd Command) error {
 
 // RadioGet reads a node's current power level and channel.
 func (w *Workstation) RadioGet(node phys.NodeID) (RadioInfo, error) {
-	c, _, err := w.command(node, Command{Kind: KindRadioGet}, w.window, false)
+	c, _, err := w.command(node, Command{Kind: KindRadioGet}, ResponseWindow, false)
 	if err != nil {
 		return RadioInfo{}, err
 	}
@@ -292,7 +279,7 @@ type NeighborListOutput struct {
 // NeighborList reads a node's kernel neighbor table, with or without
 // link information.
 func (w *Workstation) NeighborList(node phys.NodeID, withLink bool) (*NeighborListOutput, error) {
-	c, elapsed, err := w.command(node, Command{Kind: KindNbrList, WithLink: withLink}, w.window, false)
+	c, elapsed, err := w.command(node, Command{Kind: KindNbrList, WithLink: withLink}, ResponseWindow, false)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +345,7 @@ func (w *Workstation) Ping(node phys.NodeID, opts PingOptions) (out *PingOutput,
 	// The window must cover all rounds; each timed-out round costs the
 	// per-round timeout. The default single round keeps the paper's
 	// 500 ms response delay.
-	window := w.window + sim.Time(opts.Rounds-1)*opts.Timeout
+	window := ResponseWindow + sim.Time(opts.Rounds-1)*opts.Timeout
 	if opts.RouterPort != 0 {
 		window += sim.Time(opts.Rounds) * opts.Timeout
 	}
@@ -470,7 +457,7 @@ func (w *Workstation) Traceroute(node phys.NodeID, opts TrOptions) (out *Tracero
 		RouterPort: opts.RouterPort, Retries: opts.ProbeRetries}
 	// The listen window mirrors the controller's session budget (which
 	// accounts for per-hop retries) plus the usual command window.
-	window := w.window + opts.SessionBudget()
+	window := ResponseWindow + opts.SessionBudget()
 	start := w.eng.Now()
 	c, elapsed, err := w.command(node, cmd, window, true)
 	if err != nil {
@@ -559,7 +546,7 @@ type StatsOutput struct {
 
 // Stats reads a node's link/stack counters and routing protocol state.
 func (w *Workstation) Stats(node phys.NodeID) (*StatsOutput, error) {
-	c, _, err := w.command(node, Command{Kind: KindStatsGet}, w.window, false)
+	c, _, err := w.command(node, Command{Kind: KindStatsGet}, ResponseWindow, false)
 	if err != nil {
 		return nil, err
 	}
@@ -588,7 +575,7 @@ func (w *Workstation) Stats(node phys.NodeID) (*StatsOutput, error) {
 
 // Energy reads a node's battery account.
 func (w *Workstation) Energy(node phys.NodeID) (EnergyStats, error) {
-	c, _, err := w.command(node, Command{Kind: KindEnergyGet}, w.window, false)
+	c, _, err := w.command(node, Command{Kind: KindEnergyGet}, ResponseWindow, false)
 	if err != nil {
 		return EnergyStats{}, err
 	}
@@ -603,7 +590,7 @@ func (w *Workstation) Energy(node phys.NodeID) (EnergyStats, error) {
 // FsList reads a node's LiteOS file-tree directory ("" or "/" for the
 // node root).
 func (w *Workstation) FsList(node phys.NodeID, path string) ([]FsEntry, error) {
-	c, _, err := w.command(node, Command{Kind: KindFsList, Path: path}, w.window, false)
+	c, _, err := w.command(node, Command{Kind: KindFsList, Path: path}, ResponseWindow, false)
 	if err != nil {
 		return nil, err
 	}
@@ -631,7 +618,7 @@ func (w *Workstation) LogDump(node phys.NodeID, count int) ([]LogEntry, error) {
 	if count > 255 {
 		count = 0
 	}
-	c, _, err := w.command(node, Command{Kind: KindLogDump, Count: count}, w.window, false)
+	c, _, err := w.command(node, Command{Kind: KindLogDump, Count: count}, ResponseWindow, false)
 	if err != nil {
 		return nil, err
 	}
@@ -647,17 +634,15 @@ func (w *Workstation) LogDump(node phys.NodeID, count int) ([]LogEntry, error) {
 	return out, firstStatusErr(c)
 }
 
-// group broadcasts cmd to every controller in range and returns each
-// responder's collector after the window (the default one when window is
-// not positive). It swaps in a fresh collector table with on-demand
-// creation and restores the old one afterwards.
-func (w *Workstation) group(cmd Command, window sim.Time) (map[phys.NodeID]*collector, error) {
-	data, err := Encode(&cmd)
+// GroupRadioGet broadcasts a radio-configuration query: every
+// controller in range answers (after its group backoff) with its power
+// level and channel — a one-command inventory of the deployment's radio
+// settings. Replies are collected for one response window, with a
+// fresh collector table that creates a collector per responder.
+func (w *Workstation) GroupRadioGet() (map[phys.NodeID]RadioInfo, error) {
+	data, err := Encode(&Command{Kind: KindRadioGet})
 	if err != nil {
 		return nil, err
-	}
-	if window <= 0 {
-		window = w.window
 	}
 	prev := w.collecting
 	got := make(map[phys.NodeID]*collector)
@@ -670,44 +655,12 @@ func (w *Workstation) group(cmd Command, window sim.Time) (map[phys.NodeID]*coll
 	if err := w.ep.Send(phys.Broadcast, [][]byte{data}, 0, nil); err != nil {
 		return nil, err
 	}
-	w.pump(w.eng.Now()+window, nil, false)
-	return got, nil
-}
-
-// GroupRadioGet broadcasts a radio-configuration query: every
-// controller in range answers (after its group backoff) with its power
-// level and channel — a one-command inventory of the deployment's radio
-// settings.
-func (w *Workstation) GroupRadioGet(window sim.Time) (map[phys.NodeID]RadioInfo, error) {
-	got, err := w.group(Command{Kind: KindRadioGet}, window)
-	if err != nil {
-		return nil, err
-	}
+	w.pump(w.eng.Now()+ResponseWindow, nil, false)
 	out := make(map[phys.NodeID]RadioInfo)
 	for id, c := range got {
 		for _, r := range c.replies {
 			if r.Kind == KindRadioInfo {
 				out[id] = r.Radio
-			}
-		}
-	}
-	return out, nil
-}
-
-// GroupNeighborList broadcasts a neighbor-list command to every
-// controller in radio range; responders stagger their replies with
-// random backoff. It collects for the given window and returns the
-// tables by node.
-func (w *Workstation) GroupNeighborList(withLink bool, window sim.Time) (map[phys.NodeID][]NbrEntry, error) {
-	got, err := w.group(Command{Kind: KindNbrList, WithLink: withLink}, window)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[phys.NodeID][]NbrEntry)
-	for id, c := range got {
-		for _, r := range c.replies {
-			if r.Kind == KindNbrEntry {
-				out[id] = append(out[id], r.Nbr)
 			}
 		}
 	}

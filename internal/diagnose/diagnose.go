@@ -135,54 +135,34 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Options tunes the health check.
-type Options struct {
-	// AsymmetryLQI flags links whose two ends disagree by at least
-	// this many LQI units (default 15).
-	AsymmetryLQI int
-	// LowBatteryPermille flags batteries at or below this level
-	// (default 200 = 20%).
-	LowBatteryPermille int
-	// LossHotspotNoAck flags nodes whose MAC abandoned at least this
-	// many frames (default 10).
-	LossHotspotNoAck int
-	// BurstyLQIMin and BurstyPRRMax bound the bursty-link detector: a
-	// link is bursty when its hardware LQI is at least BurstyLQIMin
-	// (the radio demodulates cleanly when it hears at all, default 90)
-	// yet the beacon delivery ratio is at most BurstyPRRMax percent
-	// (most frames never arrive, default 60).
-	BurstyLQIMin int
-	BurstyPRRMax int
-}
-
-func (o *Options) normalize() {
-	if o.AsymmetryLQI <= 0 {
-		o.AsymmetryLQI = 15
-	}
-	if o.LowBatteryPermille <= 0 {
-		o.LowBatteryPermille = 200
-	}
-	if o.LossHotspotNoAck <= 0 {
-		o.LossHotspotNoAck = 10
-	}
-	if o.BurstyLQIMin <= 0 {
-		o.BurstyLQIMin = 90
-	}
-	if o.BurstyPRRMax <= 0 {
-		o.BurstyPRRMax = 60
-	}
-}
+// Detector thresholds.
+const (
+	// asymmetryLQI flags links whose two ends disagree by at least this
+	// many LQI units.
+	asymmetryLQI = 15
+	// lowBatteryPermille flags batteries at or below this level (20%).
+	lowBatteryPermille = 200
+	// lossHotspotNoAck flags nodes whose MAC abandoned at least this
+	// many frames.
+	lossHotspotNoAck = 10
+	// burstyLQIMin and burstyPRRMax bound the bursty-link detector: a
+	// link is bursty when its hardware LQI is at least burstyLQIMin (the
+	// radio demodulates cleanly when it hears at all) yet the beacon
+	// delivery ratio is at most burstyPRRMax percent (most frames never
+	// arrive).
+	burstyLQIMin = 90
+	burstyPRRMax = 60
+)
 
 // HealthCheck walks the targets with the workstation, interrogates each
 // node, and assembles the findings.
-func HealthCheck(ws *core.Workstation, targets []Target, opt Options) (*Report, error) {
+func HealthCheck(ws *core.Workstation, targets []Target) (*Report, error) {
 	if ws == nil {
 		return nil, errors.New("diagnose: nil workstation")
 	}
 	if len(targets) == 0 {
 		return nil, errors.New("diagnose: no targets")
 	}
-	opt.normalize()
 	report := &Report{}
 	for _, tgt := range targets {
 		ws.MoveTo(tgt.Pos)
@@ -202,12 +182,12 @@ func HealthCheck(ws *core.Workstation, targets []Target, opt Options) (*Report, 
 		}
 		report.Nodes = append(report.Nodes, h)
 	}
-	report.Findings = analyze(report.Nodes, opt)
+	report.Findings = analyze(report.Nodes)
 	return report, nil
 }
 
 // analyze derives findings from the interrogation results.
-func analyze(nodes []NodeHealth, opt Options) []Finding {
+func analyze(nodes []NodeHealth) []Finding {
 	var out []Finding
 	names := make(map[phys.NodeID]string, len(nodes))
 	for _, n := range nodes {
@@ -238,13 +218,13 @@ func analyze(nodes []NodeHealth, opt Options) []Finding {
 				Detail: fmt.Sprintf("%s has an empty neighbor table", n.Target.Name),
 			})
 		}
-		if int(n.Energy.RemainingPermille) <= opt.LowBatteryPermille {
+		if int(n.Energy.RemainingPermille) <= lowBatteryPermille {
 			out = append(out, Finding{
 				Severity: Warning, Kind: "low-battery", Node: n.Target.ID,
 				Detail: fmt.Sprintf("%s battery at %.1f%%", n.Target.Name, float64(n.Energy.RemainingPermille)/10),
 			})
 		}
-		if int(n.Stats.MACNoAck) >= opt.LossHotspotNoAck {
+		if int(n.Stats.MACNoAck) >= lossHotspotNoAck {
 			out = append(out, Finding{
 				Severity: Warning, Kind: "loss-hotspot", Node: n.Target.ID,
 				Detail: fmt.Sprintf("%s abandoned %d frames after retries (%d retransmissions)",
@@ -332,7 +312,7 @@ func analyze(nodes []NodeHealth, opt Options) []Finding {
 				continue // only judge links between interrogated nodes
 			}
 			q, heard := lqi[a][b]
-			if !heard || q < opt.BurstyLQIMin || p > opt.BurstyPRRMax {
+			if !heard || q < burstyLQIMin || p > burstyPRRMax {
 				continue
 			}
 			key := [2]phys.NodeID{min2(a, b), max2(a, b)}
@@ -400,7 +380,7 @@ func analyze(nodes []NodeHealth, opt Options) []Finding {
 			if diff < 0 {
 				diff = -diff
 			}
-			if diff >= opt.AsymmetryLQI {
+			if diff >= asymmetryLQI {
 				out = append(out, Finding{
 					Severity: Warning, Kind: "asymmetric-link", Node: key.a, Peer: key.b,
 					Detail: fmt.Sprintf("link %s↔%s: LQI %d one way vs %d the other (Δ%d)",
@@ -524,7 +504,9 @@ func (p *PathReport) String() string {
 // node, traceroute toward the destination, and read the hop reports
 // into findings that name the failing hop. A dead destination, a
 // crashed relay, or a partition each yield a distinct verdict rather
-// than a silent timeout.
+// than a silent timeout. Only tests call it today: the ROADMAP item
+// "Score LiteView's diagnosis against the injected truth" gives it a
+// shell command.
 func DiagnosePath(ws *core.Workstation, from Target, opts core.TrOptions) (*PathReport, error) {
 	if ws == nil {
 		return nil, errors.New("diagnose: nil workstation")

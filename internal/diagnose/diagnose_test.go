@@ -42,7 +42,7 @@ func deployDiag(t *testing.T, n int, spacing float64, seed uint64, asym float64)
 
 func TestHealthyDeploymentIsClean(t *testing.T) {
 	_, ws, targets := deployDiag(t, 4, 20, 1, 0)
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestHealthyDeploymentIsClean(t *testing.T) {
 func TestDeadNodeFlaggedUnreachable(t *testing.T) {
 	tb, ws, targets := deployDiag(t, 3, 20, 2, 0)
 	tb.Node(2).Radio().SetState(radio.Off)
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAsymmetricLinksFlagged(t *testing.T) {
 	// A brutally asymmetric radio map: both ends of some link should
 	// disagree enough to trip the detector.
 	_, ws, targets := deployDiag(t, 5, 16, 3, 6.0)
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{AsymmetryLQI: 12})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestLossHotspotFlagged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{LossHotspotNoAck: 5})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,51 +136,12 @@ func TestLossHotspotFlagged(t *testing.T) {
 	_ = tb
 }
 
-func TestLowBatteryFlagged(t *testing.T) {
-	// Tiny batteries: after warm-up the nodes are nearly drained.
-	opt := testbed.DefaultOptions(5)
-	opt.ShadowSigma = 0
-	opt.AsymSigma = 0
-	tb, err := testbed.Line(2, 10, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild nodes is impossible post-hoc; instead drain by running
-	// long against the default battery? Too slow. Use liteos directly:
-	// this test drains via a long virtual idle period against a small
-	// battery budget configured at build time — covered in liteos
-	// config; here we simulate by running far enough that the default
-	// pack drops below 100% but not 20%, then use a high threshold.
-	if _, err := tb.InstallLiteView(); err != nil {
-		t.Fatal(err)
-	}
-	tb.WarmUp(30 * time.Minute) // ~ 100 J of listening ≈ 0.4% of the pack
-	ws, _ := tb.NewWorkstation(tb.Node(0).Position())
-	var targets []diagnose.Target
-	for _, node := range tb.Nodes {
-		targets = append(targets, diagnose.Target{ID: node.ID(), Name: node.Name(), Pos: node.Position()})
-	}
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{LowBatteryPermille: 997})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := 0
-	for _, f := range rep.Findings {
-		if f.Kind == "low-battery" {
-			found++
-		}
-	}
-	if found == 0 {
-		t.Fatalf("drained batteries not flagged: %v", rep.Findings)
-	}
-}
-
 func TestHealthCheckValidation(t *testing.T) {
 	_, ws, targets := deployDiag(t, 2, 10, 6, 0)
-	if _, err := diagnose.HealthCheck(nil, targets, diagnose.Options{}); err == nil {
+	if _, err := diagnose.HealthCheck(nil, targets); err == nil {
 		t.Fatal("nil workstation accepted")
 	}
-	if _, err := diagnose.HealthCheck(ws, nil, diagnose.Options{}); err == nil {
+	if _, err := diagnose.HealthCheck(ws, nil); err == nil {
 		t.Fatal("no targets accepted")
 	}
 }
@@ -192,7 +153,7 @@ func TestSeverityOrdering(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ws.Ping(1, core.PingOptions{Dst: 99, Rounds: 3, Length: 16})
 	}
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{LossHotspotNoAck: 5})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +206,7 @@ func TestCrashedNodeFlagged(t *testing.T) {
 	// it in their neighbor tables, and the health check says so.
 	tb, ws, targets := deployDiag(t, 3, 20, 9, 0)
 	tb.Node(2).Crash()
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +255,7 @@ func TestPartitionedSegmentFlagged(t *testing.T) {
 	for _, node := range tb.Nodes {
 		targets = append(targets, diagnose.Target{ID: node.ID(), Name: node.Name(), Pos: node.Position()})
 	}
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +301,7 @@ func TestBurstyLinkFlagged(t *testing.T) {
 	for _, node := range tb.Nodes {
 		targets = append(targets, diagnose.Target{ID: node.ID(), Name: node.Name(), Pos: node.Position()})
 	}
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}

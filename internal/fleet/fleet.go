@@ -237,11 +237,6 @@ func (s *State) Links() []*LinkState {
 	return out
 }
 
-// Verdicts returns the most recent command verdicts, oldest first.
-func (s *State) Verdicts() []Verdict {
-	return append([]Verdict(nil), s.verdicts...)
-}
-
 // Render formats the whole view as one fixed-order text frame. The
 // output is deterministic in the event stream (maps are sorted, no wall
 // clock), so a replayed trace always renders byte-identically.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -74,10 +75,8 @@ func TestStateFoldsFaultsBreakersLinksAndSpans(t *testing.T) {
 		t.Fatalf("link state wrong: %+v", l)
 	}
 
-	vs := s.Verdicts()
-	if len(vs) != 1 || vs[0].Cmd != "ping" || vs[0].Dst != "192.168.0.3" ||
-		vs[0].Verdict != "ok" || vs[0].Span != 11 {
-		t.Fatalf("verdicts wrong: %+v", vs)
+	if vs := verdictLines(s); len(vs) != 1 || vs[0] != "span 11 ping node=1 dst=192.168.0.3 verdict=ok at=0s dur=500ms" {
+		t.Fatalf("verdicts wrong: %q", vs)
 	}
 
 	// Clears undo what actives did.
@@ -103,13 +102,25 @@ func TestVerdictHistoryIsBounded(t *testing.T) {
 		s.Apply(telemetry.Event{Seq: uint64(i), NodeID: phyID(1),
 			Layer: telemetry.LayerSpan, Kind: "ping", Span: uint64(i)})
 	}
-	vs := s.Verdicts()
+	vs := verdictLines(s)
 	if len(vs) != maxVerdicts {
 		t.Fatalf("kept %d verdicts, want %d", len(vs), maxVerdicts)
 	}
-	if vs[len(vs)-1].Span != uint64(maxVerdicts+5) {
-		t.Fatalf("newest verdict span = %d, want %d", vs[len(vs)-1].Span, maxVerdicts+5)
+	if want := fmt.Sprintf("span %d ", maxVerdicts+5); !strings.HasPrefix(vs[len(vs)-1], want) {
+		t.Fatalf("newest verdict %q, want span %d", vs[len(vs)-1], maxVerdicts+5)
 	}
+}
+
+// verdictLines returns the rendered recent-command lines, oldest first.
+func verdictLines(s *State) []string {
+	_, recent, _ := strings.Cut(s.Render(), "recent commands:\n")
+	var out []string
+	for _, line := range strings.Split(strings.TrimRight(recent, "\n"), "\n") {
+		if line != "" {
+			out = append(out, strings.TrimSpace(line))
+		}
+	}
+	return out
 }
 
 // TestRenderIsDeterministic: folding the same stream twice renders the

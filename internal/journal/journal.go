@@ -366,9 +366,6 @@ func (j *Journal) sync() error {
 // Seed returns the seed recorded for this tenant's simulation.
 func (j *Journal) Seed() uint64 { return j.seed }
 
-// NextIndex returns the index the next appended command will get.
-func (j *Journal) NextIndex() uint64 { return j.next }
-
 // Append journals one accepted command ahead of its execution and
 // returns the index it was recorded under. The write reaches the OS
 // before Append returns; fsync is batched per Options.FsyncEvery.

@@ -48,9 +48,9 @@ func recoverLines(t *testing.T, dir, tenant string, opt Options) (*Journal, []st
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := mustCreate(t, dir, "lab", 42, Options{})
-	appendAll(t, j, "cd 192.168.0.1", "ping 192.168.0.2", "stats")
-	if got := j.NextIndex(); got != 3 {
-		t.Fatalf("NextIndex = %d, want 3", got)
+	appendAll(t, j, "cd 192.168.0.1", "ping 192.168.0.2")
+	if idx, err := j.Append("stats"); err != nil || idx != 2 {
+		t.Fatalf("third Append = (%d, %v), want (2, nil)", idx, err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

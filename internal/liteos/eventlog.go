@@ -64,9 +64,6 @@ func (l *EventLog) Disable() { l.enabled = false }
 // Enabled reports whether events are being recorded.
 func (l *EventLog) Enabled() bool { return l.enabled }
 
-// Cap returns the ring's capacity in entries.
-func (l *EventLog) Cap() int { return l.capacity }
-
 // Len returns the number of recorded entries.
 func (l *EventLog) Len() int { return l.n }
 

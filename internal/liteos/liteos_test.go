@@ -134,8 +134,8 @@ func TestProcessLifecycle(t *testing.T) {
 	if n.RAMUsed() != ramBefore+278 {
 		t.Fatalf("RAM accounting: %d", n.RAMUsed())
 	}
-	if args := p.Args(); len(args) != 2 || args[0] != "192.168.0.2" || args[1] != "round=1" {
-		t.Fatalf("args = %v", args)
+	if p.Params != "192.168.0.2 round=1" {
+		t.Fatalf("params = %q", p.Params)
 	}
 	if pids := n.Processes(); len(pids) != 1 || pids[0] != p.PID {
 		t.Fatalf("pids = %v", pids)
@@ -195,8 +195,8 @@ func TestEmptyParamsYieldNoArgs(t *testing.T) {
 	n.InstallBinary(Binary{Name: "p", Flash: 1, RAM: 1})
 	n.SysSetParamBuffer("")
 	p, _ := n.StartProcess("p")
-	if p.Args() != nil {
-		t.Fatalf("args = %v, want nil", p.Args())
+	if p.Params != "" {
+		t.Fatalf("params = %q, want none", p.Params)
 	}
 }
 
@@ -232,7 +232,7 @@ func TestEventLog(t *testing.T) {
 	if len(l.Entries()) != 0 || l.Dropped() != 0 {
 		t.Fatal("clear failed")
 	}
-	if NewEventLog(0).Cap() != 64 {
+	if kept(NewEventLog(0)) != 64 {
 		t.Fatal("default capacity wrong")
 	}
 }

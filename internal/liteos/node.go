@@ -215,7 +215,9 @@ func (n *Node) SysLogEvent(tag, format string, args ...any) {
 // processes, parameter buffer, neighbor table, event log, MAC state —
 // is gone, and the radio goes dark until the next boot.
 
-// Alive reports whether the node is powered up.
+// Alive reports whether the node is powered up. No command reports it;
+// the crash/reboot oracle TestLPLDutyCycleEquivalence and the fault
+// tests read a node's power state through it.
 func (n *Node) Alive() bool { return n.alive }
 
 // Uptime returns the virtual time since the node's last boot.

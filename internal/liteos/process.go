@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Binary is a program image installed in the node's flash. LiteView's
@@ -139,16 +138,6 @@ func (p *Process) Exit() error {
 	p.node.ramUsed -= p.ram
 	delete(p.node.procs, p.PID)
 	return nil
-}
-
-// Args splits the process parameter string on spaces, the convention
-// the paper's parameter buffer uses ("Multiple parameters could be
-// separated by space, so that the process can parse them correctly").
-func (p *Process) Args() []string {
-	if p.Params == "" {
-		return nil
-	}
-	return strings.Fields(p.Params)
 }
 
 // Processes returns the PIDs of running processes, sorted.

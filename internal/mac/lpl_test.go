@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -192,6 +193,35 @@ func TestLPLSendWhileAsleepWakes(t *testing.T) {
 	eng.RunUntil(eng.Now() + 2*time.Second)
 	if len(b.got) == 0 {
 		t.Fatal("frame sent while asleep never delivered")
+	}
+}
+
+// TestLPLCrashedStaysDark power-fails an LPL MAC the way Node.Crash
+// does (Reset, then radio off): until Boot, a send must not wake the
+// radio, so a crashed node cannot answer traffic through its duty cycle.
+func TestLPLCrashedStaysDark(t *testing.T) {
+	eng, a, b := buildLPLPair(t, 17, 5, lplConfig(), lplConfig())
+	eng.RunUntil(time.Second)
+	a.mac.Reset()
+	a.rad.SetState(radio.Off)
+	for i := 0; i < 2; i++ {
+		if err := a.mac.Send(Frame{Type: TypeData, Dst: 2, Payload: []byte("x")}, nil); !errors.Is(err, ErrRadioOff) {
+			t.Fatalf("send on a crashed LPL MAC: err = %v, want ErrRadioOff", err)
+		}
+		if a.rad.State() != radio.Off {
+			t.Fatalf("send woke a crashed node's radio: state %v", a.rad.State())
+		}
+		eng.RunUntil(eng.Now() + time.Second)
+	}
+	a.rad.SetState(radio.RX)
+	a.mac.Boot()
+	eng.RunUntil(eng.Now() + time.Second)
+	if err := a.mac.Send(Frame{Type: TypeData, Dst: 2, Payload: []byte("y")}, nil); err != nil {
+		t.Fatalf("send after Boot: %v", err)
+	}
+	eng.RunUntil(eng.Now() + 2*time.Second)
+	if len(b.got) != 1 {
+		t.Fatalf("receiver got %d frames, want only the one sent after Boot", len(b.got))
 	}
 }
 

@@ -182,8 +182,10 @@ type MAC struct {
 	// Pre-bound LPL duty-cycle callbacks (see lpl.go).
 	lplSleepCb func()
 	lplWakeCb  func()
-	// LPL duty-cycle state.
+	// LPL duty-cycle state. down is set by Reset and cleared by Boot: a
+	// power-failed node's off radio stays off until it reboots.
 	lplSleeping bool
+	down        bool
 	lingerUntil sim.Time
 	lplJumpCb   func(any)
 	lplJumps    []*lplJump
@@ -298,6 +300,9 @@ func (m *MAC) emitQueueDepth() {
 func (m *MAC) SetRxFault(fn func(from phys.NodeID) bool) { m.rxFault = fn }
 
 // RxFaultHooked reports whether a receive-path fault hook is installed.
+// A hook that finds no fault changes no output, so
+// TestHooksLiveOnlyWhileActive reads this to pin that the fault
+// injector installs it only while a fault is in force.
 func (m *MAC) RxFaultHooked() bool { return m.rxFault != nil }
 
 // Reset force-clears all link-layer state — transmit queue, pending
@@ -319,21 +324,27 @@ func (m *MAC) Reset() {
 	m.disarmAckWait()
 	m.dup.Reset()
 	m.lplSleeping = false
+	m.down = true
 	m.lingerUntil = 0
 	m.lplResetJumps()
 }
 
-// Boot re-primes the MAC after a reboot; today that means restarting
-// the LPL duty cycle (a no-op when LPL is off).
-func (m *MAC) Boot() { m.lplInit() }
+// Boot re-primes the MAC after a reboot: an off radio may be woken to
+// send again, and the LPL duty cycle restarts (a no-op when LPL is off).
+func (m *MAC) Boot() {
+	m.down = false
+	m.lplInit()
+}
 
 // Send queues a frame for CSMA/CA transmission. The source address and
 // sequence number are filled in by the MAC; the payload is copied into
 // the queue slot's encode buffer, so the caller's slice may be reused
-// the moment Send returns. sent may be nil.
+// the moment Send returns. sent may be nil. With the radio off, Send
+// fails with ErrRadioOff unless LPL may wake it: never between Reset
+// and Boot.
 func (m *MAC) Send(f Frame, sent SentFunc) error {
 	if m.rad.State() == radio.Off {
-		if !m.cfg.LPL {
+		if !m.cfg.LPL || m.down {
 			return ErrRadioOff
 		}
 		m.lplWakeForSend()
@@ -411,7 +422,7 @@ func (m *MAC) attemptFire() {
 		return
 	}
 	if m.rad.State() == radio.Off {
-		if !m.cfg.LPL {
+		if !m.cfg.LPL || m.down {
 			m.finish(ErrRadioOff)
 			return
 		}

@@ -398,7 +398,10 @@ func (m *Medium) SetFaultHook(fn func(from, to phys.NodeID, channel int) FaultEf
 	m.faultFn = fn
 }
 
-// FaultHooked reports whether a fault hook is installed.
+// FaultHooked reports whether a fault hook is installed. A hook that
+// finds no fault changes no output, so TestHooksLiveOnlyWhileActive
+// reads this to pin that the fault injector installs it only while a
+// fault is in force.
 func (m *Medium) FaultHooked() bool { return m.faultFn != nil }
 
 // SetFrameCheck installs the frame integrity check Transmit runs once
@@ -411,7 +414,8 @@ func (m *Medium) SetFrameCheck(fn func(frame []byte) bool) { m.frameCheck = fn }
 func (m *Medium) SetTap(fn func(TapRecord)) { m.tap = fn }
 
 // SetDeliveryTap installs an observer of every per-receiver delivery
-// outcome (nil removes it).
+// outcome (nil removes it). No tool installs one: it is the contract
+// FuzzMediumPurity compares against the full-scan oracle.
 func (m *Medium) SetDeliveryTap(fn func(TapDelivery)) { m.deliveryTap = fn }
 
 // SetTelemetry points the medium at a telemetry recorder (nil detaches).
@@ -445,6 +449,8 @@ func (m *Medium) deliverEvent(a any) {
 // moving nodes behind the medium's back; channel and power changes need
 // no invalidation (a memo row and a candidate set each record the power
 // they were built for), and a single node moving only needs NodeMoved.
+// No tool mutates the model after build: FuzzMediumPurity drives this
+// against the full-scan oracle.
 func (m *Medium) InvalidateTopology() {
 	for _, s := range m.order {
 		m.slots[s].pos = m.slots[s].rx.Position()
@@ -513,7 +519,9 @@ func (m *Medium) Attach(r Receiver) error {
 // A frame the node already put on the air stays there: it delivers to
 // (and interferes at) the remaining nodes, exactly as a frame from a
 // mote that lost power mid-transmission would. Its memo entries go
-// with it, so a node that comes back elsewhere inherits none.
+// with it, so a node that comes back elsewhere inherits none. No tool
+// detaches a node: FuzzMediumPurity drives this against the full-scan
+// oracle.
 func (m *Medium) Detach(id phys.NodeID) {
 	s, ok := m.slotOf[id]
 	if !ok || m.slots[s].rx == nil {

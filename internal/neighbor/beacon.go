@@ -52,7 +52,6 @@ type Service struct {
 	rng    *sim.Rand
 	ticker *sim.Ticker
 	seq    uint16
-	sent   uint64
 }
 
 // NewService wires the neighbor service onto st. It subscribes
@@ -97,9 +96,6 @@ func (s *Service) SetPeriod(d sim.Time) error {
 	return nil
 }
 
-// BeaconsSent reports how many beacons this node has transmitted.
-func (s *Service) BeaconsSent() uint64 { return s.sent }
-
 // Running reports whether periodic beaconing is active.
 func (s *Service) Running() bool { return s.ticker.Running() }
 
@@ -128,9 +124,7 @@ func (s *Service) tick() {
 	}
 	// Beacon loss to queue pressure is fine; the PRR estimator sees it
 	// as a gap.
-	if err := s.st.Send(p, phys.Broadcast, mac.TypeBeacon, nil); err == nil {
-		s.sent++
-	}
+	_ = s.st.Send(p, phys.Broadcast, mac.TypeBeacon, nil)
 }
 
 func (s *Service) onBeacon(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {

@@ -46,6 +46,9 @@ func (e *benv) node(t *testing.T, id phys.NodeID, x float64) (*stack.Stack, *Ser
 	return st, svc
 }
 
+// beaconsSent counts the beacons s's node put on the air.
+func beaconsSent(s *Service) uint64 { return s.st.MAC().Stats().SentBeacon }
+
 func TestBeaconDiscovery(t *testing.T) {
 	e := newBenv(1)
 	_, sa := e.node(t, 1, 0)
@@ -69,8 +72,8 @@ func TestBeaconDiscovery(t *testing.T) {
 	if _, ok := sb.Table().Get(1); !ok {
 		t.Fatal("node 2 did not discover node 1")
 	}
-	if sa.BeaconsSent() < 3 {
-		t.Fatalf("beacons sent = %d over 10 s at 2 s period", sa.BeaconsSent())
+	if beaconsSent(sa) < 3 {
+		t.Fatalf("beacons sent = %d over 10 s at 2 s period", beaconsSent(sa))
 	}
 }
 
@@ -99,8 +102,8 @@ func TestSetPeriod(t *testing.T) {
 	sa.Start()
 	e.eng.RunUntil(5 * time.Second)
 	// ~50 beacons at 100 ms over 5 s (minus start jitter).
-	if sa.BeaconsSent() < 30 {
-		t.Fatalf("beacons sent = %d, want ≈ 49", sa.BeaconsSent())
+	if beaconsSent(sa) < 30 {
+		t.Fatalf("beacons sent = %d, want ≈ 49", beaconsSent(sa))
 	}
 	if sa.Period() != 100*time.Millisecond {
 		t.Fatalf("period = %v", sa.Period())
@@ -115,19 +118,19 @@ func TestStopHaltsBeaconing(t *testing.T) {
 		t.Fatal("not running after Start")
 	}
 	e.eng.RunUntil(5 * time.Second)
-	sent := sa.BeaconsSent()
+	sent := beaconsSent(sa)
 	sa.Stop()
 	if sa.Running() {
 		t.Fatal("running after Stop")
 	}
 	e.eng.RunUntil(20 * time.Second)
-	if sa.BeaconsSent() != sent {
+	if beaconsSent(sa) != sent {
 		t.Fatal("beacons sent after Stop")
 	}
 	// Restart works.
 	sa.Start()
 	e.eng.RunUntil(30 * time.Second)
-	if sa.BeaconsSent() <= sent {
+	if beaconsSent(sa) <= sent {
 		t.Fatal("no beacons after restart")
 	}
 }
@@ -139,8 +142,8 @@ func TestDoubleStartSingleStream(t *testing.T) {
 	sa.Start()
 	sa.Start() // must not double the rate
 	e.eng.RunUntil(10 * time.Second)
-	if sa.BeaconsSent() > 11 {
-		t.Fatalf("beacons sent = %d; double Start doubled the stream", sa.BeaconsSent())
+	if beaconsSent(sa) > 11 {
+		t.Fatalf("beacons sent = %d; double Start doubled the stream", beaconsSent(sa))
 	}
 }
 

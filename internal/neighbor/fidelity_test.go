@@ -148,7 +148,7 @@ func TestUsableViewHoldsBestNeighbors(t *testing.T) {
 			if m == n {
 				continue
 			}
-			rx := tb.Model.ReceivedPower(m.Radio().TxPowerDBm(), m.ID(), n.ID(), m.Position(), n.Position())
+			rx := tb.Model.ReceivedPower(radio.PowerDBm(m.Radio().PowerLevel()), m.ID(), n.ID(), m.Position(), n.Position())
 			links = append(links, link{m.ID(), radio.LQI(tb.Model.SNR(rx)), radio.RSSIRegister(rx)})
 		}
 		slices.SortFunc(links, func(a, b link) int {

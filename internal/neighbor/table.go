@@ -194,9 +194,6 @@ func (t *Table) drop(i int) {
 // Len returns the number of entries.
 func (t *Table) Len() int { return len(t.keys) }
 
-// Capacity returns the entry bound.
-func (t *Table) Capacity() int { return t.cap }
-
 // Observe folds one overheard frame's link metadata into the table.
 // A stranger is inserted if there is room; when the table is full it
 // replaces the weakest unpinned entry only if its (LQI, RSSI) beats

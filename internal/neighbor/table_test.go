@@ -255,11 +255,14 @@ func TestRemove(t *testing.T) {
 }
 
 func TestDefaultCapacity(t *testing.T) {
-	if NewTable(0).Capacity() != DefaultCapacity {
-		t.Fatal("default capacity not applied")
-	}
-	if NewTable(-5).Capacity() != DefaultCapacity {
-		t.Fatal("negative capacity not defaulted")
+	for _, c := range []int{0, -5} {
+		tab := NewTable(c)
+		for id := phys.NodeID(1); id <= DefaultCapacity+4; id++ {
+			tab.Observe(id, 100, -60, 0)
+		}
+		if tab.Len() != DefaultCapacity {
+			t.Fatalf("NewTable(%d) holds %d entries, want %d", c, tab.Len(), DefaultCapacity)
+		}
 	}
 }
 

@@ -67,8 +67,6 @@ const (
 const (
 	MinChannel = 11
 	MaxChannel = 26
-	// NumChannels is the paper's "16 channels".
-	NumChannels = MaxChannel - MinChannel + 1
 )
 
 // RSSIOffset is the CC2420 RSSI register offset in dBm: the register
@@ -166,11 +164,6 @@ func RSSIRegister(rxDBm float64) int {
 	return v
 }
 
-// RegisterToDBm is the inverse of RSSIRegister.
-func RegisterToDBm(register int) float64 {
-	return float64(register) + RSSIOffset
-}
-
 // LQI maps an SNR in dB to the CC2420 correlation value in [50, 110].
 // The mapping saturates: beyond ~12 dB SNR every packet correlates
 // perfectly (≈110) — on real CC2420s the correlation tops out once the
@@ -243,9 +236,6 @@ func (r *Radio) SetPowerLevel(level int) error {
 	return nil
 }
 
-// TxPowerDBm returns the currently programmed output power in dBm.
-func (r *Radio) TxPowerDBm() float64 { return PowerDBm(r.powerLevel) }
-
 // Channel returns the current 802.15.4 channel number.
 func (r *Radio) Channel() int { return r.channel }
 
@@ -256,9 +246,4 @@ func (r *Radio) SetChannel(ch int) error {
 	}
 	r.channel = ch
 	return nil
-}
-
-// FrequencyMHz returns the center frequency of the tuned channel.
-func (r *Radio) FrequencyMHz() int {
-	return 2405 + 5*(r.channel-MinChannel)
 }

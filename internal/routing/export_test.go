@@ -27,3 +27,20 @@ func RREQ(reqID uint16, requester, target phys.NodeID, hops byte) []byte {
 	w[7] = hops
 	return w
 }
+
+// RouteTable reports the live routes of an on-demand router without
+// refreshing or discovering any (NextHop does both). ok is false for
+// other protocols.
+func RouteTable(r *Router) (map[phys.NodeID]phys.NodeID, bool) {
+	od, is := r.strat.(*onDemand)
+	if !is {
+		return nil, false
+	}
+	out := make(map[phys.NodeID]phys.NodeID)
+	for dst := range od.routes {
+		if e, ok := od.route(dst); ok {
+			out[dst] = e.next
+		}
+	}
+	return out, true
+}

@@ -281,19 +281,3 @@ func (od *onDemand) onSendResult(next phys.NodeID, err error) {
 		}
 	}
 }
-
-// RouteTable reports the live routes of an on-demand router (for tests
-// and diagnosis tooling). ok is false for other protocols.
-func RouteTable(r *Router) (map[phys.NodeID]phys.NodeID, bool) {
-	od, is := r.strat.(*onDemand)
-	if !is {
-		return nil, false
-	}
-	out := make(map[phys.NodeID]phys.NodeID)
-	for dst := range od.routes {
-		if e, ok := od.route(dst); ok {
-			out[dst] = e.next
-		}
-	}
-	return out, true
-}

@@ -332,7 +332,8 @@ func TestCloseFreesPort(t *testing.T) {
 	tb.AttachGeographic(routing.DefaultConfig())
 	r, _ := tb.Router(routing.GeographicPort, 1)
 	r.Close()
-	if tb.Node(0).Stack().Subscribed(routing.GeographicPort) {
-		t.Fatal("port still subscribed after Close")
+	h := func(*stack.Packet, phys.NodeID, medium.RxInfo) {}
+	if err := tb.Node(0).Stack().Subscribe(routing.GeographicPort, h); err != nil {
+		t.Fatalf("port still subscribed after Close: %v", err)
 	}
 }

@@ -527,7 +527,7 @@ func (s *Shell) healthcheck() error {
 	rec := s.ws.Telemetry()
 	span := rec.BeginSpan(core.WorkstationID, "healthcheck",
 		telemetry.Int("targets", len(targets)))
-	rep, err := diagnose.HealthCheck(s.ws, targets, diagnose.Options{})
+	rep, err := diagnose.HealthCheck(s.ws, targets)
 	rec.EndSpan(span, telemetry.Bool("ok", err == nil))
 	if err != nil {
 		return err
@@ -715,7 +715,7 @@ func (s *Shell) energy() error {
 // survey broadcasts a radio query: every node in range reports its
 // power level and channel after a random group backoff.
 func (s *Shell) survey() error {
-	got, err := s.ws.GroupRadioGet(0)
+	got, err := s.ws.GroupRadioGet()
 	if err != nil {
 		return err
 	}

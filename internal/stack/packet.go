@@ -162,7 +162,8 @@ func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 }
 
 // DecodePacket parses a serialised packet. The returned packet owns
-// copies of its data and padding.
+// copies of its data and padding. The receive path decodes in place
+// with DecodePacketInto; FuzzDecodePacket drives this copying form.
 func DecodePacket(raw []byte) (*Packet, error) {
 	p := &Packet{}
 	if err := DecodePacketInto(p, raw); err != nil {

@@ -155,12 +155,6 @@ func (s *Stack) Unsubscribe(num byte) {
 	s.ports = slices.DeleteFunc(s.ports, func(p port) bool { return p.num == num })
 }
 
-// Subscribed reports whether a port has a listener.
-func (s *Stack) Subscribed(num byte) bool { return s.handler(num) != nil }
-
-// Ports returns the number of active subscriptions.
-func (s *Stack) Ports() int { return len(s.ports) }
-
 // AddSniffer registers an observer of all intact overheard frames.
 func (s *Stack) AddSniffer(sn Sniffer) {
 	if sn != nil {

@@ -126,11 +126,11 @@ func TestSubscribeConflicts(t *testing.T) {
 	if err := a.Subscribe(10, h); err == nil {
 		t.Fatal("duplicate subscription accepted")
 	}
-	if !a.Subscribed(10) || a.Ports() != 1 {
+	if a.handler(10) == nil || len(a.ports) != 1 {
 		t.Fatal("subscription state wrong")
 	}
 	a.Unsubscribe(10)
-	if a.Subscribed(10) {
+	if a.handler(10) != nil {
 		t.Fatal("unsubscribe failed")
 	}
 	a.Unsubscribe(10) // no-op

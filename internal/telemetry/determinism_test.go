@@ -88,7 +88,7 @@ func scriptedRun(t *testing.T, seed uint64, record, live bool) (traceCSV, report
 	for _, n := range tb.Nodes {
 		targets = append(targets, diagnose.Target{ID: n.ID(), Name: n.Name(), Pos: n.Position()})
 	}
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}

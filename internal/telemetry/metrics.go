@@ -78,9 +78,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Min returns the smallest sample (0 before any observation).
 func (h *Histogram) Min() float64 { return h.min }
 
@@ -193,19 +190,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return snap
-}
-
-// Diff returns snapshot-minus-prev for every key in the current
-// snapshot (keys absent from prev diff against zero). Unchanged keys
-// are dropped, so the result is exactly "what moved".
-func (r *Registry) Diff(prev map[string]float64) map[string]float64 {
-	d := make(map[string]float64)
-	for k, v := range r.Snapshot() {
-		if delta := v - prev[k]; delta != 0 {
-			d[k] = delta
-		}
-	}
-	return d
 }
 
 // FormatSnapshot renders a snapshot as "name value" lines in sorted

@@ -34,8 +34,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0.5, 5, 50, 500} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 || h.Sum() != 555.5 {
-		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
+	if sum := r.Snapshot()["rtt.sum"]; h.Count() != 4 || sum != 555.5 {
+		t.Fatalf("count=%d sum=%v", h.Count(), sum)
 	}
 	if h.Min() != 0.5 || h.Max() != 500 {
 		t.Fatalf("min=%v max=%v", h.Min(), h.Max())
@@ -71,13 +71,14 @@ func TestSnapshotAndDiff(t *testing.T) {
 			t.Fatalf("snapshot missing %s: %v", k, snap)
 		}
 	}
+	// A snapshot is a copy: two of them diff to what moved in between.
 	r.Counter("a").Add(2)
-	d := r.Diff(snap)
-	if d["a"] != 2 { // diff is the delta, not the new value
-		t.Fatalf("diff a = %v", d["a"])
+	next := r.Snapshot()
+	if d := next["a"] - snap["a"]; d != 2 || snap["a"] != 1 {
+		t.Fatalf("diff a = %v (first snapshot a = %v)", d, snap["a"])
 	}
-	if _, ok := d["g"]; ok {
-		t.Fatalf("diff kept unchanged gauge: %v", d)
+	if next["g"] != snap["g"] {
+		t.Fatalf("unchanged gauge moved: %v → %v", snap["g"], next["g"])
 	}
 }
 

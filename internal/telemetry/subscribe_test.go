@@ -154,31 +154,6 @@ func TestSubscriptionConcurrentConsumer(t *testing.T) {
 	sub.Close()
 }
 
-func TestEventCapTrimsOldest(t *testing.T) {
-	_, rec := testRecorder()
-	rec.SetEventCap(10)
-	sub := rec.Subscribe(Filter{}, 64)
-	defer sub.Close()
-	for i := 0; i < 30; i++ {
-		rec.Emit(1, LayerMAC, "e")
-	}
-	if n := rec.Len(); n > 20 { // amortized: at most 2x the cap
-		t.Fatalf("Len = %d with cap 10", n)
-	}
-	es := rec.Events()
-	if es[len(es)-1].Seq != 30 {
-		t.Fatalf("newest seq = %d, want 30", es[len(es)-1].Seq)
-	}
-	// The cap bounds retention only; the subscriber saw everything.
-	if got := len(sub.Poll(0)); got != 30 {
-		t.Fatalf("subscriber got %d events, want 30", got)
-	}
-	rec.SetEventCap(5)
-	if n := rec.Len(); n != 5 {
-		t.Fatalf("Len = %d after tightening cap to 5", n)
-	}
-}
-
 func TestSpanStampsEnclosedEvents(t *testing.T) {
 	eng, rec := testRecorder()
 	rec.Emit(1, LayerMAC, "outside-before")

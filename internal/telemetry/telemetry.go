@@ -147,10 +147,6 @@ type Recorder struct {
 	events    []Event
 	reg       *Registry
 
-	// cap bounds the retained event slice (0 = unbounded). Long-lived
-	// daemons set it so a tenant recording for hours cannot balloon.
-	cap int
-
 	// Command-span state. Touched only from the simulation goroutine,
 	// like seq and events.
 	spanSeq   uint64
@@ -225,17 +221,12 @@ func (r *Recorder) EmitSpan(node phys.NodeID, layer Layer, kind string, dur sim.
 	})
 }
 
-// record appends one event, enforces the retention cap, and fans the
-// event out to subscribers. Subscriber fan-out happens after the append
-// and touches none of the deterministic state, which is what makes
-// attaching a Subscription provably zero-perturbation (DESIGN §12).
+// record appends one event and fans it out to subscribers. Subscriber
+// fan-out happens after the append and touches none of the
+// deterministic state, which is what makes attaching a Subscription
+// provably zero-perturbation (DESIGN §12).
 func (r *Recorder) record(e Event) {
 	r.events = append(r.events, e)
-	if r.cap > 0 && len(r.events) > 2*r.cap {
-		keep := r.events[len(r.events)-r.cap:]
-		n := copy(r.events, keep)
-		r.events = r.events[:n]
-	}
 	if r.hasSubs.Load() == 0 {
 		return
 	}
@@ -244,26 +235,6 @@ func (r *Recorder) record(e Event) {
 		s.offer(e)
 	}
 	r.subMu.Unlock()
-}
-
-// SetEventCap bounds the number of retained events; once exceeded the
-// oldest are discarded (amortized: the slice grows to twice the cap
-// before trimming). 0 restores unbounded retention. Subscribers see
-// every event regardless of the cap — it only limits what Events()
-// later returns.
-func (r *Recorder) SetEventCap(n int) {
-	if r == nil {
-		return
-	}
-	if n < 0 {
-		n = 0
-	}
-	r.cap = n
-	if n > 0 && len(r.events) > n {
-		keep := r.events[len(r.events)-n:]
-		m := copy(r.events, keep)
-		r.events = r.events[:m]
-	}
 }
 
 // BeginSpan opens a command-scoped span owned by node. Every event

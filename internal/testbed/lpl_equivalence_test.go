@@ -142,7 +142,7 @@ func healthCheckDigest(t *testing.T) string {
 	for _, n := range tb.Nodes {
 		targets = append(targets, diagnose.Target{ID: n.ID(), Name: n.Name(), Pos: n.Position()})
 	}
-	rep, err := diagnose.HealthCheck(ws, targets, diagnose.Options{})
+	rep, err := diagnose.HealthCheck(ws, targets)
 	if err != nil {
 		t.Fatal(err)
 	}

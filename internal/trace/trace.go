@@ -16,9 +16,6 @@ import (
 type Point struct {
 	X float64
 	Y float64
-	// Label optionally annotates the point (e.g. a series name or a
-	// node name).
-	Label string
 }
 
 // Series is an ordered set of observations with a name.
@@ -30,22 +27,8 @@ type Series struct {
 // Add appends an observation.
 func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: y}) }
 
-// AddLabeled appends an annotated observation.
-func (s *Series) AddLabeled(x, y float64, label string) {
-	s.Points = append(s.Points, Point{X: x, Y: y, Label: label})
-}
-
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.Points) }
-
-// Ys returns the Y values in order.
-func (s *Series) Ys() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.Y
-	}
-	return out
-}
 
 // Summary holds descriptive statistics of a sample.
 type Summary struct {

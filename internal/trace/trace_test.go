@@ -67,7 +67,7 @@ func TestLinearFitDegenerate(t *testing.T) {
 		t.Fatal("empty fit should be zero")
 	}
 	// Constant series: slope 0, perfect fit.
-	pts := []Point{{1, 5, ""}, {2, 5, ""}, {3, 5, ""}}
+	pts := []Point{{1, 5}, {2, 5}, {3, 5}}
 	slope, intercept = LinearFit(pts)
 	if slope != 0 || intercept != 5 {
 		t.Fatalf("constant fit = %f, %f", slope, intercept)
@@ -76,7 +76,7 @@ func TestLinearFitDegenerate(t *testing.T) {
 		t.Fatal("constant series should have R²=1")
 	}
 	// Vertical stack (all same x).
-	vert := []Point{{2, 1, ""}, {2, 3, ""}}
+	vert := []Point{{2, 1}, {2, 3}}
 	slope, _ = LinearFit(vert)
 	if slope != 0 {
 		t.Fatalf("vertical fit slope = %f", slope)
@@ -87,16 +87,12 @@ func TestSeries(t *testing.T) {
 	var s Series
 	s.Name = "rssi"
 	s.Add(1, -20)
-	s.AddLabeled(2, -25, "hop2")
+	s.Add(2, -25)
 	if s.Len() != 2 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	ys := s.Ys()
-	if ys[0] != -20 || ys[1] != -25 {
-		t.Fatalf("ys = %v", ys)
-	}
-	if s.Points[1].Label != "hop2" {
-		t.Fatal("label lost")
+	if p := s.Points; p[0] != (Point{1, -20}) || p[1] != (Point{2, -25}) {
+		t.Fatalf("points = %v", p)
 	}
 }
 

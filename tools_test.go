@@ -6,6 +6,7 @@ package liteview
 
 import (
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -86,12 +87,32 @@ func TestToolsRun(t *testing.T) {
 			t.Fatalf("output:\n%s", out)
 		}
 	})
-	t.Run("lvdiag", func(t *testing.T) {
+	t.Run("healthcheck-healthy", func(t *testing.T) {
 		t.Parallel()
-		out := runTool(t, 3*time.Minute, "run", "./cmd/lvdiag",
-			"-nodes", "3", "-spacing", "20", "-shadow", "0", "-asym", "0")
+		out := runTool(t, 3*time.Minute, "run", "./cmd/liteview",
+			"-nodes", "3", "-spacing", "20", "-shadow", "0", "-asym", "0", "-c", "healthcheck")
 		if !strings.Contains(out, "no problems found") {
 			t.Fatalf("output:\n%s", out)
 		}
 	})
+	// A crashed node must read as crashed whether or not the deployment
+	// is duty-cycled: under LPL its radio must stay dark until reboot.
+	crashedUnreachable := regexp.MustCompile(`(?m)^\s*192\.168\.0\.3\s+UNREACHABLE$`)
+	for _, lpl := range []bool{false, true} {
+		lpl := lpl
+		name := "healthcheck-crash"
+		args := []string{"run", "./cmd/liteview", "-nodes", "9"}
+		if lpl {
+			name += "-lpl"
+			args = append(args, "-lpl")
+		}
+		args = append(args, "-c", "fault crash 192.168.0.3; healthcheck")
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			out := runTool(t, 3*time.Minute, args...)
+			if !crashedUnreachable.MatchString(out) || !strings.Contains(out, "crashed-node: 192.168.0.3 ") {
+				t.Fatalf("crashed 192.168.0.3 not reported unreachable and crashed:\n%s", out)
+			}
+		})
+	}
 }

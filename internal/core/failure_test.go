@@ -152,38 +152,41 @@ func TestLogCommands(t *testing.T) {
 // settings (node 5's power is skewed so the survey is informative).
 func TestGroupRadioGet(t *testing.T) {
 	for _, c := range []struct {
+		name       string
 		seed       uint64
 		rows, cols int
 		warmup     time.Duration
 		at         phys.Position
 		minAnswers int
 	}{
-		{25, 3, 3, 10 * time.Second, phys.Position{X: 8, Y: 8}, 7},
-		{12, 5, 6, 15 * time.Second, phys.Position{X: 20, Y: 16}, 10},
+		{"3x3-grid", 25, 3, 3, 10 * time.Second, phys.Position{X: 8, Y: 8}, 7},
+		{"30-node-grid", 12, 5, 6, 15 * time.Second, phys.Position{X: 20, Y: 16}, 10},
 	} {
-		opt := testbed.DefaultOptions(c.seed)
-		opt.ShadowSigma = 0
-		opt.AsymSigma = 0
-		tb, err := testbed.Grid(c.rows, c.cols, 8, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tb.InstallLiteView(); err != nil {
-			t.Fatal(err)
-		}
-		tb.WarmUp(c.warmup)
-		ws, _ := tb.NewWorkstation(c.at)
-		tb.Node(4).Radio().SetPowerLevel(10)
-		got, err := ws.GroupRadioGet()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) < c.minAnswers {
-			t.Fatalf("only %d/%d nodes answered", len(got), c.rows*c.cols)
-		}
-		if ri, ok := got[5]; ok && ri.Power != 10 {
-			t.Fatalf("node 5 reported power %d, want 10", ri.Power)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			opt := testbed.DefaultOptions(c.seed)
+			opt.ShadowSigma = 0
+			opt.AsymSigma = 0
+			tb, err := testbed.Grid(c.rows, c.cols, 8, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tb.InstallLiteView(); err != nil {
+				t.Fatal(err)
+			}
+			tb.WarmUp(c.warmup)
+			ws, _ := tb.NewWorkstation(c.at)
+			tb.Node(4).Radio().SetPowerLevel(10)
+			got, err := ws.GroupRadioGet()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) < c.minAnswers {
+				t.Fatalf("only %d/%d nodes answered", len(got), c.rows*c.cols)
+			}
+			if ri, ok := got[5]; ok && ri.Power != 10 {
+				t.Fatalf("node 5 reported power %d, want 10", ri.Power)
+			}
+		})
 	}
 }
 

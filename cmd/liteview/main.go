@@ -10,11 +10,13 @@
 //	$ traceroute 192.168.0.9 round=1 length=32 port=10
 //
 // Use -c to run a semicolon-separated script instead of the REPL, and
-// -trace to record every transmission to a CSV file.
+// -trace to record every transmission through the telemetry recorder
+// and write it to a CSV file at exit.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,9 +26,14 @@ import (
 	"liteview/internal/phys"
 	"liteview/internal/routing"
 	"liteview/internal/shell"
+	"liteview/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole session; it returns the exit code, so deferred work
+// (writing the -trace CSV) happens on every exit path.
+func run() (code int) {
 	var dep cli.DeploymentFlags
 	dep.Register(flag.CommandLine)
 	var (
@@ -36,10 +43,13 @@ func main() {
 	)
 	flag.Parse()
 
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "liteview:", err)
+		return 1
+	}
 	tb, err := dep.Build()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "liteview:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	for _, attach := range []func() error{
 		func() error { return tb.AttachGeographic(routing.DefaultConfig()) },
@@ -48,23 +58,26 @@ func main() {
 		func() error { return tb.AttachOnDemand(routing.DefaultConfig()) },
 	} {
 		if err := attach(); err != nil {
-			fmt.Fprintln(os.Stderr, "liteview:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 	if _, err := tb.InstallLiteView(); err != nil {
-		fmt.Fprintln(os.Stderr, "liteview:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *traceTo != "" {
 		f, err := os.Create(*traceTo)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "liteview:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		defer f.Close()
-		stop := tb.RecordTrace(f)
-		defer stop()
+		// The trace is the telemetry's tx spans, exported at exit; `trace
+		// off` in the shell pauses it.
+		rec := tb.Telemetry()
+		rec.Start()
+		defer func() {
+			if err := errors.Join(telemetry.WriteTraceCSV(f, rec.Events()), f.Close()); err != nil {
+				code = fail(err)
+			}
+		}()
 	}
 	fmt.Printf("LiteView: %d nodes (%s), warming up %v of virtual time...\n", len(tb.Nodes), dep.Topo, dep.Warmup)
 	tb.WarmUp(dep.Warmup)
@@ -72,13 +85,11 @@ func main() {
 	// The workstation starts next to node 1.
 	ws, err := tb.NewWorkstation(tb.Node(0).Position())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "liteview:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	sh, err := shell.NewForTestbed(tb, ws, os.Stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "liteview:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *script != "" {
 		for _, line := range strings.Split(*script, ";") {
@@ -89,10 +100,10 @@ func main() {
 			fmt.Printf("%s$ %s\n", sh.Cwd(), line)
 			if err := sh.Exec(line); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 	fmt.Println("Ready. Type 'help' for commands, 'exit' to quit.")
 	in := bufio.NewScanner(os.Stdin)
@@ -100,11 +111,11 @@ func main() {
 		fmt.Printf("%s$ ", sh.Cwd())
 		if !in.Scan() {
 			fmt.Println()
-			return
+			return 0
 		}
 		line := in.Text()
 		if line == "exit" || line == "quit" {
-			return
+			return 0
 		}
 		if err := sh.Exec(line); err != nil {
 			fmt.Println("error:", err)

@@ -23,7 +23,6 @@ import (
 var testOnlyAllowed = map[string]string{
 	"medium.Medium.Detach":             "contract: FuzzMediumPurity detaches nodes mid-run against the full-scan oracle",
 	"medium.Medium.InvalidateTopology": "contract: FuzzMediumPurity retunes the model mid-run against the full-scan oracle",
-	"medium.Medium.SetDeliveryTap":     "contract: FuzzMediumPurity compares per-receiver outcomes through it",
 	"stack.DecodePacket":               "contract: FuzzDecodePacket drives the copying decoder; the receive path decodes in place",
 	"diagnose.DiagnosePath":            "the paper's path workflow; ROADMAP's diagnosis-scoring item gives it a shell command",
 	"liteos.Node.Alive":                "contract: the crash/reboot oracle TestLPLDutyCycleEquivalence reads power state through it",

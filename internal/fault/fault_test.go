@@ -10,6 +10,7 @@ import (
 	"liteview/internal/fault"
 	"liteview/internal/phys"
 	"liteview/internal/routing"
+	"liteview/internal/telemetry"
 	"liteview/internal/testbed"
 )
 
@@ -101,15 +102,29 @@ func TestFaultLifecycleStates(t *testing.T) {
 	}
 }
 
+// recordTrace starts recording tb's telemetry and returns a function
+// that exports the packet trace recorded so far as CSV.
+func recordTrace(t *testing.T, tb *testbed.Testbed) (trace func() string) {
+	t.Helper()
+	rec := tb.Telemetry()
+	rec.Start()
+	return func() string {
+		t.Helper()
+		var b strings.Builder
+		if err := telemetry.WriteTraceCSV(&b, rec.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+}
+
 // scriptedRun executes a fixed command script under a fixed fault
 // schedule, returning the packet trace CSV and the diagnosis report.
 func scriptedRun(t *testing.T, seed uint64) (traceCSV, report string) {
 	t.Helper()
 	tb, ws := deployFault(t, 5, 20, seed)
 	inj := tb.FaultInjector()
-	var buf strings.Builder
-	stop := tb.RecordTrace(&buf)
-	defer stop()
+	trace := recordTrace(t, tb)
 	if _, err := inj.Schedule(fault.Fault{At: inj.Now() + 100*time.Millisecond,
 		Kind: fault.CorruptBurst, Node: 3, Prob: 0.6, Duration: 3 * time.Second}); err != nil {
 		t.Fatal(err)
@@ -129,7 +144,7 @@ func scriptedRun(t *testing.T, seed uint64) (traceCSV, report string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.String(), rep.String()
+	return trace(), rep.String()
 }
 
 // TestSeedDeterminism is the regression test for the injector's core
@@ -164,12 +179,10 @@ func TestInjectorDoesNotPerturbFaultFreeRuns(t *testing.T) {
 		if withInjector {
 			tb.FaultInjector()
 		}
-		var buf strings.Builder
-		stop := tb.RecordTrace(&buf)
-		defer stop()
+		trace := recordTrace(t, tb)
 		ws.Ping(1, core.PingOptions{Dst: 2, Rounds: 2, Length: 32})
 		tb.Run(time.Second)
-		return buf.String()
+		return trace()
 	}
 	if run(false) != run(true) {
 		t.Fatal("installing the injector changed a fault-free packet trace")

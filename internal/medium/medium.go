@@ -95,73 +95,32 @@ type Stats struct {
 	WrongChannel uint64
 }
 
-// DeliveryOutcome classifies what happened to one (frame, receiver)
-// pair when the frame's airtime completed.
-type DeliveryOutcome int
+// deliveryOutcome classifies what happened to one (frame, receiver)
+// pair when the frame's airtime completed. Its value is the rx event's
+// outcome attribute.
+type deliveryOutcome string
 
 // Per-receiver delivery outcomes, from best to worst.
 const (
-	// OutcomeDelivered: the frame arrived intact.
-	OutcomeDelivered DeliveryOutcome = iota
-	// OutcomeCorrupted: the frame arrived with bit errors (the MAC's
-	// CRC check will fail). TapDelivery.Cause says why.
-	OutcomeCorrupted
-	// OutcomeWrongChannel: the receiver was tuned to another channel.
-	OutcomeWrongChannel
-	// OutcomeRadioOff: the receiver was not in RX (off or transmitting)
+	// outcomeDelivered: the frame arrived intact.
+	outcomeDelivered deliveryOutcome = "delivered"
+	// outcomeCorrupted: the frame arrived with bit errors (the MAC's
+	// CRC check will fail). The rx event's cause says why: "capture"
+	// (lost a co-channel collision), "per" (SINR packet-error draw) or
+	// "jam" (a fault hook's Corrupt effect: a jammed channel).
+	outcomeCorrupted deliveryOutcome = "corrupted"
+	// outcomeWrongChannel: the receiver was tuned to another channel.
+	outcomeWrongChannel deliveryOutcome = "wrong-channel"
+	// outcomeRadioOff: the receiver was not in RX (off or transmitting)
 	// when the frame ended.
-	OutcomeRadioOff
-	// OutcomeBelowSensitivity: the signal arrived under the radio's
+	outcomeRadioOff deliveryOutcome = "radio-off"
+	// outcomeBelowSensitivity: the signal arrived under the radio's
 	// sensitivity floor and was never detected.
-	OutcomeBelowSensitivity
-	// OutcomeInjectedDrop: an active fault (blackout, partition)
+	outcomeBelowSensitivity deliveryOutcome = "below-sensitivity"
+	// outcomeInjectedDrop: an active fault (blackout, partition)
 	// swallowed the frame.
-	OutcomeInjectedDrop
+	outcomeInjectedDrop deliveryOutcome = "injected-drop"
 )
-
-// String returns the outcome's wire name (used in telemetry exports).
-func (o DeliveryOutcome) String() string {
-	switch o {
-	case OutcomeDelivered:
-		return "delivered"
-	case OutcomeCorrupted:
-		return "corrupted"
-	case OutcomeWrongChannel:
-		return "wrong-channel"
-	case OutcomeRadioOff:
-		return "radio-off"
-	case OutcomeBelowSensitivity:
-		return "below-sensitivity"
-	case OutcomeInjectedDrop:
-		return "injected-drop"
-	}
-	return "unknown"
-}
-
-// TapDelivery describes one per-receiver delivery outcome — the answer
-// to "who actually heard this frame, and if not, why not".
-type TapDelivery struct {
-	// TxSeq ties the outcome back to the TapRecord with the same Seq.
-	TxSeq uint64
-	// From and To are the transmitter and the would-be receiver.
-	From, To phys.NodeID
-	// Channel is the transmission's 802.15.4 channel.
-	Channel int
-	// Outcome classifies the delivery.
-	Outcome DeliveryOutcome
-	// Cause refines OutcomeCorrupted: "capture" (lost a co-channel
-	// collision), "per" (SINR packet-error draw), "jam" (a fault hook's
-	// Corrupt effect: a jammed channel). Empty otherwise.
-	Cause string
-	// RxPowerDBm and SINRDB are the received power and
-	// signal-to-interference-plus-noise ratio; only meaningful for
-	// outcomes where the frame was demodulated (delivered/corrupted).
-	RxPowerDBm, SINRDB float64
-	// RSSI and LQI are the radio register values for demodulated frames.
-	RSSI, LQI int
-	// At is the delivery instant (end of airtime).
-	At sim.Time
-}
 
 // FaultEffect is what an injected fault does to one delivery. Effects
 // compose: a degraded link loses ExtraLossDB of signal before the
@@ -196,6 +155,13 @@ type transmission struct {
 	// time, built for txDBm (shared with the reachability cache;
 	// read-only).
 	reach *reachability
+	// far counts the nodes deliver tallies under the floor in bulk: the
+	// attached nodes, other than the transmitter, outside reach's
+	// candidate set among the slots that existed at transmit time
+	// (nslots). It starts at reach.far, and Detach and a returning
+	// Attach keep it current while the frame is in flight (countFar).
+	far    uint64
+	nslots int32
 	// origin is the cell of pos: the transmission is registered in the
 	// ledgers of all cells within the ring of it, and cells created
 	// later (attach, migration) re-derive membership from it.
@@ -332,15 +298,12 @@ type Medium struct {
 	// faultFn, when set, is consulted per delivery by the fault
 	// injector (internal/fault) or a test.
 	faultFn func(from, to phys.NodeID, channel int) FaultEffect
-	// tap, when set, observes every transmission put on the air.
-	tap func(TapRecord)
-	// deliveryTap, when set, observes every per-receiver delivery
-	// outcome.
-	deliveryTap func(TapDelivery)
 	// txSeq numbers transmissions so delivery outcomes can be joined
 	// back to the frame they belong to.
 	txSeq uint64
-	// tel, when set, receives medium-layer telemetry events.
+	// tel, when set, receives medium-layer telemetry: a tx span per
+	// transmission and an rx event per delivery outcome. It is the
+	// medium's only observer.
 	tel *telemetry.Recorder
 	// reach caches each transmitter's candidate set, indexed by slot;
 	// invalidated within the ring on attach, detach and moves, and
@@ -378,19 +341,6 @@ type Medium struct {
 	viewGen uint64
 }
 
-// TapRecord describes one transmission for trace tooling.
-type TapRecord struct {
-	// Seq is the transmission's medium-wide sequence number; the
-	// TapDelivery records for this frame carry it as TxSeq.
-	Seq     uint64
-	From    phys.NodeID
-	Channel int
-	TxDBm   float64
-	Bytes   int
-	Start   sim.Time
-	End     sim.Time
-}
-
 // SetFaultHook installs the fault injector's per-delivery hook: fn is
 // asked what effect, if any, active faults have on a frame from one
 // node to another on a channel. Pass nil to remove.
@@ -409,14 +359,6 @@ func (m *Medium) FaultHooked() bool { return m.faultFn != nil }
 // so the MAC installs its FCS check here; every MAC on a medium installs
 // the same one.
 func (m *Medium) SetFrameCheck(fn func(frame []byte) bool) { m.frameCheck = fn }
-
-// SetTap installs an observer of every transmission (nil removes it).
-func (m *Medium) SetTap(fn func(TapRecord)) { m.tap = fn }
-
-// SetDeliveryTap installs an observer of every per-receiver delivery
-// outcome (nil removes it). No tool installs one: it is the contract
-// FuzzMediumPurity compares against the full-scan oracle.
-func (m *Medium) SetDeliveryTap(fn func(TapDelivery)) { m.deliveryTap = fn }
 
 // SetTelemetry points the medium at a telemetry recorder (nil detaches).
 func (m *Medium) SetTelemetry(rec *telemetry.Recorder) { m.tel = rec }
@@ -506,6 +448,9 @@ func (m *Medium) Attach(r Receiver) error {
 	}
 	m.resetView()
 	m.slots[s].rx, m.slots[s].rad, m.slots[s].pos = r, r.Radio(), r.Position()
+	if known {
+		m.countFar(s, true)
+	}
 	m.order = append(m.order, s)
 	key := m.keyFor(m.slots[s].pos)
 	m.place(s, key)
@@ -515,7 +460,8 @@ func (m *Medium) Attach(r Receiver) error {
 	return nil
 }
 
-// Detach removes a node; pending deliveries to it are silently dropped.
+// Detach removes a node; pending deliveries to it are silently dropped,
+// and frames in flight that counted it under the floor stop counting it.
 // A frame the node already put on the air stays there: it delivers to
 // (and interferes at) the remaining nodes, exactly as a frame from a
 // mote that lost power mid-transmission would. Its memo entries go
@@ -528,6 +474,7 @@ func (m *Medium) Detach(id phys.NodeID) {
 		return
 	}
 	m.resetView()
+	m.countFar(s, false)
 	m.slots[s].rx, m.slots[s].rad = nil, nil
 	m.order = slices.DeleteFunc(m.order, func(n int32) bool { return n == s })
 	// In-flight transmissions keep their captured candidate sets (which
@@ -538,6 +485,27 @@ func (m *Medium) Detach(id phys.NodeID) {
 	m.grid.remove(s)
 	m.dropReach(s)
 	m.invalidateRing(key)
+}
+
+// countFar moves slot s into (attach) or out of (detach) the bulk
+// under-floor count of every frame in flight that counts it: one sent
+// while s's slot existed that s neither sent nor is a candidate of. The
+// full-scan oracle counts such a node exactly when it is attached at
+// delivery. A frame delivered earlier at this instant is adjusted too;
+// its count is no longer read. Only Attach and Detach pay for this,
+// never a delivery.
+func (m *Medium) countFar(s int32, attach bool) {
+	now := m.eng.Now()
+	for _, t := range m.active {
+		if t.end < now || s >= t.nslots || s == t.fromSlot || slices.Contains(t.reach.cand, s) {
+			continue
+		}
+		if attach {
+			t.far++
+		} else {
+			t.far--
+		}
+	}
 }
 
 // Nodes returns the number of attached nodes.
@@ -708,16 +676,13 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	// change the other receivers' outcomes (deliver re-checks attachment
 	// per candidate).
 	t.reach = m.reachFor(s, t.txDBm)
+	t.far, t.nslots = t.reach.far, int32(len(m.slots))
 	t.origin = m.keyFor(t.pos)
 	m.register(t)
 	m.active = append(m.active, t)
 	m.stats.Transmitted++
 	m.txSeq++
 	seq := m.txSeq
-	if m.tap != nil {
-		m.tap(TapRecord{Seq: seq, From: t.from, Channel: t.channel, TxDBm: t.txDBm,
-			Bytes: len(t.frame), Start: t.start, End: t.end})
-	}
 	if m.tel.Recording() {
 		m.tel.EmitSpan(t.from, telemetry.LayerMedium, "tx", airtime,
 			telemetry.Uint64("txseq", seq),
@@ -730,48 +695,35 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	return airtime, nil
 }
 
-// report publishes t's delivery outcome o at node to to the stats
-// counters' observers: the delivery tap and the telemetry recorder. It
-// builds nothing when neither observes. rxDBm is the received power
-// (zero before the fault check); info, for a demodulated frame, carries
-// its SINR, RSSI and LQI; cause refines OutcomeCorrupted.
-func (m *Medium) report(t *transmission, to phys.NodeID, o DeliveryOutcome, cause string, rxDBm float64, info *RxInfo) {
-	recording := m.tel.Recording()
-	if m.deliveryTap == nil && !recording {
-		return
-	}
-	d := TapDelivery{TxSeq: t.seq, From: t.from, To: to, Channel: t.channel,
-		Outcome: o, Cause: cause, RxPowerDBm: rxDBm, At: m.eng.Now()}
-	if info != nil {
-		d.SINRDB, d.RSSI, d.LQI = info.SNRDB, info.RSSI, info.LQI
-	}
-	if m.deliveryTap != nil {
-		m.deliveryTap(d)
-	}
-	if !recording {
+// report publishes t's delivery outcome o at node to as a telemetry rx
+// event and the link's counters; it does nothing unless the recorder is
+// recording. info, for a demodulated frame, carries its received power,
+// SINR and LQI; cause refines outcomeCorrupted.
+func (m *Medium) report(t *transmission, to phys.NodeID, o deliveryOutcome, cause string, info *RxInfo) {
+	if !m.tel.Recording() {
 		return
 	}
 	attrs := []telemetry.Attr{
-		telemetry.Uint64("txseq", d.TxSeq),
-		telemetry.Node("from", d.From),
-		telemetry.String("outcome", d.Outcome.String()),
+		telemetry.Uint64("txseq", t.seq),
+		telemetry.Node("from", t.from),
+		telemetry.String("outcome", string(o)),
 	}
-	if d.Cause != "" {
-		attrs = append(attrs, telemetry.String("cause", d.Cause))
+	if cause != "" {
+		attrs = append(attrs, telemetry.String("cause", cause))
 	}
-	if d.Outcome == OutcomeDelivered || d.Outcome == OutcomeCorrupted {
+	if info != nil {
 		attrs = append(attrs,
-			telemetry.Float("rx_dbm", d.RxPowerDBm),
-			telemetry.Float("sinr_db", d.SINRDB),
-			telemetry.Int("lqi", d.LQI))
+			telemetry.Float("rx_dbm", info.RxPowerDBm),
+			telemetry.Float("sinr_db", info.SNRDB),
+			telemetry.Int("lqi", info.LQI))
 	}
-	m.tel.Emit(d.To, telemetry.LayerMedium, "rx", attrs...)
-	lk := m.linkKeysFor(d.From, d.To)
-	switch d.Outcome {
-	case OutcomeDelivered:
+	m.tel.Emit(to, telemetry.LayerMedium, "rx", attrs...)
+	lk := m.linkKeysFor(t.from, to)
+	switch o {
+	case outcomeDelivered:
 		m.tel.Metrics().Counter(lk.delivered).Inc()
-		m.tel.Metrics().Gauge(lk.lqi).Set(float64(d.LQI))
-	case OutcomeCorrupted, OutcomeInjectedDrop:
+		m.tel.Metrics().Gauge(lk.lqi).Set(float64(info.LQI))
+	case outcomeCorrupted, outcomeInjectedDrop:
 		// Only real link losses count: out-of-range, off-channel, and
 		// radio-off outcomes would flatten the link's PRR — under LPL
 		// duty-cycling a sleeping radio misses most frames by design,
@@ -791,7 +743,7 @@ func (m *Medium) deliver(t *transmission) {
 	m.resetView()
 	// Nodes excluded by the reachability floor can never demodulate the
 	// frame; they are counted in bulk, with no per-receiver outcome.
-	m.stats.BelowSensitivity += r.far
+	m.stats.BelowSensitivity += t.far
 	noiseMW, noiseDBm := m.noiseFloor()
 	for i, s := range r.cand {
 		sl := &m.slots[s]
@@ -801,7 +753,7 @@ func (m *Medium) deliver(t *transmission) {
 		id := sl.id
 		if sl.rad.Channel() != t.channel {
 			m.stats.WrongChannel++
-			m.report(t, id, OutcomeWrongChannel, "", 0, nil)
+			m.report(t, id, outcomeWrongChannel, "", nil)
 			continue
 		}
 		var eff FaultEffect
@@ -810,7 +762,7 @@ func (m *Medium) deliver(t *transmission) {
 		}
 		if eff.Drop {
 			m.stats.InjectedDrops++
-			m.report(t, id, OutcomeInjectedDrop, "", 0, nil)
+			m.report(t, id, outcomeInjectedDrop, "", nil)
 			continue
 		}
 		rxDBm := r.rx[i]
@@ -820,12 +772,12 @@ func (m *Medium) deliver(t *transmission) {
 		rxDBm -= eff.ExtraLossDB
 		if rxDBm < radio.SensitivityDBm {
 			m.stats.BelowSensitivity++
-			m.report(t, id, OutcomeBelowSensitivity, "", rxDBm, nil)
+			m.report(t, id, outcomeBelowSensitivity, "", nil)
 			continue
 		}
 		if sl.rad.State() != radio.RX {
 			m.stats.MissedNotListening++
-			m.report(t, id, OutcomeRadioOff, "", rxDBm, nil)
+			m.report(t, id, outcomeRadioOff, "", nil)
 			continue
 		}
 		inDBm, interfered := m.scan(t, s, noiseMW, noiseDBm)
@@ -856,10 +808,10 @@ func (m *Medium) deliver(t *transmission) {
 		}
 		if ok {
 			m.stats.Delivered++
-			m.report(t, id, OutcomeDelivered, "", rxDBm, &info)
+			m.report(t, id, outcomeDelivered, "", &info)
 		} else {
 			m.stats.Corrupted++
-			m.report(t, id, OutcomeCorrupted, cause, rxDBm, &info)
+			m.report(t, id, outcomeCorrupted, cause, &info)
 		}
 		sl.rx.OnFrame(t.frame, info)
 	}

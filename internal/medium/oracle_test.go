@@ -44,7 +44,7 @@ func (m *Medium) oracleDeliver(arg any) {
 		}
 		if rx.Radio().Channel() != t.channel {
 			m.stats.WrongChannel++
-			m.report(t, id, OutcomeWrongChannel, "", 0, nil)
+			m.report(t, id, outcomeWrongChannel, "", nil)
 			continue
 		}
 		var eff FaultEffect
@@ -53,18 +53,18 @@ func (m *Medium) oracleDeliver(arg any) {
 		}
 		if eff.Drop {
 			m.stats.InjectedDrops++
-			m.report(t, id, OutcomeInjectedDrop, "", 0, nil)
+			m.report(t, id, outcomeInjectedDrop, "", nil)
 			continue
 		}
 		rxDBm := b.Received(t.txDBm) - eff.ExtraLossDB
 		if rxDBm < radio.SensitivityDBm {
 			m.stats.BelowSensitivity++
-			m.report(t, id, OutcomeBelowSensitivity, "", rxDBm, nil)
+			m.report(t, id, outcomeBelowSensitivity, "", nil)
 			continue
 		}
 		if rx.Radio().State() != radio.RX {
 			m.stats.MissedNotListening++
-			m.report(t, id, OutcomeRadioOff, "", rxDBm, nil)
+			m.report(t, id, outcomeRadioOff, "", nil)
 			continue
 		}
 		interfMW, interfered := 0.0, false
@@ -93,10 +93,10 @@ func (m *Medium) oracleDeliver(arg any) {
 			At: m.eng.Now()}
 		if ok {
 			m.stats.Delivered++
-			m.report(t, id, OutcomeDelivered, "", rxDBm, &info)
+			m.report(t, id, outcomeDelivered, "", &info)
 		} else {
 			m.stats.Corrupted++
-			m.report(t, id, OutcomeCorrupted, cause, rxDBm, &info)
+			m.report(t, id, outcomeCorrupted, cause, &info)
 		}
 		rx.OnFrame(append([]byte(nil), t.frame...), info)
 	}

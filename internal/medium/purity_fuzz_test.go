@@ -27,15 +27,15 @@ import (
 //
 // A frame's candidate set, and its bulk count of nodes under the floor,
 // are captured at transmit time; the oracle applies the floor inline at
-// delivery. The two agree unless the set of nodes over the floor changes
-// while the frame is in flight, and the schedule avoids each way that
-// can happen. A node attached mid-flight hears the frame from the oracle
-// but not from the captured set: only the floater (node 6) ever
-// detaches, and it comes back only once every frame sent while it was
-// away has been delivered. A move or a model tweak that carries a link
-// from a frame in flight across the floor is skipped, and so is the
-// floater's detach while a frame in flight cannot reach it (the medium
-// has already counted it under the floor; the oracle would not).
+// delivery. Detach and re-attach keep the bulk count current, so the two
+// agree unless the set of nodes over the floor changes while the frame
+// is in flight, and the schedule avoids each way that can happen. A node
+// attached mid-flight hears the frame from the oracle but not from the
+// captured set: only the floater (node 6) ever detaches, and it comes
+// back only once every frame sent while it was away has been delivered.
+// A move or a model tweak that carries a link from a frame in flight
+// across the floor is skipped. The floater may detach while a frame in
+// flight counts it under the floor (corpus entry b468bf6615baf81f).
 // The floater is attached last, and a re-attach keeps it last, so
 // attach order — and with it the order of receptions and random draws —
 // is the same both ways.
@@ -71,7 +71,7 @@ var purityPositions = [purityNodes]phys.Position{
 
 // purityRun is what one run of a generated scenario observes.
 type purityRun struct {
-	deliveries []TapDelivery
+	deliveries []delivery
 	cca        []float64
 	stats      Stats
 }
@@ -98,7 +98,7 @@ func runPurityScenario(t *testing.T, data []byte, oracle bool) purityRun {
 		m.SetSharding(Sharding{CellSize: 20})
 	}
 	var run purityRun
-	m.SetDeliveryTap(func(td TapDelivery) { run.deliveries = append(run.deliveries, td) })
+	obs := observe(t, eng, m, nodes...)
 
 	attached := true
 	// away is the end of the last frame put on the air while the floater
@@ -169,11 +169,6 @@ func runPurityScenario(t *testing.T, data []byte, oracle bool) purityRun {
 				}
 			case opFloat:
 				if attached {
-					for _, f := range flights {
-						if f.end >= eng.Now() && f.from != floater && !over(f, floater, floater.pos) {
-							return // a frame in flight has counted it under the floor
-						}
-					}
 					m.Detach(floater.id)
 					attached = false
 				} else if eng.Now() > away {
@@ -207,6 +202,7 @@ func runPurityScenario(t *testing.T, data []byte, oracle bool) purityRun {
 		})
 	}
 	eng.Run()
+	run.deliveries = obs.deliveries()
 	run.stats = m.Stats()
 	return run
 }

@@ -29,8 +29,7 @@ func TestPruneRetainsOverlappingInterferers(t *testing.T) {
 	m.Attach(c)
 	m.Attach(d)
 
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	obs := observe(t, eng, m, a, b, c, d)
 
 	// Long frame from a (airtime 3.392 ms) overlapped at its start by a
 	// short frame from b (airtime 224 µs).
@@ -41,9 +40,9 @@ func TestPruneRetainsOverlappingInterferers(t *testing.T) {
 	eng.Schedule(sim.Time(2_000_000), func() { m.Transmit(d, []byte{2}) })
 	eng.Run()
 
-	for _, td := range deliveries {
+	for _, td := range obs.deliveries() {
 		if td.From == 1 && td.To == 3 {
-			if td.Outcome != OutcomeCorrupted || td.Cause != "capture" {
+			if td.Outcome != outcomeCorrupted || td.Cause != "capture" {
 				t.Fatalf("long frame outcome = %v (cause %q), want corrupted by capture: pruned interferer excluded from SINR", td.Outcome, td.Cause)
 			}
 			return
@@ -157,7 +156,7 @@ func TestDetachMidFlight(t *testing.T) {
 // grid (plus one unreachable outlier) and returns the full per-receiver
 // outcome sequence, a mid-airtime CCA sample, and the final stats, from
 // the production medium or the full-scan oracle.
-func indexScenario(t *testing.T, oracle bool) ([]TapDelivery, float64, Stats) {
+func indexScenario(t *testing.T, oracle bool) ([]delivery, float64, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
 	energy := useOracle(m, oracle)
@@ -173,8 +172,7 @@ func indexScenario(t *testing.T, oracle bool) ([]TapDelivery, float64, Stats) {
 	nodes = append(nodes, far)
 	m.Attach(far)
 
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	obs := observe(t, eng, m, nodes...)
 
 	var cca float64
 	m.Transmit(nodes[0], make([]byte, 16))
@@ -183,7 +181,7 @@ func indexScenario(t *testing.T, oracle bool) ([]TapDelivery, float64, Stats) {
 	eng.Schedule(sim.Time(5_000_000), func() { m.Transmit(nodes[24], make([]byte, 16)) })
 	eng.Schedule(sim.Time(10_000_000), func() { m.Transmit(nodes[6], make([]byte, 16)) })
 	eng.Run()
-	return deliveries, cca, m.Stats()
+	return obs.deliveries(), cca, m.Stats()
 }
 
 // TestReachabilityIndexIsPureOptimization checks the candidate sets,

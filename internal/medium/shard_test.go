@@ -14,7 +14,7 @@ import (
 // so every quantity the sharded medium computes — candidate sets, bulk
 // far counts, interference sums — must be bit-identical to the
 // single-cell medium.
-func shardPurityScenario(t *testing.T) ([]TapDelivery, float64, Stats) {
+func shardPurityScenario(t *testing.T) ([]delivery, float64, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
 	nodes := make([]*fakeNode, 0, 26)
@@ -30,8 +30,7 @@ func shardPurityScenario(t *testing.T) ([]TapDelivery, float64, Stats) {
 	m.Attach(far)
 	m.SetSharding(Sharding{})
 
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	obs := observe(t, eng, m, nodes...)
 
 	var cca float64
 	m.Transmit(nodes[0], make([]byte, 16))
@@ -40,7 +39,7 @@ func shardPurityScenario(t *testing.T) ([]TapDelivery, float64, Stats) {
 	eng.Schedule(sim.Time(5_000_000), func() { m.Transmit(nodes[24], make([]byte, 16)) })
 	eng.Schedule(sim.Time(10_000_000), func() { m.Transmit(nodes[6], make([]byte, 16)) })
 	eng.Run()
-	return deliveries, cca, m.Stats()
+	return obs.deliveries(), cca, m.Stats()
 }
 
 // TestShardedMatchesIndexOnCompactTopology: on a deployment that fits
@@ -64,7 +63,7 @@ func TestShardedMatchesIndexOnCompactTopology(t *testing.T) {
 // (multiples of an explicit 50 m cell size), where floor(x/size) is one
 // ULP from flipping cells, and runs a colliding schedule. The span fits
 // one ring (ring = 3 at 50 m cells), so the single cell is the oracle.
-func boundaryScenario(t *testing.T, shard bool) ([]TapDelivery, Stats) {
+func boundaryScenario(t *testing.T, shard bool) ([]delivery, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
 	var nodes []*fakeNode
@@ -82,13 +81,12 @@ func boundaryScenario(t *testing.T, shard bool) ([]TapDelivery, Stats) {
 	if shard {
 		m.SetSharding(Sharding{CellSize: 50})
 	}
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	obs := observe(t, eng, m, nodes...)
 	m.Transmit(nodes[4], make([]byte, 32)) // node at exactly (50, 0)
 	m.Transmit(nodes[7], make([]byte, 32)) // (100, 50): collision
 	eng.Schedule(sim.Time(3_000_000), func() { m.Transmit(nodes[0], make([]byte, 32)) })
 	eng.Run()
-	return deliveries, m.Stats()
+	return obs.deliveries(), m.Stats()
 }
 
 // TestShardedBoundaryNodes: a node whose coordinate sits exactly on a
@@ -113,7 +111,7 @@ func TestShardedBoundaryNodes(t *testing.T) {
 // different cells: w was attached after b, so the merged candidate set
 // only keeps the single cell's order if b kept its attach sequence
 // across the migration.
-func migrationScenario(t *testing.T, shard bool, dest phys.Position) ([]TapDelivery, Stats) {
+func migrationScenario(t *testing.T, shard bool, dest phys.Position) ([]delivery, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
 	a, b, c := newFake(1, 0, 0), newFake(2, 100, 0), newFake(3, 60, 30)
@@ -126,8 +124,7 @@ func migrationScenario(t *testing.T, shard bool, dest phys.Position) ([]TapDeliv
 	if shard {
 		m.SetSharding(Sharding{})
 	}
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	obs := observe(t, eng, m, a, b, c, w, x)
 	m.Transmit(a, make([]byte, 100)) // long frame: 3.4 ms in the air
 	eng.Schedule(radio.FrameAirtime(100)/2, func() {
 		b.pos = dest
@@ -136,7 +133,7 @@ func migrationScenario(t *testing.T, shard bool, dest phys.Position) ([]TapDeliv
 	eng.Schedule(sim.Time(5_000_000), func() { m.Transmit(b, make([]byte, 32)) })
 	eng.Schedule(sim.Time(10_000_000), func() { m.Transmit(x, make([]byte, 32)) })
 	eng.Run()
-	return deliveries, m.Stats()
+	return obs.deliveries(), m.Stats()
 }
 
 // TestShardedReceiverMigratesMidFlight covers both migration shapes: a
@@ -164,7 +161,7 @@ func TestShardedReceiverMigratesMidFlight(t *testing.T) {
 		}
 		var heard []phys.NodeID
 		for _, td := range d {
-			if td.From == 5 && td.Outcome == OutcomeDelivered {
+			if td.From == 5 && td.Outcome == outcomeDelivered {
 				heard = append(heard, td.To)
 			}
 		}
@@ -182,15 +179,14 @@ func TestShardedReceiverMigratesMidFlight(t *testing.T) {
 // the (from,to) entry with that stale-position value, so the post-move
 // transmission reused a budget from a spot the workstation had already
 // left.
-func movingTxScenario(t *testing.T, oracle bool) ([]TapDelivery, Stats) {
+func movingTxScenario(t *testing.T, oracle bool) ([]delivery, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
 	useOracle(m, oracle)
 	a, b := newFake(1, 0, 0), newFake(2, 20, 0)
 	m.Attach(a)
 	m.Attach(b)
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	obs := observe(t, eng, m, a, b)
 	m.Transmit(a, make([]byte, 64))
 	eng.Schedule(radio.FrameAirtime(64)/2, func() {
 		a.pos = phys.Position{X: 100000, Y: 0} // walks out of range mid-flight
@@ -198,7 +194,7 @@ func movingTxScenario(t *testing.T, oracle bool) ([]TapDelivery, Stats) {
 	})
 	eng.Schedule(sim.Time(5_000_000), func() { m.Transmit(a, make([]byte, 64)) })
 	eng.Run()
-	return deliveries, m.Stats()
+	return obs.deliveries(), m.Stats()
 }
 
 // TestMovedTransmitterMidFlightPurity byte-compares the medium against
@@ -218,10 +214,10 @@ func TestMovedTransmitterMidFlightPurity(t *testing.T) {
 	// the post-move frame (100 km away) must not have been.
 	var first, second bool
 	for _, d := range dOn {
-		if d.TxSeq == 1 && d.Outcome == OutcomeDelivered {
+		if d.TxSeq == 1 && d.Outcome == outcomeDelivered {
 			first = true
 		}
-		if d.TxSeq == 2 && d.Outcome == OutcomeDelivered {
+		if d.TxSeq == 2 && d.Outcome == outcomeDelivered {
 			second = true
 		}
 	}
@@ -256,25 +252,23 @@ func TestShardedFarFieldBound(t *testing.T) {
 		}
 	}
 	m.SetSharding(Sharding{})
-	txs := map[uint64]TapRecord{}
-	m.SetTap(func(r TapRecord) { txs[r.Seq] = r })
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	obs := observe(t, eng, m, nodes...)
 	for k := 0; k < 80; k++ {
 		n := nodes[(k*379+side/2)%len(nodes)]
 		eng.Schedule(sim.Time(k)*50_000, func() { m.Transmit(n, make([]byte, 32)) })
 	}
 	eng.Run()
+	txs, deliveries := obs.sent(), obs.deliveries()
 
 	floorDBm := radio.SensitivityDBm - FadeMarginDB
 	noiseMW := dbmToMW(m.model.NoiseFloor)
 	pos := func(id phys.NodeID) phys.Position { return nodes[id-1].pos }
-	received := func(o TapRecord, to phys.NodeID) float64 {
+	received := func(o sentFrame, to phys.NodeID) float64 {
 		return m.model.LinkBudget(o.From, to, pos(o.From), pos(to)).Received(o.TxDBm)
 	}
 	worst, worstK, affected := 0.0, 0, 0
 	for _, d := range deliveries {
-		if d.Outcome != OutcomeDelivered && d.Outcome != OutcomeCorrupted {
+		if d.Outcome != outcomeDelivered && d.Outcome != outcomeCorrupted {
 			continue
 		}
 		tx := txs[d.TxSeq]
@@ -298,8 +292,8 @@ func TestShardedFarFieldBound(t *testing.T) {
 			outMW += dbmToMW(p)
 			k++
 		}
-		if sinr := d.RxPowerDBm - mwToDBm(noiseMW+inMW); sinr != d.SINRDB {
-			t.Fatalf("delivery %d→%d: in-ring SINR %v, medium reported %v", d.From, d.To, sinr, d.SINRDB)
+		if sinr := d.Info.RxPowerDBm - mwToDBm(noiseMW+inMW); sinr != d.Info.SNRDB {
+			t.Fatalf("delivery %d→%d: in-ring SINR %v, medium reported %v", d.From, d.To, sinr, d.Info.SNRDB)
 		}
 		if k == 0 {
 			continue

@@ -15,7 +15,7 @@ import (
 // detaches node 2, moves it 100 km away, re-attaches it, and transmits
 // again. It returns every delivery outcome, the stats, and how many
 // frames node 2 received.
-func reattachScenario(t *testing.T, shard, oracle bool) ([]TapDelivery, Stats, int) {
+func reattachScenario(t *testing.T, shard, oracle bool) ([]delivery, Stats, int) {
 	t.Helper()
 	eng, m := newTestMedium()
 	useOracle(m, oracle)
@@ -28,8 +28,7 @@ func reattachScenario(t *testing.T, shard, oracle bool) ([]TapDelivery, Stats, i
 	if shard {
 		m.SetSharding(Sharding{})
 	}
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	obs := observe(t, eng, m, a, b)
 	m.Transmit(a, []byte{1})
 	eng.Run()
 	if len(b.frames) != 1 {
@@ -42,7 +41,7 @@ func reattachScenario(t *testing.T, shard, oracle bool) ([]TapDelivery, Stats, i
 	}
 	m.Transmit(a, []byte{2})
 	eng.Run()
-	return deliveries, m.Stats(), len(b.frames)
+	return obs.deliveries(), m.Stats(), len(b.frames)
 }
 
 // TestReattachDropsStaleBudget checks that nothing the medium caches for
@@ -75,7 +74,7 @@ func TestReattachDropsStaleBudget(t *testing.T) {
 // after the move read the captured candidate sets. The move stays well inside radio
 // range, so the candidate set captured at transmit time is the set the
 // full-scan oracle filters inline, and the two must agree byte for byte.
-func midFlightMoveScenario(t *testing.T, oracle bool, mover phys.NodeID, dest phys.Position) ([]TapDelivery, []float64, Stats) {
+func midFlightMoveScenario(t *testing.T, oracle bool, mover phys.NodeID, dest phys.Position) ([]delivery, []float64, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
 	energy := useOracle(m, oracle)
@@ -87,8 +86,7 @@ func midFlightMoveScenario(t *testing.T, oracle bool, mover phys.NodeID, dest ph
 		}
 	}
 	node := func(id phys.NodeID) *fakeNode { return nodes[id-1] }
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	obs := observe(t, eng, m, nodes...)
 	var ccas []float64
 
 	m.Transmit(node(1), make([]byte, 48))
@@ -109,7 +107,7 @@ func midFlightMoveScenario(t *testing.T, oracle bool, mover phys.NodeID, dest ph
 		m.Transmit(node(7), make([]byte, 48))
 	})
 	eng.Run()
-	return deliveries, ccas, m.Stats()
+	return obs.deliveries(), ccas, m.Stats()
 }
 
 func checkMidFlightMovePurity(t *testing.T, mover phys.NodeID, dest phys.Position) {

@@ -40,7 +40,7 @@ const (
 // frame. The second round reads memo entries the first filled. Node 8
 // is attached last, so the oracle's walk of the attach order survives
 // its detach (the vacated tail entry is node 1, the transmitter).
-func viewScenario(t *testing.T, oracle, shard bool, change int) ([]TapDelivery, Stats) {
+func viewScenario(t *testing.T, oracle, shard bool, change int) ([]delivery, Stats) {
 	t.Helper()
 	eng, m := newTestMedium()
 	useOracle(m, oracle)
@@ -59,8 +59,11 @@ func viewScenario(t *testing.T, oracle, shard bool, change int) ([]TapDelivery, 
 			t.Fatalf("%d cells, want the four the layout spans", len(m.grid.cells))
 		}
 	}
-	var deliveries []TapDelivery
-	m.SetDeliveryTap(func(td TapDelivery) { deliveries = append(deliveries, td) })
+	fakes := make([]*fakeNode, len(nodes))
+	for i, n := range nodes {
+		fakes[i] = n.fakeNode
+	}
+	obs := observe(t, eng, m, fakes...)
 
 	fired := false
 	nodes[1].hook = func(info RxInfo) {
@@ -102,7 +105,7 @@ func viewScenario(t *testing.T, oracle, shard bool, change int) ([]TapDelivery, 
 	if !fired {
 		t.Fatal("node 2 never received node 1's long frame")
 	}
-	return deliveries, m.Stats()
+	return obs.deliveries(), m.Stats()
 }
 
 // TestInterfererViewMatchesOracle byte-compares deliveries and stats
@@ -128,8 +131,8 @@ func TestInterfererViewMatchesOracle(t *testing.T) {
 				got, gotStats := viewScenario(t, false, shard, tc.change)
 				noise, interfered := phys.DefaultModel(42).NoiseFloor, 0
 				for _, d := range want {
-					demodulated := d.Outcome == OutcomeDelivered || d.Outcome == OutcomeCorrupted
-					if demodulated && d.SINRDB < d.RxPowerDBm-noise-0.01 {
+					demodulated := d.Outcome == outcomeDelivered || d.Outcome == outcomeCorrupted
+					if demodulated && d.Info.SNRDB < d.Info.RxPowerDBm-noise-0.01 {
 						interfered++
 					}
 				}

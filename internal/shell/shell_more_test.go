@@ -1,9 +1,12 @@
 package shell
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"liteview/internal/telemetry"
 )
 
 func TestLogShellCommands(t *testing.T) {
@@ -160,5 +163,49 @@ func TestLogShowCountAboveByte(t *testing.T) {
 	got := f.run(t, "log show 300")
 	if head, _, _ := strings.Cut(got, "\n"); !strings.Contains(head, "(64 entries)") {
 		t.Fatalf("log show 300 did not return the whole ring: %q", head)
+	}
+}
+
+// TestTraceOffPausesCSV: the packet trace is exported from the telemetry
+// recorder, so a `trace off` typed in the shell pauses it and `trace on`
+// resumes it.
+func TestTraceOffPausesCSV(t *testing.T) {
+	f := deployShell(t, 3, 20, 12)
+	rec := f.tb.Telemetry()
+	rec.Start()
+	f.run(t, "cd 192.168.0.1")
+	f.run(t, "ping 192.168.0.2 round=1 length=32")
+	f.run(t, "trace off")
+	off, sent := f.tb.Eng.Now(), f.tb.Med.Stats().Transmitted
+	f.run(t, "ping 192.168.0.2 round=1 length=32")
+	on := f.tb.Eng.Now()
+	if f.tb.Med.Stats().Transmitted == sent {
+		t.Fatal("no transmission while tracing was off: the scenario tests nothing")
+	}
+	f.run(t, "trace on")
+	f.run(t, "ping 192.168.0.2 round=1 length=32")
+
+	var b strings.Builder
+	if err := telemetry.WriteTraceCSV(&b, rec.Events()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after int
+	for _, row := range strings.Split(strings.TrimSpace(b.String()), "\n")[1:] {
+		startUS, _, _ := strings.Cut(row, ",")
+		start, err := strconv.ParseInt(startUS, 10, 64)
+		if err != nil {
+			t.Fatalf("row %q: %v", row, err)
+		}
+		switch {
+		case start < off.Microseconds():
+			before++
+		case start < on.Microseconds():
+			t.Fatalf("row %q was sent while tracing was off (%d–%d µs)", row, off.Microseconds(), on.Microseconds())
+		default:
+			after++
+		}
+	}
+	if before == 0 || after == 0 {
+		t.Fatalf("%d rows before trace off, %d after trace on; want some of each", before, after)
 	}
 }

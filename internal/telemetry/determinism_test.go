@@ -1,6 +1,8 @@
 package telemetry_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,15 +16,30 @@ import (
 	"liteview/internal/testbed"
 )
 
+// run is what one scriptedRun observes.
+type run struct {
+	// trace is the packet trace CSV exported from the recording ("" when
+	// nothing was recorded).
+	trace string
+	// report is the diagnosis report.
+	report string
+	// stats is the medium's final counters, fired and now the engine's
+	// fired-event count and clock at the end.
+	stats string
+	fired uint64
+	now   time.Duration
+	// rec is the recorder (nil when nothing was recorded).
+	rec *telemetry.Recorder
+}
+
 // scriptedRun executes the same command script under the same fault
 // schedule as the fault package's seed-determinism regression, with the
 // telemetry recorder optionally wired in and recording. When live is
 // true, a Subscription with a deliberately tiny ring is attached before
 // the script and drained from a separate goroutine for the whole run —
 // the live-observer configuration whose non-perturbation DESIGN §12
-// promises. It returns the packet trace CSV, the diagnosis report, and
-// the recorder (nil when record is false).
-func scriptedRun(t *testing.T, seed uint64, record, live bool) (traceCSV, report string, rec *telemetry.Recorder) {
+// promises.
+func scriptedRun(t *testing.T, seed uint64, record, live bool) run {
 	t.Helper()
 	opt := testbed.DefaultOptions(seed)
 	opt.ShadowSigma = 0
@@ -42,6 +59,7 @@ func scriptedRun(t *testing.T, seed uint64, record, live bool) (traceCSV, report
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rec *telemetry.Recorder
 	if record {
 		rec = tb.Telemetry()
 		rec.Start()
@@ -70,9 +88,6 @@ func scriptedRun(t *testing.T, seed uint64, record, live bool) (traceCSV, report
 		}()
 	}
 	inj := tb.FaultInjector()
-	var buf strings.Builder
-	stop := tb.RecordTrace(&buf)
-	defer stop()
 	if _, err := inj.Schedule(fault.Fault{At: inj.Now() + 100*time.Millisecond,
 		Kind: fault.CorruptBurst, Node: 3, Prob: 0.6, Duration: 3 * time.Second}); err != nil {
 		t.Fatal(err)
@@ -92,34 +107,51 @@ func scriptedRun(t *testing.T, seed uint64, record, live bool) (traceCSV, report
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.String(), rep.String(), rec
+	r := run{report: rep.String(), stats: fmt.Sprintf("%+v", tb.Med.Stats()),
+		fired: tb.Eng.Fired(), now: tb.Eng.Now(), rec: rec}
+	if record {
+		var b strings.Builder
+		if err := telemetry.WriteTraceCSV(&b, rec.Events()); err != nil {
+			t.Fatal(err)
+		}
+		r.trace = b.String()
+	}
+	return r
 }
 
+// plainTraceSHA256 is the digest of the packet trace seed 31's run wrote
+// without telemetry, through the per-transmission tap the medium had
+// before its telemetry became its only observer.
+const plainTraceSHA256 = "c8c5076f76a9b7983c878d13e8b4e57c062e57dc9b5e252e0628ea28e7563e4f"
+
 // TestRecordingDoesNotPerturb is the tentpole's zero-perturbation
-// proof: the same seeded run with telemetry recording enabled yields a
-// byte-identical packet trace and diagnosis report to a run where the
-// recorder was never created. Emission draws no randomness and
-// schedules no events, so observation cannot change the experiment.
+// proof: the same seeded run with telemetry recording enabled yields
+// the same diagnosis report, medium counters, engine event count and
+// clock as a run where the recorder was never created, and its exported
+// packet trace is the one the run wrote without telemetry. Emission
+// draws no randomness and schedules no events, so observation cannot
+// change the experiment.
 func TestRecordingDoesNotPerturb(t *testing.T) {
-	tracePlain, repPlain, _ := scriptedRun(t, 31, false, false)
-	traceRec, repRec, rec := scriptedRun(t, 31, true, false)
-	if tracePlain != traceRec {
-		t.Fatal("telemetry recording changed the packet trace")
-	}
-	if repPlain != repRec {
+	plain := scriptedRun(t, 31, false, false)
+	recd := scriptedRun(t, 31, true, false)
+	if plain.report != recd.report {
 		t.Fatalf("telemetry recording changed the diagnosis report:\n--- plain ---\n%s--- recorded ---\n%s",
-			repPlain, repRec)
+			plain.report, recd.report)
 	}
-	if len(strings.Split(tracePlain, "\n")) < 10 {
-		t.Fatalf("suspiciously empty trace:\n%s", tracePlain)
+	if plain.stats != recd.stats {
+		t.Fatalf("telemetry recording changed the medium counters: %s, recorded %s", plain.stats, recd.stats)
+	}
+	if plain.fired != recd.fired || plain.now != recd.now {
+		t.Fatalf("telemetry recording changed the engine: %d events by %v, recorded %d by %v",
+			plain.fired, plain.now, recd.fired, recd.now)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(recd.trace))); got != plainTraceSHA256 {
+		t.Fatalf("recorded packet trace digest %s, want %s (the trace without telemetry)", got, plainTraceSHA256)
 	}
 	// The run it didn't perturb must still have been observed in depth:
 	// events from at least five distinct layers, faults included.
-	if rec.Len() == 0 {
-		t.Fatal("recorder captured nothing")
-	}
 	layers := make(map[telemetry.Layer]bool)
-	for _, e := range rec.Events() {
+	for _, e := range recd.rec.Events() {
 		layers[e.Layer] = true
 	}
 	if len(layers) < 5 {
@@ -139,12 +171,12 @@ func TestRecordingDoesNotPerturb(t *testing.T) {
 // at a production tenant. Run under -race it is also the data-race
 // proof for the subscription fan-out.
 func TestLiveSubscriberDoesNotPerturb(t *testing.T) {
-	tracePlain, repPlain, recPlain := scriptedRun(t, 31, true, false)
-	traceLive, repLive, recLive := scriptedRun(t, 31, true, true)
-	if tracePlain != traceLive {
+	plain := scriptedRun(t, 31, true, false)
+	live := scriptedRun(t, 31, true, true)
+	if plain.trace != live.trace {
 		t.Fatal("a live subscriber changed the packet trace")
 	}
-	if repPlain != repLive {
+	if plain.report != live.report {
 		t.Fatal("a live subscriber changed the diagnosis report")
 	}
 	exportJSONL := func(rec *telemetry.Recorder) string {
@@ -154,7 +186,7 @@ func TestLiveSubscriberDoesNotPerturb(t *testing.T) {
 		}
 		return b.String()
 	}
-	if exportJSONL(recPlain) != exportJSONL(recLive) {
+	if exportJSONL(plain.rec) != exportJSONL(live.rec) {
 		t.Fatal("a live subscriber changed the recorded event stream")
 	}
 }
@@ -164,7 +196,7 @@ func TestLiveSubscriberDoesNotPerturb(t *testing.T) {
 // transmission event stamped with its id — the trace can answer "which
 // transmissions did this command cause".
 func TestSpansEncloseMACTraffic(t *testing.T) {
-	_, _, rec := scriptedRun(t, 31, true, false)
+	rec := scriptedRun(t, 31, true, false).rec
 	macBySpan := make(map[uint64]int)
 	for _, e := range rec.Events() {
 		if e.Layer == telemetry.LayerMAC && e.Span != 0 {
@@ -196,7 +228,7 @@ func TestSpansEncloseMACTraffic(t *testing.T) {
 // stream.
 func TestTelemetryStreamDeterminism(t *testing.T) {
 	export := func(seed uint64) string {
-		_, _, rec := scriptedRun(t, seed, true, false)
+		rec := scriptedRun(t, seed, true, false).rec
 		var b strings.Builder
 		if err := telemetry.WriteJSONL(&b, rec.Events(), telemetry.Filter{}); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -94,8 +95,7 @@ func Select(events []Event, f Filter) []Event {
 
 // AppendJSONLine appends one event as a JSON object plus newline.
 // Serialization is hand-rolled over the ordered attribute slice so
-// output is byte-stable across runs — the same reason the trace CSV
-// writer in internal/testbed avoids maps.
+// output is byte-stable across runs.
 func AppendJSONLine(b *strings.Builder, e *Event) {
 	b.WriteString(`{"seq":`)
 	b.WriteString(strconv.FormatUint(e.Seq, 10))
@@ -155,6 +155,35 @@ func WriteJSONL(w io.Writer, events []Event, f Filter) error {
 		}
 	}
 	return nil
+}
+
+// WriteTraceCSV writes the packet trace: a header, then one CSV row
+// (start_us,end_us,from,channel,tx_dbm,bytes) per medium tx span, in
+// transmit order. A span's At is the frame's start, At+Dur its end and
+// its node the sender; its ch, dbm and bytes attributes give the rest.
+// dbm carries two decimals and the trace one; every PA level's power is
+// a multiple of 0.25 dBm, which two decimals hold exactly, so a row shows
+// the medium's value rounded once.
+func WriteTraceCSV(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString("start_us,end_us,from,channel,tx_dbm,bytes\n")
+	f := Filter{Layer: LayerMedium, Kind: "tx"}
+	for i := range events {
+		e := &events[i]
+		if !f.Match(e) {
+			continue
+		}
+		ch, _ := e.Attr("ch")
+		n, _ := e.Attr("bytes")
+		v, _ := e.Attr("dbm")
+		dbm, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return fmt.Errorf("telemetry: tx span %d: dbm %q: %w", e.Seq, v, err)
+		}
+		fmt.Fprintf(bw, "%d,%d,%d,%s,%.1f,%s\n",
+			e.At.Microseconds(), (e.At + e.Dur).Microseconds(), e.NodeID, ch, dbm, n)
+	}
+	return bw.Flush()
 }
 
 // WriteChromeTrace writes the matching events in Chrome trace-event

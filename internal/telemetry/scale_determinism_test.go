@@ -34,9 +34,6 @@ func gridRun(t *testing.T, seed uint64) (traceCSV, jsonl, metrics, stats string)
 	}
 	rec := tb.Telemetry()
 	rec.Start()
-	var buf strings.Builder
-	stop := tb.RecordTrace(&buf)
-	defer stop()
 	tb.WarmUp(4 * time.Second)
 	ws, err := tb.NewWorkstation(phys.Position{X: -2, Y: -2})
 	if err != nil {
@@ -44,11 +41,14 @@ func gridRun(t *testing.T, seed uint64) (traceCSV, jsonl, metrics, stats string)
 	}
 	ws.Ping(1, core.PingOptions{Dst: 22, Rounds: 2, Length: 32, RouterPort: routing.GeographicPort})
 	tb.Run(time.Second)
-	var jb strings.Builder
+	var cb, jb strings.Builder
+	if err := telemetry.WriteTraceCSV(&cb, rec.Events()); err != nil {
+		t.Fatal(err)
+	}
 	if err := telemetry.WriteJSONL(&jb, rec.Events(), telemetry.Filter{}); err != nil {
 		t.Fatal(err)
 	}
-	return buf.String(), jb.String(), rec.Metrics().String(), fmt.Sprintf("%+v", tb.Med.Stats())
+	return cb.String(), jb.String(), rec.Metrics().String(), fmt.Sprintf("%+v", tb.Med.Stats())
 }
 
 // TestScaleDeterminismWithIndex is the medium-purity regression at

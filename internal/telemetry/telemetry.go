@@ -11,8 +11,8 @@
 // opt-in, and emitting events never draws from any random stream,
 // never schedules engine events, and never changes a code path in the
 // instrumented layers. A run with telemetry enabled therefore produces
-// a byte-identical packet trace and diagnosis report to the same
-// seeded run without it — asserted by the regression test in
+// the same diagnosis report, medium counters and engine event count as
+// the same seeded run without it — asserted by the regression test in
 // determinism_test.go.
 //
 // Every event is stamped with the virtual clock, the owning node, the

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -85,32 +84,5 @@ func TestRunAdvancesClock(t *testing.T) {
 	tb.Run(3 * time.Second)
 	if tb.Eng.Now()-before != 3*time.Second {
 		t.Fatalf("Run advanced %v", tb.Eng.Now()-before)
-	}
-}
-
-func TestRecordTrace(t *testing.T) {
-	opt := DefaultOptions(96)
-	opt.ShadowSigma = 0
-	opt.AsymSigma = 0
-	tb, err := Line(2, 10, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	stop := tb.RecordTrace(&buf)
-	tb.WarmUp(10 * time.Second)
-	stop()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("trace too short:\n%s", buf.String())
-	}
-	if lines[0] != "start_us,end_us,from,channel,tx_dbm,bytes" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	before := len(lines)
-	tb.Run(10 * time.Second)
-	after := len(strings.Split(strings.TrimSpace(buf.String()), "\n"))
-	if after != before {
-		t.Fatal("stopped recorder kept writing")
 	}
 }

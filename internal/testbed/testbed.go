@@ -9,7 +9,6 @@ package testbed
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"liteview/internal/core"
 	"liteview/internal/fault"
@@ -372,18 +371,6 @@ func (tb *Testbed) FaultInjector() *fault.Injector {
 		}
 	}
 	return tb.injector
-}
-
-// RecordTrace streams every transmission on the medium to w as CSV
-// (start_us,end_us,from,channel,tx_dbm,bytes) until the returned stop
-// function is called. One recorder at a time.
-func (tb *Testbed) RecordTrace(w io.Writer) (stop func()) {
-	fmt.Fprintln(w, "start_us,end_us,from,channel,tx_dbm,bytes")
-	tb.Med.SetTap(func(r medium.TapRecord) {
-		fmt.Fprintf(w, "%d,%d,%d,%d,%.1f,%d\n",
-			r.Start.Microseconds(), r.End.Microseconds(), r.From, r.Channel, r.TxDBm, r.Bytes)
-	})
-	return func() { tb.Med.SetTap(nil) }
 }
 
 // Run advances the simulation by d.

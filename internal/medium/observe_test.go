@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"liteview/internal/phys"
+	"liteview/internal/radio"
 	"liteview/internal/sim"
 	"liteview/internal/telemetry"
 )
@@ -108,6 +109,43 @@ func (o *observer) deliveries() []delivery {
 		out = append(out, d)
 	}
 	return out
+}
+
+// TestTapObservesTransmissions: a transmission is observed as one tx
+// span carrying the transmitter, channel, frame size, airtime and PA
+// power, and a stopped recorder observes nothing more.
+func TestTapObservesTransmissions(t *testing.T) {
+	eng, m := newTestMedium()
+	a, b := newFake(1, 0, 0), newFake(2, 5, 0)
+	m.Attach(a)
+	m.Attach(b)
+	obs := observe(t, eng, m)
+	m.Transmit(a, make([]byte, 10))
+	eng.Run()
+	spans := obs.events("tx")
+	if len(spans) != 1 {
+		t.Fatalf("observed %d tx spans", len(spans))
+	}
+	if n := obs.attrUint(&spans[0], "bytes"); n != 10 {
+		t.Fatalf("bytes = %d", n)
+	}
+	sent := obs.sent()
+	r, ok := sent[obs.attrUint(&spans[0], "txseq")]
+	if !ok || r.From != 1 || r.Channel != 17 {
+		t.Fatalf("transmission = %+v", r)
+	}
+	if r.End-r.Start != radio.FrameAirtime(10) {
+		t.Fatalf("airtime = %v", r.End-r.Start)
+	}
+	if r.TxDBm != 0 {
+		t.Fatalf("tx power = %f, want 0 dBm at full PA", r.TxDBm)
+	}
+	obs.rec.Stop()
+	m.Transmit(a, make([]byte, 10))
+	eng.Run()
+	if n := len(obs.events("tx")); n != 1 {
+		t.Fatalf("stopped recorder observed %d tx spans", n)
+	}
 }
 
 // TestFaultHookInjectsCorruption: a fault hook's Corrupt effect makes

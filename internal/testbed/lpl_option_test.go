@@ -1,12 +1,14 @@
 package testbed
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"liteview/internal/phys"
 	"liteview/internal/radio"
 	"liteview/internal/routing"
+	"liteview/internal/telemetry"
 )
 
 func TestLPLOptionDutyCyclesNodes(t *testing.T) {
@@ -84,5 +86,45 @@ func TestRunAdvancesClock(t *testing.T) {
 	tb.Run(3 * time.Second)
 	if tb.Eng.Now()-before != 3*time.Second {
 		t.Fatalf("Run advanced %v", tb.Eng.Now()-before)
+	}
+}
+
+// TestRecordTrace records a deployment's packet trace the way
+// liteview -trace does, through the testbed's telemetry recorder and
+// the CSV exporter, and checks that a stopped recorder adds no rows.
+func TestRecordTrace(t *testing.T) {
+	opt := DefaultOptions(96)
+	opt.ShadowSigma = 0
+	opt.AsymSigma = 0
+	tb, err := Line(2, 10, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := tb.Telemetry()
+	trace := func() string {
+		var buf strings.Builder
+		if err := telemetry.WriteTraceCSV(&buf, rec.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	rec.Start()
+	tb.WarmUp(10 * time.Second)
+	rec.Stop()
+	got := trace()
+	lines := strings.Split(strings.TrimSpace(got), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("trace too short:\n%s", got)
+	}
+	if lines[0] != "start_us,end_us,from,channel,tx_dbm,bytes" {
+		t.Fatalf("header = %q", lines[0])
+	}
+	sent := tb.Med.Stats().Transmitted
+	tb.Run(10 * time.Second)
+	if tb.Med.Stats().Transmitted == sent {
+		t.Fatal("no transmission after Stop: the scenario tests nothing")
+	}
+	if trace() != got {
+		t.Fatal("stopped recorder kept recording")
 	}
 }

@@ -20,7 +20,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"liteview/internal/cli"
 	"liteview/internal/phys"
@@ -32,7 +34,8 @@ import (
 func main() { os.Exit(run()) }
 
 // run is the whole session; it returns the exit code, so deferred work
-// (writing the -trace CSV) happens on every exit path.
+// (writing the -trace CSV) happens on every exit path, an interrupt or
+// SIGTERM between commands included.
 func run() (code int) {
 	var dep cli.DeploymentFlags
 	dep.Register(flag.CommandLine)
@@ -79,6 +82,11 @@ func run() (code int) {
 			}
 		}()
 	}
+	// A signal ends the session at the next command; a second one, while
+	// the trace is written, kills the process.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 	fmt.Printf("LiteView: %d nodes (%s), warming up %v of virtual time...\n", len(tb.Nodes), dep.Topo, dep.Warmup)
 	tb.WarmUp(dep.Warmup)
 
@@ -93,9 +101,11 @@ func run() (code int) {
 	}
 	if *script != "" {
 		for _, line := range strings.Split(*script, ";") {
-			line = strings.TrimSpace(line)
-			if line == "" {
+			if line = strings.TrimSpace(line); line == "" {
 				continue
+			}
+			if len(sigs) > 0 {
+				return fail(fmt.Errorf("%v", <-sigs))
 			}
 			fmt.Printf("%s$ %s\n", sh.Cwd(), line)
 			if err := sh.Exec(line); err != nil {
@@ -106,19 +116,31 @@ func run() (code int) {
 		return 0
 	}
 	fmt.Println("Ready. Type 'help' for commands, 'exit' to quit.")
-	in := bufio.NewScanner(os.Stdin)
+	lines := make(chan string)
+	go func() {
+		in := bufio.NewScanner(os.Stdin)
+		for in.Scan() {
+			lines <- in.Text()
+		}
+		close(lines)
+	}()
 	for {
 		fmt.Printf("%s$ ", sh.Cwd())
-		if !in.Scan() {
+		select {
+		case s := <-sigs:
 			fmt.Println()
-			return 0
-		}
-		line := in.Text()
-		if line == "exit" || line == "quit" {
-			return 0
-		}
-		if err := sh.Exec(line); err != nil {
-			fmt.Println("error:", err)
+			return fail(fmt.Errorf("%v", s))
+		case line, ok := <-lines:
+			if !ok {
+				fmt.Println()
+				return 0
+			}
+			if line == "exit" || line == "quit" {
+				return 0
+			}
+			if err := sh.Exec(line); err != nil {
+				fmt.Println("error:", err)
+			}
 		}
 	}
 }

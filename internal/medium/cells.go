@@ -371,7 +371,8 @@ func (m *Medium) candidate(r *reachability, s int32) (int, bool) {
 // its cell, in global attach order, whose gain at maximum transmit
 // power clears the sensitivity floor minus the fade margin, with their
 // received powers at txDBm. Nodes outside the ring are provably under
-// the floor (phys.Model.DetectRange) and are bulk-counted with the rest.
+// the floor (phys.Model.DetectRange); Transmit counts them in bulk with
+// the rest.
 func (m *Medium) reachFor(s int32, txDBm float64) *reachability {
 	if r := m.reach[s]; r != nil {
 		if r.txDBm == txDBm {
@@ -389,9 +390,6 @@ func (m *Medium) reachFor(s int32, txDBm float64) *reachability {
 	if cells > 1 {
 		slices.SortFunc(near, func(a, b int32) int { return cmp.Compare(g.res[a].seq, g.res[b].seq) })
 	}
-	// near holds s itself, so this counts the attached nodes other than
-	// the transmitter that were not collected.
-	far := uint64(len(m.order) - len(near))
 	cand, rx := m.candBuf[:0], m.rxBuf[:0]
 	from, pos := m.slots[s].id, m.slots[s].pos
 	for _, other := range near {
@@ -400,14 +398,13 @@ func (m *Medium) reachFor(s int32, txDBm float64) *reachability {
 		}
 		b := m.model.LinkBudget(from, m.slots[other].id, pos, m.slots[other].pos)
 		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
-			far++
 			continue
 		}
 		cand = append(cand, other)
 		rx = append(rx, b.Received(txDBm))
 	}
 	m.near, m.candBuf, m.rxBuf = near, cand, rx
-	r := &reachability{cand: slices.Clone(cand), rx: slices.Clone(rx), far: far, txDBm: txDBm}
+	r := &reachability{cand: slices.Clone(cand), rx: slices.Clone(rx), txDBm: txDBm}
 	m.reach[s] = r
 	return r
 }

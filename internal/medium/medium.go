@@ -157,11 +157,9 @@ type transmission struct {
 	reach *reachability
 	// far counts the nodes deliver tallies under the floor in bulk: the
 	// attached nodes, other than the transmitter, outside reach's
-	// candidate set among the slots that existed at transmit time
-	// (nslots). It starts at reach.far, and Detach and a returning
-	// Attach keep it current while the frame is in flight (countFar).
-	far    uint64
-	nslots int32
+	// candidate set. Transmit sets it, and Attach and Detach keep it
+	// current while the frame is in flight (countFar).
+	far uint64
 	// origin is the cell of pos: the transmission is registered in the
 	// ledgers of all cells within the ring of it, and cells created
 	// later (attach, migration) re-derive membership from it.
@@ -193,14 +191,12 @@ var maxTxDBm = radio.PowerDBm(radio.MaxPowerLevel)
 // reachability is one transmitter's precomputed fan-out at one transmit
 // power: the slots of the attached nodes (in stable attach order) whose
 // link gain at maximum transmit power clears the sensitivity floor minus
-// the fade margin, each one's received power at txDBm, and the count of
-// nodes excluded as unreachable.
+// the fade margin, and each one's received power at txDBm.
 type reachability struct {
 	cand []int32
 	// rx[i] is cand[i]'s received power in dBm when the transmitter
 	// emits txDBm, computed from the positions recorded at build time.
 	rx    []float64
-	far   uint64
 	txDBm float64
 	// stale marks a set the medium has dropped (dropReach): an endpoint
 	// may have moved or detached, or the model changed, since rx was
@@ -448,9 +444,7 @@ func (m *Medium) Attach(r Receiver) error {
 	}
 	m.resetView()
 	m.slots[s].rx, m.slots[s].rad, m.slots[s].pos = r, r.Radio(), r.Position()
-	if known {
-		m.countFar(s, true)
-	}
+	m.countFar(s, true)
 	m.order = append(m.order, s)
 	key := m.keyFor(m.slots[s].pos)
 	m.place(s, key)
@@ -488,17 +482,21 @@ func (m *Medium) Detach(id phys.NodeID) {
 }
 
 // countFar moves slot s into (attach) or out of (detach) the bulk
-// under-floor count of every frame in flight that counts it: one sent
-// while s's slot existed that s neither sent nor is a candidate of. The
-// full-scan oracle counts such a node exactly when it is attached at
-// delivery. A frame delivered earlier at this instant is adjusted too;
-// its count is no longer read. Only Attach and Detach pay for this,
-// never a delivery.
+// under-floor count of every frame in flight that counts it: one s
+// neither sent nor is a candidate of, and whose link to s's recorded
+// position lies under the floor — the full-scan oracle's test, which
+// counts such a node exactly when it is attached at delivery. A frame
+// delivered earlier at this instant is adjusted too; its count is no
+// longer read. Only Attach and Detach pay for this, never a delivery.
 func (m *Medium) countFar(s int32, attach bool) {
 	now := m.eng.Now()
+	sl := &m.slots[s]
 	for _, t := range m.active {
-		if t.end < now || s >= t.nslots || s == t.fromSlot || slices.Contains(t.reach.cand, s) {
+		if t.end < now || s == t.fromSlot || slices.Contains(t.reach.cand, s) {
 			continue
+		}
+		if m.model.LinkBudget(t.from, sl.id, t.pos, sl.pos).Received(maxTxDBm) >= radio.SensitivityDBm-FadeMarginDB {
+			continue // over the floor: a node attached mid-flight the frame never reaches
 		}
 		if attach {
 			t.far++
@@ -676,7 +674,9 @@ func (m *Medium) Transmit(tx Receiver, frame []byte) (sim.Time, error) {
 	// change the other receivers' outcomes (deliver re-checks attachment
 	// per candidate).
 	t.reach = m.reachFor(s, t.txDBm)
-	t.far, t.nslots = t.reach.far, int32(len(m.slots))
+	// A current set lists every attached node over the floor: the rest,
+	// in or out of the ring, are under it.
+	t.far = uint64(len(m.order) - 1 - len(t.reach.cand))
 	t.origin = m.keyFor(t.pos)
 	m.register(t)
 	m.active = append(m.active, t)

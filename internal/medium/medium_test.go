@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"slices"
 	"testing"
 
 	"liteview/internal/phys"
@@ -149,6 +150,42 @@ func TestBelowSensitivityNeverDetected(t *testing.T) {
 	}
 	if m.Stats().BelowSensitivity != 1 {
 		t.Fatalf("BelowSensitivity = %d", m.Stats().BelowSensitivity)
+	}
+}
+
+// TestBelowSensitivityCountsAttachedAtDelivery checks the bulk
+// under-floor count of each of three frames against the full-scan
+// oracle, which counts the nodes attached at delivery: a node 100 km
+// away is counted when it first attaches while the first frame is in
+// flight, counted for the second, and not counted for the third, which
+// it detaches during. Sharded, that node lies outside the transmitter's
+// ring, so no candidate set ever collects it.
+func TestBelowSensitivityCountsAttachedAtDelivery(t *testing.T) {
+	run := func(oracle, sharded bool) []uint64 {
+		eng, m := newTestMedium()
+		useOracle(m, oracle)
+		if sharded {
+			m.SetSharding(Sharding{})
+		}
+		a, b, far := newFake(1, 0, 0), newFake(2, 5, 0), newFake(3, 100000, 0)
+		m.Attach(a)
+		m.Attach(b)
+		half := radio.FrameAirtime(8) / 2
+		var counts []uint64
+		for i := sim.Time(0); i < 3; i++ {
+			eng.Schedule(i*5_000_000, func() { m.Transmit(a, make([]byte, 8)) })
+			eng.Schedule(i*5_000_000+2_000_000, func() { counts = append(counts, m.Stats().BelowSensitivity) })
+		}
+		eng.Schedule(half, func() { m.Attach(far) })
+		eng.Schedule(10_000_000+half, func() { m.Detach(3) })
+		eng.Run()
+		return counts
+	}
+	for _, sharded := range []bool{false, true} {
+		got, want := run(false, sharded), run(true, sharded)
+		if !slices.Equal(got, want) || !slices.Equal(want, []uint64{1, 2, 2}) {
+			t.Errorf("sharded %v: BelowSensitivity after each frame = %v, oracle %v, want [1 2 2]", sharded, got, want)
+		}
 	}
 }
 

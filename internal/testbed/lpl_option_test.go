@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -91,7 +92,10 @@ func TestRunAdvancesClock(t *testing.T) {
 
 // TestRecordTrace records a deployment's packet trace the way
 // liteview -trace does, through the testbed's telemetry recorder and
-// the CSV exporter, and checks that a stopped recorder adds no rows.
+// the CSV exporter: the header, then one row per medium tx span — every
+// transmission made while the recorder ran, none after Stop — whose
+// extent is the frame's airtime and whose power is 0 dBm at the default
+// full PA level.
 func TestRecordTrace(t *testing.T) {
 	opt := DefaultOptions(96)
 	opt.ShadowSigma = 0
@@ -112,14 +116,35 @@ func TestRecordTrace(t *testing.T) {
 	tb.WarmUp(10 * time.Second)
 	rec.Stop()
 	got := trace()
-	lines := strings.Split(strings.TrimSpace(got), "\n")
-	if len(lines) < 3 {
-		t.Fatalf("trace too short:\n%s", got)
-	}
+	lines := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
 	if lines[0] != "start_us,end_us,from,channel,tx_dbm,bytes" {
 		t.Fatalf("header = %q", lines[0])
 	}
-	sent := tb.Med.Stats().Transmitted
+	rows, sent := lines[1:], tb.Med.Stats().Transmitted
+	spans := telemetry.Select(rec.Events(), telemetry.Filter{Layer: telemetry.LayerMedium, Kind: "tx"})
+	if len(rows) != len(spans) || uint64(len(rows)) != sent || len(rows) < 2 {
+		t.Fatalf("%d rows for %d tx spans and %d transmissions", len(rows), len(spans), sent)
+	}
+	for i, row := range rows {
+		f := strings.Split(row, ",")
+		if len(f) != 6 {
+			t.Fatalf("row %d = %q", i, row)
+		}
+		num := func(s string) int64 {
+			v, err := strconv.ParseInt(s, 10, 64)
+			if err != nil {
+				t.Fatalf("row %d = %q: %v", i, row, err)
+			}
+			return v
+		}
+		start, end, from, bytes := num(f[0]), num(f[1]), num(f[2]), num(f[5])
+		if from != int64(spans[i].NodeID) || f[3] != "17" || f[4] != "0.0" {
+			t.Fatalf("row %d = %q, want node %d on channel 17 at 0.0 dBm", i, row, spans[i].NodeID)
+		}
+		if air := radio.FrameAirtime(int(bytes)).Microseconds(); end-start != air {
+			t.Fatalf("row %d = %q: extent %d µs, airtime %d µs", i, row, end-start, air)
+		}
+	}
 	tb.Run(10 * time.Second)
 	if tb.Med.Stats().Transmitted == sent {
 		t.Fatal("no transmission after Stop: the scenario tests nothing")

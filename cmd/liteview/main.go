@@ -2,7 +2,8 @@
 // a simulated sensor network testbed.
 //
 // The deployment is built from flags, LiteView is installed on every
-// node, and a LiteOS-style shell reads commands from stdin:
+// node, and a LiteOS-style shell reads commands from stdin (lines
+// starting with # are comments, so a script file can be piped in):
 //
 //	liteview -topo line -nodes 9 -spacing 20
 //	$ cd 192.168.0.1
@@ -10,8 +11,10 @@
 //	$ traceroute 192.168.0.9 round=1 length=32 port=10
 //
 // Use -c to run a semicolon-separated script instead of the REPL, and
-// -trace to record every transmission through the telemetry recorder
-// and write it to a CSV file at exit.
+// -trace FILE to record the whole session, warm-up included, through the
+// telemetry recorder and write it at exit. The extension picks the
+// format: .csv the packet trace, .jsonl the event stream, .json a
+// Chrome trace (chrome://tracing or ui.perfetto.dev).
 package main
 
 import (
@@ -19,65 +22,62 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 
 	"liteview/internal/cli"
-	"liteview/internal/phys"
-	"liteview/internal/routing"
-	"liteview/internal/shell"
 	"liteview/internal/telemetry"
 )
+
+// exporters maps a -trace file extension to the format written there.
+var exporters = map[string]func(io.Writer, []telemetry.Event) error{
+	".csv":   telemetry.WriteTraceCSV,
+	".jsonl": telemetry.WriteJSONL,
+	".json":  telemetry.WriteChromeTrace,
+}
 
 func main() { os.Exit(run()) }
 
 // run is the whole session; it returns the exit code, so deferred work
-// (writing the -trace CSV) happens on every exit path, an interrupt or
+// (writing the -trace file) happens on every exit path, an interrupt or
 // SIGTERM between commands included.
 func run() (code int) {
 	var dep cli.DeploymentFlags
 	dep.Register(flag.CommandLine)
 	var (
-		root    = flag.Int("root", 1, "collection tree root node id")
 		script  = flag.String("c", "", "run these semicolon-separated commands and exit")
-		traceTo = flag.String("trace", "", "record every transmission to this CSV file")
+		traceTo = flag.String("trace", "", "record the session to this .csv, .jsonl or .json file")
 	)
 	flag.Parse()
+	export := exporters[filepath.Ext(*traceTo)]
+	if *traceTo != "" && export == nil {
+		fmt.Fprintf(os.Stderr, "liteview: -trace %s: the extension must be .csv, .jsonl or .json\n", *traceTo)
+		return 2
+	}
 
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "liteview:", err)
 		return 1
 	}
-	tb, err := dep.Build()
+	tb, err := dep.BuildManaged()
 	if err != nil {
 		return fail(err)
 	}
-	for _, attach := range []func() error{
-		func() error { return tb.AttachGeographic(routing.DefaultConfig()) },
-		func() error { return tb.AttachFlooding(routing.DefaultConfig()) },
-		func() error { return tb.AttachTree(phys.NodeID(*root), routing.DefaultConfig()) },
-		func() error { return tb.AttachOnDemand(routing.DefaultConfig()) },
-	} {
-		if err := attach(); err != nil {
-			return fail(err)
-		}
-	}
-	if _, err := tb.InstallLiteView(); err != nil {
-		return fail(err)
-	}
-	if *traceTo != "" {
+	if export != nil {
 		f, err := os.Create(*traceTo)
 		if err != nil {
 			return fail(err)
 		}
-		// The trace is the telemetry's tx spans, exported at exit; `trace
-		// off` in the shell pauses it.
+		// The trace is exported at exit; `trace off` in the shell pauses
+		// it.
 		rec := tb.Telemetry()
 		rec.Start()
 		defer func() {
-			if err := errors.Join(telemetry.WriteTraceCSV(f, rec.Events()), f.Close()); err != nil {
+			if err := errors.Join(export(f, rec.Events()), f.Close()); err != nil {
 				code = fail(err)
 			}
 		}()
@@ -88,14 +88,7 @@ func run() (code int) {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
 	fmt.Printf("LiteView: %d nodes (%s), warming up %v of virtual time...\n", len(tb.Nodes), dep.Topo, dep.Warmup)
-	tb.WarmUp(dep.Warmup)
-
-	// The workstation starts next to node 1.
-	ws, err := tb.NewWorkstation(tb.Node(0).Position())
-	if err != nil {
-		return fail(err)
-	}
-	sh, err := shell.NewForTestbed(tb, ws, os.Stdout)
+	sh, err := dep.Session(tb, os.Stdout)
 	if err != nil {
 		return fail(err)
 	}

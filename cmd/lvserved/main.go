@@ -35,10 +35,7 @@ import (
 	"time"
 
 	"liteview/internal/cli"
-	"liteview/internal/phys"
-	"liteview/internal/routing"
 	"liteview/internal/serve"
-	"liteview/internal/shell"
 	"liteview/internal/telemetry"
 )
 
@@ -48,7 +45,6 @@ func main() {
 	var (
 		listen     = flag.String("listen", "127.0.0.1:7117", "wire-protocol listen address")
 		admin      = flag.String("admin", "", "HTTP admin address for /healthz, /readyz, /metricz (empty disables)")
-		root       = flag.Int("root", 1, "collection tree root node id (per tenant)")
 		maxTenants = flag.Int("max-tenants", 64, "live tenant cap")
 		queue      = flag.Int("queue", 16, "per-tenant command queue depth")
 		cmdTimeout = flag.Duration("cmd-timeout", 30*time.Second, "per-command wall-clock deadline")
@@ -110,7 +106,7 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		NewRunner:         newRunner(dep, *root),
+		NewRunner:         newRunner(dep),
 		SeedFor:           func(tenant string) uint64 { return serve.TenantSeed(dep.Seed, tenant) },
 		MaxTenants:        *maxTenants,
 		QueueDepth:        *queue,
@@ -198,38 +194,20 @@ func main() {
 }
 
 // newRunner builds the per-tenant simulation factory: each tenant gets
-// a full deployment (all four routing protocols, LiteView installed,
-// warmed up) from the seed the service hands it (Config.SeedFor, i.e.
+// the deployment every tool runs (cli.BuildManaged, warmed up, a shell
+// at node 1) from the seed the service hands it (Config.SeedFor, i.e.
 // serve.TenantSeed over the base seed and tenant name — or, under
 // recovery, the seed its journal recorded). The factory runs on the
 // tenant's own goroutine — the testbed is born and dies there.
-func newRunner(dep cli.DeploymentFlags, root int) func(string, uint64) (serve.Runner, error) {
+func newRunner(dep cli.DeploymentFlags) func(string, uint64) (serve.Runner, error) {
 	return func(tenant string, seed uint64) (serve.Runner, error) {
 		d := dep
 		d.Seed = seed
-		tb, err := d.Build()
+		tb, err := d.BuildManaged()
 		if err != nil {
 			return nil, err
 		}
-		for _, attach := range []func() error{
-			func() error { return tb.AttachGeographic(routing.DefaultConfig()) },
-			func() error { return tb.AttachFlooding(routing.DefaultConfig()) },
-			func() error { return tb.AttachTree(phys.NodeID(root), routing.DefaultConfig()) },
-			func() error { return tb.AttachOnDemand(routing.DefaultConfig()) },
-		} {
-			if err := attach(); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := tb.InstallLiteView(); err != nil {
-			return nil, err
-		}
-		tb.WarmUp(d.Warmup)
-		ws, err := tb.NewWorkstation(tb.Node(0).Position())
-		if err != nil {
-			return nil, err
-		}
-		sh, err := shell.NewForTestbed(tb, ws, io.Discard)
+		sh, err := d.Session(tb, io.Discard)
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,6 @@ import (
 	"liteview/internal/phys"
 	"liteview/internal/radio"
 	"liteview/internal/serve"
-	"liteview/internal/shell"
 	"liteview/internal/sim"
 	"liteview/internal/telemetry"
 	"liteview/internal/trace"
@@ -195,19 +194,12 @@ func localView(dep cli.DeploymentFlags) error {
 	if err != nil {
 		return err
 	}
-	rec := tb.Telemetry()
-	ws, err := tb.NewWorkstation(phys.Position{X: -2})
+	sh, err := dep.Session(tb, io.Discard)
 	if err != nil {
 		return err
 	}
-	sh, err := shell.NewForTestbed(tb, ws, io.Discard)
-	if err != nil {
-		return err
-	}
-	sub := rec.Subscribe(telemetry.Filter{}, 0)
+	sub := sh.Telemetry().Subscribe(telemetry.Filter{}, 0)
 	defer sub.Close()
-	rec.Start()
-	defer rec.Stop()
 
 	first, last := tb.Node(0).Name(), tb.Node(len(tb.Nodes)-1).Name()
 	st := fleet.NewState()

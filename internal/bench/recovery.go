@@ -150,7 +150,7 @@ func measureReroute(seed uint64, opt Options, stem string, f fault.Fault) (recOu
 	}
 	rec.Stop()
 	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, rec.Events(), telemetry.Filter{}); err != nil {
+	if err := telemetry.WriteJSONL(&buf, rec.Events()); err != nil {
 		return recOutcome{}, nil, err
 	}
 	if opt.tracing() {

@@ -24,7 +24,7 @@ func writeTelemetry(opt Options, stem string, rec *telemetry.Recorder) error {
 	if err != nil {
 		return err
 	}
-	if err := telemetry.WriteJSONL(jf, events, telemetry.Filter{}); err != nil {
+	if err := telemetry.WriteJSONL(jf, events); err != nil {
 		jf.Close()
 		return err
 	}
@@ -35,7 +35,7 @@ func writeTelemetry(opt Options, stem string, rec *telemetry.Recorder) error {
 	if err != nil {
 		return err
 	}
-	if err := telemetry.WriteChromeTrace(cf, events, telemetry.Filter{}); err != nil {
+	if err := telemetry.WriteChromeTrace(cf, events); err != nil {
 		cf.Close()
 		return err
 	}

@@ -1,14 +1,18 @@
-// Package cli holds the deployment-construction logic shared by the
-// command-line tools (liteview, lvtopo, lvtrace, lvserved): one flag
-// set, one builder, identical semantics everywhere.
+// Package cli holds the one recipe every command-line tool (liteview,
+// lvserved's tenants, lvtopo) builds its deployment from: one flag set,
+// the four routing protocols on their ports, LiteView installed, a
+// workstation at node 1 and a shell on it.
 package cli
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"time"
 
+	"liteview/internal/phys"
 	"liteview/internal/routing"
+	"liteview/internal/shell"
 	"liteview/internal/testbed"
 )
 
@@ -73,20 +77,40 @@ func (d *DeploymentFlags) Build() (*testbed.Testbed, error) {
 	}
 }
 
-// BuildManaged builds the testbed, attaches geographic forwarding and
-// LiteView, and warms it up — the configuration every management tool
-// starts from.
+// BuildManaged builds the deployment every tool runs: the testbed the
+// flags describe with geographic forwarding (port 10), flooding (11),
+// the collection tree rooted at node 1 (12) and on-demand routing (13)
+// on every node, and LiteView installed. It does not warm up: Session
+// does, so a caller can start recording first.
 func (d *DeploymentFlags) BuildManaged() (*testbed.Testbed, error) {
 	tb, err := d.Build()
 	if err != nil {
 		return nil, err
 	}
-	if err := tb.AttachGeographic(routing.DefaultConfig()); err != nil {
-		return nil, err
+	cfg := routing.DefaultConfig()
+	for _, attach := range []func() error{
+		func() error { return tb.AttachGeographic(cfg) },
+		func() error { return tb.AttachFlooding(cfg) },
+		func() error { return tb.AttachTree(phys.NodeID(1), cfg) },
+		func() error { return tb.AttachOnDemand(cfg) },
+	} {
+		if err := attach(); err != nil {
+			return nil, err
+		}
 	}
 	if _, err := tb.InstallLiteView(); err != nil {
 		return nil, err
 	}
-	tb.WarmUp(d.Warmup)
 	return tb, nil
+}
+
+// Session warms tb up for the flags' warm-up time, places the
+// workstation at node 1 and opens a shell on it that writes to out.
+func (d *DeploymentFlags) Session(tb *testbed.Testbed, out io.Writer) (*shell.Shell, error) {
+	tb.WarmUp(d.Warmup)
+	ws, err := tb.NewWorkstation(tb.Node(0).Position())
+	if err != nil {
+		return nil, err
+	}
+	return shell.NewForTestbed(tb, ws, out)
 }

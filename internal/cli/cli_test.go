@@ -2,8 +2,12 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"testing"
 	"time"
+
+	"liteview/internal/phys"
+	"liteview/internal/routing"
 )
 
 func parse(t *testing.T, args ...string) *DeploymentFlags {
@@ -63,22 +67,64 @@ func TestUnknownTopologyRejected(t *testing.T) {
 	}
 }
 
+// TestBuildManaged pins the recipe every tool runs: the four routing
+// protocols on ports 10–13, the collection tree rooted at node 1,
+// LiteView installed, warm-up in Session, and the workstation at node 1.
 func TestBuildManaged(t *testing.T) {
 	d := parse(t, "-nodes", "3", "-spacing", "15", "-shadow", "0", "-asym", "0", "-warmup", "10s")
 	tb, err := d.BuildManaged()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Eng.Now() != 10*time.Second {
-		t.Fatalf("warm-up did not run: %v", tb.Eng.Now())
+	for port := byte(10); port <= 13; port++ {
+		for id := phys.NodeID(1); id <= 3; id++ {
+			if _, ok := tb.Router(port, id); !ok {
+				t.Fatalf("no router on port %d at node %d", port, id)
+			}
+		}
 	}
 	// LiteView is installed: the ping binary is in flash.
 	if _, ok := tb.Node(0).BinaryInfo("ping"); !ok {
 		t.Fatal("LiteView not installed")
 	}
-	// Geographic forwarding attached on port 10.
-	if _, ok := tb.Router(10, 1); !ok {
-		t.Fatal("geographic forwarding missing")
+	if tb.Eng.Now() != 0 {
+		t.Fatalf("BuildManaged warmed up: %v", tb.Eng.Now())
+	}
+	if _, err := d.Session(tb, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Eng.Now() != 10*time.Second {
+		t.Fatalf("warm-up did not run: %v", tb.Eng.Now())
+	}
+	for id := phys.NodeID(1); id <= 3; id++ {
+		r, _ := tb.Router(routing.TreePort, id)
+		parent, cost, hasPath, _ := routing.TreeState(r)
+		if !hasPath || (id == 1) != (cost == 0) {
+			t.Fatalf("node %d: tree parent %d cost %v path %v; want a path, cost 0 only at root node 1",
+				id, parent, cost, hasPath)
+		}
+	}
+
+	// Nodes 60 m apart cannot hear each other: only the node the
+	// workstation sits at answers it.
+	d = parse(t, "-nodes", "2", "-spacing", "60", "-shadow", "0", "-asym", "0", "-warmup", "5s")
+	if tb, err = d.BuildManaged(); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := d.Session(tb, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		node string
+		ok   bool
+	}{{"192.168.0.1", true}, {"192.168.0.2", false}} {
+		if err := sh.Exec("cd " + c.node); err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.Exec("ls"); (err == nil) != c.ok {
+			t.Fatalf("ls at %s: err=%v, want answered=%v (workstation at node 1)", c.node, err, c.ok)
+		}
 	}
 }
 
@@ -86,6 +132,9 @@ func TestLPLFlag(t *testing.T) {
 	d := parse(t, "-nodes", "2", "-lpl", "-warmup", "10s", "-shadow", "0", "-asym", "0")
 	tb, err := d.BuildManaged()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Session(tb, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// Beacon period widened automatically for LPL.

@@ -48,7 +48,13 @@ func observe(t *testing.T, eng *sim.Engine, m *Medium, nodes ...*fakeNode) *obse
 
 // events returns the recorded medium events of one kind.
 func (o *observer) events(kind string) []telemetry.Event {
-	return telemetry.Select(o.rec.Events(), telemetry.Filter{Layer: telemetry.LayerMedium, Kind: kind})
+	var out []telemetry.Event
+	for _, e := range o.rec.Events() {
+		if e.Layer == telemetry.LayerMedium && e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // attrUint parses an unsigned integer attribute of e.

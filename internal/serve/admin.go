@@ -53,14 +53,14 @@ func (s *Server) AdminHandler() http.Handler {
 //
 //	tenant  (required) tenant name; must already exist — /streamz never
 //	        creates simulations
-//	node, layer, kind, link, span   filter (see lvtrace)
-//	replay=N   first emit the newest N already-recorded events
+//	node, layer, kind, link, span   filter (as lvctl -watch)
+//	replay=N   first emit the newest N events the tenant recorded
+//	           (after an operator's `trace on`)
 //	for=DUR    stop after a wall-clock duration (e.g. 30s); default
 //	           streams until the client disconnects or the drain begins
 //	max=N      cap streamed events per second
 //
-// Like a wire watch, attaching is zero-perturbation: recording is
-// enabled through the tenant's command queue and the stream rides a
+// Like a wire watch, attaching is zero-perturbation: the stream rides a
 // Subscription, so the simulation's byte-identical determinism holds
 // with any number of streamz clients attached.
 func (s *Server) handleStreamz(w http.ResponseWriter, r *http.Request) {
@@ -81,41 +81,33 @@ func (s *Server) handleStreamz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := WatchSpec{
-		Node:  parseUint(q.Get("node")),
-		Layer: q.Get("layer"),
-		Kind:  q.Get("kind"),
-		Link:  q.Get("link"),
-		Span:  parseUint(q.Get("span")),
+		Node:      parseUint(q.Get("node")),
+		Layer:     q.Get("layer"),
+		Kind:      q.Get("kind"),
+		Link:      q.Get("link"),
+		Span:      parseUint(q.Get("span")),
+		MaxPerSec: int(parseUint(q.Get("max"))),
 	}
-	var stopAfter time.Duration
 	if v := q.Get("for"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
 			http.Error(w, "streamz: bad for= duration: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		stopAfter = d
-	}
-	maxPerSec := int(parseUint(q.Get("max")))
-	if maxPerSec <= 0 {
-		maxPerSec = defaultWatchRate
+		spec.ForMs = int64((d + time.Millisecond - 1) / time.Millisecond)
 	}
 
-	// Turn recording on through the command queue (the only goroutine
-	// allowed to touch the recorder's deterministic state), then attach
-	// the subscription before writing headers so frames can't be lost
-	// between replay and live.
-	if _, _, err := s.submit(t, "trace on"); err != nil {
+	// Subscribe before writing headers so frames can't be lost between
+	// replay and live.
+	sub, err := s.subscribe(t, spec)
+	if err != nil {
 		http.Error(w, "streamz: "+err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	rec := t.Recorder()
-	if rec == nil {
+	if sub == nil {
 		http.Error(w, "streamz: tenant exposes no telemetry", http.StatusNotFound)
 		return
 	}
-	sub := rec.Subscribe(spec.filter(), 0)
-	defer sub.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -137,42 +129,17 @@ func (s *Server) handleStreamz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := r.Context()
-	var deadline <-chan time.Time
-	if stopAfter > 0 {
-		timer := time.NewTimer(stopAfter)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	batch := maxPerSec / 10
-	if batch < 1 {
-		batch = 1
-	}
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-deadline:
-			fmt.Fprintf(w, "event: end\ndata: elapsed dropped=%d\n\n", sub.Dropped())
-			flusher.Flush()
-			return
-		case <-tick.C:
-			if s.isDraining() {
-				fmt.Fprintf(w, "event: end\ndata: draining dropped=%d\n\n", sub.Dropped())
-				flusher.Flush()
-				return
-			}
-			events := sub.Poll(batch)
-			for i := range events {
-				fmt.Fprintf(w, "data: %s\n\n", telemetry.JSONLine(&events[i]))
-			}
-			if len(events) > 0 {
-				s.met.add("serve.streamz.frames", len(events))
-				flusher.Flush()
-			}
+	reason := s.stream(sub, spec, r.Context().Done(), s.isDraining, func(events []telemetry.Event) bool {
+		for i := range events {
+			fmt.Fprintf(w, "data: %s\n\n", telemetry.JSONLine(&events[i]))
 		}
+		s.met.add("serve.streamz.frames", len(events))
+		flusher.Flush()
+		return true
+	})
+	if reason == "elapsed" || reason == "draining" {
+		fmt.Fprintf(w, "event: end\ndata: %s dropped=%d\n\n", reason, sub.Dropped())
+		flusher.Flush()
 	}
 }
 

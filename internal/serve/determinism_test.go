@@ -9,9 +9,6 @@ import (
 	"time"
 
 	"liteview/internal/cli"
-	"liteview/internal/phys"
-	"liteview/internal/routing"
-	"liteview/internal/shell"
 )
 
 // testbedRunner builds the same per-tenant deployment cmd/lvserved
@@ -28,29 +25,15 @@ func testbedRunner(tenant string, seed uint64) (Runner, error) {
 	})
 }
 
-// deploymentRunner builds a tenant runner for an arbitrary deployment —
-// the managed stack (geographic + tree routing, LiteView, warm-up, a
-// workstation shell) over whatever topology the flags describe.
+// deploymentRunner builds a tenant runner for an arbitrary deployment
+// through the recipe cmd/lvserved uses (cli.BuildManaged and Session)
+// over whatever topology the flags describe.
 func deploymentRunner(dep cli.DeploymentFlags) (Runner, error) {
-	tb, err := dep.Build()
+	tb, err := dep.BuildManaged()
 	if err != nil {
 		return nil, err
 	}
-	if err := tb.AttachGeographic(routing.DefaultConfig()); err != nil {
-		return nil, err
-	}
-	if err := tb.AttachTree(phys.NodeID(1), routing.DefaultConfig()); err != nil {
-		return nil, err
-	}
-	if _, err := tb.InstallLiteView(); err != nil {
-		return nil, err
-	}
-	tb.WarmUp(dep.Warmup)
-	ws, err := tb.NewWorkstation(tb.Node(0).Position())
-	if err != nil {
-		return nil, err
-	}
-	sh, err := shell.NewForTestbed(tb, ws, io.Discard)
+	sh, err := dep.Session(tb, io.Discard)
 	if err != nil {
 		return nil, err
 	}

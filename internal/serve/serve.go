@@ -118,14 +118,6 @@ type Config struct {
 	// (0 = core.DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 
-	// EdgeRetries bounds the service edge's retry loop for transient
-	// admission rejections — rate-limit and queue-full — before the
-	// rejection is surfaced to the client (0 = 3; negative disables).
-	EdgeRetries int
-	// EdgeBackoff is the initial backoff between edge retries, doubling
-	// each attempt (0 = 25ms).
-	EdgeBackoff time.Duration
-
 	// JournalDir enables crash recovery: each tenant gets a write-ahead
 	// command journal under this directory, and crashed tenants are
 	// resurrected by replay instead of reaped (empty disables — crashes
@@ -174,12 +166,6 @@ func (c Config) withDefaults() Config {
 		if c.Burst < 8 {
 			c.Burst = 8
 		}
-	}
-	if c.EdgeRetries == 0 {
-		c.EdgeRetries = 3
-	}
-	if c.EdgeBackoff == 0 {
-		c.EdgeBackoff = 25 * time.Millisecond
 	}
 	if c.RestartBudget == 0 {
 		c.RestartBudget = 3

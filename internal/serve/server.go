@@ -86,6 +86,14 @@ func (w *sessionWatch) halt() { w.stop1.Do(func() { close(w.stop) }) }
 // that one firehose watch can't starve the wire.
 const defaultWatchRate = 2000
 
+// The service edge retries a command rejected by a transient admission
+// check (rate limit, full queue) edgeRetries times before the rejection
+// reaches the operator, backing off edgeBackoff and doubling.
+const (
+	edgeRetries = 3
+	edgeBackoff = 25 * time.Millisecond
+)
+
 // New builds a server. cfg.NewRunner is mandatory.
 func New(cfg Config) (*Server, error) {
 	if cfg.NewRunner == nil {
@@ -307,11 +315,8 @@ func (s *Server) handleRequest(sess *session, req Request) bool {
 	}
 }
 
-// startWatch begins streaming telemetry frames to the session. The
-// tenant's recording is switched on by submitting `trace on` through
-// the command queue — the one goroutine allowed to touch the recorder's
-// deterministic state — and the stream itself rides a Subscription, the
-// recorder's cross-goroutine-safe (and zero-perturbation) surface.
+// startWatch begins streaming telemetry frames to the session over a
+// Subscription (see subscribe), drained by runWatch.
 func (s *Server) startWatch(sess *session, req Request) bool {
 	if sess.tenant == nil {
 		return s.send(sess, Response{Type: TypeError, ID: req.ID, Code: CodeBadRequest,
@@ -338,26 +343,24 @@ func (s *Server) startWatch(sess *session, req Request) bool {
 	if req.Watch != nil {
 		spec = *req.Watch
 	}
-	// Going through the queue also synchronizes with the tenant build:
-	// once the command returns, the recorder pointer is published.
-	if _, _, err := s.submit(sess.tenant, "trace on"); err != nil {
+	sub, err := s.subscribe(sess.tenant, spec)
+	if err != nil {
 		code, transient := errCode(err)
 		return s.send(sess, Response{Type: TypeError, ID: req.ID, Code: code,
 			Transient: transient, Error: err.Error()})
 	}
-	rec := sess.tenant.Recorder()
-	if rec == nil {
+	if sub == nil {
 		return s.send(sess, Response{Type: TypeError, ID: req.ID, Code: CodeBadRequest,
 			Error: "serve: tenant exposes no telemetry"})
 	}
 	w := &sessionWatch{
-		sub:   rec.Subscribe(spec.filter(), spec.Depth),
+		sub:   sub,
 		stop:  make(chan struct{}),
 		ended: make(chan struct{}),
 		done:  make(chan struct{}),
 	}
 	if !s.send(sess, Response{Type: TypeWatchOK, ID: req.ID, Tenant: sess.tenant.Name()}) {
-		w.sub.Close()
+		sub.Close()
 		return false
 	}
 	sess.watch = w
@@ -377,13 +380,50 @@ func (spec WatchSpec) filter() telemetry.Filter {
 	}
 }
 
-// runWatch is the streamer goroutine: drain the subscription on a wall
-// ticker, bounded per tick, until unwatch, drain, or a dead peer. It
-// always closes the subscription and, when the wire still works, says
-// watch-end so the client can tell a finished stream from a cut one.
+// subscribe attaches a Subscription to tenant t's telemetry, nil when
+// t's runner exposes none. The empty command is a no-op the journal
+// skips; it goes through the queue, so once it returns the build has
+// published the recorder. Nothing switches recording on: a stream sees
+// events as they happen and leaves no history in the tenant.
+func (s *Server) subscribe(t *Tenant, spec WatchSpec) (*telemetry.Subscription, error) {
+	if _, _, err := s.submit(t, ""); err != nil {
+		return nil, err
+	}
+	return t.Recorder().Subscribe(spec.filter(), spec.Depth), nil
+}
+
+// runWatch is the wire watch's streamer goroutine. When the wire still
+// works at the end, it says watch-end so the client can tell a finished
+// stream from a cut one.
 func (s *Server) runWatch(sess *session, w *sessionWatch, spec WatchSpec, id uint64) {
 	defer close(w.done)
-	defer w.sub.Close()
+	reason := s.stream(w.sub, spec, w.stop,
+		func() bool { return s.isDraining() || sess.draining.Load() },
+		func(events []telemetry.Event) bool {
+			for i := range events {
+				if !s.send(sess, Response{Type: TypeEvent, ID: id,
+					Event: telemetry.JSONLine(&events[i]), Dropped: w.sub.Dropped()}) {
+					return false
+				}
+			}
+			s.met.add("serve.watch.frames", len(events))
+			return true
+		})
+	if reason != "" {
+		close(w.ended)
+		s.send(sess, Response{Type: TypeWatchEnd, ID: id, Reason: reason, Dropped: w.sub.Dropped()})
+	}
+	s.met.inc("serve.watch.ended")
+}
+
+// stream is the one loop behind the wire watch and /streamz: drain sub
+// on a wall ticker, at most spec.MaxPerSec events a second, handing each
+// batch to send. It closes sub and returns why it ended: "unwatch" when
+// stop closes, "elapsed" after spec.ForMs, "draining" once draining
+// reports true, and "" when send fails.
+func (s *Server) stream(sub *telemetry.Subscription, spec WatchSpec, stop <-chan struct{},
+	draining func() bool, send func([]telemetry.Event) bool) string {
+	defer sub.Close()
 	maxPerSec := spec.MaxPerSec
 	if maxPerSec <= 0 {
 		maxPerSec = defaultWatchRate
@@ -395,40 +435,21 @@ func (s *Server) runWatch(sess *session, w *sessionWatch, spec WatchSpec, id uin
 		deadline = timer.C
 	}
 	const tickEvery = 100 * time.Millisecond
-	batch := maxPerSec / 10
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(maxPerSec/10, 1)
 	tick := time.NewTicker(tickEvery)
 	defer tick.Stop()
-	end := func(reason string) {
-		close(w.ended)
-		s.send(sess, Response{Type: TypeWatchEnd, ID: id, Reason: reason, Dropped: w.sub.Dropped()})
-		s.met.inc("serve.watch.ended")
-	}
 	for {
 		select {
-		case <-w.stop:
-			end("unwatch")
-			return
+		case <-stop:
+			return "unwatch"
 		case <-deadline:
-			end("elapsed")
-			return
+			return "elapsed"
 		case <-tick.C:
-			if s.isDraining() || sess.draining.Load() {
-				end("draining")
-				return
+			if draining() {
+				return "draining"
 			}
-			events := w.sub.Poll(batch)
-			for i := range events {
-				if !s.send(sess, Response{Type: TypeEvent, ID: id,
-					Event: telemetry.JSONLine(&events[i]), Dropped: w.sub.Dropped()}) {
-					s.met.inc("serve.watch.ended")
-					return
-				}
-			}
-			if n := len(events); n > 0 {
-				s.met.add("serve.watch.frames", n)
+			if events := sub.Poll(batch); len(events) > 0 && !send(events) {
+				return ""
 			}
 		}
 	}
@@ -441,12 +462,12 @@ func (s *Server) runWatch(sess *session, w *sessionWatch, spec WatchSpec, id uin
 // untouched; retrying a command that ran would re-run it on the
 // simulation.
 func (s *Server) submit(t *Tenant, line string) (string, string, error) {
-	backoff := s.cfg.EdgeBackoff
+	backoff := edgeBackoff
 	for attempt := 0; ; attempt++ {
 		out, cwd, err := t.Submit(line, s.cfg.CmdTimeout)
 		if err == nil ||
 			(!errors.Is(err, ErrRateLimited) && !errors.Is(err, ErrQueueFull)) ||
-			attempt >= s.cfg.EdgeRetries || s.isDraining() {
+			attempt >= edgeRetries || s.isDraining() {
 			return out, cwd, err
 		}
 		s.met.inc("serve.edge.retries")

@@ -209,7 +209,6 @@ func TestServerEdgeRetryAbsorbsRateLimit(t *testing.T) {
 	cfg := echoConfig()
 	cfg.RatePerSec = 20 // one token every 50ms
 	cfg.Burst = 1
-	cfg.EdgeBackoff = 30 * time.Millisecond
 	srv, addr := startServer(t, cfg)
 	c, err := Dial(addr, "lab")
 	if err != nil {

@@ -37,7 +37,19 @@ func liveHeap() uint64 {
 // grid tenant behind a live server runs N routed pings and traceroutes
 // across its field, then 3N more, and the live heap after the 4N-th
 // command may exceed the heap after the N-th by at most soakHeapBound.
+// The watched input first streams the tenant's telemetry for 100 ms: a
+// stream that ended must leave the tenant recording nothing.
 func TestTenantSoakHeapBounded(t *testing.T) {
+	for _, watched := range []bool{false, true} {
+		name := "unwatched"
+		if watched {
+			name = "watched"
+		}
+		t.Run(name, func(t *testing.T) { soak(t, watched) })
+	}
+}
+
+func soak(t *testing.T, watched bool) {
 	newRunner := func(_ string, seed uint64) (Runner, error) {
 		return deploymentRunner(cli.DeploymentFlags{
 			Topo: "grid", Rows: 6, Cols: 6, Spacing: 14, Seed: seed, Warmup: 10 * time.Second,
@@ -51,6 +63,11 @@ func TestTenantSoakHeapBounded(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Run("cd 192.168.0.1"); err != nil {
 		t.Fatal(err)
+	}
+	if watched {
+		if err := c.Watch(WatchSpec{ForMs: 100}, func(string, uint64) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	next := 0
 	run := func(n int) {

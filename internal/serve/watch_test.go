@@ -148,6 +148,10 @@ func TestWatchDoesNotPerturbTenant(t *testing.T) {
 	if frames.Load() == 0 {
 		t.Fatal("watch observed nothing while the driver ran")
 	}
+	// The stream needs no recording: the tenant has kept nothing.
+	if resp, err := driver.Run("trace summary"); err != nil || !strings.HasPrefix(resp.Output, "0 events\n") {
+		t.Fatalf("trace summary under a watch: err=%v output=%q, want 0 events", err, resp.Output)
+	}
 
 	// End the stream from the client side and confirm the server answers
 	// with a clean watch-end (Watch returns nil on it).

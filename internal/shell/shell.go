@@ -121,10 +121,11 @@ func (s *Shell) Exec(line string) error {
 	return err
 }
 
-// exec dispatches one parsed command line.
+// exec dispatches one parsed command line. Blank lines and lines
+// starting with # are no-ops, so a script file can be fed in whole.
 func (s *Shell) exec(line string) error {
 	fields := strings.Fields(line)
-	if len(fields) == 0 {
+	if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 		return nil
 	}
 	cmd, args := fields[0], fields[1:]
@@ -680,9 +681,9 @@ func (s *Shell) trace(args []string) error {
 		if count > 0 && len(events) > count {
 			events = events[len(events)-count:]
 		}
-		return telemetry.WriteJSONL(s.out, events, telemetry.Filter{})
+		return telemetry.WriteJSONL(s.out, events)
 	case "summary":
-		s.printf("%s", telemetry.Summarize(rec.Events(), telemetry.Filter{}))
+		s.printf("%s", telemetry.Summarize(rec.Events()))
 		return nil
 	case "spans":
 		s.printf("%s", telemetry.SummarizeSpans(rec.Events()))

@@ -182,9 +182,14 @@ func TestErrorsAndUsage(t *testing.T) {
 	if err := f.sh.Exec("power 99"); err == nil {
 		t.Fatal("bad power accepted")
 	}
-	// Empty lines and help are fine.
+	// Empty lines, comments and help are fine; a comment runs nothing.
 	if err := f.sh.Exec(""); err != nil {
 		t.Fatal(err)
+	}
+	for _, line := range []string{"# ping 192.168.0.2", "  #frobnicate"} {
+		if got := f.run(t, line); got != "" {
+			t.Fatalf("comment %q printed %q", line, got)
+		}
 	}
 	if got := f.run(t, "help"); !strings.Contains(got, "traceroute") {
 		t.Fatalf("help = %q", got)

@@ -41,7 +41,7 @@ func TestJSONLRoundTripStable(t *testing.T) {
 	rec.EndSpan(id, String("verdict", "ok"))
 
 	var b strings.Builder
-	if err := WriteJSONL(&b, rec.Events(), Filter{}); err != nil {
+	if err := WriteJSONL(&b, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	first := b.String()
@@ -53,7 +53,7 @@ func TestJSONLRoundTripStable(t *testing.T) {
 		t.Fatalf("decoded %d events, recorded %d", len(decoded), rec.Len())
 	}
 	var b2 strings.Builder
-	if err := WriteJSONL(&b2, decoded, Filter{}); err != nil {
+	if err := WriteJSONL(&b2, decoded); err != nil {
 		t.Fatal(err)
 	}
 	// Hand-sort each original event's attrs before comparing bytes: the
@@ -69,7 +69,7 @@ func TestJSONLRoundTripStable(t *testing.T) {
 		sorted[i].Attrs = attrs
 	}
 	var b3 strings.Builder
-	if err := WriteJSONL(&b3, sorted, Filter{}); err != nil {
+	if err := WriteJSONL(&b3, sorted); err != nil {
 		t.Fatal(err)
 	}
 	if b2.String() != b3.String() {

@@ -181,7 +181,7 @@ func TestLiveSubscriberDoesNotPerturb(t *testing.T) {
 	}
 	exportJSONL := func(rec *telemetry.Recorder) string {
 		var b strings.Builder
-		if err := telemetry.WriteJSONL(&b, rec.Events(), telemetry.Filter{}); err != nil {
+		if err := telemetry.WriteJSONL(&b, rec.Events()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -230,7 +230,7 @@ func TestTelemetryStreamDeterminism(t *testing.T) {
 	export := func(seed uint64) string {
 		rec := scriptedRun(t, seed, true, false).rec
 		var b strings.Builder
-		if err := telemetry.WriteJSONL(&b, rec.Events(), telemetry.Filter{}); err != nil {
+		if err := telemetry.WriteJSONL(&b, rec.Events()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

@@ -24,9 +24,6 @@ type Filter struct {
 	// src/dst) attributes — or owning node plus one of those — cover
 	// both endpoints, in either direction ("" = any).
 	Link string
-	// Port keeps only events whose "port" attribute equals this value
-	// (0 = any).
-	Port int
 	// Span keeps only events stamped with this command span id
 	// (0 = any).
 	Span uint64
@@ -45,12 +42,6 @@ func (f Filter) Match(e *Event) bool {
 	}
 	if f.Span != 0 && e.Span != f.Span {
 		return false
-	}
-	if f.Port != 0 {
-		v, ok := e.Attr("port")
-		if !ok || v != strconv.Itoa(f.Port) {
-			return false
-		}
 	}
 	if f.Link != "" {
 		a, b, ok := strings.Cut(f.Link, "-")
@@ -80,17 +71,6 @@ func linkMatch(e *Event, a, b string) bool {
 		return false
 	}
 	return has(a) && has(b)
-}
-
-// Select returns the events matching the filter, preserving order.
-func Select(events []Event, f Filter) []Event {
-	out := make([]Event, 0, len(events))
-	for i := range events {
-		if f.Match(&events[i]) {
-			out = append(out, events[i])
-		}
-	}
-	return out
 }
 
 // AppendJSONLine appends one event as a JSON object plus newline.
@@ -139,17 +119,12 @@ func JSONLine(e *Event) string {
 	return strings.TrimSuffix(b.String(), "\n")
 }
 
-// WriteJSONL writes one JSON object per line for each event matching
-// the filter.
-func WriteJSONL(w io.Writer, events []Event, f Filter) error {
+// WriteJSONL writes one JSON object per line for each event.
+func WriteJSONL(w io.Writer, events []Event) error {
 	var b strings.Builder
 	for i := range events {
-		e := &events[i]
-		if !f.Match(e) {
-			continue
-		}
 		b.Reset()
-		AppendJSONLine(&b, e)
+		AppendJSONLine(&b, &events[i])
 		if _, err := io.WriteString(w, b.String()); err != nil {
 			return err
 		}
@@ -186,19 +161,17 @@ func WriteTraceCSV(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// WriteChromeTrace writes the matching events in Chrome trace-event
+// WriteChromeTrace writes the events in Chrome trace-event
 // JSON ({"traceEvents":[...]}), openable in chrome://tracing or
 // Perfetto. Each node becomes a process (pid = node id) and each layer
 // a named thread within it, so the timeline groups naturally. Span
 // events (Dur > 0) become complete events ("X"); the rest become
 // instants ("i").
-func WriteChromeTrace(w io.Writer, events []Event, f Filter) error {
-	sel := Select(events, f)
-
+func WriteChromeTrace(w io.Writer, events []Event) error {
 	// Metadata first: stable process/thread naming per (node, layer).
 	nodes := make(map[phys.NodeID]bool)
-	for i := range sel {
-		nodes[sel[i].NodeID] = true
+	for i := range events {
+		nodes[events[i].NodeID] = true
 	}
 	ids := make([]phys.NodeID, 0, len(nodes))
 	for id := range nodes {
@@ -228,8 +201,8 @@ func WriteChromeTrace(w io.Writer, events []Event, f Filter) error {
 				id, tid[l], strconv.Quote(string(l))))
 		}
 	}
-	for i := range sel {
-		e := &sel[i]
+	for i := range events {
+		e := &events[i]
 		var ev strings.Builder
 		if e.Dur > 0 {
 			fmt.Fprintf(&ev, `{"ph":"X","ts":%d,"dur":%d`, e.At.Microseconds(), e.Dur.Microseconds())
@@ -259,24 +232,23 @@ func WriteChromeTrace(w io.Writer, events []Event, f Filter) error {
 }
 
 // Summarize renders deterministic per-layer and per-kind counts of the
-// matching events — the quick "what happened" view lvtrace and the
-// shell print.
-func Summarize(events []Event, f Filter) string {
-	sel := Select(events, f)
+// events — the quick "what happened" view of the shell's `trace
+// summary`.
+func Summarize(events []Event) string {
 	type key struct {
 		layer Layer
 		kind  string
 	}
 	counts := make(map[key]int)
 	layers := make(map[Layer]int)
-	for i := range sel {
-		counts[key{sel[i].Layer, sel[i].Kind}]++
-		layers[sel[i].Layer]++
+	for i := range events {
+		counts[key{events[i].Layer, events[i].Kind}]++
+		layers[events[i].Layer]++
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d events", len(sel))
-	if len(sel) > 0 {
-		fmt.Fprintf(&b, " (%s .. %s)", sel[0].At, sel[len(sel)-1].At)
+	fmt.Fprintf(&b, "%d events", len(events))
+	if len(events) > 0 {
+		fmt.Fprintf(&b, " (%s .. %s)", events[0].At, events[len(events)-1].At)
 	}
 	b.WriteByte('\n')
 	for _, l := range Layers() {

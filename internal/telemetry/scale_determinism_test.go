@@ -45,7 +45,7 @@ func gridRun(t *testing.T, seed uint64) (traceCSV, jsonl, metrics, stats string)
 	if err := telemetry.WriteTraceCSV(&cb, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := telemetry.WriteJSONL(&jb, rec.Events(), telemetry.Filter{}); err != nil {
+	if err := telemetry.WriteJSONL(&jb, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	return cb.String(), jb.String(), rec.Metrics().String(), fmt.Sprintf("%+v", tb.Med.Stats())

@@ -51,8 +51,9 @@ func Spans(events []Event) []SpanInfo {
 }
 
 // SummarizeSpans renders a deterministic table of the command spans in
-// the stream — the `lvtrace -spans` view: which commands ran, how long
-// each took in virtual time, and how many events per layer each caused.
+// the stream — the shell's `trace spans` view: which commands ran, how
+// long each took in virtual time, and how many events per layer each
+// caused.
 func SummarizeSpans(events []Event) string {
 	spans := Spans(events)
 	var b strings.Builder

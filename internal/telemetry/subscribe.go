@@ -11,9 +11,11 @@ const DefaultSubscriptionDepth = 1024
 // consumer goroutine drains with Poll. When the consumer falls behind,
 // the oldest buffered events are overwritten and the drop counter
 // advances — the bus never blocks and never grows, which is half of the
-// zero-perturbation contract (the other half: subscribers only see
-// events the recorder was going to record anyway, so attaching or
-// detaching one cannot change a single simulated byte).
+// zero-perturbation contract (the other half: emitting an event never
+// changes the simulation, so attaching or detaching one cannot change a
+// single simulated byte). A subscription needs no recording: on a
+// stopped recorder it still sees every matching event, and the recorder
+// keeps none of them.
 type Subscription struct {
 	r      *Recorder
 	filter Filter
@@ -41,7 +43,7 @@ func (r *Recorder) Subscribe(f Filter, depth int) *Subscription {
 	r.subMu.Lock()
 	r.subs = append(r.subs, s)
 	r.subMu.Unlock()
-	r.hasSubs.Add(1)
+	r.live.Add(1)
 	return s
 }
 
@@ -132,7 +134,7 @@ func (s *Subscription) Close() {
 	for i, other := range r.subs {
 		if other == s {
 			r.subs = append(r.subs[:i], r.subs[i+1:]...)
-			r.hasSubs.Add(-1)
+			r.live.Add(-1)
 			break
 		}
 	}

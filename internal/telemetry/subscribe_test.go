@@ -97,8 +97,41 @@ func TestSubscriptionCloseDetaches(t *testing.T) {
 	if len(got) != 1 || got[0].Kind != "before" {
 		t.Fatalf("post-close Poll = %+v, want just the buffered 'before'", got)
 	}
-	if rec.hasSubs.Load() != 0 {
-		t.Fatalf("hasSubs = %d after close", rec.hasSubs.Load())
+	if rec.live.Load() != 1 {
+		t.Fatalf("live = %d after close, want 1 (recording only)", rec.live.Load())
+	}
+}
+
+// TestStreamWithoutRecording: a subscription on a stopped recorder sees
+// events and command spans, the recorder keeps none of them, and once
+// the subscription closes the emit guard is off again.
+func TestStreamWithoutRecording(t *testing.T) {
+	_, rec := testRecorder()
+	rec.Stop()
+	sub := rec.Subscribe(Filter{}, 16)
+	if !rec.Recording() {
+		t.Fatal("emit guard off with a subscription attached")
+	}
+	id := rec.BeginSpan(9, "ping")
+	if id == 0 {
+		t.Fatal("no span opened for a stream")
+	}
+	rec.Emit(1, LayerMAC, "tx")
+	rec.EndSpan(id)
+	got := sub.Poll(0)
+	if len(got) != 2 || got[0].Span != id || got[1].Layer != LayerSpan {
+		t.Fatalf("streamed %+v, want the stamped tx then the span record", got)
+	}
+	if rec.Len() != 0 {
+		t.Fatalf("a stream alone kept %d events", rec.Len())
+	}
+	sub.Close()
+	if rec.Recording() {
+		t.Fatal("emit guard still on after the last subscription closed")
+	}
+	rec.Emit(1, LayerMAC, "lost")
+	if rec.Len() != 0 {
+		t.Fatal("stopped recorder kept an event")
 	}
 }
 

@@ -138,14 +138,20 @@ func (e *Event) Attr(key string) (string, bool) {
 //
 //	m.tel.Emit(...)   // no-op when m.tel is nil or stopped
 //
-// Recording is off until Start is called; while off, Emit returns
-// before evaluating anything.
+// Recording is off until Start is called. A live Subscription sees
+// events whether or not the recorder records them; with neither, Emit
+// returns before evaluating anything.
 type Recorder struct {
 	eng       *sim.Engine
 	recording bool
 	seq       uint64
 	events    []Event
 	reg       *Registry
+
+	// live is what Emit's guard loads: 1 while recording, plus 1 per
+	// attached Subscription. Start and Stop change it on the simulation
+	// goroutine, Subscribe and Close from any goroutine.
+	live atomic.Int32
 
 	// Command-span state. Touched only from the simulation goroutine,
 	// like seq and events.
@@ -155,11 +161,9 @@ type Recorder struct {
 
 	// Subscribers live outside the deterministic state: the list is
 	// mutex-guarded so consumer goroutines attach and detach while the
-	// simulation goroutine fans out. hasSubs keeps the no-subscriber
-	// emit path to one atomic load.
-	hasSubs atomic.Int32
-	subMu   sync.Mutex
-	subs    []*Subscription
+	// simulation goroutine fans out.
+	subMu sync.Mutex
+	subs  []*Subscription
 }
 
 // spanState is the currently open outermost command span.
@@ -176,16 +180,27 @@ func NewRecorder(eng *sim.Engine) *Recorder {
 	return &Recorder{eng: eng, reg: NewRegistry()}
 }
 
-// Start begins recording. Events emitted while stopped are dropped.
-func (r *Recorder) Start() { r.recording = true }
+// Start begins recording. Events emitted while stopped are not kept.
+func (r *Recorder) Start() {
+	if !r.recording {
+		r.recording = true
+		r.live.Add(1)
+	}
+}
 
 // Stop pauses recording without discarding what was captured.
-func (r *Recorder) Stop() { r.recording = false }
+func (r *Recorder) Stop() {
+	if r.recording {
+		r.recording = false
+		r.live.Add(-1)
+	}
+}
 
-// Recording reports whether events are being captured. It is safe on a
-// nil receiver (reports false), which is what lets instrumentation
-// sites guard expensive attribute formatting with one call.
-func (r *Recorder) Recording() bool { return r != nil && r.recording }
+// Recording reports whether anything takes events: the recorder itself
+// or a live Subscription. It is safe on a nil receiver (reports false),
+// which is what lets instrumentation sites guard expensive attribute
+// formatting with one call.
+func (r *Recorder) Recording() bool { return r != nil && r.live.Load() != 0 }
 
 // Metrics returns the recorder's registry (nil-safe: returns nil when
 // the recorder itself is nil).
@@ -221,13 +236,17 @@ func (r *Recorder) EmitSpan(node phys.NodeID, layer Layer, kind string, dur sim.
 	})
 }
 
-// record appends one event and fans it out to subscribers. Subscriber
-// fan-out happens after the append and touches none of the
-// deterministic state, which is what makes attaching a Subscription
-// provably zero-perturbation (DESIGN §12).
+// record keeps one event while recording and fans it out to
+// subscribers. The fan-out touches none of the simulation's state, which
+// is what makes attaching a Subscription zero-perturbation (DESIGN
+// §12); a stream alone keeps nothing, so it costs no memory.
 func (r *Recorder) record(e Event) {
-	r.events = append(r.events, e)
-	if r.hasSubs.Load() == 0 {
+	subs := r.live.Load()
+	if r.recording {
+		r.events = append(r.events, e)
+		subs--
+	}
+	if subs == 0 {
 		return
 	}
 	r.subMu.Lock()
@@ -241,14 +260,14 @@ func (r *Recorder) record(e Event) {
 // emitted before the matching EndSpan is stamped with the returned span
 // id, so a trace can answer "which transmissions did this command
 // cause". Spans do not nest: the outermost wins, and nested calls
-// return 0 (EndSpan(0) is a harmless no-op close). Returns 0 when the
-// recorder is nil or stopped.
+// return 0 (EndSpan(0) is a harmless no-op close). Returns 0 when
+// nothing takes events (see Recording).
 func (r *Recorder) BeginSpan(node phys.NodeID, name string, attrs ...Attr) uint64 {
 	if r == nil {
 		return 0
 	}
 	r.spanDepth++
-	if r.spanDepth > 1 || !r.recording {
+	if r.spanDepth > 1 || !r.Recording() {
 		return 0
 	}
 	r.spanSeq++
@@ -276,7 +295,7 @@ func (r *Recorder) EndSpan(id uint64, attrs ...Attr) {
 	}
 	sp := r.active
 	r.active = spanState{}
-	if !r.recording {
+	if !r.Recording() {
 		return
 	}
 	all := sp.attrs
@@ -310,14 +329,4 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	return append([]Event(nil), r.events...)
-}
-
-// Clear discards recorded events and resets the metrics registry; the
-// sequence counter keeps counting so replays never reuse numbers.
-func (r *Recorder) Clear() {
-	if r == nil {
-		return
-	}
-	r.events = r.events[:0]
-	r.reg = NewRegistry()
 }

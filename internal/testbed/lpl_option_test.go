@@ -121,7 +121,12 @@ func TestRecordTrace(t *testing.T) {
 		t.Fatalf("header = %q", lines[0])
 	}
 	rows, sent := lines[1:], tb.Med.Stats().Transmitted
-	spans := telemetry.Select(rec.Events(), telemetry.Filter{Layer: telemetry.LayerMedium, Kind: "tx"})
+	var spans []telemetry.Event
+	for _, e := range rec.Events() {
+		if e.Layer == telemetry.LayerMedium && e.Kind == "tx" {
+			spans = append(spans, e)
+		}
+	}
 	if len(rows) != len(spans) || uint64(len(rows)) != sent || len(rows) < 2 {
 		t.Fatalf("%d rows for %d tx spans and %d transmissions", len(rows), len(spans), sent)
 	}

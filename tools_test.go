@@ -5,11 +5,15 @@ package liteview
 // so they exercise exactly what the README tells a new user to type.
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"liteview/internal/telemetry"
 )
 
 func runTool(t *testing.T, timeout time.Duration, args ...string) string {
@@ -93,6 +97,32 @@ func TestToolsRun(t *testing.T) {
 			"-nodes", "3", "-spacing", "20", "-shadow", "0", "-asym", "0", "-c", "healthcheck")
 		if !strings.Contains(out, "no problems found") {
 			t.Fatalf("output:\n%s", out)
+		}
+	})
+	// -trace picks the exporter from the extension; the event stream
+	// reads back through the decoder lvtopo -live -replay uses.
+	t.Run("liteview-trace-jsonl", func(t *testing.T) {
+		t.Parallel()
+		path := filepath.Join(t.TempDir(), "t.jsonl")
+		runTool(t, 3*time.Minute, "run", "./cmd/liteview", "-nodes", "3", "-warmup", "2s",
+			"-trace", path, "-c", "cd 192.168.0.1; ping 192.168.0.2")
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		events, err := telemetry.ReadJSONL(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := 0
+		for _, e := range events {
+			if e.Layer == telemetry.LayerSpan {
+				spans++
+			}
+		}
+		if len(events) < 10 || spans == 0 {
+			t.Fatalf("%d events, %d command spans; want a recorded ping", len(events), spans)
 		}
 	})
 	// A crashed node must read as crashed whether or not the deployment

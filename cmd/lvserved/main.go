@@ -60,7 +60,6 @@ func main() {
 
 		journalDir = flag.String("journal", "", "write-ahead command journal directory (empty disables crash recovery)")
 		recoverOn  = flag.Bool("recover", false, "resurrect tenants from their journals at startup (needs -journal)")
-		jnlSegment = flag.Int64("journal-segment", 1<<20, "journal segment rotation size in bytes")
 		jnlFsync   = flag.Int("journal-fsync", 8, "fsync the journal every N appends (1 = every append)")
 		budget     = flag.Int("restart-budget", 3, "supervised restarts before a crashing tenant is quarantined")
 		backoff    = flag.Duration("restart-backoff", 100*time.Millisecond, "initial supervised-restart backoff (doubles, capped)")
@@ -86,8 +85,6 @@ func main() {
 		usage("-drain must be positive, got %v", *drain)
 	case *maxTenants <= 0:
 		usage("-max-tenants must be positive, got %d", *maxTenants)
-	case *journalDir != "" && *jnlSegment <= 0:
-		usage("-journal-segment must be positive, got %d", *jnlSegment)
 	case *journalDir != "" && *jnlFsync <= 0:
 		usage("-journal-fsync must be positive, got %d", *jnlFsync)
 	case *budget < 1:
@@ -118,7 +115,6 @@ func main() {
 		BreakerThreshold:  *brkN,
 		BreakerCooldown:   *brkCool,
 		JournalDir:        *journalDir,
-		JournalSegmentCap: *jnlSegment,
 		JournalFsyncEvery: *jnlFsync,
 		RestartBudget:     *budget,
 		RestartBackoff:    *backoff,

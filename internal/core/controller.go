@@ -445,16 +445,11 @@ func (c *Controller) runPing(from phys.NodeID, broadcast bool, cmd Command) {
 		msgs := make([]Message, 0, len(results)+1)
 		for i, r := range results {
 			if c.tel.Recording() {
-				rttMs := float64(r.RTT) / 1000
 				c.tel.Emit(c.os.ID(), telemetry.LayerController, "ping-result",
 					telemetry.Node("dst", cmd.Dst),
 					telemetry.Int("seq", r.Seq),
 					telemetry.Bool("lost", r.Lost),
-					telemetry.Float("rtt_ms", rttMs))
-				if !r.Lost {
-					c.tel.Metrics().Histogram("ping.rtt_ms", telemetry.DefaultRTTBucketsMs()).
-						Observe(rttMs)
-				}
+					telemetry.Float("rtt_ms", float64(r.RTT)/1000))
 			}
 			msgs = append(msgs, &results[i])
 			// Per-hop padding records of multi-hop rounds ride in

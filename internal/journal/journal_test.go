@@ -96,7 +96,7 @@ func TestTornTailTruncated(t *testing.T) {
 	appendAll(t, j, "a", "b")
 	j.Close()
 
-	seg := filepath.Join(tenantDir(dir, "lab"), segName(1))
+	seg := tenantPath(dir, "lab")
 	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestCorruptMidFile: a CRC mismatch in the middle of a segment drops
+// TestCorruptMidFile: a CRC mismatch in the middle of the file drops
 // that record and everything after it — replaying past corruption
 // would silently diverge from the real pre-crash state.
 func TestCorruptMidFile(t *testing.T) {
@@ -137,7 +137,7 @@ func TestCorruptMidFile(t *testing.T) {
 	appendAll(t, j, "a", "b", "c")
 	j.Close()
 
-	seg := filepath.Join(tenantDir(dir, "lab"), segName(1))
+	seg := tenantPath(dir, "lab")
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -163,113 +163,51 @@ func TestCorruptMidFile(t *testing.T) {
 	}
 }
 
-// TestSegmentRotation: appends past the size cap rotate into new
-// segment files, and recovery stitches all segments back together.
-func TestSegmentRotation(t *testing.T) {
+// TestRecoverAppendsInPlace: a recovered journal keeps appending to the
+// same file, after the torn bytes are cut off. Were they left in place,
+// the next frame would share their line and the next recovery would
+// drop it together with everything after it.
+func TestRecoverAppendsInPlace(t *testing.T) {
 	dir := t.TempDir()
-	j := mustCreate(t, dir, "lab", 9, Options{SegmentCap: 256})
-	var want []string
-	for i := 0; i < 40; i++ {
-		line := fmt.Sprintf("cmd-%02d", i)
-		want = append(want, line)
-	}
-	appendAll(t, j, want...)
+	j := mustCreate(t, dir, "lab", 3, Options{})
+	appendAll(t, j, "a", "b")
 	j.Close()
 
-	names, _, err := segments(tenantDir(dir, "lab"))
+	const torn = `{"crc":1,"rec":{"t":"cmd","i":2,"li`
+	path := tenantPath(dir, "lab")
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) < 3 {
-		t.Fatalf("got %d segments, want rotation to have produced >= 3: %v", len(names), names)
+	if _, err := f.WriteString(torn); err != nil {
+		t.Fatal(err)
 	}
+	f.Close()
 
-	r, lines := recoverLines(t, dir, "lab", Options{})
-	r.Close()
-	if fmt.Sprint(lines) != fmt.Sprint(want) {
-		t.Fatalf("recovered %v across segments, want %v", lines, want)
-	}
-}
-
-// TestTornTailRemovesLaterSegments: corruption in an early segment
-// invalidates every later segment, not just the rest of the file.
-func TestTornTailRemovesLaterSegments(t *testing.T) {
-	dir := t.TempDir()
-	j := mustCreate(t, dir, "lab", 9, Options{SegmentCap: 256})
-	for i := 0; i < 40; i++ {
-		appendAll(t, j, fmt.Sprintf("cmd-%02d", i))
-	}
-	j.Close()
-	d := tenantDir(dir, "lab")
-	names, _, err := segments(d)
-	if err != nil || len(names) < 3 {
-		t.Fatalf("need >= 3 segments, got %v (err %v)", names, err)
-	}
-	// Chop the first segment mid-record.
-	first := filepath.Join(d, names[0])
-	data, _ := os.ReadFile(first)
-	if err := os.Truncate(first, int64(len(data)-10)); err != nil {
+	r, _ := recoverLines(t, dir, "lab", Options{})
+	appendAll(t, r, "c", "d")
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r, lines := recoverLines(t, dir, "lab", Options{})
-	r.Close()
-	for _, line := range lines {
-		if line == "cmd-39" {
-			t.Fatal("recovery kept entries from segments after the torn one")
-		}
+	r2, lines := recoverLines(t, dir, "lab", Options{})
+	r2.Close()
+	if fmt.Sprint(lines) != fmt.Sprint([]string{"a", "b", "c", "d"}) {
+		t.Fatalf("recovered %v after appending past a torn tail, want [a b c d]", lines)
 	}
-	left, _, err := segments(d)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range left[1:] {
-		if name < names[len(names)-1] && name != names[0] {
-			// Only the truncated first segment and the fresh append
-			// segment should remain from the originals.
-			if containsStr(names[1:], name) {
-				t.Fatalf("stale segment %s survived tail removal (have %v)", name, left)
-			}
-		}
+	if strings.Contains(string(data), torn) {
+		t.Fatalf("torn bytes survived recovery:\n%s", data)
 	}
-}
-
-func containsStr(xs []string, x string) bool {
-	for _, s := range xs {
-		if s == x {
-			return true
-		}
-	}
-	return false
-}
-
-// TestCompact merges rotated segments into one full segment with
-// identical replay semantics.
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
-	j := mustCreate(t, dir, "lab", 5, Options{SegmentCap: 256})
-	var want []string
-	for i := 0; i < 30; i++ {
-		line := fmt.Sprintf("cmd-%02d", i)
-		want = append(want, line)
-	}
-	appendAll(t, j, want...)
-	j.Close()
-
-	if err := Compact(dir, "lab", Options{}); err != nil {
-		t.Fatal(err)
-	}
-	names, _, err := segments(tenantDir(dir, "lab"))
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 {
-		t.Fatalf("compaction left %d segments: %v", len(names), names)
-	}
-	r, lines := recoverLines(t, dir, "lab", Options{})
-	r.Close()
-	if fmt.Sprint(lines) != fmt.Sprint(want) || r.Seed() != 5 {
-		t.Fatalf("post-compaction recovered (%v, seed %d)", lines, r.Seed())
+	if len(ents) != 1 || ents[0].Name() != filepath.Base(path) {
+		t.Fatalf("tenant has files %v, want exactly %s", ents, filepath.Base(path))
 	}
 }
 
@@ -283,6 +221,9 @@ func TestTruncatePast(t *testing.T) {
 	if err := TruncatePast(dir, "lab", 2, Options{}); err != nil {
 		t.Fatal(err)
 	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("after TruncatePast the journal dir holds %v (err %v), want one file", ents, err)
+	}
 	r, lines := recoverLines(t, dir, "lab", Options{})
 	if fmt.Sprint(lines) != fmt.Sprint([]string{"a", "b"}) {
 		t.Fatalf("after TruncatePast(2) recovered %v, want [a b]", lines)
@@ -291,27 +232,6 @@ func TestTruncatePast(t *testing.T) {
 		t.Fatalf("append after truncate = (%d, %v), want (2, nil)", idx, err)
 	}
 	r.Close()
-}
-
-// TestMarks: periodic marks are written and do not disturb recovery.
-func TestMarks(t *testing.T) {
-	dir := t.TempDir()
-	j := mustCreate(t, dir, "lab", 1, Options{MarkEvery: 2})
-	appendAll(t, j, "a", "b", "c", "d", "e")
-	j.Close()
-
-	data, err := os.ReadFile(filepath.Join(tenantDir(dir, "lab"), segName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(data), `"t":"mark"`); n != 2 {
-		t.Fatalf("got %d marks for 5 appends at MarkEvery=2, want 2", n)
-	}
-	r, lines := recoverLines(t, dir, "lab", Options{})
-	r.Close()
-	if fmt.Sprint(lines) != fmt.Sprint([]string{"a", "b", "c", "d", "e"}) {
-		t.Fatalf("marks disturbed recovery: %v", lines)
-	}
 }
 
 // TestListAndDrop: tenant names with path-hostile characters survive
@@ -338,7 +258,7 @@ func TestListAndDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if containsStr(got, "lab/a") || len(got) != 3 {
+	if fmt.Sprint(got) != fmt.Sprint([]string{"..", "plain", "sp ace"}) {
 		t.Fatalf("after Drop List = %v", got)
 	}
 	// A dropped tenant has no journal.
@@ -353,4 +273,78 @@ func TestListMissingDir(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("List(missing) = (%v, %v), want ([], nil)", got, err)
 	}
+}
+
+// FuzzRecover appends arbitrary bytes after a valid open + cmd prefix.
+// Recover must keep the prefix, return index-contiguous entries, and
+// leave a journal that a later Append extends by exactly one entry.
+func FuzzRecover(f *testing.F) {
+	frameOf := func(r record) []byte {
+		b, err := encodeFrame(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	good := frameOf(record{Type: "cmd", Index: 1, Line: "b"})
+	skip := frameOf(record{Type: "cmd", Index: 2, Line: "b"})
+	reopen := frameOf(record{Type: "open", Tenant: "fz", Seed: 9})
+	f.Add([]byte{})
+	f.Add([]byte("\n"))
+	f.Add([]byte(`{"crc":1,"rec":{"t":"cmd","i":1,"li`))
+	f.Add(good)
+	f.Add(append(append([]byte{}, good...), good...))
+	f.Add(skip)
+	f.Add(reopen)
+	f.Add(append(append([]byte{}, good...), "garbage"...))
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		dir := t.TempDir()
+		j, err := Create(dir, "fz", 7, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Append("a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := tenantPath(dir, "fz")
+		w, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+
+		r, entries, err := Recover(dir, "fz", Options{})
+		if err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		if r.Seed() != 7 || len(entries) == 0 || entries[0].Line != "a" {
+			t.Fatalf("Recover lost the valid prefix: seed %d, entries %+v", r.Seed(), entries)
+		}
+		for i, e := range entries {
+			if e.Index != uint64(i) {
+				t.Fatalf("entry %d has index %d: %+v", i, e.Index, entries)
+			}
+		}
+		if idx, err := r.Append("z"); err != nil || idx != uint64(len(entries)) {
+			t.Fatalf("Append after Recover = (%d, %v), want (%d, nil)", idx, err, len(entries))
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r2, again, err := Recover(dir, "fz", Options{})
+		if err != nil {
+			t.Fatalf("second Recover: %v", err)
+		}
+		r2.Close()
+		want := append(entries, Entry{Index: uint64(len(entries)), Line: "z"})
+		if fmt.Sprint(again) != fmt.Sprint(want) {
+			t.Fatalf("second Recover = %+v, want %+v", again, want)
+		}
+	})
 }

@@ -12,7 +12,6 @@ package mac
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"liteview/internal/medium"
 	"liteview/internal/phys"
@@ -286,14 +285,6 @@ func (m *MAC) SetTelemetry(rec *telemetry.Recorder) { m.tel = rec }
 // also withheld — a dark local radio says nothing about the link.
 func (m *MAC) SetTxObserver(fn TxObserverFunc) { m.txObserver = fn }
 
-// emitQueueDepth publishes the transmit-queue occupancy gauge.
-func (m *MAC) emitQueueDepth() {
-	if m.tel.Recording() {
-		m.tel.Metrics().Gauge("mac.queue." + strconv.FormatUint(uint64(m.id), 10)).
-			Set(float64(m.qLen))
-	}
-}
-
 // SetRxFault installs a receive-path fault hook: frames for which fn
 // returns true fail the CRC check, exactly as if the air had corrupted
 // them. Pass nil to remove.
@@ -382,7 +373,6 @@ func (m *MAC) Send(f Frame, sent SentFunc) error {
 			telemetry.Node("dst", f.Dst),
 			telemetry.Int("type", int(f.Type)),
 			telemetry.Int("depth", m.qLen))
-		m.emitQueueDepth()
 	}
 	m.kick()
 	return nil
@@ -674,7 +664,6 @@ func (m *MAC) finish(err error) {
 	m.qHead = (m.qHead + 1) % len(m.q)
 	m.qLen--
 	m.sending = false
-	m.emitQueueDepth()
 	if m.tel.Recording() && err != nil {
 		m.tel.Emit(m.id, telemetry.LayerMAC, "tx-fail",
 			telemetry.Node("dst", out.frame.Dst),

@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strconv"
 
 	"liteview/internal/phys"
 	"liteview/internal/radio"
@@ -227,12 +226,6 @@ type memoRow struct {
 	mw    []float64
 }
 
-// linkKeys holds the pre-interned metric names of one directed link, so
-// report does not rebuild three strings on every reception.
-type linkKeys struct {
-	delivered, lost, lqi string
-}
-
 // prrSlot is one entry of the direct-mapped PRR memo: the exact SINR
 // bits and frame length it holds the packet reception rate for. PRR is
 // a pure function, so a hit is bit-identical to recomputation; n == 0
@@ -314,8 +307,6 @@ type Medium struct {
 	// interference ledgers and power memos. Unsharded, it is one
 	// unbounded cell.
 	grid grid
-	// links interns per-link metric names, keyed from<<16|to.
-	links map[uint32]*linkKeys
 	// prr memoises the PRR curve by (SINR bits, frame length), direct
 	// mapped; prrShift turns a 64-bit hash into an index. Allocated on
 	// first use, sized from the node count, and dropped by Attach when
@@ -366,7 +357,6 @@ func New(eng *sim.Engine, model *phys.Model) *Medium {
 		model:  model,
 		rng:    eng.Rand().Fork("medium"),
 		slotOf: make(map[phys.NodeID]int32),
-		links:  make(map[uint32]*linkKeys),
 		// No prune has run yet; the clock starts at 0.
 		prunedAt: -1,
 	}
@@ -613,20 +603,6 @@ func (m *Medium) prrFor(sinr float64, n int) float64 {
 	return p
 }
 
-// linkKeysFor returns the interned metric names of the directed link
-// from → to.
-func (m *Medium) linkKeysFor(from, to phys.NodeID) *linkKeys {
-	key := uint32(from)<<16 | uint32(to)
-	if lk, ok := m.links[key]; ok {
-		return lk
-	}
-	base := "link." + strconv.FormatUint(uint64(from), 10) + "-" +
-		strconv.FormatUint(uint64(to), 10)
-	lk := &linkKeys{delivered: base + ".delivered", lost: base + ".lost", lqi: base + ".lqi"}
-	m.links[key] = lk
-	return lk
-}
-
 // noiseFloor returns the model's noise floor converted to milliwatts,
 // and that value converted back to dBm, cached until the floor changes.
 func (m *Medium) noiseFloor() (mw, dbm float64) {
@@ -718,18 +694,6 @@ func (m *Medium) report(t *transmission, to phys.NodeID, o deliveryOutcome, caus
 			telemetry.Int("lqi", info.LQI))
 	}
 	m.tel.Emit(to, telemetry.LayerMedium, "rx", attrs...)
-	lk := m.linkKeysFor(t.from, to)
-	switch o {
-	case outcomeDelivered:
-		m.tel.Metrics().Counter(lk.delivered).Inc()
-		m.tel.Metrics().Gauge(lk.lqi).Set(float64(info.LQI))
-	case outcomeCorrupted, outcomeInjectedDrop:
-		// Only real link losses count: out-of-range, off-channel, and
-		// radio-off outcomes would flatten the link's PRR — under LPL
-		// duty-cycling a sleeping radio misses most frames by design,
-		// and that is a schedule property, not link quality.
-		m.tel.Metrics().Counter(lk.lost).Inc()
-	}
 }
 
 // deliver fans t out to the candidate set captured at transmit time,

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -366,10 +368,10 @@ func TestShardedMediumCrashRecoveryByteIdentical(t *testing.T) {
 }
 
 // hardStop kills a server as close to kill -9 as an in-process test
-// can: close the listener and stop every tenant loop with no drain, no
-// journal compaction, no tidying. (Durability of unsynced bytes is the
-// CI kill-and-recover smoke's job; here the journal files simply stay
-// behind exactly as the crashed process would leave them.)
+// can: close the listener and stop every tenant loop with no drain and
+// no tidying. (Durability of unsynced bytes is the CI kill-and-recover
+// smoke's job; here the journal files simply stay behind exactly as the
+// crashed process would leave them.)
 func hardStop(srv *Server) {
 	srv.mu.Lock()
 	ln := srv.ln
@@ -488,6 +490,56 @@ func TestDaemonRestartRecoversByteIdentical(t *testing.T) {
 	st := srvB.RecoveryStatus()
 	if !st.Enabled || st.Restored != 1 || len(st.Quarantined) != 0 {
 		t.Errorf("RecoveryStatus = %+v", st)
+	}
+}
+
+// TestRecoverEmptyJournalStartsFresh: a crash inside journal.Create
+// leaves an empty file with no open record. Nothing was journaled, so
+// recovery starts that tenant fresh instead of crash-looping it into
+// quarantine.
+func TestRecoverEmptyJournalStartsFresh(t *testing.T) {
+	jdir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(jdir, "t-fresh.wal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{
+		NewRunner:  flakyFactory(&crashSwitch{}),
+		JournalDir: jdir,
+		TenantIdle: -1,
+		Logf:       func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := srv.RecoverJournals(); err != nil || n != 1 {
+		t.Fatalf("RecoverJournals = (%d, %v), want (1, nil)", n, err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+
+	c := dialRecovered(t, ln.Addr().String(), "fresh")
+	resp, err := c.Run("pwd")
+	c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if serr := srv.Shutdown(ctx); serr != nil {
+		t.Fatal(serr)
+	}
+	<-done
+	if err != nil || resp.Error != "" || resp.Output != "/\n" {
+		t.Fatalf("pwd on the fresh tenant = (%+v, %v), want /", resp, err)
+	}
+	j, entries, err := journal.Recover(jdir, "fresh", journal.Options{})
+	if err != nil {
+		t.Fatalf("journal after the fresh start: %v", err)
+	}
+	j.Close()
+	if len(entries) != 1 || entries[0].Line != "pwd" {
+		t.Fatalf("journal after the fresh start holds %+v, want the one pwd", entries)
 	}
 }
 

@@ -123,9 +123,6 @@ type Config struct {
 	// resurrected by replay instead of reaped (empty disables — crashes
 	// reap the tenant as before).
 	JournalDir string
-	// JournalSegmentCap rotates journal segment files at this many bytes
-	// (0 = 1 MiB).
-	JournalSegmentCap int64
 	// JournalFsyncEvery batches journal fsync: sync after this many
 	// appends (0 = 8; 1 = sync every append). Appends always reach the
 	// OS before the command runs regardless.
@@ -191,7 +188,6 @@ func (c Config) validate() error {
 		{c.QueueDepth < 0, "QueueDepth must not be negative"},
 		{c.CmdTimeout < 0, "CmdTimeout must not be negative"},
 		{c.IdleTimeout < 0, "IdleTimeout must not be negative"},
-		{c.JournalSegmentCap < 0, "JournalSegmentCap must not be negative"},
 		{c.JournalFsyncEvery < 0, "JournalFsyncEvery must not be negative"},
 		{c.RestartBudget < 0, "RestartBudget must not be negative"},
 		{c.RestartBackoff < 0, "RestartBackoff must not be negative"},

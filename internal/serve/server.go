@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -554,7 +555,6 @@ func (s *Server) seedFor(name string) uint64 {
 
 func (s *Server) journalOpts() journal.Options {
 	return journal.Options{
-		SegmentCap: s.cfg.JournalSegmentCap,
 		FsyncEvery: s.cfg.JournalFsyncEvery,
 		Logf:       s.cfg.Logf,
 	}
@@ -857,23 +857,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.cfg.Logf("serve: drain deadline exceeded, connections closed hard")
 		return ctx.Err()
 	}
-	if s.cfg.JournalDir != "" {
-		// Clean drain: every journal is closed, so compact each into a
-		// single tidy segment. The journals stay on disk — that is the
-		// point: lvserved -recover after a deploy restores the fleet.
-		s.mu.Lock()
-		names := make([]string, 0, len(s.journaled))
-		for name := range s.journaled {
-			names = append(names, name)
-		}
-		s.mu.Unlock()
-		sort.Strings(names)
-		for _, name := range names {
-			if err := journal.Compact(s.cfg.JournalDir, name, s.journalOpts()); err != nil {
-				s.cfg.Logf("serve: tenant %q: compacting journal on drain: %v", name, err)
-			}
-		}
-	}
+	// Every tenant ended at once, leaving their last garbage behind
+	// with the heap near its goal. Collect it here, so what the process
+	// allocates after the drain reuses that memory instead of growing
+	// the heap past it.
+	runtime.GC()
 	s.met.inc("serve.drain.clean")
 	s.cfg.Logf("serve: drain complete")
 	return nil

@@ -187,12 +187,17 @@ func (t *Tenant) loop(cfg Config) {
 	seed := t.seed
 	if cfg.JournalDir != "" {
 		opt := journal.Options{
-			SegmentCap: cfg.JournalSegmentCap,
 			FsyncEvery: cfg.JournalFsyncEvery,
 			Logf:       t.logf,
 		}
 		if t.recoverMode {
 			jnl, ents, err := journal.Recover(cfg.JournalDir, t.name, opt)
+			if errors.Is(err, journal.ErrNoJournal) {
+				// Nothing was journaled (a crash inside Create leaves an
+				// empty file), so there is no history to lose: start fresh.
+				t.logf("serve: tenant %q: %v; starting fresh", t.name, err)
+				jnl, err = journal.Create(cfg.JournalDir, t.name, seed, opt)
+			}
 			if err != nil {
 				t.fail("journal", fmt.Errorf("recovering journal for tenant %q: %w", t.name, err))
 				return

@@ -16,20 +16,11 @@ func (c *Counter) Inc() { c.v++ }
 // Add increases the counter by n.
 func (c *Counter) Add(n uint64) { c.v += n }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is a value that can move both ways (queue depth, LQI).
+// Gauge is a value that can move both ways (active sessions, tenants).
 type Gauge struct{ v float64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
 
 // Add shifts the gauge by d (negative to decrease).
 func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current gauge reading.
-func (g *Gauge) Value() float64 { return g.v }
 
 // Histogram accumulates a distribution with explicit bucket bounds.
 // Buckets count observations <= bound; observations beyond the last
@@ -75,23 +66,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[len(h.counts)-1]++
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Min returns the smallest sample (0 before any observation).
-func (h *Histogram) Min() float64 { return h.min }
-
-// Max returns the largest sample (0 before any observation).
-func (h *Histogram) Max() float64 { return h.max }
-
-// Mean returns the average sample, or NaN before any observation.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	return h.sum / float64(h.count)
-}
-
 // Buckets returns the (bound, cumulative-count) pairs plus the overflow
 // count as the final entry with bound = +Inf.
 func (h *Histogram) Buckets() ([]float64, []uint64) {
@@ -101,7 +75,7 @@ func (h *Histogram) Buckets() ([]float64, []uint64) {
 }
 
 // Registry is a namespace of metrics, get-or-create by name. Names are
-// dotted paths ("ping.rtt_ms", "link.2-3.delivered", "mac.queue.4").
+// dotted paths ("serve.cmd_ms", "serve.tenants.active").
 // All accessors are deterministic: iteration for snapshots happens in
 // sorted name order.
 type Registry struct {
@@ -120,8 +94,7 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns the named counter, creating it on first use.
-// Nil-safe: a nil registry returns a throwaway counter so callers can
-// chain r.Metrics().Counter(...).Inc() unconditionally.
+// Nil-safe: a nil registry returns a throwaway counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return &Counter{}
@@ -181,8 +154,8 @@ func (r *Registry) Snapshot() map[string]float64 {
 		snap[name+".count"] = float64(h.count)
 		snap[name+".sum"] = h.sum
 		// min/max/mean only exist once something was observed: before
-		// the first sample Min()/Max() report 0, which a snapshot must
-		// not confuse with a real zero-valued sample.
+		// the first sample min and max hold 0, which a snapshot must not
+		// confuse with a real zero-valued sample.
 		if h.count > 0 {
 			snap[name+".min"] = h.min
 			snap[name+".max"] = h.max
@@ -210,9 +183,6 @@ func FormatSnapshot(snap map[string]float64) string {
 	}
 	return b.String()
 }
-
-// String renders the registry's current snapshot (see FormatSnapshot).
-func (r *Registry) String() string { return FormatSnapshot(r.Snapshot()) }
 
 // formatValue prints integers without a fraction and floats with up to
 // three decimals, trimmed — compact and byte-stable.

@@ -11,36 +11,34 @@ func TestCounterAndGauge(t *testing.T) {
 	c := r.Counter("tx")
 	c.Inc()
 	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
 	if r.Counter("tx") != c {
 		t.Fatal("second lookup made a new counter")
 	}
 	g := r.Gauge("depth")
-	g.Set(3)
+	g.Add(3)
 	g.Add(-1)
-	if g.Value() != 2 {
-		t.Fatalf("gauge = %v", g.Value())
+	if snap := r.Snapshot(); snap["tx"] != 5 || snap["depth"] != 2 {
+		t.Fatalf("counter = %v, gauge = %v, want 5 and 2", snap["tx"], snap["depth"])
 	}
 }
 
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("rtt", []float64{1, 10, 100})
-	if h.Count() != 0 || !math.IsNaN(h.Mean()) {
+	if r.Snapshot()["rtt.count"] != 0 {
 		t.Fatal("empty histogram not empty")
 	}
 	for _, v := range []float64{0.5, 5, 50, 500} {
 		h.Observe(v)
 	}
-	if sum := r.Snapshot()["rtt.sum"]; h.Count() != 4 || sum != 555.5 {
-		t.Fatalf("count=%d sum=%v", h.Count(), sum)
+	snap := r.Snapshot()
+	if snap["rtt.count"] != 4 || snap["rtt.sum"] != 555.5 {
+		t.Fatalf("count=%v sum=%v", snap["rtt.count"], snap["rtt.sum"])
 	}
-	if h.Min() != 0.5 || h.Max() != 500 {
-		t.Fatalf("min=%v max=%v", h.Min(), h.Max())
+	if snap["rtt.min"] != 0.5 || snap["rtt.max"] != 500 {
+		t.Fatalf("min=%v max=%v", snap["rtt.min"], snap["rtt.max"])
 	}
-	if got := h.Mean(); math.Abs(got-138.875) > 1e-9 {
+	if got := snap["rtt.mean"]; math.Abs(got-138.875) > 1e-9 {
 		t.Fatalf("mean = %v", got)
 	}
 	bounds, counts := h.Buckets()
@@ -60,7 +58,7 @@ func TestHistogram(t *testing.T) {
 func TestSnapshotAndDiff(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Inc()
-	r.Gauge("g").Set(1.5)
+	r.Gauge("g").Add(1.5)
 	r.Histogram("h", []float64{10}).Observe(4)
 	snap := r.Snapshot()
 	if snap["a"] != 1 || snap["g"] != 1.5 {
@@ -99,7 +97,7 @@ func TestFormatSnapshotSortedAndTrimmed(t *testing.T) {
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
+	r.Gauge("y").Add(1)
 	r.Histogram("z", nil).Observe(1)
 	if len(r.Snapshot()) != 0 {
 		t.Fatal("nil registry has a non-empty snapshot")

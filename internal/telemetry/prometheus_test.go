@@ -9,7 +9,7 @@ func TestWritePrometheusOrderAndFamilies(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("serve.commands.total").Add(3)
 	r.Counter("mac.tx").Inc()
-	r.Gauge("serve.sessions.active").Set(2)
+	r.Gauge("serve.sessions.active").Add(2)
 	h := r.Histogram("serve.cmd_ms", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(5)

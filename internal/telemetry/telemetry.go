@@ -146,7 +146,6 @@ type Recorder struct {
 	recording bool
 	seq       uint64
 	events    []Event
-	reg       *Registry
 
 	// live is what Emit's guard loads: 1 while recording, plus 1 per
 	// attached Subscription. Start and Stop change it on the simulation
@@ -177,7 +176,7 @@ type spanState struct {
 
 // NewRecorder builds a stopped recorder on the engine's virtual clock.
 func NewRecorder(eng *sim.Engine) *Recorder {
-	return &Recorder{eng: eng, reg: NewRegistry()}
+	return &Recorder{eng: eng}
 }
 
 // Start begins recording. Events emitted while stopped are not kept.
@@ -201,15 +200,6 @@ func (r *Recorder) Stop() {
 // which is what lets instrumentation sites guard expensive attribute
 // formatting with one call.
 func (r *Recorder) Recording() bool { return r != nil && r.live.Load() != 0 }
-
-// Metrics returns the recorder's registry (nil-safe: returns nil when
-// the recorder itself is nil).
-func (r *Recorder) Metrics() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
 
 // Emit records one instant event. No-op when the recorder is nil or
 // stopped.

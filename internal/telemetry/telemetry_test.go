@@ -63,7 +63,6 @@ func TestStoppedAndNilRecordersAreInert(t *testing.T) {
 	if nilRec.Len() != 0 || nilRec.Events() != nil {
 		t.Fatal("nil recorder holds events")
 	}
-	nilRec.Metrics().Counter("x").Inc() // throwaway, must not panic
 }
 
 func filterEvents() []Event {

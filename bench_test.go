@@ -9,14 +9,17 @@ package liteview
 
 import (
 	"testing"
+	"time"
 
 	"liteview/internal/bench"
 	"liteview/internal/mac"
 	"liteview/internal/medium"
 	"liteview/internal/phys"
 	"liteview/internal/radio"
+	"liteview/internal/routing"
 	"liteview/internal/sim"
 	"liteview/internal/stack"
+	"liteview/internal/testbed"
 )
 
 // runExperiment drives one regenerated experiment per iteration with a
@@ -410,4 +413,28 @@ func BenchmarkMediumDeliver(b *testing.B) {
 	b.Run("indexed-10k", func(b *testing.B) { run(b, layout{cols: 100, rows: 100, spacing: 15, transmitters: 1}) })
 	b.Run("sharded-10k", func(b *testing.B) { run(b, layout{cols: 100, rows: 100, spacing: 15, sharded: true, transmitters: 1}) })
 	b.Run("lpl-30", func(b *testing.B) { run(b, layout{cols: 5, rows: 6, spacing: 8, transmitters: 1, dozing: true}) })
+}
+
+// BenchmarkGridSetup measures what a grid-400 session costs before its
+// first command: the scale experiment's 20×20 grid at 14 m with no
+// shadowing, geographic forwarding, LiteView installed, and a 10 s
+// warm-up. Building the candidate sets and fanning out the warm-up's
+// beacons are most of it.
+func BenchmarkGridSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opt := testbed.DefaultOptions(1)
+		opt.ShadowSigma, opt.AsymSigma = 0, 0
+		tb, err := testbed.Grid(20, 20, 14, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tb.AttachGeographic(routing.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tb.InstallLiteView(); err != nil {
+			b.Fatal(err)
+		}
+		tb.WarmUp(10 * time.Second)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"liteview/internal/phys"
-	"liteview/internal/radio"
 )
 
 // Cells: the one structure the medium fans out through.
@@ -19,9 +18,10 @@ import (
 // Chebyshev ring of cells around its origin. Each cell owns its
 // members (in global attach order), the ledger of active transmissions
 // whose origin is within its ring, and the power memo of the links into
-// its members. Candidate sets are collected from the ring, and a
-// delivery's SINR scans walk an interferer view gathered once per frame
-// from the receiver cell's ledger.
+// its members. Candidate sets are collected from the ring, skipping
+// each member farther away than DetectRange before its link budget is
+// computed, and a delivery's SINR scans walk an interferer view
+// gathered once per frame from the receiver cell's ledger.
 //
 // An unsharded medium is a single unbounded cell (cell size +Inf, ring
 // 0) holding every node: its ledger is every active transmission and
@@ -109,7 +109,7 @@ func (m *Medium) partition(size float64) {
 	m.resetView()
 	ring := 0
 	if !math.IsInf(size, 1) {
-		ring = int(math.Ceil(m.model.DetectRange(maxTxDBm, radio.SensitivityDBm-FadeMarginDB) / size))
+		ring = int(math.Ceil(m.detectRange() / size))
 	}
 	m.grid = grid{cellSize: size, ring: ring, cells: make(map[cellKey]*cell),
 		res: make([]residence, len(m.slots))}
@@ -135,7 +135,7 @@ func (m *Medium) partition(size float64) {
 func (m *Medium) SetSharding(s Sharding) {
 	size := s.CellSize
 	if size <= 0 {
-		size = m.model.DetectRange(maxTxDBm, radio.SensitivityDBm-FadeMarginDB)
+		size = m.detectRange()
 	}
 	m.partition(size)
 }
@@ -370,9 +370,11 @@ func (m *Medium) candidate(r *reachability, s int32) (int, bool) {
 // invalidation or a power change: the nodes resident in the ring around
 // its cell, in global attach order, whose gain at maximum transmit
 // power clears the sensitivity floor minus the fade margin, with their
-// received powers at txDBm. Nodes outside the ring are provably under
-// the floor (phys.Model.DetectRange); Transmit counts them in bulk with
-// the rest.
+// received powers at txDBm. Nodes outside the ring, and members of it
+// farther away than the detectability range, are provably under the
+// floor (phys.Model.DetectRange): members are ruled out by distance
+// before any budget is computed (overFloor), and Transmit counts all
+// of them in bulk with the rest.
 func (m *Medium) reachFor(s int32, txDBm float64) *reachability {
 	if r := m.reach[s]; r != nil {
 		if r.txDBm == txDBm {
@@ -383,28 +385,34 @@ func (m *Medium) reachFor(s int32, txDBm float64) *reachability {
 	g := &m.grid
 	near := m.near[:0]
 	cells := 0
+	from, pos := m.slots[s].id, m.slots[s].pos
+	bound := m.reachBound()
 	g.forRing(g.res[s].c.key, func(c *cell) {
-		near = append(near, c.members...)
+		for _, o := range c.members {
+			if o == s {
+				continue
+			}
+			if b, ok := m.overFloor(from, m.slots[o].id, pos, m.slots[o].pos, bound); ok {
+				near = append(near, reached{o, b.Received(txDBm)})
+			}
+		}
 		cells++
 	})
 	if cells > 1 {
-		slices.SortFunc(near, func(a, b int32) int { return cmp.Compare(g.res[a].seq, g.res[b].seq) })
+		slices.SortFunc(near, func(a, b reached) int { return cmp.Compare(g.res[a.s].seq, g.res[b.s].seq) })
 	}
-	cand, rx := m.candBuf[:0], m.rxBuf[:0]
-	from, pos := m.slots[s].id, m.slots[s].pos
-	for _, other := range near {
-		if other == s {
-			continue
-		}
-		b := m.model.LinkBudget(from, m.slots[other].id, pos, m.slots[other].pos)
-		if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
-			continue
-		}
-		cand = append(cand, other)
-		rx = append(rx, b.Received(txDBm))
+	r := &reachability{cand: make([]int32, len(near)), rx: make([]float64, len(near)), txDBm: txDBm}
+	for i, n := range near {
+		r.cand[i], r.rx[i] = n.s, n.rx
 	}
-	m.near, m.candBuf, m.rxBuf = near, cand, rx
-	r := &reachability{cand: slices.Clone(cand), rx: slices.Clone(rx), txDBm: txDBm}
+	m.near = near
 	m.reach[s] = r
 	return r
+}
+
+// reached is one member of a candidate set being built: its slot and
+// its received power.
+type reached struct {
+	s  int32
+	rx float64
 }

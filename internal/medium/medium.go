@@ -183,9 +183,43 @@ const txPoolCap = 1024
 // per-receiver outcome.
 const FadeMarginDB = 6.0
 
+// floorDBm is the reachability floor the candidate sets keep: a link
+// under it even at maximum transmit power is never detected.
+const floorDBm = radio.SensitivityDBm - FadeMarginDB
+
 // maxTxDBm is the strongest power any attached radio can transmit at;
 // it bounds the received power of every link through the static gain.
 var maxTxDBm = radio.PowerDBm(radio.MaxPowerLevel)
+
+// detectRange is the distance beyond which no link clears the floor
+// (phys.Model.DetectRange at maximum power), read from the model as it
+// stands now.
+func (m *Medium) detectRange() float64 { return m.model.DetectRange(maxTxDBm, floorDBm) }
+
+// reachBound returns the squared distance beyond which a pair is
+// provably under the floor, for overFloor: the detectability range,
+// widened by 1e-9 so that rounding in the distance never rules out a
+// pair over the floor.
+func (m *Medium) reachBound() float64 {
+	r := m.detectRange() * (1 + 1e-9)
+	return r * r
+}
+
+// overFloor returns the budget of the directed link from → to and
+// whether its gain at maximum transmit power clears the reachability
+// floor. A pair farther apart than bound (reachBound) is under it by
+// the range bound and is ruled out without a budget. It is the one
+// floor test of the candidate sets, of countFar and of EnergyDBmAt's
+// model path, and it counts the budgets it computes (budgets).
+func (m *Medium) overFloor(from, to phys.NodeID, fromPos, toPos phys.Position, bound float64) (phys.Budget, bool) {
+	dx, dy := fromPos.X-toPos.X, fromPos.Y-toPos.Y
+	if dx*dx+dy*dy > bound {
+		return phys.Budget{}, false
+	}
+	m.budgets++
+	b := m.model.LinkBudget(from, to, fromPos, toPos)
+	return b, b.Received(maxTxDBm) >= floorDBm
+}
 
 // reachability is one transmitter's precomputed fan-out at one transmit
 // power: the slots of the attached nodes (in stable attach order) whose
@@ -298,11 +332,12 @@ type Medium struct {
 	// invalidated within the ring on attach, detach and moves, and
 	// everywhere on topology changes.
 	reach []*reachability
-	// near, candBuf and rxBuf are reachFor's scratch buffers; each set
-	// keeps exact-size copies.
-	near    []int32
-	candBuf []int32
-	rxBuf   []float64
+	// near is reachFor's scratch buffer; each set keeps exact-size
+	// copies.
+	near []reached
+	// budgets counts the link budgets overFloor computed, for the
+	// tests that pin how many a candidate-set build costs.
+	budgets uint64
 	// grid is the partition into cells (cells.go): membership,
 	// interference ledgers and power memos. Unsharded, it is one
 	// unbounded cell.
@@ -481,11 +516,12 @@ func (m *Medium) Detach(id phys.NodeID) {
 func (m *Medium) countFar(s int32, attach bool) {
 	now := m.eng.Now()
 	sl := &m.slots[s]
+	bound := m.reachBound()
 	for _, t := range m.active {
 		if t.end < now || s == t.fromSlot || slices.Contains(t.reach.cand, s) {
 			continue
 		}
-		if m.model.LinkBudget(t.from, sl.id, t.pos, sl.pos).Received(maxTxDBm) >= radio.SensitivityDBm-FadeMarginDB {
+		if _, ok := m.overFloor(t.from, sl.id, t.pos, sl.pos, bound); ok {
 			continue // over the floor: a node attached mid-flight the frame never reaches
 		}
 		if attach {
@@ -907,8 +943,8 @@ func (m *Medium) EnergyDBmAt(r Receiver) float64 {
 			}
 			p = t.reach.rx[i]
 		} else {
-			b := m.model.LinkBudget(t.from, rid, t.pos, rpos)
-			if b.Received(maxTxDBm) < radio.SensitivityDBm-FadeMarginDB {
+			b, ok := m.overFloor(t.from, rid, t.pos, rpos, m.reachBound())
+			if !ok {
 				continue // undetectable at any power level
 			}
 			p = b.Received(t.txDBm)

@@ -95,7 +95,12 @@ func (m *Model) gauss(k uint64) float64 {
 
 // Shadowing returns the static shadowing term in dB for the unordered
 // link {a, b}. It is symmetric: Shadowing(a,b) == Shadowing(b,a).
+// With ShadowSigma 0 it is +0, without a draw: sigma·gauss would be ±0,
+// and Budget.Received is the same for either (x + (−0) == x).
 func (m *Model) Shadowing(a, b NodeID) float64 {
+	if m.ShadowSigma == 0 {
+		return 0
+	}
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
@@ -107,8 +112,12 @@ func (m *Model) Shadowing(a, b NodeID) float64 {
 // Asymmetry returns the static per-direction offset in dB for the
 // ordered link a→b. Asymmetry(a,b) and Asymmetry(b,a) are independent
 // draws; their difference is what a LiteView user observes when
-// comparing forward and backward RSSI.
+// comparing forward and backward RSSI. With AsymSigma 0 it is +0,
+// without a draw, as Shadowing is.
 func (m *Model) Asymmetry(a, b NodeID) float64 {
+	if m.AsymSigma == 0 {
+		return 0
+	}
 	key := uint64(a)<<32 | uint64(b) | 1<<48
 	return m.AsymSigma * m.gauss(key)
 }

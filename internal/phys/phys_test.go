@@ -121,6 +121,46 @@ func TestReceivedPowerDecreasesWithDistance(t *testing.T) {
 	}
 }
 
+// TestZeroSigmaSkipsDraws checks that with both sigmas 0 the shadowing
+// and asymmetry terms are exactly +0, drawn without a gauss, and that
+// received powers equal the sigma·gauss arithmetic bit for bit: that
+// product is −0 on every negative draw, and x + (−0) == x.
+func TestZeroSigmaSkipsDraws(t *testing.T) {
+	negZero := 0
+	for _, pl0 := range []float64{40, 44.5, 45, 46, 52.25} {
+		m := DefaultModel(9)
+		m.PL0, m.ShadowSigma, m.AsymSigma = pl0, 0, 0
+		for a := NodeID(1); a < 40; a++ {
+			for b := NodeID(1); b < 40; b++ {
+				if a == b {
+					continue
+				}
+				sh, as := m.Shadowing(a, b), m.Asymmetry(a, b)
+				if sh != 0 || as != 0 || math.Signbit(sh) || math.Signbit(as) {
+					t.Fatalf("PL0 %v, %d→%d: shadowing %v, asymmetry %v, want +0 and +0", pl0, a, b, sh, as)
+				}
+				lo, hi := min(a, b), max(a, b)
+				shDraw := m.ShadowSigma * m.gauss(uint64(lo)<<16|uint64(hi))
+				asDraw := m.AsymSigma * m.gauss(uint64(a)<<32|uint64(b)|1<<48)
+				if math.Signbit(shDraw) || math.Signbit(asDraw) {
+					negZero++
+				}
+				from, to := Position{X: float64(a) * 3.7, Y: 1}, Position{X: 2, Y: float64(b) * 5.3}
+				for _, tx := range []float64{0, -7, -25} {
+					got := m.ReceivedPower(tx, a, b, from, to)
+					want := tx - m.PathLoss(from.Distance(to)) + shDraw + asDraw
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("PL0 %v, %d→%d at %v dBm: received %v, sigma·gauss arithmetic %v", pl0, a, b, tx, got, want)
+					}
+				}
+			}
+		}
+	}
+	if negZero == 0 {
+		t.Fatal("no draw was negative: the −0 case went untested")
+	}
+}
+
 func TestReceivedPowerScalesWithTxPower(t *testing.T) {
 	m := DefaultModel(1)
 	p1, p2 := Position{0, 0}, Position{10, 0}

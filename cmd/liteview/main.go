@@ -12,7 +12,7 @@
 //
 // Use -c to run a semicolon-separated script instead of the REPL, and
 // -trace FILE to record the whole session, warm-up included, through the
-// telemetry recorder and write it at exit. The extension picks the
+// telemetry recorder into that file as it runs. The extension picks the
 // format: .csv the packet trace, .jsonl the event stream, .json a
 // Chrome trace (chrome://tracing or ui.perfetto.dev).
 package main
@@ -34,16 +34,16 @@ import (
 )
 
 // exporters maps a -trace file extension to the format written there.
-var exporters = map[string]func(io.Writer, []telemetry.Event) error{
-	".csv":   telemetry.WriteTraceCSV,
-	".jsonl": telemetry.WriteJSONL,
-	".json":  telemetry.WriteChromeTrace,
+var exporters = map[string]func(io.Writer) (telemetry.Sink, func() error){
+	".csv":   telemetry.NewTraceCSV,
+	".jsonl": telemetry.NewJSONL,
+	".json":  telemetry.NewChromeTrace,
 }
 
 func main() { os.Exit(run()) }
 
 // run is the whole session; it returns the exit code, so deferred work
-// (writing the -trace file) happens on every exit path, an interrupt or
+// (finishing the -trace file) happens on every exit path, an interrupt or
 // SIGTERM between commands included.
 func run() (code int) {
 	var dep cli.DeploymentFlags
@@ -72,18 +72,20 @@ func run() (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		// The trace is exported at exit; `trace off` in the shell pauses
-		// it.
+		// The trace streams into the file; `trace off` in the shell
+		// pauses it, and the exit finishes it.
+		sink, finish := export(f)
 		rec := tb.Telemetry()
+		rec.AddSink(sink)
 		rec.Start()
 		defer func() {
-			if err := errors.Join(export(f, rec.Events()), f.Close()); err != nil {
+			if err := errors.Join(finish(), f.Close()); err != nil {
 				code = fail(err)
 			}
 		}()
 	}
 	// A signal ends the session at the next command; a second one, while
-	// the trace is written, kills the process.
+	// the trace is finished, kills the process.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)

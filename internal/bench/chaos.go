@@ -8,7 +8,6 @@ import (
 	"liteview/internal/fault"
 	"liteview/internal/phys"
 	"liteview/internal/routing"
-	"liteview/internal/telemetry"
 	"liteview/internal/trace"
 )
 
@@ -38,9 +37,10 @@ func Chaos(seed uint64, opt Options) (*Result, error) {
 		if err != nil {
 			return outcome{}, outcome{}, err
 		}
-		var rec *telemetry.Recorder
 		if opt.tracing() {
-			rec = dep.tb.Telemetry()
+			rec := dep.tb.Telemetry()
+			finish := traceTo(opt, "chaos-"+slug, rec)
+			defer finish(&err)
 			rec.Start()
 		}
 		inj := dep.tb.FaultInjector()
@@ -60,12 +60,6 @@ func Chaos(seed uint64, opt Options) (*Result, error) {
 		}
 		trOut = outcome{ok: terr == nil && t.FailedHop == 0 && len(t.Reports) > 0 && t.Reports[len(t.Reports)-1].Final,
 			delayMs: ms(t.ResponseDelay), verdict: t.Verdict}
-		if rec != nil {
-			rec.Stop()
-			if err := writeTelemetry(opt, "chaos-"+slug, rec); err != nil {
-				return outcome{}, outcome{}, fmt.Errorf("telemetry artifacts: %w", err)
-			}
-		}
 		return pingOut, trOut, nil
 	}
 

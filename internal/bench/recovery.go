@@ -90,12 +90,26 @@ type recOutcome struct {
 // returned serialized for byte-level determinism comparison. stem names
 // the telemetry artifact (recover-<stem>); it must be unique per call
 // so concurrent scenarios never write the same file.
-func measureReroute(seed uint64, opt Options, stem string, f fault.Fault) (recOutcome, []byte, error) {
+func measureReroute(seed uint64, opt Options, stem string, f fault.Fault) (_ recOutcome, _ []byte, err error) {
 	dep, err := diamondDeployment(seed)
 	if err != nil {
 		return recOutcome{}, nil, err
 	}
+	var out recOutcome
+	var stream bytes.Buffer
+	jsonl, endJSONL := telemetry.NewJSONL(&stream)
 	rec := dep.tb.Telemetry()
+	rec.AddSink(jsonl)
+	rec.AddSink(func(e *telemetry.Event) {
+		switch e.Kind {
+		case "link-suspect":
+			out.suspectEvents++
+		case "route-repair":
+			out.repairEvents++
+		}
+	})
+	finish := traceTo(opt, "recover-"+stem, rec)
+	defer finish(&err)
 	rec.Start()
 	var deliveries []sim.Time
 	err = dep.tb.Nodes[3].Stack().Subscribe(recAppPort, func(*stack.Packet, phys.NodeID, medium.RxInfo) {
@@ -120,7 +134,7 @@ func measureReroute(seed uint64, opt Options, stem string, f fault.Fault) (recOu
 	dep.tb.Eng.After(recTrafficPeriod, tick)
 
 	dep.tb.Run(2 * time.Second)
-	out := recOutcome{deliveredBefore: len(deliveries)}
+	out.deliveredBefore = len(deliveries)
 	faultAt := dep.tb.Eng.Now()
 	f.At = faultAt
 	if _, err := dep.tb.FaultInjector().Schedule(f); err != nil {
@@ -140,25 +154,11 @@ func measureReroute(seed uint64, opt Options, stem string, f fault.Fault) (recOu
 	if r3, ok := dep.tb.Router(routing.GeographicPort, 3); ok {
 		out.altForwards = r3.Stats().Forwarded
 	}
-	for _, ev := range rec.Events() {
-		switch ev.Kind {
-		case "link-suspect":
-			out.suspectEvents++
-		case "route-repair":
-			out.repairEvents++
-		}
-	}
 	rec.Stop()
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, rec.Events()); err != nil {
+	if err := endJSONL(); err != nil {
 		return recOutcome{}, nil, err
 	}
-	if opt.tracing() {
-		if err := writeTelemetry(opt, "recover-"+stem, rec); err != nil {
-			return recOutcome{}, nil, err
-		}
-	}
-	return out, buf.Bytes(), nil
+	return out, stream.Bytes(), nil
 }
 
 // Recovery runs the self-healing experiment: data-driven link

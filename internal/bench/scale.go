@@ -7,7 +7,6 @@ import (
 	"liteview/internal/core"
 	"liteview/internal/phys"
 	"liteview/internal/routing"
-	"liteview/internal/telemetry"
 	"liteview/internal/testbed"
 	"liteview/internal/trace"
 )
@@ -30,7 +29,7 @@ type scaleDeployment struct {
 
 // runScaleDeployment builds and drives one deployment, appends its
 // table row, and reports the figures the shape checks need.
-func runScaleDeployment(r *Result, d scaleDeployment, seed uint64, opt Options) error {
+func runScaleDeployment(r *Result, d scaleDeployment, seed uint64, opt Options) (err error) {
 	tbOpt := testbed.DefaultOptions(seed)
 	tbOpt.ShadowSigma = 0
 	tbOpt.AsymSigma = 0
@@ -45,11 +44,12 @@ func runScaleDeployment(r *Result, d scaleDeployment, seed uint64, opt Options) 
 	if _, err := tb.InstallLiteView(); err != nil {
 		return err
 	}
-	var rec *telemetry.Recorder
 	if opt.tracing() && !d.shard {
 		// One telemetry artifact per run is plenty; the 10k deployment
 		// would dwarf every other trace in the suite.
-		rec = tb.Telemetry()
+		rec := tb.Telemetry()
+		finish := traceTo(opt, "scale", rec)
+		defer finish(&err)
 		rec.Start()
 	}
 
@@ -113,13 +113,6 @@ func runScaleDeployment(r *Result, d scaleDeployment, seed uint64, opt Options) 
 		r.check(label+" throughput measured", simS > 0 && wallS > 0,
 			"%.1f sim seconds in %.0f ms wall (%.0f ns wall per sim second)",
 			simS, float64(wall.Milliseconds()), nsPerSimS)
-	}
-
-	if rec != nil {
-		rec.Stop()
-		if err := writeTelemetry(opt, "scale", rec); err != nil {
-			return fmt.Errorf("telemetry artifacts: %w", err)
-		}
 	}
 	return nil
 }

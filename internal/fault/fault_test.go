@@ -102,16 +102,18 @@ func TestFaultLifecycleStates(t *testing.T) {
 	}
 }
 
-// recordTrace starts recording tb's telemetry and returns a function
-// that exports the packet trace recorded so far as CSV.
+// recordTrace starts recording tb's telemetry into a packet trace CSV
+// and returns a function that returns the trace recorded so far.
 func recordTrace(t *testing.T, tb *testbed.Testbed) (trace func() string) {
 	t.Helper()
+	var b strings.Builder
+	sink, finish := telemetry.NewTraceCSV(&b)
 	rec := tb.Telemetry()
+	rec.AddSink(sink)
 	rec.Start()
 	return func() string {
 		t.Helper()
-		var b strings.Builder
-		if err := telemetry.WriteTraceCSV(&b, rec.Events()); err != nil {
+		if err := finish(); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

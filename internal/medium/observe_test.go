@@ -28,9 +28,10 @@ type delivery struct {
 
 // observer records one medium's telemetry.
 type observer struct {
-	t     *testing.T
-	rec   *telemetry.Recorder
-	nodes map[phys.NodeID]*fakeNode
+	t        *testing.T
+	rec      *telemetry.Recorder
+	recorded []telemetry.Event
+	nodes    map[phys.NodeID]*fakeNode
 }
 
 // observe starts recording m's telemetry. Deliveries pair demodulated
@@ -42,6 +43,7 @@ func observe(t *testing.T, eng *sim.Engine, m *Medium, nodes ...*fakeNode) *obse
 		o.nodes[n.id] = n
 	}
 	m.SetTelemetry(o.rec)
+	o.rec.AddSink(func(e *telemetry.Event) { o.recorded = append(o.recorded, *e) })
 	o.rec.Start()
 	return o
 }
@@ -49,7 +51,7 @@ func observe(t *testing.T, eng *sim.Engine, m *Medium, nodes ...*fakeNode) *obse
 // events returns the recorded medium events of one kind.
 func (o *observer) events(kind string) []telemetry.Event {
 	var out []telemetry.Event
-	for _, e := range o.rec.Events() {
+	for _, e := range o.recorded {
 		if e.Layer == telemetry.LayerMedium && e.Kind == kind {
 			out = append(out, e)
 		}

@@ -8,6 +8,7 @@ import (
 	"liteview/internal/phys"
 	"liteview/internal/radio"
 	"liteview/internal/routing"
+	"liteview/internal/telemetry"
 	"liteview/internal/testbed"
 )
 
@@ -38,6 +39,8 @@ func TestEveryDropIsRecorded(t *testing.T) {
 		}
 	}
 	rec := tb.Telemetry()
+	var recorded []telemetry.Event
+	rec.AddSink(func(e *telemetry.Event) { recorded = append(recorded, *e) })
 	rec.Start()
 
 	// Discovery failure: node 99 does not exist, so the four packets
@@ -117,7 +120,7 @@ func TestEveryDropIsRecorded(t *testing.T) {
 	rec.Stop()
 
 	events := map[string]uint64{}
-	for _, ev := range rec.Events() {
+	for _, ev := range recorded {
 		if ev.Kind == "drop" {
 			cause, _ := ev.Attr("cause")
 			events[cause]++

@@ -9,6 +9,7 @@ import (
 	"liteview/internal/routing"
 	"liteview/internal/sim"
 	"liteview/internal/stack"
+	"liteview/internal/telemetry"
 	"liteview/internal/testbed"
 )
 
@@ -33,6 +34,8 @@ func TestParkQueueBoundedAndExpires(t *testing.T) {
 	}
 	tb.WarmUp(15 * time.Second)
 	rec := tb.Telemetry()
+	var events []telemetry.Event
+	rec.AddSink(func(e *telemetry.Event) { events = append(events, *e) })
 	rec.Start()
 	r, _ := tb.Router(routing.OnDemandPort, 1)
 	// Node 99 does not exist: every send parks awaiting discovery. The
@@ -52,7 +55,7 @@ func TestParkQueueBoundedAndExpires(t *testing.T) {
 		t.Fatalf("parked packets never expired: %+v", st)
 	}
 	drops := 0
-	for _, ev := range rec.Events() {
+	for _, ev := range events {
 		if cause, _ := ev.Attr("cause"); ev.Kind == "drop" && cause == "park" {
 			drops++
 		}
@@ -82,6 +85,8 @@ func TestGeographicLinkRepair(t *testing.T) {
 	}
 	tb.WarmUp(15 * time.Second)
 	rec := tb.Telemetry()
+	var events []telemetry.Event
+	rec.AddSink(func(e *telemetry.Event) { events = append(events, *e) })
 	rec.Start()
 	var got []*stack.Packet
 	subscribe(t, tb, 3, 100, &got)
@@ -108,7 +113,7 @@ func TestGeographicLinkRepair(t *testing.T) {
 		t.Fatal("alternate relay carried nothing")
 	}
 	suspects, repairs := 0, 0
-	for _, ev := range rec.Events() {
+	for _, ev := range events {
 		switch ev.Kind {
 		case "link-suspect":
 			suspects++

@@ -55,7 +55,8 @@ func (s *Server) AdminHandler() http.Handler {
 //	        creates simulations
 //	node, layer, kind, link, span   filter (as lvctl -watch)
 //	replay=N   first emit the newest N events the tenant recorded
-//	           (after an operator's `trace on`)
+//	           (after an operator's `trace on`; the tenant keeps the
+//	           newest telemetry.RingDepth)
 //	for=DUR    stop after a wall-clock duration (e.g. 30s); default
 //	           streams until the client disconnects or the drain begins
 //	max=N      cap streamed events per second
@@ -97,9 +98,14 @@ func (s *Server) handleStreamz(w http.ResponseWriter, r *http.Request) {
 		spec.ForMs = int64((d + time.Millisecond - 1) / time.Millisecond)
 	}
 
+	f, err := spec.filter()
+	if err != nil {
+		http.Error(w, "streamz: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	// Subscribe before writing headers so frames can't be lost between
 	// replay and live.
-	sub, err := s.subscribe(t, spec)
+	sub, err := s.subscribe(t, f, spec.Depth)
 	if err != nil {
 		http.Error(w, "streamz: "+err.Error(), http.StatusServiceUnavailable)
 		return

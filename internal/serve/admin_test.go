@@ -72,8 +72,9 @@ func TestMetriczFormats(t *testing.T) {
 }
 
 // TestStreamzEndToEnd drives the SSE endpoint against a real tenant:
-// parameter validation, replay of recorded history, and the timed end
-// event.
+// parameter validation (a link filter that names no two node ids is a
+// 400, not a stream that matches nothing), replay of recorded history,
+// and the timed end event.
 func TestStreamzEndToEnd(t *testing.T) {
 	srv, addr := startServer(t, Config{NewRunner: testbedRunner})
 	admin := httptest.NewServer(srv.AdminHandler())
@@ -98,6 +99,18 @@ func TestStreamzEndToEnd(t *testing.T) {
 	for _, line := range []string{"trace on", "cd 192.168.0.1", "ping 192.168.0.2"} {
 		if resp, err := c.Run(line); err != nil || resp.Error != "" {
 			t.Fatalf("%q: err=%v resp.Error=%q", line, err, resp.Error)
+		}
+	}
+
+	for _, link := range []string{"3", "a-b"} {
+		resp, err := http.Get(admin.URL + "/streamz?tenant=sse-lab&for=100ms&link=" + link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "link") {
+			t.Fatalf("link=%s: %d %q, want 400 naming the link", link, resp.StatusCode, body)
 		}
 	}
 

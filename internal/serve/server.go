@@ -344,7 +344,11 @@ func (s *Server) startWatch(sess *session, req Request) bool {
 	if req.Watch != nil {
 		spec = *req.Watch
 	}
-	sub, err := s.subscribe(sess.tenant, spec)
+	f, err := spec.filter()
+	if err != nil {
+		return s.send(sess, Response{Type: TypeError, ID: req.ID, Code: CodeBadRequest, Error: err.Error()})
+	}
+	sub, err := s.subscribe(sess.tenant, f, spec.Depth)
 	if err != nil {
 		code, transient := errCode(err)
 		return s.send(sess, Response{Type: TypeError, ID: req.ID, Code: code,
@@ -370,15 +374,17 @@ func (s *Server) startWatch(sess *session, req Request) bool {
 	return true
 }
 
-// filter maps the wire spec onto the telemetry filter.
-func (spec WatchSpec) filter() telemetry.Filter {
+// filter maps the wire spec onto the telemetry filter; a malformed link
+// is an error.
+func (spec WatchSpec) filter() (telemetry.Filter, error) {
+	link, err := telemetry.ParseLink(spec.Link)
 	return telemetry.Filter{
 		Node:  phys.NodeID(spec.Node),
 		Layer: telemetry.Layer(spec.Layer),
 		Kind:  spec.Kind,
-		Link:  spec.Link,
+		Link:  link,
 		Span:  spec.Span,
-	}
+	}, err
 }
 
 // subscribe attaches a Subscription to tenant t's telemetry, nil when
@@ -386,11 +392,11 @@ func (spec WatchSpec) filter() telemetry.Filter {
 // skips; it goes through the queue, so once it returns the build has
 // published the recorder. Nothing switches recording on: a stream sees
 // events as they happen and leaves no history in the tenant.
-func (s *Server) subscribe(t *Tenant, spec WatchSpec) (*telemetry.Subscription, error) {
+func (s *Server) subscribe(t *Tenant, f telemetry.Filter, depth int) (*telemetry.Subscription, error) {
 	if _, _, err := s.submit(t, ""); err != nil {
 		return nil, err
 	}
-	return t.Recorder().Subscribe(spec.filter(), spec.Depth), nil
+	return t.Recorder().Subscribe(f, depth), nil
 }
 
 // runWatch is the wire watch's streamer goroutine. When the wire still

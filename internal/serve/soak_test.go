@@ -2,12 +2,14 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"liteview/internal/cli"
+	"liteview/internal/telemetry"
 )
 
 // soakCommands is the soak test's first batch; the second batch is
@@ -38,18 +40,17 @@ func liveHeap() uint64 {
 // across its field, then 3N more, and the live heap after the 4N-th
 // command may exceed the heap after the N-th by at most soakHeapBound.
 // The watched input first streams the tenant's telemetry for 100 ms: a
-// stream that ended must leave the tenant recording nothing.
+// stream that ended must leave the tenant recording nothing. The traced
+// input sends `trace on` first and records the whole load: a recording
+// keeps a fixed history ring, running counts and the newest span rows,
+// so it holds the same bound.
 func TestTenantSoakHeapBounded(t *testing.T) {
-	for _, watched := range []bool{false, true} {
-		name := "unwatched"
-		if watched {
-			name = "watched"
-		}
-		t.Run(name, func(t *testing.T) { soak(t, watched) })
+	for _, mode := range []string{"unwatched", "watched", "traced"} {
+		t.Run(mode, func(t *testing.T) { soak(t, mode) })
 	}
 }
 
-func soak(t *testing.T, watched bool) {
+func soak(t *testing.T, mode string) {
 	newRunner := func(_ string, seed uint64) (Runner, error) {
 		return deploymentRunner(cli.DeploymentFlags{
 			Topo: "grid", Rows: 6, Cols: 6, Spacing: 14, Seed: seed, Warmup: 10 * time.Second,
@@ -64,8 +65,13 @@ func soak(t *testing.T, watched bool) {
 	if _, err := c.Run("cd 192.168.0.1"); err != nil {
 		t.Fatal(err)
 	}
-	if watched {
+	switch mode {
+	case "watched":
 		if err := c.Watch(WatchSpec{ForMs: 100}, func(string, uint64) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	case "traced":
+		if _, err := c.Run("trace on"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,5 +103,55 @@ func soak(t *testing.T, watched bool) {
 	if growth > soakHeapBound {
 		t.Fatalf("live heap grew %d B from %d to %d commands, bound %d B",
 			growth, soakCommands, 4*soakCommands, soakHeapBound)
+	}
+}
+
+// traceHeapBound is how far the live heap of a session recording its
+// packet trace may grow when the session's warm-up doubles. A recording
+// keeps a fixed history ring and running counts; a recorder that kept
+// each event (about 200 B on this deployment) would cross the bound
+// within the first virtual second of extra warm-up.
+const traceHeapBound = 64 << 10
+
+// TestTraceFileHeapBounded records a whole liteview session, the paper's
+// 30-node testbed with a ping and a traceroute, into a packet-trace CSV
+// sink. The live heap with the session still open must not grow with
+// the session's length: a 600 s warm-up ends within traceHeapBound of a
+// 300 s one.
+func TestTraceFileHeapBounded(t *testing.T) {
+	heap := func(warmup time.Duration) uint64 {
+		d := cli.DeploymentFlags{Topo: "line", Nodes: 30, Spacing: 20, Seed: 1,
+			Shadow: 1, Asym: 1.5, Warmup: warmup}
+		tb, err := d.BuildManaged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink, finish := telemetry.NewTraceCSV(io.Discard)
+		rec := tb.Telemetry()
+		rec.AddSink(sink)
+		rec.Start()
+		sh, err := d.Session(tb, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{"cd 192.168.0.1", "ping 192.168.0.9 round=5", "traceroute 192.168.0.30"} {
+			if err := sh.Exec(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := liveHeap()
+		runtime.KeepAlive(sh) // the shell holds the testbed and its recorder
+		if err := finish(); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	short, long := heap(300*time.Second), heap(600*time.Second)
+	growth := int64(long) - int64(short)
+	t.Logf("live heap with a 300 s warm-up %d B, with 600 s %d B: growth %d B (bound %d B)",
+		short, long, growth, traceHeapBound)
+	if growth > traceHeapBound {
+		t.Fatalf("a traced session's live heap grew %d B when its warm-up doubled, bound %d B",
+			growth, traceHeapBound)
 	}
 }

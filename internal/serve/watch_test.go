@@ -206,7 +206,9 @@ func TestWatchForMsEndsIdleStream(t *testing.T) {
 }
 
 // TestWatchRejections covers the error paths: watching before hello,
-// and watching a tenant whose runner exposes no telemetry.
+// a link filter that names no two node ids (an error, not a stream that
+// matches nothing), and watching a tenant whose runner exposes no
+// telemetry.
 func TestWatchRejections(t *testing.T) {
 	_, addr := startServer(t, Config{NewRunner: testbedRunner})
 	bare, err := Dial(addr, "")
@@ -218,6 +220,21 @@ func TestWatchRejections(t *testing.T) {
 		t.Fatal("watch before hello was accepted")
 	} else if !strings.Contains(err.Error(), "hello") {
 		t.Fatalf("unhelpful rejection: %v", err)
+	}
+
+	lab, err := Dial(addr, "lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lab.Close()
+	for _, link := range []string{"3", "a-b"} {
+		err := lab.Watch(WatchSpec{Link: link, ForMs: 100}, func(string, uint64) bool { return true })
+		if err == nil || !strings.Contains(err.Error(), "link") {
+			t.Fatalf("watch link=%s: err = %v, want a link error", link, err)
+		}
+	}
+	if err := lab.Watch(WatchSpec{Link: "1-2", ForMs: 100}, func(string, uint64) bool { return true }); err != nil {
+		t.Fatalf("watch link=1-2: %v", err)
 	}
 
 	_, addr2 := startServer(t, echoConfig())

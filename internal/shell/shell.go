@@ -183,9 +183,10 @@ func (s *Shell) help() {
   neighborsetup update period=<ms>
   stats [medium|reset]        link/stack counters and routing state;
                               medium-wide counters; reset zeroes them
-  trace on|off|dump [count]   control the cross-layer telemetry recorder
+  trace on|off                start or pause the cross-layer telemetry recorder
+  trace dump [count]          newest recorded events as JSONL (1024 kept)
   trace summary               per-layer event counts of the recording
-  trace spans                 per-command span summary of the recording
+  trace spans                 per-command span summary (newest 32 listed)
   energy                      battery account and lifetime estimate
   log on|off|show [count]     control / read the node's event log
   survey                      broadcast radio query to all nodes in range
@@ -652,11 +653,13 @@ func (s *Shell) statsReset() error {
 
 // trace controls the deployment-wide telemetry recorder: `trace on`
 // starts capturing cross-layer events, `trace off` stops, `trace dump
-// [count]` prints the newest events as JSONL, `trace summary` prints
-// per-layer counts.
+// [count]` prints the newest events as JSONL from the recorder's
+// history of the last telemetry.RingDepth, `trace summary` prints
+// per-layer counts of everything recorded, and `trace spans` lists the
+// newest telemetry.SpanRows command spans.
 func (s *Shell) trace(args []string) error {
 	if len(args) == 0 {
-		return errors.New("shell: usage: trace on|off|dump [count]|summary|spans")
+		return fmt.Errorf("shell: usage: trace on|off|dump [count, at most %d]|summary|spans", telemetry.RingDepth)
 	}
 	rec := s.tb.Telemetry()
 	switch args[0] {
@@ -677,16 +680,14 @@ func (s *Shell) trace(args []string) error {
 			}
 			count = v
 		}
-		events := rec.Events()
-		if count > 0 && len(events) > count {
-			events = events[len(events)-count:]
-		}
-		return telemetry.WriteJSONL(s.out, events)
+		sink, finish := telemetry.NewJSONL(s.out)
+		rec.History(count, sink)
+		return finish()
 	case "summary":
-		s.printf("%s", telemetry.Summarize(rec.Events()))
+		s.printf("%s", rec.Summary())
 		return nil
 	case "spans":
-		s.printf("%s", telemetry.SummarizeSpans(rec.Events()))
+		s.printf("%s", rec.SpanSummary())
 		return nil
 	default:
 		return fmt.Errorf("shell: unknown trace subcommand %q", args[0])

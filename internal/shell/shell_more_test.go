@@ -171,7 +171,10 @@ func TestLogShowCountAboveByte(t *testing.T) {
 // resumes it.
 func TestTraceOffPausesCSV(t *testing.T) {
 	f := deployShell(t, 3, 20, 12)
+	var b strings.Builder
+	sink, finish := telemetry.NewTraceCSV(&b)
 	rec := f.tb.Telemetry()
+	rec.AddSink(sink)
 	rec.Start()
 	f.run(t, "cd 192.168.0.1")
 	f.run(t, "ping 192.168.0.2 round=1 length=32")
@@ -185,8 +188,7 @@ func TestTraceOffPausesCSV(t *testing.T) {
 	f.run(t, "trace on")
 	f.run(t, "ping 192.168.0.2 round=1 length=32")
 
-	var b strings.Builder
-	if err := telemetry.WriteTraceCSV(&b, rec.Events()); err != nil {
+	if err := finish(); err != nil {
 		t.Fatal(err)
 	}
 	var before, after int

@@ -2,16 +2,16 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"liteview/internal/phys"
 )
 
-// jsonEvent mirrors the JSONL field layout AppendJSONLine writes.
+// jsonEvent mirrors the JSONL field layout appendJSONLine writes.
 type jsonEvent struct {
 	Seq   uint64            `json:"seq"`
 	Us    int64             `json:"us"`
@@ -23,7 +23,7 @@ type jsonEvent struct {
 	Attrs map[string]string `json:"attrs"`
 }
 
-// ParseJSONLine decodes one JSONL event line (the format AppendJSONLine
+// ParseJSONLine decodes one JSONL event line (the format appendJSONLine
 // writes). Attribute emission order is not preserved by JSON decoding,
 // so decoded attrs are sorted by key — stable, though not necessarily
 // the original order.
@@ -52,13 +52,8 @@ func ParseJSONLine(line []byte) (Event, error) {
 		Span:   je.Span,
 	}
 	if len(je.Attrs) > 0 {
-		keys := make([]string, 0, len(je.Attrs))
-		for k := range je.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e.Attrs = make([]Attr, 0, len(keys))
-		for _, k := range keys {
+		e.Attrs = make([]Attr, 0, len(je.Attrs))
+		for _, k := range sortedKeys(je.Attrs) {
 			e.Attrs = append(e.Attrs, Attr{Key: k, Val: je.Attrs[k]})
 		}
 	}
@@ -72,28 +67,15 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
 	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		trimmed := false
-		for _, c := range raw {
-			if c != ' ' && c != '\t' && c != '\r' {
-				trimmed = true
-				break
-			}
-		}
-		if !trimmed {
+	for line := 1; sc.Scan(); line++ {
+		if len(bytes.Trim(sc.Bytes(), " \t\r")) == 0 {
 			continue
 		}
-		e, err := ParseJSONLine(raw)
+		e, err := ParseJSONLine(sc.Bytes())
 		if err != nil {
 			return out, fmt.Errorf("line %d: %w", line, err)
 		}
 		out = append(out, e)
 	}
-	if err := sc.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, sc.Err()
 }

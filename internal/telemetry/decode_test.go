@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -34,17 +35,14 @@ func TestParseJSONLineRoundTrip(t *testing.T) {
 // order), so the assertion uses events whose attrs are already sorted.
 func TestJSONLRoundTripStable(t *testing.T) {
 	_, rec := testRecorder()
+	got := collect(rec)
 	rec.Emit(1, LayerMedium, "rx", Float("dbm", -88.25), String("outcome", "delivered"))
 	rec.EmitSpan(2, LayerMAC, "tx", 992*time.Microsecond, Int("len", 48), Node("to", 3))
 	id := rec.BeginSpan(1, "ping", Node("dst", 2))
 	rec.Emit(1, LayerRouting, "forward", Node("next", 2))
 	rec.EndSpan(id, String("verdict", "ok"))
 
-	var b strings.Builder
-	if err := WriteJSONL(&b, rec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	first := b.String()
+	first := export(t, NewJSONL, *got)
 	decoded, err := ReadJSONL(strings.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
@@ -52,13 +50,10 @@ func TestJSONLRoundTripStable(t *testing.T) {
 	if len(decoded) != rec.Len() {
 		t.Fatalf("decoded %d events, recorded %d", len(decoded), rec.Len())
 	}
-	var b2 strings.Builder
-	if err := WriteJSONL(&b2, decoded); err != nil {
-		t.Fatal(err)
-	}
+	b2 := export(t, NewJSONL, decoded)
 	// Hand-sort each original event's attrs before comparing bytes: the
 	// decoder returns attrs key-sorted.
-	sorted := rec.Events()
+	sorted := *got
 	for i := range sorted {
 		attrs := append([]Attr(nil), sorted[i].Attrs...)
 		for x := 1; x < len(attrs); x++ {
@@ -68,13 +63,8 @@ func TestJSONLRoundTripStable(t *testing.T) {
 		}
 		sorted[i].Attrs = attrs
 	}
-	var b3 strings.Builder
-	if err := WriteJSONL(&b3, sorted); err != nil {
-		t.Fatal(err)
-	}
-	if b2.String() != b3.String() {
-		t.Fatalf("re-encode diverged:\n--- decoded ---\n%s--- original (attr-sorted) ---\n%s",
-			b2.String(), b3.String())
+	if b3 := export(t, NewJSONL, sorted); b2 != b3 {
+		t.Fatalf("re-encode diverged:\n--- decoded ---\n%s--- original (attr-sorted) ---\n%s", b2, b3)
 	}
 }
 
@@ -97,18 +87,28 @@ func TestReadJSONLSkipsBlanksAndReportsLine(t *testing.T) {
 
 func TestSummarizeSpans(t *testing.T) {
 	_, rec := testRecorder()
+	if got := rec.SpanSummary(); got != "0 command span(s)\n" {
+		t.Fatalf("empty summary = %q", got)
+	}
 	id := rec.BeginSpan(9, "ping", Node("dst", 3))
 	rec.Emit(1, LayerMAC, "sent")
 	rec.Emit(1, LayerMAC, "acked")
 	rec.Emit(2, LayerMedium, "rx")
 	rec.EndSpan(id, String("verdict", "ok"))
-	out := SummarizeSpans(rec.Events())
-	for _, want := range []string{"1 command span(s)", "ping", "verdict=ok", "events=3", "mac=2", "medium=1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("summary missing %q:\n%s", want, out)
-		}
+	want := "1 command span(s)\n" +
+		"  span 1   ping         node=9 dst=3 verdict=ok at=0s dur=0s events=3\n" +
+		"      medium=1 mac=2\n"
+	if out := rec.SpanSummary(); out != want {
+		t.Fatalf("summary:\n%s\nwant:\n%s", out, want)
 	}
-	if got := SummarizeSpans(nil); !strings.Contains(got, "0 command span(s)") {
-		t.Fatalf("empty summary = %q", got)
+	// Past SpanRows, the newest rows stay and the count says how many
+	// went.
+	for i := 0; i < SpanRows+2; i++ {
+		rec.EndSpan(rec.BeginSpan(9, "ls"))
+	}
+	out := rec.SpanSummary()
+	if !strings.HasPrefix(out, fmt.Sprintf("%d command span(s)\n  (3 older span(s) not kept)\n  span 4 ", SpanRows+3)) ||
+		strings.Count(out, "  span ") != SpanRows {
+		t.Fatalf("bounded summary:\n%s", out)
 	}
 }

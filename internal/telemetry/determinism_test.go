@@ -28,8 +28,8 @@ type run struct {
 	stats string
 	fired uint64
 	now   time.Duration
-	// rec is the recorder (nil when nothing was recorded).
-	rec *telemetry.Recorder
+	// events is the recorded stream (nil when nothing was recorded).
+	events []telemetry.Event
 }
 
 // scriptedRun executes the same command script under the same fault
@@ -60,8 +60,13 @@ func scriptedRun(t *testing.T, seed uint64, record, live bool) run {
 		t.Fatal(err)
 	}
 	var rec *telemetry.Recorder
+	var events []telemetry.Event
+	var csv strings.Builder
+	traceSink, finishTrace := telemetry.NewTraceCSV(&csv)
 	if record {
 		rec = tb.Telemetry()
+		rec.AddSink(func(e *telemetry.Event) { events = append(events, *e) })
+		rec.AddSink(traceSink)
 		rec.Start()
 	}
 	if live {
@@ -108,15 +113,28 @@ func scriptedRun(t *testing.T, seed uint64, record, live bool) run {
 		t.Fatal(err)
 	}
 	r := run{report: rep.String(), stats: fmt.Sprintf("%+v", tb.Med.Stats()),
-		fired: tb.Eng.Fired(), now: tb.Eng.Now(), rec: rec}
+		fired: tb.Eng.Fired(), now: tb.Eng.Now(), events: events}
 	if record {
-		var b strings.Builder
-		if err := telemetry.WriteTraceCSV(&b, rec.Events()); err != nil {
+		if err := finishTrace(); err != nil {
 			t.Fatal(err)
 		}
-		r.trace = b.String()
+		r.trace = csv.String()
 	}
 	return r
+}
+
+// exportJSONL renders a recorded stream as JSONL.
+func exportJSONL(t *testing.T, events []telemetry.Event) string {
+	t.Helper()
+	var b strings.Builder
+	sink, finish := telemetry.NewJSONL(&b)
+	for i := range events {
+		sink(&events[i])
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // plainTraceSHA256 is the digest of the packet trace seed 31's run wrote
@@ -151,7 +169,7 @@ func TestRecordingDoesNotPerturb(t *testing.T) {
 	// The run it didn't perturb must still have been observed in depth:
 	// events from at least five distinct layers, faults included.
 	layers := make(map[telemetry.Layer]bool)
-	for _, e := range recd.rec.Events() {
+	for _, e := range recd.events {
 		layers[e.Layer] = true
 	}
 	if len(layers) < 5 {
@@ -179,14 +197,7 @@ func TestLiveSubscriberDoesNotPerturb(t *testing.T) {
 	if plain.report != live.report {
 		t.Fatal("a live subscriber changed the diagnosis report")
 	}
-	exportJSONL := func(rec *telemetry.Recorder) string {
-		var b strings.Builder
-		if err := telemetry.WriteJSONL(&b, rec.Events()); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	if exportJSONL(plain.rec) != exportJSONL(live.rec) {
+	if exportJSONL(t, plain.events) != exportJSONL(t, live.events) {
 		t.Fatal("a live subscriber changed the recorded event stream")
 	}
 }
@@ -196,25 +207,21 @@ func TestLiveSubscriberDoesNotPerturb(t *testing.T) {
 // transmission event stamped with its id — the trace can answer "which
 // transmissions did this command cause".
 func TestSpansEncloseMACTraffic(t *testing.T) {
-	rec := scriptedRun(t, 31, true, false).rec
+	events := scriptedRun(t, 31, true, false).events
 	macBySpan := make(map[uint64]int)
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		if e.Layer == telemetry.LayerMAC && e.Span != 0 {
 			macBySpan[e.Span]++
 		}
 	}
 	var checked int
-	for _, info := range telemetry.Spans(rec.Events()) {
-		kind := info.Record.Kind
-		if kind != "ping" && kind != "traceroute" {
+	for _, e := range events {
+		if e.Layer != telemetry.LayerSpan || (e.Kind != "ping" && e.Kind != "traceroute") {
 			continue
 		}
 		checked++
-		if macBySpan[info.Record.Span] == 0 {
-			t.Errorf("span %d (%s) encloses no MAC events", info.Record.Span, kind)
-		}
-		if info.ByLayer[telemetry.LayerMAC] == 0 {
-			t.Errorf("SpanInfo for span %d (%s) counts no MAC events", info.Record.Span, kind)
+		if macBySpan[e.Span] == 0 {
+			t.Errorf("span %d (%s) encloses no MAC events", e.Span, e.Kind)
 		}
 	}
 	if checked < 2 {
@@ -228,12 +235,7 @@ func TestSpansEncloseMACTraffic(t *testing.T) {
 // stream.
 func TestTelemetryStreamDeterminism(t *testing.T) {
 	export := func(seed uint64) string {
-		rec := scriptedRun(t, seed, true, false).rec
-		var b strings.Builder
-		if err := telemetry.WriteJSONL(&b, rec.Events()); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
+		return exportJSONL(t, scriptedRun(t, seed, true, false).events)
 	}
 	a, b := export(33), export(33)
 	if a != b {

@@ -1,8 +1,9 @@
 package telemetry
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -169,19 +170,24 @@ func (r *Registry) Snapshot() map[string]float64 {
 // name order — the deterministic text form used by the shell and by
 // per-experiment artifacts.
 func FormatSnapshot(snap map[string]float64) string {
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, k := range names {
+	for _, k := range sortedKeys(snap) {
 		b.WriteString(k)
 		b.WriteByte(' ')
 		b.WriteString(formatValue(snap[k]))
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // formatValue prints integers without a fraction and floats with up to

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -21,36 +20,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	var b strings.Builder
 
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.counters) {
 		pn := promName(name)
 		fmt.Fprintf(&b, "# HELP %s LiteView counter %s\n", pn, name)
 		fmt.Fprintf(&b, "# TYPE %s counter\n", pn)
 		fmt.Fprintf(&b, "%s %s\n", pn, promValue(float64(r.counters[name].v)))
 	}
 
-	names = names[:0]
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.gauges) {
 		pn := promName(name)
 		fmt.Fprintf(&b, "# HELP %s LiteView gauge %s\n", pn, name)
 		fmt.Fprintf(&b, "# TYPE %s gauge\n", pn)
 		fmt.Fprintf(&b, "%s %s\n", pn, promValue(r.gauges[name].v))
 	}
 
-	names = names[:0]
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.hists) {
 		h := r.hists[name]
 		pn := promName(name)
 		fmt.Fprintf(&b, "# HELP %s LiteView histogram %s\n", pn, name)

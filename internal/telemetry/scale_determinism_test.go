@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -43,7 +44,17 @@ func gridRun(t *testing.T, seed uint64) gridOut {
 	if _, err := tb.InstallLiteView(); err != nil {
 		t.Fatal(err)
 	}
+	var cb, jb, hb strings.Builder
 	rec := tb.Telemetry()
+	var finishes []func() error
+	for _, out := range []struct {
+		to     io.Writer
+		format func(io.Writer) (telemetry.Sink, func() error)
+	}{{&cb, telemetry.NewTraceCSV}, {&jb, telemetry.NewJSONL}, {&hb, telemetry.NewChromeTrace}} {
+		sink, finish := out.format(out.to)
+		rec.AddSink(sink)
+		finishes = append(finishes, finish)
+	}
 	rec.Start()
 	tb.WarmUp(4 * time.Second)
 	ws, err := tb.NewWorkstation(phys.Position{X: -2, Y: -2})
@@ -52,19 +63,13 @@ func gridRun(t *testing.T, seed uint64) gridOut {
 	}
 	ws.Ping(1, core.PingOptions{Dst: 22, Rounds: 2, Length: 32, RouterPort: routing.GeographicPort})
 	tb.Run(time.Second)
-	var cb, jb, hb strings.Builder
-	if err := telemetry.WriteTraceCSV(&cb, rec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	if err := telemetry.WriteJSONL(&jb, rec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	if err := telemetry.WriteChromeTrace(&hb, rec.Events()); err != nil {
-		t.Fatal(err)
+	for _, finish := range finishes {
+		if err := finish(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return gridOut{traceCSV: cb.String(), jsonl: jb.String(), chrome: hb.String(),
-		summary: telemetry.Summarize(rec.Events()), spans: telemetry.SummarizeSpans(rec.Events()),
-		stats: fmt.Sprintf("%+v", tb.Med.Stats())}
+		summary: rec.Summary(), spans: rec.SpanSummary(), stats: fmt.Sprintf("%+v", tb.Med.Stats())}
 }
 
 // TestScaleDeterminismWithIndex is the medium-purity regression at

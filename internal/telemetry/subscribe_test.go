@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -76,9 +77,6 @@ func TestSubscriptionPollMax(t *testing.T) {
 	if got := sub.Poll(2); len(got) != 2 {
 		t.Fatalf("Poll(2) = %d events", len(got))
 	}
-	if sub.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", sub.Pending())
-	}
 	if got := sub.Poll(0); len(got) != 3 {
 		t.Fatalf("drain = %d events, want 3", len(got))
 	}
@@ -145,7 +143,7 @@ func TestSubscribeNilRecorder(t *testing.T) {
 	if got := sub.Poll(0); len(got) != 0 {
 		t.Fatalf("nil subscription returned %d events", len(got))
 	}
-	if sub.Dropped() != 0 || sub.Pending() != 0 {
+	if sub.Dropped() != 0 {
 		t.Fatal("nil subscription reported activity")
 	}
 	sub.Close()
@@ -189,6 +187,7 @@ func TestSubscriptionConcurrentConsumer(t *testing.T) {
 
 func TestSpanStampsEnclosedEvents(t *testing.T) {
 	eng, rec := testRecorder()
+	got := collect(rec)
 	rec.Emit(1, LayerMAC, "outside-before")
 	id := rec.BeginSpan(9, "ping", Node("dst", 3))
 	if id == 0 {
@@ -201,7 +200,7 @@ func TestSpanStampsEnclosedEvents(t *testing.T) {
 	rec.Emit(1, LayerMAC, "outside-after")
 
 	var spans, stamped int
-	for _, e := range rec.Events() {
+	for _, e := range *got {
 		switch {
 		case e.Layer == LayerSpan:
 			spans++
@@ -235,6 +234,7 @@ func TestSpanStampsEnclosedEvents(t *testing.T) {
 
 func TestSpanOutermostWins(t *testing.T) {
 	_, rec := testRecorder()
+	got := collect(rec)
 	outer := rec.BeginSpan(1, "healthcheck")
 	inner := rec.BeginSpan(1, "ping")
 	if inner != 0 {
@@ -246,7 +246,7 @@ func TestSpanOutermostWins(t *testing.T) {
 	rec.EndSpan(outer, String("ok", "true"))
 
 	var spans []Event
-	for _, e := range rec.Events() {
+	for _, e := range *got {
 		if e.Layer == LayerSpan {
 			spans = append(spans, e)
 		} else if e.Span != outer {
@@ -283,4 +283,30 @@ func TestSpanPairingSurvivesRecordingToggles(t *testing.T) {
 		t.Fatal("nil recorder BeginSpan != 0")
 	}
 	nilRec.EndSpan(0)
+}
+
+// TestHistoryKeepsNewest: the history ring holds the newest
+// RingDepth recorded events across a Stop and Start, while Len
+// counts every one.
+func TestHistoryKeepsNewest(t *testing.T) {
+	_, rec := testRecorder()
+	const n = RingDepth + 10
+	for i := 0; i < n; i++ {
+		if i == 5 {
+			rec.Stop()
+			rec.Emit(1, LayerMAC, "lost")
+			rec.Start()
+		}
+		rec.Emit(1, LayerMAC, "e", Int("i", i))
+	}
+	var seqs []uint64
+	rec.History(0, func(e *Event) { seqs = append(seqs, e.Seq) })
+	if rec.Len() != n || len(seqs) != RingDepth || seqs[0] != n-RingDepth+1 || seqs[len(seqs)-1] != n {
+		t.Fatalf("Len %d, history of %d from seq %d to %d", rec.Len(), len(seqs), seqs[0], seqs[len(seqs)-1])
+	}
+	var last []string
+	rec.History(2, func(e *Event) { v, _ := e.Attr("i"); last = append(last, v) })
+	if strings.Join(last, ",") != fmt.Sprintf("%d,%d", n-2, n-1) {
+		t.Fatalf("newest two = %v", last)
+	}
 }

@@ -138,22 +138,30 @@ func (e *Event) Attr(key string) (string, bool) {
 //
 //	m.tel.Emit(...)   // no-op when m.tel is nil or stopped
 //
-// Recording is off until Start is called. A live Subscription sees
-// events whether or not the recorder records them; with neither, Emit
-// returns before evaluating anything.
+// Recording is off until Start is called. While it is on, each event
+// goes to the sinks: the recorder's own bounded summary (see History,
+// Summary and SpanSummary) and any a caller attached, such as an
+// exporter. Nothing else keeps it, so a recording costs the same memory
+// at any length. A live Subscription sees events whether or not the
+// recorder records them; with neither, Emit returns before evaluating
+// anything.
 type Recorder struct {
 	eng       *sim.Engine
 	recording bool
 	seq       uint64
-	events    []Event
+	ev        Event // the event being recorded; see record
 
 	// live is what Emit's guard loads: 1 while recording, plus 1 per
 	// attached Subscription. Start and Stop change it on the simulation
 	// goroutine, Subscribe and Close from any goroutine.
 	live atomic.Int32
 
-	// Command-span state. Touched only from the simulation goroutine,
-	// like seq and events.
+	// What recording feeds, on the simulation goroutine like seq: kept
+	// is sinks[0].
+	sinks []Sink
+	kept  summary
+
+	// Command-span state, on the simulation goroutine too.
 	spanSeq   uint64
 	spanDepth int
 	active    spanState
@@ -164,6 +172,12 @@ type Recorder struct {
 	subMu sync.Mutex
 	subs  []*Subscription
 }
+
+// A Sink takes each event the recorder records, synchronously on the
+// simulation goroutine and in sequence order, while recording is on.
+// The event belongs to the recorder: a sink that keeps one copies it.
+// A sink must not touch the simulation.
+type Sink func(*Event)
 
 // spanState is the currently open outermost command span.
 type spanState struct {
@@ -176,8 +190,14 @@ type spanState struct {
 
 // NewRecorder builds a stopped recorder on the engine's virtual clock.
 func NewRecorder(eng *sim.Engine) *Recorder {
-	return &Recorder{eng: eng}
+	r := &Recorder{eng: eng}
+	r.sinks = []Sink{r.kept.add}
+	return r
 }
+
+// AddSink attaches s: it takes every event recorded from now on. Call
+// it on the simulation goroutine, normally just before Start.
+func (r *Recorder) AddSink(s Sink) { r.sinks = append(r.sinks, s) }
 
 // Start begins recording. Events emitted while stopped are not kept.
 func (r *Recorder) Start() {
@@ -187,7 +207,7 @@ func (r *Recorder) Start() {
 	}
 }
 
-// Stop pauses recording without discarding what was captured.
+// Stop pauses recording; what it kept stays.
 func (r *Recorder) Stop() {
 	if r.recording {
 		r.recording = false
@@ -213,27 +233,26 @@ func (r *Recorder) EmitSpan(node phys.NodeID, layer Layer, kind string, dur sim.
 	if !r.Recording() {
 		return
 	}
-	r.seq++
-	r.record(Event{
-		Seq:    r.seq,
-		At:     r.eng.Now(),
-		Dur:    dur,
-		NodeID: node,
-		Layer:  layer,
-		Kind:   kind,
-		Span:   r.active.id,
-		Attrs:  attrs,
-	})
+	r.record(Event{At: r.eng.Now(), Dur: dur, NodeID: node, Layer: layer, Kind: kind,
+		Span: r.active.id, Attrs: attrs})
 }
 
-// record keeps one event while recording and fans it out to
-// subscribers. The fan-out touches none of the simulation's state, which
-// is what makes attaching a Subscription zero-perturbation (DESIGN
-// §12); a stream alone keeps nothing, so it costs no memory.
-func (r *Recorder) record(e Event) {
+// record stamps ev with the next sequence number, hands it to the sinks
+// while recording, and fans it out to subscribers. They all see r.ev,
+// the one copy, and copy what they keep, so recording allocates no
+// Event. The fan-out touches none of the simulation's state, which is
+// what makes attaching a Subscription zero-perturbation (DESIGN §12); a
+// stream alone keeps nothing, so it costs no memory.
+func (r *Recorder) record(ev Event) {
+	r.seq++
+	ev.Seq = r.seq
+	r.ev = ev
+	e := &r.ev
 	subs := r.live.Load()
 	if r.recording {
-		r.events = append(r.events, e)
+		for _, s := range r.sinks {
+			s(e)
+		}
 		subs--
 	}
 	if subs == 0 {
@@ -292,31 +311,6 @@ func (r *Recorder) EndSpan(id uint64, attrs ...Attr) {
 	if len(attrs) > 0 {
 		all = append(append([]Attr(nil), sp.attrs...), attrs...)
 	}
-	r.seq++
-	r.record(Event{
-		Seq:    r.seq,
-		At:     sp.start,
-		Dur:    r.eng.Now() - sp.start,
-		NodeID: sp.node,
-		Layer:  LayerSpan,
-		Kind:   sp.name,
-		Span:   sp.id,
-		Attrs:  all,
-	})
-}
-
-// Len reports the number of recorded events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.events)
-}
-
-// Events returns a copy of the recorded stream in sequence order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	return append([]Event(nil), r.events...)
+	r.record(Event{At: sp.start, Dur: r.eng.Now() - sp.start, NodeID: sp.node, Layer: LayerSpan,
+		Kind: sp.name, Span: sp.id, Attrs: all})
 }

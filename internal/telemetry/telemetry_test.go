@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -16,16 +17,39 @@ func testRecorder() (*sim.Engine, *Recorder) {
 	return eng, rec
 }
 
+// collect attaches a sink that keeps a copy of every event rec records
+// from now on.
+func collect(rec *Recorder) *[]Event {
+	var es []Event
+	rec.AddSink(func(e *Event) { es = append(es, *e) })
+	return &es
+}
+
+// export runs events through an exporter and returns what it wrote.
+func export(t *testing.T, newExporter func(io.Writer) (Sink, func() error), events []Event) string {
+	t.Helper()
+	var b strings.Builder
+	sink, finish := newExporter(&b)
+	for i := range events {
+		sink(&events[i])
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestSequenceAndClockStamping(t *testing.T) {
 	eng, rec := testRecorder()
+	got := collect(rec)
 	rec.Emit(1, LayerMAC, "first")
 	eng.Schedule(time.Second, func() {
 		rec.EmitSpan(2, LayerMedium, "second", 3*time.Millisecond, Int("x", 7))
 	})
 	eng.Run()
 	rec.Emit(3, LayerRouting, "third")
-	es := rec.Events()
-	if len(es) != 3 {
+	es := *got
+	if len(es) != 3 || rec.Len() != 3 {
 		t.Fatalf("len = %d", len(es))
 	}
 	for i, e := range es {
@@ -60,7 +84,7 @@ func TestStoppedAndNilRecordersAreInert(t *testing.T) {
 		t.Fatal("nil recorder claims to record")
 	}
 	nilRec.Emit(1, LayerMAC, "x") // must not panic
-	if nilRec.Len() != 0 || nilRec.Events() != nil {
+	if nilRec.Len() != 0 {
 		t.Fatal("nil recorder holds events")
 	}
 }
@@ -87,10 +111,10 @@ func TestFilterMatching(t *testing.T) {
 		{"node", Filter{Node: 3}, []uint64{2}},
 		{"layer", Filter{Layer: LayerMedium}, []uint64{1}},
 		{"kind", Filter{Kind: "forward"}, []uint64{3}},
-		{"link forward", Filter{Link: "2-1"}, []uint64{1}},
-		{"link reversed", Filter{Link: "1-2"}, []uint64{1}},
-		{"link via next attr", Filter{Link: "5-6"}, []uint64{3}},
-		{"link misses", Filter{Link: "7-8"}, nil},
+		{"link forward", Filter{Link: link(t, "2-1")}, []uint64{1}},
+		{"link reversed", Filter{Link: link(t, " 1 - 2")}, []uint64{1}},
+		{"link via next attr", Filter{Link: link(t, "5-6")}, []uint64{3}},
+		{"link misses", Filter{Link: link(t, "7-8")}, nil},
 		{"conjunction", Filter{Node: 3, Kind: "rx"}, nil},
 	}
 	for _, c := range cases {
@@ -111,15 +135,39 @@ func TestFilterMatching(t *testing.T) {
 	}
 }
 
+func link(t *testing.T, s string) Link {
+	t.Helper()
+	l, err := ParseLink(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestParseLinkRejectsMalformed: a link filter that names no two node
+// ids is an error, not a filter that silently matches nothing.
+func TestParseLinkRejectsMalformed(t *testing.T) {
+	for _, s := range []string{"3", "a-b", "1-", "-2", "1-2-3", "1-70000"} {
+		if _, err := ParseLink(s); err == nil {
+			t.Errorf("ParseLink(%q) accepted", s)
+		}
+	}
+	if l, err := ParseLink(""); err != nil || l != (Link{}) {
+		t.Fatalf("ParseLink(\"\") = %v, %v; want the zero Link", l, err)
+	}
+}
+
 func TestWriteJSONLRoundTrips(t *testing.T) {
 	eng, rec := testRecorder()
+	var b strings.Builder
+	sink, finish := NewJSONL(&b)
+	rec.AddSink(sink)
 	eng.Schedule(time.Millisecond, func() {
 		rec.EmitSpan(2, LayerMedium, "tx", 500*time.Microsecond, Int("ch", 17), String("note", `q"uote`))
 		rec.Emit(3, LayerMAC, "bare")
 	})
 	eng.Run()
-	var b strings.Builder
-	if err := WriteJSONL(&b, rec.Events()); err != nil {
+	if err := finish(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
@@ -153,19 +201,19 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 
 func TestWriteChromeTraceParses(t *testing.T) {
 	eng, rec := testRecorder()
+	got := collect(rec)
 	eng.Schedule(time.Millisecond, func() {
 		rec.EmitSpan(1, LayerMedium, "tx", time.Millisecond)
 		rec.Emit(2, LayerMAC, "cca-busy")
 	})
 	eng.Run()
-	var b strings.Builder
-	if err := WriteChromeTrace(&b, rec.Events()); err != nil {
-		t.Fatal(err)
+	if empty := export(t, NewChromeTrace, nil); empty != "{\"traceEvents\":[]}\n" {
+		t.Fatalf("empty chrome trace = %q", empty)
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+	if err := json.Unmarshal([]byte(export(t, NewChromeTrace, *got)), &doc); err != nil {
 		t.Fatalf("chrome trace is not JSON: %v", err)
 	}
 	var meta, spans, instants int
@@ -186,15 +234,19 @@ func TestWriteChromeTraceParses(t *testing.T) {
 
 func TestSummarizeCounts(t *testing.T) {
 	_, rec := testRecorder()
+	if got := rec.Summary(); got != "0 events\n" {
+		t.Fatalf("empty summary: %q", got)
+	}
 	rec.Emit(1, LayerMAC, "enqueue")
 	rec.Emit(1, LayerMAC, "enqueue")
 	rec.Emit(2, LayerMedium, "tx")
-	s := Summarize(rec.Events())
-	if !strings.Contains(s, "3 events") ||
-		!strings.Contains(s, "mac") || !strings.Contains(s, "enqueue") {
-		t.Fatalf("summary:\n%s", s)
-	}
-	if got := Summarize(nil); !strings.Contains(got, "0 events") {
-		t.Fatalf("empty summary: %q", got)
+	rec.Emit(2, "custom", "x") // counted, but not a listed layer
+	want := "4 events (0s .. 0s)\n" +
+		"  medium          1\n" +
+		"    tx                    1\n" +
+		"  mac             2\n" +
+		"    enqueue               2\n"
+	if s := rec.Summary(); s != want {
+		t.Fatalf("summary:\n%s\nwant:\n%s", s, want)
 	}
 }

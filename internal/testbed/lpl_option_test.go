@@ -104,10 +104,14 @@ func TestRecordTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf strings.Builder
+	sink, finish := telemetry.NewTraceCSV(&buf)
+	var events []telemetry.Event
 	rec := tb.Telemetry()
+	rec.AddSink(sink)
+	rec.AddSink(func(e *telemetry.Event) { events = append(events, *e) })
 	trace := func() string {
-		var buf strings.Builder
-		if err := telemetry.WriteTraceCSV(&buf, rec.Events()); err != nil {
+		if err := finish(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -122,7 +126,7 @@ func TestRecordTrace(t *testing.T) {
 	}
 	rows, sent := lines[1:], tb.Med.Stats().Transmitted
 	var spans []telemetry.Event
-	for _, e := range rec.Events() {
+	for _, e := range events {
 		if e.Layer == telemetry.LayerMedium && e.Kind == "tx" {
 			spans = append(spans, e)
 		}

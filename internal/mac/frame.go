@@ -136,8 +136,13 @@ func parse(raw []byte) Frame {
 	return Frame{
 		Type:    FrameType(raw[0]),
 		Seq:     raw[1],
-		Dst:     phys.NodeID(binary.BigEndian.Uint16(raw[2:4])),
-		Src:     phys.NodeID(binary.BigEndian.Uint16(raw[4:6])),
+		Dst:     frameDst(raw),
+		Src:     frameSrc(raw),
 		Payload: raw[headerLen : len(raw)-fcsLen],
 	}
 }
+
+// frameDst and frameSrc read the addresses of a frame that has passed
+// check.
+func frameDst(raw []byte) phys.NodeID { return phys.NodeID(binary.BigEndian.Uint16(raw[2:4])) }
+func frameSrc(raw []byte) phys.NodeID { return phys.NodeID(binary.BigEndian.Uint16(raw[4:6])) }

@@ -191,6 +191,13 @@ type MAC struct {
 	// dup suppresses redelivery of retransmitted frames (802.15.4
 	// receivers track the last sequence number per source).
 	dup sim.Recent[phys.NodeID, byte]
+	// dupSrc/dupSeq is dup's last written or confirmed row, valid while
+	// dupKept. The row stays in dup with that value until rememberSeq
+	// writes another, which replaces the kept one, or Reset clears both;
+	// so a frame matching it is a duplicate, found without a scan.
+	dupSrc  phys.NodeID
+	dupSeq  byte
+	dupKept bool
 	// epoch invalidates in-flight transmit and ack completions across
 	// Reset: a callback scheduled before a crash must not touch the
 	// radio of the rebooted (or still-dead) node.
@@ -314,6 +321,7 @@ func (m *MAC) Reset() {
 	m.sending = false
 	m.disarmAckWait()
 	m.dup.Reset()
+	m.dupKept = false
 	m.lplSleeping = false
 	m.down = true
 	m.lingerUntil = 0
@@ -586,7 +594,7 @@ func (m *MAC) onAckTimeout() {
 // the CC2420's auto-ack does. The pending ack rides a pooled ackJob
 // through pre-bound start/done callbacks, so the receive path stays
 // allocation-free.
-func (m *MAC) autoAck(f Frame) {
+func (m *MAC) autoAck(seq byte, to phys.NodeID) {
 	var j *ackJob
 	if n := len(m.ackPool); n > 0 {
 		j = m.ackPool[n-1]
@@ -595,7 +603,7 @@ func (m *MAC) autoAck(f Frame) {
 	} else {
 		j = &ackJob{}
 	}
-	j.seq, j.dst, j.ep = f.Seq, f.Src, m.epoch
+	j.seq, j.dst, j.ep = seq, to, m.epoch
 	m.eng.AfterArg(radio.TurnaroundTime, m.ackStartCb, j)
 }
 
@@ -691,9 +699,19 @@ func (m *MAC) finish(err error) {
 // intact, and the FCS check passed once at transmit time) is parsed
 // without checking it again; every other frame goes through the full
 // Decode.
+//
+// A verified non-ack frame from the duplicate table's kept row is a
+// repeat copy (an LPL sender repeats each frame for lplRepeatWindow,
+// and every awake neighbor hears each copy): it gets what the table
+// path gives a duplicate, with no parse and no table scan.
 func (m *MAC) OnFrame(raw []byte, info medium.RxInfo) {
 	if !info.Corrupted && m.rxFault != nil && m.rxFault(info.From) {
 		info.Corrupted = true // injected burst corruption
+	}
+	if info.Verified && !info.Corrupted && m.dupKept && raw[1] == m.dupSeq &&
+		FrameType(raw[0]) != TypeAck && frameSrc(raw) == m.dupSrc {
+		m.onDuplicate(m.dupSeq, m.dupSrc, frameDst(raw))
+		return
 	}
 	var f Frame
 	var err error
@@ -726,27 +744,34 @@ func (m *MAC) OnFrame(raw []byte, info medium.RxInfo) {
 		}
 		return // MAC acks never reach the stack
 	}
-	m.lplTouch()
-	// Re-ack but do not redeliver a retransmission we already took:
-	// the sender missed our ack, not us missing the frame.
 	if !m.rememberSeq(f.Src, f.Seq) {
-		if m.cfg.LinkAcks && f.Dst == m.id {
-			m.autoAck(f)
-		}
+		m.onDuplicate(f.Seq, f.Src, f.Dst)
 		return
 	}
+	m.lplTouch()
 	m.stats.Received++
 	if m.cfg.LinkAcks && f.Dst == m.id {
-		m.autoAck(f)
+		m.autoAck(f.Seq, f.Src)
 	}
 	m.deliver(f, info)
+}
+
+// onDuplicate re-acks but does not redeliver a retransmission already
+// taken: the sender missed our ack, not us missing the frame.
+func (m *MAC) onDuplicate(seq byte, src, dst phys.NodeID) {
+	m.lplTouch()
+	if m.cfg.LinkAcks && dst == m.id {
+		m.autoAck(seq, src)
+	}
 }
 
 // rememberSeq records the latest sequence number heard from a source
 // and reports whether it is new; false means a duplicate of the last
 // frame taken from src. A source not in the table takes a new row,
 // evicting the oldest-inserted source once all dupTableSize are in use.
+// Either way (src, seq) becomes the kept row.
 func (m *MAC) rememberSeq(src phys.NodeID, seq byte) bool {
+	m.dupSrc, m.dupSeq, m.dupKept = src, seq, true
 	if last, ok := m.dup.Get(src); ok {
 		if *last == seq {
 			return false

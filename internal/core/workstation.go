@@ -92,8 +92,11 @@ func NewWorkstation(eng *sim.Engine, med *medium.Medium, pos phys.Position) (*Wo
 // NewWorkstationMAC is NewWorkstation with an explicit MAC
 // configuration. On a low-power-listening deployment the workstation
 // must speak LPL too: reaching a sleeping node means repeating the
-// command frame across the node's sleep interval.
+// command frame across the node's sleep interval. It never sleeps
+// itself, though: the workstation is a laptop with a USB-powered base
+// mote, so a node's reply never waits for it to wake.
 func NewWorkstationMAC(eng *sim.Engine, med *medium.Medium, pos phys.Position, macCfg mac.Config) (*Workstation, error) {
+	macCfg.Listening = true
 	rad, err := radio.New(17)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 
 	"liteview/internal/medium"
 	"liteview/internal/phys"
+	"liteview/internal/sim"
 )
 
 // dupModel is the duplicate table written out plainly: dupTableSize
@@ -76,21 +77,23 @@ func randomDupStream(seed uint64, n int) []byte {
 	return ops
 }
 
-// checkDupStream drives ops through a MAC's receive path and checks
-// every frame's outcome against dupModel: delivered or not, re-acked or
-// not, counted as an FCS failure or not.
-func checkDupStream(t *testing.T, ops []byte) {
-	eng, _, b := buildPair(t, 31, 5)
+// checkDupStream drives ops through the receive path of a MAC with
+// config cfg and checks every frame's outcome against dupModel:
+// delivered or not, re-acked or not, counted as an FCS failure or not,
+// and under LPL whether it extended the awake period.
+func checkDupStream(t *testing.T, cfg Config, ops []byte) {
+	eng, _, b := buildLPLPair(t, 31, 5, DefaultConfig(), cfg)
 	faulty := false
 	b.mac.SetRxFault(func(phys.NodeID) bool { return faulty })
 	var model dupModel
 	want := b.mac.Stats()
+	var linger sim.Time
 	for i := 0; i+3 <= len(ops); i += 3 {
 		op := ops[i]
 		if op == dupOpReset {
 			b.mac.Reset()
 			b.mac.Boot()
-			model = dupModel{}
+			model, linger = dupModel{}, 0
 			continue
 		}
 		f := Frame{Type: FrameType(op & 3), Seq: ops[i+2] % 4,
@@ -108,6 +111,7 @@ func checkDupStream(t *testing.T, ops []byte) {
 		info := medium.RxInfo{From: f.Src, Corrupted: op&0x10 != 0, Verified: op&0x40 == 0}
 		faulty = op&0x20 != 0
 		got := len(b.got)
+		now := eng.Now()
 		b.mac.OnFrame(raw, info)
 		eng.Run()
 		switch {
@@ -116,12 +120,14 @@ func checkDupStream(t *testing.T, ops []byte) {
 		case f.Type == TypeAck:
 		case model.take(f.Src, f.Seq):
 			want.Received++
-			if len(b.got) != got+1 || b.got[got].frame.Src != f.Src || b.got[got].frame.Seq != f.Seq ||
-				b.got[got].frame.Payload[0] != byte(i) {
+			if len(b.got) != got+1 || b.got[got].Src != f.Src || b.got[got].Seq != f.Seq || b.got[got].Payload[0] != byte(i) {
 				t.Fatalf("op %d: %+v was not delivered", i/3, f)
 			}
 			fallthrough
 		default:
+			if cfg.LPL {
+				linger = now + Linger
+			}
 			if f.Dst == 2 {
 				want.Sent++
 				want.SentMACAcks++
@@ -134,16 +140,25 @@ func checkDupStream(t *testing.T, ops []byte) {
 			t.Fatalf("op %d (%+v, corrupted %v, fault %v): stats %+v, want %+v",
 				i/3, f, info.Corrupted, faulty, st, want)
 		}
+		if b.mac.lingerUntil != linger {
+			t.Fatalf("op %d (%+v): awake until %v, want %v", i/3, f, b.mac.lingerUntil, linger)
+		}
 	}
 }
 
 // FuzzDupFastPath checks the duplicate filter's kept-row fast path
 // against a plain model of the table, on streams of repeat copies from
 // more sources than the table holds, with resets, MAC acks, corrupted
-// copies and injected receive faults among them.
+// copies and injected receive faults among them. It runs each stream on
+// an always-on MAC and on a listening LPL one.
 func FuzzDupFastPath(f *testing.F) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		f.Add(randomDupStream(seed, 1500))
 	}
-	f.Fuzz(checkDupStream)
+	listen := lplConfig()
+	listen.Listening = true
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		checkDupStream(t, DefaultConfig(), ops)
+		checkDupStream(t, listen, ops)
+	})
 }

@@ -36,11 +36,14 @@ const lplRepeatWindow = SleepInterval + 2*WakeWindow
 // lplInit primes the duty cycle with a random phase so co-located nodes
 // do not wake in lockstep.
 func (m *MAC) lplInit() {
-	if !m.cfg.LPL {
+	if !m.lplSleeps() {
 		return
 	}
 	m.eng.After(m.rng.Jitter(SleepInterval), m.lplSleepCb)
 }
+
+// lplSleeps reports whether the MAC duty-cycles its own radio.
+func (m *MAC) lplSleeps() bool { return m.cfg.LPL && !m.cfg.Listening }
 
 // lplBusy reports whether the MAC has reasons to keep the radio awake.
 func (m *MAC) lplBusy() bool {
@@ -64,7 +67,7 @@ type lplJump struct {
 // past it: the node sleeps at the same instant, without the checks in
 // between.
 func (m *MAC) lplMaybeSleep() {
-	if !m.cfg.LPL || m.rad.State() == radio.Off {
+	if !m.lplSleeps() || m.rad.State() == radio.Off {
 		return
 	}
 	if now := m.eng.Now(); now < m.lingerUntil {

@@ -123,6 +123,37 @@ func TestLPLUnicastStopsEarlyOnAck(t *testing.T) {
 	}
 }
 
+// TestLPLListeningNeverSleeps: a listening LPL MAC (the workstation's
+// base mote) keeps its radio on, yet still repeats its frames long
+// enough to reach a sleeping peer, and acks that peer's first copy.
+func TestLPLListeningNeverSleeps(t *testing.T) {
+	listen := lplConfig()
+	listen.Listening = true
+	eng, a, b := buildLPLPair(t, 5, 5, listen, lplConfig())
+	eng.RunUntil(time.Second)
+	if err := a.mac.Send(Frame{Type: TypeData, Dst: 2, Payload: []byte("cmd")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(eng.Now() + time.Second)
+	if st := a.mac.Stats(); len(b.got) != 1 || st.AckedOK != 1 || st.FrameRetries == 0 {
+		t.Fatalf("to the sleeping peer: delivered %d, acked %d after %d repeats, want 1 and 1 after some",
+			len(b.got), st.AckedOK, st.FrameRetries)
+	}
+	if err := b.mac.Send(Frame{Type: TypeData, Dst: 1, Payload: []byte("reply")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(eng.Now() + time.Second)
+	if len(a.got) != 1 || b.mac.Stats().FrameRetries != 0 {
+		t.Fatalf("to the listener: delivered %d after %d repeats, want 1 after 0", len(a.got), b.mac.Stats().FrameRetries)
+	}
+	if st := a.meter.Stats(); st.OffTime != 0 {
+		t.Fatalf("the listening radio slept for %v", st.OffTime)
+	}
+	if st := b.meter.Stats(); st.OffTime == 0 {
+		t.Fatal("the duty-cycled peer never slept")
+	}
+}
+
 func TestLPLBroadcastCoversWakeWindows(t *testing.T) {
 	// Three LPL receivers with independent phases: a single broadcast
 	// send (with its repeats) must reach all of them.

@@ -49,6 +49,12 @@ type Config struct {
 	LinkAcks bool
 	// LPL enables low-power listening (duty cycling); see lpl.go.
 	LPL bool
+	// Listening keeps an LPL MAC's radio on: it still repeats its frames
+	// across a sleep interval to reach sleeping peers, but never sleeps
+	// itself. That is TinyOS's local wakeup interval 0 with the
+	// deployment's remote wakeup interval, the setting of a mains- or
+	// USB-powered base mote; core.NewWorkstationMAC sets it.
+	Listening bool
 }
 
 // DefaultConfig returns the always-on MAC with hardware

@@ -375,6 +375,7 @@ func FootprintTable(seed uint64, opt Options) (*Result, error) {
 	r.Table.AddRow(core.PingBinary.Name, core.PingBinary.Flash, core.PingBinary.RAM)
 	r.Table.AddRow(core.TracerouteBinary.Name, core.TracerouteBinary.Flash, core.TracerouteBinary.RAM)
 	r.Table.AddRow(core.ControllerBinary.Name, core.ControllerBinary.Flash, core.ControllerBinary.RAM)
+	r.Table.AddRow(core.HealthQuery.Name, core.HealthQuery.Flash, core.HealthQuery.RAM)
 
 	r.check("ping footprint matches the paper", core.PingBinary.Flash == 2148 && core.PingBinary.RAM == 278,
 		"%d B flash / %d B RAM", core.PingBinary.Flash, core.PingBinary.RAM)
@@ -388,6 +389,10 @@ func FootprintTable(seed uint64, opt Options) (*Result, error) {
 	wantRAM := ramBase + core.ControllerBinary.RAM
 	r.check("inactive commands cost zero RAM", node.RAMUsed() == wantRAM,
 		"node RAM %d, expected %d (controller only)", node.RAMUsed(), wantRAM)
+	// The health query runs inside the controller: its reply to a full
+	// neighbor table is held in RAM until acknowledged.
+	r.check("health reply fits the free RAM", core.HealthQuery.RAM <= node.RAMFree(),
+		"%d B reply for a full neighbor table, %d B free", core.HealthQuery.RAM, node.RAMFree())
 	r.note("everything fits: %d B flash used of %d, %d B RAM used of %d",
 		node.FlashUsed(), liteos.FlashBytes, node.RAMUsed(), liteos.RAMBytes)
 	return r, nil

@@ -8,6 +8,7 @@ import (
 
 	"liteview/internal/liteos"
 	"liteview/internal/medium"
+	"liteview/internal/neighbor"
 	"liteview/internal/phys"
 	"liteview/internal/radio"
 	"liteview/internal/routing"
@@ -27,7 +28,26 @@ var (
 	TracerouteBinary = liteos.Binary{Name: "traceroute", Flash: 2820, RAM: 272}
 	// ControllerBinary is the runtime controller image.
 	ControllerBinary = liteos.Binary{Name: "liteview-controller", Flash: 3200, RAM: 310}
+	// HealthQuery is the health query's share of the controller image:
+	// the controller runs it inline, so it is not installed as a binary
+	// of its own. Flash is an estimate of its handler within the
+	// controller's flash: the row packing and the two compact layouts,
+	// since the reads are the stats and energy commands'. RAM is the
+	// largest reply it holds until the transfer is acknowledged, a full
+	// neighbor table's, measured from the layouts.
+	HealthQuery = liteos.Binary{Name: "health (in controller)", Flash: 320,
+		RAM: healthReplyBytes(neighbor.DefaultCapacity)}
 )
+
+// healthReplyBytes is the size of the health reply for a neighbor table
+// of rows entries, with a lifetime estimate.
+func healthReplyBytes(rows int) int {
+	n := wireLen(&NodeStats{}) + wireLen(&HealthRadio{Energy: EnergyStats{HasLifetime: true}}) + wireLen(&Status{})
+	for ; rows > 0; rows -= NbrRowsChunk {
+		n += wireLen(&NbrRows{Rows: make([]NbrEntry, min(rows, NbrRowsChunk))})
+	}
+	return n
+}
 
 // Controller is the node-side LiteView runtime controller: a process
 // that coexists with user applications, executes management commands
@@ -141,10 +161,8 @@ func (c *Controller) handle(from phys.NodeID, payload []byte, info medium.RxInfo
 	}
 	switch cmd.Kind {
 	case KindRadioGet:
-		c.reply(from, broadcast, &RadioInfo{
-			Power:   c.os.Radio().PowerLevel(),
-			Channel: c.os.Radio().Channel(),
-		})
+		ri := c.radioInfo()
+		c.reply(from, broadcast, &ri)
 	case KindSetPower:
 		if err := c.os.Radio().SetPowerLevel(cmd.Value); err != nil {
 			c.reply(from, broadcast, &Status{Code: StatusBadParam, Msg: err.Error()})
@@ -197,7 +215,10 @@ func (c *Controller) handle(from phys.NodeID, payload []byte, info medium.RxInfo
 	case KindStatsGet:
 		c.replyStats(from, broadcast)
 	case KindEnergyGet:
-		c.replyEnergy(from, broadcast)
+		es := c.energyStats()
+		c.reply(from, broadcast, &es, &Status{Code: StatusOK})
+	case KindHealthGet:
+		c.replyHealth(from, broadcast)
 	case KindFsList:
 		c.replyFsList(from, broadcast, cmd.Path)
 	default:
@@ -235,40 +256,72 @@ func (c *Controller) send(to phys.NodeID, broadcast bool, done func(error), msgs
 // replyNeighborList streams the kernel neighbor table as one batched
 // transfer, terminated by a status message.
 func (c *Controller) replyNeighborList(to phys.NodeID, broadcast, withLink bool) {
-	var msgs []Message
-	for _, e := range c.os.SysNeighborTable().Entries() {
-		prr := int(e.PRR*100 + 0.5)
-		if prr > 100 {
-			prr = 100
-		}
-		name := e.Name
-		if name == "" {
+	rows := c.neighborRows()
+	msgs := make([]Message, 0, len(rows)+1)
+	for i := range rows {
+		e := &rows[i]
+		if e.Name == "" {
 			// Overheard but not yet named by a beacon (e.g. the
 			// management workstation itself).
-			name = fmt.Sprintf("node-%d", e.ID)
+			e.Name = fmt.Sprintf("node-%d", e.ID)
 		}
-		msgs = append(msgs, &NbrEntry{
-			ID:              e.ID,
-			Name:            name,
-			LQI:             uint8(clampInt(int(e.LQI+0.5), 0, 255)),
-			RSSI:            int8(clampInt(int(e.RSSI), -128, 127)),
-			PRRPercent:      uint8(prr),
-			DeliveryPercent: uint8(clampInt(int(e.Delivery*100+0.5), 0, 100)),
-			Blacklisted:     e.Blacklisted,
-			Suspect:         e.Suspect,
-			WithLink:        withLink,
-		})
+		e.WithLink = withLink
+		msgs = append(msgs, e)
 	}
-	msgs = append(msgs, &Status{Code: StatusOK, Msg: fmt.Sprintf("%d neighbors", len(msgs))})
+	msgs = append(msgs, &Status{Code: StatusOK, Msg: fmt.Sprintf("%d neighbors", len(rows))})
 	c.reply(to, broadcast, msgs...)
 }
 
-// replyStats reports the node's link/stack counters and one record per
-// attached routing protocol.
-func (c *Controller) replyStats(to phys.NodeID, broadcast bool) {
+// replyHealth answers the health query with one transfer: the node's
+// counters, its radio settings with its battery account, its neighbor
+// table packed NbrRowsChunk rows a message, and a closing status. That
+// is six messages for a full 16-row table, where the four single-purpose
+// replies take twenty-one.
+func (c *Controller) replyHealth(to phys.NodeID, broadcast bool) {
+	node := c.nodeStats()
+	hr := HealthRadio{Radio: c.radioInfo(), Energy: c.energyStats()}
+	rows := c.neighborRows()
+	msgs := make([]Message, 0, 3+(len(rows)+NbrRowsChunk-1)/NbrRowsChunk)
+	msgs = append(msgs, &node, &hr)
+	for off := 0; off < len(rows); off += NbrRowsChunk {
+		msgs = append(msgs, &NbrRows{Rows: rows[off:min(off+NbrRowsChunk, len(rows))]})
+	}
+	msgs = append(msgs, &Status{Code: StatusOK})
+	c.reply(to, broadcast, msgs...)
+}
+
+// radioInfo reads the node's radio settings.
+func (c *Controller) radioInfo() RadioInfo {
+	return RadioInfo{Power: c.os.Radio().PowerLevel(), Channel: c.os.Radio().Channel()}
+}
+
+// neighborRows reads the kernel neighbor table as reply rows with the
+// link information; a row's name is "" until a beacon has named it.
+func (c *Controller) neighborRows() []NbrEntry {
+	entries := c.os.SysNeighborTable().Entries()
+	rows := make([]NbrEntry, len(entries))
+	for i, e := range entries {
+		rows[i] = NbrEntry{
+			ID:              e.ID,
+			Name:            e.Name,
+			LQI:             uint8(clampInt(int(e.LQI+0.5), 0, 255)),
+			RSSI:            int8(clampInt(int(e.RSSI), -128, 127)),
+			PRRPercent:      uint8(clampInt(int(e.PRR*100+0.5), 0, 100)),
+			DeliveryPercent: uint8(clampInt(int(e.Delivery*100+0.5), 0, 100)),
+			Blacklisted:     e.Blacklisted,
+			Suspect:         e.Suspect,
+			WithLink:        true,
+		}
+	}
+	return rows
+}
+
+// nodeStats reads the node's link and stack counters and its memory
+// budget.
+func (c *Controller) nodeStats() NodeStats {
 	ms := c.os.MAC().Stats()
 	ss := c.os.Stack().Stats()
-	node := NodeStats{
+	return NodeStats{
 		UptimeMs:     uint32(c.os.Uptime() / time.Millisecond),
 		MACSent:      uint32(ms.Sent),
 		MACReceived:  uint32(ms.Received),
@@ -282,6 +335,12 @@ func (c *Controller) replyStats(to phys.NodeID, broadcast bool) {
 		RAMFree:      uint16(c.os.RAMFree()),
 		QueueLen:     uint8(c.os.MAC().QueueLen()),
 	}
+}
+
+// replyStats reports the node's link/stack counters and one record per
+// attached routing protocol.
+func (c *Controller) replyStats(to phys.NodeID, broadcast bool) {
+	node := c.nodeStats()
 	msgs := []Message{&node}
 	// Walk the port space for attached protocols: the lookup is the
 	// only window the controller has (protocol independence).
@@ -315,8 +374,8 @@ func (c *Controller) replyStats(to phys.NodeID, broadcast bool) {
 	c.reply(to, broadcast, msgs...)
 }
 
-// replyEnergy reports the node's battery account.
-func (c *Controller) replyEnergy(to phys.NodeID, broadcast bool) {
+// energyStats reads the node's battery account.
+func (c *Controller) energyStats() EnergyStats {
 	st := c.os.Energy().Stats()
 	toUJ := func(j float64) uint32 {
 		v := j * 1e6
@@ -338,7 +397,7 @@ func (c *Controller) replyEnergy(to phys.NodeID, broadcast bool) {
 		es.HasLifetime = true
 		es.EstimatedLifetimeHours = uint32(life / time.Hour)
 	}
-	c.reply(to, broadcast, &es, &Status{Code: StatusOK})
+	return es
 }
 
 // replyFsList renders the node's LiteOS file-tree view: /apps holds the

@@ -45,9 +45,12 @@ func checkReply(t *testing.T, raw []byte) {
 	if err != nil {
 		t.Fatalf("re-encoded %v reply rejected: %v", rep.Kind, err)
 	}
-	// Encoding carries at most one chunk of hop records.
+	// Encoding carries at most one chunk of hop records or neighbor rows.
 	if len(rep.PingHops.Records) > PingHopsChunk {
 		rep.PingHops.Records = rep.PingHops.Records[:PingHopsChunk]
+	}
+	if len(rep.NbrRows.Rows) > NbrRowsChunk {
+		rep.NbrRows.Rows = rep.NbrRows.Rows[:NbrRowsChunk]
 	}
 	if !reflect.DeepEqual(rep2, rep) {
 		t.Fatalf("round-trip drift: %+v vs %+v", rep2, rep)

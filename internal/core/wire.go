@@ -69,6 +69,11 @@ const (
 	KindRouterStats
 	KindEnergyStats
 	KindFsEntry
+	// The health query and its two compact replies, appended so that
+	// every earlier kind keeps its byte.
+	KindHealthGet
+	KindHealthRadio
+	KindNbrRows
 )
 
 var kindNames = [...]string{
@@ -84,6 +89,8 @@ var kindNames = [...]string{
 	KindNodeStats: "node-stats", KindRouterStats: "router-stats",
 	KindEnergyGet: "energy-get", KindEnergyStats: "energy-stats",
 	KindFsList: "fs-list", KindFsEntry: "fs-entry",
+	KindHealthGet: "health-get", KindHealthRadio: "health-radio",
+	KindNbrRows: "nbr-rows",
 }
 
 func (k Kind) String() string {
@@ -341,7 +348,7 @@ type Command struct {
 func (m *Command) fields(c *codec) {
 	c.u8((*byte)(&m.Kind))
 	switch m.Kind {
-	case KindRadioGet, KindStatsGet, KindEnergyGet:
+	case KindRadioGet, KindStatsGet, KindEnergyGet, KindHealthGet:
 	case KindSetPower, KindSetChannel:
 		c.byteInt(&m.Value)
 	case KindNbrList:
@@ -585,11 +592,64 @@ type EnergyStats struct {
 
 func (e *EnergyStats) fields(c *codec) {
 	c.tag(byte(KindEnergyStats))
+	e.account(c)
+}
+
+// account walks the battery account, which HealthRadio carries too.
+func (e *EnergyStats) account(c *codec) {
 	c.u32(&e.TXuJ, &e.RXuJ, &e.OffuJ, &e.TXms, &e.RXms, &e.Offms)
 	c.u16(&e.RemainingPermille)
 	c.flag(&e.HasLifetime)
 	if e.HasLifetime {
 		c.u32(&e.EstimatedLifetimeHours)
+	}
+}
+
+// HealthRadio is the health reply's radio settings and battery account
+// in one message: the KindRadioInfo and KindEnergyStats bodies behind
+// one kind byte, 30 B or 34 B with a lifetime estimate.
+type HealthRadio struct {
+	Radio  RadioInfo
+	Energy EnergyStats
+}
+
+func (h *HealthRadio) fields(c *codec) {
+	c.tag(byte(KindHealthRadio))
+	c.byteInt(&h.Radio.Power)
+	c.byteInt(&h.Radio.Channel)
+	h.Energy.account(c)
+}
+
+// NbrRows carries up to NbrRowsChunk neighbor table rows of the health
+// reply. A row is 7 B: ID, LQI, RSSI, beacon PRR %, unicast delivery %
+// and a byte of flags (blacklisted, suspect). It always carries the link
+// information and never the name, which the workstation knows.
+type NbrRows struct {
+	Rows []NbrEntry
+}
+
+// NbrRowsChunk bounds the rows per message so the message fits the
+// payload ceiling; encoding drops rows past it.
+const NbrRowsChunk = 7
+
+func (m *NbrRows) fields(c *codec) {
+	c.tag(byte(KindNbrRows))
+	n := min(len(m.Rows), NbrRowsChunk)
+	c.byteInt(&n)
+	if c.dec && c.err == nil && n > 0 {
+		m.Rows = make([]NbrEntry, n)
+	}
+	for i := range m.Rows[:n] {
+		e := &m.Rows[i]
+		c.node(&e.ID)
+		c.u8(&e.LQI)
+		c.i8(&e.RSSI)
+		c.u8(&e.PRRPercent)
+		c.u8(&e.DeliveryPercent)
+		c.bits(&e.Blacklisted, &e.Suspect)
+		if c.dec {
+			e.WithLink = true
+		}
 	}
 }
 
@@ -652,6 +712,8 @@ type Reply struct {
 	Router   RouterStats
 	Energy   EnergyStats
 	Fs       FsEntry
+	Health   HealthRadio
+	NbrRows  NbrRows
 }
 
 // body returns the member of r that holds a reply of r.Kind, or nil when
@@ -680,6 +742,10 @@ func (r *Reply) body() Message {
 		return &r.Energy
 	case KindFsEntry:
 		return &r.Fs
+	case KindHealthRadio:
+		return &r.Health
+	case KindNbrRows:
+		return &r.NbrRows
 	}
 	return nil
 }

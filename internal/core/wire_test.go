@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"liteview/internal/phys"
+	"liteview/internal/stack"
 )
 
 func mustEncode(t *testing.T, m Message) []byte {
@@ -149,6 +152,25 @@ func TestPingHopsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNbrRowsChunk: a full neighbor table's rows travel seven to a
+// message, each message within the payload ceiling, and decode with
+// their link information.
+func TestNbrRowsChunk(t *testing.T) {
+	rows := make([]NbrEntry, 16)
+	for i := range rows {
+		rows[i] = NbrEntry{ID: phys.NodeID(i + 1), LQI: 255, RSSI: -128, PRRPercent: 100, DeliveryPercent: 100,
+			Blacklisted: true, Suspect: true, WithLink: true}
+	}
+	raw := mustEncode(t, &NbrRows{Rows: rows})
+	if max := stack.PayloadCeiling - xferHeaderLen; len(raw) > max {
+		t.Fatalf("a full chunk is %d bytes, over the %d a transfer message carries", len(raw), max)
+	}
+	got := decodeReply(t, &NbrRows{Rows: rows}).NbrRows.Rows
+	if !reflect.DeepEqual(got, rows[:NbrRowsChunk]) {
+		t.Fatalf("got %+v, want the first %d rows", got, NbrRowsChunk)
+	}
+}
+
 func TestTrHopReportRoundTrip(t *testing.T) {
 	r := TrHopReport{Hop: 3, From: 4, RTT: 4900, LQIFwd: 106, LQIBwd: 107, RSSIFwd: 1, RSSIBwd: 2, QFwd: 0, QBwd: 0, Final: true}
 	if rep := decodeReply(t, &r); rep.TrHop != r {
@@ -230,7 +252,7 @@ func TestKindString(t *testing.T) {
 	if Kind(99).String() == "" {
 		t.Fatal("unknown kind should format")
 	}
-	for k := KindRadioGet; k <= KindFsEntry; k++ {
+	for k := KindRadioGet; k <= KindNbrRows; k++ {
 		if strings.HasPrefix(k.String(), "kind(") {
 			t.Errorf("kind %d has no name", k)
 		}
@@ -284,6 +306,17 @@ var wireGolden = []struct {
 		"1700000009000000000000000000000000000000000000000003e800"},
 	{"fs-entry", &FsEntry{Name: "ping", Size: 2148}, "180470696e670000086400"},
 	{"fs-entry dir", &FsEntry{Name: "apps", Dir: true}, "1804617070730000000001"},
+	{"cmd health-get", &Command{Kind: KindHealthGet}, "19"},
+	{"health-radio with lifetime", &HealthRadio{Radio: RadioInfo{Power: 31, Channel: 17}, Energy: EnergyStats{TXuJ: 1, RXuJ: 2,
+		OffuJ: 3, TXms: 4, RXms: 5, Offms: 6, RemainingPermille: 998, HasLifetime: true, EstimatedLifetimeHours: 77}},
+		"1a1f1100000001000000020000000300000004000000050000000603e6010000004d"},
+	{"health-radio without lifetime", &HealthRadio{Radio: RadioInfo{Power: 3, Channel: 26},
+		Energy: EnergyStats{TXuJ: 9, RemainingPermille: 1000, EstimatedLifetimeHours: 5}},
+		"1a031a00000009000000000000000000000000000000000000000003e800"},
+	{"nbr-rows", &NbrRows{Rows: []NbrEntry{
+		{ID: 5, Name: "not sent", LQI: 107, RSSI: -12, PRRPercent: 97, DeliveryPercent: 83, Suspect: true, WithLink: true},
+		{ID: 0x0106, LQI: 99, RSSI: 3, PRRPercent: 100, DeliveryPercent: 100, Blacklisted: true}}},
+		"1b0200056bf461530201066303646401"},
 	{"ping probe", &pingProbe{taskID: 0x0102, seq: 4, origin: 3, routerPort: 10, length: 16}, "0101020400030aa5a5a5a5a5a5a5a5a5"},
 	{"ping reply single-hop", &pingReply{taskID: 0x0102, seq: 4, queue: 2, lqi: 107, rssi: -5}, "0201020400026bfb"},
 	{"ping reply multi-hop", &pingReply{taskID: 0x0102, seq: 4, multihop: true, queue: 3,

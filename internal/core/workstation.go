@@ -576,6 +576,44 @@ func (w *Workstation) Stats(node phys.NodeID) (*StatsOutput, error) {
 	return out, nil
 }
 
+// HealthOutput is one node's answer to the health query: what the
+// stats, energy, radio-get and neighbor-list commands report, from one
+// transfer. Neighbor rows carry link information and no name.
+type HealthOutput struct {
+	Radio     RadioInfo
+	Stats     NodeStats
+	Energy    EnergyStats
+	Neighbors []NbrEntry
+}
+
+// Health asks a node for its radio settings, counters, battery account
+// and neighbor table in one command and one response window. A reply
+// cut off mid-transfer keeps what arrived; the error is nil exactly
+// when the radio settings arrived, as RadioGet's would be.
+func (w *Workstation) Health(node phys.NodeID) (*HealthOutput, error) {
+	c, _, err := w.command(node, Command{Kind: KindHealthGet}, ResponseWindow, false)
+	if err != nil {
+		return nil, err
+	}
+	out := &HealthOutput{}
+	gotRadio := false
+	for _, r := range c.replies {
+		switch r.Kind {
+		case KindNodeStats:
+			out.Stats = r.Node
+		case KindHealthRadio:
+			out.Radio, out.Energy = r.Health.Radio, r.Health.Energy
+			gotRadio = true
+		case KindNbrRows:
+			out.Neighbors = append(out.Neighbors, r.NbrRows.Rows...)
+		}
+	}
+	if !gotRadio {
+		return out, errors.New("core: no radio settings in the health reply within the response window")
+	}
+	return out, nil
+}
+
 // Energy reads a node's battery account.
 func (w *Workstation) Energy(node phys.NodeID) (EnergyStats, error) {
 	c, _, err := w.command(node, Command{Kind: KindEnergyGet}, ResponseWindow, false)

@@ -155,7 +155,9 @@ const (
 )
 
 // HealthCheck walks the targets with the workstation, interrogates each
-// node, and assembles the findings.
+// node with one health query, and assembles the findings. A node is
+// reachable when its radio settings arrived. Neighbor rows travel
+// without names; they are named from the targets, or node-<id>.
 func HealthCheck(ws *core.Workstation, targets []Target) (*Report, error) {
 	if ws == nil {
 		return nil, errors.New("diagnose: nil workstation")
@@ -163,21 +165,22 @@ func HealthCheck(ws *core.Workstation, targets []Target) (*Report, error) {
 	if len(targets) == 0 {
 		return nil, errors.New("diagnose: no targets")
 	}
+	names := make(map[phys.NodeID]string, len(targets))
+	for _, tgt := range targets {
+		names[tgt.ID] = tgt.Name
+	}
 	report := &Report{}
 	for _, tgt := range targets {
 		ws.MoveTo(tgt.Pos)
 		h := NodeHealth{Target: tgt}
-		if ri, err := ws.RadioGet(tgt.ID); err == nil {
+		if out, err := ws.Health(tgt.ID); err == nil {
 			h.Reachable = true
-			h.Radio = ri
-			if st, err := ws.Stats(tgt.ID); err == nil {
-				h.Stats = st.Node
-			}
-			if es, err := ws.Energy(tgt.ID); err == nil {
-				h.Energy = es
-			}
-			if nl, err := ws.NeighborList(tgt.ID, true); err == nil {
-				h.Neighbors = nl.Entries
+			h.Radio, h.Stats, h.Energy, h.Neighbors = out.Radio, out.Stats, out.Energy, out.Neighbors
+			for i := range h.Neighbors {
+				e := &h.Neighbors[i]
+				if e.Name = names[e.ID]; e.Name == "" {
+					e.Name = fmt.Sprintf("node-%d", e.ID)
+				}
 			}
 		}
 		report.Nodes = append(report.Nodes, h)

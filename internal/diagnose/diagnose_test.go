@@ -276,7 +276,12 @@ func TestPartitionedSegmentFlagged(t *testing.T) {
 func TestBurstyLinkFlagged(t *testing.T) {
 	// Burst corruption during discovery: the surviving beacons carry a
 	// healthy LQI while the delivery ratio collapses. The burst window
-	// closes before the walk so the node still answers management.
+	// closes before the walk so the node still answers management. A
+	// missed beacon counts only when the next one arrives (every 2 s),
+	// so the burst ends 3 s before the walk: node 2 is read half a
+	// second in, by which time a beacon heard after the burst has
+	// counted its misses (PRR 37 %; a burst ending 1 s before the walk
+	// still reads 79 %).
 	opt := testbed.DefaultOptions(11)
 	opt.ShadowSigma = 0
 	opt.AsymSigma = 0
@@ -286,7 +291,7 @@ func TestBurstyLinkFlagged(t *testing.T) {
 	}
 	inj := tb.FaultInjector()
 	if _, err := inj.Schedule(fault.Fault{At: inj.Now(), Kind: fault.CorruptBurst, Node: 2,
-		Prob: 0.8, Duration: 19 * time.Second}); err != nil {
+		Prob: 0.8, Duration: 17 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tb.InstallLiteView(); err != nil {

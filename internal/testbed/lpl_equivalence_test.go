@@ -167,8 +167,10 @@ func TestLPLDutyCycleEquivalence(t *testing.T) {
 	})
 	t.Run("testbed-healthcheck", func(t *testing.T) {
 		// Re-pinned from 0cd912907f802de2 when the workstation stopped
-		// duty-cycling (a listening base mote acks a reply's first copy).
-		const want = "0d6bc88718880084"
+		// duty-cycling (a listening base mote acks a reply's first copy),
+		// then from 0d6bc88718880084 when the check became one health
+		// query per node (15 s of virtual time instead of 60 s).
+		const want = "4f7c75e6d1afb253"
 		if got := healthCheckDigest(t); got != want {
 			t.Errorf("digest %s, want %s", got, want)
 		}

@@ -74,11 +74,11 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("== neighbor table of 192.168.0.3 (middle node) ==")
-	nbrs, err := ws.NeighborList(3, true)
+	nbrs, err := ws.NeighborList(3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, e := range nbrs.Entries {
-		fmt.Printf("  %-14s LQI=%-4d RSSI=%-4d PRR=%d%%\n", e.Name, e.LQI, e.RSSI, e.PRRPercent)
+		fmt.Printf("  %-14s LQI=%-4d RSSI=%-4d PRR=%d%%\n", tb.NameOf(e.ID), e.LQI, e.RSSI, e.PRRPercent)
 	}
 }

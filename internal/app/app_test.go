@@ -145,7 +145,7 @@ func TestApplicationIndependence(t *testing.T) {
 	if _, err := ws.Traceroute(1, core.TrOptions{Dst: 4, Length: 32, RouterPort: routing.GeographicPort}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.NeighborList(2, true); err != nil {
+	if _, err := ws.NeighborList(2); err != nil {
 		t.Fatal(err)
 	}
 	tb.Run(5 * time.Second)

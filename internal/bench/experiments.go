@@ -95,7 +95,7 @@ func ResponseDelays(seed uint64, opt Options) (*Result, error) {
 	const trials = 5
 	var nbrDelays, pingDelays []float64
 	for i := 0; i < trials; i++ {
-		out, err := ws.NeighborList(1, true)
+		out, err := ws.NeighborList(1)
 		if err != nil {
 			return nil, fmt.Errorf("neighbor list trial %d: %w", i, err)
 		}

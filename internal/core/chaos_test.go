@@ -87,14 +87,14 @@ func TestChaosNodeCrash(t *testing.T) {
 		t.Fatalf("traceroute did not report the broken hop: %q", tr.Verdict)
 	}
 	// Commands to live nodes still work.
-	if _, err := ws.NeighborList(1, true); err != nil {
+	if _, err := ws.NeighborList(1); err != nil {
 		t.Fatalf("neighbor list on live node: %v", err)
 	}
 	if err := ws.SetPower(2, 25); err != nil {
 		t.Fatalf("power set on live node: %v", err)
 	}
 	// Management commands to the crashed node fail but terminate.
-	if _, err := ws.NeighborList(3, true); err == nil {
+	if _, err := ws.NeighborList(3); err == nil {
 		t.Fatal("neighbor list on crashed node succeeded")
 	}
 	if err := ws.SetPower(3, 25); err == nil {
@@ -119,7 +119,7 @@ func TestChaosCrashRebootRecovery(t *testing.T) {
 		t.Fatalf("ping after reboot: err=%v verdict=%q", err, out.Verdict)
 	}
 	// The rebooted node answers its own management commands again.
-	if _, err := ws.NeighborList(2, true); err != nil {
+	if _, err := ws.NeighborList(2); err != nil {
 		t.Fatalf("neighbor list after reboot: %v", err)
 	}
 	if err := ws.SetChannel(2, 17); err != nil {
@@ -189,7 +189,7 @@ func TestChaosJamEveryCommandTerminates(t *testing.T) {
 		RouterPort: routing.GeographicPort}); err == nil {
 		t.Fatalf("traceroute under jamming succeeded: %q", tr.Verdict)
 	}
-	if _, err := ws.NeighborList(1, true); err == nil {
+	if _, err := ws.NeighborList(1); err == nil {
 		t.Fatal("neighbor list under jamming succeeded")
 	}
 	if err := ws.SetPower(1, 25); err == nil {

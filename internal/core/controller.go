@@ -185,7 +185,7 @@ func (c *Controller) handle(from phys.NodeID, payload []byte, info medium.RxInfo
 			}
 		}, &Status{Code: StatusOK})
 	case KindNbrList:
-		c.replyNeighborList(from, broadcast, cmd.WithLink)
+		c.replyRows(from, broadcast)
 	case KindNbrBlacklist:
 		code := StatusOK
 		msg := ""
@@ -215,8 +215,8 @@ func (c *Controller) handle(from phys.NodeID, payload []byte, info medium.RxInfo
 	case KindStatsGet:
 		c.replyStats(from, broadcast)
 	case KindEnergyGet:
-		es := c.energyStats()
-		c.reply(from, broadcast, &es, &Status{Code: StatusOK})
+		hr := c.healthRadio()
+		c.reply(from, broadcast, &hr, &Status{Code: StatusOK})
 	case KindHealthGet:
 		c.replyHealth(from, broadcast)
 	case KindFsList:
@@ -253,36 +253,20 @@ func (c *Controller) send(to phys.NodeID, broadcast bool, done func(error), msgs
 	}
 }
 
-// replyNeighborList streams the kernel neighbor table as one batched
-// transfer, terminated by a status message.
-func (c *Controller) replyNeighborList(to phys.NodeID, broadcast, withLink bool) {
-	rows := c.neighborRows()
-	msgs := make([]Message, 0, len(rows)+1)
-	for i := range rows {
-		e := &rows[i]
-		if e.Name == "" {
-			// Overheard but not yet named by a beacon (e.g. the
-			// management workstation itself).
-			e.Name = fmt.Sprintf("node-%d", e.ID)
-		}
-		e.WithLink = withLink
-		msgs = append(msgs, e)
-	}
-	msgs = append(msgs, &Status{Code: StatusOK, Msg: fmt.Sprintf("%d neighbors", len(rows))})
-	c.reply(to, broadcast, msgs...)
-}
-
 // replyHealth answers the health query with one transfer: the node's
-// counters, its radio settings with its battery account, its neighbor
-// table packed NbrRowsChunk rows a message, and a closing status. That
-// is six messages for a full 16-row table, where the four single-purpose
-// replies take twenty-one.
+// counters, its radio settings with its battery account, then the
+// neighbor list's reply. That is six messages for a full 16-row table.
 func (c *Controller) replyHealth(to phys.NodeID, broadcast bool) {
 	node := c.nodeStats()
-	hr := HealthRadio{Radio: c.radioInfo(), Energy: c.energyStats()}
+	hr := c.healthRadio()
+	c.replyRows(to, broadcast, &node, &hr)
+}
+
+// replyRows sends msgs, then the kernel neighbor table packed
+// NbrRowsChunk rows a message, then a status, as one transfer. With no
+// msgs it is the neighbor list's reply.
+func (c *Controller) replyRows(to phys.NodeID, broadcast bool, msgs ...Message) {
 	rows := c.neighborRows()
-	msgs := make([]Message, 0, 3+(len(rows)+NbrRowsChunk-1)/NbrRowsChunk)
-	msgs = append(msgs, &node, &hr)
 	for off := 0; off < len(rows); off += NbrRowsChunk {
 		msgs = append(msgs, &NbrRows{Rows: rows[off:min(off+NbrRowsChunk, len(rows))]})
 	}
@@ -295,22 +279,19 @@ func (c *Controller) radioInfo() RadioInfo {
 	return RadioInfo{Power: c.os.Radio().PowerLevel(), Channel: c.os.Radio().Channel()}
 }
 
-// neighborRows reads the kernel neighbor table as reply rows with the
-// link information; a row's name is "" until a beacon has named it.
+// neighborRows reads the kernel neighbor table as reply rows.
 func (c *Controller) neighborRows() []NbrEntry {
 	entries := c.os.SysNeighborTable().Entries()
 	rows := make([]NbrEntry, len(entries))
 	for i, e := range entries {
 		rows[i] = NbrEntry{
 			ID:              e.ID,
-			Name:            e.Name,
 			LQI:             uint8(clampInt(int(e.LQI+0.5), 0, 255)),
 			RSSI:            int8(clampInt(int(e.RSSI), -128, 127)),
 			PRRPercent:      uint8(clampInt(int(e.PRR*100+0.5), 0, 100)),
 			DeliveryPercent: uint8(clampInt(int(e.Delivery*100+0.5), 0, 100)),
 			Blacklisted:     e.Blacklisted,
 			Suspect:         e.Suspect,
-			WithLink:        true,
 		}
 	}
 	return rows
@@ -374,8 +355,8 @@ func (c *Controller) replyStats(to phys.NodeID, broadcast bool) {
 	c.reply(to, broadcast, msgs...)
 }
 
-// energyStats reads the node's battery account.
-func (c *Controller) energyStats() EnergyStats {
+// healthRadio reads the node's radio settings and battery account.
+func (c *Controller) healthRadio() HealthRadio {
 	st := c.os.Energy().Stats()
 	toUJ := func(j float64) uint32 {
 		v := j * 1e6
@@ -397,7 +378,7 @@ func (c *Controller) energyStats() EnergyStats {
 		es.HasLifetime = true
 		es.EstimatedLifetimeHours = uint32(life / time.Hour)
 	}
-	return es
+	return HealthRadio{Radio: c.radioInfo(), Energy: es}
 }
 
 // replyFsList renders the node's LiteOS file-tree view: /apps holds the

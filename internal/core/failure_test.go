@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,6 +90,49 @@ func TestBlacklistBreaksThenRestoresPath(t *testing.T) {
 	last := out.Reports[len(out.Reports)-1]
 	if !last.Final || last.From != 4 {
 		t.Fatalf("path did not recover: %+v", last)
+	}
+}
+
+// TestLongLogEventStillDumps: an event whose text is longer than one
+// reply message carries is dumped with the text clipped; it does not
+// make the node refuse the whole dump.
+func TestLongLogEventStillDumps(t *testing.T) {
+	tb, ws := deploy(t, 2, 5, 24)
+	if err := ws.LogControl(1, true); err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("0123456789", 9)[:89]
+	tb.Node(0).SysLogEvent("test", "%s", long)
+	entries, err := ws.LogDump(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *core.LogEntry
+	for i := range entries {
+		if entries[i].Tag == "test" {
+			got = &entries[i]
+		}
+	}
+	if got == nil {
+		t.Fatalf("the long event is missing from the dump: %+v", entries)
+	}
+	if got.Msg == "" || len(got.Msg) >= len(long) || !strings.HasPrefix(long, got.Msg) {
+		t.Fatalf("event text %q, want a clipped prefix of %q", got.Msg, long)
+	}
+}
+
+// TestTracerouteLongNoRouteStatus: a node with no route toward the
+// destination answers with a status whose routing error is longer than
+// one reply message carries. It arrives clipped and reads as
+// ErrNoRoute, not as a node that never answered.
+func TestTracerouteLongNoRouteStatus(t *testing.T) {
+	_, ws := deploy(t, 3, 15, 25)
+	out, err := ws.Traceroute(1, core.TrOptions{Dst: 99, Length: 32, RouterPort: routing.GeographicPort})
+	if !errors.Is(err, core.ErrNoRoute) {
+		t.Fatalf("traceroute toward an unknown node: %v, want ErrNoRoute", err)
+	}
+	if out.ResponseDelay >= time.Second {
+		t.Fatalf("the no-route answer took %v", out.ResponseDelay)
 	}
 }
 

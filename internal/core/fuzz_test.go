@@ -114,8 +114,8 @@ func FuzzDecodeReply(f *testing.F) {
 		&Status{Code: StatusOK, Msg: "ok"},
 		&PingResult{Seq: 1, RTT: 4700},
 		&TrHopReport{Hop: 2, From: 3, Final: true},
-		&NbrEntry{ID: 5, Name: "192.168.0.5", WithLink: true, LQI: 100},
-		&EnergyStats{TXuJ: 1, RXuJ: 2, HasLifetime: true, EstimatedLifetimeHours: 3},
+		&NbrRows{Rows: []NbrEntry{{ID: 5, LQI: 100}}},
+		&HealthRadio{Energy: EnergyStats{TXuJ: 1, RXuJ: 2, HasLifetime: true, EstimatedLifetimeHours: 3}},
 	} {
 		raw, err := Encode(m)
 		if err != nil {

@@ -62,7 +62,7 @@ func TestHealthMatchesSeparateReplies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nl, err := deployment().NeighborList(node, true)
+			nl, err := deployment().NeighborList(node)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,9 +76,6 @@ func TestHealthMatchesSeparateReplies(t *testing.T) {
 				t.Errorf("energy %+v, energy-get %+v", h.Energy, es)
 			}
 			rows := nl.Entries
-			for i := range rows {
-				rows[i].Name = ""
-			}
 			if !reflect.DeepEqual(h.Neighbors, rows) {
 				t.Errorf("neighbor rows\n%+v\nneighbor list\n%+v", h.Neighbors, rows)
 			}

@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"liteview/internal/core"
 	"liteview/internal/phys"
 	"liteview/internal/routing"
+	"liteview/internal/shell"
 	"liteview/internal/testbed"
 )
 
@@ -60,31 +63,42 @@ func TestRadioGetAndSet(t *testing.T) {
 	}
 }
 
+// TestNeighborListCommand: the middle node lists its neighbors with
+// their link quality, and the shell names each row where it prints it:
+// testbed nodes by their names, and the workstation, whose frames the
+// node overheard but which is no testbed node, as node-65280.
 func TestNeighborListCommand(t *testing.T) {
-	_, ws := deploy(t, 3, 15, 2)
-	out, err := ws.NeighborList(2, true)
+	tb, ws := deploy(t, 3, 15, 2)
+	out, err := ws.NeighborList(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Entries) < 2 {
 		t.Fatalf("middle node reported %d neighbors, want ≥ 2", len(out.Entries))
 	}
-	names := map[string]bool{}
 	for _, e := range out.Entries {
-		names[e.Name] = true
 		if e.LQI < 50 || e.LQI > 110 {
 			t.Fatalf("entry LQI %d out of range", e.LQI)
 		}
-		if !e.WithLink {
-			t.Fatal("asked with link info, got none")
-		}
-	}
-	if !names["192.168.0.1"] || !names["192.168.0.3"] {
-		t.Fatalf("names = %v", names)
 	}
 	// The paper's default: response delay is the full 500 ms window.
 	if out.ResponseDelay < 490*time.Millisecond {
 		t.Fatalf("response delay = %v, want ≈ 500 ms", out.ResponseDelay)
+	}
+	var printed strings.Builder
+	sh, err := shell.NewForTestbed(tb, ws, &printed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"cd 192.168.0.2", "neighborsetup list"} {
+		if err := sh.Exec(line); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+	}
+	for _, name := range []string{"192.168.0.1", "192.168.0.3", fmt.Sprintf("node-%d", core.WorkstationID)} {
+		if !strings.Contains(printed.String(), "  "+name+" ") {
+			t.Errorf("neighborsetup list does not name %s:\n%s", name, printed.String())
+		}
 	}
 }
 
@@ -96,7 +110,7 @@ func TestBlacklistCommand(t *testing.T) {
 	if !tb.Node(0).SysNeighborTable().IsBlacklisted(2) {
 		t.Fatal("kernel table not updated")
 	}
-	out, err := ws.NeighborList(1, false)
+	out, err := ws.NeighborList(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,9 @@ func (m *xferData) fields(c *codec) {
 // xferHeaderLen is the size of a data message around its payload.
 var xferHeaderLen = wireLen(&xferData{})
 
+// maxMsgLen is the largest message one data message carries.
+var maxMsgLen = stack.PayloadCeiling - xferHeaderLen
+
 // xferAck acknowledges a transfer up to, not including, seq next.
 type xferAck struct{ id, next uint16 }
 
@@ -238,7 +241,7 @@ func (e *Endpoint) Send(to phys.NodeID, msgs [][]byte, delay sim.Time, done func
 		return errors.New("core: transfer too large")
 	}
 	for _, m := range msgs {
-		if xferHeaderLen+len(m) > stack.PayloadCeiling {
+		if len(m) > maxMsgLen {
 			return fmt.Errorf("core: message of %d bytes exceeds payload ceiling", len(m))
 		}
 	}

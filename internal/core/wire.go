@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unicode/utf8"
 
 	"liteview/internal/phys"
 )
@@ -60,14 +61,19 @@ const (
 	// Replies (controller → interpreter).
 	KindRadioInfo
 	KindStatus
-	KindNbrEntry
+	// kindRetiredNbrEntry and kindRetiredEnergyStats are the bytes of
+	// two retired replies, a named neighbor row and the battery account
+	// alone: the neighbor list and the energy command now answer with
+	// the health query's messages. The bytes stay reserved, so every
+	// other kind keeps its byte, and no decoder accepts them.
+	kindRetiredNbrEntry
 	KindPingResult
 	KindPingHops
 	KindTrHopReport
 	KindLogEntry
 	KindNodeStats
 	KindRouterStats
-	KindEnergyStats
+	kindRetiredEnergyStats
 	KindFsEntry
 	// The health query and its two compact replies, appended so that
 	// every earlier kind keeps its byte.
@@ -82,12 +88,11 @@ var kindNames = [...]string{
 	KindNbrBlacklist: "nbr-blacklist", KindNbrUpdate: "nbr-update",
 	KindPing: "ping", KindTraceroute: "traceroute",
 	KindRadioInfo: "radio-info", KindStatus: "status",
-	KindNbrEntry: "nbr-entry", KindPingResult: "ping-result",
-	KindPingHops: "ping-hops", KindTrHopReport: "tr-hop-report",
-	KindLogCtl: "log-ctl", KindLogDump: "log-dump",
-	KindLogEntry: "log-entry", KindStatsGet: "stats-get",
-	KindNodeStats: "node-stats", KindRouterStats: "router-stats",
-	KindEnergyGet: "energy-get", KindEnergyStats: "energy-stats",
+	KindPingResult: "ping-result", KindPingHops: "ping-hops",
+	KindTrHopReport: "tr-hop-report", KindLogCtl: "log-ctl",
+	KindLogDump: "log-dump", KindLogEntry: "log-entry",
+	KindStatsGet: "stats-get", KindNodeStats: "node-stats",
+	KindRouterStats: "router-stats", KindEnergyGet: "energy-get",
 	KindFsList: "fs-list", KindFsEntry: "fs-entry",
 	KindHealthGet: "health-get", KindHealthRadio: "health-radio",
 	KindNbrRows: "nbr-rows",
@@ -265,6 +270,35 @@ func (c *codec) str(v *string) {
 	}
 }
 
+// text walks free text, the last field of its message, as str does,
+// clipped at a character boundary so that the whole message fits one
+// transfer message: an error or a log event of any length reaches the
+// user cut short, where the endpoint would refuse the whole reply.
+// Clipping before the walk bounds what is written, and after it what is
+// read, so decode → encode → decode agrees on a message too long to
+// have been sent.
+func (c *codec) text(v *string) {
+	room := maxMsgLen - 1 - len(c.b)
+	if c.dec {
+		room = maxMsgLen - 1 - c.off
+	}
+	*v = clipText(*v, room)
+	c.str(v)
+	*v = clipText(*v, room)
+}
+
+// clipText cuts s to at most n bytes without splitting a character.
+func clipText(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	n = max(n, 0)
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n]
+}
+
 // tag walks a message's fixed kind byte; decoding fails on another.
 func (c *codec) tag(t byte) {
 	b := t
@@ -337,8 +371,6 @@ type Command struct {
 	// workstation sends, decodes to -1, and the controller then falls
 	// back to the protocol default.
 	Retries int
-	// WithLink selects neighbor listing with or without link info.
-	WithLink bool
 	// Count bounds KindLogDump replies.
 	Count int
 	// Path selects the directory for KindFsList.
@@ -348,11 +380,9 @@ type Command struct {
 func (m *Command) fields(c *codec) {
 	c.u8((*byte)(&m.Kind))
 	switch m.Kind {
-	case KindRadioGet, KindStatsGet, KindEnergyGet, KindHealthGet:
+	case KindRadioGet, KindNbrList, KindStatsGet, KindEnergyGet, KindHealthGet:
 	case KindSetPower, KindSetChannel:
 		c.byteInt(&m.Value)
-	case KindNbrList:
-		c.flag(&m.WithLink)
 	case KindNbrBlacklist:
 		c.node(&m.Target)
 		c.flag(&m.On)
@@ -409,13 +439,13 @@ type Status struct {
 func (s *Status) fields(c *codec) {
 	c.tag(byte(KindStatus))
 	c.u8(&s.Code)
-	c.str(&s.Msg)
+	c.text(&s.Msg)
 }
 
-// NbrEntry is one neighbor table row in a KindNbrEntry reply.
+// NbrEntry is one neighbor table row, as NbrRows carries it. It has no
+// name: whoever prints a row names its ID.
 type NbrEntry struct {
 	ID         phys.NodeID
-	Name       string
 	LQI        uint8
 	RSSI       int8
 	PRRPercent uint8
@@ -425,21 +455,7 @@ type NbrEntry struct {
 	Blacklisted     bool
 	// Suspect reports that the delivery estimator condemned the link
 	// after consecutive unicast failures.
-	Suspect  bool
-	WithLink bool
-}
-
-func (e *NbrEntry) fields(c *codec) {
-	c.tag(byte(KindNbrEntry))
-	c.node(&e.ID)
-	c.str(&e.Name)
-	c.bits(&e.Blacklisted, &e.WithLink, &e.Suspect)
-	if e.WithLink {
-		c.u8(&e.LQI)
-		c.i8(&e.RSSI)
-		c.u8(&e.PRRPercent)
-		c.u8(&e.DeliveryPercent)
-	}
+	Suspect bool
 }
 
 // PingResult is one round's outcome in a KindPingResult reply.
@@ -519,7 +535,7 @@ func (e *LogEntry) fields(c *codec) {
 	c.tag(byte(KindLogEntry))
 	c.u32(&e.AtMs)
 	c.str(&e.Tag)
-	c.str(&e.Msg)
+	c.text(&e.Msg)
 }
 
 // NodeStats is the node-level half of a stats reply: link-layer and
@@ -577,7 +593,7 @@ func (rs *RouterStats) fields(c *codec) {
 	}
 }
 
-// EnergyStats is a node's battery account in a KindEnergyStats reply.
+// EnergyStats is a node's battery account, as HealthRadio carries it.
 // Energies travel in microjoules (saturating at ~4.3 kJ per state,
 // about a day of always-on listening), durations in milliseconds, and
 // the battery level in tenths of a percent — every field fits 32 bits
@@ -590,24 +606,9 @@ type EnergyStats struct {
 	HasLifetime            bool
 }
 
-func (e *EnergyStats) fields(c *codec) {
-	c.tag(byte(KindEnergyStats))
-	e.account(c)
-}
-
-// account walks the battery account, which HealthRadio carries too.
-func (e *EnergyStats) account(c *codec) {
-	c.u32(&e.TXuJ, &e.RXuJ, &e.OffuJ, &e.TXms, &e.RXms, &e.Offms)
-	c.u16(&e.RemainingPermille)
-	c.flag(&e.HasLifetime)
-	if e.HasLifetime {
-		c.u32(&e.EstimatedLifetimeHours)
-	}
-}
-
-// HealthRadio is the health reply's radio settings and battery account
-// in one message: the KindRadioInfo and KindEnergyStats bodies behind
-// one kind byte, 30 B or 34 B with a lifetime estimate.
+// HealthRadio is a node's radio settings and battery account in one
+// message, 30 B or 34 B with a lifetime estimate. It answers the energy
+// command and is part of the health reply.
 type HealthRadio struct {
 	Radio  RadioInfo
 	Energy EnergyStats
@@ -617,13 +618,19 @@ func (h *HealthRadio) fields(c *codec) {
 	c.tag(byte(KindHealthRadio))
 	c.byteInt(&h.Radio.Power)
 	c.byteInt(&h.Radio.Channel)
-	h.Energy.account(c)
+	e := &h.Energy
+	c.u32(&e.TXuJ, &e.RXuJ, &e.OffuJ, &e.TXms, &e.RXms, &e.Offms)
+	c.u16(&e.RemainingPermille)
+	c.flag(&e.HasLifetime)
+	if e.HasLifetime {
+		c.u32(&e.EstimatedLifetimeHours)
+	}
 }
 
-// NbrRows carries up to NbrRowsChunk neighbor table rows of the health
-// reply. A row is 7 B: ID, LQI, RSSI, beacon PRR %, unicast delivery %
-// and a byte of flags (blacklisted, suspect). It always carries the link
-// information and never the name, which the workstation knows.
+// NbrRows carries up to NbrRowsChunk neighbor table rows; it answers the
+// neighbor list and is part of the health reply. A row is 7 B: ID, LQI,
+// RSSI, beacon PRR %, unicast delivery % and a byte of flags
+// (blacklisted, suspect).
 type NbrRows struct {
 	Rows []NbrEntry
 }
@@ -647,9 +654,6 @@ func (m *NbrRows) fields(c *codec) {
 		c.u8(&e.PRRPercent)
 		c.u8(&e.DeliveryPercent)
 		c.bits(&e.Blacklisted, &e.Suspect)
-		if c.dec {
-			e.WithLink = true
-		}
 	}
 }
 
@@ -703,14 +707,12 @@ type Reply struct {
 	Kind     Kind
 	Radio    RadioInfo
 	Status   Status
-	Nbr      NbrEntry
 	Ping     PingResult
 	PingHops PingHops
 	TrHop    TrHopReport
 	Log      LogEntry
 	Node     NodeStats
 	Router   RouterStats
-	Energy   EnergyStats
 	Fs       FsEntry
 	Health   HealthRadio
 	NbrRows  NbrRows
@@ -724,8 +726,6 @@ func (r *Reply) body() Message {
 		return &r.Radio
 	case KindStatus:
 		return &r.Status
-	case KindNbrEntry:
-		return &r.Nbr
 	case KindPingResult:
 		return &r.Ping
 	case KindPingHops:
@@ -738,8 +738,6 @@ func (r *Reply) body() Message {
 		return &r.Node
 	case KindRouterStats:
 		return &r.Router
-	case KindEnergyStats:
-		return &r.Energy
 	case KindFsEntry:
 		return &r.Fs
 	case KindHealthRadio:

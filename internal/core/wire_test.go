@@ -35,8 +35,7 @@ func TestCommandRoundTrips(t *testing.T) {
 		{Kind: KindRadioGet},
 		{Kind: KindSetPower, Value: 25},
 		{Kind: KindSetChannel, Value: 17},
-		{Kind: KindNbrList, WithLink: true},
-		{Kind: KindNbrList, WithLink: false},
+		{Kind: KindNbrList},
 		{Kind: KindNbrBlacklist, Target: 0x0203, On: true},
 		{Kind: KindNbrBlacklist, Target: 7, On: false},
 		{Kind: KindNbrUpdate, PeriodMs: 1500},
@@ -106,16 +105,16 @@ func TestStatusRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNbrEntryRoundTrip: a neighbor row travels in an NbrRows message
+// with every field, and each flag on its own.
 func TestNbrEntryRoundTrip(t *testing.T) {
-	e := NbrEntry{ID: 5, Name: "192.168.0.5", LQI: 107, RSSI: -12, PRRPercent: 97,
-		DeliveryPercent: 83, Suspect: true, Blacklisted: true, WithLink: true}
-	if rep := decodeReply(t, &e); rep.Nbr != e {
-		t.Fatalf("got %+v, want %+v", rep.Nbr, e)
+	rows := []NbrEntry{
+		{ID: 5, LQI: 107, RSSI: -12, PRRPercent: 97, DeliveryPercent: 83, Suspect: true, Blacklisted: true},
+		{ID: 6, LQI: 100, RSSI: 3, PRRPercent: 100, DeliveryPercent: 100, Blacklisted: true},
+		{ID: 0x0107, LQI: 60, RSSI: -40, PRRPercent: 12, DeliveryPercent: 5, Suspect: true},
 	}
-	// Without link info the quality fields are not carried.
-	rep2 := decodeReply(t, &NbrEntry{ID: 6, Name: "192.168.0.6", LQI: 100})
-	if rep2.Nbr.WithLink || rep2.Nbr.LQI != 0 {
-		t.Fatalf("no-link entry carried link data: %+v", rep2.Nbr)
+	if got := decodeReply(t, &NbrRows{Rows: rows}).NbrRows.Rows; !reflect.DeepEqual(got, rows) {
+		t.Fatalf("got %+v, want %+v", got, rows)
 	}
 }
 
@@ -159,7 +158,7 @@ func TestNbrRowsChunk(t *testing.T) {
 	rows := make([]NbrEntry, 16)
 	for i := range rows {
 		rows[i] = NbrEntry{ID: phys.NodeID(i + 1), LQI: 255, RSSI: -128, PRRPercent: 100, DeliveryPercent: 100,
-			Blacklisted: true, Suspect: true, WithLink: true}
+			Blacklisted: true, Suspect: true}
 	}
 	raw := mustEncode(t, &NbrRows{Rows: rows})
 	if max := stack.PayloadCeiling - xferHeaderLen; len(raw) > max {
@@ -191,6 +190,17 @@ func TestDecodeReplyRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeReply([]byte{byte(KindPingResult), 1}); err == nil {
 		t.Fatal("truncated reply accepted")
+	}
+	// The retired replies' bytes stay reserved: a well-formed message of
+	// either old layout is refused.
+	for _, raw := range []string{"1000050b3139322e3136382e302e35066bf46153", "1700000009000000000000000000000000000000000000000003e800"} {
+		b, _ := hex.DecodeString(raw)
+		if rep, err := DecodeReply(b); err == nil {
+			t.Errorf("retired reply %s accepted as %+v", raw, rep)
+		}
+	}
+	if kindRetiredNbrEntry != 0x10 || kindRetiredEnergyStats != 0x17 {
+		t.Fatalf("reserved bytes moved: %#x, %#x", kindRetiredNbrEntry, kindRetiredEnergyStats)
 	}
 }
 
@@ -253,6 +263,9 @@ func TestKindString(t *testing.T) {
 		t.Fatal("unknown kind should format")
 	}
 	for k := KindRadioGet; k <= KindNbrRows; k++ {
+		if k == kindRetiredNbrEntry || k == kindRetiredEnergyStats {
+			continue
+		}
 		if strings.HasPrefix(k.String(), "kind(") {
 			t.Errorf("kind %d has no name", k)
 		}
@@ -271,7 +284,7 @@ var wireGolden = []struct {
 	{"cmd radio-get", &Command{Kind: KindRadioGet}, "01"},
 	{"cmd set-power", &Command{Kind: KindSetPower, Value: 25}, "0219"},
 	{"cmd set-channel", &Command{Kind: KindSetChannel, Value: 17}, "0311"},
-	{"cmd nbr-list", &Command{Kind: KindNbrList, WithLink: true}, "0401"},
+	{"cmd nbr-list", &Command{Kind: KindNbrList}, "04"},
 	{"cmd nbr-blacklist", &Command{Kind: KindNbrBlacklist, Target: 0x0203, On: true}, "05020301"},
 	{"cmd nbr-update", &Command{Kind: KindNbrUpdate, PeriodMs: 1500}, "06000005dc"},
 	{"cmd ping", &Command{Kind: KindPing, Dst: 9, Rounds: 3, Length: 32, RouterPort: 10}, "07000903200a"},
@@ -283,15 +296,20 @@ var wireGolden = []struct {
 	{"cmd fs-list", &Command{Kind: KindFsList, Path: "/apps"}, "0d052f61707073"},
 	{"radio-info", &RadioInfo{Power: 31, Channel: 17}, "0e1f11"},
 	{"status", &Status{Code: StatusBusy, Msg: "command in progress"}, "0f0413636f6d6d616e6420696e2070726f6772657373"},
-	{"nbr-entry with link", &NbrEntry{ID: 5, Name: "192.168.0.5", LQI: 107, RSSI: -12, PRRPercent: 97,
-		DeliveryPercent: 83, Suspect: true, WithLink: true}, "1000050b3139322e3136382e302e35066bf46153"},
-	{"nbr-entry without link", &NbrEntry{ID: 0x0106, Name: "node-262", Blacklisted: true, LQI: 99}, "100106086e6f64652d32363201"},
+	{"status clipped to one transfer message", &Status{Code: StatusNoRoute,
+		Msg: "routing: no route to destination: unknown position for 99"},
+		"0f0535726f7574696e673a206e6f20726f75746520746f2064657374696e6174696f6e3a20756e6b6e6f776e20706f736974696f6e20666f"},
+	{"status clipped before a split character", &Status{Code: StatusErr, Msg: strings.Repeat("a", 52) + "€"},
+		"0f0134" + strings.Repeat("61", 52)},
 	{"ping-result", &PingResult{Seq: 2, RTT: 4700, LQIFwd: 108, LQIBwd: 106, RSSIFwd: -1, RSSIBwd: 8,
 		QFwd: 1, QBwd: 2, Power: 31, Channel: 17}, "1102000000125c6c6aff0801021f11"},
 	{"ping-hops", &PingHops{Seq: 3, Back: true, Records: []HopLQ{{LQI: 105, RSSI: -3, Back: true}, {LQI: 101, RSSI: -9, Back: true}}}, "1203010269fd65f7"},
 	{"tr-hop-report", &TrHopReport{Hop: 3, From: 4, RTT: 70000, LQIFwd: 106, LQIBwd: 107, RSSIFwd: 1, RSSIBwd: -2,
 		QFwd: 3, QBwd: 4, Final: true, Lost: true}, "1303000403000111706a6b01fe0304"},
 	{"log-entry", &LogEntry{AtMs: 123456, Tag: "ping", Msg: "probe 1/1 to 2 sent"}, "140001e2400470696e671370726f626520312f3120746f20322073656e74"},
+	{"log-entry clipped", &LogEntry{AtMs: 61000, Tag: "traceroute",
+		Msg: "no next hop toward 8: routing: no route to destination: no neighbor closer to 8 than self"},
+		"140000ee480a7472616365726f757465276e6f206e65787420686f7020746f7761726420383a20726f7574696e673a206e6f20726f757465"},
 	{"node-stats", &NodeStats{UptimeMs: 1, MACSent: 2, MACReceived: 3, MACRetries: 4, MACNoAck: 5,
 		MACCRCFail: 6, MACQueueDrop: 7, StackDeliver: 8, StackNoSub: 9, RAMUsed: 0x0a0b, RAMFree: 0x0c0d, QueueLen: 14},
 		"150000000100000002000000030000000400000005000000060000000700000008000000090a0b0c0d0e"},
@@ -300,10 +318,6 @@ var wireGolden = []struct {
 		"160c0474726565000000010000000200000003000000040000000501000700fa"},
 	{"router-stats without parent", &RouterStats{Port: 10, Name: "geographic", Originated: 0x01020304,
 		Parent: 9, CostCentile: 11}, "160a0a67656f67726170686963010203040000000000000000000000000000000000"},
-	{"energy-stats with lifetime", &EnergyStats{TXuJ: 1, RXuJ: 2, OffuJ: 3, TXms: 4, RXms: 5, Offms: 6,
-		RemainingPermille: 998, HasLifetime: true, EstimatedLifetimeHours: 77}, "1700000001000000020000000300000004000000050000000603e6010000004d"},
-	{"energy-stats without lifetime", &EnergyStats{TXuJ: 9, RemainingPermille: 1000, EstimatedLifetimeHours: 5},
-		"1700000009000000000000000000000000000000000000000003e800"},
 	{"fs-entry", &FsEntry{Name: "ping", Size: 2148}, "180470696e670000086400"},
 	{"fs-entry dir", &FsEntry{Name: "apps", Dir: true}, "1804617070730000000001"},
 	{"cmd health-get", &Command{Kind: KindHealthGet}, "19"},
@@ -314,9 +328,18 @@ var wireGolden = []struct {
 		Energy: EnergyStats{TXuJ: 9, RemainingPermille: 1000, EstimatedLifetimeHours: 5}},
 		"1a031a00000009000000000000000000000000000000000000000003e800"},
 	{"nbr-rows", &NbrRows{Rows: []NbrEntry{
-		{ID: 5, Name: "not sent", LQI: 107, RSSI: -12, PRRPercent: 97, DeliveryPercent: 83, Suspect: true, WithLink: true},
+		{ID: 5, LQI: 107, RSSI: -12, PRRPercent: 97, DeliveryPercent: 83, Suspect: true},
 		{ID: 0x0106, LQI: 99, RSSI: 3, PRRPercent: 100, DeliveryPercent: 100, Blacklisted: true}}},
 		"1b0200056bf461530201066303646401"},
+	{"nbr-rows full chunk", &NbrRows{Rows: []NbrEntry{
+		{ID: 1, LQI: 100, PRRPercent: 90, DeliveryPercent: 80},
+		{ID: 2, LQI: 101, RSSI: -1, PRRPercent: 91, DeliveryPercent: 81},
+		{ID: 3, LQI: 102, RSSI: -2, PRRPercent: 92, DeliveryPercent: 82, Blacklisted: true},
+		{ID: 4, LQI: 103, RSSI: -3, PRRPercent: 93, DeliveryPercent: 83},
+		{ID: 5, LQI: 104, RSSI: -4, PRRPercent: 94, DeliveryPercent: 84},
+		{ID: 6, LQI: 105, RSSI: -5, PRRPercent: 95, DeliveryPercent: 85, Suspect: true},
+		{ID: 7, LQI: 106, RSSI: -6, PRRPercent: 96, DeliveryPercent: 86}}},
+		"1b07000164005a5000000265ff5b5100000366fe5c5201000467fd5d5300000568fc5e5400000669fb5f550200076afa605600"},
 	{"ping probe", &pingProbe{taskID: 0x0102, seq: 4, origin: 3, routerPort: 10, length: 16}, "0101020400030aa5a5a5a5a5a5a5a5a5"},
 	{"ping reply single-hop", &pingReply{taskID: 0x0102, seq: 4, queue: 2, lqi: 107, rssi: -5}, "0201020400026bfb"},
 	{"ping reply multi-hop", &pingReply{taskID: 0x0102, seq: 4, multihop: true, queue: 3,

@@ -236,30 +236,80 @@ func firstStatusErr(c *collector) error {
 	return nil
 }
 
+// reading is what one node's replies to a single-purpose command say.
+// read fills it with one kind switch, so a message reads the same
+// whichever command it answers.
+type reading struct {
+	HealthOutput
+	Routers []RouterStats
+	Fs      []FsEntry
+	Log     []LogEntry
+	// radio and node record that the radio settings and the node
+	// counters arrived.
+	radio, node bool
+	// status is the first error status among the replies, and elapsed is
+	// how long the command took.
+	status  error
+	elapsed sim.Time
+}
+
+func read(replies []Reply) *reading {
+	r := &reading{}
+	for _, rep := range replies {
+		switch rep.Kind {
+		case KindRadioInfo:
+			r.Radio, r.radio = rep.Radio, true
+		case KindHealthRadio:
+			r.Radio, r.Energy, r.radio = rep.Health.Radio, rep.Health.Energy, true
+		case KindNodeStats:
+			r.Stats, r.node = rep.Node, true
+		case KindRouterStats:
+			r.Routers = append(r.Routers, rep.Router)
+		case KindNbrRows:
+			r.Neighbors = append(r.Neighbors, rep.NbrRows.Rows...)
+		case KindFsEntry:
+			r.Fs = append(r.Fs, rep.Fs)
+		case KindLogEntry:
+			r.Log = append(r.Log, rep.Log)
+		}
+	}
+	return r
+}
+
+// ask runs a command that the node answers within the paper's response
+// window, and reads the replies; no reply at all is an error.
+func (w *Workstation) ask(node phys.NodeID, cmd Command) (*reading, error) {
+	c, elapsed, err := w.command(node, cmd, ResponseWindow, false)
+	if err != nil {
+		return nil, err
+	}
+	if len(c.replies) == 0 {
+		return nil, errors.New("core: no reply within the response window")
+	}
+	r := read(c.replies)
+	r.status, r.elapsed = firstStatusErr(c), elapsed
+	return r, nil
+}
+
 // statusCommand runs a command whose only reply is a status.
 func (w *Workstation) statusCommand(node phys.NodeID, cmd Command) error {
-	c, _, err := w.command(node, cmd, ResponseWindow, false)
+	r, err := w.ask(node, cmd)
 	if err != nil {
 		return err
 	}
-	if len(c.replies) == 0 {
-		return errors.New("core: no reply within the response window")
-	}
-	return firstStatusErr(c)
+	return r.status
 }
 
 // RadioGet reads a node's current power level and channel.
 func (w *Workstation) RadioGet(node phys.NodeID) (RadioInfo, error) {
-	c, _, err := w.command(node, Command{Kind: KindRadioGet}, ResponseWindow, false)
+	r, err := w.ask(node, Command{Kind: KindRadioGet})
 	if err != nil {
 		return RadioInfo{}, err
 	}
-	for _, r := range c.replies {
-		if r.Kind == KindRadioInfo {
-			return r.Radio, nil
-		}
+	if !r.radio {
+		return RadioInfo{}, errors.New("core: no radio info reply within the response window")
 	}
-	return RadioInfo{}, errors.New("core: no radio info reply within the response window")
+	return r.Radio, nil
 }
 
 // SetPower programs a node's CC2420 PA_LEVEL.
@@ -279,23 +329,13 @@ type NeighborListOutput struct {
 	ResponseDelay sim.Time
 }
 
-// NeighborList reads a node's kernel neighbor table, with or without
-// link information.
-func (w *Workstation) NeighborList(node phys.NodeID, withLink bool) (*NeighborListOutput, error) {
-	c, elapsed, err := w.command(node, Command{Kind: KindNbrList, WithLink: withLink}, ResponseWindow, false)
+// NeighborList reads a node's kernel neighbor table.
+func (w *Workstation) NeighborList(node phys.NodeID) (*NeighborListOutput, error) {
+	r, err := w.ask(node, Command{Kind: KindNbrList})
 	if err != nil {
 		return nil, err
 	}
-	out := &NeighborListOutput{ResponseDelay: elapsed}
-	for _, r := range c.replies {
-		if r.Kind == KindNbrEntry {
-			out.Entries = append(out.Entries, r.Nbr)
-		}
-	}
-	if len(c.replies) == 0 {
-		return nil, errors.New("core: no reply within the response window")
-	}
-	return out, firstStatusErr(c)
+	return &NeighborListOutput{Entries: r.Neighbors, ResponseDelay: r.elapsed}, r.status
 }
 
 // Blacklist adds (on=true) or removes (on=false) a neighbor on a node's
@@ -549,36 +589,22 @@ type StatsOutput struct {
 
 // Stats reads a node's link/stack counters and routing protocol state.
 func (w *Workstation) Stats(node phys.NodeID) (*StatsOutput, error) {
-	c, _, err := w.command(node, Command{Kind: KindStatsGet}, ResponseWindow, false)
+	r, err := w.ask(node, Command{Kind: KindStatsGet})
 	if err != nil {
 		return nil, err
 	}
-	out := &StatsOutput{}
-	gotNode := false
-	for _, r := range c.replies {
-		switch r.Kind {
-		case KindNodeStats:
-			out.Node = r.Node
-			gotNode = true
-		case KindRouterStats:
-			out.Routers = append(out.Routers, r.Router)
-		}
+	if r.status != nil {
+		return nil, r.status
 	}
-	if len(c.replies) == 0 {
-		return nil, errors.New("core: no reply within the response window")
-	}
-	if err := firstStatusErr(c); err != nil {
-		return nil, err
-	}
-	if !gotNode {
+	if !r.node {
 		return nil, errors.New("core: stats reply lacked the node record")
 	}
-	return out, nil
+	return &StatsOutput{Node: r.Stats, Routers: r.Routers}, nil
 }
 
 // HealthOutput is one node's answer to the health query: what the
 // stats, energy, radio-get and neighbor-list commands report, from one
-// transfer. Neighbor rows carry link information and no name.
+// transfer.
 type HealthOutput struct {
 	Radio     RadioInfo
 	Stats     NodeStats
@@ -591,60 +617,36 @@ type HealthOutput struct {
 // cut off mid-transfer keeps what arrived; the error is nil exactly
 // when the radio settings arrived, as RadioGet's would be.
 func (w *Workstation) Health(node phys.NodeID) (*HealthOutput, error) {
-	c, _, err := w.command(node, Command{Kind: KindHealthGet}, ResponseWindow, false)
+	r, err := w.ask(node, Command{Kind: KindHealthGet})
 	if err != nil {
 		return nil, err
 	}
-	out := &HealthOutput{}
-	gotRadio := false
-	for _, r := range c.replies {
-		switch r.Kind {
-		case KindNodeStats:
-			out.Stats = r.Node
-		case KindHealthRadio:
-			out.Radio, out.Energy = r.Health.Radio, r.Health.Energy
-			gotRadio = true
-		case KindNbrRows:
-			out.Neighbors = append(out.Neighbors, r.NbrRows.Rows...)
-		}
+	if !r.radio {
+		return &r.HealthOutput, errors.New("core: no radio settings in the health reply within the response window")
 	}
-	if !gotRadio {
-		return out, errors.New("core: no radio settings in the health reply within the response window")
-	}
-	return out, nil
+	return &r.HealthOutput, nil
 }
 
 // Energy reads a node's battery account.
 func (w *Workstation) Energy(node phys.NodeID) (EnergyStats, error) {
-	c, _, err := w.command(node, Command{Kind: KindEnergyGet}, ResponseWindow, false)
+	r, err := w.ask(node, Command{Kind: KindEnergyGet})
 	if err != nil {
 		return EnergyStats{}, err
 	}
-	for _, r := range c.replies {
-		if r.Kind == KindEnergyStats {
-			return r.Energy, firstStatusErr(c)
-		}
+	if !r.radio {
+		return EnergyStats{}, errors.New("core: no energy reply within the response window")
 	}
-	return EnergyStats{}, errors.New("core: no energy reply within the response window")
+	return r.Energy, r.status
 }
 
 // FsList reads a node's LiteOS file-tree directory ("" or "/" for the
 // node root).
 func (w *Workstation) FsList(node phys.NodeID, path string) ([]FsEntry, error) {
-	c, _, err := w.command(node, Command{Kind: KindFsList, Path: path}, ResponseWindow, false)
+	r, err := w.ask(node, Command{Kind: KindFsList, Path: path})
 	if err != nil {
 		return nil, err
 	}
-	var out []FsEntry
-	for _, r := range c.replies {
-		if r.Kind == KindFsEntry {
-			out = append(out, r.Fs)
-		}
-	}
-	if len(c.replies) == 0 {
-		return nil, errors.New("core: no reply within the response window")
-	}
-	return out, firstStatusErr(c)
+	return r.Fs, r.status
 }
 
 // LogControl enables or disables a node's on-demand event logging.
@@ -659,20 +661,11 @@ func (w *Workstation) LogDump(node phys.NodeID, count int) ([]LogEntry, error) {
 	if count > 255 {
 		count = 0
 	}
-	c, _, err := w.command(node, Command{Kind: KindLogDump, Count: count}, ResponseWindow, false)
+	r, err := w.ask(node, Command{Kind: KindLogDump, Count: count})
 	if err != nil {
 		return nil, err
 	}
-	var out []LogEntry
-	for _, r := range c.replies {
-		if r.Kind == KindLogEntry {
-			out = append(out, r.Log)
-		}
-	}
-	if len(c.replies) == 0 {
-		return nil, errors.New("core: no reply within the response window")
-	}
-	return out, firstStatusErr(c)
+	return r.Log, r.status
 }
 
 // GroupRadioGet broadcasts a radio-configuration query: every
@@ -699,10 +692,8 @@ func (w *Workstation) GroupRadioGet() (map[phys.NodeID]RadioInfo, error) {
 	w.pump(w.eng.Now()+ResponseWindow, nil, false)
 	out := make(map[phys.NodeID]RadioInfo)
 	for id, c := range got {
-		for _, r := range c.replies {
-			if r.Kind == KindRadioInfo {
-				out[id] = r.Radio
-			}
+		if r := read(c.replies); r.radio {
+			out[id] = r.Radio
 		}
 	}
 	return out, nil

@@ -37,11 +37,11 @@ func hasKind(fs []Finding, kind string) bool {
 // both ways, at a different unicast delivery each way.
 func linkSurvey() []NodeHealth {
 	bursty := func(id phys.NodeID, prr uint8) core.NbrEntry {
-		return core.NbrEntry{ID: id, LQI: 105, PRRPercent: prr, WithLink: true}
+		return core.NbrEntry{ID: id, LQI: 105, PRRPercent: prr}
 	}
 	suspect := func(id phys.NodeID, delivery uint8) core.NbrEntry {
 		return core.NbrEntry{ID: id, LQI: 100, PRRPercent: 95, DeliveryPercent: delivery,
-			Suspect: true, WithLink: true}
+			Suspect: true}
 	}
 	return []NodeHealth{
 		reachable(3, bursty(10, 41)),
@@ -90,7 +90,7 @@ func TestLowBatteryFlagged(t *testing.T) {
 		permille int
 		want     bool
 	}{{lowBatteryPermille, true}, {lowBatteryPermille + 1, false}} {
-		n := reachable(1, core.NbrEntry{ID: 2, LQI: 100})
+		n := reachable(1, core.NbrEntry{ID: 2, LQI: 100, PRRPercent: 100})
 		n.Energy.RemainingPermille = uint16(c.permille)
 		if got := analyze([]NodeHealth{n}); hasKind(got, "low-battery") != c.want {
 			t.Errorf("battery at %d‰: low-battery flagged %v, want %v: %+v", c.permille, !c.want, c.want, got)
@@ -103,22 +103,22 @@ func TestLowBatteryFlagged(t *testing.T) {
 // scenario tests only show that a detector fires somewhere past it.
 func TestDetectorThresholds(t *testing.T) {
 	noAck := func(frames int) []NodeHealth {
-		n := reachable(1, core.NbrEntry{ID: 2, LQI: 100})
+		n := reachable(1, core.NbrEntry{ID: 2, LQI: 100, PRRPercent: 100})
 		n.Stats.MACNoAck = uint32(frames)
 		return []NodeHealth{n}
 	}
 	// asym: 1 hears 2 at LQI 100, 2 hears 1 at 100-diff.
 	asym := func(diff int) []NodeHealth {
 		return []NodeHealth{
-			reachable(1, core.NbrEntry{ID: 2, LQI: 100}),
-			reachable(2, core.NbrEntry{ID: 1, LQI: uint8(100 - diff)}),
+			reachable(1, core.NbrEntry{ID: 2, LQI: 100, PRRPercent: 100}),
+			reachable(2, core.NbrEntry{ID: 1, LQI: uint8(100 - diff), PRRPercent: 100}),
 		}
 	}
 	// bursty: both ends hear each other at lqi; 1 gets prr% of 2's beacons.
 	bursty := func(lqi, prr int) []NodeHealth {
 		return []NodeHealth{
-			reachable(1, core.NbrEntry{ID: 2, LQI: uint8(lqi), PRRPercent: uint8(prr), WithLink: true}),
-			reachable(2, core.NbrEntry{ID: 1, LQI: uint8(lqi), PRRPercent: 100, WithLink: true}),
+			reachable(1, core.NbrEntry{ID: 2, LQI: uint8(lqi), PRRPercent: uint8(prr)}),
+			reachable(2, core.NbrEntry{ID: 1, LQI: uint8(lqi), PRRPercent: 100}),
 		}
 	}
 	cases := []struct {

@@ -156,18 +156,13 @@ const (
 
 // HealthCheck walks the targets with the workstation, interrogates each
 // node with one health query, and assembles the findings. A node is
-// reachable when its radio settings arrived. Neighbor rows travel
-// without names; they are named from the targets, or node-<id>.
+// reachable when its radio settings arrived.
 func HealthCheck(ws *core.Workstation, targets []Target) (*Report, error) {
 	if ws == nil {
 		return nil, errors.New("diagnose: nil workstation")
 	}
 	if len(targets) == 0 {
 		return nil, errors.New("diagnose: no targets")
-	}
-	names := make(map[phys.NodeID]string, len(targets))
-	for _, tgt := range targets {
-		names[tgt.ID] = tgt.Name
 	}
 	report := &Report{}
 	for _, tgt := range targets {
@@ -176,12 +171,6 @@ func HealthCheck(ws *core.Workstation, targets []Target) (*Report, error) {
 		if out, err := ws.Health(tgt.ID); err == nil {
 			h.Reachable = true
 			h.Radio, h.Stats, h.Energy, h.Neighbors = out.Radio, out.Stats, out.Energy, out.Neighbors
-			for i := range h.Neighbors {
-				e := &h.Neighbors[i]
-				if e.Name = names[e.ID]; e.Name == "" {
-					e.Name = fmt.Sprintf("node-%d", e.ID)
-				}
-			}
 		}
 		report.Nodes = append(report.Nodes, h)
 	}
@@ -198,8 +187,7 @@ func analyze(nodes []NodeHealth) []Finding {
 	}
 	// lqi[a][b] = LQI of the link b→a as estimated by a's kernel table.
 	lqi := make(map[phys.NodeID]map[phys.NodeID]int)
-	// prr[a][b] = beacon delivery ratio (percent) of b→a as seen at a;
-	// populated only when the neighbor list carried link info.
+	// prr[a][b] = beacon delivery ratio (percent) of b→a as seen at a.
 	prr := make(map[phys.NodeID]map[phys.NodeID]int)
 	// susp[a][b] = unicast delivery percent of a→b, present only when
 	// a's delivery estimator has marked the link to b suspect
@@ -239,11 +227,9 @@ func analyze(nodes []NodeHealth) []Finding {
 		srow := make(map[phys.NodeID]int)
 		for _, e := range n.Neighbors {
 			row[e.ID] = int(e.LQI)
-			if e.WithLink {
-				prow[e.ID] = int(e.PRRPercent)
-				if e.Suspect {
-					srow[e.ID] = int(e.DeliveryPercent)
-				}
+			prow[e.ID] = int(e.PRRPercent)
+			if e.Suspect {
+				srow[e.ID] = int(e.DeliveryPercent)
 			}
 		}
 		lqi[n.Target.ID] = row

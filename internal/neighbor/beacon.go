@@ -25,7 +25,9 @@ const DefaultBeaconPeriod = 2 * time.Second
 // Blacklisted entries are pinned (the user set them deliberately).
 const ExpiryFactor = 8
 
-// Beacon payload layout: seq (2 bytes, big endian) + name (rest).
+// Beacon payload layout: seq (2 bytes, big endian) + name (rest). The
+// name is advertised on air as the paper's beacons do; the table keeps
+// IDs only, and whoever prints a neighbor names it.
 func encodeBeacon(seq uint16, name string) []byte {
 	buf := make([]byte, 2+len(name))
 	binary.BigEndian.PutUint16(buf[:2], seq)
@@ -33,12 +35,12 @@ func encodeBeacon(seq uint16, name string) []byte {
 	return buf
 }
 
-// decodeBeacon splits a beacon payload; name aliases data.
-func decodeBeacon(data []byte) (seq uint16, name []byte, err error) {
+// decodeBeacon reads a beacon payload's sequence number.
+func decodeBeacon(data []byte) (seq uint16, err error) {
 	if len(data) < 2 {
-		return 0, nil, errors.New("neighbor: beacon too short")
+		return 0, errors.New("neighbor: beacon too short")
 	}
-	return binary.BigEndian.Uint16(data[:2]), data[2:], nil
+	return binary.BigEndian.Uint16(data[:2]), nil
 }
 
 // Service runs the neighborhood protocol for one node: it broadcasts
@@ -74,7 +76,7 @@ func NewService(eng *sim.Engine, st *stack.Stack, table *Table, name string) (*S
 	}
 	st.AddSniffer(func(src phys.NodeID, ftype mac.FrameType, info medium.RxInfo) {
 		if ftype == mac.TypeBeacon {
-			return // beacons carry names; handled in onBeacon with more context
+			return // beacons carry sequence numbers; handled in onBeacon
 		}
 		table.Observe(src, info.LQI, info.RSSI, info.At)
 	})
@@ -128,9 +130,9 @@ func (s *Service) tick() {
 }
 
 func (s *Service) onBeacon(p *stack.Packet, from phys.NodeID, info medium.RxInfo) {
-	seq, name, err := decodeBeacon(p.Data)
+	seq, err := decodeBeacon(p.Data)
 	if err != nil {
 		return
 	}
-	s.table.ObserveBeacon(from, name, seq, info.LQI, info.RSSI, info.At)
+	s.table.ObserveBeacon(from, seq, info.LQI, info.RSSI, info.At)
 }

@@ -60,9 +60,6 @@ func TestBeaconDiscovery(t *testing.T) {
 	if !ok {
 		t.Fatal("node 1 did not discover node 2")
 	}
-	if ea.Name != "192.168.0.2" {
-		t.Fatalf("learned name = %q", ea.Name)
-	}
 	if ea.LQI < 100 {
 		t.Fatalf("LQI = %f at 5m", ea.LQI)
 	}

@@ -21,14 +21,11 @@ import (
 	"liteview/internal/sim"
 )
 
-// Entry is one neighbor record: 64 bytes, with the fields ordered
+// Entry is one neighbor record: 48 bytes, with the fields ordered
 // largest first so none is padded. A MicaZ kernel would keep LQI and
 // RSSI in a byte or two each; the four EWMAs stay float64 here, because
 // a mote's fixed point rounds differently and so would change outputs.
 type Entry struct {
-	// Name is the IP-convention node name learned from beacons
-	// (e.g. "192.168.0.2"); empty until a beacon is heard.
-	Name string
 	// LQI is an EWMA of the CC2420 correlation values of overheard
 	// frames.
 	LQI float64
@@ -375,17 +372,12 @@ func (t *Table) EstimatorStats() EstimatorStats { return t.est }
 func (t *Table) ResetEstimatorStats() { t.est = EstimatorStats{} }
 
 // ObserveBeacon folds a received beacon into the table: it refreshes
-// link metadata, records the advertised name, and updates the PRR
-// estimate from the beacon sequence gap. name may alias a reused
-// receive buffer: it is copied only when it differs from the recorded
-// name, so a steady beacon stream does not allocate.
-func (t *Table) ObserveBeacon(id phys.NodeID, name []byte, seq uint16, lqi, rssi int, now sim.Time) {
+// link metadata and updates the PRR estimate from the beacon sequence
+// gap.
+func (t *Table) ObserveBeacon(id phys.NodeID, seq uint16, lqi, rssi int, now sim.Time) {
 	e := t.Observe(id, lqi, rssi, now)
 	if e == nil {
 		return
-	}
-	if string(name) != e.Name {
-		e.Name = string(name)
 	}
 	if e.seenBeacon {
 		gap := int(seq - e.lastBeaconSeq) // wraps correctly in uint16

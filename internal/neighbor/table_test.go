@@ -149,13 +149,13 @@ func usable(t *Table) []Entry {
 	return out
 }
 
-// TestEntriesStayInPlace checks that a table holds 64-byte rows at
+// TestEntriesStayInPlace checks that a table holds 48-byte rows at
 // capacity from the start, so filling it does not reallocate: the entry
 // Observe returned first is still the table's own when the table is
 // full, and the usable walk hands out those same entries.
 func TestEntriesStayInPlace(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got != 64 {
-		t.Fatalf("Entry is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(Entry{}); got != 48 {
+		t.Fatalf("Entry is %d bytes, want 48", got)
 	}
 	tab := NewTable(DefaultCapacity)
 	first := tab.Observe(1, 100, -10, time.Second)
@@ -188,19 +188,16 @@ func TestEntriesSorted(t *testing.T) {
 	}
 }
 
-func TestObserveBeaconNameAndPRR(t *testing.T) {
+func TestObserveBeaconPRR(t *testing.T) {
 	tab := NewTable(8)
-	tab.ObserveBeacon(2, []byte("192.168.0.2"), 1, 100, -10, time.Second)
+	tab.ObserveBeacon(2, 1, 100, -10, time.Second)
 	e, _ := tab.Get(2)
-	if e.Name != "192.168.0.2" {
-		t.Fatalf("name = %q", e.Name)
-	}
 	if e.PRR != 1 {
 		t.Fatalf("initial PRR = %f", e.PRR)
 	}
 	// Perfect beacon stream keeps PRR at 1.
 	for s := uint16(2); s <= 10; s++ {
-		tab.ObserveBeacon(2, []byte("192.168.0.2"), s, 100, -10, time.Duration(s)*time.Second)
+		tab.ObserveBeacon(2, s, 100, -10, time.Duration(s)*time.Second)
 	}
 	e, _ = tab.Get(2)
 	if e.PRR < 0.99 {
@@ -208,7 +205,7 @@ func TestObserveBeaconNameAndPRR(t *testing.T) {
 	}
 	// Now drop every other beacon: PRR must fall noticeably.
 	for s := uint16(12); s <= 40; s += 2 {
-		tab.ObserveBeacon(2, []byte("192.168.0.2"), s, 100, -10, time.Duration(s)*time.Second)
+		tab.ObserveBeacon(2, s, 100, -10, time.Duration(s)*time.Second)
 	}
 	e, _ = tab.Get(2)
 	if e.PRR > 0.8 {
@@ -218,8 +215,8 @@ func TestObserveBeaconNameAndPRR(t *testing.T) {
 
 func TestObserveBeaconSeqWrap(t *testing.T) {
 	tab := NewTable(8)
-	tab.ObserveBeacon(3, []byte("n3"), 0xFFFF, 100, -10, time.Second)
-	tab.ObserveBeacon(3, []byte("n3"), 0, 100, -10, 2*time.Second)
+	tab.ObserveBeacon(3, 0xFFFF, 100, -10, time.Second)
+	tab.ObserveBeacon(3, 0, 100, -10, 2*time.Second)
 	e, _ := tab.Get(3)
 	if e.PRR < 0.99 {
 		t.Fatalf("wraparound treated as loss: PRR = %f", e.PRR)

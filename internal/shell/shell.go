@@ -432,7 +432,7 @@ func (s *Shell) neighborSetup(args []string) error {
 	}
 	switch args[0] {
 	case "list":
-		out, err := s.ws.NeighborList(node, true)
+		out, err := s.ws.NeighborList(node)
 		if err != nil {
 			return err
 		}
@@ -443,7 +443,7 @@ func (s *Shell) neighborSetup(args []string) error {
 				flag = " [blacklisted]"
 			}
 			s.printf("  %-14s id=%d LQI=%d RSSI=%d PRR=%d%%%s\n",
-				e.Name, e.ID, e.LQI, e.RSSI, e.PRRPercent, flag)
+				s.tb.NameOf(e.ID), e.ID, e.LQI, e.RSSI, e.PRRPercent, flag)
 		}
 		return nil
 	case "blacklist":

@@ -27,7 +27,7 @@ func Chaos(seed uint64, opt Options) (*Result, error) {
 	type outcome struct {
 		ok      bool
 		delayMs float64
-		verdict string
+		verdict core.Verdict
 	}
 	// run deploys, scripts the scenario's faults, executes ping 1→2 and
 	// traceroute 1→6, and returns both outcomes. With -trace set, the
@@ -53,13 +53,12 @@ func Chaos(seed uint64, opt Options) (*Result, error) {
 		if p == nil {
 			return outcome{}, outcome{}, fmt.Errorf("ping returned no output: %w", perr)
 		}
-		pingOut = outcome{ok: perr == nil && p.Lost == 0, delayMs: ms(p.ResponseDelay), verdict: p.Verdict}
+		pingOut = outcome{ok: perr == nil && p.Verdict.Kind == core.VerdictOK, delayMs: ms(p.ResponseDelay), verdict: p.Verdict}
 		t, terr := dep.ws.Traceroute(1, core.TrOptions{Dst: 6, Length: 32, RouterPort: routing.GeographicPort})
 		if t == nil {
 			return outcome{}, outcome{}, fmt.Errorf("traceroute returned no output: %w", terr)
 		}
-		trOut = outcome{ok: terr == nil && t.FailedHop == 0 && len(t.Reports) > 0 && t.Reports[len(t.Reports)-1].Final,
-			delayMs: ms(t.ResponseDelay), verdict: t.Verdict}
+		trOut = outcome{ok: terr == nil && t.Verdict.Kind == core.VerdictReached, delayMs: ms(t.ResponseDelay), verdict: t.Verdict}
 		return pingOut, trOut, nil
 	}
 
@@ -146,24 +145,28 @@ func Chaos(seed uint64, opt Options) (*Result, error) {
 
 	pCrash, tCrash := outs[1].p, outs[1].t
 	r.check("crash: ping past the crash still ok", pCrash.ok, "verdict %q", pCrash.verdict)
-	r.check("crash: traceroute reports a broken path", !tCrash.ok && tCrash.verdict != "",
+	r.check("crash: traceroute reports a broken path", tCrash.verdict == brokenAt(2, 3),
 		"verdict %q", tCrash.verdict)
 
-	pBlack := outs[2].p
-	r.check("blackout: ping fails explicitly", !pBlack.ok && pBlack.verdict != "",
+	// The blackout check covers both commands; its detail shows the ping.
+	pBlack, tBlack := outs[2].p, outs[2].t
+	r.check("blackout: ping fails explicitly",
+		pBlack.verdict == core.Verdict{Kind: core.VerdictUnreachable, Node: 2, Lost: 2, Sent: 2} &&
+			tBlack.verdict == brokenAt(1, 2),
 		"verdict %q", pBlack.verdict)
 
 	pCor := outs[3].p
-	r.check("corrupt: ping terminates with a verdict", pCor.verdict != "", "verdict %q", pCor.verdict)
+	r.check("corrupt: ping terminates with a verdict", pCor.verdict.Kind != core.VerdictNone, "verdict %q", pCor.verdict)
 
 	pPart, tPart := outs[4].p, outs[4].t
 	r.check("partition: ping inside the main segment ok", pPart.ok, "verdict %q", pPart.verdict)
-	r.check("partition: traceroute reports a broken path", !tPart.ok && tPart.verdict != "",
+	r.check("partition: traceroute reports a broken path", tPart.verdict == brokenAt(3, 4),
 		"verdict %q", tPart.verdict)
 
 	pJam, tJam := outs[5].p, outs[5].t
-	r.check("jam: ping fails explicitly", !pJam.ok && pJam.verdict != "", "verdict %q", pJam.verdict)
-	r.check("jam: traceroute fails explicitly", !tJam.ok && tJam.verdict != "", "verdict %q", tJam.verdict)
+	notDelivered := core.Verdict{Kind: core.VerdictNotDelivered, Node: 1}
+	r.check("jam: ping fails explicitly", pJam.verdict == notDelivered, "verdict %q", pJam.verdict)
+	r.check("jam: traceroute fails explicitly", tJam.verdict == notDelivered, "verdict %q", tJam.verdict)
 
 	pRec, tRec := outs[6].p, outs[6].t
 	r.check("recovery: rebooted node answers ping", pRec.ok, "verdict %q", pRec.verdict)
@@ -177,4 +180,9 @@ func Chaos(seed uint64, opt Options) (*Result, error) {
 
 	r.note("every command above terminated inside its response window; failures are explicit verdicts, not hangs")
 	return r, nil
+}
+
+// brokenAt is a traceroute's verdict when node did not answer at hop.
+func brokenAt(hop int, node phys.NodeID) core.Verdict {
+	return core.Verdict{Kind: core.VerdictNoAnswer, Node: node, Hop: hop}
 }

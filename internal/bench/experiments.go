@@ -150,7 +150,7 @@ func Figure5(seed uint64, opt Options) (*Result, error) {
 		first, last := out.Reports[0], out.Reports[len(out.Reports)-1]
 		r.check("delay grows along the path", last.Delay > first.Delay,
 			"hop 1 at %.1f ms, hop %d at %.1f ms", ms(first.Delay), last.Hop, ms(last.Delay))
-		r.check("destination reached", last.Final && !last.Lost,
+		r.check("destination reached", out.Verdict.Kind == core.VerdictReached,
 			"final=%v lost=%v from=%d", last.Final, last.Lost, last.From)
 	}
 	slope, _ := trace.LinearFit(series.Points)

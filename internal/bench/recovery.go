@@ -247,9 +247,9 @@ func Recovery(seed uint64, opt Options) (*Result, error) {
 	trOpts := core.TrOptions{Dst: 4, Length: 32, RouterPort: routing.GeographicPort}
 	partial, _ := dep.ws.Traceroute(1, trOpts)
 	r.check("degradation: faulted traceroute returns partial hop reports",
-		partial != nil && len(partial.Reports) > 0 && partial.FailedHop >= 1,
+		partial != nil && len(partial.Reports) > 0 && partial.Verdict == brokenAt(1, 2),
 		"%d report(s), failed hop %d, verdict %q",
-		len(partial.Reports), partial.FailedHop, partial.Verdict)
+		len(partial.Reports), partial.Verdict.Hop, partial.Verdict)
 	// Drive a little traffic so the estimator condemns the dead link.
 	if r1, ok := dep.tb.Router(routing.GeographicPort, 1); ok {
 		for i := 0; i < 6; i++ {
@@ -259,8 +259,7 @@ func Recovery(seed uint64, opt Options) (*Result, error) {
 	}
 	healed, healedErr := dep.ws.Traceroute(1, trOpts)
 	r.check("degradation: post-repair traceroute reaches the destination",
-		healedErr == nil && healed != nil && healed.FailedHop == 0 &&
-			len(healed.Reports) > 0 && healed.Reports[len(healed.Reports)-1].Final,
+		healedErr == nil && healed != nil && healed.Verdict.Kind == core.VerdictReached,
 		"verdict %q", healed.Verdict)
 
 	var lastErr error

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"liteview/internal/phys"
@@ -85,34 +84,5 @@ func TestBreakerListSorted(t *testing.T) {
 	got := w.Breakers()
 	if len(got) != 2 || got[0].Node != 4 || got[1].Node != 9 {
 		t.Fatalf("Breakers = %+v, want nodes 4,9 in order", got)
-	}
-}
-
-func TestHopGaps(t *testing.T) {
-	mk := func(hops ...int) []TimedHopReport {
-		out := make([]TimedHopReport, len(hops))
-		for i, h := range hops {
-			out[i].Hop = h
-		}
-		return out
-	}
-	cases := []struct {
-		name    string
-		reports []TimedHopReport
-		want    []int
-	}{
-		{"no reports", nil, nil},
-		{"contiguous", mk(1, 2, 3), nil},
-		{"middle hop silent", mk(1, 3), []int{2}},
-		{"two gaps", mk(1, 3, 5), []int{2, 4}},
-		{"first hops silent", mk(4), []int{1, 2, 3}},
-		{"duplicates collapse", mk(2, 2, 4), []int{1, 3}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := hopGaps(tc.reports); !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("hopGaps = %v, want %v", got, tc.want)
-			}
-		})
 	}
 }

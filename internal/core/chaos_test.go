@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,7 +47,7 @@ func runBoundedPing(t *testing.T, tb *testbed.Testbed, ws *core.Workstation, nod
 	if out == nil {
 		t.Fatal("ping returned nil output")
 	}
-	if out.Verdict == "" {
+	if out.Verdict.Kind == core.VerdictNone {
 		t.Fatal("ping returned no verdict")
 	}
 	return out, err
@@ -62,7 +64,7 @@ func runBoundedTraceroute(t *testing.T, tb *testbed.Testbed, ws *core.Workstatio
 	if out == nil {
 		t.Fatal("traceroute returned nil output")
 	}
-	if out.Verdict == "" {
+	if out.Verdict.Kind == core.VerdictNone {
 		t.Fatal("traceroute returned no verdict")
 	}
 	return out, err
@@ -83,7 +85,7 @@ func TestChaosNodeCrash(t *testing.T) {
 	// Traceroute across the crash names the failing hop.
 	tr, _ := runBoundedTraceroute(t, tb, ws, 1, core.TrOptions{Dst: 5, Length: 32,
 		RouterPort: routing.GeographicPort})
-	if tr.FailedHop == 0 {
+	if k := tr.Verdict.Kind; k != core.VerdictNoAnswer && k != core.VerdictRouteLost {
 		t.Fatalf("traceroute did not report the broken hop: %q", tr.Verdict)
 	}
 	// Commands to live nodes still work.
@@ -207,7 +209,7 @@ func TestChaosPartition(t *testing.T) {
 	}
 	tr, _ := runBoundedTraceroute(t, tb, ws, 1, core.TrOptions{Dst: 5, Length: 32,
 		RouterPort: routing.GeographicPort})
-	if tr.FailedHop == 0 {
+	if k := tr.Verdict.Kind; k != core.VerdictNoAnswer && k != core.VerdictRouteLost {
 		t.Fatalf("traceroute across the partition did not break: %q", tr.Verdict)
 	}
 	// Inside the main segment everything still works.
@@ -236,7 +238,7 @@ func TestChaosSameSeedSameOutcome(t *testing.T) {
 		p, perr := ws.Ping(1, core.PingOptions{Dst: 2, Rounds: 3, Length: 32})
 		log += fmt.Sprintf("ping err=%v verdict=%q delay=%v lost=%d\n", perr, p.Verdict, p.ResponseDelay, p.Lost)
 		tr, terr := ws.Traceroute(1, core.TrOptions{Dst: 5, Length: 32, RouterPort: routing.GeographicPort})
-		log += fmt.Sprintf("tr err=%v verdict=%q delay=%v failed=%d\n", terr, tr.Verdict, tr.ResponseDelay, tr.FailedHop)
+		log += fmt.Sprintf("tr err=%v verdict=%q node=%d hop=%d delay=%v\n", terr, tr.Verdict, tr.Verdict.Node, tr.Verdict.Hop, tr.ResponseDelay)
 		for _, rep := range tr.Reports {
 			log += fmt.Sprintf("hop %d from %d lost=%v rtt=%d at=%v\n", rep.Hop, rep.From, rep.Lost, rep.RTT, rep.At)
 		}
@@ -245,5 +247,34 @@ func TestChaosSameSeedSameOutcome(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("same seed, different outcomes:\n--- a ---\n%s--- b ---\n%s", a, b)
+	}
+}
+
+// TestRefusedCommandVerdict checks that a command the workstation never
+// sent, because the node's circuit breaker is open, says so instead of
+// reporting a failed delivery, in its output and in its span.
+func TestRefusedCommandVerdict(t *testing.T) {
+	tb, ws := deploy(t, 3, 18, 18)
+	tb.Node(1).Crash()
+	opts := core.PingOptions{Dst: 3, Rounds: 1, Length: 32}
+	for i := 0; i < core.DefaultBreakerThreshold; i++ {
+		out, _ := ws.Ping(2, opts)
+		if want := (core.Verdict{Kind: core.VerdictNotDelivered, Node: 2}); out.Verdict != want {
+			t.Fatalf("ping %d to the crashed node: %q, want %q", i+1, out.Verdict, want)
+		}
+	}
+	rec := tb.Telemetry()
+	rec.Start()
+	before := tb.Eng.Now()
+	out, err := ws.Ping(2, opts)
+	if !errors.Is(err, core.ErrBreakerOpen) || tb.Eng.Now() != before {
+		t.Fatalf("breaker did not refuse the command: err=%v", err)
+	}
+	const want = "command to node 2 not sent (circuit breaker open, or another command in flight)"
+	if out.Verdict.Kind != core.VerdictRefused || out.Verdict.String() != want {
+		t.Fatalf("verdict %q, want %q", out.Verdict, want)
+	}
+	if spans := rec.SpanSummary(); !strings.Contains(spans, "verdict="+want) {
+		t.Fatalf("span does not record the refusal:\n%s", spans)
 	}
 }

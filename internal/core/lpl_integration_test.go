@@ -117,10 +117,7 @@ func TestNeighborDiscoveryWorksUnderLPL(t *testing.T) {
 
 func TestTracerouteOverLPL(t *testing.T) {
 	_, ws := deployLPL(t, 3, 15, 85)
-	out, err := ws.Traceroute(1, core.TrOptions{
-		Dst: 3, Length: 32, RouterPort: routing.GeographicPort,
-		HopTimeout: time.Second, // per-hop exchanges pay wake-up latency
-	})
+	out, err := ws.Traceroute(1, core.TrOptions{Dst: 3, Length: 32, RouterPort: routing.GeographicPort})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,6 @@ type TrOptions struct {
 	// RouterPort names the routing protocol used both to discover each
 	// next hop and to deliver reports back to the source.
 	RouterPort byte
-	// HopTimeout bounds one hop's probe/reply exchange (default 250 ms).
-	HopTimeout sim.Time
 	// MaxHops caps the walked path (default 24).
 	MaxHops int
 	// ProbeRetries is how many times each hop probe is retried before
@@ -63,9 +61,6 @@ func (o *TrOptions) normalize() error {
 	if o.RouterPort == 0 {
 		return errors.New("core: traceroute needs a routing protocol port")
 	}
-	if o.HopTimeout <= 0 {
-		o.HopTimeout = 250 * time.Millisecond
-	}
 	if o.MaxHops <= 0 {
 		o.MaxHops = 24
 	}
@@ -80,6 +75,10 @@ func (o *TrOptions) normalize() error {
 	return nil
 }
 
+// hopTimeout bounds one hop's probe/reply exchange, at the source, at
+// every relay and in SessionBudget.
+const hopTimeout = 250 * time.Millisecond
+
 // SessionBudget is the total traceroute deadline implied by the
 // options: every hop may burn (retries+1) timeouts plus continuation
 // jitter, and two extra hop-slots of slack cover report routing. The
@@ -87,7 +86,7 @@ func (o *TrOptions) normalize() error {
 // retried final hop cannot be cut off by the task deadline.
 func (o TrOptions) SessionBudget() sim.Time {
 	attempts := sim.Time(o.ProbeRetries + 1)
-	perHop := attempts*o.HopTimeout + 32*time.Millisecond
+	perHop := attempts*hopTimeout + 32*time.Millisecond
 	return sim.Time(o.MaxHops+2) * perHop
 }
 
@@ -158,7 +157,6 @@ type trSegment struct {
 	port       byte
 	hop        int
 	maxRetries int
-	timeout    sim.Time
 	next       phys.NodeID
 	sentAt     sim.Time
 	timer      *sim.Event
@@ -252,7 +250,7 @@ func (te *TracerouteEngine) Start(opts TrOptions, onReport func(TrHopReport), on
 	te.sessions[id] = s
 	// Session deadline: the per-hop budget accounts for probe retries.
 	s.deadline = te.eng.Schedule(opts.SessionBudget(), func() { te.finishSession(id) })
-	te.initiate(id, te.os.ID(), opts.Dst, opts.RouterPort, 0, opts.MaxHops, opts.ProbeRetries, opts.Length, opts.HopTimeout)
+	te.initiate(id, te.os.ID(), opts.Dst, opts.RouterPort, 0, opts.MaxHops, opts.ProbeRetries, opts.Length)
 	return nil
 }
 
@@ -273,7 +271,7 @@ func (te *TracerouteEngine) finishSession(id uint16) {
 
 // initiate starts one traceroute task at this node: probe the next hop
 // toward dst (Figure 4 steps 1-3).
-func (te *TracerouteEngine) initiate(taskID uint16, source, dst phys.NodeID, port byte, hop, maxHops, retries, length int, timeout sim.Time) {
+func (te *TracerouteEngine) initiate(taskID uint16, source, dst phys.NodeID, port byte, hop, maxHops, retries, length int) {
 	if hop >= maxHops {
 		te.os.SysLogEvent("traceroute", "task %d exceeded max hops", taskID)
 		return
@@ -290,7 +288,7 @@ func (te *TracerouteEngine) initiate(taskID uint16, source, dst phys.NodeID, por
 	}
 	seg := &trSegment{
 		taskID: taskID, source: source, port: port,
-		hop: hop, maxRetries: retries, timeout: timeout,
+		hop: hop, maxRetries: retries,
 		next: next,
 	}
 	te.segments[segKey(source, taskID, hop)] = seg
@@ -309,7 +307,7 @@ func (te *TracerouteEngine) sendProbe(seg *trSegment) {
 		te.report(TrHopReport{Hop: seg.hop + 1, From: seg.next, Lost: true}, seg.taskID, seg.source, seg.port)
 		return
 	}
-	seg.timer = te.eng.Schedule(seg.timeout, func() { te.segmentTimeout(seg) })
+	seg.timer = te.eng.Schedule(hopTimeout, func() { te.segmentTimeout(seg) })
 }
 
 func (te *TracerouteEngine) segmentTimeout(seg *trSegment) {
@@ -407,12 +405,10 @@ func (te *TracerouteEngine) onProbe(probe *trProbe, p *stack.Packet, from phys.N
 			// is the length of the last packet this node received, which
 			// need not be this probe (probe.length).
 			te.initiate(probe.taskID, probe.source, probe.dst, probe.port, int(probe.hop)+1,
-				int(probe.maxHops), int(probe.retries), len(p.Data), te.defaultHopTimeout())
+				int(probe.maxHops), int(probe.retries), len(p.Data))
 		})
 	}
 }
-
-func (te *TracerouteEngine) defaultHopTimeout() sim.Time { return 250 * time.Millisecond }
 
 // onReply handles Figure 4 steps 6-8 at the probing hop: compute the
 // hop RTT and ship the report to the source.

@@ -350,40 +350,94 @@ func (w *Workstation) UpdateBeaconPeriod(node phys.NodeID, period sim.Time) erro
 	return w.statusCommand(node, Command{Kind: KindNbrUpdate, PeriodMs: uint32(period / time.Millisecond)})
 }
 
-// PingOutput is the interpreter-side result of a ping command.
-type PingOutput struct {
-	// Results holds one entry per round.
-	Results []PingResult
-	// Sent/Received/Lost mirror the paper's "Ping statistics" block.
+// Verdict is the one reading of a ping or traceroute: decided here, read
+// by the shell, the command span, DiagnosePath and the bench checks.
+type Verdict struct {
+	Kind VerdictKind
+	// Node is the node the verdict names: the destination, the probed
+	// node that did not answer, the relay left without a next hop (0 if
+	// unknown), the last node heard from, or the commanded node.
+	Node phys.NodeID
+	// Hop is the hops walked, the hop where the path broke, or the last
+	// hop heard from; 0 for ping and when no hop report came back.
+	Hop        int
+	Lost, Sent int // a ping's rounds
+}
+
+// VerdictKind classifies a verdict. Each kind renders one fixed text.
+type VerdictKind uint8
+
+const (
+	VerdictNone         VerdictKind = iota // no verdict: the command's options were rejected
+	VerdictOK                              // every ping round was answered
+	VerdictPartial                         // some ping rounds were lost
+	VerdictUnreachable                     // every ping round was lost
+	VerdictReached                         // the traceroute's destination answered its probe
+	VerdictNoAnswer                        // a probed node did not answer
+	VerdictRouteLost                       // a relay had no next hop toward the destination
+	VerdictIncomplete                      // the response window cut the walk short
+	VerdictNoReports                       // the node answered, but no hop report came back
+	VerdictNoResponse                      // nothing came back within the response window
+	VerdictNotDelivered                    // the command's reliable transfer failed
+	VerdictRefused                         // nothing sent: breaker open, or a command in flight
+)
+
+// String renders the verdict as the shell and the command span show it.
+// lvperf classifies a traceroute by "destination N reached".
+func (v Verdict) String() string {
+	switch v.Kind {
+	case VerdictOK:
+		return "ok"
+	case VerdictPartial:
+		return fmt.Sprintf("partial: %d/%d round(s) lost", v.Lost, v.Sent)
+	case VerdictUnreachable:
+		return fmt.Sprintf("destination %d unreachable: all %d round(s) lost", v.Node, v.Lost)
+	case VerdictReached:
+		return fmt.Sprintf("destination %d reached in %d hop(s)", v.Node, v.Hop)
+	case VerdictNoAnswer:
+		return fmt.Sprintf("path broke at hop %d: node %d did not answer its probe (crashed, jammed, or link down)", v.Hop, v.Node)
+	case VerdictRouteLost:
+		return fmt.Sprintf("path broke at hop %d: no next hop toward the destination (route lost)", v.Hop)
+	case VerdictIncomplete:
+		return fmt.Sprintf("incomplete: last report from hop %d, session cut by the response window", v.Hop)
+	case VerdictNoReports:
+		return "no hop reports: no route toward the destination, or all reports lost"
+	case VerdictNoResponse:
+		return "no response: controller unreachable within the response window"
+	case VerdictNotDelivered:
+		return fmt.Sprintf("command delivery to node %d failed (node down, out of range, or channel jammed)", v.Node)
+	case VerdictRefused:
+		return fmt.Sprintf("command to node %d not sent (circuit breaker open, or another command in flight)", v.Node)
+	}
+	return ""
+}
+
+// PathOutcome is what a ping and a traceroute both report.
+type PathOutcome struct {
+	// Sent/Received/Lost mirror the paper's statistics block (rounds or hops).
 	Sent, Received, Lost int
 	// ResponseDelay is how long the command took at the interpreter.
 	ResponseDelay sim.Time
 	// Protocol is the carrying protocol's display name.
 	Protocol string
-	// Verdict is the interpreter's one-line reading of the outcome:
-	// "ok", a partial-loss summary, or an explicit failure statement.
-	// It is set even when Ping also returns an error, so callers can
-	// surface what was learned before the failure.
-	Verdict string
+	// Verdict is set even when the command also returns an error, so
+	// callers can surface what was learned before the failure.
+	Verdict Verdict
+}
+
+// PingOutput is the interpreter-side result of a ping command.
+type PingOutput struct {
+	PathOutcome
+	// Results holds one entry per round.
+	Results []PingResult
 }
 
 // Ping runs the ping command on node (the node the user is logged
 // into), probing opts.Dst.
-func (w *Workstation) Ping(node phys.NodeID, opts PingOptions) (out *PingOutput, err error) {
+func (w *Workstation) Ping(node phys.NodeID, opts PingOptions) (*PingOutput, error) {
 	if err := (&opts).normalize(); err != nil {
 		return nil, err
 	}
-	// The ping span covers every round: all MAC transmissions, retries,
-	// and routing decisions the probe causes carry this id.
-	span := w.tel.BeginSpan(WorkstationID, "ping",
-		telemetry.Node("node", node), telemetry.Node("dst", opts.Dst))
-	defer func() {
-		verdict := ""
-		if out != nil {
-			verdict = out.Verdict
-		}
-		w.tel.EndSpan(span, telemetry.String("verdict", verdict))
-	}()
 	cmd := Command{Kind: KindPing, Dst: opts.Dst, Rounds: opts.Rounds, Length: opts.Length, RouterPort: opts.RouterPort}
 	// The window must cover all rounds; each timed-out round costs the
 	// per-round timeout. The default single round keeps the paper's
@@ -392,55 +446,40 @@ func (w *Workstation) Ping(node phys.NodeID, opts PingOptions) (out *PingOutput,
 	if opts.RouterPort != 0 {
 		window += sim.Time(opts.Rounds) * opts.Timeout
 	}
-	c, elapsed, err := w.command(node, cmd, window, false)
-	if err != nil {
-		// Delivering the command itself failed (node down, out of range,
-		// or channel jammed): report the explicit verdict with the error.
-		out = &PingOutput{ResponseDelay: elapsed, Sent: opts.Rounds,
-			Verdict: fmt.Sprintf("command delivery to node %d failed (node down, out of range, or channel jammed)", node)}
-		return out, err
-	}
-	out = &PingOutput{ResponseDelay: elapsed, Sent: opts.Rounds}
-	bySeq := make(map[int]*PingResult)
-	for _, r := range c.replies {
-		switch r.Kind {
-		case KindPingResult:
-			out.Results = append(out.Results, r.Ping)
-			bySeq[r.Ping.Seq] = &out.Results[len(out.Results)-1]
-			if r.Ping.Lost {
-				out.Lost++
-			} else {
-				out.Received++
-			}
-		case KindPingHops:
-			if res, ok := bySeq[r.PingHops.Seq]; ok {
-				res.HopQuality = append(res.HopQuality, r.PingHops.Records...)
-			}
-		case KindStatus:
-			if r.Status.Code == StatusOK {
-				out.Protocol = r.Status.Msg
+	out := &PingOutput{PathOutcome: PathOutcome{Sent: opts.Rounds}}
+	return out, w.pathCommand(node, cmd, window, false, &out.PathOutcome, func(c *collector) Verdict {
+		bySeq := make(map[int]*PingResult)
+		for _, r := range c.replies {
+			switch r.Kind {
+			case KindPingResult:
+				out.Results = append(out.Results, r.Ping)
+				bySeq[r.Ping.Seq] = &out.Results[len(out.Results)-1]
+				if r.Ping.Lost {
+					out.Lost++
+				} else {
+					out.Received++
+				}
+			case KindPingHops:
+				if res, ok := bySeq[r.PingHops.Seq]; ok {
+					res.HopQuality = append(res.HopQuality, r.PingHops.Records...)
+				}
 			}
 		}
-	}
-	if len(c.replies) == 0 {
-		out.Verdict = "no response: controller unreachable within the response window"
-		return out, errors.New("core: no ping reply within the response window")
-	}
-	// Rounds whose result reply never made it back count as lost: the
-	// statistics block must always account for every round sent, even
-	// when the reply stream itself was clipped by losses or the window.
-	if missing := out.Sent - (out.Received + out.Lost); missing > 0 {
-		out.Lost += missing
-	}
-	switch {
-	case out.Received == 0 && out.Lost > 0:
-		out.Verdict = fmt.Sprintf("destination %d unreachable: all %d round(s) lost", opts.Dst, out.Lost)
-	case out.Lost > 0:
-		out.Verdict = fmt.Sprintf("partial: %d/%d round(s) lost", out.Lost, out.Sent)
-	default:
-		out.Verdict = "ok"
-	}
-	return out, firstStatusErr(c)
+		// Rounds whose result reply never made it back count as lost: the
+		// statistics block must always account for every round sent, even
+		// when the reply stream itself was clipped by losses or the window.
+		if missing := out.Sent - (out.Received + out.Lost); missing > 0 {
+			out.Lost += missing
+		}
+		v := Verdict{Kind: VerdictOK, Node: opts.Dst, Lost: out.Lost, Sent: out.Sent}
+		switch {
+		case out.Received == 0 && out.Lost > 0:
+			v.Kind = VerdictUnreachable
+		case out.Lost > 0:
+			v.Kind = VerdictPartial
+		}
+		return v
+	})
 }
 
 // TimedHopReport is a traceroute hop report stamped with its arrival
@@ -455,130 +494,95 @@ type TimedHopReport struct {
 
 // TracerouteOutput is the interpreter-side result of a traceroute.
 type TracerouteOutput struct {
+	PathOutcome
 	Reports []TimedHopReport
-	// Sent/Received/Lost mirror the paper's statistics block (per hop).
-	Sent, Received, Lost int
-	// Protocol is the carrying protocol's display name.
-	Protocol string
-	// ResponseDelay is the time until the final report (or window).
-	ResponseDelay sim.Time
-	// Verdict is the interpreter's one-line reading of the outcome:
-	// "destination reached...", a "path broke at hop k" statement, or
-	// an explicit failure. Set even when Traceroute returns an error.
-	Verdict string
-	// FailedHop is the 1-based hop index where the path broke (0 when
-	// the walk completed or produced no reports at all).
-	FailedHop int
-	// Gaps lists 1-based hop numbers below the highest hop seen whose
-	// report never arrived: the probe walk continued past them, but the
-	// report routed back to the user was lost in the network. The
-	// display layer prints these as the classic "*" lines — partial
-	// knowledge beats a failed command.
-	Gaps []int
 }
 
 // Traceroute runs the traceroute command on node toward opts.Dst,
 // streaming per-hop reports. The command finishes when the
 // destination's report arrives (the controller then closes the stream)
 // or when the window expires.
-func (w *Workstation) Traceroute(node phys.NodeID, opts TrOptions) (out *TracerouteOutput, err error) {
+func (w *Workstation) Traceroute(node phys.NodeID, opts TrOptions) (*TracerouteOutput, error) {
 	if err := (&opts).normalize(); err != nil {
 		return nil, err
 	}
-	// The traceroute span covers the whole hop walk: every probe,
-	// retry, and report routed back carries this id.
-	span := w.tel.BeginSpan(WorkstationID, "traceroute",
-		telemetry.Node("node", node), telemetry.Node("dst", opts.Dst))
-	defer func() {
-		verdict := ""
-		if out != nil {
-			verdict = out.Verdict
-		}
-		w.tel.EndSpan(span, telemetry.String("verdict", verdict))
-	}()
 	cmd := Command{Kind: KindTraceroute, Dst: opts.Dst, Rounds: 1, Length: opts.Length,
 		RouterPort: opts.RouterPort, Retries: opts.ProbeRetries}
 	// The listen window mirrors the controller's session budget (which
 	// accounts for per-hop retries) plus the usual command window.
 	window := ResponseWindow + opts.SessionBudget()
 	start := w.eng.Now()
-	c, elapsed, err := w.command(node, cmd, window, true)
-	if err != nil {
-		out = &TracerouteOutput{ResponseDelay: elapsed,
-			Verdict: fmt.Sprintf("command delivery to node %d failed (node down, out of range, or channel jammed)", node)}
-		return out, err
-	}
-	out = &TracerouteOutput{}
-	for i, r := range c.replies {
-		switch r.Kind {
-		case KindTrHopReport:
-			out.Reports = append(out.Reports, TimedHopReport{
-				TrHopReport: r.TrHop,
-				At:          c.times[i],
-				Delay:       c.times[i] - start,
-			})
-			out.Sent++
-			if r.TrHop.Lost {
-				out.Lost++
-			} else {
-				out.Received++
+	out := &TracerouteOutput{}
+	return out, w.pathCommand(node, cmd, window, true, &out.PathOutcome, func(c *collector) Verdict {
+		for i, r := range c.replies {
+			if r.Kind == KindTrHopReport {
+				out.Reports = append(out.Reports, TimedHopReport{TrHopReport: r.TrHop, At: c.times[i], Delay: c.times[i] - start})
+				if r.TrHop.Lost {
+					out.Lost++
+				}
 			}
-		case KindStatus:
-			if r.Status.Code == StatusOK {
+		}
+		out.Sent, out.Received = len(out.Reports), len(out.Reports)-out.Lost
+		return trVerdict(node, opts.Dst, out.Reports)
+	})
+}
+
+// trVerdict reads a traceroute's hop reports into its verdict. node is
+// the commanded node, where the walk starts.
+func trVerdict(node, dst phys.NodeID, reports []TimedHopReport) Verdict {
+	if len(reports) == 0 {
+		return Verdict{Kind: VerdictNoReports, Node: node}
+	}
+	last := reports[len(reports)-1]
+	v := Verdict{Kind: VerdictIncomplete, Node: last.From, Hop: last.Hop}
+	switch {
+	case last.Final && !last.Lost:
+		v.Kind, v.Node = VerdictReached, dst
+	case last.Lost && last.From != 0:
+		v.Kind = VerdictNoAnswer
+	case last.Lost:
+		// The node one hop back sent this report: it had no next hop.
+		v.Kind, v.Node = VerdictRouteLost, 0
+		if last.Hop == 1 {
+			v.Node = node
+		}
+		for _, r := range reports {
+			if r.Hop == last.Hop-1 {
+				v.Node = r.From
+			}
+		}
+	}
+	return v
+}
+
+// pathCommand runs a ping or traceroute under one span, which every
+// probe, retry and report it causes carries, and fills out's delay,
+// protocol and verdict. A command that was not sent, not delivered or not
+// answered is judged here; decide reads the replies of one that was.
+func (w *Workstation) pathCommand(node phys.NodeID, cmd Command, window sim.Time, early bool,
+	out *PathOutcome, decide func(*collector) Verdict) error {
+	span := w.tel.BeginSpan(WorkstationID, cmd.Kind.String(),
+		telemetry.Node("node", node), telemetry.Node("dst", cmd.Dst))
+	defer func() { w.tel.EndSpan(span, telemetry.String("verdict", out.Verdict.String())) }()
+	c, elapsed, err := w.command(node, cmd, window, early)
+	out.ResponseDelay = elapsed
+	switch {
+	case c == nil:
+		out.Verdict = Verdict{Kind: VerdictRefused, Node: node}
+	case err != nil:
+		out.Verdict = Verdict{Kind: VerdictNotDelivered, Node: node}
+	case len(c.replies) == 0:
+		out.Verdict = Verdict{Kind: VerdictNoResponse, Node: node}
+		err = fmt.Errorf("core: no %v reply within the response window", cmd.Kind)
+	default:
+		for _, r := range c.replies {
+			if r.Kind == KindStatus && r.Status.Code == StatusOK {
 				out.Protocol = r.Status.Msg
 			}
 		}
+		out.Verdict, err = decide(c), firstStatusErr(c)
 	}
-	out.ResponseDelay = w.eng.Now() - start
-	if len(c.replies) == 0 {
-		out.Verdict = "no response: controller unreachable within the response window"
-		return out, errors.New("core: no traceroute reply within the response window")
-	}
-	out.Gaps = hopGaps(out.Reports)
-	out.Verdict, out.FailedHop = trVerdict(opts.Dst, out.Reports)
-	return out, firstStatusErr(c)
-}
-
-// hopGaps finds the hop numbers missing from a report sequence: hops
-// the walk passed (some later hop reported) whose own report was lost
-// on its way back to the workstation.
-func hopGaps(reports []TimedHopReport) []int {
-	maxHop := 0
-	seen := make(map[int]bool, len(reports))
-	for _, r := range reports {
-		seen[r.Hop] = true
-		if r.Hop > maxHop {
-			maxHop = r.Hop
-		}
-	}
-	var gaps []int
-	for h := 1; h < maxHop; h++ {
-		if !seen[h] {
-			gaps = append(gaps, h)
-		}
-	}
-	return gaps
-}
-
-// trVerdict reads a traceroute's hop reports into a one-line outcome
-// and, when the path broke, the 1-based failing hop.
-func trVerdict(dst phys.NodeID, reports []TimedHopReport) (string, int) {
-	if len(reports) == 0 {
-		return "no hop reports: no route toward the destination, or all reports lost", 0
-	}
-	last := reports[len(reports)-1]
-	switch {
-	case last.Final && !last.Lost:
-		return fmt.Sprintf("destination %d reached in %d hop(s)", dst, last.Hop), 0
-	case last.Lost && last.From != 0:
-		return fmt.Sprintf("path broke at hop %d: node %d did not answer its probe (crashed, jammed, or link down)",
-			last.Hop, last.From), last.Hop
-	case last.Lost:
-		return fmt.Sprintf("path broke at hop %d: no next hop toward the destination (route lost)",
-			last.Hop), last.Hop
-	default:
-		return fmt.Sprintf("incomplete: last report from hop %d, session cut by the response window", last.Hop), 0
-	}
+	return err
 }
 
 // StatsOutput is the interpreter-side result of a stats query.

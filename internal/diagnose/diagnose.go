@@ -506,30 +506,19 @@ func DiagnosePath(ws *core.Workstation, from Target, opts core.TrOptions) (*Path
 		return nil, fmt.Errorf("diagnose: traceroute from %s: %w", from.Name, err)
 	}
 	rep := &PathReport{Traceroute: out}
-	switch {
-	case err != nil && len(out.Reports) == 0:
-		rep.Findings = append(rep.Findings, Finding{
-			Severity: Critical, Kind: "path-unreachable", Node: from.ID,
-			Detail: fmt.Sprintf("traceroute %s→%d: %s", from.Name, opts.Dst, out.Verdict),
-		})
-	case out.FailedHop > 0:
-		// The last report names the hop that failed: either a probed
-		// node that never answered, or a relay with no route onward.
-		last := out.Reports[len(out.Reports)-1]
-		node := last.From
-		if node == 0 {
-			node = from.ID
-		}
-		rep.Findings = append(rep.Findings, Finding{
-			Severity: Critical, Kind: "path-broken", Node: node,
-			Detail: fmt.Sprintf("traceroute %s→%d: %s", from.Name, opts.Dst, out.Verdict),
-		})
-	case err != nil:
-		rep.Findings = append(rep.Findings, Finding{
-			Severity: Warning, Kind: "path-partial", Node: from.ID,
-			Detail: fmt.Sprintf("traceroute %s→%d: %s", from.Name, opts.Dst, out.Verdict),
-		})
+	f := Finding{Severity: Critical, Node: out.Verdict.Node,
+		Detail: fmt.Sprintf("traceroute %s→%d: %s", from.Name, opts.Dst, out.Verdict)}
+	switch out.Verdict.Kind {
+	case core.VerdictReached:
+		return rep, nil
+	case core.VerdictNoAnswer, core.VerdictRouteLost:
+		f.Kind = "path-broken"
+	case core.VerdictIncomplete:
+		f.Severity, f.Kind = Warning, "path-partial"
+	default:
+		f.Kind = "path-unreachable"
 	}
+	rep.Findings = append(rep.Findings, f)
 	return rep, nil
 }
 

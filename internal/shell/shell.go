@@ -299,40 +299,51 @@ func msStr(us uint32) string {
 	return fmt.Sprintf("%.1f", float64(us)/1000)
 }
 
-func (s *Shell) ping(args []string) error {
-	node, err := s.node()
-	if err != nil {
-		return err
+// pathArgs is what ping and traceroute read from their arguments: the
+// node logged into, one target, and the round (default 1), length
+// (default 32) and port options.
+type pathArgs struct {
+	node, dst      phys.NodeID
+	target         string // as typed
+	rounds, length int
+	port           byte
+}
+
+func (s *Shell) parsePathArgs(cmd string, args []string) (a pathArgs, err error) {
+	if a.node, err = s.node(); err != nil {
+		return a, err
 	}
 	opts, rest, err := parseOpts(args)
 	if err != nil {
-		return err
+		return a, err
 	}
 	if len(rest) != 1 {
-		return errors.New("shell: usage: ping <name|id> [round=N] [length=B] [port=P]")
+		return a, fmt.Errorf("shell: usage: %s <name|id> [round=N] [length=B] [port=P]", cmd)
 	}
-	dst, err := s.resolveTarget(rest[0])
+	if a.dst, err = s.resolveTarget(rest[0]); err != nil {
+		return a, err
+	}
+	a.target, a.rounds, a.length, a.port = rest[0], opts["round"], opts["length"], byte(opts["port"])
+	if a.rounds == 0 {
+		a.rounds = 1
+	}
+	if a.length == 0 {
+		a.length = 32
+	}
+	return a, nil
+}
+
+func (s *Shell) ping(args []string) error {
+	a, err := s.parsePathArgs("ping", args)
 	if err != nil {
 		return err
 	}
-	po := core.PingOptions{
-		Dst:        dst,
-		Rounds:     opts["round"],
-		Length:     opts["length"],
-		RouterPort: byte(opts["port"]),
-	}
-	if po.Rounds == 0 {
-		po.Rounds = 1
-	}
-	if po.Length == 0 {
-		po.Length = 32
-	}
-	out, err := s.ws.Ping(node, po)
+	out, err := s.ws.Ping(a.node, core.PingOptions{Dst: a.dst, Rounds: a.rounds, Length: a.length, RouterPort: a.port})
 	if err != nil {
 		return err
 	}
-	s.printf("Pinging %s with %d packets with %d bytes:\n", rest[0], po.Rounds, po.Length)
-	if po.RouterPort != 0 && out.Protocol != "" {
+	s.printf("Pinging %s with %d packets with %d bytes:\n", a.target, a.rounds, a.length)
+	if a.port != 0 && out.Protocol != "" {
 		s.printf("Name of protocol: %s\n", out.Protocol)
 	}
 	for _, r := range out.Results {
@@ -357,69 +368,51 @@ func (s *Shell) ping(args []string) error {
 }
 
 func (s *Shell) traceroute(args []string) error {
-	node, err := s.node()
+	a, err := s.parsePathArgs("traceroute", args)
 	if err != nil {
 		return err
 	}
-	opts, rest, err := parseOpts(args)
-	if err != nil {
-		return err
+	if a.port == 0 {
+		a.port = 10 // the paper's geographic forwarding example
 	}
-	if len(rest) != 1 {
-		return errors.New("shell: usage: traceroute <name|id> [round=N] [length=B] [port=P]")
-	}
-	dst, err := s.resolveTarget(rest[0])
-	if err != nil {
-		return err
-	}
-	length := opts["length"]
-	if length == 0 {
-		length = 32
-	}
-	rounds := opts["round"]
-	if rounds == 0 {
-		rounds = 1
-	}
-	port := byte(opts["port"])
-	if port == 0 {
-		port = 10 // the paper's geographic forwarding example
-	}
-	s.printf("Reaching %s with %d packets with %d bytes:\n", rest[0], rounds, length)
-	for round := 0; round < rounds; round++ {
-		out, err := s.ws.Traceroute(node, core.TrOptions{Dst: dst, Length: length, RouterPort: port})
+	s.printf("Reaching %s with %d packets with %d bytes:\n", a.target, a.rounds, a.length)
+	for round := 0; round < a.rounds; round++ {
+		out, err := s.ws.Traceroute(a.node, core.TrOptions{Dst: a.dst, Length: a.length, RouterPort: a.port})
 		if err != nil {
 			return err
 		}
 		if round == 0 && out.Protocol != "" {
 			s.printf("Name of protocol: %s\n", out.Protocol)
 		}
-		// Print in hop order with explicit "*" lines for hops whose
-		// report was lost on its way back: the walk continued past them
-		// (a later hop reported), so the user sees partial knowledge
-		// with marked gaps instead of a silently shortened path.
-		reports := append([]core.TimedHopReport(nil), out.Reports...)
-		sort.Slice(reports, func(i, j int) bool { return reports[i].Hop < reports[j].Hop })
-		next := 1
-		for _, rep := range reports {
-			for ; next < rep.Hop; next++ {
-				s.printf("Hop %d: *\n", next)
-			}
-			next = rep.Hop + 1
-			if rep.Lost {
-				s.printf("Hop %d: no reply\n", rep.Hop)
-				continue
-			}
-			s.printf("Reply from %s\n", s.tb.NameOf(rep.From))
-			s.printf("RTT = %s ms, LQI = %d/%d, RSSI = %d/%d, Queue = %d/%d\n",
-				msStr(rep.RTT), rep.LQIFwd, rep.LQIBwd, rep.RSSIFwd, rep.RSSIBwd, rep.QFwd, rep.QBwd)
-		}
+		s.printHops(out.Reports)
 		s.printf("\nTraceroute statistics:\nPackets = %d\nReceived = %d\nLost = %d\n",
 			out.Sent, out.Received, out.Lost)
-		if out.Verdict != "" {
-			s.printf("Verdict: %s\n", out.Verdict)
-		}
+		s.printf("Verdict: %s\n", out.Verdict)
 	}
 	return nil
+}
+
+// printHops prints a traceroute's reports in hop order with explicit
+// "*" lines for hops whose report was lost on its way back: the walk
+// continued past them (a later hop reported), so the user sees partial
+// knowledge with marked gaps instead of a silently shortened path.
+func (s *Shell) printHops(reports []core.TimedHopReport) {
+	reports = append([]core.TimedHopReport(nil), reports...)
+	sort.Slice(reports, func(i, j int) bool { return reports[i].Hop < reports[j].Hop })
+	next := 1
+	for _, rep := range reports {
+		for ; next < rep.Hop; next++ {
+			s.printf("Hop %d: *\n", next)
+		}
+		next = rep.Hop + 1
+		if rep.Lost {
+			s.printf("Hop %d: no reply\n", rep.Hop)
+			continue
+		}
+		s.printf("Reply from %s\n", s.tb.NameOf(rep.From))
+		s.printf("RTT = %s ms, LQI = %d/%d, RSSI = %d/%d, Queue = %d/%d\n",
+			msStr(rep.RTT), rep.LQIFwd, rep.LQIBwd, rep.RSSIFwd, rep.RSSIBwd, rep.QFwd, rep.QBwd)
+	}
 }
 
 func (s *Shell) neighborSetup(args []string) error {

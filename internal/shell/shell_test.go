@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"liteview/internal/core"
 	"liteview/internal/phys"
 	"liteview/internal/routing"
 	"liteview/internal/testbed"
@@ -111,6 +112,38 @@ func TestTracerouteTranscriptShape(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Fatalf("transcript missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestTracerouteGapLines pins where the traceroute transcript prints a
+// "*" line: for each hop below the highest one reported whose own
+// report never arrived. The reports here are all lost probes, so the
+// lines need no node names.
+func TestTracerouteGapLines(t *testing.T) {
+	cases := []struct {
+		name string
+		hops []int
+		want string
+	}{
+		{"no reports", nil, ""},
+		{"contiguous", []int{1, 2, 3}, "Hop 1: no reply\nHop 2: no reply\nHop 3: no reply\n"},
+		{"middle hop silent", []int{1, 3}, "Hop 1: no reply\nHop 2: *\nHop 3: no reply\n"},
+		{"two gaps", []int{1, 3, 5}, "Hop 1: no reply\nHop 2: *\nHop 3: no reply\nHop 4: *\nHop 5: no reply\n"},
+		{"first hops silent", []int{4}, "Hop 1: *\nHop 2: *\nHop 3: *\nHop 4: no reply\n"},
+		{"duplicates collapse", []int{4, 2, 2}, "Hop 1: *\nHop 2: no reply\nHop 2: no reply\nHop 3: *\nHop 4: no reply\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var reports []core.TimedHopReport
+			for _, h := range tc.hops {
+				reports = append(reports, core.TimedHopReport{TrHopReport: core.TrHopReport{Hop: h, Lost: true}})
+			}
+			var out strings.Builder
+			(&Shell{out: &out}).printHops(reports)
+			if got := out.String(); got != tc.want {
+				t.Fatalf("printed:\n%swant:\n%s", got, tc.want)
+			}
+		})
 	}
 }
 
